@@ -43,6 +43,15 @@ var noallocManifest = map[string]string{
 	"internal/obs.(Gauge).Set":         "obs hot instrument",
 	"internal/obs.(Gauge).Add":         "obs hot instrument",
 	"internal/obs.(Histogram).Observe": "obs hot instrument",
+	// Pinned at a constant allocation count per labeling, whatever the
+	// number of passes, candidates and certificates, by
+	// TestCanonicalLabelingAllocs (internal/graph/canonical_test.go).
+	"internal/graph.(canonizer).refinePass":  "canonical labeling refinement pass",
+	"internal/graph.(canonizer).refine":      "canonical labeling refinement to a stable partition",
+	"internal/graph.(canonizer).certificate": "canonical labeling candidate certificate",
+	"internal/graph.sortEdgesByPair":         "canonical labeling certificate counting sort",
+	"internal/graph.countOffsets":            "canonical labeling counting-sort offsets",
+	"internal/graph.(Graph).twins":           "canonical labeling twin check",
 }
 
 // collectNoallocAnnotations parses every non-test .go file under the

@@ -1,10 +1,12 @@
 package graph
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // Canonical labeling and content hashing.
@@ -27,8 +29,15 @@ import (
 // treat it as a fingerprint — verify on hit — not as a proof of isomorphism.
 // A false *negative* (isomorphic graphs hashing differently) only costs a
 // cache miss; a false *positive* is caught by post-remap verification.
+//
+// The labels are the result cache's key, so they are pinned bit for bit to
+// the reference implementation in canonical_ref_test.go; candidates
+// explains why skipping twins leaves them unchanged (DESIGN.md §6).
 
-const fnvPrime = 1099511628211
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
 
 func mix(h, x uint64) uint64 {
 	h ^= x
@@ -37,101 +46,6 @@ func mix(h, x uint64) uint64 {
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 32
 	return h
-}
-
-// refineStable iterates WL color refinement from the given class ids until
-// the number of classes stops growing. Class ids are canonical ranks: they
-// are assigned by sorting signature values, so they are invariant under
-// vertex relabeling. It returns the stable class ids and the class count.
-func refineStable(g *Graph, classes []int, count int) ([]int, int) {
-	n := g.N()
-	sigs := make([]uint64, n)
-	nbr := make([]uint64, 0, g.maxDeg)
-	for {
-		for v := 0; v < n; v++ {
-			nbr = nbr[:0]
-			for _, a := range g.adj[v] {
-				nbr = append(nbr, uint64(classes[a.To])+1)
-			}
-			sort.Slice(nbr, func(i, j int) bool { return nbr[i] < nbr[j] })
-			h := mix(14695981039346656037, uint64(classes[v])+1)
-			for _, x := range nbr {
-				h = mix(h, x)
-			}
-			sigs[v] = h
-		}
-		uniq := make([]uint64, n)
-		copy(uniq, sigs)
-		sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
-		k := 0
-		for i, s := range uniq {
-			if i == 0 || s != uniq[i-1] {
-				uniq[k] = s
-				k++
-			}
-		}
-		uniq = uniq[:k]
-		next := make([]int, n)
-		for v := 0; v < n; v++ {
-			next[v] = sort.Search(k, func(i int) bool { return uniq[i] >= sigs[v] })
-		}
-		if k == count {
-			return next, k
-		}
-		classes, count = next, k
-	}
-}
-
-// certificate hashes the quotient structure of a stable partition: the class
-// size histogram plus the multiset of edge class-pairs. It is invariant
-// under vertex relabeling, and when the partition is discrete it determines
-// the canonically relabeled edge list exactly.
-func certificate(g *Graph, classes []int, count int) uint64 {
-	sizes := make([]int, count)
-	for _, c := range classes {
-		sizes[c]++
-	}
-	h := mix(14695981039346656037, uint64(g.N()))
-	h = mix(h, uint64(g.M()))
-	for _, s := range sizes {
-		h = mix(h, uint64(s))
-	}
-	pairs := make([]uint64, 0, g.M())
-	for _, e := range g.edges {
-		a, b := classes[e.U], classes[e.V]
-		if a > b {
-			a, b = b, a
-		}
-		pairs = append(pairs, uint64(a)<<32|uint64(b))
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i] < pairs[j] })
-	for _, p := range pairs {
-		h = mix(h, p)
-	}
-	return h
-}
-
-// initialClasses ranks vertices by degree, the WL base case.
-func initialClasses(g *Graph) ([]int, int) {
-	n := g.N()
-	degs := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		degs = append(degs, len(g.adj[v]))
-	}
-	sort.Ints(degs)
-	k := 0
-	for i, d := range degs {
-		if i == 0 || d != degs[i-1] {
-			degs[k] = d
-			k++
-		}
-	}
-	degs = degs[:k]
-	classes := make([]int, n)
-	for v := 0; v < n; v++ {
-		classes[v] = sort.Search(k, func(i int) bool { return degs[i] >= len(g.adj[v]) })
-	}
-	return classes, k
 }
 
 // canonScanCap bounds how many candidates of a target cell each
@@ -144,57 +58,335 @@ func initialClasses(g *Graph) ([]int, int) {
 // cache users already tolerate (verify-on-hit).
 const canonScanCap = 16
 
+// sigVertex is one vertex's refinement signature, the record a pass sorts
+// to rank the signatures.
+type sigVertex struct {
+	sig uint64
+	v   int32
+}
+
+func cmpSig(a, b sigVertex) int { return cmp.Compare(a.sig, b.sig) }
+
+// canonizer holds the scratch buffers of one CanonicalLabeling call. Class
+// ids are canonical ranks: a pass assigns them by sorting signature values,
+// so they are invariant under vertex relabeling.
+type canonizer struct {
+	g *Graph
+	// Refinement passes.
+	byClass []int32     // len N(): the vertices in ascending class order
+	recs    []sigVertex // len N(): signatures in vertex order
+	sorted  []sigVertex // len N(): signatures in ascending order
+	bucket  []int32     // len N(): the top bits of each vertex's signature
+	shift   uint        // signature bits below the bucket bits
+	cnt     []int32     // len > N(): sizes and counting-sort offsets
+	// Individualization.
+	cands [canonScanCap]int32 // the candidates of one step
+	part  [4][]int32          // partition buffers, len N() each
+	// Certificates.
+	lo  []int32 // len M(): the smaller class of each edge
+	hi  []int32 // len M(): the larger class of each edge
+	tmp []int32 // len M(): counting-sort scratch
+	ord []int32 // len M(): edge ids in class-pair order
+}
+
+func newCanonizer(g *Graph) *canonizer {
+	n, m := g.N(), g.M()
+	// More buckets than vertices: about one distinct signature per bucket.
+	bucketBits := bits.Len(uint(n))
+	buckets := 1 << bucketBits
+	// The int32 scratch shares one arena. The partition buffers are
+	// allocated on their own: the labeling returns one of them.
+	arena := make([]int32, 2*n+buckets+4*m)
+	take := func(k int) []int32 {
+		s := arena[:k:k]
+		arena = arena[k:]
+		return s
+	}
+	recs := make([]sigVertex, 2*n)
+	c := &canonizer{
+		g:       g,
+		byClass: take(n),
+		recs:    recs[:n:n],
+		sorted:  recs[n:],
+		bucket:  take(n),
+		shift:   uint(64 - bucketBits),
+		cnt:     take(buckets),
+		lo:      take(m),
+		hi:      take(m),
+		tmp:     take(m),
+		ord:     take(m),
+	}
+	for i := range c.part {
+		c.part[i] = make([]int32, n)
+	}
+	return c
+}
+
+// initialClasses writes each vertex's rank among the distinct degrees, the
+// WL base case, into out and returns the number of distinct degrees.
+func (c *canonizer) initialClasses(out []int32) int {
+	rank := c.cnt[:c.g.maxDeg+1]
+	clear(rank)
+	for _, arcs := range c.g.adj {
+		rank[len(arcs)] = 1
+	}
+	k := int32(0)
+	for d, present := range rank {
+		rank[d] = k
+		k += present
+	}
+	for v, arcs := range c.g.adj {
+		out[v] = rank[len(arcs)]
+	}
+	return int(k)
+}
+
+// refinePass runs one WL refinement pass over the partition in, which has
+// count classes: it hashes each vertex's class with the ascending classes
+// of its neighbors, writes each vertex's rank among the distinct hashes
+// into out, and returns the number of distinct hashes.
+//
+//distcolor:noalloc
+func (c *canonizer) refinePass(in, out []int32, count int) int {
+	cnt := c.cnt[:count]
+	countOffsets(cnt, in)
+	for v, x := range in {
+		c.byClass[cnt[x]] = int32(v)
+		cnt[x]++
+		c.recs[v] = sigVertex{sig: mix(fnvOffset, uint64(x)+1), v: int32(v)}
+	}
+	// Folding each vertex's class into its neighbors' hashes, in ascending
+	// class order, hashes every vertex's neighbor classes in ascending
+	// order without sorting them.
+	for _, u := range c.byClass {
+		x := uint64(in[u]) + 1
+		for _, a := range c.g.adj[u] {
+			c.recs[a.To].sig = mix(c.recs[a.To].sig, x)
+		}
+	}
+	// Sort the signatures: a counting sort on their top bits, then a sort
+	// of each bucket found out of order. Signatures are hash values, so a
+	// bucket holds about one distinct value, often many times over.
+	for v, r := range c.recs {
+		c.bucket[v] = int32(r.sig >> c.shift)
+	}
+	cnt = c.cnt
+	countOffsets(cnt, c.bucket)
+	for v, b := range c.bucket {
+		c.sorted[cnt[b]] = c.recs[v]
+		cnt[b]++
+	}
+	// Now bucket b spans sorted[cnt[b-1]:cnt[b]].
+	for i := 1; i < len(c.sorted); i++ {
+		if c.sorted[i].sig < c.sorted[i-1].sig {
+			b := c.sorted[i].sig >> c.shift
+			lo := int32(0)
+			if b > 0 {
+				lo = cnt[b-1]
+			}
+			slices.SortFunc(c.sorted[lo:cnt[b]], cmpSig)
+			i = int(cnt[b]) // buckets are in order with each other
+		}
+	}
+	k := int32(-1)
+	for i, r := range c.sorted {
+		if i == 0 || r.sig != c.sorted[i-1].sig {
+			k++
+		}
+		out[r.v] = k
+	}
+	return int(k + 1)
+}
+
+// refine iterates refinement passes from the partition in, which has count
+// classes, until the number of classes stops growing. Passes alternate
+// between in and out; refine returns the buffer holding the stable
+// partition, the other buffer, and the stable class count.
+//
+//distcolor:noalloc
+func (c *canonizer) refine(in, out []int32, count int) (stable, spare []int32, k int) {
+	for {
+		k = c.refinePass(in, out, count)
+		if k == count {
+			return out, in, k
+		}
+		in, out, count = out, in, k
+	}
+}
+
+// certificate hashes the quotient structure of a stable partition: the class
+// size histogram plus the multiset of edge class-pairs, in increasing
+// order. It is invariant under vertex relabeling, and when the partition is
+// discrete it determines the canonically relabeled edge list exactly.
+//
+//distcolor:noalloc
+func (c *canonizer) certificate(classes []int32, count int) uint64 {
+	g := c.g
+	sizes := c.cnt[:count]
+	clear(sizes)
+	for _, x := range classes {
+		sizes[x]++
+	}
+	h := mix(fnvOffset, uint64(g.N()))
+	h = mix(h, uint64(g.M()))
+	for _, s := range sizes {
+		h = mix(h, uint64(s))
+	}
+	for e, ed := range g.edges {
+		a, b := classes[ed.U], classes[ed.V]
+		if a > b {
+			a, b = b, a
+		}
+		c.lo[e], c.hi[e] = a, b
+	}
+	sortEdgesByPair(c.ord, c.tmp, c.lo, c.hi, sizes)
+	for _, e := range c.ord {
+		h = mix(h, uint64(c.lo[e])<<32|uint64(c.hi[e]))
+	}
+	return h
+}
+
+// sortEdgesByPair writes into out the edge ids 0..len(lo)-1 ordered by the
+// pair (lo[e], hi[e]), keys below len(cnt): a two-pass counting sort, by hi
+// and then stably by lo. tmp is scratch of the same length as out.
+//
+//distcolor:noalloc
+func sortEdgesByPair(out, tmp, lo, hi, cnt []int32) {
+	countOffsets(cnt, hi)
+	for e, k := range hi {
+		tmp[cnt[k]] = int32(e)
+		cnt[k]++
+	}
+	countOffsets(cnt, lo)
+	for _, e := range tmp {
+		k := lo[e]
+		out[cnt[k]] = e
+		cnt[k]++
+	}
+}
+
+// countOffsets sets cnt[k] to the number of keys below k: the first output
+// slot of key k in a counting sort.
+//
+//distcolor:noalloc
+func countOffsets(cnt, keys []int32) {
+	clear(cnt)
+	for _, k := range keys {
+		cnt[k]++
+	}
+	sum := int32(0)
+	for k, n := range cnt {
+		cnt[k] = sum
+		sum += n
+	}
+}
+
+// twins reports whether N(u)\{w} = N(w)\{u}, by one merge of the two
+// sorted adjacency lists. Swapping twins is an automorphism of g.
+//
+//distcolor:noalloc
+func (g *Graph) twins(u, w int) bool {
+	au, aw := g.adj[u], g.adj[w]
+	i, j := 0, 0
+	for {
+		for i < len(au) && int(au[i].To) == w {
+			i++
+		}
+		for j < len(aw) && int(aw[j].To) == u {
+			j++
+		}
+		if i == len(au) || j == len(aw) {
+			return i == len(au) && j == len(aw)
+		}
+		if au[i].To != aw[j].To {
+			return false
+		}
+		i++
+		j++
+	}
+}
+
+// candidates returns the vertices an individualization step must refine:
+// the first canonScanCap members of the non-singleton class with the
+// smallest id (class ids are canonical ranks, so this choice is
+// relabeling-invariant), in vertex order, minus every member that is a
+// twin of an earlier kept one.
+//
+// Dropping twins cannot change the step's outcome. Swapping twins u and w
+// is an automorphism of g that fixes the current partition, and refinement
+// commutes with automorphisms, so individualizing w yields the image of
+// individualizing u under the swap, with the same certificate. The step
+// keeps the first candidate whose certificate is minimal, which is never a
+// twin of an earlier candidate.
+func (c *canonizer) candidates(classes []int32, count int) []int32 {
+	sizes := c.cnt[:count]
+	clear(sizes)
+	for _, x := range classes {
+		sizes[x]++
+	}
+	target := int32(0)
+	for sizes[target] < 2 {
+		target++
+	}
+	cands := c.cands[:0]
+	scanned := 0
+scan:
+	for v, x := range classes {
+		if x != target {
+			continue
+		}
+		if scanned == canonScanCap {
+			break
+		}
+		scanned++
+		for _, u := range cands {
+			if c.g.twins(int(u), v) {
+				continue scan
+			}
+		}
+		cands = append(cands, int32(v))
+	}
+	return cands
+}
+
 // CanonicalLabeling returns perm with perm[v] = the canonical index of
 // vertex v (a bijection onto 0..n-1). See the package comments above for the
 // exact invariance guarantee.
 func CanonicalLabeling(g *Graph) []int32 {
 	n := g.N()
-	classes, count := initialClasses(g)
-	classes, count = refineStable(g, classes, count)
+	c := newCanonizer(g)
+	cur, next, best, work := c.part[0], c.part[1], c.part[2], c.part[3]
+	count := c.initialClasses(cur)
+	cur, next, count = c.refine(cur, next, count)
 	for count < n {
-		// Target cell: the non-singleton class with the smallest id. Class
-		// ids are canonical ranks, so this choice is relabeling-invariant.
-		sizes := make([]int, count)
-		for _, c := range classes {
-			sizes[c]++
-		}
-		target := -1
-		for c := 0; c < count; c++ {
-			if sizes[c] > 1 {
-				target = c
-				break
-			}
+		cands := c.candidates(cur, count)
+		if len(cands) == 1 {
+			// The single survivor wins without a certificate to compare.
+			copy(next, cur)
+			next[cands[0]] = int32(count)
+			cur, next, count = c.refine(next, cur, count+1)
+			continue
 		}
 		var (
-			bestClasses []int
-			bestCount   int
-			bestCert    uint64
-			have        bool
-			scanned     int
+			bestCount int
+			bestCert  uint64
 		)
-		for v := 0; v < n && scanned < canonScanCap; v++ {
-			if classes[v] != target {
-				continue
+		for i, v := range cands {
+			// Individualize v: give it a fresh class above all others,
+			// then re-refine to a stable partition.
+			copy(next, cur)
+			next[v] = int32(count)
+			stable, spare, k := c.refine(next, work, count+1)
+			cert := c.certificate(stable, k)
+			if i == 0 || cert < bestCert {
+				best, stable = stable, best
+				bestCount, bestCert = k, cert
 			}
-			scanned++
-			// Individualize v: give it a fresh class above all others, then
-			// re-refine to a stable partition.
-			cand := make([]int, n)
-			copy(cand, classes)
-			cand[v] = count
-			cc, ck := refineStable(g, cand, count+1)
-			cert := certificate(g, cc, ck)
-			if !have || cert < bestCert {
-				bestClasses, bestCount, bestCert, have = cc, ck, cert, true
-			}
+			next, work = stable, spare
 		}
-		classes, count = bestClasses, bestCount
+		cur, best, count = best, cur, bestCount
 	}
-	perm := make([]int32, n)
-	for v := 0; v < n; v++ {
-		perm[v] = int32(classes[v])
-	}
-	return perm
+	return cur
 }
 
 // CanonicalHash returns a hex-encoded SHA-256 of the canonically relabeled
@@ -203,73 +395,35 @@ func CanonicalLabeling(g *Graph) []int32 {
 // equal whenever CanonicalLabeling canonizes them (always, except for
 // WL-hard symmetric ties — see the caveat above CanonicalLabeling).
 func CanonicalHash(g *Graph) string {
-	return CanonicalHashWithLabeling(g, CanonicalLabeling(g))
-}
-
-// CanonicalHashWithLabeling is CanonicalHash for callers that already hold
-// the canonical labeling (avoids recomputing it).
-func CanonicalHashWithLabeling(g *Graph, perm []int32) string {
-	_, hash := canonicalForm(g, canonicalPairs(g, perm), false)
+	_, hash := CanonicalForm(g, CanonicalLabeling(g))
 	return hash
 }
 
 // CanonicalForm returns the canonical edge order together with the
-// canonical hash, sharing one pair build+sort (the cache's submission path
-// needs both).
+// canonical hash. ord[i] is the original identifier of the i-th edge in
+// canonical order (edges sorted by their canonically relabeled endpoint
+// pairs). Two isomorphic graphs canonized to the same form produce
+// position-wise corresponding edges, which is what lets a cached edge
+// coloring be transferred between them: colors[ord[i]] in one graph
+// corresponds to colors[ord'[i]] in the other.
 func CanonicalForm(g *Graph, perm []int32) (ord []int32, hash string) {
-	return canonicalForm(g, canonicalPairs(g, perm), true)
-}
-
-func canonicalForm(g *Graph, pairs []canonPair, wantOrd bool) (ord []int32, hash string) {
-	h := sha256.New()
-	var buf [8]byte
-	put := func(x uint64) {
-		binary.LittleEndian.PutUint64(buf[:], x)
-		h.Write(buf[:])
-	}
-	put(uint64(g.N()))
-	put(uint64(g.M()))
-	if wantOrd {
-		ord = make([]int32, len(pairs))
-	}
-	for i, p := range pairs {
-		put(p.key)
-		if wantOrd {
-			ord[i] = p.edge
-		}
-	}
-	return ord, hex.EncodeToString(h.Sum(nil))
-}
-
-type canonPair struct {
-	key  uint64 // canonical (min,max) endpoint pair, packed
-	edge int32  // original edge identifier
-}
-
-func canonicalPairs(g *Graph, perm []int32) []canonPair {
-	pairs := make([]canonPair, g.M())
+	n, m := g.N(), g.M()
+	lo, hi := make([]int32, m), make([]int32, m)
 	for e, ed := range g.edges {
 		a, b := perm[ed.U], perm[ed.V]
 		if a > b {
 			a, b = b, a
 		}
-		pairs[e] = canonPair{key: uint64(a)<<32 | uint64(b), edge: int32(e)}
+		lo[e], hi[e] = a, b
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].key < pairs[j].key })
-	return pairs
-}
-
-// CanonicalEdgeOrder returns ord with ord[i] = the original edge identifier
-// of the i-th edge in canonical order (edges sorted by their canonically
-// relabeled endpoint pairs). Two isomorphic graphs canonized to the same
-// form produce position-wise corresponding edges, which is what lets a
-// cached edge coloring be transferred between them: colors[ord[i]] in one
-// graph corresponds to colors[ord'[i]] in the other.
-func CanonicalEdgeOrder(g *Graph, perm []int32) []int32 {
-	pairs := canonicalPairs(g, perm)
-	ord := make([]int32, len(pairs))
-	for i, p := range pairs {
-		ord[i] = p.edge
+	ord = make([]int32, m)
+	sortEdgesByPair(ord, make([]int32, m), lo, hi, make([]int32, n))
+	buf := make([]byte, 0, 8*(m+2))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(m))
+	for _, e := range ord {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(lo[e])<<32|uint64(hi[e]))
 	}
-	return ord
+	sum := sha256.Sum256(buf)
+	return ord, hex.EncodeToString(sum[:])
 }

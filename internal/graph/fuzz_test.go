@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -59,4 +60,67 @@ func FuzzReadEdgeList(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzCanonicalLabeling checks canonical labeling on arbitrary simple
+// graphs of at most 48 vertices (run via `make fuzz`): the labeling must be
+// a bijection onto 0..n-1, and the labeling, the canonical edge order and
+// the hash must equal the reference implementation's. The first byte picks
+// the vertex count; each further pair of bytes adds an edge, with
+// self-loops and repeated edges dropped.
+func FuzzCanonicalLabeling(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 0, 1, 1, 2, 2, 0})                      // triangle
+	f.Add([]byte{6, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5})          // star
+	f.Add([]byte{8, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6})    // path
+	f.Add([]byte{6, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0})    // cycle
+	f.Add([]byte{8, 0, 1, 2, 3, 4, 5, 6, 7})                // perfect matching
+	f.Add([]byte{7, 0, 3, 0, 4, 1, 3, 1, 4, 2, 3, 2, 4})    // K_{3,2} plus an isolated vertex
+	f.Add([]byte{48, 1, 2, 3, 5, 8, 13, 21, 34, 7, 11, 29}) // sparse, mostly isolated
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := fuzzGraph(data)
+		perm := CanonicalLabeling(g)
+		seen := make([]bool, g.N())
+		for v, p := range perm {
+			if p < 0 || int(p) >= g.N() || seen[p] {
+				t.Fatalf("perm[%d]=%d is not a bijection onto [0,%d)", v, p, g.N())
+			}
+			seen[p] = true
+		}
+		want := refCanonicalLabeling(g)
+		if !slices.Equal(perm, want) {
+			t.Fatalf("labeling differs from the reference on %v:\n got %v\nwant %v", g.Edges(), perm, want)
+		}
+		ord, hash := CanonicalForm(g, perm)
+		wantOrd, wantHash := refCanonicalForm(g, want)
+		if hash != wantHash || !slices.Equal(ord, wantOrd) {
+			t.Fatalf("canonical form differs from the reference on %v: hash %s, want %s", g.Edges(), hash, wantHash)
+		}
+	})
+}
+
+// fuzzGraph decodes fuzz input into a simple graph on data[0] mod 49
+// vertices.
+func fuzzGraph(data []byte) *Graph {
+	if len(data) == 0 {
+		return NewBuilder(0).MustBuild()
+	}
+	n := int(data[0]) % 49
+	b := NewBuilder(n)
+	if n == 0 {
+		return b.MustBuild()
+	}
+	var added [49][49]bool
+	for i := 1; i+1 < len(data); i += 2 {
+		u, v := int(data[i])%n, int(data[i+1])%n
+		if u > v {
+			u, v = v, u
+		}
+		if u == v || added[u][v] {
+			continue
+		}
+		added[u][v] = true
+		b.AddEdge(u, v)
+	}
+	return b.MustBuild()
 }

@@ -61,9 +61,9 @@ type Config struct {
 	// CacheMaxVertices / CacheMaxEdges bound the graphs the cache will
 	// canonicalize (defaults 1024 / 65536; negative disables the bound).
 	// Canonical labeling runs synchronously in Submit and costs real CPU on
-	// highly symmetric graphs (~1s for a 1024-cycle, the worst case at the
-	// default bound; WL-friendly graphs are milliseconds); larger
-	// submissions simply bypass the cache (counted in
+	// highly symmetric graphs (~0.25s for a 1024-cycle, the worst case at
+	// the default bound; WL-friendly graphs take about half a millisecond);
+	// larger submissions simply bypass the cache (counted in
 	// Metrics.CacheSkipped) instead of stalling intake.
 	CacheMaxVertices int
 	CacheMaxEdges    int
