@@ -134,15 +134,18 @@ profile:
 	$(GO) run ./cmd/colorbench -profile $(PROFILE_DIR) -profile-duration $(PROFILE_DURATION)
 
 # Fuzz the surfaces that read arbitrary user bytes: the edge-list parser,
-# the binary wire-frame decoder, and canonical labeling, which colord runs
-# on every submitted graph the cache admits — submitted graphs are user
-# bytes too (the target checks the labeling against the reference
-# implementation). Go allows one -fuzz per invocation, so the targets run
-# back to back; corpus findings land in each package's testdata/fuzz.
+# the binary wire-frame decoder, canonical labeling, which colord runs on
+# every submitted graph the cache admits, and line-graph construction,
+# which the edge algorithms run on every submitted graph — submitted
+# graphs are user bytes too (the targets check the labeling against the
+# reference implementation and the line graph against the Builder path).
+# Go allows one -fuzz per invocation, so the targets run back to back;
+# corpus findings land in each package's testdata/fuzz.
 fuzz:
 	$(GO) test ./internal/graph/ -run '^$$' -fuzz FuzzReadEdgeList -fuzztime $(FUZZTIME)
 	$(GO) test . -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph/ -run '^$$' -fuzz FuzzCanonicalLabeling -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/graph/ -run '^$$' -fuzz FuzzLineGraph -fuzztime $(FUZZTIME)
 
 # The deterministic chaos suite (DESIGN.md §12): one seeded schedule drives
 # a 200-job workload through every injection point — scheduled panics,

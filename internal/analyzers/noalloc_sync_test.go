@@ -23,10 +23,11 @@ import (
 // //distcolor:noalloc directive, keyed "pkgdir.(recv).Name", with the
 // dynamic pin that motivates each entry.
 var noallocManifest = map[string]string{
-	// Pinned at 0 allocs/op by TestPlaneZeroAlloc (plane_test.go),
-	// TestWordPlaneZeroAlloc (words_test.go), the bandwidth accounting
-	// pins (bandwidth_test.go), and the bench gate's allocs_per_round=0
-	// columns (BENCH_simcore.json).
+	// Pinned at 0 allocs per round by TestSequentialSteadyStateAllocFree
+	// and TestReverseSequentialSteadyStateAllocFree (plane_test.go),
+	// TestWordPlaneSteadyStateAllocFree (words_test.go),
+	// TestInstrumentedSteadyStateAllocFree (bandwidth_test.go), and the
+	// bench gate's allocs_per_round=0 columns (BENCH_simcore.json).
 	"internal/sim.(instance).stepVertex":      "sim round loop, any plane",
 	"internal/sim.(instance).stepVertexWord":  "sim round loop, word plane",
 	"internal/sim.(instance).retireRound":     "sim round loop, halt retirement",

@@ -67,7 +67,7 @@ func HPartition(ctx context.Context, eng sim.Exec, g *graph.Graph, threshold int
 	}
 	n := g.N()
 	part := make([]int, n)
-	factory := func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
+	factory := func(info sim.NodeInfo) sim.Machine {
 		return sim.WrapWord(&peelMachine{threshold: threshold, sink: &part[info.V]})
 	}
 	stats, err := eng.Run(ctx, sim.NewTopology(g), factory, n+4)
@@ -98,14 +98,13 @@ type peelMachine struct {
 	sink      *int
 }
 
-func (pm *peelMachine) StepWord(round int, in, out []sim.Word) bool {
+func (pm *peelMachine) StepWord(round int, in []sim.Word) (sim.Word, bool) {
 	if round == 0 {
 		if len(in) == 0 {
 			*pm.sink = 0
-			return true
+			return sim.NoWord, true
 		}
-		sim.SendAllWords(out, 1)
-		return false
+		return 1, false
 	}
 	active := 0
 	for _, w := range in {
@@ -115,10 +114,9 @@ func (pm *peelMachine) StepWord(round int, in, out []sim.Word) bool {
 	}
 	if active <= pm.threshold {
 		*pm.sink = round - 1
-		return true
+		return sim.NoWord, true
 	}
-	sim.SendAllWords(out, 1)
-	return false
+	return 1, false
 }
 
 // RestrictOrientation carries an orientation down to a spanning subgraph:

@@ -68,7 +68,7 @@ func Merge(ctx context.Context, eng sim.Exec, spec MergeSpec) (*MergeResult, err
 	n := g.N()
 	errs := make([]error, n)
 	assigned := make([]int, n)
-	factory := func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
+	factory := func(info sim.NodeInfo) sim.Machine {
 		v := info.V
 		role := roleIdle
 		if spec.RoleA[v] {

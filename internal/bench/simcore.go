@@ -116,7 +116,7 @@ const (
 // staggered waves (vertex v runs 1 + ID mod span rounds), the termination
 // pattern of the repository's algorithms.
 func wavefrontFactory(span int) sim.Factory {
-	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
+	return func(info sim.NodeInfo) sim.Machine {
 		stop := 1 + int(info.ID)%span
 		var acc int64
 		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
@@ -134,7 +134,7 @@ func wavefrontFactory(span int) sim.Factory {
 // exchangeFactory keeps every vertex live for the whole execution — the
 // dense-traffic bound of the any plane.
 func exchangeFactory(rounds int) sim.Factory {
-	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
+	return func(info sim.NodeInfo) sim.Machine {
 		var acc int64
 		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
 			for _, m := range in {
@@ -152,16 +152,15 @@ func exchangeFactory(rounds int) sim.Factory {
 // same traffic pattern with zero boxing, measuring the fast path the
 // algorithm programs ride.
 func exchangeWordsFactory(rounds int) sim.Factory {
-	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
+	return func(info sim.NodeInfo) sim.Machine {
 		var acc int64
-		return sim.WrapWord(sim.WordFunc(func(round int, in, out []sim.Word) bool {
+		return sim.WrapWord(sim.WordFunc(func(round int, in []sim.Word) (sim.Word, bool) {
 			for _, w := range in {
 				if w != sim.NoWord {
 					acc += w
 				}
 			}
-			sim.SendAllWords(out, int64(round&0x7f))
-			return round >= rounds-1
+			return int64(round & 0x7f), round >= rounds-1
 		}))
 	}
 }
@@ -176,20 +175,19 @@ type sizedExchangeMachine struct {
 	acc    int64
 }
 
-func (m *sizedExchangeMachine) StepWord(round int, in, out []sim.Word) bool {
+func (m *sizedExchangeMachine) StepWord(round int, in []sim.Word) (sim.Word, bool) {
 	for _, w := range in {
 		if w != sim.NoWord {
 			m.acc += w
 		}
 	}
-	sim.SendAllWords(out, sim.Word(round&0x7f))
-	return round >= m.rounds-1
+	return sim.Word(round & 0x7f), round >= m.rounds-1
 }
 
 func (m *sizedExchangeMachine) WordBits(w sim.Word) int64 { return 7 }
 
 func exchangeSizedFactory(rounds int) sim.Factory {
-	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
+	return func(info sim.NodeInfo) sim.Machine {
 		return sim.WrapWord(&sizedExchangeMachine{rounds: rounds})
 	}
 }

@@ -78,7 +78,7 @@ func FuzzCanonicalLabeling(f *testing.F) {
 	f.Add([]byte{7, 0, 3, 0, 4, 1, 3, 1, 4, 2, 3, 2, 4})    // K_{3,2} plus an isolated vertex
 	f.Add([]byte{48, 1, 2, 3, 5, 8, 13, 21, 34, 7, 11, 29}) // sparse, mostly isolated
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g := fuzzGraph(data)
+		g := fuzzGraph(data, 48)
 		perm := CanonicalLabeling(g)
 		seen := make([]bool, g.N())
 		for v, p := range perm {
@@ -99,27 +99,49 @@ func FuzzCanonicalLabeling(f *testing.F) {
 	})
 }
 
-// fuzzGraph decodes fuzz input into a simple graph on data[0] mod 49
-// vertices.
-func fuzzGraph(data []byte) *Graph {
+// FuzzLineGraph checks LineGraph against the Builder path it bypasses
+// (builderLineGraph) on arbitrary simple graphs of at most 64 vertices
+// (run via `make fuzz`; colord builds line graphs of submitted graphs):
+// the edge list, every adjacency order and Δ must be identical. The input
+// decodes as in FuzzCanonicalLabeling.
+func FuzzLineGraph(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 0, 1, 1, 2, 2, 0})                                           // triangle
+	f.Add([]byte{6, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5})                               // star
+	f.Add([]byte{8, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6})                         // path
+	f.Add([]byte{5, 0, 1, 0, 2, 0, 3, 0, 4, 1, 2, 1, 3, 1, 4, 2, 3, 2, 4, 3, 4}) // K5
+	f.Add([]byte{7, 0, 3, 0, 4, 1, 3, 1, 4, 2, 3, 2, 4})                         // K_{3,2} plus isolated vertices
+	f.Add([]byte{64, 1, 2, 3, 5, 8, 13, 21, 34, 55, 7, 11, 63})                  // sparse, mostly isolated
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := fuzzGraph(data, 64)
+		if d := graphDiff(LineGraph(g).L, builderLineGraph(g)); d != "" {
+			t.Fatalf("line graph of %v: %s", g.Edges(), d)
+		}
+	})
+}
+
+// fuzzGraph decodes fuzz input into a simple graph on data[0] mod
+// (maxN+1) vertices; each further pair of bytes adds an edge, with
+// self-loops and repeated edges dropped.
+func fuzzGraph(data []byte, maxN int) *Graph {
 	if len(data) == 0 {
 		return NewBuilder(0).MustBuild()
 	}
-	n := int(data[0]) % 49
+	n := int(data[0]) % (maxN + 1)
 	b := NewBuilder(n)
 	if n == 0 {
 		return b.MustBuild()
 	}
-	var added [49][49]bool
+	added := make(map[[2]int]bool)
 	for i := 1; i+1 < len(data); i += 2 {
 		u, v := int(data[i])%n, int(data[i+1])%n
 		if u > v {
 			u, v = v, u
 		}
-		if u == v || added[u][v] {
+		if u == v || added[[2]int{u, v}] {
 			continue
 		}
-		added[u][v] = true
+		added[[2]int{u, v}] = true
 		b.AddEdge(u, v)
 	}
 	return b.MustBuild()

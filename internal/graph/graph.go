@@ -93,38 +93,48 @@ func (b *Builder) Build() (*Graph, error) {
 			return nil, fmt.Errorf("graph: duplicate edge {%d,%d}", edges[i].U, edges[i].V)
 		}
 	}
+	return fromSortedEdges(b.n, edges), nil
+}
+
+// fromSortedEdges builds the graph on n vertices whose edge list is edges:
+// valid, distinct, and sorted by (U, V). Edge i gets identifier i, so
+// identifiers follow (U, V) order, and the graph takes ownership of the
+// slice.
+//
+// All adjacency lists are carved from one flat arena (two header
+// allocations for the whole graph instead of one per vertex — the
+// recursive decompositions build thousands of subgraphs, and line graphs
+// have hundreds of thousands of vertices). Iterating the sorted edge list
+// fills every vertex's range in increasing neighbor order: for vertex v,
+// the arcs with To < v come from edges (u,v) in increasing u, followed by
+// edges (v,w) in increasing w — so the sortedness HasEdge/EdgeID rely on
+// is preserved, and every adjacency list holds increasing edge
+// identifiers (LineGraph relies on that).
+func fromSortedEdges(n int, edges []Edge) *Graph {
 	g := &Graph{
-		adj:   make([][]Arc, b.n),
+		adj:   make([][]Arc, n),
 		edges: edges,
 	}
-	// All adjacency lists are carved from one flat arena (two header
-	// allocations for the whole graph instead of one per vertex — the
-	// recursive decompositions build thousands of subgraphs, and line
-	// graphs have hundreds of thousands of vertices). Iterating the sorted
-	// edge list fills every vertex's range in increasing neighbor order:
-	// for vertex v, the arcs with To < v come from edges (u,v) in
-	// increasing u, followed by edges (v,w) in increasing w — so the
-	// sortedness HasEdge/EdgeID rely on is preserved.
-	deg := make([]int32, b.n+1)
+	deg := make([]int32, n+1)
 	for _, e := range edges {
 		deg[e.U+1]++
 		deg[e.V+1]++
 	}
-	for v := 1; v <= b.n; v++ {
+	for v := 1; v <= n; v++ {
 		if d := int(deg[v]); d > g.maxDeg {
 			g.maxDeg = d
 		}
 		deg[v] += deg[v-1] // deg becomes the offset array
 	}
 	arena := make([]Arc, 2*len(edges))
-	for v := 0; v < b.n; v++ {
+	for v := 0; v < n; v++ {
 		g.adj[v] = arena[deg[v]:deg[v]:deg[v+1]]
 	}
 	for id, e := range edges {
 		g.adj[e.U] = append(g.adj[e.U], Arc{To: e.V, Edge: int32(id)})
 		g.adj[e.V] = append(g.adj[e.V], Arc{To: e.U, Edge: int32(id)})
 	}
-	return g, nil
+	return g
 }
 
 // MustBuild is Build for static graphs known to be valid; it panics on error.

@@ -19,33 +19,44 @@ type LineGraphResult struct {
 }
 
 // LineGraph constructs L(G): one vertex per edge of g, with two vertices
-// adjacent iff the corresponding edges share an endpoint.
+// adjacent iff the corresponding edges share an endpoint. The result is
+// the graph a Builder would build from those adjacencies (same edge
+// identifiers, same port order), built without its sort.
 func LineGraph(g *Graph) *LineGraphResult {
 	m := g.M()
-	// |E(L(G))| = Σ_v deg(v)·(deg(v)−1)/2 exactly; pre-size the builder so
-	// multi-million-arc line graphs build without append regrowth.
+	// |E(L(G))| = Σ_v deg(v)·(deg(v)−1)/2 exactly; pre-size the edge list
+	// so multi-million-arc line graphs build without append regrowth.
 	lm := 0
 	for v := 0; v < g.N(); v++ {
 		d := g.Degree(v)
 		lm += d * (d - 1) / 2
 	}
-	b := NewBuilder(m)
-	b.Grow(lm)
-	// Every pair of edges incident on the same vertex is adjacent in L(G).
-	for v := 0; v < g.N(); v++ {
-		adj := g.Adj(v)
-		for i := 0; i < len(adj); i++ {
-			for j := i + 1; j < len(adj); j++ {
-				e1, e2 := int(adj[i].Edge), int(adj[j].Edge)
-				// Edges sharing two vertices are impossible in a simple
-				// graph, but edges of a triangle meet pairwise at distinct
-				// vertices, so the same L-edge is generated only once: the
-				// shared endpoint of two edges is unique.
-				b.AddEdge(e1, e2)
+	// Edge identifiers follow (U, V) order, so every adjacency list holds
+	// increasing edge identifiers (fromSortedEdges). The L-neighbors of e
+	// above e are therefore the entries after e in the lists of its two
+	// endpoints; next[v] is e's position in Adj(v), since the edges at v
+	// are visited in identifier order. The two suffixes are disjoint (a
+	// second shared endpoint would make them the same edge), so merging
+	// them for e = 0, 1, … emits L's edges already sorted by (U, V) and
+	// distinct — exactly the list Build would sort them into.
+	ledges := make([]Edge, 0, lm)
+	next := make([]int32, g.N())
+	for e, ed := range g.edges {
+		a := g.adj[ed.U][next[ed.U]+1:]
+		b := g.adj[ed.V][next[ed.V]+1:]
+		next[ed.U]++
+		next[ed.V]++
+		for len(a) > 0 || len(b) > 0 {
+			var f int32
+			if len(b) == 0 || (len(a) > 0 && a[0].Edge < b[0].Edge) {
+				f, a = a[0].Edge, a[1:]
+			} else {
+				f, b = b[0].Edge, b[1:]
 			}
+			ledges = append(ledges, Edge{U: int32(e), V: f})
 		}
 	}
-	lg := b.MustBuild()
+	lg := fromSortedEdges(m, ledges)
 	edgeOf := make([]int32, m)
 	cliques := make([][]int32, g.N())
 	for e := 0; e < m; e++ {

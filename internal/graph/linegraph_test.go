@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -157,6 +159,72 @@ func TestHypergraphLineGraphDiversity(t *testing.T) {
 			if lg.L.HasEdge(i, j) != intersect {
 				t.Fatalf("hypergraph line adjacency wrong for %d,%d", i, j)
 			}
+		}
+	}
+}
+
+// builderLineGraph is the specification LineGraph's sort-free
+// construction must meet: every pair of edges at a shared vertex, added to
+// a Builder and sorted by Build.
+func builderLineGraph(g *Graph) *Graph {
+	b := NewBuilder(g.M())
+	for v := 0; v < g.N(); v++ {
+		adj := g.Adj(v)
+		for i := range adj {
+			for j := i + 1; j < len(adj); j++ {
+				b.AddEdge(int(adj[i].Edge), int(adj[j].Edge))
+			}
+		}
+	}
+	return b.MustBuild()
+}
+
+// graphDiff describes the first difference between two graphs' shapes,
+// edge lists and adjacency orders, or returns "" when they are identical.
+func graphDiff(got, want *Graph) string {
+	if got.N() != want.N() || got.M() != want.M() || got.MaxDegree() != want.MaxDegree() {
+		return fmt.Sprintf("n=%d m=%d Δ=%d, want n=%d m=%d Δ=%d",
+			got.N(), got.M(), got.MaxDegree(), want.N(), want.M(), want.MaxDegree())
+	}
+	if !slices.Equal(got.Edges(), want.Edges()) {
+		return fmt.Sprintf("edge list %v, want %v", got.Edges(), want.Edges())
+	}
+	for v := 0; v < got.N(); v++ {
+		if !slices.Equal(got.Adj(v), want.Adj(v)) {
+			return fmt.Sprintf("Adj(%d) = %v, want %v", v, got.Adj(v), want.Adj(v))
+		}
+	}
+	return ""
+}
+
+// TestLineGraphMatchesBuilder pins LineGraph to the Builder path: same
+// edge identifiers, same edge list, same port order, same Δ.
+func TestLineGraphMatchesBuilder(t *testing.T) {
+	iso := NewBuilder(8)
+	for _, e := range [][2]int{{1, 4}, {4, 6}, {1, 6}, {2, 4}, {6, 7}} {
+		iso.AddEdge(e[0], e[1])
+	}
+	type tc struct {
+		name string
+		g    *Graph
+	}
+	cases := []tc{
+		{"star", Star(9)},
+		{"complete", Complete(9)},
+		{"cycle", Cycle(11)},
+		{"path", Path(10)},
+		{"isolated-vertices", iso.MustBuild()},
+		{"edgeless", NewBuilder(5).MustBuild()},
+		{"empty", NewBuilder(0).MustBuild()},
+	}
+	rng := rand.New(rand.NewSource(14))
+	for i := 0; i < 32; i++ {
+		n, p := 1+rng.Intn(60), 0.5*rng.Float64()
+		cases = append(cases, tc{fmt.Sprintf("random-%d-n%d", i, n), randomGraphRNG(rng, n, p)})
+	}
+	for _, c := range cases {
+		if d := graphDiff(LineGraph(c.g).L, builderLineGraph(c.g)); d != "" {
+			t.Errorf("%s: %s", c.name, d)
 		}
 	}
 }

@@ -135,7 +135,7 @@ func Reduce(ctx context.Context, eng sim.Exec, t *sim.Topology, m0 int64) (*Resu
 	delta := t.G.MaxDegree()
 	schedule := BuildSchedule(m0, delta)
 	colors := make([]int64, t.G.N())
-	factory := func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
+	factory := func(info sim.NodeInfo) sim.Machine {
 		return newMachine(info, schedule, &colors[info.V])
 	}
 	stats, err := eng.Run(ctx, t, factory, len(schedule)+2)
@@ -184,26 +184,18 @@ func newMachine(info sim.NodeInfo, schedule []Step, sink *int64) sim.Machine {
 
 // StepWord implements sim.WordMachine. Round 0 broadcasts the starting
 // color; round r ≥ 1 applies schedule[r-1] to the colors received in round
-// r-1 and broadcasts the result, halting after the last step.
+// r-1 and broadcasts the result, halting silently after the last step.
 //
 //distcolor:noalloc
-func (mc *machine) StepWord(round int, in, out []sim.Word) bool {
-	if round == 0 {
-		if len(mc.schedule) == 0 {
-			*mc.sink = mc.color
-			return true
-		}
-		sim.SendAllWords(out, mc.color)
-		return false
+func (mc *machine) StepWord(round int, in []sim.Word) (sim.Word, bool) {
+	if round > 0 {
+		mc.color = mc.applyStep(in, mc.schedule[round-1])
 	}
-	st := mc.schedule[round-1]
-	mc.color = mc.applyStep(in, st)
 	if round == len(mc.schedule) {
 		*mc.sink = mc.color
-		return true
+		return sim.NoWord, true
 	}
-	sim.SendAllWords(out, mc.color)
-	return false
+	return mc.color, false
 }
 
 // applyStep performs one polynomial reduction at a single vertex, writing

@@ -40,7 +40,7 @@ func TrimClasses(ctx context.Context, eng sim.Exec, t *sim.Topology, m, target i
 		return passThrough(t, m)
 	}
 	colors := make([]int64, t.G.N())
-	factory := func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
+	factory := func(info sim.NodeInfo) sim.Machine {
 		return sim.WrapWord(&trimMachine{color: info.Label, m: m, target: target, sink: &colors[info.V]})
 	}
 	stats, err := eng.Run(ctx, t, factory, int(m-target)+3)
@@ -62,9 +62,9 @@ type trimMachine struct {
 	scratch []int32
 }
 
-// StepWord implements sim.WordMachine: colors are single words, so the
-// program runs on the packed plane.
-func (tm *trimMachine) StepWord(round int, in, out []sim.Word) bool {
+// StepWord implements sim.WordMachine: colors are single words that every
+// vertex broadcasts, so the program runs on the word plane.
+func (tm *trimMachine) StepWord(round int, in []sim.Word) (sim.Word, bool) {
 	// Round r processes class m-r (r ≥ 1); round 0 only broadcasts.
 	if round > 0 {
 		class := tm.m - int64(round)
@@ -73,11 +73,10 @@ func (tm *trimMachine) StepWord(round int, in, out []sim.Word) bool {
 		}
 		if class == tm.target {
 			*tm.sink = tm.color
-			return true
+			return sim.NoWord, true
 		}
 	}
-	sim.SendAllWords(out, tm.color)
-	return false
+	return tm.color, false
 }
 
 // smallestFree returns the least value in [0, limit) that no inbox word
@@ -127,7 +126,7 @@ func KuhnWattenhofer(ctx context.Context, eng sim.Exec, t *sim.Topology, m, targ
 	}
 	schedule := kwSchedule(m, target)
 	colors := make([]int64, t.G.N())
-	factory := func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
+	factory := func(info sim.NodeInfo) sim.Machine {
 		return sim.WrapWord(&kwMachine{color: info.Label, schedule: schedule, sink: &colors[info.V]})
 	}
 	stats, err := eng.Run(ctx, t, factory, len(schedule)+3)
@@ -179,7 +178,7 @@ type kwMachine struct {
 }
 
 // StepWord implements sim.WordMachine.
-func (km *kwMachine) StepWord(round int, in, out []sim.Word) bool {
+func (km *kwMachine) StepWord(round int, in []sim.Word) (sim.Word, bool) {
 	if round > 0 {
 		r := km.schedule[round-1]
 		if km.color%r.b == r.s {
@@ -197,11 +196,10 @@ func (km *kwMachine) StepWord(round int, in, out []sim.Word) bool {
 		}
 		if round == len(km.schedule) {
 			*km.sink = km.color
-			return true
+			return sim.NoWord, true
 		}
 	}
-	sim.SendAllWords(out, km.color)
-	return false
+	return km.color, false
 }
 
 // smallestFreeInBlock returns base + the least offset in [0, t) such that

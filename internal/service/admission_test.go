@@ -146,7 +146,10 @@ func TestInflightBytesBound(t *testing.T) {
 }
 
 // TestInflightBytesReleaseOnTerminal: the admission charge drains as jobs
-// finish (done, canceled-from-queue) so capacity comes back.
+// finish (done, canceled-from-queue) so capacity comes back. A worker
+// releases it after the job's terminal fsync, which follows the done
+// transition Wait returns on, so the done path waits for the drain;
+// Cancel releases before it returns.
 func TestInflightBytesReleaseOnTerminal(t *testing.T) {
 	s := testServer(t, Config{Workers: 1, CacheEntries: -1})
 	st, err := s.Submit(gnpRequest(distcolor.AlgoEdgeGreedy, 24, 0.2, 1))
@@ -156,6 +159,7 @@ func TestInflightBytesReleaseOnTerminal(t *testing.T) {
 	if _, err := s.WaitTimeout(st.ID, time.Minute); err != nil {
 		t.Fatal(err)
 	}
+	waitInflightZero(t, s)
 	// Frozen path: cancel a queued job.
 	f := frozenServer(t, Config{QueueDepth: 8})
 	fst, err := f.Submit(cycleRequest(12))
@@ -165,10 +169,8 @@ func TestInflightBytesReleaseOnTerminal(t *testing.T) {
 	if _, err := f.Cancel(fst.ID); err != nil {
 		t.Fatal(err)
 	}
-	for name, srv := range map[string]*Server{"done": s, "canceled": f} {
-		if m := srv.Metrics(); m.InflightBytes != 0 {
-			t.Fatalf("%s: inflight bytes %d after terminal transition, want 0", name, m.InflightBytes)
-		}
+	if m := f.Metrics(); m.InflightBytes != 0 {
+		t.Fatalf("canceled: inflight bytes %d after terminal transition, want 0", m.InflightBytes)
 	}
 	if h := f.Health(); !h.Ready {
 		t.Fatalf("drained server not ready: %+v", h)

@@ -157,6 +157,11 @@ func TestChaos(t *testing.T) {
 	if !seeded {
 		fail("could not complete the cache-seed workload in 20 attempts")
 	}
+	// The seed job's terminal journal fsync runs after Wait returns; it
+	// must land before the disk dies, or it is the write that finds the
+	// dead disk and the server is degraded before the submissions below.
+	// The admission charge is released after that fsync.
+	waitInflightZero(t, s)
 	errDiskDead := errors.New("chaos: disk dead")
 	inj.AddRule(fault.Rule{Op: fault.OpSync, Times: -1, Err: errDiskDead})
 	entered := false

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	distcolor "repro"
+	"repro/internal/fault"
 )
 
 // scrape fetches GET /metrics and returns the exposition text.
@@ -341,6 +342,9 @@ func TestWALSeriesExported(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, s, st.ID)
+	// The terminal append is fsync'd after the done transition Wait
+	// returns on; the admission charge is released after it.
+	waitInflightZero(t, s)
 	text := scrape(t, ts.URL)
 	for _, series := range []string{
 		"colord_wal_appends_total", "colord_wal_fsyncs_total",
@@ -357,4 +361,117 @@ func TestWALSeriesExported(t *testing.T) {
 	if f < 2 { // both of those fsync'd
 		t.Errorf("store counted %d fsyncs, want >= 2", f)
 	}
+}
+
+// TestMetricsCountJobBeforeWaitReturns pins that a job's terminal counters
+// are visible the moment Wait returns: the worker and Cancel count the
+// outcome before the job's done channel closes, and on this journaled
+// server the terminal WAL fsync comes after. It covers 100 jobs that
+// finish done, three that hit their deadline, one canceled while running
+// and one canceled while queued; Wait runs concurrently with every
+// terminal transition.
+func TestMetricsCountJobBeforeWaitReturns(t *testing.T) {
+	type kind int
+	const (
+		done kind = iota
+		deadline
+		cancelRunning
+		blocker // done, but slow enough for the job queued behind it to be canceled
+		cancelQueued
+	)
+	var sched []kind
+	for i := 0; i < 100; i++ {
+		sched = append(sched, done)
+		switch i {
+		case 24, 49, 74:
+			sched = append(sched, deadline)
+		case 89:
+			sched = append(sched, cancelRunning)
+		}
+	}
+	sched = append(sched, blocker, cancelQueued)
+	// One worker runs the jobs in submission order, so the hits at the
+	// worker.execute site are numbered by the executed jobs. A deadline job
+	// sleeps there past its deadline; the job to cancel while running, and
+	// the one the queued job waits behind, sleep long enough for the
+	// canceling goroutine to act.
+	var slow, slower []int64
+	hit := int64(0)
+	for _, k := range sched {
+		switch k {
+		case cancelQueued:
+			continue
+		case deadline:
+			slow = append(slow, hit+1)
+		case cancelRunning, blocker:
+			slower = append(slower, hit+1)
+		}
+		hit++
+	}
+	pts := fault.New(1,
+		fault.Plan{Site: "worker.execute", Action: fault.ActionSleep, Delay: 50 * time.Millisecond, On: slow},
+		fault.Plan{Site: "worker.execute", Action: fault.ActionSleep, Delay: 500 * time.Millisecond, On: slower})
+	s := testServer(t, Config{Workers: 1, CacheEntries: -1, DataDir: t.TempDir(), Faults: pts})
+	ctx := context.Background()
+
+	var want Metrics
+	var blockerID string
+	for i, k := range sched {
+		req := cycleRequest(12)
+		if k == deadline {
+			req.DeadlineMS = 5
+		}
+		id := mustSubmit(t, s, req)
+		switch k {
+		case blocker:
+			blockerID = id
+			continue // waited for after the job queued behind it
+		case cancelRunning, cancelQueued:
+			go func() {
+				for k == cancelRunning {
+					st, err := s.Status(id)
+					if err != nil || st.State != StateQueued {
+						break
+					}
+					time.Sleep(time.Millisecond)
+				}
+				if _, err := s.Cancel(id); err != nil {
+					t.Errorf("cancel %s: %v", id, err)
+				}
+			}()
+		}
+		st, err := s.Wait(ctx, id)
+		m := s.Metrics()
+		if err != nil {
+			t.Fatalf("job %d: wait: %v", i, err)
+		}
+		switch k {
+		case done:
+			want.Completed++
+			resp, _, err := s.Result(id)
+			if err != nil || resp == nil {
+				t.Fatalf("job %d: result: %v", i, err)
+			}
+			want.RoundsTotal += int64(resp.Stats.Rounds)
+			want.MessagesTotal += resp.Stats.Messages
+			want.WallMSTotal += st.WallMS
+		case deadline:
+			want.DeadlineExceeded++
+		case cancelRunning, cancelQueued:
+			want.Canceled++
+		}
+		if st.State != map[kind]State{done: StateDone, deadline: StateDeadline, cancelRunning: StateCanceled, cancelQueued: StateCanceled}[k] {
+			t.Fatalf("job %d (kind %d) finished %s (%s)", i, k, st.State, st.Error)
+		}
+		if m.Completed != want.Completed || m.DeadlineExceeded != want.DeadlineExceeded || m.Canceled != want.Canceled ||
+			m.Failed != 0 || m.RoundsTotal != want.RoundsTotal || m.MessagesTotal != want.MessagesTotal || m.WallMSTotal != want.WallMSTotal {
+			t.Fatalf("job %d (kind %d): Metrics read right after Wait is stale: completed=%d deadline_exceeded=%d canceled=%d failed=%d rounds=%d messages=%d wall_ms=%d, want %d/%d/%d/0/%d/%d/%d",
+				i, k, m.Completed, m.DeadlineExceeded, m.Canceled, m.Failed, m.RoundsTotal, m.MessagesTotal, m.WallMSTotal,
+				want.Completed, want.DeadlineExceeded, want.Canceled, want.RoundsTotal, want.MessagesTotal, want.WallMSTotal)
+		}
+	}
+	if st := waitDone(t, s, blockerID); st.State != StateDone {
+		t.Fatalf("blocker finished %s", st.State)
+	}
+	waitInflightZero(t, s)
 }

@@ -752,6 +752,9 @@ func (s *Server) submit(req *distcolor.Request, pre int64) (JobStatus, error) {
 		}
 		// Served from cache: load re-verified the remapped coloring against
 		// this submission's graph.
+		s.obs.cacheHits.Inc()
+		s.obs.submitted.Inc()
+		s.obs.completed.Inc()
 		j.state = StateDone
 		j.resp = hit
 		j.cacheHit = true
@@ -764,9 +767,6 @@ func (s *Server) submit(req *distcolor.Request, pre int64) (JobStatus, error) {
 		sv := j.spans.Start(stageServe, j.spanRoot, t)
 		j.spans.End(sv, t)
 		j.spans.End(j.spanRoot, t)
-		s.obs.cacheHits.Inc()
-		s.obs.submitted.Inc()
-		s.obs.completed.Inc()
 		evicted := s.register(j)
 		s.mu.Unlock()
 		s.obs.observeStage(stageAdmit, t)
@@ -1081,6 +1081,7 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 	}
 	// Pull the job out of the queue first (s.mu before j.mu): once removed,
 	// no worker can pick it up, so this caller owns the terminal transition.
+	// s.mu stays held until the job is counted, before it turns terminal.
 	s.mu.Lock()
 	removed := false
 	for i, q := range s.queue {
@@ -1090,27 +1091,29 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 			break
 		}
 	}
-	s.mu.Unlock()
 	j.mu.Lock()
 	finished := false
 	if !j.state.Terminal() {
 		j.cancelReq = true
 		j.cancel(errJobCanceled)
 		if removed {
-			j.finishLocked(StateCanceled, errJobCanceled.Error())
-			if j.spans != nil {
-				t := j.sinceUS()
-				j.spans.End(j.spanQueue, t)
-				j.spans.End(j.spanRoot, t)
-			}
+			s.obs.canceled.Inc()
 			finished = true
+		}
+	}
+	s.mu.Unlock()
+	if finished {
+		j.finishLocked(StateCanceled, errJobCanceled.Error())
+		if j.spans != nil {
+			t := j.sinceUS()
+			j.spans.End(j.spanQueue, t)
+			j.spans.End(j.spanRoot, t)
 		}
 	}
 	j.mu.Unlock()
 	if finished {
 		s.log.Info("job canceled while queued", "job", j.id)
 		s.mu.Lock()
-		s.obs.canceled.Inc()
 		s.releaseLocked(j.cost)
 		s.mu.Unlock()
 		_ = s.journal(distcolor.JobRecord{ID: j.id, State: string(StateCanceled), Error: errJobCanceled.Error()}, true)
@@ -1327,6 +1330,12 @@ func (s *Server) runJob(j *job) {
 		s.cache.store(j.key, j.canon, resp)
 	}
 
+	// The outcome is counted before the job turns terminal, so Metrics
+	// read the instant Wait returns already includes it. Classifying it
+	// reads j.cancelReq, so s.mu and j.mu are held together, taken in the
+	// server's order (s.mu first, as Cancel and register do); s.mu is
+	// dropped before the done channel closes.
+	s.mu.Lock()
 	j.mu.Lock()
 	j.wallMS = wall
 	// A canceled job's error chain carries the context cancellation (the
@@ -1341,22 +1350,29 @@ func (s *Server) runJob(j *job) {
 	rec := distcolor.JobRecord{ID: j.id, WallMS: wall}
 	switch {
 	case canceled:
-		j.finishLocked(StateCanceled, errJobCanceled.Error())
+		s.obs.canceled.Inc()
 		rec.State, rec.Error = string(StateCanceled), errJobCanceled.Error()
 	case panicked:
-		j.finishLocked(StateFailed, pe.Error())
+		s.obs.failed.Inc()
+		s.obs.panicked.Inc()
 		rec.State, rec.Error = string(StateFailed), pe.Error()
 	case deadlined:
-		j.finishLocked(StateDeadline, errJobDeadline.Error())
+		s.obs.deadlineExceeded.Inc()
 		rec.State, rec.Error = string(StateDeadline), errJobDeadline.Error()
 	case err != nil:
-		j.finishLocked(StateFailed, err.Error())
+		s.obs.failed.Inc()
 		rec.State, rec.Error = string(StateFailed), err.Error()
 	default:
+		s.obs.completed.Inc()
+		s.obs.roundsTotal.Add(int64(resp.Stats.Rounds))
+		s.obs.messagesTotal.Add(resp.Stats.Messages)
+		s.obs.wallMSTotal.Add(wall)
 		j.resp = resp
-		j.finishLocked(StateDone, "")
 		rec.State, rec.Response = string(StateDone), resp
 	}
+	s.obs.running.Add(-1)
+	s.mu.Unlock()
+	j.finishLocked(State(rec.State), rec.Error)
 	// Close the span tree in the same critical section as the terminal
 	// transition, so a trace streamer woken by it always reads a finished
 	// tree. Execute ends at the last observed round; the tail up to
@@ -1410,24 +1426,7 @@ func (s *Server) runJob(j *job) {
 	s.log.Info("job finished", "job", j.id, "state", rec.State, "wall_ms", wall)
 
 	s.mu.Lock()
-	s.obs.running.Add(-1)
 	s.releaseLocked(j.cost)
-	switch {
-	case canceled:
-		s.obs.canceled.Inc()
-	case panicked:
-		s.obs.failed.Inc()
-		s.obs.panicked.Inc()
-	case deadlined:
-		s.obs.deadlineExceeded.Inc()
-	case err != nil:
-		s.obs.failed.Inc()
-	default:
-		s.obs.completed.Inc()
-		s.obs.roundsTotal.Add(int64(resp.Stats.Rounds))
-		s.obs.messagesTotal.Add(resp.Stats.Messages)
-		s.obs.wallMSTotal.Add(wall)
-	}
 	s.mu.Unlock()
 }
 

@@ -100,9 +100,9 @@ func TestChunkedIngestBeatsInflightBound(t *testing.T) {
 	if m.CodecStream != 1 || m.Shed == 0 {
 		t.Fatalf("wire accounting after the pair: %+v", m)
 	}
-	if m.InflightBytes != 0 {
-		t.Fatalf("in-flight bytes leaked after terminal: %d", m.InflightBytes)
-	}
+	// The charge is released after the terminal fsync, which follows the
+	// done transition Wait returns on.
+	waitInflightZero(t, s)
 }
 
 // TestStreamShedsMidIngestWhenContended: a stream only gets past the bound

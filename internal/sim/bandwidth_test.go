@@ -15,20 +15,19 @@ type sizedExchange struct {
 	acc    int64
 }
 
-func (m *sizedExchange) StepWord(round int, in, out []sim.Word) bool {
+func (m *sizedExchange) StepWord(round int, in []sim.Word) (sim.Word, bool) {
 	for _, w := range in {
 		if w != sim.NoWord {
 			m.acc += w
 		}
 	}
-	sim.SendAllWords(out, sim.Word(round&0x7f))
-	return round >= m.rounds-1
+	return sim.Word(round & 0x7f), round >= m.rounds-1
 }
 
 func (m *sizedExchange) WordBits(w sim.Word) int64 { return 7 }
 
 func sizedExchangeFactory(rounds int) sim.Factory {
-	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
+	return func(info sim.NodeInfo) sim.Machine {
 		return sim.WrapWord(&sizedExchange{rounds: rounds})
 	}
 }
@@ -178,8 +177,7 @@ func TestInstrumentedSteadyStateAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	short := testing.AllocsPerRun(5, func() { run(8) })
-	long := testing.AllocsPerRun(5, func() { run(72) })
+	short, long := shortLongAllocs(run)
 	if long != short {
 		t.Fatalf("instrumented engine allocates per round: %.1f allocs over 64 extra rounds (%.1f vs %.1f)",
 			long-short, long, short)

@@ -35,10 +35,10 @@ func (f FuncMachine) Step(round int, in []Message, out []Message) bool {
 // WordFunc adapts a step function to the WordMachine interface; wrap it
 // with WrapWord to obtain the Machine a Factory must return:
 //
-//	return sim.WrapWord(sim.WordFunc(func(round int, in, out []sim.Word) bool { ... }))
-type WordFunc func(round int, in, out []Word) bool
+//	return sim.WrapWord(sim.WordFunc(func(round int, in []sim.Word) (sim.Word, bool) { ... }))
+type WordFunc func(round int, in []Word) (Word, bool)
 
 // StepWord implements WordMachine.
-func (f WordFunc) StepWord(round int, in, out []Word) bool {
-	return f(round, in, out)
+func (f WordFunc) StepWord(round int, in []Word) (Word, bool) {
+	return f(round, in)
 }

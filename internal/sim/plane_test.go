@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/cd"
@@ -76,18 +77,13 @@ func newRefInstance(t *sim.Topology, f sim.Factory) *refInstance {
 		inst.in[v] = make([]sim.Message, deg)
 		inst.out[v] = make([]sim.Message, deg)
 		inst.peer[v] = make([]refPort, deg)
-		nbrIDs := make([]int64, deg)
-		nbrLabels := make([]int64, deg)
 		for p, a := range adj {
 			inst.peer[v][p] = refPort{v: a.To, port: portOf[a.To][a.Edge]}
-			nbrIDs[p] = t.ID(int(a.To))
-			nbrLabels[p] = t.Label(int(a.To))
 		}
-		info := sim.NodeInfo{
+		inst.machines[v] = f(sim.NodeInfo{
 			V: v, ID: t.ID(v), Label: t.Label(v),
 			Degree: deg, N: n, MaxDeg: g.MaxDegree(),
-		}
-		inst.machines[v] = f(info, nbrIDs, nbrLabels)
+		})
 	}
 	return inst
 }
@@ -180,7 +176,7 @@ func (s sizedMsg) Bits() int64 { return int64(s)%13 + 14 }
 
 // sumProgram broadcasts the vertex ID, then stores the neighbor-ID sum.
 func sumProgram(results []int64) sim.Factory {
-	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
+	return func(info sim.NodeInfo) sim.Machine {
 		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
 			if round == 0 {
 				sim.SendAll(out, info.ID)
@@ -200,7 +196,7 @@ func sumProgram(results []int64) sim.Factory {
 // rounds. On disconnected graphs it never terminates, which the matrix
 // exercises through the round-limit path.
 func floodProgram(results []int64) sim.Factory {
-	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
+	return func(info sim.NodeInfo) sim.Machine {
 		reached := info.ID == 0
 		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
 			if reached {
@@ -224,7 +220,7 @@ func floodProgram(results []int64) sim.Factory {
 // folds everything received into a per-vertex accumulator. It exercises
 // final-message delivery, halted-sender clearing, and bit accounting.
 func chattyProgram(results []int64) sim.Factory {
-	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
+	return func(info sim.NodeInfo) sim.Machine {
 		stop := int(info.ID%5) + 1
 		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
 			acc := results[info.V]
@@ -473,7 +469,7 @@ func TestAlgorithmEquivalenceMatrix(t *testing.T) {
 // vertex keeps exchanging small int64 payloads (which the Go runtime
 // converts to interfaces without allocating) for a fixed number of rounds.
 func exchangeProgram(rounds int) sim.Factory {
-	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
+	return func(info sim.NodeInfo) sim.Machine {
 		var acc int64
 		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
 			for _, m := range in {
@@ -485,6 +481,18 @@ func exchangeProgram(rounds int) sim.Factory {
 			return round >= rounds-1
 		})
 	}
+}
+
+// shortLongAllocs measures the allocations of an 8-round and a 72-round
+// run of the same program; the steady-state pins demand they be equal. A
+// GC cycle runs first: a process's first cycle starts the runtime's
+// background mark workers, whose goroutines are heap allocations that
+// would otherwise land in whichever run that cycle happens to hit.
+func shortLongAllocs(run func(rounds int)) (short, long float64) {
+	runtime.GC()
+	short = testing.AllocsPerRun(5, func() { run(8) })
+	long = testing.AllocsPerRun(5, func() { run(72) })
+	return short, long
 }
 
 // TestSequentialSteadyStateAllocFree pins the tentpole contract: after
@@ -500,8 +508,7 @@ func TestSequentialSteadyStateAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	short := testing.AllocsPerRun(5, func() { run(8) })
-	long := testing.AllocsPerRun(5, func() { run(72) })
+	short, long := shortLongAllocs(run)
 	if long != short {
 		t.Fatalf("sequential engine allocates per round: %.1f allocs over 64 extra rounds (%.1f vs %.1f)",
 			long-short, long, short)
@@ -519,8 +526,7 @@ func TestReverseSequentialSteadyStateAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	short := testing.AllocsPerRun(5, func() { run(8) })
-	long := testing.AllocsPerRun(5, func() { run(72) })
+	short, long := shortLongAllocs(run)
 	if long != short {
 		t.Fatalf("reverse engine allocates per round: %.1f allocs over 64 extra rounds", long-short)
 	}
@@ -561,7 +567,7 @@ const benchRounds = 32
 // vertices progressively, so most rounds execute over a mix of live and
 // halted vertices.
 func wavefrontProgram(span int) sim.Factory {
-	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
+	return func(info sim.NodeInfo) sim.Machine {
 		stop := 1 + int(info.ID)%span
 		var acc int64
 		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {

@@ -10,10 +10,12 @@
 // outboxes to inboxes between rounds. Running time is the number of rounds
 // until every machine has halted, exactly the paper's measure.
 //
-// Knowledge model: as is standard for deterministic LOCAL algorithms
-// (KT1), a machine initially knows its own identifier, degree, the global
-// parameters n and Δ, and its neighbors' identifiers and seed labels. All
-// other information must travel over edges.
+// Knowledge model: a machine initially knows its own identifier, seed
+// label and degree, and the global parameters n and Δ. Everything else,
+// its neighbors' identifiers and seed labels included, travels over edges:
+// a program that needs them learns them in round 0, as the coloring
+// programs of this repository do by broadcasting their starting color
+// (identifier or seed label) first.
 //
 // Two engines are provided. RunSequential advances machines in index order
 // within a round — fast and allocation-free in its steady state. RunParallel
@@ -22,18 +24,21 @@
 // pure functions of (state, inbox), so both engines produce bit-identical
 // executions; tests assert this.
 //
-// Data plane: all engines run over the graph's flat CSR view (graph.CSR).
-// Inboxes and outboxes are flat slabs with one slot per directed arc,
-// allocated once per run; a vertex's buffers are the slab range given by
-// the CSR offsets. Outboxes are double-buffered and swapped between
-// rounds, and delivery is the Mate permutation, applied lazily while
-// stepping each receiver (in[p] = prevOut[Mate[Off[v]+p]]). The message
-// representation is chosen per program: []Message (the general any plane)
-// by default, or the packed []Word fast path of words.go — no interface
-// boxing anywhere on the hot path — when every machine of the run
-// implements WordMachine. In either representation the round loop performs
-// no heap allocations — see DESIGN.md §7–§8 and the allocation-regression
-// tests.
+// Data plane: all engines run over the graph's flat CSR view (graph.CSR),
+// with the message representation chosen per program. The general any
+// plane ([]Message) is per arc: inboxes and outboxes are flat slabs with
+// one slot per directed arc, allocated once per run; a vertex's buffers
+// are the slab range given by the CSR offsets. Outboxes are
+// double-buffered by round parity, and delivery is the Mate permutation,
+// applied lazily while stepping each receiver (in[p] =
+// prevOut[Mate[Off[v]+p]]). The word plane of words.go, taken when every
+// machine of the run implements WordMachine, is per vertex: a word machine
+// broadcasts one Word per round, so its outboxes are two n-slot slabs
+// alternating by round parity, and a receiver's inbox is gathered through
+// the CSR neighbor array into a Δ-sized window (in[p] =
+// prevOut[To[Off[v]+p]]) — no interface boxing and no arc-sized storage.
+// In either representation the round loop performs no heap allocations —
+// see DESIGN.md §7–§8 and the allocation-regression tests.
 package sim
 
 import (
@@ -70,11 +75,8 @@ type Machine interface {
 	Step(round int, in []Message, out []Message) bool
 }
 
-// Factory creates the machine for one vertex. nbrIDs[p] and nbrLabels[p]
-// are the identifier and seed label of the neighbor on port p. Both slices
-// are read-only windows into engine-owned storage shared by all vertices
-// of the run: machines must not modify them (copy first to mutate).
-type Factory func(info NodeInfo, nbrIDs []int64, nbrLabels []int64) Machine
+// Factory creates the machine for one vertex from its initial knowledge.
+type Factory func(info NodeInfo) Machine
 
 // Topology is a network: a graph plus per-vertex identifiers and optional
 // seed labels.
@@ -279,21 +281,29 @@ func (o observedExec) Run(ctx context.Context, t *Topology, f Factory, maxRounds
 
 // instance holds the shared execution state of one run.
 //
-// The message plane is laid out over the graph's CSR view (graph.CSR):
-// flat []Message slabs with one slot per directed arc. Vertex v's buffers
-// are the slab range [Off[v], Off[v+1]) — the port order of Adj(v) — so
-// handing a machine its buffers is a slice expression, not an allocation.
+// Both message planes are laid out over the graph's CSR view (graph.CSR),
+// whose arc range [Off[v], Off[v+1]) is the port order of Adj(v).
 //
-// Outboxes are double-buffered: machines write outs[round%2] while reading
-// (through the inbox) what the previous round wrote into the other slab.
-// Delivery is the Mate permutation — the message arriving on v's port p is
-// whatever the neighbor wrote on the opposite arc Mate[Off[v]+p] — applied
-// lazily when a vertex is stepped: its inbox window of the in slab is
+// The any plane is per arc: flat []Message slabs with one slot per
+// directed arc, vertex v's buffers being its arc range, so handing a
+// machine its buffers is a slice expression, not an allocation. Outboxes
+// are double-buffered: machines write outs[round%2] while reading (through
+// the inbox) what the previous round wrote into the other slab. Delivery
+// is the Mate permutation — the message arriving on v's port p is whatever
+// the neighbor wrote on the opposite arc Mate[Off[v]+p] — applied lazily
+// when a vertex is stepped: its inbox window of the in slab is
 // materialized from the previous out slab right before Step, while the
-// slots are about to be read anyway. There is no separate delivery pass,
-// halted vertices' dead inboxes are never materialized, and the buffer
-// swap is a parity flip. All slabs are allocated once per run; the round
-// loop performs no heap allocations.
+// slots are about to be read anyway.
+//
+// The word plane is per vertex: wouts[round%2][v] is the one word v
+// broadcast in that round, and v's inbox is gathered from the other slab
+// through its neighbor list To[Off[v]:Off[v+1]] into a window of Δ words,
+// right before StepWord.
+//
+// In both planes there is no separate delivery pass, halted vertices'
+// dead inboxes are never materialized, and the buffer swap is a parity
+// flip. All slabs are allocated once per run; the round loop performs no
+// heap allocations.
 type instance struct {
 	t         *Topology
 	csr       *graph.CSR
@@ -304,16 +314,18 @@ type instance struct {
 	// alternating by round parity. Allocated only for any-plane runs.
 	in   []Message
 	outs [2][]Message
-	// The packed fast path (words.go): when every machine implements
-	// WordMachine the run is laid out over []Word slabs instead, the
-	// machines are stepped through wms (pre-asserted, so the hot loop does
-	// no interface assertions), and wszs holds each machine's WordSizer
-	// (nil entries use the default 64-bit accounting).
+	// The word plane (words.go): when every machine implements
+	// WordMachine the machines are stepped through wms (pre-asserted, so
+	// the hot loop does no interface assertions), wszs holds each
+	// machine's WordSizer (nil entries use the default 64-bit accounting),
+	// wouts are the two n-slot outbox slabs, and win is the inbox window
+	// of the sequential engines (the parallel engine gives each shard its
+	// own).
 	words bool
 	wms   []WordMachine
 	wszs  []WordSizer
-	win   []Word
 	wouts [2][]Word
+	win   []Word
 	// newly and pending are reusable scratch lists (capacity n, so appends
 	// never allocate) of the vertices that halted in the current and the
 	// previous round; retireRound drains them.
@@ -328,7 +340,6 @@ func newInstance(t *Topology, f Factory) (*instance, error) {
 	g := t.G
 	n := g.N()
 	csr := g.CSR()
-	arcs := csr.NumArcs()
 	inst := &instance{
 		t:         t,
 		csr:       csr,
@@ -338,46 +349,32 @@ func newInstance(t *Topology, f Factory) (*instance, error) {
 		newly:     make([]int32, 0, n),
 		pending:   make([]int32, 0, n),
 	}
-	// Neighbor knowledge is carved from two flat slabs by the same CSR
-	// offsets as the message plane. Machines must treat the slices as
-	// read-only (they are windows into shared storage).
-	nbrIDs := make([]int64, arcs)
-	nbrLabels := make([]int64, arcs)
-	for j, u := range csr.To {
-		nbrIDs[j] = t.ID(int(u))
-		if t.Labels == nil {
-			nbrLabels[j] = -1
-		} else {
-			nbrLabels[j] = t.Labels[u]
-		}
-	}
 	maxDeg := g.MaxDegree()
 	for v := 0; v < n; v++ {
-		lo, hi := csr.Range(v)
-		info := NodeInfo{
+		inst.machines[v] = f(NodeInfo{
 			V:      v,
 			ID:     t.ID(v),
 			Label:  t.Label(v),
-			Degree: int(hi - lo),
+			Degree: csr.Degree(v),
 			N:      n,
 			MaxDeg: maxDeg,
-		}
-		inst.machines[v] = f(info, nbrIDs[lo:hi:hi], nbrLabels[lo:hi:hi])
+		})
 	}
-	// Choose the message representation per program: the packed Word plane
-	// when every machine speaks it, the general any plane otherwise. Only
-	// the chosen plane's slabs are allocated.
+	// Choose the message representation per program: the word plane when
+	// every machine speaks it, the general any plane otherwise. Only the
+	// chosen plane's slabs are allocated.
 	if wms, wszs, ok := wordProgram(inst.machines); ok {
 		inst.words = true
 		inst.wms, inst.wszs = wms, wszs
-		inst.win = make([]Word, arcs)
-		inst.wouts = [2][]Word{make([]Word, arcs), make([]Word, arcs)}
-		for _, slab := range [...][]Word{inst.win, inst.wouts[0], inst.wouts[1]} {
-			for j := range slab {
-				slab[j] = NoWord
+		inst.wouts = [2][]Word{make([]Word, n), make([]Word, n)}
+		for _, slab := range inst.wouts {
+			for v := range slab {
+				slab[v] = NoWord
 			}
 		}
+		inst.win = make([]Word, maxDeg)
 	} else {
+		arcs := csr.NumArcs()
 		inst.in = make([]Message, arcs)
 		inst.outs = [2][]Message{make([]Message, arcs), make([]Message, arcs)}
 	}
@@ -401,20 +398,21 @@ func (a *sendStats) add(b sendStats) {
 
 // stepVertex advances one machine and returns its emitted traffic plus
 // whether the vertex halted during this call, dispatching to the plane the
-// program was laid out on. In either plane the inbox window is
-// materialized from the previous round's outbox slab through the Mate
-// permutation (this IS message delivery — fused into the step so the slots
-// are written right before Step reads them), the current outbox window is
-// cleared per the Machine contract, and the emitted slots are scanned for
-// Stats while still hot.
+// program was laid out on; win is the caller's inbox window for the word
+// plane. On the any plane the inbox window is materialized from the
+// previous round's outbox slab through the Mate permutation (this IS
+// message delivery — fused into the step so the slots are written right
+// before Step reads them), the current outbox window is cleared per the
+// Machine contract, and the emitted slots are scanned for Stats while
+// still hot.
 //
 //distcolor:noalloc
-func (inst *instance) stepVertex(v, round int) (sendStats, bool) {
+func (inst *instance) stepVertex(v, round int, win []Word) (sendStats, bool) {
 	if inst.done[v] {
 		return sendStats{}, false
 	}
 	if inst.words {
-		return inst.stepVertexWord(v, round)
+		return inst.stepVertexWord(v, round, win)
 	}
 	prevOut, curOut := inst.outs[(round&1)^1], inst.outs[round&1]
 	lo, hi := inst.csr.Range(v)
@@ -451,51 +449,46 @@ func (inst *instance) stepVertex(v, round int) (sendStats, bool) {
 	return st, halted
 }
 
-// stepVertexWord is stepVertex on the packed plane: same delivery, same
-// clearing discipline, with NoWord in place of nil and no boxing anywhere.
+// stepVertexWord is stepVertex on the word plane: the inbox is gathered
+// into win from the neighbors' slots of the previous round's outbox slab,
+// and the returned word is stored in v's slot of the current one. A word
+// broadcast to deg ports is deg messages of WordBits(w) bits each (64
+// without a WordSizer), exactly as if it had been sent port by port.
 //
 //distcolor:noalloc
-func (inst *instance) stepVertexWord(v, round int) (sendStats, bool) {
-	prevOut, curOut := inst.wouts[(round&1)^1], inst.wouts[round&1]
+func (inst *instance) stepVertexWord(v, round int, win []Word) (sendStats, bool) {
+	prevOut := inst.wouts[(round&1)^1]
 	lo, hi := inst.csr.Range(v)
-	mate := inst.csr.Mate[lo:hi:hi]
-	in := inst.win[lo:hi:hi]
-	out := curOut[lo:hi:hi]
-	for p := range in {
-		in[p] = prevOut[mate[p]]
-		out[p] = NoWord
+	to := inst.csr.To[lo:hi:hi]
+	in := win[:len(to):len(to)]
+	for p, u := range to {
+		in[p] = prevOut[u]
 	}
-	halted := inst.wms[v].StepWord(round, in, out)
+	w, halted := inst.wms[v].StepWord(round, in)
+	inst.wouts[round&1][v] = w
 	if halted {
 		inst.done[v] = true
 	}
-	var st sendStats
-	sz := inst.wszs[v]
-	for _, w := range out {
-		if w == NoWord {
-			continue
-		}
-		st.msgs++
-		b := int64(64)
-		if sz != nil {
-			b = sz.WordBits(w)
-		}
-		st.bits += b
-		if b > st.maxBits {
-			st.maxBits = b
-		}
+	if w == NoWord || len(to) == 0 {
+		return sendStats{}, halted
 	}
-	return st, halted
+	b := int64(64)
+	if sz := inst.wszs[v]; sz != nil {
+		b = sz.WordBits(w)
+	}
+	deg := int64(len(to))
+	return sendStats{msgs: deg, bits: deg * b, maxBits: b}, halted
 }
 
 // retireRound runs at the end of each round, after the slab the round read
 // from (its prevOut) has been fully consumed, and clears in that slab the
-// outbox regions of the vertices that halted this round (killing their
-// stale next-to-last messages) and of those that halted last round
-// (killing their just-consumed final messages). After its two passes over
-// a halted vertex the vertex's region is silent in both slabs and is never
-// written again, so inbox materialization reads silence from it forever —
-// the cost is O(deg) once per vertex, not per round.
+// outboxes of the vertices that halted this round (killing their stale
+// next-to-last messages) and of those that halted last round (killing
+// their just-consumed final messages). After its two passes over a halted
+// vertex the vertex's outbox is silent in both slabs and is never written
+// again, so inbox gathering reads silence from it forever — the cost is
+// O(deg) on the any plane and one slot on the word plane, once per vertex,
+// not per round.
 //
 //distcolor:noalloc
 func (inst *instance) retireRound(round int) {
@@ -524,10 +517,7 @@ func (inst *instance) retireInto(slab []Message, vs []int32) {
 //distcolor:noalloc
 func (inst *instance) retireWordsInto(slab []Word, vs []int32) {
 	for _, v := range vs {
-		lo, hi := inst.csr.Range(int(v))
-		for j := lo; j < hi; j++ {
-			slab[j] = NoWord
-		}
+		slab[v] = NoWord
 	}
 }
 
@@ -576,7 +566,7 @@ func runSequential(ctx context.Context, t *Topology, f Factory, maxRounds int, h
 		prevBits := stats.Bits
 		var roundMax int64
 		for v := 0; v < n; v++ {
-			st, halted := inst.stepVertex(v, round)
+			st, halted := inst.stepVertex(v, round, inst.win)
 			stats.Messages += st.msgs
 			stats.Bits += st.bits
 			if st.maxBits > roundMax {
@@ -634,7 +624,7 @@ func runReverseSequential(ctx context.Context, t *Topology, f Factory, maxRounds
 		prevBits := stats.Bits
 		var roundMax int64
 		for v := n - 1; v >= 0; v-- {
-			st, halted := inst.stepVertex(v, round)
+			st, halted := inst.stepVertex(v, round, inst.win)
 			stats.Messages += st.msgs
 			stats.Bits += st.bits
 			if st.maxBits > roundMax {
@@ -680,8 +670,13 @@ func runParallel(ctx context.Context, t *Topology, f Factory, maxRounds int, hoo
 	// single) goroutines. The fused data plane needs only ONE barrier per
 	// round: a worker materializes inboxes from the previous round's outbox
 	// slab (frozen during the round), steps its own vertices, and writes
-	// only its own vertices' in/out regions.
+	// only its own vertices' in/out regions — and, on the word plane, its
+	// own inbox window.
 	workers := shardWorkers(n, stepGrain)
+	wins := make([][]Word, workers)
+	for w := range wins {
+		wins[w] = make([]Word, len(inst.win))
+	}
 	var stats Stats
 	halted := make([]int, workers)     // per-shard newly halted counts
 	sent := make([]sendStats, workers) // per-shard traffic
@@ -708,7 +703,7 @@ func runParallel(ctx context.Context, t *Topology, f Factory, maxRounds int, hoo
 			var s sendStats
 			buf := shardNewly[w][:0]
 			for v := lo; v < hi; v++ {
-				st, vHalted := inst.stepVertex(v, round)
+				st, vHalted := inst.stepVertex(v, round, wins[w])
 				s.add(st)
 				if vHalted {
 					h++

@@ -25,7 +25,7 @@ func rg(seed int64, n int, p float64) *graph.Graph {
 // neighborSumProgram: every vertex broadcasts its ID in round 0, sums the
 // received IDs in round 1, stores the result, and halts.
 func neighborSumProgram(results []int64) Factory {
-	return func(info NodeInfo, nbrIDs, nbrLabels []int64) Machine {
+	return func(info NodeInfo) Machine {
 		return FuncMachine(func(round int, in []Message, out []Message) bool {
 			switch round {
 			case 0:
@@ -71,7 +71,7 @@ func TestNeighborSum(t *testing.T) {
 // bfsProgram floods a token from the vertex with identifier 0; every vertex
 // records the round it first hears the token (its BFS distance).
 func bfsProgram(dist []int) Factory {
-	return func(info NodeInfo, nbrIDs, nbrLabels []int64) Machine {
+	return func(info NodeInfo) Machine {
 		reached := info.ID == 0
 		relayed := false
 		if reached {
@@ -184,7 +184,7 @@ func TestEngineDispatch(t *testing.T) {
 
 func TestRoundLimitError(t *testing.T) {
 	g := graph.Path(3)
-	forever := func(info NodeInfo, nbrIDs, nbrLabels []int64) Machine {
+	forever := func(info NodeInfo) Machine {
 		return FuncMachine(func(round int, in []Message, out []Message) bool {
 			return false
 		})
@@ -222,6 +222,9 @@ func TestTopologyValidation(t *testing.T) {
 	}
 }
 
+// TestNodeInfoAndNeighborKnowledge pins the knowledge model: a machine
+// starts with its own NodeInfo and learns its neighbors' identifiers and
+// seed labels, port by port, from a round-0 exchange.
 func TestNodeInfoAndNeighborKnowledge(t *testing.T) {
 	g := graph.Star(5)
 	ids := []int64{100, 200, 300, 400, 500}
@@ -233,9 +236,20 @@ func TestNodeInfoAndNeighborKnowledge(t *testing.T) {
 		nbrLbl []int64
 	}
 	got := make([]seen, g.N())
-	f := func(info NodeInfo, nbrIDs, nbrLabels []int64) Machine {
-		got[info.V] = seen{info, append([]int64(nil), nbrIDs...), append([]int64(nil), nbrLabels...)}
-		return FuncMachine(func(round int, in []Message, out []Message) bool { return true })
+	f := func(info NodeInfo) Machine {
+		got[info.V].info = info
+		return FuncMachine(func(round int, in []Message, out []Message) bool {
+			if round == 0 {
+				SendAll(out, [2]int64{info.ID, info.Label})
+				return false
+			}
+			for _, m := range in {
+				idl := m.([2]int64)
+				got[info.V].nbrIDs = append(got[info.V].nbrIDs, idl[0])
+				got[info.V].nbrLbl = append(got[info.V].nbrLbl, idl[1])
+			}
+			return true
+		})
 	}
 	if _, err := RunSequential(context.Background(), topo, f, 5); err != nil {
 		t.Fatal(err)
@@ -280,7 +294,7 @@ func TestHaltedVertexStopsSending(t *testing.T) {
 	// must see the message in round 1 but nothing in round 2.
 	g := graph.Path(2)
 	var sawRound1, sawRound2 bool
-	f := func(info NodeInfo, nbrIDs, nbrLabels []int64) Machine {
+	f := func(info NodeInfo) Machine {
 		if info.ID == 0 {
 			return FuncMachine(func(round int, in []Message, out []Message) bool {
 				SendAll(out, int64(42))
@@ -328,7 +342,7 @@ func TestDefaultMaxRounds(t *testing.T) {
 // and abort with an error wrapping the cancellation cause.
 func TestContextAbortsRun(t *testing.T) {
 	g := rg(7, 40, 0.2)
-	forever := func(info NodeInfo, nbrIDs, nbrLabels []int64) Machine {
+	forever := func(info NodeInfo) Machine {
 		return FuncMachine(func(round int, in, out []Message) bool { return false })
 	}
 	ctx, cancel := context.WithCancel(context.Background())

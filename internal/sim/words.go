@@ -1,20 +1,22 @@
 package sim
 
-// The word message plane: the engine's boxing-free fast path.
+// The word message plane: the engine's boxing-free broadcast fast path.
 //
 // `Message` is `any`, so every payload a vertex stores into its outbox is
 // converted to an interface value — and any int64 outside the runtime's
-// small-integer cache escapes to the heap. The algorithms of this
-// repository overwhelmingly exchange single machine words (colors, tokens,
-// field elements), so the plane offers a second representation: a packed
-// Word slab with one int64 slot per directed arc and a sentinel (NoWord)
-// for "no message". The representation is chosen once per program: when
-// every machine an execution's Factory produces implements WordMachine,
-// the engines lay the run out over []Word slabs and call StepWord; one
-// non-word machine falls the whole run back to the []Message plane, where
-// WrapWord bridges StepWord through the any contract. Either way the
-// observable execution — per-vertex results, rounds, message counts, bit
-// accounting — is identical bit for bit; the equivalence matrix in
+// small-integer cache escapes to the heap. Most algorithms of this
+// repository are broadcast programs that exchange single machine words
+// (colors, tokens, field elements): in every round each vertex sends one
+// word to all its neighbors, or stays silent. The word plane is laid out
+// for exactly that: one Word slot per vertex and round (NoWord for
+// silence), so storage and delivery scale with vertices, not arcs. The
+// representation is chosen once per program: when every machine an
+// execution's Factory produces implements WordMachine, the engines run
+// the word plane and call StepWord; one non-word machine falls the whole
+// run back to the per-arc []Message plane, where WrapWord bridges StepWord
+// through the any contract by broadcasting the returned word. Either way
+// the observable execution — per-vertex results, rounds, message counts,
+// bit accounting — is identical bit for bit; the equivalence matrix in
 // plane_test.go pins this.
 
 import (
@@ -31,13 +33,16 @@ type Word = int64
 // repository is a non-negative color or token, far from the sentinel.
 const NoWord Word = math.MinInt64
 
-// WordMachine is the packed counterpart of Machine: in[p] holds NoWord
-// where the any plane would hold nil, and out is pre-filled with NoWord
-// where the any plane pre-clears to nil. Word machines are handed to
+// WordMachine is the broadcast counterpart of Machine. in[p] holds the word
+// the neighbor on port p broadcast in the previous round, NoWord where the
+// any plane would hold nil; the slice is engine-owned and valid only for
+// the call. StepWord returns the word to broadcast on every port this
+// round (NoWord: send nothing) and whether the vertex halts; a halting
+// vertex's returned word is still delivered. Word machines are handed to
 // engines through WrapWord, which also provides the Machine contract for
 // the any plane (mixed programs, the reference engine in tests).
 type WordMachine interface {
-	StepWord(round int, in, out []Word) bool
+	StepWord(round int, in []Word) (out Word, halted bool)
 }
 
 // WordSizer is the packed counterpart of Sizer: a word machine that
@@ -48,17 +53,10 @@ type WordSizer interface {
 	WordBits(w Word) int64
 }
 
-// SendAllWords writes the same word to every outgoing port.
-func SendAllWords(out []Word, w Word) {
-	for p := range out {
-		out[p] = w
-	}
-}
-
 // WrapWord adapts a WordMachine to the Machine interface so a Factory can
 // return it. The returned machine implements WordMachine (engines detect
-// it and run the packed plane) and Machine (the any plane steps it through
-// a per-machine conversion buffer, allocated once on first use — this path
+// it and run the word plane) and Machine (the any plane steps it through a
+// per-machine conversion buffer, allocated once on first use — this path
 // only runs when a program mixes word and non-word machines, or under the
 // reference engine kept in tests).
 func WrapWord(wm WordMachine) Machine {
@@ -69,32 +67,28 @@ func WrapWord(wm WordMachine) Machine {
 }
 
 type wordBridge struct {
-	wm      WordMachine
-	in, out []Word
+	wm WordMachine
+	in []Word
 }
 
-func (b *wordBridge) StepWord(round int, in, out []Word) bool {
-	return b.wm.StepWord(round, in, out)
+func (b *wordBridge) StepWord(round int, in []Word) (Word, bool) {
+	return b.wm.StepWord(round, in)
 }
 
 // Step runs the word machine on the any plane: convert the inbox, step,
-// convert the outbox back. Emitted words become plain int64 Messages, so
-// the default 64-bit accounting matches the word plane's.
+// broadcast the returned word. Emitted words become plain int64 Messages,
+// so the default 64-bit accounting matches the word plane's.
 func (b *wordBridge) Step(round int, in []Message, out []Message) bool {
-	b.convertIn(in)
-	halted := b.wm.StepWord(round, b.in, b.out)
-	for p, w := range b.out {
-		if w != NoWord {
-			out[p] = w
-		}
+	w, halted := b.wm.StepWord(round, b.convertIn(in))
+	if w != NoWord {
+		SendAll(out, w)
 	}
 	return halted
 }
 
-func (b *wordBridge) convertIn(in []Message) {
+func (b *wordBridge) convertIn(in []Message) []Word {
 	if b.in == nil {
 		b.in = make([]Word, len(in))
-		b.out = make([]Word, len(in))
 	}
 	for p, m := range in {
 		switch v := m.(type) {
@@ -112,9 +106,7 @@ func (b *wordBridge) convertIn(in []Message) {
 			panic(fmt.Sprintf("sim: word machine received non-word payload %T on port %d", m, p))
 		}
 	}
-	for p := range b.out {
-		b.out[p] = NoWord
-	}
+	return b.in
 }
 
 // sizedWordBridge is the WrapWord adapter for machines with custom bit
@@ -128,12 +120,9 @@ type sizedWordBridge struct {
 func (b *sizedWordBridge) WordBits(w Word) int64 { return b.ws.WordBits(w) }
 
 func (b *sizedWordBridge) Step(round int, in []Message, out []Message) bool {
-	b.convertIn(in)
-	halted := b.wm.StepWord(round, b.in, b.out)
-	for p, w := range b.out {
-		if w != NoWord {
-			out[p] = sizedWord{w: w, bits: b.ws.WordBits(w)}
-		}
+	w, halted := b.wm.StepWord(round, b.convertIn(in))
+	if w != NoWord {
+		SendAll(out, sizedWord{w: w, bits: b.ws.WordBits(w)})
 	}
 	return halted
 }
@@ -147,7 +136,7 @@ type sizedWord struct {
 // Bits implements Sizer.
 func (s sizedWord) Bits() int64 { return s.bits }
 
-// wordProgram detects the packed fast path: every machine of the run must
+// wordProgram detects the word plane: every machine of the run must
 // implement WordMachine (vacuously false for empty topologies, where the
 // choice is irrelevant). Returning the asserted slice lets the hot loop
 // skip the per-step interface assertion.

@@ -1,15 +1,17 @@
 package sim_test
 
-// Equivalence matrix for the packed word plane (sim/words.go): word
+// Equivalence matrix for the broadcast word plane (sim/words.go): word
 // programs must be observationally identical to their any-payload
 // counterparts — same per-vertex results, same Stats (messages, bits,
 // max bits), on every graph and engine of the plane grid, and also when
 // forced through the pre-CSR reference plane (where WrapWord's bridge
 // carries the words over the []Message contract). The allocation tests
-// pin the packed plane's steady state at zero heap allocations per round.
+// pin the word plane's steady state at zero heap allocations per round
+// and its per-run storage at a per-vertex, not per-arc, size.
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -28,33 +30,31 @@ func (refExec) Run(ctx context.Context, t *sim.Topology, f sim.Factory, maxRound
 
 // --- word twins of the plane programs --------------------------------------
 
-// wordSumProgram is sumProgram on the packed plane.
+// wordSumProgram is sumProgram on the word plane.
 func wordSumProgram(results []int64) sim.Factory {
-	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
-		return sim.WrapWord(sim.WordFunc(func(round int, in, out []sim.Word) bool {
+	return func(info sim.NodeInfo) sim.Machine {
+		return sim.WrapWord(sim.WordFunc(func(round int, in []sim.Word) (sim.Word, bool) {
 			if round == 0 {
-				sim.SendAllWords(out, info.ID)
-				return info.Degree == 0
+				return info.ID, info.Degree == 0
 			}
 			var sum int64
 			for _, w := range in {
 				sum += w
 			}
 			results[info.V] = sum
-			return true
+			return sim.NoWord, true
 		}))
 	}
 }
 
-// wordFloodProgram is floodProgram on the packed plane.
+// wordFloodProgram is floodProgram on the word plane.
 func wordFloodProgram(results []int64) sim.Factory {
-	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
+	return func(info sim.NodeInfo) sim.Machine {
 		reached := info.ID == 0
-		return sim.WrapWord(sim.WordFunc(func(round int, in, out []sim.Word) bool {
+		return sim.WrapWord(sim.WordFunc(func(round int, in []sim.Word) (sim.Word, bool) {
 			if reached {
-				sim.SendAllWords(out, 1)
 				results[info.V] = int64(round)
-				return true
+				return 1, true
 			}
 			for _, w := range in {
 				if w != sim.NoWord {
@@ -62,7 +62,7 @@ func wordFloodProgram(results []int64) sim.Factory {
 					break
 				}
 			}
-			return false
+			return sim.NoWord, false
 		}))
 	}
 }
@@ -70,10 +70,12 @@ func wordFloodProgram(results []int64) sim.Factory {
 // sizedPayloadBits is the common bit schedule of the sized program pair.
 func sizedPayloadBits(v int64) int64 { return v%13 + 14 }
 
-// sizedAnyProgram staggers halting, sends Sizer payloads on a rotating
-// subset of ports, and folds everything received into an accumulator.
+// sizedAnyProgram staggers halting, broadcasts a Sizer payload that
+// changes every round in two rounds out of three (silent in the third),
+// and folds everything received into an accumulator. The per-port Sizer
+// case, which only the any plane can express, is chattyProgram's.
 func sizedAnyProgram(results []int64) sim.Factory {
-	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
+	return func(info sim.NodeInfo) sim.Machine {
 		stop := int(info.ID%5) + 1
 		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
 			acc := results[info.V]
@@ -85,10 +87,8 @@ func sizedAnyProgram(results []int64) sim.Factory {
 				}
 			}
 			results[info.V] = acc
-			for p := range out {
-				if (p+round+int(info.ID))%3 != 2 {
-					out[p] = sizedMsg(info.ID + int64(p))
-				}
+			if (round+int(info.ID))%3 != 2 {
+				sim.SendAll(out, sizedMsg(info.ID+int64(round)))
 			}
 			return round >= stop-1
 		})
@@ -102,7 +102,7 @@ type wordSizedMachine struct {
 	results []int64
 }
 
-func (m *wordSizedMachine) StepWord(round int, in, out []sim.Word) bool {
+func (m *wordSizedMachine) StepWord(round int, in []sim.Word) (sim.Word, bool) {
 	acc := m.results[m.info.V]
 	for p, w := range in {
 		if w == sim.NoWord {
@@ -112,18 +112,17 @@ func (m *wordSizedMachine) StepWord(round int, in, out []sim.Word) bool {
 		}
 	}
 	m.results[m.info.V] = acc
-	for p := range out {
-		if (p+round+int(m.info.ID))%3 != 2 {
-			out[p] = m.info.ID + int64(p)
-		}
+	out := sim.NoWord
+	if (round+int(m.info.ID))%3 != 2 {
+		out = m.info.ID + int64(round)
 	}
-	return round >= int(m.info.ID%5)
+	return out, round >= int(m.info.ID%5)
 }
 
 func (m *wordSizedMachine) WordBits(w sim.Word) int64 { return sizedPayloadBits(w) }
 
 func wordSizedProgram(results []int64) sim.Factory {
-	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
+	return func(info sim.NodeInfo) sim.Machine {
 		return sim.WrapWord(&wordSizedMachine{info: info, results: results})
 	}
 }
@@ -131,15 +130,18 @@ func wordSizedProgram(results []int64) sim.Factory {
 // TestWordPlaneEquivalenceMatrix runs each word program and its
 // any-payload twin over the plane grid: per-vertex results and Stats must
 // be identical between (a) the twin on the reference plane, (b) the word
-// program on every engine (packed plane), and (c) the word program forced
+// program on every engine (word plane), and (c) the word program forced
 // through the reference plane, where WrapWord's bridge carries it over
-// the []Message contract.
+// the []Message contract. gnp-sharded has at least two shards' worth of
+// vertices, so the parallel engine runs it on several shards, each with
+// its own inbox window, wherever there are CPUs for them.
 func TestWordPlaneEquivalenceMatrix(t *testing.T) {
 	graphs := []struct {
 		name string
 		g    *graph.Graph
 	}{
 		{"gnp-small", planeRandomGraph(1, 60, 0.15)},
+		{"gnp-sharded", planeRandomGraph(4, 1024, 0.006)},
 		{"gnp-sparse", planeRandomGraph(2, 250, 0.015)},
 		{"gnp-dense", planeRandomGraph(3, 50, 0.6)},
 		{"star", graph.Star(40)},
@@ -208,7 +210,7 @@ func TestWordPlaneEquivalenceMatrix(t *testing.T) {
 func TestMixedProgramFallsBackToAnyPlane(t *testing.T) {
 	g := graph.Path(10)
 	results := make([]int64, g.N())
-	mixed := func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
+	mixed := func(info sim.NodeInfo) sim.Machine {
 		if info.V == 0 {
 			// A lone any-plane machine participating in the sum protocol.
 			return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
@@ -224,7 +226,7 @@ func TestMixedProgramFallsBackToAnyPlane(t *testing.T) {
 				return true
 			})
 		}
-		return wordSumProgram(results)(info, nbrIDs, nbrLabels)
+		return wordSumProgram(results)(info)
 	}
 	wantRes := make([]int64, g.N())
 	wantStats, err := runReference(sim.NewTopology(g), sumProgram(wantRes), 8)
@@ -247,22 +249,21 @@ func TestMixedProgramFallsBackToAnyPlane(t *testing.T) {
 
 // --- allocation regression -------------------------------------------------
 
-// wordExchangeProgram is the packed counterpart of exchangeProgram for
+// wordExchangeProgram is the word-plane counterpart of exchangeProgram for
 // steady-state allocation pinning. Unlike the any plane — which relies on
-// the runtime's small-integer interface cache — the packed plane is
+// the runtime's small-integer interface cache — the word plane is
 // alloc-free for arbitrary word values; the payloads here exceed the
 // 0..255 cache range to prove it.
 func wordExchangeProgram(rounds int) sim.Factory {
-	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
+	return func(info sim.NodeInfo) sim.Machine {
 		var acc int64
-		return sim.WrapWord(sim.WordFunc(func(round int, in, out []sim.Word) bool {
+		return sim.WrapWord(sim.WordFunc(func(round int, in []sim.Word) (sim.Word, bool) {
 			for _, w := range in {
 				if w != sim.NoWord {
 					acc += w
 				}
 			}
-			sim.SendAllWords(out, int64(round)+1_000_000)
-			return round >= rounds-1
+			return int64(round) + 1_000_000, round >= rounds-1
 		}))
 	}
 }
@@ -287,12 +288,42 @@ func TestWordPlaneSteadyStateAllocFree(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			short := testing.AllocsPerRun(5, func() { run(8) })
-			long := testing.AllocsPerRun(5, func() { run(72) })
+			short, long := shortLongAllocs(run)
 			if long != short {
 				t.Fatalf("word plane allocates per round: %.1f allocs over 64 extra rounds (%.1f vs %.1f)",
 					long-short, long, short)
 			}
 		})
 	}
+}
+
+// TestWordPlaneRunMemoryPerVertex pins the word plane's per-run storage
+// at a per-vertex size: on the dense K300 (89,700 arcs) a whole run must
+// allocate less than 8 bytes per arc, which one arc-sized []Word slab
+// alone would reach. The CSR view is built beforehand, as the graph
+// caches it across runs.
+func TestWordPlaneRunMemoryPerVertex(t *testing.T) {
+	g := graph.Complete(300)
+	topo := sim.NewTopology(g)
+	bound := uint64(8 * g.CSR().NumArcs())
+	run := func() {
+		if _, err := sim.RunSequential(context.Background(), topo, wordExchangeProgram(8), 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	best := ^uint64(0)
+	var m0, m1 runtime.MemStats
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&m0)
+		run()
+		runtime.ReadMemStats(&m1)
+		if b := m1.TotalAlloc - m0.TotalAlloc; b < best {
+			best = b
+		}
+	}
+	if best >= bound {
+		t.Fatalf("word-plane run on K300 allocated %d B, want < 8·arcs = %d B", best, bound)
+	}
+	t.Logf("word-plane run on K300: %d B (bound %d B)", best, bound)
 }
