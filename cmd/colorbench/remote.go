@@ -89,7 +89,9 @@ func runRemote(ctx context.Context, base string, seed int64, quick bool) error {
 				if job.Error != "" {
 					return fmt.Errorf("sweep %s pass %d job %d: %s", sw.name, pass, i, job.Error)
 				}
-				st, waitErr := c.Wait(ctx, job.ID, 50*time.Millisecond, 10*time.Minute)
+				waitCtx, cancel := context.WithTimeout(ctx, 10*time.Minute)
+				st, waitErr := c.Wait(waitCtx, job.ID, 50*time.Millisecond)
+				cancel()
 				if waitErr != nil {
 					return waitErr
 				}

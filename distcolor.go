@@ -20,9 +20,8 @@
 // Run resolves parameters against the schema, checks applicability,
 // executes on the simulator (ctx cancels or times out the run at round
 // granularity), verifies the produced coloring, and returns a unified
-// Coloring. The legacy one-shot entry points (EdgeColorStar,
-// EdgeColorSparse, VertexColor, VertexColorCD, …) remain as thin wrappers
-// over Run.
+// Coloring. Run is the only coloring entry point: an algorithm is chosen by
+// its registered name (the Algo* constants), never by a dedicated function.
 //
 // The package also defines the stable wire codec (Request/Response and
 // Execute in codec.go) spoken by the colord coloring service: cmd/colord
@@ -38,8 +37,6 @@
 package distcolor
 
 import (
-	"context"
-	"fmt"
 	"io"
 
 	"repro/internal/arbor"
@@ -87,27 +84,19 @@ func ReadEdgeList(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
 // WriteEdgeList writes g in the edge-list format.
 func WriteEdgeList(w io.Writer, g *Graph) error { return graph.WriteEdgeList(w, g) }
 
-// Options selects execution parameters shared by all entry points.
+// Options selects execution parameters shared by all algorithms.
 type Options struct {
 	// Parallel runs node programs on the goroutine-sharded engine instead
 	// of the sequential one. Results are identical; wall-clock differs.
 	Parallel bool
-	// Q is the Section 5 threshold multiplier used by the legacy sparse
-	// wrappers (EdgeColorSparse, EdgeColorSparseWith): 0 selects the
-	// default 3, positive values below 2.05 run as 2.05, and NaN or
-	// negative values are rejected with *ParamError. Run callers pass
-	// Params{"q": …} instead — see the "q" entry of the edge/sparse
-	// parameter schema for the authoritative contract.
-	Q float64
 	// Observer, when non-nil, receives a RoundEvent after every executed
 	// round of every constituent distributed execution (composed algorithms
 	// run many). It is purely for tracing: to abort a long run, cancel the
-	// context passed to Run (the legacy Observer-error cancellation is
-	// gone).
+	// context passed to Run.
 	Observer func(RoundEvent)
 	// Cover supplies the clique cover required by algorithms registered
-	// with NeedsCover (vertex/cd). The one-shot VertexColorCD wrapper fills
-	// it from its argument; wire requests carry it as GraphSpec.Cliques.
+	// with NeedsCover (vertex/cd); wire requests carry it as
+	// GraphSpec.Cliques.
 	Cover *CliqueCover
 	// Bandwidth, when non-nil, accounts every round of every constituent
 	// execution against the accountant's CONGEST cap (violations are
@@ -125,118 +114,6 @@ func (o Options) engine() sim.Exec {
 }
 
 func (o Options) vc() vc.Options { return vc.Options{Exec: o.engine()} }
-
-// EdgeColoring is the result of a distributed edge-coloring run. It is the
-// edge-kind view of the unified Coloring returned by Run, kept for the
-// legacy one-shot entry points.
-type EdgeColoring struct {
-	// Colors is indexed by the graph's edge identifiers.
-	Colors []int64
-	// Palette is the guaranteed bound: all colors are < Palette.
-	Palette int64
-	// Stats reports the executed rounds and messages.
-	Stats Stats
-	// Algorithm names the procedure that produced the coloring.
-	Algorithm string
-}
-
-// VertexColoring is the result of a distributed vertex-coloring run (the
-// vertex-kind view of Coloring).
-type VertexColoring struct {
-	Colors    []int64
-	Palette   int64
-	Stats     Stats
-	Algorithm string
-}
-
-// runEdge adapts Run for the legacy edge-coloring wrappers.
-func runEdge(g *Graph, algo string, p Params, opt Options) (*EdgeColoring, error) {
-	//distcolor:ignore ctxfirst legacy pre-context wrapper keeps the v0 signature; ctx-aware callers use Run
-	col, err := Run(context.Background(), g, algo, p, opt)
-	if err != nil {
-		return nil, err
-	}
-	return &EdgeColoring{Colors: col.Colors, Palette: col.Palette, Stats: col.Stats, Algorithm: col.Algorithm}, nil
-}
-
-// runVertex adapts Run for the legacy vertex-coloring wrappers.
-func runVertex(g *Graph, algo string, p Params, opt Options) (*VertexColoring, error) {
-	//distcolor:ignore ctxfirst legacy pre-context wrapper keeps the v0 signature; ctx-aware callers use Run
-	col, err := Run(context.Background(), g, algo, p, opt)
-	if err != nil {
-		return nil, err
-	}
-	return &VertexColoring{Colors: col.Colors, Palette: col.Palette, Stats: col.Stats, Algorithm: col.Algorithm}, nil
-}
-
-// EdgeColorGreedy computes the classical distributed (2Δ−1)-edge-coloring
-// (the folklore baseline the paper improves on). It wraps Run(AlgoEdgeGreedy).
-func EdgeColorGreedy(g *Graph, opt Options) (*EdgeColoring, error) {
-	return runEdge(g, AlgoEdgeGreedy, nil, opt)
-}
-
-// EdgeColorStar computes the (2^{x+1}Δ)-edge-coloring of Theorem 4.1 with
-// x ≥ 1 star-partition levels (x=1: 4Δ colors). Requires Δ ≥ 2^{x+1}. It
-// wraps Run(AlgoEdgeStar).
-func EdgeColorStar(g *Graph, x int, opt Options) (*EdgeColoring, error) {
-	return runEdge(g, AlgoEdgeStar, Params{"x": float64(x)}, opt)
-}
-
-// EdgeColorSparse computes a (Δ+o(Δ))-edge-coloring for a graph with
-// arboricity at most a (Corollary 5.5): it selects the Section 5
-// parameterization with the smallest palette for this (Δ, a) and runs it.
-// The chosen plan is reported in the Algorithm field. It wraps
-// Run(AlgoEdgeSparse).
-func EdgeColorSparse(g *Graph, a int, opt Options) (*EdgeColoring, error) {
-	return runEdge(g, AlgoEdgeSparse, Params{"arboricity": float64(a), "q": opt.Q}, opt)
-}
-
-// SparseAlgorithm selects a fixed Section 5 procedure for
-// EdgeColorSparseWith.
-type SparseAlgorithm int
-
-const (
-	// SparseHPartition is Theorem 5.2: Δ+O(a) colors, O(a·log n) rounds.
-	SparseHPartition SparseAlgorithm = iota
-	// SparseSqrt is Theorem 5.3: Δ+O(√(Δa))+O(a) colors, O(√a·log n) rounds.
-	SparseSqrt
-	// SparseRecursive2 and SparseRecursive3 are Theorem 5.4 with x=2, 3.
-	SparseRecursive2
-	SparseRecursive3
-)
-
-// sparseAlgoName maps the legacy enum to registry names.
-var sparseAlgoName = map[SparseAlgorithm]string{
-	SparseHPartition: AlgoEdgeSparse52,
-	SparseSqrt:       AlgoEdgeSparse53,
-	SparseRecursive2: AlgoEdgeSparse54x2,
-	SparseRecursive3: AlgoEdgeSparse54x3,
-}
-
-// EdgeColorSparseWith runs a specific Section 5 algorithm. It wraps Run.
-func EdgeColorSparseWith(g *Graph, a int, alg SparseAlgorithm, opt Options) (*EdgeColoring, error) {
-	name, ok := sparseAlgoName[alg]
-	if !ok {
-		return nil, fmt.Errorf("distcolor: unknown sparse algorithm %d", alg)
-	}
-	return runEdge(g, name, Params{"arboricity": float64(a), "q": opt.Q}, opt)
-}
-
-// VertexColor computes the classical deterministic (Δ+1)-vertex-coloring
-// (the paper's black box, in our Linial+KW realization). It wraps
-// Run(AlgoVertexDelta1).
-func VertexColor(g *Graph, opt Options) (*VertexColoring, error) {
-	return runVertex(g, AlgoVertexDelta1, nil, opt)
-}
-
-// VertexColorCD computes the (D^{x+1}·S)-vertex-coloring of Theorem 3.3(i)
-// for a graph with the given clique cover (D = cover diversity, S = max
-// clique size), using x ≥ 1 clique-decomposition levels and the parameter
-// choice t = ⌊S^{1/(x+1)}⌋. It wraps Run(AlgoVertexCD).
-func VertexColorCD(g *Graph, cover *CliqueCover, x int, opt Options) (*VertexColoring, error) {
-	opt.Cover = cover
-	return runVertex(g, AlgoVertexCD, Params{"x": float64(x)}, opt)
-}
 
 // LineCover builds the line graph of g together with its canonical
 // diversity-2 clique cover and the map from line-graph vertices to g's
@@ -302,5 +179,5 @@ func CanonicalHash(g *Graph) string { return graph.CanonicalHash(g) }
 func CanonicalLabeling(g *Graph) []int32 { return graph.CanonicalLabeling(g) }
 
 // SparsePlans lists the candidate Section 5 parameterizations for (Δ, a)
-// with their declared palettes, as considered by EdgeColorSparse.
+// with their declared palettes, as considered by AlgoEdgeSparse.
 func SparsePlans(delta, a int) []Plan { return arbor.Plans(delta, a) }

@@ -2,6 +2,7 @@ package distcolor
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ func TestFacadeEdgeColorStar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := EdgeColorStar(g, 1, Options{})
+	res, err := Run(context.Background(), g, AlgoEdgeStar, Params{"x": 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,8 +24,8 @@ func TestFacadeEdgeColorStar(t *testing.T) {
 	if res.Palette > int64(4*g.MaxDegree()) {
 		t.Fatalf("palette %d exceeds 4Δ", res.Palette)
 	}
-	if res.Algorithm != "star-partition/x=1" {
-		t.Fatalf("algorithm label %q", res.Algorithm)
+	if res.Kind != KindEdge || res.Algorithm != "star-partition/x=1" {
+		t.Fatalf("kind %q, algorithm label %q", res.Kind, res.Algorithm)
 	}
 	if res.Stats.Rounds <= 0 || res.Stats.Messages <= 0 {
 		t.Fatal("missing stats")
@@ -33,7 +34,7 @@ func TestFacadeEdgeColorStar(t *testing.T) {
 
 func TestFacadeEdgeColorGreedy(t *testing.T) {
 	g := gen.GNP(60, 0.2, 2)
-	res, err := EdgeColorGreedy(g, Options{})
+	res, err := Run(context.Background(), g, AlgoEdgeGreedy, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestFacadeEdgeColorSparse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := EdgeColorSparse(g, 3, Options{})
+	res, err := Run(context.Background(), g, AlgoEdgeSparse, Params{"arboricity": 3}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,23 +68,21 @@ func TestFacadeEdgeColorSparseWith(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alg := range []SparseAlgorithm{SparseHPartition, SparseSqrt, SparseRecursive2, SparseRecursive3} {
-		res, err := EdgeColorSparseWith(g, 3, alg, Options{})
+	ctx := context.Background()
+	for _, alg := range []string{AlgoEdgeSparse52, AlgoEdgeSparse53, AlgoEdgeSparse54x2, AlgoEdgeSparse54x3} {
+		res, err := Run(ctx, g, alg, Params{"arboricity": 3}, Options{})
 		if err != nil {
-			t.Fatalf("alg %d: %v", alg, err)
+			t.Fatalf("%s: %v", alg, err)
 		}
 		if err := CheckEdgeColoring(g, res.Colors, res.Palette); err != nil {
-			t.Fatalf("alg %d: %v", alg, err)
+			t.Fatalf("%s: %v", alg, err)
 		}
-	}
-	if _, err := EdgeColorSparseWith(g, 3, SparseAlgorithm(99), Options{}); err == nil {
-		t.Fatal("expected unknown algorithm error")
 	}
 }
 
 func TestFacadeVertexColor(t *testing.T) {
 	g := gen.GNP(100, 0.1, 4)
-	res, err := VertexColor(g, Options{})
+	res, err := Run(context.Background(), g, AlgoVertexDelta1, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +100,7 @@ func TestFacadeVertexColorCD(t *testing.T) {
 	if len(edgeOf) != base.M() {
 		t.Fatal("edgeOf length wrong")
 	}
-	res, err := VertexColorCD(lg, cov, 1, Options{})
+	res, err := Run(context.Background(), lg, AlgoVertexCD, Params{"x": 1}, Options{Cover: cov})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +133,7 @@ func TestFacadeHypergraph(t *testing.T) {
 	if cov.Diversity() > 3 {
 		t.Fatalf("diversity %d > rank", cov.Diversity())
 	}
-	res, err := VertexColorCD(lg, cov, 1, Options{})
+	res, err := Run(context.Background(), lg, AlgoVertexCD, Params{"x": 1}, Options{Cover: cov})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +162,12 @@ func TestFacadeParallelEngineAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqRes, err := EdgeColorStar(g, 1, Options{})
+	ctx := context.Background()
+	seqRes, err := Run(ctx, g, AlgoEdgeStar, Params{"x": 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parRes, err := EdgeColorStar(g, 1, Options{Parallel: true})
+	parRes, err := Run(ctx, g, AlgoEdgeStar, Params{"x": 1}, Options{Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -41,8 +42,9 @@ func main() {
 	fmt.Printf("sessions: %d, stations: %d — conflict graph n=%d m=%d Δ=%d, diversity D=%d, clique size S=%d\n",
 		sessions, stations, conflict.N(), conflict.M(), conflict.MaxDegree(), d, s)
 
+	ctx := context.Background()
 	for x := 1; x <= 3; x++ {
-		res, cdErr := distcolor.VertexColorCD(conflict, cover, x, distcolor.Options{})
+		res, cdErr := distcolor.Run(ctx, conflict, distcolor.AlgoVertexCD, distcolor.Params{"x": float64(x)}, distcolor.Options{Cover: cover})
 		if cdErr != nil {
 			log.Fatal(cdErr)
 		}
@@ -58,7 +60,7 @@ func main() {
 	}
 
 	// Reference: the (Δ+1) black box ignores the clique structure.
-	plain, err := distcolor.VertexColor(conflict, distcolor.Options{})
+	plain, err := distcolor.Run(ctx, conflict, distcolor.AlgoVertexDelta1, nil, distcolor.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -70,14 +71,15 @@ func main() {
 	}
 
 	// The paper's 4Δ algorithm: slightly longer frame, far faster setup.
-	fast, err := distcolor.EdgeColorStar(g, 1, distcolor.Options{})
+	ctx := context.Background()
+	fast, err := distcolor.Run(ctx, g, distcolor.AlgoEdgeStar, distcolor.Params{"x": 1}, distcolor.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	schedule("star partition (4Δ)", fast.Colors, fast.Palette, fast.Stats.Rounds)
 
 	// Classical (2Δ−1): shortest frame among the distributed options here.
-	tight, err := distcolor.EdgeColorGreedy(g, distcolor.Options{})
+	tight, err := distcolor.Run(ctx, g, distcolor.AlgoEdgeGreedy, nil, distcolor.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,7 +88,7 @@ func main() {
 	// Geometric graphs are sparse (bounded arboricity in practice): the
 	// Section 5 pipeline gets close to the Δ+1 optimum.
 	arb := distcolor.ArboricityUpperBound(g)
-	sparse, err := distcolor.EdgeColorSparse(g, arb, distcolor.Options{})
+	sparse, err := distcolor.Run(ctx, g, distcolor.AlgoEdgeSparse, distcolor.Params{"arboricity": float64(arb)}, distcolor.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -50,18 +51,19 @@ func main() {
 			name, palette, float64(palette)/float64(delta), rounds)
 	}
 
-	star, err := distcolor.EdgeColorStar(g, 1, distcolor.Options{})
+	ctx := context.Background()
+	star, err := distcolor.Run(ctx, g, distcolor.AlgoEdgeStar, distcolor.Params{"x": 1}, distcolor.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	report("star partition (4Δ)", star.Palette, star.Stats.Rounds, star.Colors)
 
-	star2, err := distcolor.EdgeColorStar(g, 2, distcolor.Options{})
+	star2, err := distcolor.Run(ctx, g, distcolor.AlgoEdgeStar, distcolor.Params{"x": 2}, distcolor.Options{})
 	if err == nil {
 		report("star partition (8Δ)", star2.Palette, star2.Stats.Rounds, star2.Colors)
 	}
 
-	classic, err := distcolor.EdgeColorGreedy(g, distcolor.Options{})
+	classic, err := distcolor.Run(ctx, g, distcolor.AlgoEdgeGreedy, nil, distcolor.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

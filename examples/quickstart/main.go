@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -37,7 +38,8 @@ func main() {
 	fmt.Printf("graph: n=%d m=%d Δ=%d\n", g.N(), g.M(), g.MaxDegree())
 
 	// The paper's star-partition algorithm at x=1: at most 4Δ colors.
-	res, err := distcolor.EdgeColorStar(g, 1, distcolor.Options{})
+	ctx := context.Background()
+	res, err := distcolor.Run(ctx, g, distcolor.AlgoEdgeStar, distcolor.Params{"x": 1}, distcolor.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +51,7 @@ func main() {
 
 	// Compare against the classical distributed (2Δ−1)-edge-coloring: fewer
 	// colors, but many more rounds — the trade-off of Table 1.
-	base, err := distcolor.EdgeColorGreedy(g, distcolor.Options{})
+	base, err := distcolor.Run(ctx, g, distcolor.AlgoEdgeGreedy, nil, distcolor.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package distcolor
 // examples and benchmarks do.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -39,11 +40,12 @@ func families(t *testing.T) map[string]*graph.Graph {
 }
 
 func TestIntegrationEdgeColoringAcrossFamilies(t *testing.T) {
+	ctx := context.Background()
 	for name, g := range families(t) {
 		name, g := name, g
 		t.Run(name, func(t *testing.T) {
 			if g.MaxDegree() >= 4 {
-				res, err := EdgeColorStar(g, 1, Options{})
+				res, err := Run(ctx, g, AlgoEdgeStar, Params{"x": 1}, Options{})
 				if err != nil {
 					t.Fatalf("star: %v", err)
 				}
@@ -54,7 +56,7 @@ func TestIntegrationEdgeColoringAcrossFamilies(t *testing.T) {
 					t.Fatalf("star palette %d > 4Δ", res.Palette)
 				}
 			}
-			res, err := EdgeColorGreedy(g, Options{})
+			res, err := Run(ctx, g, AlgoEdgeGreedy, nil, Options{})
 			if err != nil {
 				t.Fatalf("greedy: %v", err)
 			}
@@ -64,7 +66,7 @@ func TestIntegrationEdgeColoringAcrossFamilies(t *testing.T) {
 
 			a := ArboricityUpperBound(g)
 			if a >= 1 && g.M() > 0 {
-				sp, err := EdgeColorSparse(g, a, Options{})
+				sp, err := Run(ctx, g, AlgoEdgeSparse, Params{"arboricity": float64(a)}, Options{})
 				if err != nil {
 					t.Fatalf("sparse(a=%d): %v", a, err)
 				}
@@ -80,7 +82,7 @@ func TestIntegrationVertexColoringAcrossFamilies(t *testing.T) {
 	for name, g := range families(t) {
 		name, g := name, g
 		t.Run(name, func(t *testing.T) {
-			res, err := VertexColor(g, Options{})
+			res, err := Run(context.Background(), g, AlgoVertexDelta1, nil, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +103,7 @@ func TestIntegrationCDLineGraphEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for x := 1; x <= 2; x++ {
-		res, err := VertexColorCD(lg, cov, x, Options{})
+		res, err := Run(context.Background(), lg, AlgoVertexCD, Params{"x": float64(x)}, Options{Cover: cov})
 		if err != nil {
 			t.Fatalf("x=%d: %v", x, err)
 		}
@@ -133,13 +135,14 @@ func TestIntegrationTradeoffShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := EdgeColorStar(g, 1, Options{})
+	ctx := context.Background()
+	base, err := Run(ctx, g, AlgoEdgeStar, Params{"x": 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	prevPalette := base.Palette
 	for x := 2; x <= 3; x++ {
-		res, err := EdgeColorStar(g, x, Options{})
+		res, err := Run(ctx, g, AlgoEdgeStar, Params{"x": float64(x)}, Options{})
 		if err != nil {
 			t.Fatalf("x=%d: %v", x, err)
 		}
@@ -161,7 +164,7 @@ func TestIntegrationOursBeatsPreviousRounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ours, err := EdgeColorStar(g, 1, Options{})
+		ours, err := Run(context.Background(), g, AlgoEdgeStar, Params{"x": 1}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,11 +188,12 @@ func TestIntegrationSparseBeatsClassicColorsAtScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, err := EdgeColorSparseWith(g, 3, SparseHPartition, Options{})
+	ctx := context.Background()
+	sparse, err := Run(ctx, g, AlgoEdgeSparse52, Params{"arboricity": 3}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	classic, err := EdgeColorGreedy(g, Options{})
+	classic, err := Run(ctx, g, AlgoEdgeGreedy, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +210,12 @@ func TestIntegrationDeterminismAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := EdgeColorStar(g, 1, Options{})
+	ctx := context.Background()
+	a, err := Run(ctx, g, AlgoEdgeStar, Params{"x": 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bres, err := EdgeColorStar(g, 1, Options{})
+	bres, err := Run(ctx, g, AlgoEdgeStar, Params{"x": 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +252,7 @@ func be11Edge(g *graph.Graph, x int) (*be11Result, error) {
 	return &be11Result{colors: r.Colors, stats: r.Stats}, nil
 }
 
-func ExampleVertexColorCD() {
+func ExampleRun_cd() {
 	// Edge-color a graph by CD-vertex-coloring its line graph (D = 2).
 	b := NewBuilder(4)
 	b.AddEdge(0, 1)
@@ -256,12 +261,12 @@ func ExampleVertexColorCD() {
 	b.AddEdge(3, 0)
 	g, _ := b.Build()
 	lg, cover, _, _ := LineCover(g)
-	res, _ := VertexColorCD(lg, cover, 1, Options{})
+	res, _ := Run(context.Background(), lg, AlgoVertexCD, Params{"x": 1}, Options{Cover: cover})
 	fmt.Println(CheckVertexColoring(lg, res.Colors, res.Palette) == nil)
 	// Output: true
 }
 
-func ExampleEdgeColorSparse() {
+func ExampleRun_sparse() {
 	// A star has arboricity 1: the sparse pipeline colors it with Δ+O(1)
 	// colors (here Δ=9, palette bound Δ+3θ−2 with θ=3).
 	b := NewBuilder(10)
@@ -269,12 +274,12 @@ func ExampleEdgeColorSparse() {
 		b.AddEdge(0, v)
 	}
 	g, _ := b.Build()
-	res, _ := EdgeColorSparse(g, 1, Options{})
+	res, _ := Run(context.Background(), g, AlgoEdgeSparse, Params{"arboricity": 1}, Options{})
 	fmt.Println(CheckEdgeColoring(g, res.Colors, res.Palette) == nil, res.Palette <= 16)
 	// Output: true true
 }
 
-func ExampleEdgeColorStar() {
+func ExampleRun_star() {
 	b := NewBuilder(5)
 	b.AddEdge(0, 1)
 	b.AddEdge(0, 2)
@@ -283,7 +288,7 @@ func ExampleEdgeColorStar() {
 	b.AddEdge(1, 2)
 	b.AddEdge(3, 4)
 	g, _ := b.Build()
-	res, _ := EdgeColorStar(g, 1, Options{})
+	res, _ := Run(context.Background(), g, AlgoEdgeStar, Params{"x": 1}, Options{})
 	fmt.Println(CheckEdgeColoring(g, res.Colors, res.Palette) == nil)
 	// Output: true
 }

@@ -21,7 +21,7 @@ package analyzers
 //     shape: workers join in Close). If it is a local variable, every
 //     CFG path from the spawn to function exit must pass a block that
 //     calls Wait() on it, or a deferred Wait must exist (the
-//     fan-out/fan-in shape of sim.runShards).
+//     per-round fan-out/fan-in shape of sim's parallel engine).
 //  4. Channel-joined: the body sends on or closes a channel and every
 //     path from the spawn to exit receives from that channel.
 //

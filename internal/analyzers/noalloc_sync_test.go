@@ -28,6 +28,7 @@ var noallocManifest = map[string]string{
 	// TestWordPlaneSteadyStateAllocFree (words_test.go),
 	// TestInstrumentedSteadyStateAllocFree (bandwidth_test.go), and the
 	// bench gate's allocs_per_round=0 columns (BENCH_simcore.json).
+	"internal/sim.(instance).stepShard":       "sim round loop, one shard's step",
 	"internal/sim.(instance).stepVertex":      "sim round loop, any plane",
 	"internal/sim.(instance).stepVertexWord":  "sim round loop, word plane",
 	"internal/sim.(instance).retireRound":     "sim round loop, halt retirement",

@@ -156,9 +156,7 @@ func TestInflightBytesReleaseOnTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WaitTimeout(st.ID, time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	waitDone(t, s, st.ID)
 	waitInflightZero(t, s)
 	// Frozen path: cancel a queued job.
 	f := frozenServer(t, Config{QueueDepth: 8})
@@ -285,16 +283,12 @@ func TestClientWaitHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 80*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = c.Wait(ctx, st.ID, 10*time.Millisecond, 0) // no wall-clock timeout: ctx is the only exit
+	_, err = c.Wait(ctx, st.ID, 10*time.Millisecond)
 	if err == nil || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Wait returned %v, want ctx deadline", err)
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatalf("Wait ignored ctx for %v", time.Since(start))
-	}
-	// The deprecated wrapper keeps the old wall-clock contract.
-	if _, err := c.WaitTimeout(st.ID, 5*time.Millisecond, 30*time.Millisecond); err == nil {
-		t.Fatal("WaitTimeout on a never-running job returned nil")
 	}
 }
 
@@ -381,9 +375,7 @@ func TestCoverVertexRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, err = s.WaitTimeout(st.ID, 2*time.Minute); err != nil || st.State != StateDone {
-		t.Fatalf("valid cover job: %v / %+v", err, st)
-	}
+	waitDone(t, s, st.ID)
 
 	// Same graph, same cover — except one clique smuggles vertex N+99.
 	// Pre-fix, coverHash skipped it, the key collided, and the cache served

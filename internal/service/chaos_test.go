@@ -22,6 +22,7 @@ package service
 // failing run is replayable from its seed alone.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -65,6 +66,9 @@ func TestChaos(t *testing.T) {
 	fail := func(format string, args ...any) {
 		t.Fatalf("%s\n%s", fmt.Sprintf(format, args...), pts.String())
 	}
+	// One deadline bounds every job wait of the suite.
+	ctx, cancel := context.WithTimeout(t.Context(), 5*time.Minute)
+	defer cancel()
 	s, err := NewServer(Config{
 		Workers: 4, QueueDepth: 512, DataDir: dir, FS: inj,
 		Faults: pts, DegradedProbe: time.Millisecond,
@@ -113,7 +117,7 @@ func TestChaos(t *testing.T) {
 	// Every accepted job reaches a typed terminal state, exactly once each.
 	states := map[string]State{}
 	for _, id := range accepted {
-		fin, err := s.WaitTimeout(id, 2*time.Minute)
+		fin, err := s.Wait(ctx, id)
 		if err != nil {
 			fail("job %s lost: %v", id, err)
 		}
@@ -148,7 +152,7 @@ func TestChaos(t *testing.T) {
 	seeded := false
 	for i := 0; i < 20 && !seeded; i++ {
 		if st, err := s.Submit(cacheReq()); err == nil {
-			if fin, werr := s.WaitTimeout(st.ID, time.Minute); werr == nil && fin.State == StateDone {
+			if fin, werr := s.Wait(ctx, st.ID); werr == nil && fin.State == StateDone {
 				states[st.ID] = fin.State
 				seeded = true
 			}
@@ -204,7 +208,7 @@ func TestChaos(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		st, err := s.Submit(gnpRequest(distcolor.AlgoEdgeGreedy, 24, 0.2, int64(40000+i)))
 		if err == nil {
-			fin, werr := s.WaitTimeout(st.ID, time.Minute)
+			fin, werr := s.Wait(ctx, st.ID)
 			if werr != nil || !fin.State.Terminal() {
 				fail("post-heal job %s: %+v, %v", st.ID, fin, werr)
 			}
@@ -283,7 +287,6 @@ func TestChaos(t *testing.T) {
 	c := &Client{Base: ts.URL, HTTP: &http.Client{
 		Transport: &fault.Transport{Points: cpts, Site: "client.rt", GETOnly: true},
 	}}
-	ctx := t.Context()
 	var polled, injected int
 	for i := 0; i < 20; i++ {
 		if _, err := c.Status(ctx, accepted[0]); err != nil {
@@ -305,7 +308,7 @@ func TestChaos(t *testing.T) {
 	if n := jobIDNum(st.ID); n <= maxID {
 		fail("fresh submission reused job ID %s (journal max j%d)", st.ID, maxID)
 	}
-	fin, err := s2.WaitTimeout(st.ID, 2*time.Minute)
+	fin, err := s2.Wait(ctx, st.ID)
 	if err != nil || fin.State != StateDone {
 		fail("final clean job: %+v, %v", fin, err)
 	}

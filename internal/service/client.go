@@ -394,14 +394,13 @@ func (c *Client) Algorithms(ctx context.Context) ([]distcolor.AlgorithmInfo, err
 	return out, err
 }
 
-// Wait polls until the job is terminal, ctx is done, or the timeout
-// elapses (when positive), returning the last observed status. Between
-// polls it sleeps poll (default 50ms), waking early on ctx cancellation.
-func (c *Client) Wait(ctx context.Context, id string, poll, timeout time.Duration) (JobStatus, error) {
+// Wait polls until the job is terminal or ctx is done, returning the last
+// observed status; bound the wait with a ctx deadline. Between polls it
+// sleeps poll (default 50ms), waking early on ctx cancellation.
+func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (JobStatus, error) {
 	if poll <= 0 {
 		poll = 50 * time.Millisecond
 	}
-	deadline := time.Now().Add(timeout)
 	for {
 		st, err := c.Status(ctx, id)
 		if err != nil {
@@ -410,21 +409,10 @@ func (c *Client) Wait(ctx context.Context, id string, poll, timeout time.Duratio
 		if st.State.Terminal() {
 			return st, nil
 		}
-		if timeout > 0 && time.Now().After(deadline) {
-			return st, fmt.Errorf("colord: job %s still %s after %v", id, st.State, timeout)
-		}
 		if err := sleepCtx(ctx, poll); err != nil {
 			return st, err
 		}
 	}
-}
-
-// WaitTimeout is the pre-context signature of Wait.
-//
-// Deprecated: use Wait with a context, which can be canceled between polls.
-func (c *Client) WaitTimeout(id string, poll, timeout time.Duration) (JobStatus, error) {
-	//distcolor:ignore ctxfirst deprecated pre-context shim; the timeout below bounds the wait
-	return c.Wait(context.Background(), id, poll, timeout)
 }
 
 // Trace streams the job's round trace, invoking fn for every event until

@@ -29,7 +29,9 @@ func TestPanicQuarantineKeepsDaemonAlive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fin, err := s.WaitTimeout(st.ID, time.Minute)
+	ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
+	defer cancel()
+	fin, err := s.Wait(ctx, st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +90,9 @@ func TestJobDeadlineFromRequest(t *testing.T) {
 
 	req := cycleRequest(12)
 	req.DeadlineMS = 5
-	fin, err := s.WaitTimeout(mustSubmit(t, s, req), time.Minute)
+	ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
+	defer cancel()
+	fin, err := s.Wait(ctx, mustSubmit(t, s, req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +112,9 @@ func TestJobTimeoutServerDefault(t *testing.T) {
 	pts := fault.New(1, fault.Plan{Site: "worker.execute", Action: fault.ActionSleep, Delay: 200 * time.Millisecond, On: []int64{1, 2}})
 	s := testServer(t, Config{Workers: 1, CacheEntries: -1, JobTimeout: 5 * time.Millisecond, Faults: pts})
 
-	fin, err := s.WaitTimeout(mustSubmit(t, s, cycleRequest(12)), time.Minute)
+	ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
+	defer cancel()
+	fin, err := s.Wait(ctx, mustSubmit(t, s, cycleRequest(12)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +124,7 @@ func TestJobTimeoutServerDefault(t *testing.T) {
 	// A generous request deadline must not loosen the server bound.
 	loose := cycleRequest(14)
 	loose.DeadlineMS = 60_000
-	fin2, err := s.WaitTimeout(mustSubmit(t, s, loose), time.Minute)
+	fin2, err := s.Wait(ctx, mustSubmit(t, s, loose))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,13 +180,7 @@ func TestPoisonQuarantineOnRecovery(t *testing.T) {
 	if p.State != StateFailed || !strings.Contains(p.Error, "poisoned") {
 		t.Fatalf("twice-started job recovered as %s (%q), want quarantined failed", p.State, p.Error)
 	}
-	fin, err := s.WaitTimeout("j2", time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fin.State != StateDone {
-		t.Fatalf("once-started job recovered to %s (%s), want re-run to done", fin.State, fin.Error)
-	}
+	waitDone(t, s, "j2") // the once-started job re-runs to done
 	if m := s.Metrics(); m.Recovered != 2 {
 		t.Fatalf("recovered=%d, want 2", m.Recovered)
 	}
@@ -242,9 +242,7 @@ func TestDegradedModeShedsAndHeals(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		st, err := s.Submit(cycleRequest(22))
 		if err == nil {
-			if fin, werr := s.WaitTimeout(st.ID, time.Minute); werr != nil || fin.State != StateDone {
-				t.Fatalf("post-heal job: %+v, %v", fin, werr)
-			}
+			waitDone(t, s, st.ID)
 			healed = true
 		} else if !errors.Is(err, ErrDegraded) {
 			t.Fatalf("unexpected submit error while healing: %v", err)
@@ -266,7 +264,7 @@ func TestDegradedModeShedsAndHeals(t *testing.T) {
 
 // TestWaitContext: Wait is ctx-first and non-leaking — a canceled context
 // returns the job's current (possibly non-terminal) status instead of
-// blocking, and the deprecated WaitTimeout wrapper still bounds the wait.
+// blocking.
 func TestWaitContext(t *testing.T) {
 	s := testServer(t, Config{CacheEntries: -1, Frozen: true}) // no workers: jobs queue forever
 	id := mustSubmit(t, s, cycleRequest(12))
@@ -286,9 +284,6 @@ func TestWaitContext(t *testing.T) {
 	}
 	if _, err := s.Wait(context.Background(), "j999"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Wait on unknown ID: %v", err)
-	}
-	if st, err := s.WaitTimeout(id, 10*time.Millisecond); err != nil || st.State.Terminal() {
-		t.Fatalf("WaitTimeout wrapper: %+v, %v", st, err)
 	}
 }
 
@@ -312,8 +307,10 @@ func TestAdmissionReleasedOnNewTerminals(t *testing.T) {
 		mustSubmit(t, s, cycleRequest(16)), // hit 3: injected execution error
 	}
 	wantStates := []State{StateFailed, StateDeadline, StateFailed}
+	ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
+	defer cancel()
 	for i, id := range ids {
-		fin, err := s.WaitTimeout(id, time.Minute)
+		fin, err := s.Wait(ctx, id)
 		if err != nil {
 			t.Fatal(err)
 		}

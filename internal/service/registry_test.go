@@ -102,7 +102,9 @@ func TestCancelRunningJobSurfacesCanceled(t *testing.T) {
 	if _, err := s.Cancel(st.ID); err != nil {
 		t.Fatal(err)
 	}
-	final, err := s.WaitTimeout(st.ID, time.Minute)
+	ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
+	defer cancel()
+	final, err := s.Wait(ctx, st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,11 +19,13 @@
 // instead of the queue growing until the daemon OOMs.
 //
 // Observability is native: each job records the per-round progress of every
-// constituent distributed execution (via sim.Observed round hooks), which
-// the HTTP layer exposes as a streaming NDJSON round trace, and the server
+// constituent distributed execution (via the round hook that
+// distcolor.Options.Observer attaches through sim.Instrumented), which the
+// HTTP layer exposes as a streaming NDJSON round trace, and the server
 // keeps aggregate counters (cache hits, rounds, messages, wall time) behind
-// a metrics endpoint. The same hook implements cancellation: a canceled
-// job's observer aborts the simulation at the next round boundary.
+// a metrics endpoint. The hook only traces. Cancellation is ctx-native: a
+// canceled job's context aborts the simulation at the next round boundary
+// (see sim.Exec).
 //
 // Lock ordering: s.mu may be taken while holding nothing or before j.mu;
 // j.mu is never held while taking s.mu.
@@ -82,7 +84,7 @@ type Config struct {
 	// events; when exceeded, the oldest half is dropped and the gap is
 	// visible to readers via the first retained seq).
 	TraceDepth int
-	// Parallel runs every job on the goroutine-sharded sim.RunParallel
+	// Parallel runs every job on the goroutine-sharded sim.Parallel
 	// engine even when the request did not ask for it. Results are
 	// bit-identical either way (the engines are equivalent by
 	// construction), so this is purely a wall-clock policy and does not
@@ -1134,23 +1136,6 @@ func (s *Server) Wait(ctx context.Context, id string) (JobStatus, error) {
 	case <-ctx.Done():
 	}
 	return j.status(), nil
-}
-
-// WaitTimeout waits like Wait under a fixed timeout (non-positive blocks
-// until the job is terminal).
-//
-// Deprecated: use Wait with a context. The old form leaked a timer per
-// call (time.After keeps its timer live for the full duration even after
-// the job finishes) and could not observe caller cancellation.
-func (s *Server) WaitTimeout(id string, timeout time.Duration) (JobStatus, error) {
-	//distcolor:ignore ctxfirst deprecated pre-context shim; the timeout below bounds the wait
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	return s.Wait(ctx, id)
 }
 
 // Trace copies the job's recorded round-trace events with seq ≥ afterSeq,

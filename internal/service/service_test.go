@@ -37,7 +37,9 @@ func gnpRequest(algorithm string, n int, p float64, seed int64) *distcolor.Reque
 
 func waitDone(t *testing.T, s *Server, id string) JobStatus {
 	t.Helper()
-	st, err := s.WaitTimeout(id, 2*time.Minute)
+	ctx, cancel := context.WithTimeout(t.Context(), 2*time.Minute)
+	defer cancel()
+	st, err := s.Wait(ctx, id)
 	if err != nil {
 		t.Fatalf("wait %s: %v", id, err)
 	}
@@ -222,7 +224,9 @@ func TestCancelQueuedJob(t *testing.T) {
 	if cst.State != StateCanceled && cst.State != StateRunning && cst.State != StateDone {
 		t.Fatalf("cancel left state %s", cst.State)
 	}
-	final, err := s.WaitTimeout(st.ID, time.Minute)
+	ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
+	defer cancel()
+	final, err := s.Wait(ctx, st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +263,8 @@ func TestTraceRecordsRounds(t *testing.T) {
 }
 
 func TestHTTPEndToEnd(t *testing.T) {
-	ctx := context.Background()
+	ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
+	defer cancel()
 	s := testServer(t, Config{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -270,7 +275,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err = c.Wait(ctx, st.ID, 10*time.Millisecond, time.Minute)
+	st, err = c.Wait(ctx, st.ID, 10*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +320,8 @@ func TestHTTPEndToEnd(t *testing.T) {
 }
 
 func TestHTTPGenerateAndBatch(t *testing.T) {
-	ctx := context.Background()
+	ctx, cancel := context.WithTimeout(t.Context(), 2*time.Minute)
+	defer cancel()
 	s := testServer(t, Config{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -335,7 +341,7 @@ func TestHTTPGenerateAndBatch(t *testing.T) {
 		if job.Error != "" {
 			t.Fatalf("generated job failed to submit: %s", job.Error)
 		}
-		st, err := c.Wait(ctx, job.ID, 10*time.Millisecond, 2*time.Minute)
+		st, err := c.Wait(ctx, job.ID, 10*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,6 +375,8 @@ func TestConcurrentHammer(t *testing.T) {
 		perG       = 12
 		distinct   = 5 // distinct workloads → heavy deliberate cache contention
 	)
+	ctx, cancel := context.WithTimeout(t.Context(), 2*time.Minute)
+	defer cancel()
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines*perG)
 	for w := 0; w < goroutines; w++ {
@@ -382,7 +390,7 @@ func TestConcurrentHammer(t *testing.T) {
 					errs <- err
 					continue
 				}
-				fin, err := s.WaitTimeout(st.ID, 2*time.Minute)
+				fin, err := s.Wait(ctx, st.ID)
 				if err != nil {
 					errs <- err
 					continue

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -402,16 +403,7 @@ func TestCrashRecoveryKill9(t *testing.T) {
 	reqs := crashRequests()
 	for i, req := range reqs {
 		id := fmt.Sprintf("j%d", i+1) // the child submitted serially: ID order = request order
-		st, err := s.WaitTimeout(id, 2*time.Minute)
-		if err != nil {
-			t.Fatalf("job %s lost in recovery: %v", id, err)
-		}
-		if !st.State.Terminal() {
-			t.Fatalf("job %s still %s after recovery wait", id, st.State)
-		}
-		if st.State != StateDone {
-			t.Fatalf("job %s recovered to %s (%s), want done", id, st.State, st.Error)
-		}
+		waitDone(t, s, id)
 		resp, _, err := s.Result(id)
 		if err != nil || resp == nil {
 			t.Fatalf("job %s has no result after recovery: %v", id, err)
@@ -441,6 +433,8 @@ func TestCrashRecoveryKill9(t *testing.T) {
 func TestRestartRaceHammer(t *testing.T) {
 	dir := t.TempDir()
 	seen := map[string]bool{}
+	ctx, cancel := context.WithTimeout(t.Context(), 2*time.Minute)
+	defer cancel()
 	for round := 0; round < 3; round++ {
 		s, err := NewServer(Config{Workers: 2, QueueDepth: 128, CacheEntries: -1, DataDir: dir})
 		if err != nil {
@@ -463,7 +457,7 @@ func TestRestartRaceHammer(t *testing.T) {
 							t.Errorf("round %d cancel %s: %v", round, st.ID, err)
 						}
 					}
-					if _, err := s.WaitTimeout(st.ID, time.Minute); err != nil {
+					if _, err := s.Wait(ctx, st.ID); err != nil {
 						t.Errorf("round %d wait %s: %v", round, st.ID, err)
 					}
 				}

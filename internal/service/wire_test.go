@@ -31,7 +31,7 @@ func TestBinarySubmitAndResult(t *testing.T) {
 	if err != nil {
 		t.Fatalf("binary submit: %v", err)
 	}
-	if st, err = bc.Wait(ctx, st.ID, 0, 0); err != nil || st.State != StateDone {
+	if st, err = bc.Wait(ctx, st.ID, 0); err != nil || st.State != StateDone {
 		t.Fatalf("job %s: %v %v", st.ID, st.State, err)
 	}
 	binResp, err := bc.Result(ctx, st.ID)
@@ -90,7 +90,7 @@ func TestChunkedIngestBeatsInflightBound(t *testing.T) {
 	if err != nil {
 		t.Fatalf("chunked ingest of the same graph: %v", err)
 	}
-	if st, err = sc.Wait(ctx, st.ID, 0, 0); err != nil || st.State != StateDone {
+	if st, err = sc.Wait(ctx, st.ID, 0); err != nil || st.State != StateDone {
 		t.Fatalf("streamed job %s: %v %v", st.ID, st.State, err)
 	}
 	if st.M != len(req.Graph.Edges) {

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -132,34 +133,50 @@ func TestBandwidthViolations(t *testing.T) {
 	}
 }
 
-// RoundEvent now carries the per-round bandwidth view; hook and accountant
-// must agree with the cumulative Stats.
+// RoundEvent carries the per-round bandwidth view; hook and accountant
+// must agree with the cumulative Stats, and every engine must deliver the
+// same event stream. The graph has 512 vertices (2·stepGrain), so the
+// parallel engine steps it as several shards on a multi-CPU machine, and
+// the program halts vertices in staggered waves, so rounds differ in
+// traffic and in running count.
 func TestRoundEventBandwidthFields(t *testing.T) {
-	g := graph.Cycle(8)
+	g := planeRandomGraph(9, 512, 0.02)
 	topo := sim.NewTopology(g)
-	var events []sim.RoundEvent
-	hook := func(ev sim.RoundEvent) { events = append(events, ev) }
-	bw := &sim.Bandwidth{CapBits: sim.CongestCapBits(g.N())}
-	stats, err := sim.Instrumented(sim.Sequential, hook, bw).Run(
-		context.Background(), topo, exchangeProgram(4), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != stats.Rounds {
-		t.Fatalf("%d events for %d rounds", len(events), stats.Rounds)
-	}
-	var sum int64
-	for i, ev := range events {
-		sum += ev.RoundBits
-		if ev.Stats.Bits != sum {
-			t.Errorf("round %d: cumulative bits %d, sum of RoundBits %d", i, ev.Stats.Bits, sum)
+	const span = 6
+	var want []sim.RoundEvent
+	for _, eng := range []sim.Engine{sim.Sequential, sim.ReverseSequential, sim.Parallel} {
+		var events []sim.RoundEvent
+		hook := func(ev sim.RoundEvent) { events = append(events, ev) }
+		bw := &sim.Bandwidth{CapBits: sim.CongestCapBits(g.N())}
+		stats, err := sim.Instrumented(eng, hook, bw).Run(
+			context.Background(), topo, wavefrontProgram(span), span+2)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if ev.RoundMaxBits != 64 {
-			t.Errorf("round %d: RoundMaxBits = %d, want 64", i, ev.RoundMaxBits)
+		if len(events) != stats.Rounds || stats.Rounds != span {
+			t.Fatalf("engine %d: %d events for %d rounds, want %d", eng, len(events), stats.Rounds, span)
 		}
-	}
-	if sum != stats.Bits {
-		t.Errorf("RoundBits sum %d != Stats.Bits %d", sum, stats.Bits)
+		if r := events[0].Running; r == 0 || r == g.N() {
+			t.Fatalf("engine %d: %d of %d vertices running after round 0, want a staggered halt", eng, r, g.N())
+		}
+		var sum int64
+		for i, ev := range events {
+			sum += ev.RoundBits
+			if ev.Stats.Bits != sum {
+				t.Errorf("engine %d round %d: cumulative bits %d, sum of RoundBits %d", eng, i, ev.Stats.Bits, sum)
+			}
+			if ev.RoundMaxBits != 64 {
+				t.Errorf("engine %d round %d: RoundMaxBits = %d, want 64", eng, i, ev.RoundMaxBits)
+			}
+		}
+		if sum != stats.Bits {
+			t.Errorf("engine %d: RoundBits sum %d != Stats.Bits %d", eng, sum, stats.Bits)
+		}
+		if want == nil {
+			want = events
+		} else if !reflect.DeepEqual(events, want) {
+			t.Fatalf("engine %d: round events %+v, want %+v", eng, events, want)
+		}
 	}
 }
 

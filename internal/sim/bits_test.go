@@ -30,7 +30,7 @@ func TestBitAccounting(t *testing.T) {
 			return true
 		})
 	}
-	stats, err := RunSequential(context.Background(), NewTopology(g), f, 5)
+	stats, err := Sequential.Run(context.Background(), NewTopology(g), f, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +69,11 @@ func TestBitAccountingEnginesAgree(t *testing.T) {
 			return true
 		})
 	}
-	s1, err := RunSequential(context.Background(), NewTopology(g), f, 5)
+	s1, err := Sequential.Run(context.Background(), NewTopology(g), f, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := RunParallel(context.Background(), NewTopology(g), f, 5)
+	s2, err := Parallel.Run(context.Background(), NewTopology(g), f, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

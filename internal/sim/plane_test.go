@@ -504,7 +504,7 @@ func TestSequentialSteadyStateAllocFree(t *testing.T) {
 	topo := sim.NewTopology(g)
 	g.CSR() // build the cached view outside the measurement
 	run := func(rounds int) {
-		if _, err := sim.RunSequential(context.Background(), topo, exchangeProgram(rounds), rounds+2); err != nil {
+		if _, err := sim.Sequential.Run(context.Background(), topo, exchangeProgram(rounds), rounds+2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -516,13 +516,13 @@ func TestSequentialSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestReverseSequentialSteadyStateAllocFree pins the same contract for the
-// reverse engine (it shares the data plane, not the loop).
+// reverse engine (the same round loop over a reversed shard).
 func TestReverseSequentialSteadyStateAllocFree(t *testing.T) {
 	g := planeRandomGraph(6, 400, 0.04)
 	topo := sim.NewTopology(g)
 	g.CSR()
 	run := func(rounds int) {
-		if _, err := sim.RunReverseSequential(context.Background(), topo, exchangeProgram(rounds), rounds+2); err != nil {
+		if _, err := sim.ReverseSequential.Run(context.Background(), topo, exchangeProgram(rounds), rounds+2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -605,7 +605,7 @@ func BenchmarkSimPlane(b *testing.B) {
 		b.Run(wl.name+"/sequential/10k", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.RunSequential(context.Background(), topo, wl.prog(), benchRounds+2); err != nil {
+				if _, err := sim.Sequential.Run(context.Background(), topo, wl.prog(), benchRounds+2); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -613,7 +613,7 @@ func BenchmarkSimPlane(b *testing.B) {
 		b.Run(wl.name+"/parallel/10k", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.RunParallel(context.Background(), topo, wl.prog(), benchRounds+2); err != nil {
+				if _, err := sim.Parallel.Run(context.Background(), topo, wl.prog(), benchRounds+2); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -17,12 +17,14 @@
 // programs of this repository do by broadcasting their starting color
 // (identifier or seed label) first.
 //
-// Two engines are provided. RunSequential advances machines in index order
-// within a round — fast and allocation-free in its steady state. RunParallel
-// executes each round concurrently over contiguous vertex shards with one
-// barrier per round; messages still cross only between rounds. Machines are
-// pure functions of (state, inbox), so both engines produce bit-identical
-// executions; tests assert this.
+// Every engine runs one round loop over a shard plan: contiguous vertex
+// ranges, each with a step order and its own inbox window. Sequential
+// steps one shard over all vertices in index order, fast and
+// allocation-free in its steady state; ReverseSequential steps it in
+// reverse order, to prove the in-round order irrelevant; Parallel steps
+// several shards concurrently with one barrier per round. Messages cross
+// only between rounds and machines are pure functions of (state, inbox),
+// so all engines produce bit-identical executions; tests assert this.
 //
 // Data plane: all engines run over the graph's flat CSR view (graph.CSR),
 // with the message representation chosen per program. The general any
@@ -203,7 +205,8 @@ func ParAll(all []Stats) Stats {
 var ErrRoundLimit = errors.New("sim: round limit exceeded")
 
 // Exec runs a node program to global termination. Engine values implement
-// it; Observed wraps an Engine with a per-round hook. Algorithm packages
+// it; Instrumented wraps an Engine with a per-round hook and a bandwidth
+// accountant. Algorithm packages
 // accept an Exec so callers can observe every constituent execution of a
 // composed algorithm without the algorithms knowing.
 //
@@ -251,12 +254,6 @@ type RoundEvent struct {
 // that).
 type RoundHook func(RoundEvent)
 
-// Observed returns an Exec that runs like base but calls hook after every
-// executed round. A nil hook returns base unchanged.
-func Observed(base Engine, hook RoundHook) Exec {
-	return Instrumented(base, hook, nil)
-}
-
 // Instrumented returns an Exec that runs like base, calling hook after
 // every executed round (nil: no hook) and feeding every round to the
 // bandwidth accountant bw (nil: no accounting). Because composed
@@ -297,8 +294,8 @@ func (o observedExec) Run(ctx context.Context, t *Topology, f Factory, maxRounds
 //
 // The word plane is per vertex: wouts[round%2][v] is the one word v
 // broadcast in that round, and v's inbox is gathered from the other slab
-// through its neighbor list To[Off[v]:Off[v+1]] into a window of Δ words,
-// right before StepWord.
+// through its neighbor list To[Off[v]:Off[v+1]] into the stepping shard's
+// window of Δ words, right before StepWord.
 //
 // In both planes there is no separate delivery pass, halted vertices'
 // dead inboxes are never materialized, and the buffer swap is a parity
@@ -318,17 +315,16 @@ type instance struct {
 	// WordMachine the machines are stepped through wms (pre-asserted, so
 	// the hot loop does no interface assertions), wszs holds each
 	// machine's WordSizer (nil entries use the default 64-bit accounting),
-	// wouts are the two n-slot outbox slabs, and win is the inbox window
-	// of the sequential engines (the parallel engine gives each shard its
-	// own).
+	// and wouts are the two n-slot outbox slabs. Inbox windows belong to
+	// the shards of the run's plan.
 	words bool
 	wms   []WordMachine
 	wszs  []WordSizer
 	wouts [2][]Word
-	win   []Word
-	// newly and pending are reusable scratch lists (capacity n, so appends
-	// never allocate) of the vertices that halted in the current and the
-	// previous round; retireRound drains them.
+	// newly and pending are reusable lists of capacity n of the vertices
+	// that halted in the current and the previous round. Within a round
+	// each shard writes its halts into its own region of newly's backing
+	// slab; the round loop compacts them, and retireRound drains both.
 	newly   []int32
 	pending []int32
 }
@@ -372,7 +368,6 @@ func newInstance(t *Topology, f Factory) (*instance, error) {
 				slab[v] = NoWord
 			}
 		}
-		inst.win = make([]Word, maxDeg)
 	} else {
 		arcs := csr.NumArcs()
 		inst.in = make([]Message, arcs)
@@ -398,9 +393,9 @@ func (a *sendStats) add(b sendStats) {
 
 // stepVertex advances one machine and returns its emitted traffic plus
 // whether the vertex halted during this call, dispatching to the plane the
-// program was laid out on; win is the caller's inbox window for the word
-// plane. On the any plane the inbox window is materialized from the
-// previous round's outbox slab through the Mate permutation (this IS
+// program was laid out on; win is the stepping shard's inbox window for
+// the word plane. On the any plane the inbox window is materialized from
+// the previous round's outbox slab through the Mate permutation (this IS
 // message delivery — fused into the step so the slots are written right
 // before Step reads them), the current outbox window is cleared per the
 // Machine contract, and the emitted slots are scanned for Stats while
@@ -539,204 +534,41 @@ func abortErr(ctx context.Context, round, remaining int) error {
 	return fmt.Errorf("sim: aborted at round %d (%d vertices still running): %w", round, remaining, context.Cause(ctx))
 }
 
-// RunSequential executes the algorithm to global termination, advancing
-// vertices in index order within each round.
-func RunSequential(ctx context.Context, t *Topology, f Factory, maxRounds int) (Stats, error) {
-	return runSequential(ctx, t, f, maxRounds, nil, nil)
+// shard is one contiguous vertex range [lo, hi) of a run's step plan,
+// stepped in index order, or in reverse index order when reverse is set.
+// win is the shard's own word-plane inbox window; sent and halted are the
+// traffic and the halt count of the shard's last stepped round.
+type shard struct {
+	lo, hi  int
+	reverse bool
+	win     []Word
+	sent    sendStats
+	halted  int
 }
 
-func runSequential(ctx context.Context, t *Topology, f Factory, maxRounds int, hook RoundHook, bw *Bandwidth) (Stats, error) {
-	ctx = orBackground(ctx)
-	inst, err := newInstance(t, f)
-	if err != nil {
-		return Stats{}, err
+// stepShard advances every vertex of s by one round in the shard's step
+// order. The vertices that halt are written by index into the shard's own
+// region [lo, hi) of the newly slab, so concurrent shards never share a
+// slot; the round loop compacts the regions after the barrier.
+//
+//distcolor:noalloc
+func (inst *instance) stepShard(s *shard, round int) {
+	newly := inst.newly[s.lo:s.hi:s.hi]
+	var sent sendStats
+	k := 0
+	v, end, dv := s.lo, s.hi, 1
+	if s.reverse {
+		v, end, dv = s.hi-1, s.lo-1, -1
 	}
-	n := t.G.N()
-	var stats Stats
-	for round := 0; ; round++ {
-		if inst.remaining == 0 {
-			break
-		}
-		if ctx.Err() != nil {
-			return stats, abortErr(ctx, round, inst.remaining)
-		}
-		if round >= maxRounds {
-			return stats, fmt.Errorf("%w after %d rounds (%d vertices still running)", ErrRoundLimit, round, inst.remaining)
-		}
-		prevBits := stats.Bits
-		var roundMax int64
-		for v := 0; v < n; v++ {
-			st, halted := inst.stepVertex(v, round, inst.win)
-			stats.Messages += st.msgs
-			stats.Bits += st.bits
-			if st.maxBits > roundMax {
-				roundMax = st.maxBits
-			}
-			if halted {
-				inst.remaining--
-				inst.newly = append(inst.newly, int32(v))
-			}
-		}
-		if roundMax > stats.MaxMessageBits {
-			stats.MaxMessageBits = roundMax
-		}
-		if bw != nil {
-			stats.CongestViolations += bw.roundDone(stats.Bits-prevBits, roundMax)
-		}
-		inst.retireRound(round)
-		stats.Rounds++
-		if hook != nil {
-			hook(RoundEvent{Round: round, Running: inst.remaining, N: n, Stats: stats,
-				RoundBits: stats.Bits - prevBits, RoundMaxBits: roundMax})
+	for ; v != end; v += dv {
+		st, halted := inst.stepVertex(v, round, s.win)
+		sent.add(st)
+		if halted {
+			newly[k] = int32(v)
+			k++
 		}
 	}
-	return stats, nil
-}
-
-// RunReverseSequential executes the algorithm stepping vertices in reverse
-// index order within each round. Synchronous message passing makes the
-// in-round order semantically irrelevant; this engine exists to *prove*
-// that — any program whose results depend on intra-round scheduling (e.g.
-// by leaking state through shared memory mid-round) will diverge from
-// RunSequential under test.
-func RunReverseSequential(ctx context.Context, t *Topology, f Factory, maxRounds int) (Stats, error) {
-	return runReverseSequential(ctx, t, f, maxRounds, nil, nil)
-}
-
-func runReverseSequential(ctx context.Context, t *Topology, f Factory, maxRounds int, hook RoundHook, bw *Bandwidth) (Stats, error) {
-	ctx = orBackground(ctx)
-	inst, err := newInstance(t, f)
-	if err != nil {
-		return Stats{}, err
-	}
-	n := t.G.N()
-	var stats Stats
-	for round := 0; ; round++ {
-		if inst.remaining == 0 {
-			break
-		}
-		if ctx.Err() != nil {
-			return stats, abortErr(ctx, round, inst.remaining)
-		}
-		if round >= maxRounds {
-			return stats, fmt.Errorf("%w after %d rounds (%d vertices still running)", ErrRoundLimit, round, inst.remaining)
-		}
-		prevBits := stats.Bits
-		var roundMax int64
-		for v := n - 1; v >= 0; v-- {
-			st, halted := inst.stepVertex(v, round, inst.win)
-			stats.Messages += st.msgs
-			stats.Bits += st.bits
-			if st.maxBits > roundMax {
-				roundMax = st.maxBits
-			}
-			if halted {
-				inst.remaining--
-				inst.newly = append(inst.newly, int32(v))
-			}
-		}
-		if roundMax > stats.MaxMessageBits {
-			stats.MaxMessageBits = roundMax
-		}
-		if bw != nil {
-			stats.CongestViolations += bw.roundDone(stats.Bits-prevBits, roundMax)
-		}
-		inst.retireRound(round)
-		stats.Rounds++
-		if hook != nil {
-			hook(RoundEvent{Round: round, Running: inst.remaining, N: n, Stats: stats,
-				RoundBits: stats.Bits - prevBits, RoundMaxBits: roundMax})
-		}
-	}
-	return stats, nil
-}
-
-// RunParallel executes the algorithm with shard-per-goroutine concurrency.
-// The execution is bit-identical to RunSequential.
-func RunParallel(ctx context.Context, t *Topology, f Factory, maxRounds int) (Stats, error) {
-	return runParallel(ctx, t, f, maxRounds, nil, nil)
-}
-
-func runParallel(ctx context.Context, t *Topology, f Factory, maxRounds int, hook RoundHook, bw *Bandwidth) (Stats, error) {
-	ctx = orBackground(ctx)
-	inst, err := newInstance(t, f)
-	if err != nil {
-		return Stats{}, err
-	}
-	n := t.G.N()
-	// Worker sizing is grain-based: a shard must carry enough vertices for
-	// its goroutine spawn plus barrier share (on the order of a
-	// microsecond) to pay for itself, so small topologies run on few (or
-	// single) goroutines. The fused data plane needs only ONE barrier per
-	// round: a worker materializes inboxes from the previous round's outbox
-	// slab (frozen during the round), steps its own vertices, and writes
-	// only its own vertices' in/out regions — and, on the word plane, its
-	// own inbox window.
-	workers := shardWorkers(n, stepGrain)
-	wins := make([][]Word, workers)
-	for w := range wins {
-		wins[w] = make([]Word, len(inst.win))
-	}
-	var stats Stats
-	halted := make([]int, workers)     // per-shard newly halted counts
-	sent := make([]sendStats, workers) // per-shard traffic
-	// Per-shard newly-halted lists, each preallocated to its shard size so
-	// round-loop appends never allocate; drained into inst.newly after the
-	// barrier to share the sequential engines' retire machinery.
-	shardNewly := make([][]int32, workers)
-	chunk := (n + workers - 1) / workers
-	for w := range shardNewly {
-		shardNewly[w] = make([]int32, 0, chunk)
-	}
-	for round := 0; ; round++ {
-		if inst.remaining == 0 {
-			break
-		}
-		if ctx.Err() != nil {
-			return stats, abortErr(ctx, round, inst.remaining)
-		}
-		if round >= maxRounds {
-			return stats, fmt.Errorf("%w after %d rounds (%d vertices still running)", ErrRoundLimit, round, inst.remaining)
-		}
-		runShards(n, workers, func(w, lo, hi int) {
-			var h int
-			var s sendStats
-			buf := shardNewly[w][:0]
-			for v := lo; v < hi; v++ {
-				st, vHalted := inst.stepVertex(v, round, wins[w])
-				s.add(st)
-				if vHalted {
-					h++
-					buf = append(buf, int32(v))
-				}
-			}
-			halted[w], sent[w], shardNewly[w] = h, s, buf
-		})
-		prevBits := stats.Bits
-		var roundMax int64
-		for w := 0; w < workers; w++ {
-			inst.remaining -= halted[w]
-			stats.Messages += sent[w].msgs
-			stats.Bits += sent[w].bits
-			if sent[w].maxBits > roundMax {
-				roundMax = sent[w].maxBits
-			}
-			inst.newly = append(inst.newly, shardNewly[w]...)
-		}
-		if roundMax > stats.MaxMessageBits {
-			stats.MaxMessageBits = roundMax
-		}
-		if bw != nil {
-			stats.CongestViolations += bw.roundDone(stats.Bits-prevBits, roundMax)
-		}
-		inst.retireRound(round)
-		stats.Rounds++
-		if hook != nil {
-			hook(RoundEvent{Round: round, Running: inst.remaining, N: n, Stats: stats,
-				RoundBits: stats.Bits - prevBits, RoundMaxBits: roundMax})
-		}
-	}
-	return stats, nil
+	s.sent, s.halted = sent, k
 }
 
 // stepGrain is the parallel engine's shard grain, tuned on the flat data
@@ -756,62 +588,124 @@ func shardWorkers(work, grain int) int {
 	return w
 }
 
-// runShards splits [0,n) into contiguous shards and runs fn on each from
-// its own goroutine, waiting for all to finish.
-func runShards(n, workers int, fn func(w, lo, hi int)) {
-	if workers == 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-}
-
 // Engine selects an execution engine; the zero value is the sequential one.
+// Every engine runs the same round loop (run) over its own shard plan
+// (plan); engines differ only in how a round's vertices are split and
+// ordered.
 type Engine int
 
 const (
-	// Sequential is the deterministic single-threaded engine.
+	// Sequential is the deterministic single-threaded engine: one shard
+	// over [0, n), stepped in index order.
 	Sequential Engine = iota
-	// Parallel is the goroutine-sharded engine.
+	// Parallel is the goroutine-sharded engine: contiguous shards stepped
+	// concurrently, one goroutine per shard and one barrier per round. The
+	// execution is bit-identical to Sequential.
 	Parallel
-	// ReverseSequential steps vertices in reverse order (scheduling-
-	// independence validation; see RunReverseSequential).
+	// ReverseSequential steps one shard in reverse index order. Synchronous
+	// message passing makes the in-round order semantically irrelevant;
+	// this engine exists to prove that: any program whose results depend on
+	// intra-round scheduling (e.g. by leaking state through shared memory
+	// mid-round) diverges from Sequential under test.
 	ReverseSequential
 )
 
-// Run dispatches to the selected engine.
+// Run executes the algorithm to global termination on the selected engine.
 func (e Engine) Run(ctx context.Context, t *Topology, f Factory, maxRounds int) (Stats, error) {
 	return e.run(ctx, t, f, maxRounds, nil, nil)
 }
 
-// run is the single engine-dispatch point, shared by Engine.Run and
-// Instrumented wrappers.
-func (e Engine) run(ctx context.Context, t *Topology, f Factory, maxRounds int, hook RoundHook, bw *Bandwidth) (Stats, error) {
-	switch e {
-	case Parallel:
-		return runParallel(ctx, t, f, maxRounds, hook, bw)
-	case ReverseSequential:
-		return runReverseSequential(ctx, t, f, maxRounds, hook, bw)
-	default:
-		return runSequential(ctx, t, f, maxRounds, hook, bw)
+// plan lays the engine's step order over inst as shards: one forward shard
+// for Sequential, one reversed shard for ReverseSequential, and
+// shardWorkers(n, stepGrain) contiguous forward shards for Parallel. Worker
+// sizing is grain-based: a shard must carry enough vertices for its
+// goroutine spawn plus barrier share (on the order of a microsecond) to
+// pay for itself, so small topologies run on few (or single) goroutines.
+// Each shard owns its word-plane inbox window, and within a round it
+// writes only its own vertices' outbox slots and its own region of the
+// newly slab, which is why one barrier per round suffices.
+func (e Engine) plan(inst *instance) []shard {
+	n := len(inst.machines)
+	workers := 1
+	if e == Parallel {
+		workers = shardWorkers(n, stepGrain)
 	}
+	shards := make([]shard, workers)
+	chunk := (n + workers - 1) / workers
+	for i := range shards {
+		s := &shards[i]
+		s.lo, s.hi = min(i*chunk, n), min((i+1)*chunk, n)
+		s.reverse = e == ReverseSequential
+		if inst.words {
+			s.win = make([]Word, inst.t.G.MaxDegree())
+		}
+	}
+	return shards
+}
+
+// run is the simulator's round loop, shared by every engine and by
+// Instrumented wrappers. Each round it steps the plan's shards (directly
+// when there is one, else one goroutine per shard up to a barrier), folds
+// their traffic and halts, and then does the round's bookkeeping once:
+// abort and round-limit checks, Stats, the bandwidth accountant, halt
+// retirement and the hook.
+func (e Engine) run(ctx context.Context, t *Topology, f Factory, maxRounds int, hook RoundHook, bw *Bandwidth) (Stats, error) {
+	ctx = orBackground(ctx)
+	inst, err := newInstance(t, f)
+	if err != nil {
+		return Stats{}, err
+	}
+	shards := e.plan(inst)
+	var stats Stats
+	for round := 0; inst.remaining > 0; round++ {
+		if ctx.Err() != nil {
+			return stats, abortErr(ctx, round, inst.remaining)
+		}
+		if round >= maxRounds {
+			return stats, fmt.Errorf("%w after %d rounds (%d vertices still running)", ErrRoundLimit, round, inst.remaining)
+		}
+		if len(shards) == 1 {
+			inst.stepShard(&shards[0], round)
+		} else {
+			var wg sync.WaitGroup
+			for i := range shards {
+				wg.Add(1)
+				go func(s *shard, round int) {
+					defer wg.Done()
+					inst.stepShard(s, round)
+				}(&shards[i], round)
+			}
+			wg.Wait()
+		}
+		// Fold the shards, compacting their halted vertices to the front
+		// of newly. A region only moves towards the front and never
+		// reaches the next region's start, so the in-place append
+		// overwrites nothing still unread.
+		var sent sendStats
+		newly := inst.newly[:0]
+		for i := range shards {
+			s := &shards[i]
+			sent.add(s.sent)
+			inst.remaining -= s.halted
+			newly = append(newly, inst.newly[s.lo:s.lo+s.halted]...)
+		}
+		inst.newly = newly
+		stats.Messages += sent.msgs
+		stats.Bits += sent.bits
+		if sent.maxBits > stats.MaxMessageBits {
+			stats.MaxMessageBits = sent.maxBits
+		}
+		if bw != nil {
+			stats.CongestViolations += bw.roundDone(sent.bits, sent.maxBits)
+		}
+		inst.retireRound(round)
+		stats.Rounds++
+		if hook != nil {
+			hook(RoundEvent{Round: round, Running: inst.remaining, N: len(inst.machines), Stats: stats,
+				RoundBits: sent.bits, RoundMaxBits: sent.maxBits})
+		}
+	}
+	return stats, nil
 }
 
 // DefaultMaxRounds returns a generous round budget for a topology: all

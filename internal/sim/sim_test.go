@@ -47,7 +47,7 @@ func TestNeighborSum(t *testing.T) {
 	g := rg(1, 40, 0.2)
 	results := make([]int64, g.N())
 	topo := NewTopology(g)
-	stats, err := RunSequential(context.Background(), topo, neighborSumProgram(results), 10)
+	stats, err := Sequential.Run(context.Background(), topo, neighborSumProgram(results), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestBFSDistances(t *testing.T) {
 	topo := NewTopology(g)
 	// Unreachable vertices never halt; bound rounds and expect the error if
 	// the graph is disconnected.
-	_, err := RunSequential(context.Background(), topo, bfsProgram(dist), g.N()+2)
+	_, err := Sequential.Run(context.Background(), topo, bfsProgram(dist), g.N()+2)
 	disconnected := false
 	for _, d := range want {
 		if d == -1 {
@@ -154,11 +154,11 @@ func TestEnginesProduceIdenticalExecutions(t *testing.T) {
 	g := rg(3, 200, 0.05)
 	r1 := make([]int64, g.N())
 	r2 := make([]int64, g.N())
-	s1, err := RunSequential(context.Background(), NewTopology(g), neighborSumProgram(r1), 10)
+	s1, err := Sequential.Run(context.Background(), NewTopology(g), neighborSumProgram(r1), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := RunParallel(context.Background(), NewTopology(g), neighborSumProgram(r2), 10)
+	s2, err := Parallel.Run(context.Background(), NewTopology(g), neighborSumProgram(r2), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,16 +182,40 @@ func TestEngineDispatch(t *testing.T) {
 	}
 }
 
+// oddForeverProgram: every vertex broadcasts each round; even vertices
+// halt after round 1, odd ones never halt.
+func oddForeverProgram(info NodeInfo) Machine {
+	return FuncMachine(func(round int, in []Message, out []Message) bool {
+		SendAll(out, int64(round))
+		return info.V%2 == 0 && round >= 1
+	})
+}
+
+// engines lists every engine; the first is the reference the others must
+// match.
+var engines = []Engine{Sequential, ReverseSequential, Parallel}
+
+// TestRoundLimitError: a run that outlives its budget fails with
+// ErrRoundLimit on every engine, returning the same partial Stats, also on
+// a graph large enough (2·stepGrain vertices) for the parallel engine to
+// shard.
 func TestRoundLimitError(t *testing.T) {
-	g := graph.Path(3)
-	forever := func(info NodeInfo) Machine {
-		return FuncMachine(func(round int, in []Message, out []Message) bool {
-			return false
-		})
-	}
-	_, err := RunSequential(context.Background(), NewTopology(g), forever, 5)
-	if !errors.Is(err, ErrRoundLimit) {
-		t.Fatalf("want ErrRoundLimit, got %v", err)
+	for _, g := range []*graph.Graph{graph.Path(3), rg(11, 2*stepGrain, 0.01)} {
+		var want Stats
+		for i, e := range engines {
+			stats, err := e.Run(context.Background(), NewTopology(g), oddForeverProgram, 5)
+			if !errors.Is(err, ErrRoundLimit) {
+				t.Fatalf("n=%d engine %d: want ErrRoundLimit, got %v", g.N(), e, err)
+			}
+			if stats.Rounds != 5 || stats.Messages == 0 {
+				t.Fatalf("n=%d engine %d: partial stats %+v, want 5 talkative rounds", g.N(), e, stats)
+			}
+			if i == 0 {
+				want = stats
+			} else if stats != want {
+				t.Fatalf("n=%d engine %d: partial stats %+v, want %+v", g.N(), e, stats, want)
+			}
+		}
 	}
 }
 
@@ -251,7 +275,7 @@ func TestNodeInfoAndNeighborKnowledge(t *testing.T) {
 			return true
 		})
 	}
-	if _, err := RunSequential(context.Background(), topo, f, 5); err != nil {
+	if _, err := Sequential.Run(context.Background(), topo, f, 5); err != nil {
 		t.Fatal(err)
 	}
 	center := got[0]
@@ -313,7 +337,7 @@ func TestHaltedVertexStopsSending(t *testing.T) {
 			return false
 		})
 	}
-	if _, err := RunSequential(context.Background(), NewTopology(g), f, 10); err != nil {
+	if _, err := Sequential.Run(context.Background(), NewTopology(g), f, 10); err != nil {
 		t.Fatal(err)
 	}
 	if !sawRound1 {
@@ -347,13 +371,40 @@ func TestContextAbortsRun(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, e := range []Engine{Sequential, Parallel, ReverseSequential} {
+	for _, e := range engines {
 		stats, err := e.Run(ctx, NewTopology(g), forever, 1000)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("engine %v: want context.Canceled, got %v", e, err)
 		}
 		if stats.Rounds != 0 {
 			t.Fatalf("engine %v ran %d rounds under a canceled context", e, stats.Rounds)
+		}
+	}
+
+	// Mid-run: a hook cancels after round 3, so every engine executes
+	// rounds 0–3, aborts at the next boundary, and returns the same
+	// partial Stats.
+	big := rg(13, 2*stepGrain, 0.01)
+	var want Stats
+	for i, e := range engines {
+		ctx, cancel := context.WithCancel(context.Background())
+		hook := func(ev RoundEvent) {
+			if ev.Round == 3 {
+				cancel()
+			}
+		}
+		stats, err := Instrumented(e, hook, nil).Run(ctx, NewTopology(big), oddForeverProgram, 1000)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("engine %v mid-run: want context.Canceled, got %v", e, err)
+		}
+		if stats.Rounds != 4 {
+			t.Fatalf("engine %v mid-run: %d rounds, want 4", e, stats.Rounds)
+		}
+		if i == 0 {
+			want = stats
+		} else if stats != want {
+			t.Fatalf("engine %v mid-run: partial stats %+v, want %+v", e, stats, want)
 		}
 	}
 }

@@ -233,7 +233,7 @@ func TestMixedProgramFallsBackToAnyPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotStats, err := sim.RunSequential(context.Background(), sim.NewTopology(g), mixed, 8)
+	gotStats, err := sim.Sequential.Run(context.Background(), sim.NewTopology(g), mixed, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,8 +279,8 @@ func TestWordPlaneSteadyStateAllocFree(t *testing.T) {
 		name string
 		run  func(ctx context.Context, t *sim.Topology, f sim.Factory, maxRounds int) (sim.Stats, error)
 	}{
-		{"sequential", sim.RunSequential},
-		{"reverse", sim.RunReverseSequential},
+		{"sequential", sim.Sequential.Run},
+		{"reverse", sim.ReverseSequential.Run},
 	} {
 		t.Run(ec.name, func(t *testing.T) {
 			run := func(rounds int) {
@@ -307,7 +307,7 @@ func TestWordPlaneRunMemoryPerVertex(t *testing.T) {
 	topo := sim.NewTopology(g)
 	bound := uint64(8 * g.CSR().NumArcs())
 	run := func() {
-		if _, err := sim.RunSequential(context.Background(), topo, wordExchangeProgram(8), 10); err != nil {
+		if _, err := sim.Sequential.Run(context.Background(), topo, wordExchangeProgram(8), 10); err != nil {
 			t.Fatal(err)
 		}
 	}

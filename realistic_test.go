@@ -5,6 +5,7 @@ package distcolor
 // regular bipartite graphs (where König's theorem pins the optimum at Δ).
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gen"
@@ -19,7 +20,7 @@ func TestSparsePipelineOnPreferentialAttachment(t *testing.T) {
 	if a > 3 {
 		t.Fatalf("arboricity estimate %d exceeds attachment parameter", a)
 	}
-	res, err := EdgeColorSparse(g, a, Options{})
+	res, err := Run(context.Background(), g, AlgoEdgeSparse, Params{"arboricity": float64(a)}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestStarOnRegularBipartite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := EdgeColorStar(g, 1, Options{})
+	res, err := Run(context.Background(), g, AlgoEdgeStar, Params{"x": 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestStarOnRegularBipartite(t *testing.T) {
 func TestSparseOnCaterpillar(t *testing.T) {
 	// Extreme a ≪ Δ: a tree (a=1) with Δ = 66.
 	g := gen.Caterpillar(30, 64)
-	res, err := EdgeColorSparseWith(g, 1, SparseHPartition, Options{})
+	res, err := Run(context.Background(), g, AlgoEdgeSparse52, Params{"arboricity": 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,10 +115,6 @@ func TestQContract(t *testing.T) {
 	if _, err := Run(ctx, g, AlgoEdgeSparse52, Params{"q": -1}, Options{}); !errors.As(err, &pe) {
 		t.Fatalf("negative q: want *ParamError, got %v", err)
 	}
-	// The legacy wrapper inherits the contract through Options.Q.
-	if _, err := EdgeColorSparse(g, 2, Options{Q: math.NaN()}); !errors.As(err, &pe) {
-		t.Fatalf("wrapper NaN Q: want *ParamError, got %v", err)
-	}
 }
 
 // TestRunResolvesArboricity checks the dynamic default: an absent
@@ -135,29 +131,6 @@ func TestRunResolvesArboricity(t *testing.T) {
 	}
 	if int(arb) != ArboricityUpperBound(g) {
 		t.Fatalf("resolved arboricity %v, want the degeneracy estimate %d", arb, ArboricityUpperBound(g))
-	}
-}
-
-// TestRunMatchesLegacyWrappers: the one-shot entry points are wrappers
-// over Run, so both paths must produce the identical coloring.
-func TestRunMatchesLegacyWrappers(t *testing.T) {
-	g, err := gen.NearRegular(120, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrapped, err := EdgeColorStar(g, 1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := Run(context.Background(), g, AlgoEdgeStar, Params{"x": 1}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if col.Kind != KindEdge {
-		t.Fatalf("kind = %q, want edge", col.Kind)
-	}
-	if !reflect.DeepEqual(wrapped.Colors, col.Colors) || wrapped.Palette != col.Palette || wrapped.Algorithm != col.Algorithm {
-		t.Fatal("wrapper and Run diverge on the same workload")
 	}
 }
 
