@@ -37,10 +37,10 @@ vet:
 	$(GO) vet ./...
 
 # The distcolorvet suite: the repository's own go/analysis passes —
-# detcheck (determinism), noallochot (zero-alloc hot paths), lockguard
-# (mutex discipline), ctxfirst (context hygiene), recovercheck (declared
-# recovery points), and the flow-sensitive passes on the in-tree CFG +
-# dataflow engine: leakcheck (goroutine lifetime), lockorder
+# detcheck (determinism), noallochot (zero-alloc hot paths), ctxfirst
+# (context hygiene), recovercheck (declared recovery points), and the
+# flow-sensitive passes on the in-tree CFG + dataflow engine: lockguard
+# (mutex discipline), leakcheck (goroutine lifetime), lockorder
 # (acquisition-order cycles), decodebounds (wire-sized allocations),
 # atomicguard (atomic-vs-plain access) — plus stdlib reimplementations
 # of nilness and shadow, run through `go vet -vettool` so a violation is

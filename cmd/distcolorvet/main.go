@@ -1,7 +1,7 @@
 // Command distcolorvet is the repository's static-analysis multichecker:
-// the syntax-directed invariant passes (detcheck, noallochot, lockguard,
-// ctxfirst, recovercheck), the flow-sensitive passes built on the
-// in-tree CFG + dataflow engine (leakcheck, lockorder, decodebounds,
+// the syntax-directed invariant passes (detcheck, noallochot, ctxfirst,
+// recovercheck), the flow-sensitive passes built on the in-tree CFG +
+// dataflow engine (lockguard, leakcheck, lockorder, decodebounds,
 // atomicguard), and stdlib reimplementations of the stock nilness and
 // shadow vet analyzers, speaking the `go vet -vettool` protocol.
 //

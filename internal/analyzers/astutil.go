@@ -56,25 +56,6 @@ func receiverName(fd *ast.FuncDecl) string {
 	return fd.Recv.List[0].Names[0].Name
 }
 
-// isCallTo reports whether e is a call of a method named one of names on
-// some receiver expression, returning the rendered receiver path.
-func isCallTo(e ast.Expr, names ...string) (recv string, ok bool) {
-	call, okc := e.(*ast.CallExpr)
-	if !okc {
-		return "", false
-	}
-	sel, oks := call.Fun.(*ast.SelectorExpr)
-	if !oks {
-		return "", false
-	}
-	for _, n := range names {
-		if sel.Sel.Name == n {
-			return exprString(sel.X), true
-		}
-	}
-	return "", false
-}
-
 // identObjPos returns the declaration position of the object an
 // identifier resolves to, or token.NoPos.
 func identObjPos(p *Pass, id *ast.Ident) token.Pos {

@@ -292,39 +292,15 @@ func isTypedAtomic(t types.Type) bool {
 	return false
 }
 
-// checkGuardConflicts reports rule 3: "guarded by" annotations on
-// atomic-domain or typed-atomic fields.
+// checkGuardConflicts reports rule 3: "guarded by" annotations, as
+// lockguard parses them, on atomic-domain or typed-atomic fields.
 func checkGuardConflicts(pass *Pass, domain map[types.Object]bool) {
-	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
+	for obj := range collectGuards(pass) {
+		if pass.InTestFile(obj.Pos()) {
 			continue
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				annotated := false
-				for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-					if cg != nil && guardedByRe.MatchString(cg.Text()) {
-						annotated = true
-					}
-				}
-				if !annotated {
-					continue
-				}
-				for _, name := range field.Names {
-					obj := pass.TypesInfo.Defs[name]
-					if obj == nil {
-						continue
-					}
-					if domain[obj] || isTypedAtomic(obj.Type()) {
-						pass.Reportf(name.Pos(), "field %s is both 'guarded by' a mutex and accessed atomically — pick one discipline", name.Name)
-					}
-				}
-			}
-			return true
-		})
+		if domain[obj] || isTypedAtomic(obj.Type()) {
+			pass.Reportf(obj.Pos(), "field %s is both 'guarded by' a mutex and accessed atomically — pick one discipline", obj.Name())
+		}
 	}
 }

@@ -1,11 +1,11 @@
 package analyzers
 
 // A per-function control-flow graph over go/ast, for the flow-sensitive
-// passes (leakcheck, lockorder, decodebounds). Statements are grouped
-// into basic blocks; a control statement (if/for/range/switch/select)
-// sits as the LAST entry of the block that evaluates its condition, so
-// an analysis can read the condition from Stmts[len-1] and interpret
-// the successor edges.
+// passes (lockguard, leakcheck, lockorder, decodebounds). Statements
+// are grouped into basic blocks; a control statement
+// (if/for/range/switch/select) sits as the LAST entry of the block that
+// evaluates its condition, so an analysis can read the condition from
+// Stmts[len-1] and interpret the successor edges.
 //
 // Shapes handled: if/else chains, for (all three clauses), range,
 // (type)switch with fallthrough, select, labeled break/continue, and
@@ -484,9 +484,10 @@ func (c *CFG) reversePostorder() []*Block {
 // execute in the block holding it. Control statements sit as the last
 // entry of the block evaluating their condition, so walking the whole
 // subtree would attribute branch-body effects to the condition block;
-// this narrows the walk to the locally-evaluated expressions. Init
-// statements are appended to blocks separately by the builder and are
-// not repeated here.
+// this narrows the walk to the locally-evaluated expressions. A
+// switch's case expressions are compared in the tag block, so they are
+// local to it. Init statements are appended to blocks separately by the
+// builder and are not repeated here.
 func BlockLocalNodes(st ast.Stmt) []ast.Node {
 	switch st := st.(type) {
 	case *ast.IfStmt:
@@ -499,10 +500,16 @@ func BlockLocalNodes(st ast.Stmt) []ast.Node {
 	case *ast.RangeStmt:
 		return []ast.Node{st.X}
 	case *ast.SwitchStmt:
+		var out []ast.Node
 		if st.Tag != nil {
-			return []ast.Node{st.Tag}
+			out = append(out, st.Tag)
 		}
-		return nil
+		for _, cl := range st.Body.List {
+			for _, e := range cl.(*ast.CaseClause).List {
+				out = append(out, e)
+			}
+		}
+		return out
 	case *ast.TypeSwitchStmt, *ast.SelectStmt:
 		return nil
 	default:

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/importer"
 	"go/parser"
+	"go/printer"
 	"go/token"
 	"go/types"
 	"strings"
@@ -220,6 +221,32 @@ func f(ch chan int, x int) int {
 	idom := c.Dominators()
 	if Dominates(idom, one, ret) {
 		t.Errorf("a switch case must not dominate the code after the switch")
+	}
+}
+
+// TestBlockLocalNodesSwitch: a switch's tag and its case expressions are
+// evaluated in the tag block; the case bodies are not.
+func TestBlockLocalNodesSwitch(t *testing.T) {
+	src := `package cfgtest
+func f(x, y int) int {
+	switch x + 1 {
+	case y, 2 * y:
+		return 1
+	case 3:
+	}
+	return 0
+}`
+	fd, _, fset := parseFunc(t, src, "f")
+	var got []string
+	for _, n := range BlockLocalNodes(fd.Body.List[0]) {
+		var sb strings.Builder
+		if err := printer.Fprint(&sb, fset, n); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, sb.String())
+	}
+	if want := "x + 1|y|2 * y|3"; strings.Join(got, "|") != want {
+		t.Errorf("BlockLocalNodes(switch) = %q, want %q", strings.Join(got, "|"), want)
 	}
 }
 

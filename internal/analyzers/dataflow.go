@@ -1,13 +1,14 @@
 package analyzers
 
 // A small forward-dataflow toolkit over the CFG: a generic worklist
-// fixpoint engine plus the two lattices the flow passes use — may-sets
-// (union at joins: lockorder's held-lock tracking, decodebounds'
-// taint) and reaching definitions (the classic forward problem, used
-// by decodebounds to see which assignments of a size variable reach an
-// allocation site). Everything is standard library only; the engine is
-// deliberately tiny — a handful of blocks per function, convergence in
-// a few sweeps.
+// fixpoint engine plus the lattices the flow passes use — sets joined
+// by union (may: lockorder's held locks, decodebounds' taint) or by
+// intersect (must: lockguard's held locks; both lock passes run the
+// held-lock driver in lockorder.go) and reaching definitions (the
+// classic forward problem, used by decodebounds to see which
+// assignments of a size variable reach an allocation site). Everything
+// is standard library only; the engine is deliberately tiny — a
+// handful of blocks per function, convergence in a few sweeps.
 
 import (
 	"go/ast"
@@ -60,7 +61,8 @@ func Forward[S any](c *CFG, f Flow[S]) []S {
 	return in
 }
 
-// set is the may-lattice element: membership accumulates by union.
+// set is the lattice element of the held-lock and taint flows: joined by
+// union for may-facts, by intersect for must-facts.
 type set[K comparable] map[K]struct{}
 
 func (s set[K]) add(k K)      { s[k] = struct{}{} }
@@ -83,6 +85,19 @@ func (s set[K]) union(src set[K]) bool {
 		}
 	}
 	return grew
+}
+
+// intersect drops from dst every member src lacks, reporting shrinkage:
+// the must-lattice join.
+func (s set[K]) intersect(src set[K]) bool {
+	shrank := false
+	for k := range s {
+		if !src.has(k) {
+			delete(s, k)
+			shrank = true
+		}
+	}
+	return shrank
 }
 
 // ReachingDefs is the reaching-definitions state: for each variable,

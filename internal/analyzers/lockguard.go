@@ -10,20 +10,16 @@ package analyzers
 //	                         serverObs instruments are mutated under the
 //	                         Server's s.mu; the spelling is literal)
 //
-// may only be read or written where the named mutex is structurally held
-// on every path from function entry to the access: a preceding
-// `<lock>.Lock()` or `<lock>.RLock()`, not yet released by a plain
-// `<lock>.Unlock()` (a deferred unlock holds to function end; a
-// cond.Wait reacquires before returning, so held-state is preserved
-// across it). At a join the held set is the intersection of the branch
-// outcomes that can actually reach it, with termination awareness: a
-// branch ending in return, panic, os.Exit, continue, or goto
-// contributes nothing, an if without else joins against the entry
-// state, a switch without a default keeps the entry state as a
-// reaching path, and a select always runs exactly one arm. So a Lock
-// taken in every branch proves the lock after the join, an early
-// `Unlock(); return` branch does not kill it, and a conditional or
-// select-arm Unlock does.
+// may only be read or written where the named mutex is held on every
+// path from function entry to the access: a preceding sync.Mutex or
+// RWMutex `<lock>.Lock()` or `<lock>.RLock()`, not yet released by a
+// plain `<lock>.Unlock()` (a deferred unlock holds to function end).
+// Locks are named by their receiver path. The held set is a must-hold
+// flow over the function's CFG — heldLockFlow, the driver lockorder
+// runs as a may-hold flow, here joined by intersect — and one replay
+// of the converged block states checks every guarded selector. A path
+// that returns, panics or exits never reaches the join, and a break
+// carries its own state to the code after the loop.
 //
 // Three structural exemptions keep the check aligned with the
 // repository's conventions rather than fighting them:
@@ -43,9 +39,9 @@ package analyzers
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"regexp"
+	"strings"
 )
 
 // Lockguard is the mutex-discipline pass. See the file comment for the
@@ -75,19 +71,15 @@ func runLockguard(pass *Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			sc := &lockScan{pass: pass, guards: guards, fn: fd}
-			if exemptFunc(fd) {
-				sc.exempt = true
+			if !exemptFunc(fd) {
+				checkGuarded(pass, guards, fd, fd.Body)
 			}
-			sc.constructed = map[string]bool{}
-			sc.scanStmts(fd.Body.List, map[string]bool{})
-			for len(sc.lits) > 0 {
-				lit := sc.lits[0]
-				sc.lits = sc.lits[1:]
-				inner := &lockScan{pass: pass, guards: guards, fn: fd, constructed: map[string]bool{}}
-				inner.scanStmts(lit.Body.List, map[string]bool{})
-				sc.lits = append(sc.lits, inner.lits...)
-			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if fl, ok := n.(*ast.FuncLit); ok {
+					checkGuarded(pass, guards, fd, fl.Body)
+				}
+				return true
+			})
 		}
 	}
 	return nil
@@ -129,375 +121,68 @@ func collectGuards(pass *Pass) map[types.Object]string {
 
 // exemptFunc applies the caller-holds conventions.
 func exemptFunc(fd *ast.FuncDecl) bool {
-	name := fd.Name.Name
-	if len(name) >= 6 && name[len(name)-6:] == "Locked" {
-		return true
-	}
-	return fd.Doc != nil && callerHoldsRe.MatchString(fd.Doc.Text())
+	return strings.HasSuffix(fd.Name.Name, "Locked") ||
+		fd.Doc != nil && callerHoldsRe.MatchString(fd.Doc.Text())
 }
 
-// lockScan walks one function context tracking which lock expressions
-// are structurally held.
-type lockScan struct {
-	pass        *Pass
-	guards      map[types.Object]string
-	fn          *ast.FuncDecl
-	exempt      bool
-	constructed map[string]bool // locals built from composite literals here
-	lits        []*ast.FuncLit  // nested literals, scanned as fresh contexts
-}
-
-// flowExit describes how control leaves a statement or sequence:
-// falling through to what follows, breaking past the nearest breakable
-// construct (the held state at the break reaches the code after it), or
-// leaving the linear flow entirely — return, panic, os.Exit,
-// runtime.Goexit, continue, goto — so the state contributes nothing to
-// the join.
-type flowExit int
-
-const (
-	flowFalls flowExit = iota
-	flowBreaks
-	flowStops
-)
-
-// scanStmts processes a statement sequence, mutating held in place, and
-// reports how control leaves it. Statements after a non-falling exit
-// are unreachable on this path and are not scanned.
-func (sc *lockScan) scanStmts(stmts []ast.Stmt, held map[string]bool) flowExit {
-	for _, st := range stmts {
-		if exit := sc.scanStmt(st, held); exit != flowFalls {
-			return exit
-		}
-	}
-	return flowFalls
-}
-
-func (sc *lockScan) scanStmt(st ast.Stmt, held map[string]bool) flowExit {
-	switch st := st.(type) {
-	case *ast.ExprStmt:
-		sc.checkExpr(st.X, held)
-		if recv, ok := isCallTo(st.X, "Lock", "RLock"); ok {
-			held[recv] = true
-		}
-		if recv, ok := isCallTo(st.X, "Unlock", "RUnlock"); ok {
-			delete(held, recv)
-		}
-		if sc.isNoReturnCall(st.X) {
-			return flowStops
-		}
-	case *ast.DeferStmt:
-		// A deferred Unlock releases at return: the lock stays held for
-		// the remainder of the body. Still check the call's arguments.
-		if _, isUnlock := isCallTo(st.Call, "Unlock", "RUnlock"); !isUnlock {
-			sc.checkExpr(st.Call, held)
-		}
-	case *ast.AssignStmt:
-		for _, rhs := range st.Rhs {
-			sc.checkExpr(rhs, held)
-		}
-		for _, lhs := range st.Lhs {
-			sc.checkExpr(lhs, held)
-		}
-		sc.noteConstruction(st)
-	case *ast.DeclStmt:
-		if gd, ok := st.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						sc.checkExpr(v, held)
-					}
-				}
-			}
-		}
-	case *ast.ReturnStmt:
-		for _, r := range st.Results {
-			sc.checkExpr(r, held)
-		}
-		return flowStops
-	case *ast.BranchStmt:
-		if st.Tok == token.BREAK {
-			return flowBreaks
-		}
-		return flowStops // continue, goto, fallthrough leave this path
-	case *ast.IncDecStmt:
-		sc.checkExpr(st.X, held)
-	case *ast.SendStmt:
-		sc.checkExpr(st.Chan, held)
-		sc.checkExpr(st.Value, held)
-	case *ast.GoStmt:
-		// The goroutine body runs later, under no lock the spawner holds.
-		if fl, ok := st.Call.Fun.(*ast.FuncLit); ok {
-			sc.lits = append(sc.lits, fl)
-			for _, a := range st.Call.Args {
-				sc.checkExpr(a, held)
-			}
-		} else {
-			sc.checkExpr(st.Call, held)
-		}
-	case *ast.BlockStmt:
-		return sc.scanStmts(st.List, held) // a bare block is still linear flow
-	case *ast.LabeledStmt:
-		return sc.scanStmt(st.Stmt, held)
-	case *ast.IfStmt:
-		if st.Init != nil {
-			sc.scanStmt(st.Init, held)
-		}
-		sc.checkExpr(st.Cond, held)
-		thenHeld := copyHeld(held)
-		thenExit := sc.scanStmts(st.Body.List, thenHeld)
-		if st.Else == nil {
-			// The cond-false path falls through with the entry state; the
-			// then-branch joins it only if it falls off its own end.
-			if thenExit == flowFalls {
-				intersectInto(held, thenHeld)
-			}
-			return flowFalls
-		}
-		elseHeld := copyHeld(held)
-		elseExit := sc.scanStmt(st.Else, elseHeld)
-		switch {
-		case thenExit == flowFalls && elseExit == flowFalls:
-			intersectInto(thenHeld, elseHeld)
-			replaceHeld(held, thenHeld)
-		case thenExit == flowFalls:
-			replaceHeld(held, thenHeld)
-		case elseExit == flowFalls:
-			replaceHeld(held, elseHeld)
-		default:
-			// Neither branch falls through: the join is unreachable.
-			if thenExit == flowBreaks || elseExit == flowBreaks {
-				return flowBreaks
-			}
-			return flowStops
-		}
-	case *ast.ForStmt:
-		if st.Init != nil {
-			sc.scanStmt(st.Init, held)
-		}
-		if st.Cond != nil {
-			sc.checkExpr(st.Cond, held)
-		}
-		body := copyHeld(held)
-		exit := sc.scanStmts(st.Body.List, body)
-		if exit == flowFalls && st.Post != nil {
-			sc.scanStmt(st.Post, body)
-		}
-		// The code after the loop joins the entry state (zero
-		// iterations) with what a body path left behind — where the scan
-		// stopped at a break, body holds exactly the state at the break.
-		intersectInto(held, body)
-	case *ast.RangeStmt:
-		sc.checkExpr(st.X, held)
-		body := copyHeld(held)
-		sc.scanStmts(st.Body.List, body)
-		intersectInto(held, body)
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			sc.scanStmt(st.Init, held)
-		}
-		if st.Tag != nil {
-			sc.checkExpr(st.Tag, held)
-		}
-		return sc.joinCaseArms(st.Body.List, held)
-	case *ast.TypeSwitchStmt:
-		if st.Init != nil {
-			sc.scanStmt(st.Init, held)
-		}
-		sc.scanStmt(st.Assign, held)
-		return sc.joinCaseArms(st.Body.List, held)
-	case *ast.SelectStmt:
-		// Exactly one clause always runs (default is itself a clause):
-		// the join is the intersection of the arms that reach it, with no
-		// entry-state fall-through.
-		var outs []map[string]bool
-		for _, cl := range st.Body.List {
-			cc, ok := cl.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			arm := copyHeld(held)
-			if cc.Comm != nil {
-				sc.scanStmt(cc.Comm, arm)
-			}
-			if exit := sc.scanStmts(cc.Body, arm); exit != flowStops {
-				outs = append(outs, arm)
-			}
-		}
-		if len(outs) == 0 {
-			return flowStops // every arm leaves, or select{} blocks forever
-		}
-		joinInto(held, outs)
-	}
-	return flowFalls
-}
-
-// joinCaseArms scans each case body of a switch or type switch on a
-// copy of the entry state and joins the after-construct state: the
-// intersection of every arm that can reach it, plus the entry state
-// itself when there is no default arm (no case may match).
-func (sc *lockScan) joinCaseArms(clauses []ast.Stmt, held map[string]bool) flowExit {
-	hasDefault := false
-	var outs []map[string]bool
-	for _, cl := range clauses {
-		cc, ok := cl.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		if cc.List == nil {
-			hasDefault = true
-		}
-		for _, e := range cc.List {
-			sc.checkExpr(e, held)
-		}
-		arm := copyHeld(held)
-		if exit := sc.scanStmts(cc.Body, arm); exit != flowStops {
-			outs = append(outs, arm)
-		}
-	}
-	if !hasDefault {
-		// Some value may match no case: the entry state reaches the join.
-		for _, o := range outs {
-			intersectInto(held, o)
-		}
-		return flowFalls
-	}
-	if len(outs) == 0 {
-		return flowStops
-	}
-	joinInto(held, outs)
-	return flowFalls
-}
-
-// isNoReturnCall reports calls that never return control: panic,
-// os.Exit, runtime.Goexit.
-func (sc *lockScan) isNoReturnCall(e ast.Expr) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		b, ok := sc.pass.TypesInfo.Uses[fun].(*types.Builtin)
-		return ok && b.Name() == "panic"
-	case *ast.SelectorExpr:
-		f, ok := sc.pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-		if !ok || f.Pkg() == nil {
-			return false
-		}
-		p := f.Pkg().Path()
-		return (p == "os" && f.Name() == "Exit") || (p == "runtime" && f.Name() == "Goexit")
-	}
-	return false
-}
-
-// noteConstruction records `x := &T{...}` / `x := T{...}` / `x := new(T)`
-// locals: unpublished values need no lock.
-func (sc *lockScan) noteConstruction(as *ast.AssignStmt) {
-	for i, rhs := range as.Rhs {
-		if i >= len(as.Lhs) {
-			break
-		}
-		id, ok := as.Lhs[i].(*ast.Ident)
-		if !ok {
-			continue
-		}
-		switch r := rhs.(type) {
-		case *ast.CompositeLit:
-			sc.constructed[id.Name] = true
-		case *ast.UnaryExpr:
-			if _, isLit := r.X.(*ast.CompositeLit); isLit {
-				sc.constructed[id.Name] = true
-			}
-		case *ast.CallExpr:
-			if fid, ok := r.Fun.(*ast.Ident); ok && fid.Name == "new" {
-				sc.constructed[id.Name] = true
-			}
-		}
-	}
-}
-
-// checkExpr validates every guarded-field access inside e against the
-// current lock state; nested function literals are queued for their own
-// fresh-context scan.
-func (sc *lockScan) checkExpr(e ast.Expr, held map[string]bool) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FuncLit); ok {
-			sc.lits = append(sc.lits, fl)
-			return false
-		}
+// checkGuarded runs the must-hold flow over one function context (fd's
+// body or one of its literals) and reports every guarded-field access
+// the replay reaches without the named lock held.
+func checkGuarded(pass *Pass, guards map[types.Object]string, fd *ast.FuncDecl, body *ast.BlockStmt) {
+	constructed := constructedLocals(body)
+	heldLockFlow(pass, body, exprString, set[string].intersect, func(n ast.Node, held set[string]) {
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
-			return true
+			return
 		}
-		obj := sc.pass.TypesInfo.Uses[sel.Sel]
-		spec, guarded := sc.guards[obj]
-		if !guarded || sc.exempt {
-			return true
+		spec, guarded := guards[pass.TypesInfo.Uses[sel.Sel]]
+		if !guarded {
+			return
 		}
 		need := spec
-		if !containsDot(spec) {
+		if !strings.Contains(spec, ".") {
 			need = exprString(sel.X) + "." + spec
 		}
-		if held[need] {
-			return true
+		if held.has(need) || constructed[rootIdent(sel.X)] {
+			return
 		}
-		if sc.constructed[rootIdent(sel.X)] {
-			return true
-		}
-		fname := "(func literal)"
-		if sc.fn != nil {
-			fname = sc.fn.Name.Name
-		}
-		sc.pass.Reportf(sel.Sel.Pos(), "%s.%s is guarded by %s, which %s does not hold on this path", exprString(sel.X), sel.Sel.Name, need, fname)
-		return true
+		pass.Reportf(sel.Sel.Pos(), "%s.%s is guarded by %s, which %s does not hold on this path", exprString(sel.X), sel.Sel.Name, need, fd.Name.Name)
 	})
 }
 
-func copyHeld(held map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(held))
-	for k, v := range held {
-		out[k] = v
-	}
+// constructedLocals collects the context's `x := &T{...}` / `x := T{...}`
+// / `x := new(T)` locals: unpublished values need no lock. Nested
+// function literals are other contexts and are not searched.
+func constructedLocals(body *ast.BlockStmt) map[string]bool {
+	out := make(map[string]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.AssignStmt:
+			for i, rhs := range n.Rhs {
+				id, ok := n.Lhs[i].(*ast.Ident)
+				if ok && isConstruction(rhs) {
+					out[id.Name] = true
+				}
+			}
+		}
+		return true
+	})
 	return out
 }
 
-// intersectInto removes from dst every lock src does not hold.
-func intersectInto(dst, src map[string]bool) {
-	for k := range dst {
-		if !src[k] {
-			delete(dst, k)
-		}
-	}
-}
-
-// replaceHeld overwrites dst's contents with src's.
-func replaceHeld(dst, src map[string]bool) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
-}
-
-// joinInto sets held to the intersection of outs.
-func joinInto(held map[string]bool, outs []map[string]bool) {
-	first := outs[0]
-	for _, o := range outs[1:] {
-		intersectInto(first, o)
-	}
-	replaceHeld(held, first)
-}
-
-func containsDot(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '.' {
-			return true
-		}
+// isConstruction reports a composite literal, its address, or new(T).
+func isConstruction(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.CompositeLit:
+		return true
+	case *ast.UnaryExpr:
+		_, isLit := e.X.(*ast.CompositeLit)
+		return isLit
+	case *ast.CallExpr:
+		fid, ok := e.Fun.(*ast.Ident)
+		return ok && fid.Name == "new"
 	}
 	return false
 }

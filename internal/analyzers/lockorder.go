@@ -5,17 +5,17 @@ package analyzers
 // Every sync.Mutex/RWMutex acquisition site contributes edges to a
 // package-spanning order graph: taking lock B while (may-)holding lock
 // A adds the edge A → B. Holding is tracked flow-sensitively over the
-// CFG (may-analysis, union at joins: an edge on any path counts), and
-// interprocedurally through per-function acquire summaries — calling a
-// function known to take B while holding A also adds A → B, across
-// package boundaries via the vetx fact channel (PackageFacts.LockEdges
-// and .LockAcquires).
+// CFG by heldLockFlow, the driver lockguard shares (may-analysis, union
+// at joins: an edge on any path counts), and interprocedurally through
+// per-function acquire summaries — calling a function known to take B
+// while holding A also adds A → B, across package boundaries via the
+// vetx fact channel (PackageFacts.LockEdges and .LockAcquires).
 //
 // Lock identity is structural and global: a mutex field is named
 // "pkgpath.Type.field" (resolved through the receiver expression's
 // type), a package-level mutex "pkgpath.var". Function-local mutexes
 // have no global order and are ignored. A deferred Unlock keeps the
-// lock held to function exit, exactly as lockguard models it.
+// lock held to function exit.
 //
 // A cycle in the merged graph is a potential deadlock; the pass
 // reports every local edge participating in one, rendering the cycle
@@ -36,12 +36,6 @@ var Lockorder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "build the global mutex-acquisition order graph and fail on cycles or inconsistent orderings",
 	Run:  runLockorder,
-}
-
-// lockAcq is one acquisition event: lock taken at pos.
-type lockAcq struct {
-	lock string
-	pos  token.Pos
 }
 
 // lockEdgeLocal is one order edge observed in this package.
@@ -182,7 +176,7 @@ func lockorderScan(pass *Pass) ([]lockEdgeLocal, map[string][]string) {
 				if !ok {
 					return true
 				}
-				if acq := lockAcquire(pass, call, "Lock", "RLock"); acq != "" {
+				if acq := lockAcquire(pass, call); acq != "" {
 					fi.direct[acq] = true
 				}
 				if callee := calleeFunc(pass, call); callee != nil && callee.Pkg() == pass.Pkg {
@@ -229,7 +223,8 @@ func lockorderScan(pass *Pass) ([]lockEdgeLocal, map[string][]string) {
 		}
 	}
 
-	// Round 2: flow-sensitive may-hold per context, emitting edges.
+	// Round 2: flow-sensitive may-hold per context; every acquisition
+	// while holding, direct or through a callee's summary, is an edge.
 	var edges []lockEdgeLocal
 	seen := make(map[string]bool)
 	emit := func(from, to string, pos token.Pos) {
@@ -240,11 +235,30 @@ func lockorderScan(pass *Pass) ([]lockEdgeLocal, map[string][]string) {
 		seen[key] = true
 		edges = append(edges, lockEdgeLocal{from: from, to: to, pos: pos})
 	}
+	globalKey := func(e ast.Expr) string { return lockIdentity(pass, e) }
+	record := func(n ast.Node, held set[string]) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return
+		}
+		var taken []string
+		if l := lockAcquire(pass, call); l != "" {
+			taken = []string{l}
+		} else if callee := calleeFunc(pass, call); callee != nil {
+			taken = acquire(callee)
+		}
+		for _, l := range taken {
+			for h := range held {
+				// h == l yields a self-edge: a double acquire.
+				emit(h, l, call.Pos())
+			}
+		}
+	}
 	for _, fi := range fns {
-		lockorderFlow(pass, fi.body, acquire, emit)
+		heldLockFlow(pass, fi.body, globalKey, set[string].union, record)
 		ast.Inspect(fi.body, func(n ast.Node) bool {
 			if fl, ok := n.(*ast.FuncLit); ok {
-				lockorderFlow(pass, fl.Body, acquire, emit)
+				heldLockFlow(pass, fl.Body, globalKey, set[string].union, record)
 				return false
 			}
 			return true
@@ -253,75 +267,56 @@ func lockorderScan(pass *Pass) ([]lockEdgeLocal, map[string][]string) {
 	return edges, summaries
 }
 
-// lockorderFlow runs the may-hold dataflow over one function context.
-func lockorderFlow(pass *Pass, body *ast.BlockStmt, acquire func(*types.Func) []string, emit func(from, to string, pos token.Pos)) {
+// heldLockFlow is the held-lock driver of both lock passes. Over one
+// function context it runs a Forward flow of the held mutexes, each
+// named by key applied to the lock call's receiver ("" leaves it
+// untracked) and merged at joins by join: union for lockorder's
+// may-hold, intersect for lockguard's must-hold. It then replays every
+// reachable block once from its converged state, handing visit each
+// node the block evaluates together with the locks held just before it
+// (a Lock call sees the state before its own acquisition). A deferred
+// Unlock holds its lock to function exit. Function literals are fresh
+// contexts: the flow never enters one.
+func heldLockFlow(pass *Pass, body *ast.BlockStmt, key func(ast.Expr) string, join func(dst, src set[string]) bool, visit func(n ast.Node, held set[string])) {
 	cfg := NewCFG(body, pass.TypesInfo)
-	applyNode := func(st ast.Stmt, root ast.Node, held set[string], record bool) {
-		ast.Inspect(root, func(n ast.Node) bool {
-			if _, ok := n.(*ast.FuncLit); ok {
-				return false // fresh context, analyzed separately
-			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if acq := lockAcquire(pass, call, "Lock", "RLock"); acq != "" {
-				if record {
-					for h := range held {
-						// h == acq yields a self-edge: a double acquire.
-						emit(h, acq, call.Pos())
+	step := func(b *Block, held set[string], replay bool) set[string] {
+		for _, st := range b.Stmts {
+			for _, root := range BlockLocalNodes(st) {
+				ast.Inspect(root, func(n ast.Node) bool {
+					if _, ok := n.(*ast.FuncLit); ok || n == nil {
+						return false
 					}
-				}
-				held.add(acq)
-				return true
-			}
-			if rel := lockAcquire(pass, call, "Unlock", "RUnlock"); rel != "" {
-				if !deferredCall(st, call) {
-					delete(held, rel)
-				}
-				return true
-			}
-			if callee := calleeFunc(pass, call); callee != nil {
-				for _, l := range acquire(callee) {
-					if record {
-						for h := range held {
-							emit(h, l, call.Pos())
+					if replay {
+						visit(n, held)
+					}
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					if recv, acquires := mutexCall(pass, call); recv != nil {
+						switch l := key(recv); {
+						case l == "":
+						case acquires:
+							held.add(l)
+						case !deferredCall(st, call):
+							delete(held, l)
 						}
 					}
-				}
+					return true
+				})
 			}
-			return true
-		})
-	}
-	apply := func(st ast.Stmt, held set[string], record bool) {
-		for _, root := range BlockLocalNodes(st) {
-			applyNode(st, root, held, record)
 		}
+		return held
 	}
 	in := Forward(cfg, Flow[set[string]]{
-		Entry: set[string]{},
-		Clone: set[string].clone,
-		Merge: func(dst, src set[string]) bool { return dst.union(src) },
-		Transfer: func(b *Block, s set[string]) set[string] {
-			for _, st := range b.Stmts {
-				apply(st, s, false)
-			}
-			return s
-		},
+		Entry:    set[string]{},
+		Clone:    set[string].clone,
+		Merge:    join,
+		Transfer: func(b *Block, held set[string]) set[string] { return step(b, held, false) },
 	})
-	// Second deterministic sweep over the converged states to record
-	// edges exactly once per site.
 	for _, b := range cfg.Blocks {
-		if in[b.Index] == nil && b != cfg.Entry {
-			continue // unreachable
-		}
-		s := in[b.Index]
-		if s == nil {
-			s = set[string]{}
-		}
-		s = s.clone()
-		for _, st := range b.Stmts {
-			apply(st, s, true)
+		if in[b.Index] != nil { // nil: unreachable
+			step(b, in[b.Index].clone(), true)
 		}
 	}
 }
@@ -333,35 +328,40 @@ func deferredCall(st ast.Stmt, call *ast.CallExpr) bool {
 	return ok && d.Call == call
 }
 
-// lockAcquire resolves a call to one of the named sync.Mutex/RWMutex
-// methods into the global lock identity, or "" if it is not such a
-// call or the mutex is function-local.
-func lockAcquire(pass *Pass, call *ast.CallExpr, names ...string) string {
+// mutexCall recognizes a call of a sync.Mutex or sync.RWMutex lock
+// method: it returns the receiver expression and whether the call
+// acquires (Lock, RLock) or releases (Unlock, RUnlock). recv is nil for
+// every other call.
+func mutexCall(pass *Pass, call *ast.CallExpr) (recv ast.Expr, acquires bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return ""
+		return nil, false
 	}
-	match := false
-	for _, n := range names {
-		if sel.Sel.Name == n {
-			match = true
-		}
-	}
-	if !match {
-		return ""
+	switch sel.Sel.Name {
+	case "Lock", "RLock":
+		acquires = true
+	case "Unlock", "RUnlock":
+	default:
+		return nil, false
 	}
 	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return ""
+		return nil, false
 	}
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return ""
+	r := fn.Type().(*types.Signature).Recv()
+	if r == nil || !isNamedType(r.Type(), "sync", "Mutex") && !isNamedType(r.Type(), "sync", "RWMutex") {
+		return nil, false
 	}
-	if !isNamedType(recv.Type(), "sync", "Mutex") && !isNamedType(recv.Type(), "sync", "RWMutex") {
-		return ""
+	return sel.X, acquires
+}
+
+// lockAcquire returns the global identity of the mutex a Lock/RLock call
+// takes, or "" for any other call or a function-local mutex.
+func lockAcquire(pass *Pass, call *ast.CallExpr) string {
+	if recv, acquires := mutexCall(pass, call); acquires {
+		return lockIdentity(pass, recv)
 	}
-	return lockIdentity(pass, sel.X)
+	return ""
 }
 
 // lockIdentity names the mutex behind an access path: a field as

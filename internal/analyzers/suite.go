@@ -1,8 +1,9 @@
 package analyzers
 
 // All returns the full distcolorvet suite in reporting order: the
-// structural repository-invariant passes, the flow-sensitive passes
-// built on the CFG/dataflow engine (leakcheck, lockorder, decodebounds,
+// syntax-directed repository-invariant passes (detcheck, noallochot,
+// ctxfirst, recovercheck), the flow-sensitive passes built on the
+// CFG/dataflow engine (lockguard, leakcheck, lockorder, decodebounds,
 // atomicguard), then the stdlib reimplementations of the stock nilness
 // and shadow vet passes (one -vettool invocation covers stock and
 // custom checks).
@@ -10,9 +11,9 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Detcheck,
 		Noallochot,
-		Lockguard,
 		Ctxfirst,
 		Recovercheck,
+		Lockguard,
 		Leakcheck,
 		Lockorder,
 		Decodebounds,

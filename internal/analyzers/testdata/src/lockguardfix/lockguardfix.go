@@ -1,8 +1,10 @@
 // Package lockguardfix is the positive/negative/suppression fixture for
 // the lockguard pass: the bare spec ("guarded by mu", lock on the same
 // struct), the dotted spec ("guarded by s.mu", lock on a named outer
-// struct), both caller-holds conventions, construction exemption, and
-// the function-literal fresh-context rule.
+// struct), both caller-holds conventions, construction exemption, the
+// function-literal fresh-context rule, joins after branches, switches,
+// selects and a releasing break, and a read in a switch case
+// expression.
 package lockguardfix
 
 import "sync"
@@ -114,6 +116,31 @@ func (c *counterSet) RelockLoop(rounds int) {
 		c.n += i
 		c.mu.Unlock()
 	}
+}
+
+// LoopUnlockBreak releases and breaks out of the loop: the break path
+// reaches the code after the loop without the lock, while the access
+// in the body, after the releasing branch, is still covered.
+func (c *counterSet) LoopUnlockBreak(items []int) int {
+	c.mu.Lock()
+	for _, it := range items {
+		if it > 10 {
+			c.mu.Unlock()
+			break
+		}
+		c.n += it
+	}
+	return c.n // want "c.n is guarded by c.mu, which LoopUnlockBreak does not hold"
+}
+
+// CaseRead compares against a guarded field in a case expression of a
+// tagless switch: the comparison runs where the switch is, unlocked.
+func (c *counterSet) CaseRead(limit int) bool {
+	switch {
+	case c.n > limit: // want "c.n is guarded by c.mu, which CaseRead does not hold"
+		return true
+	}
+	return false
 }
 
 // bumpLocked is a negative: the Locked suffix is the caller-holds naming

@@ -63,7 +63,7 @@ func (d *DenseIndex) Has(key int) bool { return d.stamp[key] == d.cur }
 var denseIndexPool = sync.Pool{New: func() any { return new(DenseIndex) }}
 
 // denseIndexLive counts acquired-but-unreleased pooled indexes; see
-// LiveDenseIndexes.
+// LeakCheckDenseIndexes.
 var denseIndexLive atomic.Int64
 
 // AcquireDenseIndex returns a pooled table Reset for keys in [0, n).
@@ -88,13 +88,6 @@ func (d *DenseIndex) Release() {
 	denseIndexLive.Add(-1)
 	denseIndexPool.Put(d)
 }
-
-// LiveDenseIndexes reports the number of acquired-but-unreleased pooled
-// indexes. It is a leak detector for tests: wrap an operation with
-// LeakCheckDenseIndexes (or diff this counter around it) and require zero
-// growth — including on the operation's error paths, which is where the
-// defer-less call sites historically leaked.
-func LiveDenseIndexes() int64 { return denseIndexLive.Load() }
 
 // LeakCheckDenseIndexes runs fn and returns how many pooled indexes it
 // acquired without releasing (negative would mean an over-release, which

@@ -35,9 +35,6 @@ func (s *Sub) OrigEdge(e int) int {
 	return int(s.EOrig[e])
 }
 
-// Identity wraps g as a Sub embedding g into itself.
-func Identity(g *Graph) *Sub { return &Sub{G: g} }
-
 // InducedSubgraph returns the subgraph of g induced by the given vertices
 // (which must be distinct). Vertex i of the result corresponds to
 // vertices[i] in g. The vertex translation runs over a pooled DenseIndex,

@@ -707,16 +707,3 @@ func (e Engine) run(ctx context.Context, t *Topology, f Factory, maxRounds int, 
 	}
 	return stats, nil
 }
-
-// DefaultMaxRounds returns a generous round budget for a topology: all
-// algorithms here are polylogarithmic or poly-Δ, so 64·(Δ²+log²n+64) rounds
-// only trips on genuine non-termination.
-func DefaultMaxRounds(t *Topology) int {
-	n := t.G.N()
-	d := t.G.MaxDegree()
-	logn := 1
-	for v := n; v > 1; v >>= 1 {
-		logn++
-	}
-	return 64 * (d*d + logn*logn + 64)
-}

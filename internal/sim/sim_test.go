@@ -356,12 +356,6 @@ func TestInt64sHelper(t *testing.T) {
 	}
 }
 
-func TestDefaultMaxRounds(t *testing.T) {
-	if DefaultMaxRounds(NewTopology(graph.Complete(10))) <= 0 {
-		t.Fatal("round budget must be positive")
-	}
-}
-
 // TestContextAbortsRun: engines check the context at every round boundary
 // and abort with an error wrapping the cancellation cause.
 func TestContextAbortsRun(t *testing.T) {
