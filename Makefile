@@ -93,10 +93,12 @@ staticcheck:
 # The race pass targets the packages with real concurrency: the service —
 # cache + worker pool hammer, the WAL store and admission paths
 # (submit/cancel/restart hammer, sharded batch executor, overload floods)
-# — the simulator's sharded engine, the pooled graph scratch tables, and
-# the service-overload bench workload in svcbench.
+# — the simulator's sharded engine, the word programs the parallel engine
+# steps shard by shard over their shared slabs and per-shard scratch
+# (linial, reduce, arbor), the pooled graph scratch tables, and the
+# service-overload bench workload in svcbench.
 race:
-	$(GO) test -race ./internal/service/ ./internal/sim/ ./internal/graph/ ./internal/svcbench/
+	$(GO) test -race ./internal/service/ ./internal/sim/ ./internal/linial/ ./internal/reduce/ ./internal/arbor/ ./internal/graph/ ./internal/svcbench/
 
 # One pass over every benchmark in the repository (root tables suite,
 # internal/sim data-plane benchmarks, ...). -benchtime 1x keeps it a smoke

@@ -34,10 +34,17 @@ var noallocManifest = map[string]string{
 	"internal/sim.(instance).retireRound":     "sim round loop, halt retirement",
 	"internal/sim.(instance).retireInto":      "sim round loop, halt retirement",
 	"internal/sim.(instance).retireWordsInto": "sim round loop, halt retirement",
-	// Pinned by the linial_test.go AllocsPerRun step pin and the
-	// algo/linial bench-gate row.
-	"internal/linial.(machine).StepWord":  "linial reduction step",
-	"internal/linial.(machine).applyStep": "linial polynomial evaluation",
+	// The word programs' steps, run by stepVertexWord: pinned at a whole-run
+	// allocation count independent of n by TestReduceAllocsIndependentOfN
+	// (linial_test.go), TestReductionAllocsIndependentOfN
+	// (reduce_test.go) and TestHPartitionAllocsIndependentOfN
+	// (arbor_test.go), and by the algo/* bench-gate rows.
+	"internal/linial.(program).StepWord":     "linial reduction step",
+	"internal/linial.applyStep":              "linial polynomial evaluation",
+	"internal/reduce.(trimProgram).StepWord": "trim reduction step",
+	"internal/reduce.(kwProgram).StepWord":   "Kuhn–Wattenhofer reduction step",
+	"internal/reduce.smallestFree":           "reduction free-color search",
+	"internal/arbor.(peelProgram).StepWord":  "H-partition peeling step",
 	// Pinned at 0 allocs/observation by TestInstrumentsZeroAlloc
 	// (obs_test.go).
 	"internal/obs.(Counter).Add":       "obs hot instrument",

@@ -3,6 +3,7 @@ package arbor
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -46,6 +47,58 @@ func TestHPartition(t *testing.T) {
 	}
 	if hp.Stats.Rounds != hp.NumParts+1 {
 		t.Fatalf("peeling rounds %d, want parts+1 = %d", hp.Stats.Rounds, hp.NumParts+1)
+	}
+}
+
+// TestHPartitionEnginesAgree runs the peeling on 600 vertices, above two
+// shards' worth (sim's step grain is 256), so the parallel engine steps
+// several shards concurrently wherever there are CPUs for them. A tight
+// threshold on a preferential-attachment graph peels over five phases, a
+// quarter of the vertices after the first, so a step that reads another
+// vertex's part slot mid-round diverges between step orders.
+func TestHPartitionEnginesAgree(t *testing.T) {
+	g, err := gen.PreferentialAttachment(600, 3, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const theta = 5
+	want, err := HPartition(context.Background(), sim.Sequential, g, theta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []sim.Engine{sim.ReverseSequential, sim.Parallel} {
+		got, err := HPartition(context.Background(), eng, g, theta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Stats != want.Stats || got.NumParts != want.NumParts {
+			t.Fatalf("engine %d: stats %+v with %d parts, sequential %+v with %d", eng, got.Stats, got.NumParts, want.Stats, want.NumParts)
+		}
+		for v := range want.Part {
+			if got.Part[v] != want.Part[v] {
+				t.Fatalf("engine %d: part of vertex %d differs", eng, v)
+			}
+		}
+	}
+}
+
+// TestHPartitionAllocsIndependentOfN pins "no per-vertex objects": a whole
+// HPartition run allocates the same number of heap objects on 1k and on
+// 8k vertices.
+func TestHPartitionAllocsIndependentOfN(t *testing.T) {
+	allocs := func(n int) float64 {
+		g, a := bounded(t, n, 3, 150, 7)
+		theta := Threshold(a, 3)
+		g.CSR() // build the cached view outside the measurement
+		runtime.GC()
+		return testing.AllocsPerRun(5, func() {
+			if _, err := HPartition(context.Background(), sim.Sequential, g, theta); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(1000), allocs(8000); small != large {
+		t.Fatalf("HPartition allocates %.1f objects on 1k vertices and %.1f on 8k: some allocation is per vertex", small, large)
 	}
 }
 

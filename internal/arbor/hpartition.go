@@ -66,14 +66,12 @@ func HPartition(ctx context.Context, eng sim.Exec, g *graph.Graph, threshold int
 		return nil, fmt.Errorf("arbor: threshold %d < 1", threshold)
 	}
 	n := g.N()
-	part := make([]int, n)
-	factory := func(info sim.NodeInfo) sim.Machine {
-		return sim.WrapWord(&peelMachine{threshold: threshold, sink: &part[info.V]})
-	}
-	stats, err := eng.Run(ctx, sim.NewTopology(g), factory, n+4)
+	peel := &peelProgram{threshold: threshold, part: make([]int, n)}
+	stats, err := eng.Run(ctx, sim.NewTopology(g), peel, n+4)
 	if err != nil {
 		return nil, fmt.Errorf("arbor: peeling (is the arboricity bound too small?): %w", err)
 	}
+	part := peel.part
 	numParts := 0
 	for _, p := range part {
 		if p+1 > numParts {
@@ -89,19 +87,25 @@ func HPartition(ctx context.Context, eng sim.Exec, g *graph.Graph, threshold int
 	}, nil
 }
 
-// peelMachine implements one vertex of the peeling program on the packed
-// word plane. Active vertices broadcast a token every round; silence means
-// the sender has been peeled. A vertex reading ≤ threshold active
-// neighbors in round r is peeled into part r−1.
-type peelMachine struct {
+// peelProgram is the peeling as one run-scoped word program. Active
+// vertices broadcast a token every round; silence means the sender has
+// been peeled. A vertex reading ≤ threshold active neighbors in round r is
+// peeled into part r−1, which it records in part[v].
+type peelProgram struct {
 	threshold int
-	sink      *int
+	part      []int
 }
 
-func (pm *peelMachine) StepWord(round int, in []sim.Word) (sim.Word, bool) {
+// Scratch implements sim.Factory: the peeling only counts its inbox.
+func (*peelProgram) Scratch(int) int { return 0 }
+
+// StepWord implements sim.WordProgram.
+//
+//distcolor:noalloc
+func (p *peelProgram) StepWord(v, round int, in, _ []sim.Word) (sim.Word, bool) {
 	if round == 0 {
 		if len(in) == 0 {
-			*pm.sink = 0
+			p.part[v] = 0
 			return sim.NoWord, true
 		}
 		return 1, false
@@ -112,8 +116,8 @@ func (pm *peelMachine) StepWord(round int, in []sim.Word) (sim.Word, bool) {
 			active++
 		}
 	}
-	if active <= pm.threshold {
-		*pm.sink = round - 1
+	if active <= p.threshold {
+		p.part[v] = round - 1
 		return sim.NoWord, true
 	}
 	return 1, false

@@ -68,7 +68,7 @@ func Merge(ctx context.Context, eng sim.Exec, spec MergeSpec) (*MergeResult, err
 	n := g.N()
 	errs := make([]error, n)
 	assigned := make([]int, n)
-	factory := func(info sim.NodeInfo) sim.Machine {
+	factory := sim.Machines(func(info sim.NodeInfo) sim.Machine {
 		v := info.V
 		role := roleIdle
 		if spec.RoleA[v] {
@@ -84,7 +84,7 @@ func Merge(ctx context.Context, eng sim.Exec, spec MergeSpec) (*MergeResult, err
 			errSink: &errs[v],
 			cntSink: &assigned[v],
 		}
-	}
+	})
 	stats, err := eng.Run(ctx, sim.NewTopology(g), factory, 2*spec.D+4)
 	if err != nil {
 		return nil, fmt.Errorf("arbor: merge: %w", err)

@@ -68,9 +68,10 @@ type SimCoreResult struct {
 	Rounds   int   `json:"rounds"`
 	Messages int64 `json:"messages"`
 	// MaxWordBits is the largest single message of the run in bits — the
-	// bandwidth of the hottest edge, as accounted by each machine's
-	// WordSizer (64 for unsized words/messages). Deterministic: a drift
-	// means some program changed what it puts on the wire.
+	// bandwidth of the hottest edge, as accounted by each program's
+	// WordSizer or each message's Sizer (64 for unsized words/messages).
+	// Deterministic: a drift means some program changed what it puts on
+	// the wire.
 	MaxWordBits int64 `json:"max_word_bits"`
 	// CongestViolations counts executed rounds whose hottest edge exceeded
 	// the CONGEST cap of the bandwidth accountant attached to the workload
@@ -116,7 +117,7 @@ const (
 // staggered waves (vertex v runs 1 + ID mod span rounds), the termination
 // pattern of the repository's algorithms.
 func wavefrontFactory(span int) sim.Factory {
-	return func(info sim.NodeInfo) sim.Machine {
+	return sim.Machines(func(info sim.NodeInfo) sim.Machine {
 		stop := 1 + int(info.ID)%span
 		var acc int64
 		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
@@ -128,13 +129,13 @@ func wavefrontFactory(span int) sim.Factory {
 			sim.SendAll(out, int64(round&0x7f))
 			return round >= stop-1
 		})
-	}
+	})
 }
 
 // exchangeFactory keeps every vertex live for the whole execution — the
 // dense-traffic bound of the any plane.
 func exchangeFactory(rounds int) sim.Factory {
-	return func(info sim.NodeInfo) sim.Machine {
+	return sim.Machines(func(info sim.NodeInfo) sim.Machine {
 		var acc int64
 		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
 			for _, m := range in {
@@ -145,52 +146,49 @@ func exchangeFactory(rounds int) sim.Factory {
 			sim.SendAll(out, int64(round&0x7f))
 			return round >= rounds-1
 		})
-	}
+	})
 }
 
-// exchangeWordsFactory is exchangeFactory on the packed word plane: the
+// exchangeWords is exchangeFactory's program on the packed word plane: the
 // same traffic pattern with zero boxing, measuring the fast path the
-// algorithm programs ride.
-func exchangeWordsFactory(rounds int) sim.Factory {
-	return func(info sim.NodeInfo) sim.Machine {
-		var acc int64
-		return sim.WrapWord(sim.WordFunc(func(round int, in []sim.Word) (sim.Word, bool) {
-			for _, w := range in {
-				if w != sim.NoWord {
-					acc += w
-				}
-			}
-			return int64(round & 0x7f), round >= rounds-1
-		}))
-	}
-}
-
-// sizedExchangeMachine is the exchange traffic pattern with honest wire
-// accounting: the payload fits 7 bits (round&0x7f) and the machine says so
-// via WordSizer, so the CONGEST audit sees true message sizes instead of
-// the 64-bit default. Its workload must stay violation-free under the
-// sim.CongestCapBits cap — and allocation-free with the accountant riding.
-type sizedExchangeMachine struct {
+// algorithm programs ride. acc[v] folds v's inbox, as each any-plane
+// machine folds its own; it is sized for the plane workload's simCoreN
+// vertices.
+type exchangeWords struct {
 	rounds int
-	acc    int64
+	acc    []int64
 }
 
-func (m *sizedExchangeMachine) StepWord(round int, in []sim.Word) (sim.Word, bool) {
+func exchangeWordsFactory(rounds int) sim.Factory {
+	return &exchangeWords{rounds: rounds, acc: make([]int64, simCoreN)}
+}
+
+// Scratch implements sim.Factory.
+func (*exchangeWords) Scratch(int) int { return 0 }
+
+// StepWord implements sim.WordProgram.
+func (p *exchangeWords) StepWord(v, round int, in, _ []sim.Word) (sim.Word, bool) {
 	for _, w := range in {
 		if w != sim.NoWord {
-			m.acc += w
+			p.acc[v] += w
 		}
 	}
-	return sim.Word(round & 0x7f), round >= m.rounds-1
+	return sim.Word(round & 0x7f), round >= p.rounds-1
 }
 
-func (m *sizedExchangeMachine) WordBits(w sim.Word) int64 { return 7 }
+// sizedExchange is the exchange traffic pattern with honest wire
+// accounting: the payload fits 7 bits (round&0x7f) and the program says
+// so via WordSizer, so the CONGEST audit sees true message sizes instead
+// of the 64-bit default. Its workload must stay violation-free under the
+// sim.CongestCapBits cap — and allocation-free with the accountant riding.
+type sizedExchange struct{ exchangeWords }
 
 func exchangeSizedFactory(rounds int) sim.Factory {
-	return func(info sim.NodeInfo) sim.Machine {
-		return sim.WrapWord(&sizedExchangeMachine{rounds: rounds})
-	}
+	return &sizedExchange{exchangeWords{rounds: rounds, acc: make([]int64, simCoreN)}}
 }
+
+// WordBits implements sim.WordSizer.
+func (*sizedExchange) WordBits(sim.Word) int64 { return 7 }
 
 // MeasureOp times one workload execution repeatedly and returns the
 // fastest observed op with its leanest heap-allocation profile. Taking
@@ -505,7 +503,14 @@ func (p SimCoreProblem) String() string { return p.Workload + ": " + p.Detail }
 // runner class: same Go toolchain, OS, architecture, and CPU count.
 // Wall-clock numbers are only comparable within a class.
 func EnvMatches(a, b *SimCoreReport) bool {
-	return a.GoVersion == b.GoVersion && a.GOOS == b.GOOS && a.GOARCH == b.GOARCH && a.NumCPU == b.NumCPU
+	return toolchainMatches(a, b) && a.NumCPU == b.NumCPU
+}
+
+// toolchainMatches reports whether two reports share the Go toolchain, OS
+// and architecture. A workload off the parallel engine allocates the same
+// count on any CPU count of such a pair, so its allocs/op band arms.
+func toolchainMatches(a, b *SimCoreReport) bool {
+	return a.GoVersion == b.GoVersion && a.GOOS == b.GOOS && a.GOARCH == b.GOARCH
 }
 
 // ParallelGated reports whether a workload is only measured on multi-CPU
@@ -520,11 +525,14 @@ func ParallelGated(name string) bool { return strings.Contains(name, "/parallel"
 // workload whose baseline measured allocs/round may not silently stop
 // measuring it). The machine-dependent bands — ns/op and allocs/op may
 // not regress by more than the tolerance fraction (improvements always
-// pass) — are enforced only when the two reports come from the same
-// runner class (EnvMatches): an absolute wall-clock number from different
-// hardware is noise, not a baseline. When the environments differ the
-// skipped bands are reported in notes, so the caller can tell the
-// operator to regenerate the baseline on the current runner class.
+// pass) — are enforced only where the two reports are comparable: ns/op
+// and the /parallel workloads' allocs/op within one runner class
+// (EnvMatches), since an absolute wall-clock number from different
+// hardware is noise, not a baseline; every other workload's allocs/op
+// whenever the toolchain, OS and architecture match, since a run off the
+// parallel engine allocates the same on any CPU count. Skipped bands are
+// reported in notes, so the caller can tell the operator to regenerate
+// the baseline on the current runner class.
 // Missing or renamed workloads are problems, except for the
 // ParallelGated ones, whose presence legitimately varies with the
 // runner's CPU count and is reported as a note instead.
@@ -539,10 +547,15 @@ func CompareSimCore(baseline, current *SimCoreReport, tolerance float64) (proble
 		add("report", "schema %d vs baseline %d", current.Schema, baseline.Schema)
 	}
 	wallClock := EnvMatches(baseline, current)
+	seqAllocs := toolchainMatches(baseline, current)
 	if !wallClock {
-		note("baseline runner class (%s %s/%s, %d CPUs) differs from this one (%s %s/%s, %d CPUs): ns/op and allocs/op bands skipped — regenerate the baseline on this class with `make bench-baseline` to arm them",
+		skipped := "ns/op and allocs/op bands"
+		if seqAllocs {
+			skipped = "ns/op band and the /parallel workloads' allocs/op band"
+		}
+		note("baseline runner class (%s %s/%s, %d CPUs) differs from this one (%s %s/%s, %d CPUs): %s skipped — regenerate the baseline on this class with `make bench-baseline` to arm them",
 			baseline.GoVersion, baseline.GOOS, baseline.GOARCH, baseline.NumCPU,
-			current.GoVersion, current.GOOS, current.GOARCH, current.NumCPU)
+			current.GoVersion, current.GOOS, current.GOARCH, current.NumCPU, skipped)
 	}
 	cur := make(map[string]SimCoreResult, len(current.Results))
 	for _, r := range current.Results {
@@ -574,6 +587,8 @@ func CompareSimCore(baseline, current *SimCoreReport, tolerance float64) (proble
 			if limit := float64(b.NsPerOp) * (1 + tolerance); float64(c.NsPerOp) > limit {
 				add(b.Name, "ns/op regressed beyond %.0f%%: %d vs baseline %d", tolerance*100, c.NsPerOp, b.NsPerOp)
 			}
+		}
+		if wallClock || seqAllocs && !ParallelGated(b.Name) {
 			if limit := float64(b.AllocsPerOp) * (1 + tolerance); float64(c.AllocsPerOp) > limit {
 				add(b.Name, "allocs/op regressed beyond %.0f%%: %d vs baseline %d", tolerance*100, c.AllocsPerOp, b.AllocsPerOp)
 			}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/sim"
 )
 
@@ -58,6 +59,32 @@ func TestCompareSimCoreCrossMachine(t *testing.T) {
 	problems, _ = CompareSimCore(base, cur, 0.15)
 	if len(problems) != 2 {
 		t.Fatalf("machine-independent checks must still fire cross-machine, got %v", problems)
+	}
+}
+
+// TestCompareSimCoreAllocsAcrossCPUCounts pins the allocs/op band on a
+// runner class that differs only in CPU count: a workload off the
+// parallel engine allocates the same on any CPU count, so 20% over its
+// baseline fails; a /parallel workload's band stays skipped, with a note.
+func TestCompareSimCoreAllocsAcrossCPUCounts(t *testing.T) {
+	base := sampleReport()
+	base.Results = append(base.Results, SimCoreResult{Name: "plane/c/parallel-10k", NsPerOp: 800, AllocsPerOp: 100, AllocsPerRound: -1})
+	cur := sampleReport()
+	cur.Results = append(cur.Results, base.Results[2])
+	cur.NumCPU = 2
+	cur.Results[1].AllocsPerOp = 240 // 20% over algo/b's 200
+	cur.Results[2].AllocsPerOp = 120 // 20% over the parallel row's 100
+	problems, notes := CompareSimCore(base, cur, 0.15)
+	if len(problems) != 1 || problems[0].Workload != "algo/b" || !strings.Contains(problems[0].Detail, "allocs/op regressed") {
+		t.Fatalf("want exactly algo/b's allocs/op regression, got %v", problems)
+	}
+	if len(notes) != 1 || !strings.Contains(notes[0], "/parallel workloads' allocs/op band skipped") {
+		t.Fatalf("want a note that the parallel allocs band is skipped, got %v", notes)
+	}
+	// A different toolchain disarms the band for every workload.
+	cur.GoVersion = "go1.99.0"
+	if problems, _ := CompareSimCore(base, cur, 0.15); len(problems) != 0 {
+		t.Fatalf("allocs/op band armed across toolchains: %v", problems)
 	}
 }
 
@@ -225,6 +252,63 @@ func TestCompareSimCoreSymmetry(t *testing.T) {
 	problems, _ := CompareSimCore(base, cur, 0.15)
 	if len(problems) != 2 {
 		t.Fatalf("want missing+extra problems, got %v", problems)
+	}
+}
+
+// TestSimCoreWordProgramsEnginesAgree runs the suite's two word programs
+// on every engine, on 600 vertices (two shards' worth for the parallel
+// engine): Stats and every vertex's folded inbox must agree, and the
+// traffic must be the any-plane exchange's, port for port.
+func TestSimCoreWordProgramsEnginesAgree(t *testing.T) {
+	ctx := context.Background()
+	g, err := gen.NearRegular(600, simCoreDeg, simCoreSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := sim.NewTopology(g)
+	const rounds = 12
+	anyStats, err := sim.Sequential.Run(ctx, topo, exchangeFactory(rounds), rounds+2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		prog func() (sim.Factory, []int64)
+		bits int64
+	}{
+		{"words", func() (sim.Factory, []int64) {
+			p := exchangeWordsFactory(rounds).(*exchangeWords)
+			return p, p.acc
+		}, 64},
+		{"sized", func() (sim.Factory, []int64) {
+			p := exchangeSizedFactory(rounds).(*sizedExchange)
+			return p, p.acc
+		}, 7},
+	} {
+		var wantStats sim.Stats
+		var wantAcc []int64
+		for i, eng := range []sim.Engine{sim.Sequential, sim.ReverseSequential, sim.Parallel} {
+			prog, acc := c.prog()
+			stats, err := eng.Run(ctx, topo, prog, rounds+2)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if i == 0 {
+				wantStats, wantAcc = stats, acc
+				if stats.Messages != anyStats.Messages || stats.Bits != c.bits*anyStats.Messages {
+					t.Fatalf("%s: stats %+v, any-plane exchange %+v at %d bits a word", c.name, stats, anyStats, c.bits)
+				}
+				continue
+			}
+			if stats != wantStats {
+				t.Fatalf("%s engine %d: stats %+v, sequential %+v", c.name, eng, stats, wantStats)
+			}
+			for v := range wantAcc {
+				if acc[v] != wantAcc[v] {
+					t.Fatalf("%s engine %d: vertex %d folded %d, sequential %d", c.name, eng, v, acc[v], wantAcc[v])
+				}
+			}
+		}
 	}
 }
 

@@ -126,27 +126,38 @@ type Result struct {
 
 // Reduce runs the schedule on topology t. The starting coloring is the
 // topology's seed labels when present (they must form a proper coloring
-// with palette m0), otherwise the identifiers (with m0 > every ID).
+// with palette m0), otherwise the identifiers (with m0 > every ID); a
+// start color outside [0, m0) is an error.
 func Reduce(ctx context.Context, eng sim.Exec, t *sim.Topology, m0 int64) (*Result, error) {
 	eng = sim.OrSequential(eng)
 	if m0 < 1 {
 		return nil, fmt.Errorf("linial: palette bound %d < 1", m0)
 	}
-	delta := t.G.MaxDegree()
-	schedule := BuildSchedule(m0, delta)
-	colors := make([]int64, t.G.N())
-	factory := func(info sim.NodeInfo) sim.Machine {
-		return newMachine(info, schedule, &colors[info.V])
+	// The start colors below index the labels and identifiers, so their
+	// lengths are checked first.
+	if err := t.Validate(); err != nil {
+		return nil, fmt.Errorf("linial: %w", err)
 	}
-	stats, err := eng.Run(ctx, t, factory, len(schedule)+2)
+	p := &program{schedule: BuildSchedule(m0, t.G.MaxDegree()), colors: make([]int64, t.G.N())}
+	for v := range p.colors {
+		c := t.Label(v)
+		if c < 0 {
+			c = t.ID(v)
+		}
+		if c < 0 || c >= m0 {
+			return nil, fmt.Errorf("linial: start color %d of vertex %d outside palette [0,%d)", c, v, m0)
+		}
+		p.colors[v] = c
+	}
+	stats, err := eng.Run(ctx, t, p, len(p.schedule)+2)
 	if err != nil {
 		return nil, fmt.Errorf("linial: %w", err)
 	}
 	palette := m0
-	if len(schedule) > 0 {
-		palette = schedule[len(schedule)-1].M
+	if len(p.schedule) > 0 {
+		palette = p.schedule[len(p.schedule)-1].M
 	}
-	return &Result{Colors: colors, Palette: palette, Stats: stats}, nil
+	return &Result{Colors: p.colors, Palette: palette, Stats: stats}, nil
 }
 
 // FinalPalette returns the palette produced by a schedule starting at m0.
@@ -158,73 +169,64 @@ func FinalPalette(m0 int64, delta int) int64 {
 	return s[len(s)-1].M
 }
 
-// machine is the per-vertex Linial program on the packed word plane
-// (colors are single words, so every payload rides sim.Word). The two
-// coefficient buffers are per-machine scratch slabs sized once for the
-// widest schedule step and reused every round, so the steady-state rounds
-// perform no heap allocation.
-type machine struct {
+// program is the Linial reduction as one run-scoped word program (colors
+// are single words, so every payload rides sim.Word). colors[v] is v's
+// current color: its start color before round 0 and its result once it
+// halts.
+type program struct {
 	schedule []Step
-	color    int64
-	sink     *int64
-	// mine holds this vertex's d+1 polynomial coefficients; nbrs holds the
-	// concatenated coefficient vectors of the relevant neighbor colors
-	// (deg·(d+1) slots at most).
-	mine []int64
-	nbrs []int64
+	colors   []int64
 }
 
-func newMachine(info sim.NodeInfo, schedule []Step, sink *int64) sim.Machine {
-	start := info.ID
-	if info.Label >= 0 {
-		start = info.Label
+// Scratch implements sim.Factory: room for the d+1 coefficients of a
+// vertex's own polynomial and of each of its at most Δ neighbors', at the
+// widest step of the schedule.
+func (p *program) Scratch(maxDeg int) int {
+	k := 0
+	for _, st := range p.schedule {
+		k = max(k, int(st.D+1))
 	}
-	return sim.WrapWord(&machine{schedule: schedule, color: start, sink: sink})
+	return k * (maxDeg + 1)
 }
 
-// StepWord implements sim.WordMachine. Round 0 broadcasts the starting
+// StepWord implements sim.WordProgram. Round 0 broadcasts the starting
 // color; round r ≥ 1 applies schedule[r-1] to the colors received in round
 // r-1 and broadcasts the result, halting silently after the last step.
 //
 //distcolor:noalloc
-func (mc *machine) StepWord(round int, in []sim.Word) (sim.Word, bool) {
+func (p *program) StepWord(v, round int, in, scratch []sim.Word) (sim.Word, bool) {
 	if round > 0 {
-		mc.color = mc.applyStep(in, mc.schedule[round-1])
+		p.colors[v] = applyStep(p.colors[v], in, scratch, p.schedule[round-1])
 	}
-	if round == len(mc.schedule) {
-		*mc.sink = mc.color
+	if round == len(p.schedule) {
 		return sim.NoWord, true
 	}
-	return mc.color, false
+	return p.colors[v], false
 }
 
-// applyStep performs one polynomial reduction at a single vertex, writing
-// all coefficient vectors into the machine's scratch slabs.
+// applyStep performs one polynomial reduction of color c at a single
+// vertex, decomposing its own and its neighbors' colors into scratch,
+// which holds at least (d+1)·(len(in)+1) words.
 //
 //distcolor:noalloc
-func (mc *machine) applyStep(in []sim.Word, st Step) int64 {
+func applyStep(c int64, in, scratch []sim.Word, st Step) int64 {
 	d, q := st.D, st.Q
 	k := int(d + 1)
-	if cap(mc.mine) < k {
-		mc.mine = make([]int64, k)
-	}
-	mine := mc.mine[:k]
-	decomposeInto(mine, mc.color, q)
-	if need := k * len(in); cap(mc.nbrs) < need {
-		mc.nbrs = make([]int64, need)
-	}
+	mine := scratch[:k:k]
+	decomposeInto(mine, c, q)
 	// Decompose each relevant neighbor color once, in port order.
+	nbrs := scratch[k:]
 	cnt := 0
 	for _, w := range in {
-		if w == sim.NoWord || w == mc.color {
+		if w == sim.NoWord || w == c {
 			// A silent port carries nothing; an equal color would mean an
 			// improper input coloring (the caller's validation catches it).
 			continue
 		}
-		decomposeInto(mc.nbrs[cnt*k:cnt*k+k], w, q)
+		decomposeInto(nbrs[cnt*k:cnt*k+k], w, q)
 		cnt++
 	}
-	nbrs := mc.nbrs[:cnt*k]
+	nbrs = nbrs[:cnt*k]
 	for x := int64(0); x < q; x++ {
 		val := evalPoly(mine, x, q)
 		ok := true

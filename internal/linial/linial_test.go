@@ -3,9 +3,11 @@ package linial
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/util"
@@ -147,6 +149,27 @@ func TestReduceRejectsBadPalette(t *testing.T) {
 	}
 }
 
+// TestReduceRejectsStartColorsOutsidePalette: a start color (seed label,
+// or identifier without labels) outside [0, m0) is an error, not a result
+// that silently keeps it or truncates it to fit the first step's field.
+func TestReduceRejectsStartColorsOutsidePalette(t *testing.T) {
+	g := graph.Path(3)
+	for _, c := range []struct {
+		name string
+		topo *sim.Topology
+		m0   int64
+	}{
+		{"label-above", &sim.Topology{G: g, Labels: []int64{0, 5, 0}}, 4},
+		{"label-beyond-field", &sim.Topology{G: g, Labels: []int64{0, 1 << 40, 0}}, 4},
+		{"id-above", sim.NewTopology(g), 2},
+		{"id-negative", &sim.Topology{G: g, IDs: []int64{-1, 0, 1}}, 4},
+	} {
+		if res, err := Reduce(context.Background(), sim.Sequential, c.topo, c.m0); err == nil {
+			t.Errorf("%s: accepted, returned colors %v palette %d", c.name, res.Colors, res.Palette)
+		}
+	}
+}
+
 func TestReduceQuickOverFamilies(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -163,32 +186,48 @@ func TestReduceQuickOverFamilies(t *testing.T) {
 	}
 }
 
+// TestReduceEnginesAgree runs on 600 vertices, above two shards' worth
+// (sim's step grain is 256), so the parallel engine steps several shards
+// concurrently, each with its own scratch, wherever there are CPUs for
+// them. Spread-out seed labels give a schedule of several steps (from
+// the identifiers, m0 = 600 leaves nothing to reduce at this Δ).
 func TestReduceEnginesAgree(t *testing.T) {
-	g := rg(13, 150, 0.06)
-	r1, err := Reduce(context.Background(), sim.Sequential, sim.NewTopology(g), int64(g.N()))
+	g := rg(13, 600, 0.015)
+	seed := make([]int64, g.N())
+	for v := range seed {
+		seed[v] = int64(v) * 1_000_003
+	}
+	topo := &sim.Topology{G: g, Labels: seed}
+	m0 := int64(g.N()) * 1_000_003
+	if len(BuildSchedule(m0, g.MaxDegree())) < 2 {
+		t.Fatal("schedule too short to exercise the scratch")
+	}
+	want, err := Reduce(context.Background(), sim.Sequential, topo, m0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Reduce(context.Background(), sim.Parallel, sim.NewTopology(g), int64(g.N()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Stats != r2.Stats || r1.Palette != r2.Palette {
-		t.Fatal("engines disagree on stats/palette")
-	}
-	for v := range r1.Colors {
-		if r1.Colors[v] != r2.Colors[v] {
-			t.Fatalf("engines disagree at vertex %d", v)
+	for _, eng := range []sim.Engine{sim.ReverseSequential, sim.Parallel} {
+		got, err := Reduce(context.Background(), eng, topo, m0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Stats != want.Stats || got.Palette != want.Palette {
+			t.Fatalf("engine %d disagrees on stats/palette", eng)
+		}
+		for v := range want.Colors {
+			if got.Colors[v] != want.Colors[v] {
+				t.Fatalf("engine %d disagrees at vertex %d", eng, v)
+			}
 		}
 	}
 }
 
-// applyStep is the unoptimized reference of one polynomial reduction at a
-// single vertex — the pre-word-plane implementation kept as the executable
-// specification. The production machine performs the same computation over
-// reusable scratch slabs; TestApplyStepMatchesReference pins the
-// equivalence.
-func applyStep(c int64, nbrColors []int64, st Step) int64 {
+// refApplyStep is the unoptimized reference of one polynomial reduction
+// at a single vertex — the pre-word-plane implementation kept as the
+// executable specification. The production applyStep performs the same
+// computation in a shard's scratch slab; TestApplyStepMatchesReference
+// pins the equivalence.
+func refApplyStep(c int64, nbrColors []int64, st Step) int64 {
 	d, q := st.D, st.Q
 	mine := decompose(c, q, d+1)
 	var nbrs [][]int64
@@ -214,11 +253,12 @@ func applyStep(c int64, nbrColors []int64, st Step) int64 {
 	panic("linial_test: no evaluation point")
 }
 
-// TestApplyStepMatchesReference drives the production machine's
-// scratch-slab applyStep against the allocating reference on randomized
-// palettes, degrees, and inbox patterns (including silent NoWord ports and
-// improper equal-color slots): the chosen colors must be identical, and
-// the steady-state scratch reuse must not leak state between rounds.
+// TestApplyStepMatchesReference drives the production scratch-slab
+// applyStep against the allocating reference on randomized palettes,
+// degrees, and inbox patterns (including silent NoWord ports and improper
+// equal-color slots): the chosen colors must be identical, and one scratch
+// slab reused across cases, as a shard reuses it across the vertices it
+// steps, must not leak state between them.
 func TestApplyStepMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	steps := []Step{
@@ -227,7 +267,7 @@ func TestApplyStepMatchesReference(t *testing.T) {
 		{D: 3, Q: 31, M: 961},
 		{D: 5, Q: 67, M: 4489},
 	}
-	mc := &machine{} // one machine reused across cases, like across rounds
+	scratch := make([]sim.Word, 6*7) // widest step (d+1 = 6) × (max degree 6 + 1)
 	for i := 0; i < 2000; i++ {
 		st := steps[rng.Intn(len(steps))]
 		limit := st.Q // inputs to a step are < q^(d+1); keep them small but varied
@@ -249,11 +289,10 @@ func TestApplyStepMatchesReference(t *testing.T) {
 				in[p], ref[p] = nc, nc
 			}
 		}
-		mc.color = c
-		got := mc.applyStep(in, st)
-		want := applyStep(c, ref, st)
+		got := applyStep(c, in, scratch, st)
+		want := refApplyStep(c, ref, st)
 		if got != want {
-			t.Fatalf("case %d: machine applyStep = %d, reference = %d (c=%d step=%+v in=%v)", i, got, want, c, st, in)
+			t.Fatalf("case %d: applyStep = %d, reference = %d (c=%d step=%+v in=%v)", i, got, want, c, st, in)
 		}
 	}
 }
@@ -272,7 +311,7 @@ func TestApplyStepDeterministicAndProper(t *testing.T) {
 				nbrs = append(nbrs, o)
 			}
 		}
-		nc := applyStep(c, nbrs, st)
+		nc := refApplyStep(c, nbrs, st)
 		if nc < 0 || nc >= st.M {
 			t.Fatalf("new color %d out of range", nc)
 		}
@@ -283,22 +322,27 @@ func TestApplyStepDeterministicAndProper(t *testing.T) {
 	}
 }
 
-// TestApplyStepSteadyStateAllocFree pins the ported hot path: once a
-// machine's coefficient scratch is warm (first application of its widest
-// schedule step), applying a reduction step allocates nothing — this is
-// what makes whole Linial rounds alloc-free on the word plane.
-func TestApplyStepSteadyStateAllocFree(t *testing.T) {
-	st := Step{D: 3, Q: 101, M: 101 * 101}
-	in := []sim.Word{5, sim.NoWord, 90_000, 12345, 671, sim.NoWord, 404}
-	mc := &machine{schedule: []Step{st}}
-	allocs := testing.AllocsPerRun(200, func() {
-		mc.color = 777_123
-		if got := mc.applyStep(in, st); got < 0 || got >= st.M {
-			t.Fatalf("applyStep out of range: %d", got)
+// TestReduceAllocsIndependentOfN pins "no per-vertex objects": a whole
+// Reduce run allocates the same number of heap objects on 1k and on 8k
+// vertices — the program, its color slab, the engine's slabs and the
+// shard's window and scratch, each one object whatever its length. The
+// same Δ and m0 give both runs the same schedule.
+func TestReduceAllocsIndependentOfN(t *testing.T) {
+	allocs := func(n int) float64 {
+		g, err := gen.NearRegular(n, 8, 2017)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("applyStep allocates %.1f per call in steady state, want 0", allocs)
+		g.CSR() // build the cached view outside the measurement
+		runtime.GC()
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Reduce(context.Background(), sim.Sequential, sim.NewTopology(g), 8000); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(1000), allocs(8000); small != large {
+		t.Fatalf("Reduce allocates %.1f objects on 1k vertices and %.1f on 8k: some allocation is per vertex", small, large)
 	}
 }
 

@@ -39,76 +39,73 @@ func TrimClasses(ctx context.Context, eng sim.Exec, t *sim.Topology, m, target i
 	if m <= target {
 		return passThrough(t, m)
 	}
-	colors := make([]int64, t.G.N())
-	factory := func(info sim.NodeInfo) sim.Machine {
-		return sim.WrapWord(&trimMachine{color: info.Label, m: m, target: target, sink: &colors[info.V]})
-	}
-	stats, err := eng.Run(ctx, t, factory, int(m-target)+3)
+	p := &trimProgram{colors: seedColors(t), m: m, target: target}
+	stats, err := eng.Run(ctx, t, p, int(m-target)+3)
 	if err != nil {
 		return nil, fmt.Errorf("reduce: trim: %w", err)
 	}
-	return &Result{Colors: colors, Palette: target, Stats: stats}, nil
+	return &Result{Colors: p.colors, Palette: target, Stats: stats}, nil
 }
 
-type trimMachine struct {
-	color  int64
+// trimProgram is the class-by-class trim as one run-scoped word program:
+// colors are single words that every vertex broadcasts. colors[v] is v's
+// current color, its result once it halts.
+type trimProgram struct {
+	colors []int64
 	m      int64
 	target int64
-	sink   *int64
-	// scratch marks occupied offsets during a recoloring step; it is
-	// stamped with the round number so it never needs clearing. Only the
-	// first deg+1 offsets can matter, keeping it small even for big
-	// palettes.
-	scratch []int32
 }
 
-// StepWord implements sim.WordMachine: colors are single words that every
-// vertex broadcasts, so the program runs on the word plane.
-func (tm *trimMachine) StepWord(round int, in []sim.Word) (sim.Word, bool) {
+// Scratch implements sim.Factory: the occupancy slots of smallestFree.
+func (p *trimProgram) Scratch(maxDeg int) int { return maxDeg + 1 }
+
+// StepWord implements sim.WordProgram.
+//
+//distcolor:noalloc
+func (p *trimProgram) StepWord(v, round int, in, scratch []sim.Word) (sim.Word, bool) {
 	// Round r processes class m-r (r ≥ 1); round 0 only broadcasts.
 	if round > 0 {
-		class := tm.m - int64(round)
-		if tm.color == class {
-			tm.color = smallestFree(in, tm.target, &tm.scratch, int32(round))
+		class := p.m - int64(round)
+		if p.colors[v] == class {
+			p.colors[v] = smallestFree(in, 0, p.target, scratch)
 		}
-		if class == tm.target {
-			*tm.sink = tm.color
+		if class == p.target {
 			return sim.NoWord, true
 		}
 	}
-	return tm.color, false
+	return p.colors[v], false
 }
 
-// smallestFree returns the least value in [0, limit) that no inbox word
-// carries. Since at most len(in) values can be occupied, only offsets up to
-// len(in) are tracked; the scratch array is stamped rather than cleared.
-func smallestFree(in []sim.Word, limit int64, scratch *[]int32, stamp int32) int64 {
-	span := int64(len(in)) + 1
-	if span > limit {
-		span = limit
-	}
-	if int64(len(*scratch)) < span {
-		*scratch = make([]int32, span)
-		for i := range *scratch {
-			(*scratch)[i] = -1
-		}
-	}
-	s := *scratch
+// smallestFree returns the least offset in [0, limit) such that
+// base+offset appears in no inbox word (base ≥ 0, so silent NoWord ports
+// never match). At most len(in) offsets can be taken, so only the first
+// len(in)+1 are tracked, in the stepping shard's scratch. Every vertex the
+// shard steps shares that scratch, so the slots are cleared first.
+//
+//distcolor:noalloc
+func smallestFree(in []sim.Word, base, limit int64, scratch []sim.Word) int64 {
+	span := min(int64(len(in))+1, limit)
+	taken := scratch[:span:span]
+	clear(taken)
 	for _, c := range in {
-		if c == sim.NoWord {
-			continue
-		}
-		if c >= 0 && c < span {
-			s[c] = stamp
+		if c >= base && c < base+span {
+			taken[c-base] = 1
 		}
 	}
-	for c := int64(0); c < span; c++ {
-		if s[c] != stamp {
-			return c
+	for off, t := range taken {
+		if t == 0 {
+			return int64(off)
 		}
 	}
 	// Unreachable when limit ≥ deg+1.
-	panic(fmt.Sprintf("reduce: no free color below %d among %d neighbors", limit, len(in)))
+	panicNoFreeColor(base, limit, len(in))
+	return 0
+}
+
+// panicNoFreeColor reports the invariant violation out of line, keeping
+// the Sprintf boxing off the noalloc hot path.
+func panicNoFreeColor(base, limit int64, deg int) {
+	panic(fmt.Sprintf("reduce: no free color in [%d,%d) among %d neighbors", base, base+limit, deg))
 }
 
 // KuhnWattenhofer reduces the proper coloring given by the topology's
@@ -124,16 +121,12 @@ func KuhnWattenhofer(ctx context.Context, eng sim.Exec, t *sim.Topology, m, targ
 	if m <= target {
 		return passThrough(t, m)
 	}
-	schedule := kwSchedule(m, target)
-	colors := make([]int64, t.G.N())
-	factory := func(info sim.NodeInfo) sim.Machine {
-		return sim.WrapWord(&kwMachine{color: info.Label, schedule: schedule, sink: &colors[info.V]})
-	}
-	stats, err := eng.Run(ctx, t, factory, len(schedule)+3)
+	p := &kwProgram{colors: seedColors(t), schedule: kwSchedule(m, target)}
+	stats, err := eng.Run(ctx, t, p, len(p.schedule)+3)
 	if err != nil {
 		return nil, fmt.Errorf("reduce: kw: %w", err)
 	}
-	return &Result{Colors: colors, Palette: target, Stats: stats}, nil
+	return &Result{Colors: p.colors, Palette: target, Stats: stats}, nil
 }
 
 // kwRound is one round of the KW program: process class s (mod B) and, when
@@ -170,67 +163,42 @@ func kwSchedule(m, t int64) []kwRound {
 	return plan
 }
 
-type kwMachine struct {
-	color    int64
+// kwProgram is the Kuhn–Wattenhofer reduction as one run-scoped word
+// program. colors[v] is v's current color, its result once it halts.
+type kwProgram struct {
+	colors   []int64
 	schedule []kwRound
-	sink     *int64
-	scratch  []int32 // stamped occupancy buffer, see smallestFree
 }
 
-// StepWord implements sim.WordMachine.
-func (km *kwMachine) StepWord(round int, in []sim.Word) (sim.Word, bool) {
+// Scratch implements sim.Factory: the occupancy slots of smallestFree.
+func (p *kwProgram) Scratch(maxDeg int) int { return maxDeg + 1 }
+
+// StepWord implements sim.WordProgram.
+//
+//distcolor:noalloc
+func (p *kwProgram) StepWord(v, round int, in, scratch []sim.Word) (sim.Word, bool) {
 	if round > 0 {
-		r := km.schedule[round-1]
-		if km.color%r.b == r.s {
+		r := p.schedule[round-1]
+		c := p.colors[v]
+		if c%r.b == r.s {
 			// Recolor into my block's first t slots, avoiding all neighbor
 			// colors (which are fresh as of last round; concurrent
 			// recolorers share my color class and are non-adjacent).
-			base := (km.color / r.b) * r.b
-			km.color = base + smallestFreeInBlock(in, base, r.t, &km.scratch, int32(round))
+			base := (c / r.b) * r.b
+			c = base + smallestFree(in, base, r.t, scratch)
 		}
 		if r.renumberAfter {
 			// Globally synchronized local renumbering; applied by everyone
 			// to their own color. Neighbor colors received next round are
 			// post-renumber, keeping views consistent.
-			km.color = (km.color/r.b)*r.t + km.color%r.b
+			c = (c/r.b)*r.t + c%r.b
 		}
-		if round == len(km.schedule) {
-			*km.sink = km.color
+		p.colors[v] = c
+		if round == len(p.schedule) {
 			return sim.NoWord, true
 		}
 	}
-	return km.color, false
-}
-
-// smallestFreeInBlock returns base + the least offset in [0, t) such that
-// base+offset appears in no inbox word. The scratch array is stamped
-// rather than cleared between rounds.
-func smallestFreeInBlock(in []sim.Word, base, t int64, scratch *[]int32, stamp int32) int64 {
-	span := int64(len(in)) + 1
-	if span > t {
-		span = t
-	}
-	if int64(len(*scratch)) < span {
-		*scratch = make([]int32, span)
-		for i := range *scratch {
-			(*scratch)[i] = -1
-		}
-	}
-	s := *scratch
-	for _, c := range in {
-		if c == sim.NoWord {
-			continue
-		}
-		if c >= base && c < base+span {
-			s[c-base] = stamp
-		}
-	}
-	for off := int64(0); off < span; off++ {
-		if s[off] != stamp {
-			return off
-		}
-	}
-	panic(fmt.Sprintf("reduce: block full: no offset below %d free among %d neighbors", t, len(in)))
+	return p.colors[v], false
 }
 
 // Auto reduces m → target choosing the cheaper of TrimClasses
@@ -270,9 +238,14 @@ func passThrough(t *sim.Topology, m int64) (*Result, error) {
 	if t.Labels == nil {
 		return nil, fmt.Errorf("reduce: topology has no seed coloring")
 	}
+	return &Result{Colors: seedColors(t), Palette: m, Stats: sim.Stats{}}, nil
+}
+
+// seedColors returns a copy of the topology's seed coloring.
+func seedColors(t *sim.Topology) []int64 {
 	colors := make([]int64, t.G.N())
 	copy(colors, t.Labels)
-	return &Result{Colors: colors, Palette: m, Stats: sim.Stats{}}, nil
+	return colors
 }
 
 // EstimateAutoRounds predicts the round cost Auto will incur, used by

@@ -3,9 +3,11 @@ package reduce
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/verify"
@@ -227,23 +229,90 @@ func TestEstimateAutoRounds(t *testing.T) {
 	}
 }
 
+// enginesAgree runs a reduction on every engine and demands the
+// sequential engine's colors and Stats from the others. Callers use at
+// least 600 vertices, above two shards' worth (sim's step grain is 256),
+// so the parallel engine steps several shards concurrently, each with its
+// own scratch, wherever there are CPUs for them.
+func enginesAgree(t *testing.T, run func(eng sim.Exec) (*Result, error)) {
+	t.Helper()
+	want, err := run(sim.Sequential)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []sim.Engine{sim.ReverseSequential, sim.Parallel} {
+		got, err := run(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Stats != want.Stats {
+			t.Fatalf("engine %d: stats %+v, sequential %+v", eng, got.Stats, want.Stats)
+		}
+		for v := range want.Colors {
+			if got.Colors[v] != want.Colors[v] {
+				t.Fatalf("engine %d: color of vertex %d differs", eng, v)
+			}
+		}
+	}
+}
+
 func TestKWEnginesAgree(t *testing.T) {
-	g := rg(14, 90, 0.1)
+	g := rg(14, 600, 0.015)
 	sd, m := greedySeed(g, 31)
 	target := int64(g.MaxDegree()) + 1
-	t1 := &sim.Topology{G: g, Labels: sd}
-	t2 := &sim.Topology{G: g, Labels: sd}
-	r1, err := KuhnWattenhofer(context.Background(), sim.Sequential, t1, m, target)
+	enginesAgree(t, func(eng sim.Exec) (*Result, error) {
+		return KuhnWattenhofer(context.Background(), eng, &sim.Topology{G: g, Labels: sd}, m, target)
+	})
+}
+
+func TestTrimEnginesAgree(t *testing.T) {
+	g := rg(15, 600, 0.015)
+	sd, m := greedySeed(g, 5)
+	target := int64(g.MaxDegree()) + 1
+	enginesAgree(t, func(eng sim.Exec) (*Result, error) {
+		return TrimClasses(context.Background(), eng, &sim.Topology{G: g, Labels: sd}, m, target)
+	})
+}
+
+// allocsOn measures one whole reduction run on a near-regular topology of
+// n vertices and degree 8, seeded with greedySeed(g, 8): the same Δ, m
+// and target on every n.
+func allocsOn(t *testing.T, n int, run func(t *sim.Topology, m, target int64) (*Result, error)) float64 {
+	t.Helper()
+	g, err := gen.NearRegular(n, 8, 2017)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := KuhnWattenhofer(context.Background(), sim.Parallel, t2, m, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range r1.Colors {
-		if r1.Colors[v] != r2.Colors[v] {
-			t.Fatal("engine mismatch")
+	sd, m := greedySeed(g, 8)
+	target := int64(g.MaxDegree()) + 1
+	g.CSR() // build the cached view outside the measurement
+	runtime.GC()
+	return testing.AllocsPerRun(5, func() {
+		if _, err := run(&sim.Topology{G: g, Labels: sd}, m, target); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestReductionAllocsIndependentOfN pins "no per-vertex objects" for both
+// reductions: a whole run allocates the same number of heap objects on 1k
+// and on 8k vertices — the program, its color slab, the engine's slabs and
+// the shard's window and scratch, each one object whatever its length.
+func TestReductionAllocsIndependentOfN(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		run  func(t *sim.Topology, m, target int64) (*Result, error)
+	}{
+		{"trim", func(t *sim.Topology, m, target int64) (*Result, error) {
+			return TrimClasses(ctx, sim.Sequential, t, m, target)
+		}},
+		{"kw", func(t *sim.Topology, m, target int64) (*Result, error) {
+			return KuhnWattenhofer(ctx, sim.Sequential, t, m, target)
+		}},
+	} {
+		if small, large := allocsOn(t, 1000, c.run), allocsOn(t, 8000, c.run); small != large {
+			t.Errorf("%s allocates %.1f objects on 1k vertices and %.1f on 8k: some allocation is per vertex", c.name, small, large)
 		}
 	}
 }
@@ -252,7 +321,7 @@ func TestKWEnginesAgree(t *testing.T) {
 // the sequential engine: the marginal cost of extra rounds is zero heap
 // allocations. Differencing two runs that differ only in the declared
 // palette m (the extra classes are empty, so the added rounds are pure
-// steady state over identical machines) cancels the setup cost exactly.
+// steady state over the same program) cancels the setup cost exactly.
 func TestTrimSteadyStateAllocFree(t *testing.T) {
 	g := rg(21, 300, 0.04)
 	sd, m := greedySeed(g, 64)
@@ -276,7 +345,7 @@ func TestTrimSteadyStateAllocFree(t *testing.T) {
 
 // TestKWSteadyStateAllocFree pins the same contract for the
 // Kuhn–Wattenhofer program: a larger starting palette adds phases (more
-// rounds over the same machines and stamped scratch) without adding
+// rounds over the same program and scratch) without adding
 // steady-state allocations. The schedule itself grows with m, so the
 // tolerated difference is the handful of setup allocations of the longer
 // plan, bounded well below one allocation per extra round.

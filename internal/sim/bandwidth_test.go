@@ -9,29 +9,20 @@ import (
 	"repro/internal/sim"
 )
 
-// sizedExchangeProgram is exchangeProgram with honest bit accounting: every
-// payload is round&0x7f, which fits in 7 bits.
-type sizedExchange struct {
-	rounds int
-	acc    int64
-}
+// sizedExchange is the exchange traffic pattern as a word program with
+// honest bit accounting: every payload is round&0x7f, which fits in 7
+// bits.
+type sizedExchange struct{ rounds int }
 
-func (m *sizedExchange) StepWord(round int, in []sim.Word) (sim.Word, bool) {
-	for _, w := range in {
-		if w != sim.NoWord {
-			m.acc += w
-		}
-	}
+func (sizedExchange) Scratch(int) int { return 0 }
+
+func (m sizedExchange) StepWord(v, round int, in, _ []sim.Word) (sim.Word, bool) {
 	return sim.Word(round & 0x7f), round >= m.rounds-1
 }
 
-func (m *sizedExchange) WordBits(w sim.Word) int64 { return 7 }
+func (sizedExchange) WordBits(w sim.Word) int64 { return 7 }
 
-func sizedExchangeFactory(rounds int) sim.Factory {
-	return func(info sim.NodeInfo) sim.Machine {
-		return sim.WrapWord(&sizedExchange{rounds: rounds})
-	}
-}
+func sizedExchangeFactory(rounds int) sim.Factory { return sizedExchange{rounds: rounds} }
 
 func TestCongestCapBits(t *testing.T) {
 	cases := []struct {

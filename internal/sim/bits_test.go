@@ -16,7 +16,7 @@ func TestBitAccounting(t *testing.T) {
 	// Path 0-1-2: vertex 0 sends a 128-bit message, vertex 2 a plain int64
 	// (64 bits), vertex 1 nothing; everyone halts after one exchange.
 	g := graph.Path(3)
-	f := func(info NodeInfo) Machine {
+	var f Machines = func(info NodeInfo) Machine {
 		return FuncMachine(func(round int, in []Message, out []Message) bool {
 			if round == 0 {
 				switch info.ID {
@@ -60,7 +60,7 @@ func TestBitAccountingCombinators(t *testing.T) {
 
 func TestBitAccountingEnginesAgree(t *testing.T) {
 	g := graph.Complete(9)
-	f := func(info NodeInfo) Machine {
+	var f Machines = func(info NodeInfo) Machine {
 		return FuncMachine(func(round int, in []Message, out []Message) bool {
 			if round < 2 {
 				SendAll(out, sizedMsg{n: info.ID + 1})

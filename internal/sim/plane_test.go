@@ -6,12 +6,13 @@ package sim_test
 //
 //   - runReference below IS the old data plane (per-vertex inbox/outbox
 //     slices, portRef delivery), kept as the executable specification of
-//     one synchronous round;
+//     one synchronous round; it steps a word program one vertex at a time
+//     through wordMachines;
 //   - the equivalence matrix runs programs × graphs × engines and demands
 //     identical per-vertex results and identical Stats against it;
-//   - the algorithm-level matrix runs real colorings (Linial, the §4 star
-//     partition) under every engine and demands identical colorings and
-//     Stats;
+//   - the algorithm-level matrix runs real colorings (Linial, both
+//     reductions, the §5 peeling, the §4 star partition, CD) under every
+//     engine and demands identical colorings and Stats;
 //   - the allocation tests pin the sequential engine's steady state at
 //     zero heap allocations per round;
 //   - BenchmarkSimPlane* measure the plane against the reference on the
@@ -24,6 +25,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/arbor"
 	"repro/internal/cd"
 	"repro/internal/cliques"
 	"repro/internal/gen"
@@ -52,7 +54,7 @@ type refInstance struct {
 	peer      [][]refPort
 }
 
-func newRefInstance(t *sim.Topology, f sim.Factory) *refInstance {
+func newRefInstance(t *sim.Topology, f sim.Machines) *refInstance {
 	g := t.G
 	n := g.N()
 	inst := &refInstance{
@@ -88,6 +90,45 @@ func newRefInstance(t *sim.Topology, f sim.Factory) *refInstance {
 	return inst
 }
 
+// wordMachines steps a word program one vertex at a time through the
+// Machine contract, for the reference engine: each vertex's machine reads
+// its inbox as words, steps its vertex with one scratch slab of the
+// program's size (the reference steps one vertex at a time, like one
+// shard), and broadcasts the returned word as a refWord carrying the
+// program's bit accounting.
+func wordMachines(p sim.WordProgram, maxDeg int) sim.Machines {
+	scratch := make([]sim.Word, p.Scratch(maxDeg))
+	sizer, _ := p.(sim.WordSizer)
+	return func(info sim.NodeInfo) sim.Machine {
+		words := make([]sim.Word, info.Degree)
+		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
+			for port, m := range in {
+				words[port] = sim.NoWord
+				if m != nil {
+					words[port] = m.(refWord).w
+				}
+			}
+			w, halted := p.StepWord(info.V, round, words, scratch)
+			if w != sim.NoWord {
+				bits := int64(64)
+				if sizer != nil {
+					bits = sizer.WordBits(w)
+				}
+				sim.SendAll(out, refWord{w: w, bits: bits})
+			}
+			return halted
+		})
+	}
+}
+
+// refWord carries a word over the reference plane with its bit count.
+type refWord struct {
+	w    sim.Word
+	bits int64
+}
+
+func (r refWord) Bits() int64 { return r.bits }
+
 func refBits(m sim.Message) int64 {
 	if s, ok := m.(sim.Sizer); ok {
 		return s.Bits()
@@ -102,7 +143,16 @@ func runReference(t *sim.Topology, f sim.Factory, maxRounds int) (sim.Stats, err
 	if err := t.Validate(); err != nil {
 		return sim.Stats{}, err
 	}
-	inst := newRefInstance(t, f)
+	var machines sim.Machines
+	switch p := f.(type) {
+	case sim.WordProgram:
+		machines = wordMachines(p, t.G.MaxDegree())
+	case sim.Machines:
+		machines = p
+	default:
+		return sim.Stats{}, fmt.Errorf("reference: program %T is neither Machines nor a WordProgram", f)
+	}
+	inst := newRefInstance(t, machines)
 	n := t.G.N()
 	var stats sim.Stats
 	for round := 0; ; round++ {
@@ -175,7 +225,7 @@ type sizedMsg int64
 func (s sizedMsg) Bits() int64 { return int64(s)%13 + 14 }
 
 // sumProgram broadcasts the vertex ID, then stores the neighbor-ID sum.
-func sumProgram(results []int64) sim.Factory {
+func sumProgram(results []int64) sim.Machines {
 	return func(info sim.NodeInfo) sim.Machine {
 		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
 			if round == 0 {
@@ -195,7 +245,7 @@ func sumProgram(results []int64) sim.Factory {
 // floodProgram floods a token from ID 0; results record first-hearing
 // rounds. On disconnected graphs it never terminates, which the matrix
 // exercises through the round-limit path.
-func floodProgram(results []int64) sim.Factory {
+func floodProgram(results []int64) sim.Machines {
 	return func(info sim.NodeInfo) sim.Machine {
 		reached := info.ID == 0
 		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
@@ -219,7 +269,7 @@ func floodProgram(results []int64) sim.Factory {
 // ports (mixing nil and non-nil slots, plain and Sizer payloads), and
 // folds everything received into a per-vertex accumulator. It exercises
 // final-message delivery, halted-sender clearing, and bit accounting.
-func chattyProgram(results []int64) sim.Factory {
+func chattyProgram(results []int64) sim.Machines {
 	return func(info sim.NodeInfo) sim.Machine {
 		stop := int(info.ID%5) + 1
 		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
@@ -279,7 +329,7 @@ func TestDataPlaneEquivalenceMatrix(t *testing.T) {
 	}
 	programs := []struct {
 		name string
-		prog func([]int64) sim.Factory
+		prog func([]int64) sim.Machines
 	}{
 		{"sum", sumProgram},
 		{"flood", floodProgram},
@@ -322,9 +372,11 @@ func TestDataPlaneEquivalenceMatrix(t *testing.T) {
 
 // TestAlgorithmEquivalenceMatrix runs real colorings from the seed
 // workloads under every engine — including the pre-CSR reference plane
-// (refExec, words_test.go), which carries the word-ported programs over
-// the unoptimized any-payload path: colorings and Stats must be identical
-// bit-for-bit (DESIGN.md §4, §8).
+// (refExec, words_test.go), which steps the word programs one vertex at a
+// time over the unoptimized any-payload path: colorings and Stats must be
+// identical bit-for-bit (DESIGN.md §4, §8). Every word program of the
+// algorithm packages has a row, on a 512-vertex graph, two shards' worth
+// for the parallel engine.
 func TestAlgorithmEquivalenceMatrix(t *testing.T) {
 	engines := []struct {
 		name string
@@ -389,6 +441,65 @@ func TestAlgorithmEquivalenceMatrix(t *testing.T) {
 			for v := range want.Colors {
 				if got.Colors[v] != want.Colors[v] {
 					t.Fatalf("%s: color of %d differs", ec.name, v)
+				}
+			}
+		}
+	})
+	t.Run("reduce-trim", func(t *testing.T) {
+		lin, err := linial.Reduce(context.Background(), sim.Sequential, sim.NewTopology(g), int64(g.N()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A short trim: the Linial palette plus 40 empty classes above it.
+		topo := &sim.Topology{G: g, Labels: lin.Colors}
+		target := lin.Palette - 60
+		var want *reduce.Result
+		for _, ec := range engines {
+			got, err := reduce.TrimClasses(context.Background(), ec.eng, topo, lin.Palette+40, target)
+			if err != nil {
+				t.Fatalf("%s: %v", ec.name, err)
+			}
+			if err := verify.VertexColoring(g, got.Colors, got.Palette); err != nil {
+				t.Fatalf("%s: improper: %v", ec.name, err)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			if got.Stats != want.Stats {
+				t.Fatalf("%s: stats diverge: %+v vs %+v", ec.name, got.Stats, want.Stats)
+			}
+			for v := range want.Colors {
+				if got.Colors[v] != want.Colors[v] {
+					t.Fatalf("%s: color of %d differs", ec.name, v)
+				}
+			}
+		}
+	})
+	t.Run("hpartition", func(t *testing.T) {
+		// A tight threshold peels this graph over several phases, so a
+		// step that reads another vertex's slot mid-round diverges
+		// between step orders.
+		hg, err := gen.PreferentialAttachment(512, 3, 2017)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want *arbor.HPartitionResult
+		for _, ec := range engines {
+			got, err := arbor.HPartition(context.Background(), ec.eng, hg, 5)
+			if err != nil {
+				t.Fatalf("%s: %v", ec.name, err)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			if got.Stats != want.Stats || got.NumParts != want.NumParts {
+				t.Fatalf("%s: stats/parts diverge: %+v vs %+v", ec.name, got.Stats, want.Stats)
+			}
+			for v := range want.Part {
+				if got.Part[v] != want.Part[v] {
+					t.Fatalf("%s: part of %d differs", ec.name, v)
 				}
 			}
 		}
@@ -468,7 +579,7 @@ func TestAlgorithmEquivalenceMatrix(t *testing.T) {
 // exchangeProgram is the steady-state workload for allocation pinning: every
 // vertex keeps exchanging small int64 payloads (which the Go runtime
 // converts to interfaces without allocating) for a fixed number of rounds.
-func exchangeProgram(rounds int) sim.Factory {
+func exchangeProgram(rounds int) sim.Machines {
 	return func(info sim.NodeInfo) sim.Machine {
 		var acc int64
 		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
@@ -566,7 +677,7 @@ const benchRounds = 32
 // schedule, the §5 peeling, and the class-by-class trims all retire
 // vertices progressively, so most rounds execute over a mix of live and
 // halted vertices.
-func wavefrontProgram(span int) sim.Factory {
+func wavefrontProgram(span int) sim.Machines {
 	return func(info sim.NodeInfo) sim.Machine {
 		stop := 1 + int(info.ID)%span
 		var acc int64

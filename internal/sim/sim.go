@@ -2,45 +2,53 @@
 // §1.1 of the paper) on which every algorithm in this repository executes.
 //
 // A network is a Topology: a graph whose vertices are processors with
-// distinct identifiers. An algorithm is a Factory producing one Machine per
-// vertex; a Machine is a pure state machine advanced once per round. In each
-// round every machine reads the messages its neighbors sent in the previous
-// round (one inbox slot per incident edge), updates local state, and writes
-// outgoing messages (one outbox slot per incident edge). The engine delivers
-// outboxes to inboxes between rounds. Running time is the number of rounds
-// until every machine has halted, exactly the paper's measure.
+// distinct identifiers. An algorithm is a Factory, the program of one run,
+// in one of two forms. Machines creates one Machine per vertex, a pure
+// state machine advanced once per round: in each round every machine reads
+// the messages its neighbors sent in the previous round (one inbox slot per
+// incident edge), updates local state, and writes outgoing messages (one
+// outbox slot per incident edge). A WordProgram is one value for the whole
+// run that steps each vertex in turn; every vertex broadcasts one Word per
+// round, and the program keeps all per-vertex state in slabs it owns and
+// indexes by vertex. The engine delivers outboxes to inboxes between
+// rounds. Running time is the number of rounds until every vertex has
+// halted, exactly the paper's measure.
 //
-// Knowledge model: a machine initially knows its own identifier, seed
+// Knowledge model: a vertex initially knows its own identifier, seed
 // label and degree, and the global parameters n and Δ. Everything else,
 // its neighbors' identifiers and seed labels included, travels over edges:
 // a program that needs them learns them in round 0, as the coloring
 // programs of this repository do by broadcasting their starting color
-// (identifier or seed label) first.
+// (identifier or seed label) first. The slot-v rule keeps a run-scoped
+// program to this model: stepping vertex v reads and writes only index v
+// of the program's slabs, so everything v learns about its neighbors
+// arrives in its inbox.
 //
 // Every engine runs one round loop over a shard plan: contiguous vertex
-// ranges, each with a step order and its own inbox window. Sequential
-// steps one shard over all vertices in index order, fast and
-// allocation-free in its steady state; ReverseSequential steps it in
+// ranges, each with a step order, its own inbox window and its own scratch
+// slab. Sequential steps one shard over all vertices in index order, fast
+// and allocation-free in its steady state; ReverseSequential steps it in
 // reverse order, to prove the in-round order irrelevant; Parallel steps
 // several shards concurrently with one barrier per round. Messages cross
-// only between rounds and machines are pure functions of (state, inbox),
-// so all engines produce bit-identical executions; tests assert this.
+// only between rounds and a step is a pure function of (vertex state,
+// inbox), so all engines produce bit-identical executions; tests assert
+// this.
 //
 // Data plane: all engines run over the graph's flat CSR view (graph.CSR),
-// with the message representation chosen per program. The general any
-// plane ([]Message) is per arc: inboxes and outboxes are flat slabs with
-// one slot per directed arc, allocated once per run; a vertex's buffers
-// are the slab range given by the CSR offsets. Outboxes are
-// double-buffered by round parity, and delivery is the Mate permutation,
-// applied lazily while stepping each receiver (in[p] =
-// prevOut[Mate[Off[v]+p]]). The word plane of words.go, taken when every
-// machine of the run implements WordMachine, is per vertex: a word machine
-// broadcasts one Word per round, so its outboxes are two n-slot slabs
-// alternating by round parity, and a receiver's inbox is gathered through
-// the CSR neighbor array into a Δ-sized window (in[p] =
-// prevOut[To[Off[v]+p]]) — no interface boxing and no arc-sized storage.
-// In either representation the round loop performs no heap allocations —
-// see DESIGN.md §7–§8 and the allocation-regression tests.
+// with the message representation picked once per run from the Factory's
+// type. The any plane of Machines ([]Message) is per arc: inboxes and
+// outboxes are flat slabs with one slot per directed arc, allocated once
+// per run; a vertex's buffers are the slab range given by the CSR offsets.
+// Outboxes are double-buffered by round parity, and delivery is the Mate
+// permutation, applied lazily while stepping each receiver (in[p] =
+// prevOut[Mate[Off[v]+p]]). The word plane of a WordProgram (words.go) is
+// per vertex: its outboxes are two n-slot slabs alternating by round
+// parity, and a receiver's inbox is gathered through the CSR neighbor
+// array into the stepping shard's Δ-sized window (in[p] =
+// prevOut[To[Off[v]+p]]) — no interface boxing, no arc-sized storage and
+// no per-vertex objects. In either representation the round loop performs
+// no heap allocations — see DESIGN.md §7–§8 and the allocation-regression
+// tests.
 package sim
 
 import (
@@ -77,8 +85,22 @@ type Machine interface {
 	Step(round int, in []Message, out []Message) bool
 }
 
-// Factory creates the machine for one vertex from its initial knowledge.
-type Factory func(info NodeInfo) Machine
+// Factory is the program of one run. Its type picks the run's message
+// plane once, before round 0: Machines runs on the per-arc any plane, and
+// a WordProgram on the per-vertex word plane (words.go).
+type Factory interface {
+	// Scratch returns how many Words of scratch each shard of a run on a
+	// topology of maximum degree maxDeg hands to the program's steps. The
+	// engine calls it once per run.
+	Scratch(maxDeg int) int
+}
+
+// Machines is the any-plane Factory: it creates the Machine of one vertex
+// from the vertex's initial knowledge.
+type Machines func(info NodeInfo) Machine
+
+// Scratch implements Factory: a Machine keeps its working storage itself.
+func (Machines) Scratch(int) int { return 0 }
 
 // Topology is a network: a graph plus per-vertex identifiers and optional
 // seed labels.
@@ -111,24 +133,39 @@ func (t *Topology) Label(v int) int64 {
 	return t.Labels[v]
 }
 
-// Validate checks that identifiers are distinct.
+// Validate checks that identifiers are distinct. Strictly ascending
+// identifiers, such as every line topology's u·n+v in the (U, V) edge
+// order graph.Builder assigns, are distinct by one pass over them; any
+// other identifier slice is checked with a set.
 func (t *Topology) Validate() error {
 	if t.IDs != nil {
 		if len(t.IDs) != t.G.N() {
 			return fmt.Errorf("sim: %d IDs for %d vertices", len(t.IDs), t.G.N())
 		}
-		seen := make(map[int64]bool, len(t.IDs))
-		for _, id := range t.IDs {
-			if seen[id] {
-				return fmt.Errorf("sim: duplicate identifier %d", id)
+		if !strictlyAscending(t.IDs) {
+			seen := make(map[int64]bool, len(t.IDs))
+			for _, id := range t.IDs {
+				if seen[id] {
+					return fmt.Errorf("sim: duplicate identifier %d", id)
+				}
+				seen[id] = true
 			}
-			seen[id] = true
 		}
 	}
 	if t.Labels != nil && len(t.Labels) != t.G.N() {
 		return fmt.Errorf("sim: %d labels for %d vertices", len(t.Labels), t.G.N())
 	}
 	return nil
+}
+
+// strictlyAscending reports whether every identifier is below the next.
+func strictlyAscending(ids []int64) bool {
+	for i := 1; i < len(ids); i++ {
+		if ids[i-1] >= ids[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Sizer lets a message payload report its encoded size in bits. Payloads
@@ -232,7 +269,7 @@ func OrSequential(e Exec) Exec {
 type RoundEvent struct {
 	// Round is the 0-based index of the round that just executed.
 	Round int
-	// Running is the number of machines still running after the round.
+	// Running is the number of vertices still running after the round.
 	Running int
 	// N is the vertex count of the execution's topology. Composed
 	// algorithms run many executions, often on subtopologies; N lets an
@@ -304,22 +341,20 @@ func (o observedExec) Run(ctx context.Context, t *Topology, f Factory, maxRounds
 type instance struct {
 	t         *Topology
 	csr       *graph.CSR
-	machines  []Machine
+	n         int
 	done      []bool
 	remaining int
-	// in is the inbox slab; outs are the double-buffered outbox slabs,
-	// alternating by round parity. Allocated only for any-plane runs.
-	in   []Message
-	outs [2][]Message
-	// The word plane (words.go): when every machine implements
-	// WordMachine the machines are stepped through wms (pre-asserted, so
-	// the hot loop does no interface assertions), wszs holds each
-	// machine's WordSizer (nil entries use the default 64-bit accounting),
-	// and wouts are the two n-slot outbox slabs. Inbox windows belong to
-	// the shards of the run's plan.
-	words bool
-	wms   []WordMachine
-	wszs  []WordSizer
+	// The any plane: one Machine per vertex, the inbox slab in, and the
+	// outbox slabs outs, double-buffered by round parity.
+	machines []Machine
+	in       []Message
+	outs     [2][]Message
+	// The word plane (words.go): the run's one program, its WordSizer
+	// (nil: the default 64-bit accounting), and the two n-slot outbox
+	// slabs. Inbox windows and scratch slabs belong to the shards of the
+	// run's plan.
+	prog  WordProgram
+	sizer WordSizer
 	wouts [2][]Word
 	// newly and pending are reusable lists of capacity n of the vertices
 	// that halted in the current and the previous round. Within a round
@@ -339,39 +374,42 @@ func newInstance(t *Topology, f Factory) (*instance, error) {
 	inst := &instance{
 		t:         t,
 		csr:       csr,
-		machines:  make([]Machine, n),
+		n:         n,
 		done:      make([]bool, n),
 		remaining: n,
 		newly:     make([]int32, 0, n),
 		pending:   make([]int32, 0, n),
 	}
-	maxDeg := g.MaxDegree()
-	for v := 0; v < n; v++ {
-		inst.machines[v] = f(NodeInfo{
-			V:      v,
-			ID:     t.ID(v),
-			Label:  t.Label(v),
-			Degree: csr.Degree(v),
-			N:      n,
-			MaxDeg: maxDeg,
-		})
-	}
-	// Choose the message representation per program: the word plane when
-	// every machine speaks it, the general any plane otherwise. Only the
-	// chosen plane's slabs are allocated.
-	if wms, wszs, ok := wordProgram(inst.machines); ok {
-		inst.words = true
-		inst.wms, inst.wszs = wms, wszs
+	// The Factory's type picks the message plane; only the chosen plane's
+	// slabs are allocated.
+	switch p := f.(type) {
+	case WordProgram:
+		inst.prog = p
+		inst.sizer, _ = p.(WordSizer)
 		inst.wouts = [2][]Word{make([]Word, n), make([]Word, n)}
 		for _, slab := range inst.wouts {
 			for v := range slab {
 				slab[v] = NoWord
 			}
 		}
-	} else {
+	case Machines:
+		maxDeg := g.MaxDegree()
+		inst.machines = make([]Machine, n)
+		for v := range inst.machines {
+			inst.machines[v] = p(NodeInfo{
+				V:      v,
+				ID:     t.ID(v),
+				Label:  t.Label(v),
+				Degree: csr.Degree(v),
+				N:      n,
+				MaxDeg: maxDeg,
+			})
+		}
 		arcs := csr.NumArcs()
 		inst.in = make([]Message, arcs)
 		inst.outs = [2][]Message{make([]Message, arcs), make([]Message, arcs)}
+	default:
+		return nil, fmt.Errorf("sim: program %T is neither Machines nor a WordProgram", f)
 	}
 	return inst, nil
 }
@@ -391,24 +429,16 @@ func (a *sendStats) add(b sendStats) {
 	}
 }
 
-// stepVertex advances one machine and returns its emitted traffic plus
-// whether the vertex halted during this call, dispatching to the plane the
-// program was laid out on; win is the stepping shard's inbox window for
-// the word plane. On the any plane the inbox window is materialized from
-// the previous round's outbox slab through the Mate permutation (this IS
-// message delivery — fused into the step so the slots are written right
-// before Step reads them), the current outbox window is cleared per the
-// Machine contract, and the emitted slots are scanned for Stats while
-// still hot.
+// stepVertex advances one machine on the any plane and returns its
+// emitted traffic plus whether the vertex halted during this call. The
+// inbox window is materialized from the previous round's outbox slab
+// through the Mate permutation (this IS message delivery — fused into the
+// step so the slots are written right before Step reads them), the
+// current outbox window is cleared per the Machine contract, and the
+// emitted slots are scanned for Stats while still hot.
 //
 //distcolor:noalloc
-func (inst *instance) stepVertex(v, round int, win []Word) (sendStats, bool) {
-	if inst.done[v] {
-		return sendStats{}, false
-	}
-	if inst.words {
-		return inst.stepVertexWord(v, round, win)
-	}
+func (inst *instance) stepVertex(v, round int) (sendStats, bool) {
 	prevOut, curOut := inst.outs[(round&1)^1], inst.outs[round&1]
 	lo, hi := inst.csr.Range(v)
 	mate := inst.csr.Mate[lo:hi:hi]
@@ -419,9 +449,6 @@ func (inst *instance) stepVertex(v, round int, win []Word) (sendStats, bool) {
 		out[p] = nil
 	}
 	halted := inst.machines[v].Step(round, in, out)
-	if halted {
-		inst.done[v] = true
-	}
 	var st sendStats
 	for _, m := range out {
 		if m == nil {
@@ -445,31 +472,29 @@ func (inst *instance) stepVertex(v, round int, win []Word) (sendStats, bool) {
 }
 
 // stepVertexWord is stepVertex on the word plane: the inbox is gathered
-// into win from the neighbors' slots of the previous round's outbox slab,
-// and the returned word is stored in v's slot of the current one. A word
+// into the shard's window from the neighbors' slots of the previous
+// round's outbox slab, the program steps v with the shard's scratch, and
+// the returned word is stored in v's slot of the current slab. A word
 // broadcast to deg ports is deg messages of WordBits(w) bits each (64
 // without a WordSizer), exactly as if it had been sent port by port.
 //
 //distcolor:noalloc
-func (inst *instance) stepVertexWord(v, round int, win []Word) (sendStats, bool) {
+func (inst *instance) stepVertexWord(v, round int, s *shard) (sendStats, bool) {
 	prevOut := inst.wouts[(round&1)^1]
 	lo, hi := inst.csr.Range(v)
 	to := inst.csr.To[lo:hi:hi]
-	in := win[:len(to):len(to)]
+	in := s.win[:len(to):len(to)]
 	for p, u := range to {
 		in[p] = prevOut[u]
 	}
-	w, halted := inst.wms[v].StepWord(round, in)
+	w, halted := inst.prog.StepWord(v, round, in, s.scratch)
 	inst.wouts[round&1][v] = w
-	if halted {
-		inst.done[v] = true
-	}
 	if w == NoWord || len(to) == 0 {
 		return sendStats{}, halted
 	}
 	b := int64(64)
-	if sz := inst.wszs[v]; sz != nil {
-		b = sz.WordBits(w)
+	if inst.sizer != nil {
+		b = inst.sizer.WordBits(w)
 	}
 	deg := int64(len(to))
 	return sendStats{msgs: deg, bits: deg * b, maxBits: b}, halted
@@ -487,7 +512,7 @@ func (inst *instance) stepVertexWord(v, round int, win []Word) (sendStats, bool)
 //
 //distcolor:noalloc
 func (inst *instance) retireRound(round int) {
-	if inst.words {
+	if inst.prog != nil {
 		consumed := inst.wouts[(round&1)^1]
 		inst.retireWordsInto(consumed, inst.newly)
 		inst.retireWordsInto(consumed, inst.pending)
@@ -536,20 +561,23 @@ func abortErr(ctx context.Context, round, remaining int) error {
 
 // shard is one contiguous vertex range [lo, hi) of a run's step plan,
 // stepped in index order, or in reverse index order when reverse is set.
-// win is the shard's own word-plane inbox window; sent and halted are the
-// traffic and the halt count of the shard's last stepped round.
+// win and scratch are the shard's own word-plane inbox window and program
+// scratch; sent and halted are the traffic and the halt count of the
+// shard's last stepped round.
 type shard struct {
 	lo, hi  int
 	reverse bool
 	win     []Word
+	scratch []Word
 	sent    sendStats
 	halted  int
 }
 
-// stepShard advances every vertex of s by one round in the shard's step
-// order. The vertices that halt are written by index into the shard's own
-// region [lo, hi) of the newly slab, so concurrent shards never share a
-// slot; the round loop compacts the regions after the barrier.
+// stepShard advances every running vertex of s by one round in the
+// shard's step order, on the run's plane. The vertices that halt are
+// written by index into the shard's own region [lo, hi) of the newly
+// slab, so concurrent shards never share a slot; the round loop compacts
+// the regions after the barrier.
 //
 //distcolor:noalloc
 func (inst *instance) stepShard(s *shard, round int) {
@@ -561,9 +589,19 @@ func (inst *instance) stepShard(s *shard, round int) {
 		v, end, dv = s.hi-1, s.lo-1, -1
 	}
 	for ; v != end; v += dv {
-		st, halted := inst.stepVertex(v, round, s.win)
+		if inst.done[v] {
+			continue
+		}
+		var st sendStats
+		var halted bool
+		if inst.prog != nil {
+			st, halted = inst.stepVertexWord(v, round, s)
+		} else {
+			st, halted = inst.stepVertex(v, round)
+		}
 		sent.add(st)
 		if halted {
+			inst.done[v] = true
 			newly[k] = int32(v)
 			k++
 		}
@@ -621,11 +659,12 @@ func (e Engine) Run(ctx context.Context, t *Topology, f Factory, maxRounds int) 
 // sizing is grain-based: a shard must carry enough vertices for its
 // goroutine spawn plus barrier share (on the order of a microsecond) to
 // pay for itself, so small topologies run on few (or single) goroutines.
-// Each shard owns its word-plane inbox window, and within a round it
-// writes only its own vertices' outbox slots and its own region of the
-// newly slab, which is why one barrier per round suffices.
+// Each shard owns its word-plane inbox window and scratch slab, and within
+// a round it writes only its own vertices' outbox slots and program slots,
+// its own window and scratch, and its own region of the newly slab, which
+// is why one barrier per round suffices.
 func (e Engine) plan(inst *instance) []shard {
-	n := len(inst.machines)
+	n := inst.n
 	workers := 1
 	if e == Parallel {
 		workers = shardWorkers(n, stepGrain)
@@ -636,8 +675,10 @@ func (e Engine) plan(inst *instance) []shard {
 		s := &shards[i]
 		s.lo, s.hi = min(i*chunk, n), min((i+1)*chunk, n)
 		s.reverse = e == ReverseSequential
-		if inst.words {
-			s.win = make([]Word, inst.t.G.MaxDegree())
+		if inst.prog != nil {
+			maxDeg := inst.t.G.MaxDegree()
+			s.win = make([]Word, maxDeg)
+			s.scratch = make([]Word, inst.prog.Scratch(maxDeg))
 		}
 	}
 	return shards
@@ -701,7 +742,7 @@ func (e Engine) run(ctx context.Context, t *Topology, f Factory, maxRounds int, 
 		inst.retireRound(round)
 		stats.Rounds++
 		if hook != nil {
-			hook(RoundEvent{Round: round, Running: inst.remaining, N: len(inst.machines), Stats: stats,
+			hook(RoundEvent{Round: round, Running: inst.remaining, N: inst.n, Stats: stats,
 				RoundBits: sent.bits, RoundMaxBits: sent.maxBits})
 		}
 	}

@@ -24,7 +24,7 @@ func rg(seed int64, n int, p float64) *graph.Graph {
 
 // neighborSumProgram: every vertex broadcasts its ID in round 0, sums the
 // received IDs in round 1, stores the result, and halts.
-func neighborSumProgram(results []int64) Factory {
+func neighborSumProgram(results []int64) Machines {
 	return func(info NodeInfo) Machine {
 		return FuncMachine(func(round int, in []Message, out []Message) bool {
 			switch round {
@@ -70,7 +70,7 @@ func TestNeighborSum(t *testing.T) {
 
 // bfsProgram floods a token from the vertex with identifier 0; every vertex
 // records the round it first hears the token (its BFS distance).
-func bfsProgram(dist []int) Factory {
+func bfsProgram(dist []int) Machines {
 	return func(info NodeInfo) Machine {
 		reached := info.ID == 0
 		relayed := false
@@ -203,7 +203,7 @@ func TestRoundLimitError(t *testing.T) {
 	for _, g := range []*graph.Graph{graph.Path(3), rg(11, 2*stepGrain, 0.01)} {
 		var want Stats
 		for i, e := range engines {
-			stats, err := e.Run(context.Background(), NewTopology(g), oddForeverProgram, 5)
+			stats, err := e.Run(context.Background(), NewTopology(g), Machines(oddForeverProgram), 5)
 			if !errors.Is(err, ErrRoundLimit) {
 				t.Fatalf("n=%d engine %d: want ErrRoundLimit, got %v", g.N(), e, err)
 			}
@@ -221,9 +221,20 @@ func TestRoundLimitError(t *testing.T) {
 
 func TestTopologyValidation(t *testing.T) {
 	g := graph.Path(3)
-	topo := &Topology{G: g, IDs: []int64{1, 1, 2}}
-	if err := topo.Validate(); err == nil {
-		t.Fatal("expected duplicate ID error")
+	// IDs ascending up to a repeat, and a repeat in unordered IDs: both
+	// fall back to the set check.
+	for _, ids := range [][]int64{{1, 1, 2}, {3, 1, 3}} {
+		topo := &Topology{G: g, IDs: ids}
+		if err := topo.Validate(); err == nil {
+			t.Fatalf("IDs %v: expected duplicate ID error", ids)
+		}
+		if _, err := Sequential.Run(context.Background(), topo, neighborSumProgram(make([]int64, 3)), 4); err == nil {
+			t.Fatalf("IDs %v: run accepted duplicate IDs", ids)
+		}
+	}
+	topo := &Topology{G: g, IDs: []int64{2, 5, 9}}
+	if err := topo.Validate(); err != nil {
+		t.Fatalf("strictly ascending IDs rejected: %v", err)
 	}
 	topo = &Topology{G: g, IDs: []int64{1}}
 	if err := topo.Validate(); err == nil {
@@ -260,7 +271,7 @@ func TestNodeInfoAndNeighborKnowledge(t *testing.T) {
 		nbrLbl []int64
 	}
 	got := make([]seen, g.N())
-	f := func(info NodeInfo) Machine {
+	var f Machines = func(info NodeInfo) Machine {
 		got[info.V].info = info
 		return FuncMachine(func(round int, in []Message, out []Message) bool {
 			if round == 0 {
@@ -318,7 +329,7 @@ func TestHaltedVertexStopsSending(t *testing.T) {
 	// must see the message in round 1 but nothing in round 2.
 	g := graph.Path(2)
 	var sawRound1, sawRound2 bool
-	f := func(info NodeInfo) Machine {
+	var f Machines = func(info NodeInfo) Machine {
 		if info.ID == 0 {
 			return FuncMachine(func(round int, in []Message, out []Message) bool {
 				SendAll(out, int64(42))
@@ -348,19 +359,11 @@ func TestHaltedVertexStopsSending(t *testing.T) {
 	}
 }
 
-func TestInt64sHelper(t *testing.T) {
-	in := []Message{int64(3), nil, int64(9)}
-	got := Int64s(in, -1)
-	if got[0] != 3 || got[1] != -1 || got[2] != 9 {
-		t.Fatalf("Int64s wrong: %v", got)
-	}
-}
-
 // TestContextAbortsRun: engines check the context at every round boundary
 // and abort with an error wrapping the cancellation cause.
 func TestContextAbortsRun(t *testing.T) {
 	g := rg(7, 40, 0.2)
-	forever := func(info NodeInfo) Machine {
+	var forever Machines = func(info NodeInfo) Machine {
 		return FuncMachine(func(round int, in, out []Message) bool { return false })
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -387,7 +390,7 @@ func TestContextAbortsRun(t *testing.T) {
 				cancel()
 			}
 		}
-		stats, err := Instrumented(e, hook, nil).Run(ctx, NewTopology(big), oddForeverProgram, 1000)
+		stats, err := Instrumented(e, hook, nil).Run(ctx, NewTopology(big), Machines(oddForeverProgram), 1000)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("engine %v mid-run: want context.Canceled, got %v", e, err)
@@ -399,6 +402,19 @@ func TestContextAbortsRun(t *testing.T) {
 			want = stats
 		} else if stats != want {
 			t.Fatalf("engine %v mid-run: partial stats %+v, want %+v", e, stats, want)
+		}
+	}
+}
+
+// scratchOnly implements Factory but is neither Machines nor a WordProgram.
+type scratchOnly struct{}
+
+func (scratchOnly) Scratch(int) int { return 0 }
+
+func TestRunRejectsUnknownProgram(t *testing.T) {
+	for _, e := range engines {
+		if _, err := e.Run(context.Background(), NewTopology(graph.Path(3)), scratchOnly{}, 4); err == nil {
+			t.Fatalf("engine %v ran a program of neither form", e)
 		}
 	}
 }

@@ -4,10 +4,10 @@ package sim_test
 // programs must be observationally identical to their any-payload
 // counterparts — same per-vertex results, same Stats (messages, bits,
 // max bits), on every graph and engine of the plane grid, and also when
-// forced through the pre-CSR reference plane (where WrapWord's bridge
-// carries the words over the []Message contract). The allocation tests
-// pin the word plane's steady state at zero heap allocations per round
-// and its per-run storage at a per-vertex, not per-arc, size.
+// stepped one vertex at a time through the pre-CSR reference plane
+// (wordMachines, plane_test.go). The allocation tests pin the word plane's
+// steady state at zero heap allocations per round and its per-run storage
+// at a per-vertex, not per-arc, size.
 
 import (
 	"context"
@@ -30,41 +30,59 @@ func (refExec) Run(ctx context.Context, t *sim.Topology, f sim.Factory, maxRound
 
 // --- word twins of the plane programs --------------------------------------
 
-// wordSumProgram is sumProgram on the word plane.
-func wordSumProgram(results []int64) sim.Factory {
-	return func(info sim.NodeInfo) sim.Machine {
-		return sim.WrapWord(sim.WordFunc(func(round int, in []sim.Word) (sim.Word, bool) {
-			if round == 0 {
-				return info.ID, info.Degree == 0
-			}
-			var sum int64
-			for _, w := range in {
-				sum += w
-			}
-			results[info.V] = sum
-			return sim.NoWord, true
-		}))
-	}
+// wordSum is sumProgram on the word plane.
+type wordSum struct {
+	t       *sim.Topology
+	results []int64
 }
 
-// wordFloodProgram is floodProgram on the word plane.
-func wordFloodProgram(results []int64) sim.Factory {
-	return func(info sim.NodeInfo) sim.Machine {
-		reached := info.ID == 0
-		return sim.WrapWord(sim.WordFunc(func(round int, in []sim.Word) (sim.Word, bool) {
-			if reached {
-				results[info.V] = int64(round)
-				return 1, true
-			}
-			for _, w := range in {
-				if w != sim.NoWord {
-					reached = true
-					break
-				}
-			}
-			return sim.NoWord, false
-		}))
+func wordSumProgram(t *sim.Topology, results []int64) sim.WordProgram {
+	return &wordSum{t: t, results: results}
+}
+
+func (*wordSum) Scratch(int) int { return 0 }
+
+func (p *wordSum) StepWord(v, round int, in, _ []sim.Word) (sim.Word, bool) {
+	if round == 0 {
+		return p.t.ID(v), len(in) == 0
 	}
+	var sum int64
+	for _, w := range in {
+		sum += w
+	}
+	p.results[v] = sum
+	return sim.NoWord, true
+}
+
+// wordFlood is floodProgram on the word plane; reached[v] is the state
+// each any-plane machine keeps in its closure.
+type wordFlood struct {
+	t       *sim.Topology
+	reached []bool
+	results []int64
+}
+
+func wordFloodProgram(t *sim.Topology, results []int64) sim.WordProgram {
+	return &wordFlood{t: t, reached: make([]bool, t.G.N()), results: results}
+}
+
+func (*wordFlood) Scratch(int) int { return 0 }
+
+func (p *wordFlood) StepWord(v, round int, in, _ []sim.Word) (sim.Word, bool) {
+	if round == 0 {
+		p.reached[v] = p.t.ID(v) == 0
+	}
+	if p.reached[v] {
+		p.results[v] = int64(round)
+		return 1, true
+	}
+	for _, w := range in {
+		if w != sim.NoWord {
+			p.reached[v] = true
+			break
+		}
+	}
+	return sim.NoWord, false
 }
 
 // sizedPayloadBits is the common bit schedule of the sized program pair.
@@ -74,7 +92,7 @@ func sizedPayloadBits(v int64) int64 { return v%13 + 14 }
 // changes every round in two rounds out of three (silent in the third),
 // and folds everything received into an accumulator. The per-port Sizer
 // case, which only the any plane can express, is chattyProgram's.
-func sizedAnyProgram(results []int64) sim.Factory {
+func sizedAnyProgram(results []int64) sim.Machines {
 	return func(info sim.NodeInfo) sim.Machine {
 		stop := int(info.ID%5) + 1
 		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
@@ -95,46 +113,52 @@ func sizedAnyProgram(results []int64) sim.Factory {
 	}
 }
 
-// wordSizedMachine is sizedAnyProgram as a word machine with a WordSizer
-// reporting the identical bit schedule.
-type wordSizedMachine struct {
-	info    sim.NodeInfo
+// wordSized is sizedAnyProgram as a word program with a WordSizer
+// reporting the identical bit schedule. It folds its inbox through the
+// shard's scratch — copied in, then read back — so a scratch slab shared
+// between concurrently stepping shards, or one shorter than Scratch(Δ),
+// corrupts its results.
+type wordSized struct {
+	t       *sim.Topology
 	results []int64
 }
 
-func (m *wordSizedMachine) StepWord(round int, in []sim.Word) (sim.Word, bool) {
-	acc := m.results[m.info.V]
-	for p, w := range in {
+func wordSizedProgram(t *sim.Topology, results []int64) sim.WordProgram {
+	return &wordSized{t: t, results: results}
+}
+
+func (*wordSized) Scratch(maxDeg int) int { return maxDeg }
+
+func (p *wordSized) StepWord(v, round int, in, scratch []sim.Word) (sim.Word, bool) {
+	id := p.t.ID(v)
+	buf := scratch[:len(in)]
+	copy(buf, in)
+	acc := p.results[v]
+	for port, w := range buf {
 		if w == sim.NoWord {
 			acc = acc*31 + 7
 		} else {
-			acc = acc*31 + w + int64(p)
+			acc = acc*31 + w + int64(port)
 		}
 	}
-	m.results[m.info.V] = acc
+	p.results[v] = acc
 	out := sim.NoWord
-	if (round+int(m.info.ID))%3 != 2 {
-		out = m.info.ID + int64(round)
+	if (round+int(id))%3 != 2 {
+		out = id + int64(round)
 	}
-	return out, round >= int(m.info.ID%5)
+	return out, round >= int(id%5)
 }
 
-func (m *wordSizedMachine) WordBits(w sim.Word) int64 { return sizedPayloadBits(w) }
-
-func wordSizedProgram(results []int64) sim.Factory {
-	return func(info sim.NodeInfo) sim.Machine {
-		return sim.WrapWord(&wordSizedMachine{info: info, results: results})
-	}
-}
+func (*wordSized) WordBits(w sim.Word) int64 { return sizedPayloadBits(w) }
 
 // TestWordPlaneEquivalenceMatrix runs each word program and its
 // any-payload twin over the plane grid: per-vertex results and Stats must
 // be identical between (a) the twin on the reference plane, (b) the word
-// program on every engine (word plane), and (c) the word program forced
-// through the reference plane, where WrapWord's bridge carries it over
-// the []Message contract. gnp-sharded has at least two shards' worth of
-// vertices, so the parallel engine runs it on several shards, each with
-// its own inbox window, wherever there are CPUs for them.
+// program on every engine (word plane), and (c) the word program stepped
+// one vertex at a time through the reference plane (wordMachines).
+// gnp-sharded has at least two shards' worth of vertices, so the parallel
+// engine runs it on several shards, each with its own inbox window and
+// scratch, wherever there are CPUs for them.
 func TestWordPlaneEquivalenceMatrix(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -154,8 +178,8 @@ func TestWordPlaneEquivalenceMatrix(t *testing.T) {
 	}
 	programs := []struct {
 		name string
-		any  func([]int64) sim.Factory
-		word func([]int64) sim.Factory
+		any  func([]int64) sim.Machines
+		word func(*sim.Topology, []int64) sim.WordProgram
 	}{
 		{"sum", sumProgram, wordSumProgram},
 		{"flood", floodProgram, wordFloodProgram},
@@ -192,80 +216,33 @@ func TestWordPlaneEquivalenceMatrix(t *testing.T) {
 				}
 				for _, ec := range engines {
 					gotRes := make([]int64, gc.g.N())
-					gotStats, gotErr := ec.eng.Run(context.Background(), topo, pc.word(gotRes), maxRounds)
+					gotStats, gotErr := ec.eng.Run(context.Background(), topo, pc.word(topo, gotRes), maxRounds)
 					check("word/"+ec.name, gotRes, gotStats, gotErr)
 				}
-				// The word program through the reference plane (bridge path).
+				// The word program through the reference plane.
 				gotRes := make([]int64, gc.g.N())
-				gotStats, gotErr := runReference(topo, pc.word(gotRes), maxRounds)
-				check("word/reference-bridge", gotRes, gotStats, gotErr)
+				gotStats, gotErr := runReference(topo, pc.word(topo, gotRes), maxRounds)
+				check("word/reference", gotRes, gotStats, gotErr)
 			})
-		}
-	}
-}
-
-// TestMixedProgramFallsBackToAnyPlane pins the per-program representation
-// choice: one non-word machine demotes the whole run to the any plane,
-// where WrapWord's bridge keeps the word machines correct.
-func TestMixedProgramFallsBackToAnyPlane(t *testing.T) {
-	g := graph.Path(10)
-	results := make([]int64, g.N())
-	mixed := func(info sim.NodeInfo) sim.Machine {
-		if info.V == 0 {
-			// A lone any-plane machine participating in the sum protocol.
-			return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
-				if round == 0 {
-					sim.SendAll(out, info.ID)
-					return false
-				}
-				var sum int64
-				for _, m := range in {
-					sum += m.(int64)
-				}
-				results[info.V] = sum
-				return true
-			})
-		}
-		return wordSumProgram(results)(info)
-	}
-	wantRes := make([]int64, g.N())
-	wantStats, err := runReference(sim.NewTopology(g), sumProgram(wantRes), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotStats, err := sim.Sequential.Run(context.Background(), sim.NewTopology(g), mixed, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotStats != wantStats {
-		t.Fatalf("mixed stats %+v, reference %+v", gotStats, wantStats)
-	}
-	for v := range wantRes {
-		if results[v] != wantRes[v] {
-			t.Fatalf("vertex %d: mixed %d, reference %d", v, results[v], wantRes[v])
 		}
 	}
 }
 
 // --- allocation regression -------------------------------------------------
 
-// wordExchangeProgram is the word-plane counterpart of exchangeProgram for
+// wordExchange is the word-plane counterpart of exchangeProgram for
 // steady-state allocation pinning. Unlike the any plane — which relies on
 // the runtime's small-integer interface cache — the word plane is
 // alloc-free for arbitrary word values; the payloads here exceed the
 // 0..255 cache range to prove it.
-func wordExchangeProgram(rounds int) sim.Factory {
-	return func(info sim.NodeInfo) sim.Machine {
-		var acc int64
-		return sim.WrapWord(sim.WordFunc(func(round int, in []sim.Word) (sim.Word, bool) {
-			for _, w := range in {
-				if w != sim.NoWord {
-					acc += w
-				}
-			}
-			return int64(round) + 1_000_000, round >= rounds-1
-		}))
-	}
+type wordExchange struct{ rounds int }
+
+func wordExchangeProgram(rounds int) sim.Factory { return &wordExchange{rounds: rounds} }
+
+func (*wordExchange) Scratch(int) int { return 0 }
+
+func (p *wordExchange) StepWord(v, round int, in, _ []sim.Word) (sim.Word, bool) {
+	return int64(round) + 1_000_000, round >= p.rounds-1
 }
 
 // TestWordPlaneSteadyStateAllocFree pins the packed plane's contract on
