@@ -7,7 +7,7 @@ FUZZTIME ?= 30s
 # Staticcheck is pinned so a new upstream release cannot turn CI red on its
 # own schedule; bump deliberately, with the diff in review.
 STATICCHECK_VERSION ?= 2025.1.1
-# Allowed fractional ns/op and allocs/op regression in bench-check;
+# Allowed fractional ns/op, allocs/op and bytes/op regression in bench-check;
 # deterministic metrics (rounds/messages/colors) are always compared
 # exactly and the sequential engines' allocs/round is always pinned at 0.
 BENCH_TOLERANCE ?= 0.15
@@ -93,8 +93,8 @@ staticcheck:
 # The race pass targets the packages with real concurrency: the service —
 # cache + worker pool hammer, the WAL store and admission paths
 # (submit/cancel/restart hammer, sharded batch executor, overload floods)
-# — the simulator's sharded engine, the word programs the parallel engine
-# steps shard by shard over their shared slabs and per-shard scratch
+# — the simulator's sharded engine, the word and port programs the parallel
+# engine steps shard by shard over their shared slabs and per-shard scratch
 # (linial, reduce, arbor), the pooled graph scratch tables, and the
 # service-overload bench workload in svcbench.
 race:
@@ -119,7 +119,7 @@ bench-baseline:
 	$(GO) run ./cmd/colorbench -json -out BENCH_simcore.json
 
 # Re-run the simulator-core suite and fail on regression vs the committed
-# baseline: >BENCH_TOLERANCE on ns/op or allocs/op, any drift of the
+# baseline: >BENCH_TOLERANCE on ns/op, allocs/op or bytes/op, any drift of the
 # deterministic rounds/messages/colors columns, or any steady-state
 # per-round allocation in the sequential engines.
 bench-check:

@@ -227,8 +227,8 @@ func BenchmarkPolylogColors(b *testing.B) {
 				b.Fatal(err)
 			}
 			s := cov.MaxCliqueSize()
-			loglog := util.Max(1, util.Log2Ceil(util.Max(2, util.Log2Ceil(s))))
-			x := util.Max(1, util.Log2Ceil(s)/loglog)
+			loglog := max(1, util.Log2Ceil(max(2, util.Log2Ceil(s))))
+			x := max(1, util.Log2Ceil(s)/loglog)
 			t := cd.ChooseT(s, x)
 			var last *cd.Result
 			for i := 0; i < b.N; i++ {
@@ -385,7 +385,7 @@ func BenchmarkTwoDeltaBaseline(b *testing.B) {
 func BenchmarkAblationT(b *testing.B) {
 	g, cov := hyperInstance(b, 60, 3, 300)
 	s := cov.MaxCliqueSize()
-	opts := []int{2, util.Max(2, util.ISqrt(s)/2), util.Max(2, util.ISqrt(s)), util.Max(2, 2*util.ISqrt(s)), util.Max(2, s-1)}
+	opts := []int{2, max(2, util.ISqrt(s)/2), max(2, util.ISqrt(s)), max(2, 2*util.ISqrt(s)), max(2, s-1)}
 	seen := map[int]bool{}
 	for _, t := range opts {
 		if seen[t] {

@@ -59,7 +59,7 @@ func main() {
 	jsonMode := flag.Bool("json", false, "run the simulator-core perf suite and emit a machine-readable report instead of the paper tables")
 	out := flag.String("out", "BENCH_simcore.json", "with -json: where to write the report (\"-\" for stdout)")
 	check := flag.String("check", "", "with -json: compare the run against this baseline report instead of writing one; exit non-zero on regression")
-	tolerance := flag.Float64("tolerance", 0.15, "with -json -check: allowed fractional regression of ns/op and allocs/op")
+	tolerance := flag.Float64("tolerance", 0.15, "with -json -check: allowed fractional regression of ns/op, allocs/op and bytes/op")
 	profileDir := flag.String("profile", "", "profile the linial-10k workload instead of running tables: write cpu.pprof and heap.pprof into this directory (`make profile` wraps it)")
 	profileDur := flag.Duration("profile-duration", 30*time.Second, "with -profile: how long to run the workload under the CPU profiler")
 	flag.Parse()

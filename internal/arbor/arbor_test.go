@@ -373,48 +373,51 @@ func TestPalette53BeatsNaiveForBigGap(t *testing.T) {
 	}
 }
 
+// evenOddMerge is the merge spec TestMergeQuick and the allocation pin
+// run: A = even and B = odd vertices, the crossing edges uncolored, every
+// other edge precolored with a distinct color out of the palette
+// (100+e), D the largest crossing degree on the A side, and the palette
+// Δ+D+1. It also returns the number of crossing edges.
+func evenOddMerge(g *graph.Graph) (MergeSpec, int) {
+	roleA := make([]bool, g.N())
+	roleB := make([]bool, g.N())
+	for v := 0; v < g.N(); v++ {
+		if v%2 == 0 {
+			roleA[v] = true
+		} else {
+			roleB[v] = true
+		}
+	}
+	colors := make([]int64, g.M())
+	crossing := 0
+	for e := 0; e < g.M(); e++ {
+		u, v := g.Endpoints(e)
+		if roleA[u] != roleA[v] {
+			colors[e] = -1
+			crossing++
+		} else {
+			colors[e] = int64(100 + e)
+		}
+	}
+	d := 0
+	for v := 0; v < g.N(); v += 2 {
+		cnt := 0
+		for _, a := range g.Adj(v) {
+			if colors[a.Edge] < 0 {
+				cnt++
+			}
+		}
+		d = max(d, cnt)
+	}
+	spec := MergeSpec{G: g, RoleA: roleA, RoleB: roleB, EdgeColors: colors, D: d, Palette: int64(g.MaxDegree() + d + 1)}
+	return spec, crossing
+}
+
 func TestMergeQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		g := gen.GNP(24, 0.3, seed)
-		// Random bipartition: A = even, B = odd vertices; crossing edges
-		// uncolored; D = max crossing degree of A side.
-		roleA := make([]bool, g.N())
-		roleB := make([]bool, g.N())
-		for v := 0; v < g.N(); v++ {
-			if v%2 == 0 {
-				roleA[v] = true
-			} else {
-				roleB[v] = true
-			}
-		}
-		colors := make([]int64, g.M())
-		crossing := 0
-		for e := 0; e < g.M(); e++ {
-			u, v := g.Endpoints(e)
-			if roleA[u] != roleA[v] {
-				colors[e] = -1
-				crossing++
-			} else {
-				colors[e] = int64(100 + e) // pre-colored, distinct, out of palette
-			}
-		}
-		d := 0
-		for v := 0; v < g.N(); v++ {
-			if !roleA[v] {
-				continue
-			}
-			cnt := 0
-			for _, a := range g.Adj(v) {
-				if colors[a.Edge] < 0 {
-					cnt++
-				}
-			}
-			if cnt > d {
-				d = cnt
-			}
-		}
-		palette := int64(g.MaxDegree() + d + 1)
-		res, err := Merge(context.Background(), sim.Sequential, MergeSpec{G: g, RoleA: roleA, RoleB: roleB, EdgeColors: colors, D: d, Palette: palette})
+		spec, crossing := evenOddMerge(g)
+		res, err := Merge(context.Background(), sim.Sequential, spec)
 		if err != nil {
 			return false
 		}
@@ -423,22 +426,61 @@ func TestMergeQuick(t *testing.T) {
 		}
 		// Properness among crossing + precolored: crossing colors are
 		// < palette and distinct per vertex from everything.
-		return verify.EdgeColoring(g, colors, 100+int64(g.M())) == nil
+		return verify.EdgeColoring(g, spec.EdgeColors, 100+int64(g.M())) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestMergeAllocsIndependentOfN pins "no per-vertex objects" on the any
+// plane: one Merge run allocates the same number of heap objects on 1k
+// and on 8k vertices. The crossing palette exceeds 256, past the
+// runtime's cache of boxed small integers, so a reply boxed per message
+// would show, as would an object per vertex.
+func TestMergeAllocsIndependentOfN(t *testing.T) {
+	allocs := func(n int) float64 {
+		g, err := gen.ForestUnionHub(n, 2, 400, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, _ := evenOddMerge(g)
+		if spec.Palette <= 256 {
+			t.Fatalf("crossing palette %d does not exceed 256", spec.Palette)
+		}
+		initial := append([]int64(nil), spec.EdgeColors...)
+		g.CSR() // build the cached view outside the measurement
+		runtime.GC()
+		return testing.AllocsPerRun(5, func() {
+			copy(spec.EdgeColors, initial)
+			if _, err := Merge(context.Background(), sim.Sequential, spec); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(1000), allocs(8000); small != large {
+		t.Fatalf("Merge allocates %.1f objects on 1k vertices and %.1f on 8k: some allocation is per vertex or per message", small, large)
+	}
+}
+
+// TestEnginesAgreeOnThm52 runs Theorem 5.2 on 600 vertices, above two
+// shards' worth (sim's step grain is 256), so the parallel engine steps
+// each merge stage on several shards wherever there are CPUs for them.
 func TestEnginesAgreeOnThm52(t *testing.T) {
-	g, a := bounded(t, 200, 2, 80, 23)
+	g, a := bounded(t, 600, 2, 240, 23)
 	r1, err := ColorHPartition(context.Background(), g, a, Options{Exec: sim.Sequential})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if r1.Parts < 3 {
+		t.Fatalf("%d parts: want at least two merge stages", r1.Parts)
+	}
 	r2, err := ColorHPartition(context.Background(), g, a, Options{Exec: sim.Parallel})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if r1.Stats != r2.Stats {
+		t.Fatalf("stats disagree: %+v / %+v", r1.Stats, r2.Stats)
 	}
 	for e := range r1.Colors {
 		if r1.Colors[e] != r2.Colors[e] {

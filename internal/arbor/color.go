@@ -206,9 +206,9 @@ func colorInternal(ctx context.Context, internal *graph.Graph, theta int, opt Op
 // and arboricity bound a at multiplier q.
 func Palette53(delta, a int, q float64) int64 {
 	theta := Threshold(a, q)
-	kIn := util.Max(1, util.ISqrt(delta))
-	inGroup := util.Max(1, util.CeilDiv(delta, kIn))
-	outGroup := util.Max(1, util.ISqrt(theta))
+	kIn := max(1, util.ISqrt(delta))
+	inGroup := max(1, util.CeilDiv(delta, kIn))
+	outGroup := max(1, util.ISqrt(theta))
 	connDelta := inGroup + outGroup
 	connArb := outGroup
 	classDelta := util.CeilDiv(delta, inGroup) + util.CeilDiv(theta, outGroup)
@@ -239,9 +239,9 @@ func ColorSqrt(ctx context.Context, g *graph.Graph, a int, opt Options) (*Result
 	}
 	stats := hp.Stats
 
-	kIn := util.Max(1, util.ISqrt(delta))
-	inGroup := util.Max(1, util.CeilDiv(delta, kIn))
-	outGroup := util.Max(1, util.ISqrt(theta))
+	kIn := max(1, util.ISqrt(delta))
+	inGroup := max(1, util.CeilDiv(delta, kIn))
+	outGroup := max(1, util.ISqrt(theta))
 	vg, err := connector.Orientation(hp.Orient, inGroup, outGroup)
 	if err != nil {
 		return nil, err

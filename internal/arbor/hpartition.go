@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/sim"
-	"repro/internal/util"
 )
 
 // Threshold returns the H-partition degree threshold θ = ⌈q·a⌉ (at least 1;
@@ -34,7 +33,7 @@ func Threshold(a int, q float64) int {
 	if a < 1 {
 		a = 1
 	}
-	return util.Max(1, int(math.Ceil(q*float64(a))))
+	return max(1, int(math.Ceil(q*float64(a))))
 }
 
 // HPartitionResult is an H-partition of a graph together with its induced

@@ -65,36 +65,17 @@ func Merge(ctx context.Context, eng sim.Exec, spec MergeSpec) (*MergeResult, err
 	if spec.D == 0 {
 		return &MergeResult{EdgeColors: spec.EdgeColors}, nil
 	}
-	n := g.N()
-	errs := make([]error, n)
-	assigned := make([]int, n)
-	factory := sim.Machines(func(info sim.NodeInfo) sim.Machine {
-		v := info.V
-		role := roleIdle
-		if spec.RoleA[v] {
-			role = roleA
-		} else if spec.RoleB[v] {
-			role = roleB
-		}
-		return &mergeMachine{
-			g:       g,
-			v:       v,
-			role:    role,
-			spec:    &spec,
-			errSink: &errs[v],
-			cntSink: &assigned[v],
-		}
-	})
-	stats, err := eng.Run(ctx, sim.NewTopology(g), factory, 2*spec.D+4)
+	prog := newMergeProgram(&spec)
+	stats, err := eng.Run(ctx, sim.NewTopology(g), prog, 2*spec.D+4)
 	if err != nil {
 		return nil, fmt.Errorf("arbor: merge: %w", err)
 	}
 	total := 0
-	for v := 0; v < n; v++ {
-		if errs[v] != nil {
-			return nil, errs[v]
+	for v := 0; v < g.N(); v++ {
+		if prog.errs[v] != nil {
+			return nil, prog.errs[v]
 		}
-		total += assigned[v]
+		total += prog.assigned[v]
 	}
 	return &MergeResult{EdgeColors: spec.EdgeColors, Assigned: total, Stats: stats}, nil
 }
@@ -108,121 +89,157 @@ const (
 )
 
 // offerMsg carries the colors currently on all edges of the offering
-// A-endpoint.
+// A-endpoint. It travels as a pointer to the sender's slot of
+// mergeProgram.offers, and its colors are a view of the sender's payload.
 type offerMsg struct {
 	colors []int64
 }
 
 // Bits implements sim.Sizer: one word per carried color (the Lemma 5.1
 // procedure is the one genuinely LOCAL-sized message in this codebase).
-func (o offerMsg) Bits() int64 { return 64 * int64(len(o.colors)) }
+func (o *offerMsg) Bits() int64 { return 64 * int64(len(o.colors)) }
 
-// replyMsg carries the color assigned by the B-endpoint.
-type replyMsg struct {
-	color int64
-}
+// replyMsg is the color the B-endpoint picked for an offer. It travels as
+// a pointer to the replying port's slot of the B-endpoint's payload.
+type replyMsg int64
 
 // Bits implements sim.Sizer.
-func (replyMsg) Bits() int64 { return 64 }
+func (*replyMsg) Bits() int64 { return 64 }
 
-type mergeMachine struct {
-	g       *graph.Graph
-	v       int
-	role    mergeRole
-	spec    *MergeSpec
-	errSink *error
-	cntSink *int
-
-	// A-side state.
-	crossPorts []int   // ports of my uncolored crossing edges, label i = index i−1
-	offerBuf   []int64 // reusable offer payload (consumed by the receiver before the next overwrite)
-	// B-side state: bitset palettes over [0, Palette) (colors at or above
-	// the crossing palette can never be picked, so they are not tracked).
-	// myColors marks the colors on my incident edges (kept fresh);
-	// offerScratch marks one offer's colors during pickColor and is wiped
-	// back to zero before the step returns.
-	myColors     []uint64
-	offerScratch []uint64
+// mergeProgram is one Merge stage as a run-scoped sim.PortProgram. A
+// vertex's state lives in n-slot slabs at index v, and its per-port state
+// in arc-sized slabs over its CSR arc range [Off[v], Off[v+1]) (the
+// slot-v rule). A message points into a slab, never into the shard
+// scratch, and its sender leaves the slot alone until the receiver has
+// read it in the next round: an offer's payload is rewritten two rounds
+// later, and a reply slot is written once, for the port's only offer.
+type mergeProgram struct {
+	spec *MergeSpec
+	csr  *graph.CSR
+	// words is the length of one bitset over the crossing palette [0,
+	// Palette); a B-vertex keeps two in the shard scratch (Scratch).
+	words int
+	// cross[Off[v]:Off[v]+ncross[v]] are A-vertex v's crossing ports, the
+	// port of label i at index i−1.
+	cross  []int32
+	ncross []int32
+	// pay holds an A-vertex's offer payload from Off[v] on, and a
+	// B-vertex's reply on port p at Off[v]+p; no vertex has both roles.
+	pay []int64
+	// offers[v] is A-vertex v's current offer.
+	offers []offerMsg
+	// errs[v] is the error that halted v, and assigned[v] counts the
+	// crossing edges B-vertex v colored.
+	errs     []error
+	assigned []int
 }
 
-// markColor inserts c (which must be in [0, Palette)) into the bitset.
-func markColor(set []uint64, c int64) {
-	set[c>>6] |= 1 << (uint(c) & 63)
+func newMergeProgram(spec *MergeSpec) *mergeProgram {
+	csr := spec.G.CSR()
+	n, arcs := spec.G.N(), csr.NumArcs()
+	return &mergeProgram{
+		spec:     spec,
+		csr:      csr,
+		words:    int((spec.Palette + 63) / 64),
+		cross:    make([]int32, arcs),
+		ncross:   make([]int32, n),
+		pay:      make([]int64, arcs),
+		offers:   make([]offerMsg, n),
+		errs:     make([]error, n),
+		assigned: make([]int, n),
+	}
 }
 
-func (mm *mergeMachine) Step(round int, in []sim.Message, out []sim.Message) bool {
-	spec := mm.spec
-	adj := mm.g.Adj(mm.v)
+// Scratch implements sim.Factory: a B-vertex's two palette bitsets, its
+// incident colors and one offer's colors.
+func (p *mergeProgram) Scratch(int) int { return 2 * p.words }
+
+func (p *mergeProgram) role(v int) mergeRole {
+	switch {
+	case p.spec.RoleA[v]:
+		return roleA
+	case p.spec.RoleB[v]:
+		return roleB
+	}
+	return roleIdle
+}
+
+// Step implements sim.PortProgram.
+func (p *mergeProgram) Step(v, round int, in, out []sim.Message, scratch []sim.Word) bool {
+	spec := p.spec
+	role := p.role(v)
+	lo, hi := p.csr.Range(v)
+	edges := p.csr.Edge[lo:hi:hi]
 	switch {
 	case round == 0:
-		sim.SendAll(out, int64(mm.role))
-		return mm.role == roleIdle
-	case round == 1 && mm.role == roleA:
+		sim.SendAll(out, int64(role))
+		return role == roleIdle
+	case round == 1 && role == roleA:
 		// Learn neighbor roles; label my uncolored crossing edges.
-		for p, a := range adj {
-			if spec.EdgeColors[a.Edge] >= 0 {
+		cross := p.cross[lo:hi:hi]
+		k := 0
+		for port, e := range edges {
+			if spec.EdgeColors[e] >= 0 {
 				continue
 			}
-			if r, ok := in[p].(int64); ok && mergeRole(r) == roleB {
-				mm.crossPorts = append(mm.crossPorts, p)
+			if r, ok := in[port].(int64); ok && mergeRole(r) == roleB {
+				cross[k] = int32(port)
+				k++
 			}
 		}
-		if len(mm.crossPorts) > spec.D {
-			*mm.errSink = fmt.Errorf("arbor: merge: vertex %d has %d crossing edges, bound D=%d", mm.v, len(mm.crossPorts), spec.D)
+		p.ncross[v] = int32(k)
+		if k > spec.D {
+			p.errs[v] = fmt.Errorf("arbor: merge: vertex %d has %d crossing edges, bound D=%d", v, k, spec.D)
 			return true
 		}
-		mm.sendOffer(0, out)
+		p.sendOffer(v, 0, out)
 		return false
-	case mm.role == roleA && round >= 2 && round%2 == 1:
+	case role == roleA && round >= 2 && round%2 == 1:
 		// Round 2i+1: record the reply for label i (i = (round−1)/2 ≥ 1),
 		// then offer label i+1.
 		i := (round - 1) / 2
-		if i >= 1 && i <= len(mm.crossPorts) {
-			p := mm.crossPorts[i-1]
-			rep, ok := in[p].(replyMsg)
+		k := int(p.ncross[v])
+		if i <= k {
+			port := p.cross[int(lo)+i-1]
+			rep, ok := in[port].(*replyMsg)
 			if !ok {
-				*mm.errSink = fmt.Errorf("arbor: merge: vertex %d missing reply for label %d", mm.v, i)
+				p.errs[v] = fmt.Errorf("arbor: merge: vertex %d missing reply for label %d", v, i)
 				return true
 			}
-			spec.EdgeColors[adj[p].Edge] = rep.color
+			spec.EdgeColors[edges[port]] = int64(*rep)
 		}
-		if i >= len(mm.crossPorts) {
+		if i >= k {
 			return true // all my labels are colored
 		}
-		mm.sendOffer(i, out)
+		p.sendOffer(v, i, out)
 		return false
-	case mm.role == roleB && round >= 2 && round%2 == 0:
+	case role == roleB && round >= 2 && round%2 == 0:
 		// Round 2i: process the offers of label i.
-		if mm.myColors == nil {
-			words := (spec.Palette + 63) / 64
-			mm.myColors = make([]uint64, words)
-			mm.offerScratch = make([]uint64, words)
-			for _, a := range adj {
-				if c := spec.EdgeColors[a.Edge]; c >= 0 && c < spec.Palette {
-					markColor(mm.myColors, c)
-				}
-			}
-		}
-		for p, m := range in {
-			offer, ok := m.(offerMsg)
+		mine, offered := scratch[:p.words], scratch[p.words:2*p.words]
+		fresh := false
+		for port, m := range in {
+			offer, ok := m.(*offerMsg)
 			if !ok {
 				continue
 			}
-			c, found := mm.pickColor(offer.colors)
+			if !fresh {
+				p.markIncident(edges, mine, offered)
+				fresh = true
+			}
+			c, found := pickColor(mine, offered, offer.colors, spec.Palette)
 			if !found {
-				*mm.errSink = fmt.Errorf("arbor: merge: vertex %d found no free color below %d", mm.v, spec.Palette)
+				p.errs[v] = fmt.Errorf("arbor: merge: vertex %d found no free color below %d", v, spec.Palette)
 				return true
 			}
-			spec.EdgeColors[adj[p].Edge] = c
-			markColor(mm.myColors, c)
-			*mm.cntSink++
-			out[p] = replyMsg{color: c}
+			spec.EdgeColors[edges[port]] = c
+			markColor(mine, c)
+			p.assigned[v]++
+			reply := &p.pay[int(lo)+port]
+			*reply = c
+			out[port] = (*replyMsg)(reply)
 		}
-		if round >= 2*spec.D {
-			return true // the last possible offer arrived this round
-		}
-		return false
-	case mm.role == roleB || mm.role == roleA:
+		return round >= 2*spec.D // the last possible offer arrived this round
+	case role == roleB || role == roleA:
 		// Off-cycle rounds: nothing to do, keep listening.
 		return false
 	default:
@@ -230,50 +247,66 @@ func (mm *mergeMachine) Step(round int, in []sim.Message, out []sim.Message) boo
 	}
 }
 
-// sendOffer emits the label-(i+1) offer: the colors of all my edges. The
-// payload slice is the machine's reusable buffer: the receiver consumes it
-// in the very next round, before the next sendOffer (two rounds later)
-// overwrites it.
-func (mm *mergeMachine) sendOffer(i int, out []sim.Message) {
-	if i >= len(mm.crossPorts) {
-		return
-	}
-	adj := mm.g.Adj(mm.v)
-	if mm.offerBuf == nil {
-		mm.offerBuf = make([]int64, 0, len(adj))
-	}
-	colors := mm.offerBuf[:0]
-	for _, a := range adj {
-		if c := mm.spec.EdgeColors[a.Edge]; c >= 0 {
-			colors = append(colors, c)
+// markIncident clears both bitsets and marks in mine the colors below
+// Palette on v's edges. An A–B edge at v is written during the merge
+// only with the color v picked for it, so this is the set v would have
+// kept up to date since its first offer round.
+func (p *mergeProgram) markIncident(edges []int32, mine, offered []sim.Word) {
+	clear(mine)
+	clear(offered)
+	for _, e := range edges {
+		if c := p.spec.EdgeColors[e]; c >= 0 && c < p.spec.Palette {
+			markColor(mine, c)
 		}
 	}
-	mm.offerBuf = colors
-	out[mm.crossPorts[i]] = offerMsg{colors: colors}
 }
 
-// pickColor returns the smallest color < Palette avoiding my colors and the
-// offered colors, scanning the two bitset palettes word-wise.
-func (mm *mergeMachine) pickColor(offered []int64) (int64, bool) {
-	pal := mm.spec.Palette
-	for _, c := range offered {
+// sendOffer emits the label-(i+1) offer: the colors of all of v's edges,
+// written into v's payload range.
+func (p *mergeProgram) sendOffer(v, i int, out []sim.Message) {
+	if i >= int(p.ncross[v]) {
+		return
+	}
+	lo, hi := p.csr.Range(v)
+	pay := p.pay[lo:hi:hi]
+	k := 0
+	for _, e := range p.csr.Edge[lo:hi] {
+		if c := p.spec.EdgeColors[e]; c >= 0 {
+			pay[k] = c
+			k++
+		}
+	}
+	p.offers[v] = offerMsg{colors: pay[:k]}
+	out[p.cross[int(lo)+i]] = &p.offers[v]
+}
+
+// markColor inserts c (which must be in [0, Palette)) into the bitset.
+func markColor(set []sim.Word, c int64) {
+	set[c>>6] |= 1 << (uint(c) & 63)
+}
+
+// pickColor returns the smallest color < pal avoiding mine and the
+// offered colors, scanning the two bitsets word-wise. offered is wiped
+// back to zero before it returns.
+func pickColor(mine, offered []sim.Word, colors []int64, pal int64) (int64, bool) {
+	for _, c := range colors {
 		if c >= 0 && c < pal {
-			markColor(mm.offerScratch, c)
+			markColor(offered, c)
 		}
 	}
 	picked, found := int64(0), false
-	for w := range mm.myColors {
-		if free := ^(mm.myColors[w] | mm.offerScratch[w]); free != 0 {
-			c := int64(w)*64 + int64(bits.TrailingZeros64(free))
+	for w := range mine {
+		if free := ^(mine[w] | offered[w]); free != 0 {
+			c := int64(w)*64 + int64(bits.TrailingZeros64(uint64(free)))
 			if c < pal {
 				picked, found = c, true
 			}
 			break
 		}
 	}
-	for _, c := range offered {
+	for _, c := range colors {
 		if c >= 0 && c < pal {
-			mm.offerScratch[c>>6] = 0
+			offered[c>>6] = 0
 		}
 	}
 	return picked, found

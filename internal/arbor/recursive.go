@@ -38,7 +38,7 @@ func Palette54(delta, a int, q float64, x int) int64 {
 
 func palette54Rec(dDelta, dTheta, inG, outG, lvl int, q float64) int64 {
 	if lvl <= 1 {
-		return Palette52(dDelta, util.Max(1, dTheta), q)
+		return Palette52(dDelta, max(1, dTheta), q)
 	}
 	next := int64(inG + outG - 1)
 	return next * palette54Rec(nextDelta(dDelta, dTheta, inG, outG), util.CeilDiv(dTheta, outG), inG, outG, lvl-1, q)
@@ -97,7 +97,7 @@ func rec54(ctx context.Context, g *graph.Graph, orient *graph.Orientation, dDelt
 		return make([]int64, 0), sim.Stats{}, nil
 	}
 	if lvl == 1 {
-		res, err := ColorHPartition(ctx, g, util.Max(1, dTheta), Options{
+		res, err := ColorHPartition(ctx, g, max(1, dTheta), Options{
 			Exec: opt.Exec, VC: opt.VC, Q: opt.Q, DeclaredDelta: dDelta,
 		})
 		if err != nil {

@@ -7,22 +7,29 @@ import (
 	"repro/internal/sim"
 )
 
-// The merge machines coordinate through a shared edge-color array; these
-// tests prove the coordination is round-synchronized (no machine reads a
-// value another machine wrote in the same round unless the protocol says
-// so) by checking that the engine's intra-round vertex order cannot change
-// any outcome.
+// A merge stage's vertices coordinate through the shared edge-color array
+// and through messages that point into the merge program's slabs; these
+// tests prove the coordination is round-synchronized (no vertex reads a
+// value another vertex wrote in the same round unless the protocol says
+// so) by checking that the engine's intra-round vertex order and its
+// sharding cannot change any outcome. TestMergeSchedulingIndependence
+// runs 600 vertices, above two shards' worth (sim's step grain is 256),
+// and the tightest peeling multiplier, which splits them into three parts
+// and so two merge stages.
 
 func TestMergeSchedulingIndependence(t *testing.T) {
-	g, a := bounded(t, 300, 2, 120, 41)
+	g, a := bounded(t, 600, 2, 240, 41)
 	run := func(eng sim.Engine) *Result {
-		res, err := ColorHPartition(context.Background(), g, a, Options{Exec: eng})
+		res, err := ColorHPartition(context.Background(), g, a, Options{Exec: eng, Q: 2.05})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
 	fwd := run(sim.Sequential)
+	if fwd.Parts < 3 {
+		t.Fatalf("%d parts: want at least two merge stages", fwd.Parts)
+	}
 	rev := run(sim.ReverseSequential)
 	par := run(sim.Parallel)
 	for e := range fwd.Colors {

@@ -128,7 +128,7 @@ func BE11EdgeColor(ctx context.Context, g *graph.Graph, x int, opt star.Options)
 // parameter profile t = S^{1/(x+2)}.
 func BE11VertexColor(ctx context.Context, g *graph.Graph, cover *cliques.Cover, x int, opt cd.Options) (*cd.Result, error) {
 	s := cover.MaxCliqueSize()
-	t := util.Max(2, util.IRoot(s, x+2))
+	t := max(2, util.IRoot(s, x+2))
 	opt.SkipTrim = true
 	return cd.Color(ctx, g, cover, t, x, opt)
 }

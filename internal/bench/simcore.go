@@ -13,9 +13,10 @@ package bench
 // Two kinds of numbers live in a report. Deterministic workload metrics
 // (rounds, messages, colors) must match a baseline exactly on every
 // machine: a drift means the execution changed, not the hardware.
-// Machine-dependent metrics (ns/op, allocs) are compared with a tolerance
-// band, and allocs-per-round is pinned at exactly zero for the sequential
-// engines' steady state — the tentpole contract of the arena data plane.
+// Machine-dependent metrics (ns/op, allocs, bytes) are compared with a
+// tolerance band, and allocs-per-round is pinned at exactly zero for the
+// sequential engines' steady state — the tentpole contract of the arena
+// data plane.
 // An allocs_per_round of -1 is the explicit "unmeasured" sentinel (the
 // differencing methodology needs a single program run at two lengths, so
 // composed algorithm pipelines and the parallel engine report -1); the
@@ -31,6 +32,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -112,48 +114,54 @@ const (
 	simCoreCDEdges = 6_000
 )
 
-// wavefrontFactory is the canonical any-plane workload: vertices exchange
-// word-sized payloads boxed through the general Message slot and halt in
-// staggered waves (vertex v runs 1 + ID mod span rounds), the termination
+// portExchange is the any-plane workload, a sim.PortProgram: every vertex
+// sends a word-sized payload, boxed through the general Message slot, on
+// every port each round and folds its inbox into acc[v]. acc is sized for
+// the plane workload's simCoreN vertices.
+type portExchange struct {
+	rounds int
+	// wave staggers halting: vertex v halts after round v mod rounds (the
+	// plane topology's identifiers are its vertex indices) instead of
+	// after the last round.
+	wave bool
+	acc  []int64
+}
+
+// wavefrontFactory is the canonical any-plane workload: vertices halt in
+// staggered waves (vertex v runs 1 + v mod span rounds), the termination
 // pattern of the repository's algorithms.
 func wavefrontFactory(span int) sim.Factory {
-	return sim.Machines(func(info sim.NodeInfo) sim.Machine {
-		stop := 1 + int(info.ID)%span
-		var acc int64
-		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
-			for _, m := range in {
-				if m != nil {
-					acc += m.(int64)
-				}
-			}
-			sim.SendAll(out, int64(round&0x7f))
-			return round >= stop-1
-		})
-	})
+	return &portExchange{rounds: span, wave: true, acc: make([]int64, simCoreN)}
 }
 
 // exchangeFactory keeps every vertex live for the whole execution — the
 // dense-traffic bound of the any plane.
 func exchangeFactory(rounds int) sim.Factory {
-	return sim.Machines(func(info sim.NodeInfo) sim.Machine {
-		var acc int64
-		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
-			for _, m := range in {
-				if m != nil {
-					acc += m.(int64)
-				}
-			}
-			sim.SendAll(out, int64(round&0x7f))
-			return round >= rounds-1
-		})
-	})
+	return &portExchange{rounds: rounds, acc: make([]int64, simCoreN)}
+}
+
+// Scratch implements sim.Factory.
+func (*portExchange) Scratch(int) int { return 0 }
+
+// Step implements sim.PortProgram.
+func (p *portExchange) Step(v, round int, in, out []sim.Message, _ []sim.Word) bool {
+	for _, m := range in {
+		if m != nil {
+			p.acc[v] += m.(int64)
+		}
+	}
+	sim.SendAll(out, int64(round&0x7f))
+	last := p.rounds - 1
+	if p.wave {
+		last = v % p.rounds
+	}
+	return round >= last
 }
 
 // exchangeWords is exchangeFactory's program on the packed word plane: the
 // same traffic pattern with zero boxing, measuring the fast path the
-// algorithm programs ride. acc[v] folds v's inbox, as each any-plane
-// machine folds its own; it is sized for the plane workload's simCoreN
-// vertices.
+// algorithm programs ride. acc[v] folds v's inbox, as portExchange's
+// does; it is sized for the plane workload's simCoreN vertices.
 type exchangeWords struct {
 	rounds int
 	acc    []int64
@@ -195,6 +203,11 @@ func (*sizedExchange) WordBits(sim.Word) int64 { return 7 }
 // the minimum rather than the mean makes the numbers reproducible on
 // noisy shared runners (interference only ever slows an op down, never
 // speeds it up), which is what lets bench-check hold a 15% band in CI.
+// One last op runs with the collector paused and counts towards the
+// allocation profile only: a timed op that a GC cycle lands in also
+// counts the collector's own objects (a mutator assist that parks takes a
+// sudog, and every cycle empties the sudog cache), so a workload that
+// allocates past the heap goal can pay them on every timed op.
 // Exported for the suite extensions that cannot live in this package
 // (internal/svcbench measures the colord admission path; importing the
 // service layer here would cycle through the root package's tests).
@@ -210,25 +223,30 @@ func MeasureOp(fn func() error) (nsPerOp, allocsPerOp, bytesPerOp int64, err err
 	nsPerOp = math.MaxInt64
 	allocsPerOp = math.MaxInt64
 	bytesPerOp = math.MaxInt64
-	start := time.Now()
 	var m0, m1 runtime.MemStats
-	for op := 0; op < maxOps && (op < minOps || time.Since(start) < budget); op++ {
+	op := func() (int64, error) {
 		runtime.ReadMemStats(&m0)
 		t0 := time.Now()
 		if err := fn(); err != nil {
-			return 0, 0, 0, err
+			return 0, err
 		}
 		d := time.Since(t0).Nanoseconds()
 		runtime.ReadMemStats(&m1)
-		if d < nsPerOp {
-			nsPerOp = d
+		allocsPerOp = min(allocsPerOp, int64(m1.Mallocs-m0.Mallocs))
+		bytesPerOp = min(bytesPerOp, int64(m1.TotalAlloc-m0.TotalAlloc))
+		return d, nil
+	}
+	start := time.Now()
+	for i := 0; i < maxOps && (i < minOps || time.Since(start) < budget); i++ {
+		d, opErr := op()
+		if opErr != nil {
+			return 0, 0, 0, opErr
 		}
-		if a := int64(m1.Mallocs - m0.Mallocs); a < allocsPerOp {
-			allocsPerOp = a
-		}
-		if b := int64(m1.TotalAlloc - m0.TotalAlloc); b < bytesPerOp {
-			bytesPerOp = b
-		}
+		nsPerOp = min(nsPerOp, d)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if _, err := op(); err != nil {
+		return 0, 0, 0, err
 	}
 	return nsPerOp, allocsPerOp, bytesPerOp, nil
 }
@@ -508,7 +526,8 @@ func EnvMatches(a, b *SimCoreReport) bool {
 
 // toolchainMatches reports whether two reports share the Go toolchain, OS
 // and architecture. A workload off the parallel engine allocates the same
-// count on any CPU count of such a pair, so its allocs/op band arms.
+// count and bytes on any CPU count of such a pair, so its allocs/op and
+// bytes/op bands arm.
 func toolchainMatches(a, b *SimCoreReport) bool {
 	return a.GoVersion == b.GoVersion && a.GOOS == b.GOOS && a.GOARCH == b.GOARCH
 }
@@ -523,16 +542,17 @@ func ParallelGated(name string) bool { return strings.Contains(name, "/parallel"
 // workload whose baseline pins allocs-per-round at zero must stay at
 // zero; the -1 sentinel means "unmeasured" and is matched as a state (a
 // workload whose baseline measured allocs/round may not silently stop
-// measuring it). The machine-dependent bands — ns/op and allocs/op may
-// not regress by more than the tolerance fraction (improvements always
-// pass) — are enforced only where the two reports are comparable: ns/op
-// and the /parallel workloads' allocs/op within one runner class
-// (EnvMatches), since an absolute wall-clock number from different
-// hardware is noise, not a baseline; every other workload's allocs/op
-// whenever the toolchain, OS and architecture match, since a run off the
-// parallel engine allocates the same on any CPU count. Skipped bands are
-// reported in notes, so the caller can tell the operator to regenerate
-// the baseline on the current runner class.
+// measuring it). The machine-dependent bands — ns/op, allocs/op and
+// bytes/op may not regress by more than the tolerance fraction
+// (improvements always pass) — are enforced only where the two reports
+// are comparable: ns/op and the /parallel workloads' allocs/op and
+// bytes/op within one runner class (EnvMatches), since an absolute
+// wall-clock number from different hardware is noise, not a baseline;
+// every other workload's allocs/op and bytes/op whenever the toolchain,
+// OS and architecture match, since a run off the parallel engine
+// allocates the same on any CPU count. Skipped bands are reported in
+// notes, so the caller can tell the operator to regenerate the baseline
+// on the current runner class.
 // Missing or renamed workloads are problems, except for the
 // ParallelGated ones, whose presence legitimately varies with the
 // runner's CPU count and is reported as a note instead.
@@ -549,9 +569,9 @@ func CompareSimCore(baseline, current *SimCoreReport, tolerance float64) (proble
 	wallClock := EnvMatches(baseline, current)
 	seqAllocs := toolchainMatches(baseline, current)
 	if !wallClock {
-		skipped := "ns/op and allocs/op bands"
+		skipped := "ns/op, allocs/op and bytes/op bands"
 		if seqAllocs {
-			skipped = "ns/op band and the /parallel workloads' allocs/op band"
+			skipped = "ns/op band and the /parallel workloads' allocs/op and bytes/op bands"
 		}
 		note("baseline runner class (%s %s/%s, %d CPUs) differs from this one (%s %s/%s, %d CPUs): %s skipped — regenerate the baseline on this class with `make bench-baseline` to arm them",
 			baseline.GoVersion, baseline.GOOS, baseline.GOARCH, baseline.NumCPU,
@@ -591,6 +611,9 @@ func CompareSimCore(baseline, current *SimCoreReport, tolerance float64) (proble
 		if wallClock || seqAllocs && !ParallelGated(b.Name) {
 			if limit := float64(b.AllocsPerOp) * (1 + tolerance); float64(c.AllocsPerOp) > limit {
 				add(b.Name, "allocs/op regressed beyond %.0f%%: %d vs baseline %d", tolerance*100, c.AllocsPerOp, b.AllocsPerOp)
+			}
+			if limit := float64(b.BytesPerOp) * (1 + tolerance); float64(c.BytesPerOp) > limit {
+				add(b.Name, "bytes/op regressed beyond %.0f%%: %d vs baseline %d", tolerance*100, c.BytesPerOp, b.BytesPerOp)
 			}
 		}
 		// allocs_per_round: -1 is the "unmeasured" sentinel, matched as a

@@ -78,13 +78,43 @@ func TestCompareSimCoreAllocsAcrossCPUCounts(t *testing.T) {
 	if len(problems) != 1 || problems[0].Workload != "algo/b" || !strings.Contains(problems[0].Detail, "allocs/op regressed") {
 		t.Fatalf("want exactly algo/b's allocs/op regression, got %v", problems)
 	}
-	if len(notes) != 1 || !strings.Contains(notes[0], "/parallel workloads' allocs/op band skipped") {
+	if len(notes) != 1 || !strings.Contains(notes[0], "/parallel workloads' allocs/op and bytes/op bands skipped") {
 		t.Fatalf("want a note that the parallel allocs band is skipped, got %v", notes)
 	}
 	// A different toolchain disarms the band for every workload.
 	cur.GoVersion = "go1.99.0"
 	if problems, _ := CompareSimCore(base, cur, 0.15); len(problems) != 0 {
 		t.Fatalf("allocs/op band armed across toolchains: %v", problems)
+	}
+}
+
+// TestCompareSimCoreBytesAcrossCPUCounts pins the bytes/op band on the
+// same terms as the allocs/op band: on a runner class that differs only
+// in CPU count, a workload off the parallel engine 20% over its bytes
+// baseline fails, while a /parallel workload's band stays skipped, with a
+// note naming it.
+func TestCompareSimCoreBytesAcrossCPUCounts(t *testing.T) {
+	base := sampleReport()
+	base.Results[1].BytesPerOp = 1000
+	base.Results = append(base.Results, SimCoreResult{Name: "plane/c/parallel-10k", NsPerOp: 800, AllocsPerOp: 100, BytesPerOp: 5000, AllocsPerRound: -1})
+	cur := sampleReport()
+	cur.Results[1].BytesPerOp = 1000
+	cur.Results = append(cur.Results, base.Results[2])
+	cur.NumCPU = 2
+	cur.Results[1].BytesPerOp = 1200 // 20% over algo/b's 1000
+	cur.Results[2].BytesPerOp = 6000 // 20% over the parallel row's 5000
+	problems, notes := CompareSimCore(base, cur, 0.15)
+	if len(problems) != 1 || problems[0].Workload != "algo/b" || !strings.Contains(problems[0].Detail, "bytes/op regressed") {
+		t.Fatalf("want exactly algo/b's bytes/op regression, got %v", problems)
+	}
+	if len(notes) != 1 || !strings.Contains(notes[0], "bytes/op bands skipped") {
+		t.Fatalf("want a note that the parallel bytes band is skipped, got %v", notes)
+	}
+	// In the baseline's own class the parallel row's band arms too.
+	cur.NumCPU = base.NumCPU
+	problems, _ = CompareSimCore(base, cur, 0.15)
+	if len(problems) != 2 {
+		t.Fatalf("want both bytes/op regressions in class, got %v", problems)
 	}
 }
 
@@ -96,6 +126,7 @@ func TestCompareSimCoreFlagsRegressions(t *testing.T) {
 	}{
 		{"ns", func(r *SimCoreReport) { r.Results[0].NsPerOp = 1200 }, "ns/op regressed"},
 		{"allocs", func(r *SimCoreReport) { r.Results[1].AllocsPerOp = 300 }, "allocs/op regressed"},
+		{"bytes", func(r *SimCoreReport) { r.Results[0].BytesPerOp = 1 }, "bytes/op regressed"},
 		{"per-round", func(r *SimCoreReport) { r.Results[0].AllocsPerRound = 2 }, "steady-state rounds allocate"},
 		{"rounds", func(r *SimCoreReport) { r.Results[0].Rounds = 33 }, "deterministic metrics drifted"},
 		{"messages", func(r *SimCoreReport) { r.Results[1].Messages = 9001 }, "deterministic metrics drifted"},

@@ -64,7 +64,7 @@ func ChooseT(s, x int) int {
 	if s < 2 {
 		return 2
 	}
-	return util.Max(2, util.IRoot(s, x+1))
+	return max(2, util.IRoot(s, x+1))
 }
 
 // DeclaredPalette composes the palette produced by x recursion levels with

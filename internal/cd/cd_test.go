@@ -183,7 +183,7 @@ func TestChooseT(t *testing.T) {
 	if ChooseT(100, 1) != 10 {
 		t.Fatalf("ChooseT(100,1) = %d, want 10", ChooseT(100, 1))
 	}
-	if ChooseT(100, 2) != util.Max(2, util.IRoot(100, 3)) {
+	if ChooseT(100, 2) != max(2, util.IRoot(100, 3)) {
 		t.Fatal("ChooseT(100,2) wrong")
 	}
 	if ChooseT(3, 5) != 2 {
@@ -210,7 +210,7 @@ func TestTrimAblation(t *testing.T) {
 	s := cov.MaxCliqueSize()
 	// Pick parameters that force declared > bound so the trim matters:
 	// large t at x=1 gives declared ≈ (D(t−1)+1)(D(⌈s/t⌉−1)+1).
-	tt := util.Max(2, s-1)
+	tt := max(2, s-1)
 	with, err := Color(context.Background(), g, cov, tt, 1, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -170,9 +170,9 @@ func TestOrientationConnector(t *testing.T) {
 	}
 	o := graph.OrientByOrder(g, rank)
 	delta := g.MaxDegree()
-	k := util.Max(1, util.ISqrt(delta))
+	k := max(1, util.ISqrt(delta))
 	inGroup := util.CeilDiv(delta, k)
-	outGroup := util.Max(1, util.ISqrt(d))
+	outGroup := max(1, util.ISqrt(d))
 	vg, err := Orientation(o, inGroup, outGroup)
 	if err != nil {
 		t.Fatal(err)

@@ -72,7 +72,7 @@ func buildOriented(o *graph.Orientation, inGroup, outGroup int, bipartite bool) 
 			total = nIn + nOut
 			inCount[v] = int32(nIn)
 		} else {
-			total = util.Max(nIn, nOut)
+			total = max(nIn, nOut)
 		}
 		if total == 0 {
 			total = 1 // isolated vertices keep one virtual for simplicity

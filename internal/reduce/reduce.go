@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
-	"repro/internal/util"
 )
 
 // Result is a reduced coloring plus its execution cost.
@@ -256,5 +255,5 @@ func EstimateAutoRounds(m, target int64) int64 {
 	}
 	trim := m - target + 1
 	kw := int64(len(kwSchedule(m, target))) + 1
-	return util.MinInt64(trim, kw)
+	return min(trim, kw)
 }

@@ -91,7 +91,7 @@ func TestBandwidthViolations(t *testing.T) {
 	for _, eng := range []sim.Engine{sim.Sequential, sim.ReverseSequential, sim.Parallel} {
 		bw2 := &sim.Bandwidth{CapBits: 10}
 		stats, err := sim.Instrumented(eng, nil, bw2).Run(
-			context.Background(), topo, exchangeProgram(rounds), rounds+2)
+			context.Background(), topo, exchangeProgram(topo, rounds), rounds+2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestBandwidthViolations(t *testing.T) {
 	// Shared accountant across executions accumulates.
 	for i := 0; i < 3; i++ {
 		if _, err := sim.Instrumented(sim.Sequential, nil, bw).Run(
-			context.Background(), topo, exchangeProgram(rounds), rounds+2); err != nil {
+			context.Background(), topo, exchangeProgram(topo, rounds), rounds+2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,7 +112,7 @@ func TestBandwidthViolations(t *testing.T) {
 	// Zero cap: account, don't judge.
 	free := &sim.Bandwidth{}
 	stats, err := sim.Instrumented(sim.Sequential, nil, free).Run(
-		context.Background(), topo, exchangeProgram(rounds), rounds+2)
+		context.Background(), topo, exchangeProgram(topo, rounds), rounds+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestRoundEventBandwidthFields(t *testing.T) {
 		hook := func(ev sim.RoundEvent) { events = append(events, ev) }
 		bw := &sim.Bandwidth{CapBits: sim.CongestCapBits(g.N())}
 		stats, err := sim.Instrumented(eng, hook, bw).Run(
-			context.Background(), topo, wavefrontProgram(span), span+2)
+			context.Background(), topo, wavefrontProgram(topo, span), span+2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestInstrumentedSteadyStateAllocFree(t *testing.T) {
 	hook := func(sim.RoundEvent) {}
 	exec := sim.Instrumented(sim.Sequential, hook, bw)
 	run := func(rounds int) {
-		if _, err := exec.Run(context.Background(), topo, exchangeProgram(rounds), rounds+2); err != nil {
+		if _, err := exec.Run(context.Background(), topo, exchangeProgram(topo, rounds), rounds+2); err != nil {
 			t.Fatal(err)
 		}
 	}

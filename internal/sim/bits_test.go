@@ -16,19 +16,17 @@ func TestBitAccounting(t *testing.T) {
 	// Path 0-1-2: vertex 0 sends a 128-bit message, vertex 2 a plain int64
 	// (64 bits), vertex 1 nothing; everyone halts after one exchange.
 	g := graph.Path(3)
-	var f Machines = func(info NodeInfo) Machine {
-		return FuncMachine(func(round int, in []Message, out []Message) bool {
-			if round == 0 {
-				switch info.ID {
-				case 0:
-					SendAll(out, sizedMsg{n: 128})
-				case 2:
-					SendAll(out, int64(7))
-				}
-				return false
+	var f PortFunc = func(v, round int, in, out []Message) bool {
+		if round == 0 {
+			switch v {
+			case 0:
+				SendAll(out, sizedMsg{n: 128})
+			case 2:
+				SendAll(out, int64(7))
 			}
-			return true
-		})
+			return false
+		}
+		return true
 	}
 	stats, err := Sequential.Run(context.Background(), NewTopology(g), f, 5)
 	if err != nil {
@@ -60,14 +58,12 @@ func TestBitAccountingCombinators(t *testing.T) {
 
 func TestBitAccountingEnginesAgree(t *testing.T) {
 	g := graph.Complete(9)
-	var f Machines = func(info NodeInfo) Machine {
-		return FuncMachine(func(round int, in []Message, out []Message) bool {
-			if round < 2 {
-				SendAll(out, sizedMsg{n: info.ID + 1})
-				return false
-			}
-			return true
-		})
+	var f PortFunc = func(v, round int, in, out []Message) bool {
+		if round < 2 {
+			SendAll(out, sizedMsg{n: int64(v) + 1})
+			return false
+		}
+		return true
 	}
 	s1, err := Sequential.Run(context.Background(), NewTopology(g), f, 5)
 	if err != nil {

@@ -6,15 +6,16 @@ package sim_test
 //
 //   - runReference below IS the old data plane (per-vertex inbox/outbox
 //     slices, portRef delivery), kept as the executable specification of
-//     one synchronous round; it steps a word program one vertex at a time
-//     through wordMachines;
+//     one synchronous round; it steps a PortProgram or a WordProgram one
+//     vertex at a time, directly;
 //   - the equivalence matrix runs programs × graphs × engines and demands
 //     identical per-vertex results and identical Stats against it;
 //   - the algorithm-level matrix runs real colorings (Linial, both
-//     reductions, the §5 peeling, the §4 star partition, CD) under every
-//     engine and demands identical colorings and Stats;
+//     reductions, the §5 peeling and merge, the §4 star partition, CD)
+//     under every engine and demands identical colorings and Stats;
 //   - the allocation tests pin the sequential engine's steady state at
-//     zero heap allocations per round;
+//     zero heap allocations per round, and a port program's whole run at
+//     no allocation per vertex;
 //   - BenchmarkSimPlane* measure the plane against the reference on the
 //     10k-vertex workload (make bench-check guards the JSON baseline).
 
@@ -46,7 +47,6 @@ type refPort struct {
 }
 
 type refInstance struct {
-	machines  []sim.Machine
 	done      []bool
 	remaining int
 	in        [][]sim.Message
@@ -54,11 +54,10 @@ type refInstance struct {
 	peer      [][]refPort
 }
 
-func newRefInstance(t *sim.Topology, f sim.Machines) *refInstance {
+func newRefInstance(t *sim.Topology) *refInstance {
 	g := t.G
 	n := g.N()
 	inst := &refInstance{
-		machines:  make([]sim.Machine, n),
 		done:      make([]bool, n),
 		remaining: n,
 		in:        make([][]sim.Message, n),
@@ -82,43 +81,8 @@ func newRefInstance(t *sim.Topology, f sim.Machines) *refInstance {
 		for p, a := range adj {
 			inst.peer[v][p] = refPort{v: a.To, port: portOf[a.To][a.Edge]}
 		}
-		inst.machines[v] = f(sim.NodeInfo{
-			V: v, ID: t.ID(v), Label: t.Label(v),
-			Degree: deg, N: n, MaxDeg: g.MaxDegree(),
-		})
 	}
 	return inst
-}
-
-// wordMachines steps a word program one vertex at a time through the
-// Machine contract, for the reference engine: each vertex's machine reads
-// its inbox as words, steps its vertex with one scratch slab of the
-// program's size (the reference steps one vertex at a time, like one
-// shard), and broadcasts the returned word as a refWord carrying the
-// program's bit accounting.
-func wordMachines(p sim.WordProgram, maxDeg int) sim.Machines {
-	scratch := make([]sim.Word, p.Scratch(maxDeg))
-	sizer, _ := p.(sim.WordSizer)
-	return func(info sim.NodeInfo) sim.Machine {
-		words := make([]sim.Word, info.Degree)
-		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
-			for port, m := range in {
-				words[port] = sim.NoWord
-				if m != nil {
-					words[port] = m.(refWord).w
-				}
-			}
-			w, halted := p.StepWord(info.V, round, words, scratch)
-			if w != sim.NoWord {
-				bits := int64(64)
-				if sizer != nil {
-					bits = sizer.WordBits(w)
-				}
-				sim.SendAll(out, refWord{w: w, bits: bits})
-			}
-			return halted
-		})
-	}
 }
 
 // refWord carries a word over the reference plane with its bit count.
@@ -136,6 +100,43 @@ func refBits(m sim.Message) int64 {
 	return 64
 }
 
+// refStep returns the step of one vertex of f on the reference plane,
+// with one scratch slab of the program's size (the reference steps one
+// vertex at a time, like one shard). A PortProgram steps as it is; a
+// WordProgram reads its inbox as words and broadcasts the returned word
+// as a refWord carrying the program's bit accounting.
+func refStep(f sim.Factory, maxDeg int) (func(v, round int, in, out []sim.Message) bool, error) {
+	scratch := make([]sim.Word, f.Scratch(maxDeg))
+	switch p := f.(type) {
+	case sim.WordProgram:
+		sizer, _ := p.(sim.WordSizer)
+		words := make([]sim.Word, maxDeg)
+		return func(v, round int, in, out []sim.Message) bool {
+			ws := words[:len(in)]
+			for port, m := range in {
+				ws[port] = sim.NoWord
+				if m != nil {
+					ws[port] = m.(refWord).w
+				}
+			}
+			w, halted := p.StepWord(v, round, ws, scratch)
+			if w != sim.NoWord {
+				bits := int64(64)
+				if sizer != nil {
+					bits = sizer.WordBits(w)
+				}
+				sim.SendAll(out, refWord{w: w, bits: bits})
+			}
+			return halted
+		}, nil
+	case sim.PortProgram:
+		return func(v, round int, in, out []sim.Message) bool {
+			return p.Step(v, round, in, out, scratch)
+		}, nil
+	}
+	return nil, fmt.Errorf("reference: program %T is neither a PortProgram nor a WordProgram", f)
+}
+
 // runReference executes the algorithm exactly as the old sequential engine
 // did: step vertices in index order, deliver per-vertex outboxes through
 // port references, clear outboxes of halted vertices every round.
@@ -143,16 +144,11 @@ func runReference(t *sim.Topology, f sim.Factory, maxRounds int) (sim.Stats, err
 	if err := t.Validate(); err != nil {
 		return sim.Stats{}, err
 	}
-	var machines sim.Machines
-	switch p := f.(type) {
-	case sim.WordProgram:
-		machines = wordMachines(p, t.G.MaxDegree())
-	case sim.Machines:
-		machines = p
-	default:
-		return sim.Stats{}, fmt.Errorf("reference: program %T is neither Machines nor a WordProgram", f)
+	step, err := refStep(f, t.G.MaxDegree())
+	if err != nil {
+		return sim.Stats{}, err
 	}
-	inst := newRefInstance(t, machines)
+	inst := newRefInstance(t)
 	n := t.G.N()
 	var stats sim.Stats
 	for round := 0; ; round++ {
@@ -170,7 +166,7 @@ func runReference(t *sim.Topology, f sim.Factory, maxRounds int) (sim.Stats, err
 			for p := range out {
 				out[p] = nil
 			}
-			if inst.machines[v].Step(round, inst.in[v], out) {
+			if step(v, round, inst.in[v], out) {
 				inst.done[v] = true
 				inst.remaining--
 			}
@@ -225,77 +221,74 @@ type sizedMsg int64
 func (s sizedMsg) Bits() int64 { return int64(s)%13 + 14 }
 
 // sumProgram broadcasts the vertex ID, then stores the neighbor-ID sum.
-func sumProgram(results []int64) sim.Machines {
-	return func(info sim.NodeInfo) sim.Machine {
-		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
-			if round == 0 {
-				sim.SendAll(out, info.ID)
-				return info.Degree == 0
-			}
-			var sum int64
-			for _, m := range in {
-				sum += m.(int64)
-			}
-			results[info.V] = sum
-			return true
-		})
-	}
+func sumProgram(t *sim.Topology, results []int64) sim.PortProgram {
+	return sim.PortFunc(func(v, round int, in, out []sim.Message) bool {
+		if round == 0 {
+			sim.SendAll(out, t.ID(v))
+			return len(in) == 0
+		}
+		var sum int64
+		for _, m := range in {
+			sum += m.(int64)
+		}
+		results[v] = sum
+		return true
+	})
 }
 
 // floodProgram floods a token from ID 0; results record first-hearing
 // rounds. On disconnected graphs it never terminates, which the matrix
 // exercises through the round-limit path.
-func floodProgram(results []int64) sim.Machines {
-	return func(info sim.NodeInfo) sim.Machine {
-		reached := info.ID == 0
-		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
-			if reached {
-				sim.SendAll(out, int64(1))
-				results[info.V] = int64(round)
-				return true
+func floodProgram(t *sim.Topology, results []int64) sim.PortProgram {
+	reached := make([]bool, t.G.N())
+	return sim.PortFunc(func(v, round int, in, out []sim.Message) bool {
+		if round == 0 {
+			reached[v] = t.ID(v) == 0
+		}
+		if reached[v] {
+			sim.SendAll(out, int64(1))
+			results[v] = int64(round)
+			return true
+		}
+		for _, m := range in {
+			if m != nil {
+				reached[v] = true
+				break
 			}
-			for _, m := range in {
-				if m != nil {
-					reached = true
-					break
-				}
-			}
-			return false
-		})
-	}
+		}
+		return false
+	})
 }
 
 // chattyProgram staggers halting by ID, sends on a rotating subset of
 // ports (mixing nil and non-nil slots, plain and Sizer payloads), and
 // folds everything received into a per-vertex accumulator. It exercises
 // final-message delivery, halted-sender clearing, and bit accounting.
-func chattyProgram(results []int64) sim.Machines {
-	return func(info sim.NodeInfo) sim.Machine {
-		stop := int(info.ID%5) + 1
-		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
-			acc := results[info.V]
-			for p, m := range in {
-				switch v := m.(type) {
-				case nil:
-					acc = acc*31 + 7
-				case int64:
-					acc = acc*31 + v + int64(p)
-				case sizedMsg:
-					acc = acc*31 + int64(v) - int64(p)
-				}
+func chattyProgram(t *sim.Topology, results []int64) sim.PortProgram {
+	return sim.PortFunc(func(v, round int, in, out []sim.Message) bool {
+		id := t.ID(v)
+		acc := results[v]
+		for p, m := range in {
+			switch m := m.(type) {
+			case nil:
+				acc = acc*31 + 7
+			case int64:
+				acc = acc*31 + m + int64(p)
+			case sizedMsg:
+				acc = acc*31 + int64(m) - int64(p)
 			}
-			results[info.V] = acc
-			for p := range out {
-				switch (p + round + int(info.ID)) % 3 {
-				case 0:
-					out[p] = int64(round)*1000 + info.ID
-				case 1:
-					out[p] = sizedMsg(info.ID + int64(p))
-				}
+		}
+		results[v] = acc
+		for p := range out {
+			switch (p + round + int(id)) % 3 {
+			case 0:
+				out[p] = int64(round)*1000 + id
+			case 1:
+				out[p] = sizedMsg(id + int64(p))
 			}
-			return round >= stop-1
-		})
-	}
+		}
+		return round >= int(id%5)
+	})
 }
 
 // --- the equivalence matrix ------------------------------------------------
@@ -329,7 +322,7 @@ func TestDataPlaneEquivalenceMatrix(t *testing.T) {
 	}
 	programs := []struct {
 		name string
-		prog func([]int64) sim.Machines
+		prog func(*sim.Topology, []int64) sim.PortProgram
 	}{
 		{"sum", sumProgram},
 		{"flood", floodProgram},
@@ -349,10 +342,10 @@ func TestDataPlaneEquivalenceMatrix(t *testing.T) {
 			t.Run(gc.name+"/"+pc.name, func(t *testing.T) {
 				topo := sim.NewTopology(gc.g)
 				wantRes := make([]int64, gc.g.N())
-				wantStats, wantErr := runReference(topo, pc.prog(wantRes), maxRounds)
+				wantStats, wantErr := runReference(topo, pc.prog(topo, wantRes), maxRounds)
 				for _, ec := range engines {
 					gotRes := make([]int64, gc.g.N())
-					gotStats, gotErr := ec.eng.Run(context.Background(), topo, pc.prog(gotRes), maxRounds)
+					gotStats, gotErr := ec.eng.Run(context.Background(), topo, pc.prog(topo, gotRes), maxRounds)
 					if (wantErr == nil) != (gotErr == nil) {
 						t.Fatalf("%s: error mismatch: reference %v, got %v", ec.name, wantErr, gotErr)
 					}
@@ -372,11 +365,12 @@ func TestDataPlaneEquivalenceMatrix(t *testing.T) {
 
 // TestAlgorithmEquivalenceMatrix runs real colorings from the seed
 // workloads under every engine — including the pre-CSR reference plane
-// (refExec, words_test.go), which steps the word programs one vertex at a
-// time over the unoptimized any-payload path: colorings and Stats must be
-// identical bit-for-bit (DESIGN.md §4, §8). Every word program of the
-// algorithm packages has a row, on a 512-vertex graph, two shards' worth
-// for the parallel engine.
+// (refExec, words_test.go), which steps the programs one vertex at a time
+// over the unoptimized per-vertex-slice path: colorings and Stats must be
+// identical bit-for-bit (DESIGN.md §4, §8). Every program of the
+// algorithm packages has a row on a 512-vertex graph, two shards' worth
+// for the parallel engine: the word programs, and the merge's port
+// program.
 func TestAlgorithmEquivalenceMatrix(t *testing.T) {
 	engines := []struct {
 		name string
@@ -504,6 +498,40 @@ func TestAlgorithmEquivalenceMatrix(t *testing.T) {
 			}
 		}
 	})
+	t.Run("merge", func(t *testing.T) {
+		// Theorem 5.2 on a bounded-arboricity graph: the peeling, the
+		// internal edges, and a Lemma 5.1 merge per part below the top,
+		// the port program whose offers and replies point into its slabs.
+		mg, err := gen.ForestUnionHub(512, 2, 200, 2017)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want *arbor.Result
+		for _, ec := range engines {
+			got, err := arbor.ColorHPartition(context.Background(), mg, 3, arbor.Options{Exec: ec.eng, VC: vc.Options{Exec: ec.eng}, Q: 2.05})
+			if err != nil {
+				t.Fatalf("%s: %v", ec.name, err)
+			}
+			if err := verify.EdgeColoring(mg, got.Colors, got.Palette); err != nil {
+				t.Fatalf("%s: improper: %v", ec.name, err)
+			}
+			if got.Parts < 3 {
+				t.Fatalf("%s: %d parts, want at least two merge stages", ec.name, got.Parts)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			if got.Stats != want.Stats || got.Palette != want.Palette {
+				t.Fatalf("%s: stats/palette diverge: %+v vs %+v", ec.name, got.Stats, want.Stats)
+			}
+			for e := range want.Colors {
+				if got.Colors[e] != want.Colors[e] {
+					t.Fatalf("%s: color of edge %d differs", ec.name, e)
+				}
+			}
+		}
+	})
 	t.Run("star", func(t *testing.T) {
 		sg, err := gen.NearRegular(128, 16, 2017)
 		if err != nil {
@@ -578,20 +606,19 @@ func TestAlgorithmEquivalenceMatrix(t *testing.T) {
 
 // exchangeProgram is the steady-state workload for allocation pinning: every
 // vertex keeps exchanging small int64 payloads (which the Go runtime
-// converts to interfaces without allocating) for a fixed number of rounds.
-func exchangeProgram(rounds int) sim.Machines {
-	return func(info sim.NodeInfo) sim.Machine {
-		var acc int64
-		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
-			for _, m := range in {
-				if m != nil {
-					acc += m.(int64)
-				}
+// converts to interfaces without allocating) for a fixed number of rounds,
+// folding its inbox into acc[v].
+func exchangeProgram(t *sim.Topology, rounds int) sim.PortProgram {
+	acc := make([]int64, t.G.N())
+	return sim.PortFunc(func(v, round int, in, out []sim.Message) bool {
+		for _, m := range in {
+			if m != nil {
+				acc[v] += m.(int64)
 			}
-			sim.SendAll(out, int64(round&0x7f))
-			return round >= rounds-1
-		})
-	}
+		}
+		sim.SendAll(out, int64(round&0x7f))
+		return round >= rounds-1
+	})
 }
 
 // shortLongAllocs measures the allocations of an 8-round and a 72-round
@@ -615,7 +642,7 @@ func TestSequentialSteadyStateAllocFree(t *testing.T) {
 	topo := sim.NewTopology(g)
 	g.CSR() // build the cached view outside the measurement
 	run := func(rounds int) {
-		if _, err := sim.Sequential.Run(context.Background(), topo, exchangeProgram(rounds), rounds+2); err != nil {
+		if _, err := sim.Sequential.Run(context.Background(), topo, exchangeProgram(topo, rounds), rounds+2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -633,13 +660,34 @@ func TestReverseSequentialSteadyStateAllocFree(t *testing.T) {
 	topo := sim.NewTopology(g)
 	g.CSR()
 	run := func(rounds int) {
-		if _, err := sim.ReverseSequential.Run(context.Background(), topo, exchangeProgram(rounds), rounds+2); err != nil {
+		if _, err := sim.ReverseSequential.Run(context.Background(), topo, exchangeProgram(topo, rounds), rounds+2); err != nil {
 			t.Fatal(err)
 		}
 	}
 	short, long := shortLongAllocs(run)
 	if long != short {
 		t.Fatalf("reverse engine allocates per round: %.1f allocs over 64 extra rounds", long-short)
+	}
+}
+
+// TestPortProgramAllocsIndependentOfN pins "no per-vertex objects" on the
+// any plane: a whole run of the exchange program, its construction
+// included, allocates the same number of heap objects on 1k and on 8k
+// vertices.
+func TestPortProgramAllocsIndependentOfN(t *testing.T) {
+	allocs := func(n int) float64 {
+		g := benchGraph(t, n, 8, 2017)
+		topo := sim.NewTopology(g)
+		g.CSR() // build the cached view outside the measurement
+		runtime.GC()
+		return testing.AllocsPerRun(5, func() {
+			if _, err := sim.Sequential.Run(context.Background(), topo, exchangeProgram(topo, 8), 10); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(1000), allocs(8000); small != large {
+		t.Fatalf("a port-program run allocates %.1f objects on 1k vertices and %.1f on 8k: some allocation is per vertex", small, large)
 	}
 }
 
@@ -677,20 +725,17 @@ const benchRounds = 32
 // schedule, the §5 peeling, and the class-by-class trims all retire
 // vertices progressively, so most rounds execute over a mix of live and
 // halted vertices.
-func wavefrontProgram(span int) sim.Machines {
-	return func(info sim.NodeInfo) sim.Machine {
-		stop := 1 + int(info.ID)%span
-		var acc int64
-		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
-			for _, m := range in {
-				if m != nil {
-					acc += m.(int64)
-				}
+func wavefrontProgram(t *sim.Topology, span int) sim.PortProgram {
+	acc := make([]int64, t.G.N())
+	return sim.PortFunc(func(v, round int, in, out []sim.Message) bool {
+		for _, m := range in {
+			if m != nil {
+				acc[v] += m.(int64)
 			}
-			sim.SendAll(out, int64(round&0x7f))
-			return round >= stop-1
-		})
-	}
+		}
+		sim.SendAll(out, int64(round&0x7f))
+		return round >= int(t.ID(v))%span
+	})
 }
 
 // BenchmarkSimPlane is the 10k-vertex message-plane workload guarded by
@@ -709,8 +754,8 @@ func BenchmarkSimPlane(b *testing.B) {
 		name string
 		prog func() sim.Factory
 	}{
-		{"wavefront", func() sim.Factory { return wavefrontProgram(benchRounds) }},
-		{"exchange", func() sim.Factory { return exchangeProgram(benchRounds) }},
+		{"wavefront", func() sim.Factory { return wavefrontProgram(topo, benchRounds) }},
+		{"exchange", func() sim.Factory { return exchangeProgram(topo, benchRounds) }},
 	}
 	for _, wl := range workloads {
 		b.Run(wl.name+"/sequential/10k", func(b *testing.B) {

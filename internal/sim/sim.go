@@ -2,41 +2,42 @@
 // §1.1 of the paper) on which every algorithm in this repository executes.
 //
 // A network is a Topology: a graph whose vertices are processors with
-// distinct identifiers. An algorithm is a Factory, the program of one run,
-// in one of two forms. Machines creates one Machine per vertex, a pure
-// state machine advanced once per round: in each round every machine reads
-// the messages its neighbors sent in the previous round (one inbox slot per
-// incident edge), updates local state, and writes outgoing messages (one
-// outbox slot per incident edge). A WordProgram is one value for the whole
-// run that steps each vertex in turn; every vertex broadcasts one Word per
-// round, and the program keeps all per-vertex state in slabs it owns and
-// indexes by vertex. The engine delivers outboxes to inboxes between
-// rounds. Running time is the number of rounds until every vertex has
-// halted, exactly the paper's measure.
+// distinct identifiers. An algorithm is a Factory: one program value for
+// the whole run that steps each vertex in turn, once per round, and keeps
+// all per-vertex state in slabs it owns and indexes by vertex. In each
+// round a vertex reads the messages its neighbors sent in the previous
+// round, updates its state, and sends. A PortProgram addresses its
+// messages port by port: one inbox slot and one outbox slot per incident
+// edge. A WordProgram (words.go) broadcasts one Word per round to every
+// port. The engine delivers outboxes to inboxes between rounds. Running
+// time is the number of rounds until every vertex has halted, exactly the
+// paper's measure.
 //
 // Knowledge model: a vertex initially knows its own identifier, seed
-// label and degree, and the global parameters n and Δ. Everything else,
-// its neighbors' identifiers and seed labels included, travels over edges:
-// a program that needs them learns them in round 0, as the coloring
-// programs of this repository do by broadcasting their starting color
-// (identifier or seed label) first. The slot-v rule keeps a run-scoped
-// program to this model: stepping vertex v reads and writes only index v
-// of the program's slabs, so everything v learns about its neighbors
-// arrives in its inbox.
+// label and degree, and the global parameters n and Δ. A program is built
+// over its Topology, and stepping v it reads them as t.ID(v), t.Label(v),
+// len(in), t.G.N() and t.G.MaxDegree(). Everything else, its neighbors'
+// identifiers and seed labels included, travels over edges: a program
+// that needs them learns them in round 0, as the coloring programs of
+// this repository do by broadcasting their starting color (identifier or
+// seed label) first. The slot-v rule keeps a program to this model:
+// stepping vertex v reads and writes only index v of the program's slabs
+// (or v's CSR arc range, for per-port state), so everything v learns
+// about its neighbors arrives in its inbox.
 //
 // Every engine runs one round loop over a shard plan: contiguous vertex
-// ranges, each with a step order, its own inbox window and its own scratch
-// slab. Sequential steps one shard over all vertices in index order, fast
-// and allocation-free in its steady state; ReverseSequential steps it in
-// reverse order, to prove the in-round order irrelevant; Parallel steps
-// several shards concurrently with one barrier per round. Messages cross
-// only between rounds and a step is a pure function of (vertex state,
-// inbox), so all engines produce bit-identical executions; tests assert
-// this.
+// ranges, each with a step order and its own scratch slab (and, on the
+// word plane, its own inbox window). Sequential steps one shard over all
+// vertices in index order, fast and allocation-free in its steady state;
+// ReverseSequential steps it in reverse order, to prove the in-round order
+// irrelevant; Parallel steps several shards concurrently with one barrier
+// per round. Messages cross only between rounds and a step is a pure
+// function of (vertex state, inbox), so all engines produce bit-identical
+// executions; tests assert this.
 //
 // Data plane: all engines run over the graph's flat CSR view (graph.CSR),
 // with the message representation picked once per run from the Factory's
-// type. The any plane of Machines ([]Message) is per arc: inboxes and
+// type. The any plane of a PortProgram ([]Message) is per arc: inboxes and
 // outboxes are flat slabs with one slot per directed arc, allocated once
 // per run; a vertex's buffers are the slab range given by the CSR offsets.
 // Outboxes are double-buffered by round parity, and delivery is the Mate
@@ -45,10 +46,10 @@
 // per vertex: its outboxes are two n-slot slabs alternating by round
 // parity, and a receiver's inbox is gathered through the CSR neighbor
 // array into the stepping shard's Δ-sized window (in[p] =
-// prevOut[To[Off[v]+p]]) — no interface boxing, no arc-sized storage and
-// no per-vertex objects. In either representation the round loop performs
-// no heap allocations — see DESIGN.md §7–§8 and the allocation-regression
-// tests.
+// prevOut[To[Off[v]+p]]) — no interface boxing and no arc-sized storage.
+// Neither plane builds an object per vertex, and in either representation
+// the round loop performs no heap allocations — see DESIGN.md §7–§8 and
+// the allocation-regression tests.
 package sim
 
 import (
@@ -65,29 +66,9 @@ import (
 // nil means "no message".
 type Message any
 
-// NodeInfo is the initial knowledge of a vertex (see the package comment).
-type NodeInfo struct {
-	V      int   // vertex index within the topology (engine bookkeeping)
-	ID     int64 // unique identifier, the only identity algorithms should use
-	Label  int64 // seed label (e.g. a proper coloring from an earlier phase); -1 if unset
-	Degree int
-	N      int // number of vertices in the topology (global knowledge)
-	MaxDeg int // Δ of the topology (global knowledge)
-}
-
-// Machine is the per-vertex state machine of an algorithm.
-type Machine interface {
-	// Step executes one synchronous round. in[p] holds the message sent by
-	// the neighbor on port p in the previous round (nil if none, and on
-	// round 0). The machine writes messages into out[p] (pre-cleared to
-	// nil). Step returns true when the vertex halts; a halted machine is
-	// never stepped again and sends nothing.
-	Step(round int, in []Message, out []Message) bool
-}
-
 // Factory is the program of one run. Its type picks the run's message
-// plane once, before round 0: Machines runs on the per-arc any plane, and
-// a WordProgram on the per-vertex word plane (words.go).
+// plane once, before round 0: a PortProgram runs on the per-arc any plane,
+// and a WordProgram on the per-vertex word plane (words.go).
 type Factory interface {
 	// Scratch returns how many Words of scratch each shard of a run on a
 	// topology of maximum degree maxDeg hands to the program's steps. The
@@ -95,12 +76,31 @@ type Factory interface {
 	Scratch(maxDeg int) int
 }
 
-// Machines is the any-plane Factory: it creates the Machine of one vertex
-// from the vertex's initial knowledge.
-type Machines func(info NodeInfo) Machine
-
-// Scratch implements Factory: a Machine keeps its working storage itself.
-func (Machines) Scratch(int) int { return 0 }
+// PortProgram is a run-scoped port-addressed program: one value steps
+// every vertex of a run on the per-arc any plane.
+//
+// Step executes one round at vertex v. in[p] holds the message the
+// neighbor on port p sent in the previous round (nil if none, and on
+// round 0); the program writes the messages v sends into out[p], which is
+// pre-cleared to nil. len(in) and len(out) are v's degree. scratch is the
+// stepping shard's scratch slab, Scratch(Δ) words long and shared by
+// every vertex the shard steps, so its contents are undefined on entry.
+// All three slices are engine-owned and valid only for the call. Step
+// returns whether v halts; a halting vertex's messages of this round are
+// still delivered, and a halted vertex is never stepped again and sends
+// nothing.
+//
+// A message may point into a slab the program owns, provided the sender
+// leaves the pointed-to value alone until the receiver's step in the next
+// round has read it. It may never point into scratch: the shard's next
+// vertex reuses it within the same round.
+//
+// The slot-v rule of WordProgram holds here too: Step(v, …) reads and
+// writes only index v, or v's CSR arc range, of the program's state slabs.
+type PortProgram interface {
+	Factory
+	Step(v, round int, in, out []Message, scratch []Word) (halted bool)
+}
 
 // Topology is a network: a graph plus per-vertex identifiers and optional
 // seed labels.
@@ -110,7 +110,7 @@ type Topology struct {
 	IDs []int64
 	// Labels are optional seed labels (§3 of the paper replaces IDs with a
 	// precomputed O(Δ²)-coloring to avoid repeated log* n terms). nil means
-	// "unset" (-1 is passed to machines).
+	// "unset", for which Label reports -1.
 	Labels []int64
 }
 
@@ -198,7 +198,7 @@ func (s Stats) Seq(o Stats) Stats {
 		Rounds:            s.Rounds + o.Rounds,
 		Messages:          s.Messages + o.Messages,
 		Bits:              s.Bits + o.Bits,
-		MaxMessageBits:    maxI64(s.MaxMessageBits, o.MaxMessageBits),
+		MaxMessageBits:    max(s.MaxMessageBits, o.MaxMessageBits),
 		CongestViolations: s.CongestViolations + o.CongestViolations,
 	}
 }
@@ -215,16 +215,9 @@ func (s Stats) Par(o Stats) Stats {
 		Rounds:            r,
 		Messages:          s.Messages + o.Messages,
 		Bits:              s.Bits + o.Bits,
-		MaxMessageBits:    maxI64(s.MaxMessageBits, o.MaxMessageBits),
+		MaxMessageBits:    max(s.MaxMessageBits, o.MaxMessageBits),
 		CongestViolations: s.CongestViolations + o.CongestViolations,
 	}
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ParAll folds Par over a set of concurrent executions.
@@ -319,11 +312,11 @@ func (o observedExec) Run(ctx context.Context, t *Topology, f Factory, maxRounds
 // whose arc range [Off[v], Off[v+1]) is the port order of Adj(v).
 //
 // The any plane is per arc: flat []Message slabs with one slot per
-// directed arc, vertex v's buffers being its arc range, so handing a
-// machine its buffers is a slice expression, not an allocation. Outboxes
-// are double-buffered: machines write outs[round%2] while reading (through
-// the inbox) what the previous round wrote into the other slab. Delivery
-// is the Mate permutation — the message arriving on v's port p is whatever
+// directed arc, vertex v's buffers being its arc range, so handing a step
+// its buffers is a slice expression, not an allocation. Outboxes are
+// double-buffered: steps write outs[round%2] while reading (through the
+// inbox) what the previous round wrote into the other slab. Delivery is
+// the Mate permutation — the message arriving on v's port p is whatever
 // the neighbor wrote on the opposite arc Mate[Off[v]+p] — applied lazily
 // when a vertex is stepped: its inbox window of the in slab is
 // materialized from the previous out slab right before Step, while the
@@ -344,12 +337,12 @@ type instance struct {
 	n         int
 	done      []bool
 	remaining int
-	// The any plane: one Machine per vertex, the inbox slab in, and the
+	// The any plane: the run's PortProgram, the inbox slab in, and the
 	// outbox slabs outs, double-buffered by round parity.
-	machines []Machine
-	in       []Message
-	outs     [2][]Message
-	// The word plane (words.go): the run's one program, its WordSizer
+	ports PortProgram
+	in    []Message
+	outs  [2][]Message
+	// The word plane (words.go): the run's WordProgram, its WordSizer
 	// (nil: the default 64-bit accounting), and the two n-slot outbox
 	// slabs. Inbox windows and scratch slabs belong to the shards of the
 	// run's plan.
@@ -392,24 +385,13 @@ func newInstance(t *Topology, f Factory) (*instance, error) {
 				slab[v] = NoWord
 			}
 		}
-	case Machines:
-		maxDeg := g.MaxDegree()
-		inst.machines = make([]Machine, n)
-		for v := range inst.machines {
-			inst.machines[v] = p(NodeInfo{
-				V:      v,
-				ID:     t.ID(v),
-				Label:  t.Label(v),
-				Degree: csr.Degree(v),
-				N:      n,
-				MaxDeg: maxDeg,
-			})
-		}
+	case PortProgram:
+		inst.ports = p
 		arcs := csr.NumArcs()
 		inst.in = make([]Message, arcs)
 		inst.outs = [2][]Message{make([]Message, arcs), make([]Message, arcs)}
 	default:
-		return nil, fmt.Errorf("sim: program %T is neither Machines nor a WordProgram", f)
+		return nil, fmt.Errorf("sim: program %T is neither a PortProgram nor a WordProgram", f)
 	}
 	return inst, nil
 }
@@ -429,16 +411,17 @@ func (a *sendStats) add(b sendStats) {
 	}
 }
 
-// stepVertex advances one machine on the any plane and returns its
-// emitted traffic plus whether the vertex halted during this call. The
-// inbox window is materialized from the previous round's outbox slab
-// through the Mate permutation (this IS message delivery — fused into the
-// step so the slots are written right before Step reads them), the
-// current outbox window is cleared per the Machine contract, and the
-// emitted slots are scanned for Stats while still hot.
+// stepVertex advances vertex v on the any plane and returns its emitted
+// traffic plus whether the vertex halted during this call. The inbox
+// window is materialized from the previous round's outbox slab through
+// the Mate permutation (this IS message delivery — fused into the step so
+// the slots are written right before Step reads them), the current outbox
+// window is cleared per the PortProgram contract, the program steps v
+// with the shard's scratch, and the emitted slots are scanned for Stats
+// while still hot.
 //
 //distcolor:noalloc
-func (inst *instance) stepVertex(v, round int) (sendStats, bool) {
+func (inst *instance) stepVertex(v, round int, s *shard) (sendStats, bool) {
 	prevOut, curOut := inst.outs[(round&1)^1], inst.outs[round&1]
 	lo, hi := inst.csr.Range(v)
 	mate := inst.csr.Mate[lo:hi:hi]
@@ -448,7 +431,7 @@ func (inst *instance) stepVertex(v, round int) (sendStats, bool) {
 		in[p] = prevOut[mate[p]]
 		out[p] = nil
 	}
-	halted := inst.machines[v].Step(round, in, out)
+	halted := inst.ports.Step(v, round, in, out, s.scratch)
 	var st sendStats
 	for _, m := range out {
 		if m == nil {
@@ -561,8 +544,8 @@ func abortErr(ctx context.Context, round, remaining int) error {
 
 // shard is one contiguous vertex range [lo, hi) of a run's step plan,
 // stepped in index order, or in reverse index order when reverse is set.
-// win and scratch are the shard's own word-plane inbox window and program
-// scratch; sent and halted are the traffic and the halt count of the
+// scratch is the shard's own program scratch and win its word-plane inbox
+// window; sent and halted are the traffic and the halt count of the
 // shard's last stepped round.
 type shard struct {
 	lo, hi  int
@@ -597,7 +580,7 @@ func (inst *instance) stepShard(s *shard, round int) {
 		if inst.prog != nil {
 			st, halted = inst.stepVertexWord(v, round, s)
 		} else {
-			st, halted = inst.stepVertex(v, round)
+			st, halted = inst.stepVertex(v, round, s)
 		}
 		sent.add(st)
 		if halted {
@@ -659,26 +642,28 @@ func (e Engine) Run(ctx context.Context, t *Topology, f Factory, maxRounds int) 
 // sizing is grain-based: a shard must carry enough vertices for its
 // goroutine spawn plus barrier share (on the order of a microsecond) to
 // pay for itself, so small topologies run on few (or single) goroutines.
-// Each shard owns its word-plane inbox window and scratch slab, and within
-// a round it writes only its own vertices' outbox slots and program slots,
-// its own window and scratch, and its own region of the newly slab, which
-// is why one barrier per round suffices.
-func (e Engine) plan(inst *instance) []shard {
+// Each shard owns a scratch slab of f.Scratch(Δ) words on either plane,
+// plus its inbox window on the word plane, and within a round it writes
+// only its own vertices' outbox slots and program slots, its own window
+// and scratch, and its own region of the newly slab, which is why one
+// barrier per round suffices.
+func (e Engine) plan(inst *instance, f Factory) []shard {
 	n := inst.n
 	workers := 1
 	if e == Parallel {
 		workers = shardWorkers(n, stepGrain)
 	}
+	maxDeg := inst.t.G.MaxDegree()
+	scratch := f.Scratch(maxDeg)
 	shards := make([]shard, workers)
 	chunk := (n + workers - 1) / workers
 	for i := range shards {
 		s := &shards[i]
 		s.lo, s.hi = min(i*chunk, n), min((i+1)*chunk, n)
 		s.reverse = e == ReverseSequential
+		s.scratch = make([]Word, scratch)
 		if inst.prog != nil {
-			maxDeg := inst.t.G.MaxDegree()
 			s.win = make([]Word, maxDeg)
-			s.scratch = make([]Word, inst.prog.Scratch(maxDeg))
 		}
 	}
 	return shards
@@ -696,7 +681,7 @@ func (e Engine) run(ctx context.Context, t *Topology, f Factory, maxRounds int, 
 	if err != nil {
 		return Stats{}, err
 	}
-	shards := e.plan(inst)
+	shards := e.plan(inst, f)
 	var stats Stats
 	for round := 0; inst.remaining > 0; round++ {
 		if ctx.Err() != nil {

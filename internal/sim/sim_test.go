@@ -22,24 +22,35 @@ func rg(seed int64, n int, p float64) *graph.Graph {
 	return b.MustBuild()
 }
 
+// PortFunc adapts a step function to PortProgram for the test programs,
+// which keep their per-vertex state in slices indexed by v and ask for no
+// scratch. It is exported for the external test package.
+type PortFunc func(v, round int, in, out []Message) bool
+
+// Scratch implements Factory.
+func (PortFunc) Scratch(int) int { return 0 }
+
+// Step implements PortProgram.
+func (f PortFunc) Step(v, round int, in, out []Message, _ []Word) bool {
+	return f(v, round, in, out)
+}
+
 // neighborSumProgram: every vertex broadcasts its ID in round 0, sums the
 // received IDs in round 1, stores the result, and halts.
-func neighborSumProgram(results []int64) Machines {
-	return func(info NodeInfo) Machine {
-		return FuncMachine(func(round int, in []Message, out []Message) bool {
-			switch round {
-			case 0:
-				SendAll(out, info.ID)
-				return info.Degree == 0 // isolated vertices are done immediately
-			default:
-				var sum int64
-				for _, m := range in {
-					sum += m.(int64)
-				}
-				results[info.V] = sum
-				return true
+func neighborSumProgram(t *Topology, results []int64) PortFunc {
+	return func(v, round int, in, out []Message) bool {
+		switch round {
+		case 0:
+			SendAll(out, t.ID(v))
+			return len(in) == 0 // isolated vertices are done immediately
+		default:
+			var sum int64
+			for _, m := range in {
+				sum += m.(int64)
 			}
-		})
+			results[v] = sum
+			return true
+		}
 	}
 }
 
@@ -47,7 +58,7 @@ func TestNeighborSum(t *testing.T) {
 	g := rg(1, 40, 0.2)
 	results := make([]int64, g.N())
 	topo := NewTopology(g)
-	stats, err := Sequential.Run(context.Background(), topo, neighborSumProgram(results), 10)
+	stats, err := Sequential.Run(context.Background(), topo, neighborSumProgram(topo, results), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,36 +80,26 @@ func TestNeighborSum(t *testing.T) {
 }
 
 // bfsProgram floods a token from the vertex with identifier 0; every vertex
-// records the round it first hears the token (its BFS distance).
-func bfsProgram(dist []int) Machines {
-	return func(info NodeInfo) Machine {
-		reached := info.ID == 0
-		relayed := false
-		if reached {
-			dist[info.V] = 0
+// records the round it first hears the token (its BFS distance), relays
+// it in that round and halts.
+func bfsProgram(t *Topology, dist []int) PortFunc {
+	reached := make([]bool, t.G.N())
+	return func(v, round int, in, out []Message) bool {
+		if round == 0 && t.ID(v) == 0 {
+			reached[v] = true
+			dist[v] = 0
 		}
-		return FuncMachine(func(round int, in []Message, out []Message) bool {
-			if reached && !relayed {
-				SendAll(out, int64(1))
-				relayed = true
-				return true
+		for _, m := range in {
+			if !reached[v] && m != nil {
+				reached[v] = true
+				dist[v] = round
 			}
-			if !reached {
-				for _, m := range in {
-					if m != nil {
-						reached = true
-						dist[info.V] = round
-						break
-					}
-				}
-				if reached {
-					SendAll(out, int64(1))
-					relayed = true
-					return true
-				}
-			}
-			return false
-		})
+		}
+		if reached[v] {
+			SendAll(out, int64(1))
+			return true
+		}
+		return false
 	}
 }
 
@@ -129,7 +130,7 @@ func TestBFSDistances(t *testing.T) {
 	topo := NewTopology(g)
 	// Unreachable vertices never halt; bound rounds and expect the error if
 	// the graph is disconnected.
-	_, err := Sequential.Run(context.Background(), topo, bfsProgram(dist), g.N()+2)
+	_, err := Sequential.Run(context.Background(), topo, bfsProgram(topo, dist), g.N()+2)
 	disconnected := false
 	for _, d := range want {
 		if d == -1 {
@@ -154,11 +155,12 @@ func TestEnginesProduceIdenticalExecutions(t *testing.T) {
 	g := rg(3, 200, 0.05)
 	r1 := make([]int64, g.N())
 	r2 := make([]int64, g.N())
-	s1, err := Sequential.Run(context.Background(), NewTopology(g), neighborSumProgram(r1), 10)
+	topo := NewTopology(g)
+	s1, err := Sequential.Run(context.Background(), topo, neighborSumProgram(topo, r1), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Parallel.Run(context.Background(), NewTopology(g), neighborSumProgram(r2), 10)
+	s2, err := Parallel.Run(context.Background(), topo, neighborSumProgram(topo, r2), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +177,9 @@ func TestEnginesProduceIdenticalExecutions(t *testing.T) {
 func TestEngineDispatch(t *testing.T) {
 	g := graph.Path(4)
 	res := make([]int64, 4)
+	topo := NewTopology(g)
 	for _, e := range []Engine{Sequential, Parallel} {
-		if _, err := e.Run(context.Background(), NewTopology(g), neighborSumProgram(res), 10); err != nil {
+		if _, err := e.Run(context.Background(), topo, neighborSumProgram(topo, res), 10); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,11 +187,9 @@ func TestEngineDispatch(t *testing.T) {
 
 // oddForeverProgram: every vertex broadcasts each round; even vertices
 // halt after round 1, odd ones never halt.
-func oddForeverProgram(info NodeInfo) Machine {
-	return FuncMachine(func(round int, in []Message, out []Message) bool {
-		SendAll(out, int64(round))
-		return info.V%2 == 0 && round >= 1
-	})
+var oddForeverProgram PortFunc = func(v, round int, in, out []Message) bool {
+	SendAll(out, int64(round))
+	return v%2 == 0 && round >= 1
 }
 
 // engines lists every engine; the first is the reference the others must
@@ -203,7 +204,7 @@ func TestRoundLimitError(t *testing.T) {
 	for _, g := range []*graph.Graph{graph.Path(3), rg(11, 2*stepGrain, 0.01)} {
 		var want Stats
 		for i, e := range engines {
-			stats, err := e.Run(context.Background(), NewTopology(g), Machines(oddForeverProgram), 5)
+			stats, err := e.Run(context.Background(), NewTopology(g), oddForeverProgram, 5)
 			if !errors.Is(err, ErrRoundLimit) {
 				t.Fatalf("n=%d engine %d: want ErrRoundLimit, got %v", g.N(), e, err)
 			}
@@ -228,7 +229,7 @@ func TestTopologyValidation(t *testing.T) {
 		if err := topo.Validate(); err == nil {
 			t.Fatalf("IDs %v: expected duplicate ID error", ids)
 		}
-		if _, err := Sequential.Run(context.Background(), topo, neighborSumProgram(make([]int64, 3)), 4); err == nil {
+		if _, err := Sequential.Run(context.Background(), topo, neighborSumProgram(topo, make([]int64, 3)), 4); err == nil {
 			t.Fatalf("IDs %v: run accepted duplicate IDs", ids)
 		}
 	}
@@ -257,53 +258,72 @@ func TestTopologyValidation(t *testing.T) {
 	}
 }
 
-// TestNodeInfoAndNeighborKnowledge pins the knowledge model: a machine
-// starts with its own NodeInfo and learns its neighbors' identifiers and
-// seed labels, port by port, from a round-0 exchange.
-func TestNodeInfoAndNeighborKnowledge(t *testing.T) {
+// knowledgeProgram exchanges identifiers and seed labels in round 0 and
+// records, in each vertex's CSR arc range, what arrived on each port. It
+// also records the degree and the scratch length each step was handed,
+// and the Δ the engine sized the scratch from.
+type knowledgeProgram struct {
+	t               *Topology
+	nbrID, nbrLabel []int64
+	degree, scratch []int
+	maxDeg          int
+}
+
+func (p *knowledgeProgram) Scratch(maxDeg int) int {
+	p.maxDeg = maxDeg
+	return maxDeg + 1
+}
+
+func (p *knowledgeProgram) Step(v, round int, in, out []Message, scratch []Word) bool {
+	if round == 0 {
+		p.degree[v], p.scratch[v] = len(in), len(scratch)
+		SendAll(out, [2]int64{p.t.ID(v), p.t.Label(v)})
+		return false
+	}
+	lo, _ := p.t.G.CSR().Range(v)
+	for port, m := range in {
+		idl := m.([2]int64)
+		p.nbrID[int(lo)+port], p.nbrLabel[int(lo)+port] = idl[0], idl[1]
+	}
+	return true
+}
+
+// TestNeighborKnowledge pins the knowledge model: stepping v, a program
+// is handed v's degree (len(in)) and a scratch slab sized from Δ, and it
+// learns its neighbors' identifiers and seed labels, port by port, from a
+// round-0 exchange.
+func TestNeighborKnowledge(t *testing.T) {
 	g := graph.Star(5)
 	ids := []int64{100, 200, 300, 400, 500}
 	labels := []int64{7, 8, 9, 10, 11}
 	topo := &Topology{G: g, IDs: ids, Labels: labels}
-	type seen struct {
-		info   NodeInfo
-		nbrIDs []int64
-		nbrLbl []int64
-	}
-	got := make([]seen, g.N())
-	var f Machines = func(info NodeInfo) Machine {
-		got[info.V].info = info
-		return FuncMachine(func(round int, in []Message, out []Message) bool {
-			if round == 0 {
-				SendAll(out, [2]int64{info.ID, info.Label})
-				return false
-			}
-			for _, m := range in {
-				idl := m.([2]int64)
-				got[info.V].nbrIDs = append(got[info.V].nbrIDs, idl[0])
-				got[info.V].nbrLbl = append(got[info.V].nbrLbl, idl[1])
-			}
-			return true
-		})
-	}
-	if _, err := Sequential.Run(context.Background(), topo, f, 5); err != nil {
-		t.Fatal(err)
-	}
-	center := got[0]
-	if center.info.ID != 100 || center.info.Degree != 4 || center.info.MaxDeg != 4 || center.info.N != 5 {
-		t.Fatalf("center info wrong: %+v", center.info)
-	}
-	if len(center.nbrIDs) != 4 {
-		t.Fatal("center should see 4 neighbor IDs")
-	}
-	for p, a := range g.Adj(0) {
-		if center.nbrIDs[p] != ids[a.To] || center.nbrLbl[p] != labels[a.To] {
-			t.Fatal("neighbor knowledge mismatched with ports")
+	arcs := g.CSR().NumArcs()
+	for _, e := range engines {
+		p := &knowledgeProgram{t: topo,
+			nbrID: make([]int64, arcs), nbrLabel: make([]int64, arcs),
+			degree: make([]int, g.N()), scratch: make([]int, g.N())}
+		if _, err := e.Run(context.Background(), topo, p, 5); err != nil {
+			t.Fatal(err)
 		}
-	}
-	leaf := got[3]
-	if leaf.info.Label != 10 || len(leaf.nbrIDs) != 1 || leaf.nbrIDs[0] != 100 {
-		t.Fatalf("leaf knowledge wrong: %+v", leaf)
+		if p.maxDeg != 4 {
+			t.Fatalf("engine %v: scratch sized from Δ=%d, want 4", e, p.maxDeg)
+		}
+		for v := 0; v < g.N(); v++ {
+			if p.degree[v] != g.Degree(v) || p.scratch[v] != 5 {
+				t.Fatalf("engine %v: vertex %d stepped with degree %d and %d scratch words, want %d and 5",
+					e, v, p.degree[v], p.scratch[v], g.Degree(v))
+			}
+			lo, _ := g.CSR().Range(v)
+			for port, a := range g.Adj(v) {
+				if p.nbrID[int(lo)+port] != ids[a.To] || p.nbrLabel[int(lo)+port] != labels[a.To] {
+					t.Fatalf("engine %v: vertex %d port %d learned %d/%d, want %d/%d", e, v, port,
+						p.nbrID[int(lo)+port], p.nbrLabel[int(lo)+port], ids[a.To], labels[a.To])
+				}
+			}
+		}
+		if leaf := g.CSR().Off[3]; p.nbrID[leaf] != 100 || p.nbrLabel[leaf] != 7 {
+			t.Fatalf("engine %v: leaf knowledge wrong: %d/%d", e, p.nbrID[leaf], p.nbrLabel[leaf])
+		}
 	}
 }
 
@@ -329,24 +349,20 @@ func TestHaltedVertexStopsSending(t *testing.T) {
 	// must see the message in round 1 but nothing in round 2.
 	g := graph.Path(2)
 	var sawRound1, sawRound2 bool
-	var f Machines = func(info NodeInfo) Machine {
-		if info.ID == 0 {
-			return FuncMachine(func(round int, in []Message, out []Message) bool {
-				SendAll(out, int64(42))
-				return true
-			})
+	var f PortFunc = func(v, round int, in, out []Message) bool {
+		if v == 0 {
+			SendAll(out, int64(42))
+			return true
 		}
-		return FuncMachine(func(round int, in []Message, out []Message) bool {
-			switch round {
-			case 1:
-				sawRound1 = in[0] != nil
-				return false
-			case 2:
-				sawRound2 = in[0] != nil
-				return true
-			}
+		switch round {
+		case 1:
+			sawRound1 = in[0] != nil
 			return false
-		})
+		case 2:
+			sawRound2 = in[0] != nil
+			return true
+		}
+		return false
 	}
 	if _, err := Sequential.Run(context.Background(), NewTopology(g), f, 10); err != nil {
 		t.Fatal(err)
@@ -363,9 +379,7 @@ func TestHaltedVertexStopsSending(t *testing.T) {
 // and abort with an error wrapping the cancellation cause.
 func TestContextAbortsRun(t *testing.T) {
 	g := rg(7, 40, 0.2)
-	var forever Machines = func(info NodeInfo) Machine {
-		return FuncMachine(func(round int, in, out []Message) bool { return false })
-	}
+	var forever PortFunc = func(v, round int, in, out []Message) bool { return false }
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, e := range engines {
@@ -390,7 +404,7 @@ func TestContextAbortsRun(t *testing.T) {
 				cancel()
 			}
 		}
-		stats, err := Instrumented(e, hook, nil).Run(ctx, NewTopology(big), Machines(oddForeverProgram), 1000)
+		stats, err := Instrumented(e, hook, nil).Run(ctx, NewTopology(big), oddForeverProgram, 1000)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("engine %v mid-run: want context.Canceled, got %v", e, err)
@@ -406,7 +420,8 @@ func TestContextAbortsRun(t *testing.T) {
 	}
 }
 
-// scratchOnly implements Factory but is neither Machines nor a WordProgram.
+// scratchOnly implements Factory but is neither a PortProgram nor a
+// WordProgram.
 type scratchOnly struct{}
 
 func (scratchOnly) Scratch(int) int { return 0 }

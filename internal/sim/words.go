@@ -10,12 +10,14 @@ package sim
 // word to all its neighbors, or stays silent. The word plane is laid out
 // for exactly that: one Word slot per vertex and round (NoWord for
 // silence), so storage and delivery scale with vertices, not arcs. A run
-// takes it when its Factory is a WordProgram: one value that steps every
-// vertex of the run over state slabs it owns, so a run builds no object
-// per vertex. Its observable execution — per-vertex results, rounds,
-// message counts, bit accounting — is that of the same program sending
-// its word port by port on the any plane; the equivalence matrices in
-// plane_test.go and words_test.go pin this against the reference engine.
+// takes it when its Factory is a WordProgram, the broadcast counterpart
+// of PortProgram (sim.go): one value that steps every vertex of the run
+// over state slabs it owns, so a run builds no object per vertex. Its
+// observable execution — per-vertex results, rounds, message counts, bit
+// accounting — is that of the same program sending its word port by port
+// as a PortProgram; the equivalence matrices in plane_test.go and
+// words_test.go pin this against the reference engine, which steps both
+// program kinds one vertex at a time.
 
 import "math"
 

@@ -1,13 +1,13 @@
 package sim_test
 
 // Equivalence matrix for the broadcast word plane (sim/words.go): word
-// programs must be observationally identical to their any-payload
+// programs must be observationally identical to their port-program
 // counterparts — same per-vertex results, same Stats (messages, bits,
 // max bits), on every graph and engine of the plane grid, and also when
 // stepped one vertex at a time through the pre-CSR reference plane
-// (wordMachines, plane_test.go). The allocation tests pin the word plane's
-// steady state at zero heap allocations per round and its per-run storage
-// at a per-vertex, not per-arc, size.
+// (runReference, plane_test.go). The allocation tests pin the word
+// plane's steady state at zero heap allocations per round and its per-run
+// storage at a per-vertex, not per-arc, size.
 
 import (
 	"context"
@@ -20,8 +20,8 @@ import (
 
 // refExec adapts the reference engine kept in plane_test.go to sim.Exec,
 // so whole algorithm pipelines can be replayed on the unoptimized
-// any-payload plane (see the algorithm equivalence tests in the algorithm
-// packages and plane_test.go).
+// per-vertex-slice plane (see the algorithm equivalence tests in the
+// algorithm packages and plane_test.go).
 type refExec struct{}
 
 func (refExec) Run(ctx context.Context, t *sim.Topology, f sim.Factory, maxRounds int) (sim.Stats, error) {
@@ -54,8 +54,8 @@ func (p *wordSum) StepWord(v, round int, in, _ []sim.Word) (sim.Word, bool) {
 	return sim.NoWord, true
 }
 
-// wordFlood is floodProgram on the word plane; reached[v] is the state
-// each any-plane machine keeps in its closure.
+// wordFlood is floodProgram on the word plane, with the same reached[v]
+// slab.
 type wordFlood struct {
 	t       *sim.Topology
 	reached []bool
@@ -88,32 +88,30 @@ func (p *wordFlood) StepWord(v, round int, in, _ []sim.Word) (sim.Word, bool) {
 // sizedPayloadBits is the common bit schedule of the sized program pair.
 func sizedPayloadBits(v int64) int64 { return v%13 + 14 }
 
-// sizedAnyProgram staggers halting, broadcasts a Sizer payload that
+// sizedPortProgram staggers halting, broadcasts a Sizer payload that
 // changes every round in two rounds out of three (silent in the third),
 // and folds everything received into an accumulator. The per-port Sizer
-// case, which only the any plane can express, is chattyProgram's.
-func sizedAnyProgram(results []int64) sim.Machines {
-	return func(info sim.NodeInfo) sim.Machine {
-		stop := int(info.ID%5) + 1
-		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
-			acc := results[info.V]
-			for p, m := range in {
-				if m == nil {
-					acc = acc*31 + 7
-				} else {
-					acc = acc*31 + int64(m.(sizedMsg)) + int64(p)
-				}
+// case, which only a port program can express, is chattyProgram's.
+func sizedPortProgram(t *sim.Topology, results []int64) sim.PortProgram {
+	return sim.PortFunc(func(v, round int, in, out []sim.Message) bool {
+		id := t.ID(v)
+		acc := results[v]
+		for p, m := range in {
+			if m == nil {
+				acc = acc*31 + 7
+			} else {
+				acc = acc*31 + int64(m.(sizedMsg)) + int64(p)
 			}
-			results[info.V] = acc
-			if (round+int(info.ID))%3 != 2 {
-				sim.SendAll(out, sizedMsg(info.ID+int64(round)))
-			}
-			return round >= stop-1
-		})
-	}
+		}
+		results[v] = acc
+		if (round+int(id))%3 != 2 {
+			sim.SendAll(out, sizedMsg(id+int64(round)))
+		}
+		return round >= int(id%5)
+	})
 }
 
-// wordSized is sizedAnyProgram as a word program with a WordSizer
+// wordSized is sizedPortProgram as a word program with a WordSizer
 // reporting the identical bit schedule. It folds its inbox through the
 // shard's scratch — copied in, then read back — so a scratch slab shared
 // between concurrently stepping shards, or one shorter than Scratch(Δ),
@@ -152,10 +150,10 @@ func (p *wordSized) StepWord(v, round int, in, scratch []sim.Word) (sim.Word, bo
 func (*wordSized) WordBits(w sim.Word) int64 { return sizedPayloadBits(w) }
 
 // TestWordPlaneEquivalenceMatrix runs each word program and its
-// any-payload twin over the plane grid: per-vertex results and Stats must
-// be identical between (a) the twin on the reference plane, (b) the word
-// program on every engine (word plane), and (c) the word program stepped
-// one vertex at a time through the reference plane (wordMachines).
+// port-program twin over the plane grid: per-vertex results and Stats
+// must be identical between (a) the twin on the reference plane, (b) the
+// word program on every engine (word plane), and (c) the word program
+// stepped one vertex at a time through the reference plane.
 // gnp-sharded has at least two shards' worth of vertices, so the parallel
 // engine runs it on several shards, each with its own inbox window and
 // scratch, wherever there are CPUs for them.
@@ -178,12 +176,12 @@ func TestWordPlaneEquivalenceMatrix(t *testing.T) {
 	}
 	programs := []struct {
 		name string
-		any  func([]int64) sim.Machines
+		port func(*sim.Topology, []int64) sim.PortProgram
 		word func(*sim.Topology, []int64) sim.WordProgram
 	}{
 		{"sum", sumProgram, wordSumProgram},
 		{"flood", floodProgram, wordFloodProgram},
-		{"sized", sizedAnyProgram, wordSizedProgram},
+		{"sized", sizedPortProgram, wordSizedProgram},
 	}
 	engines := []struct {
 		name string
@@ -199,7 +197,7 @@ func TestWordPlaneEquivalenceMatrix(t *testing.T) {
 			t.Run(gc.name+"/"+pc.name, func(t *testing.T) {
 				topo := sim.NewTopology(gc.g)
 				wantRes := make([]int64, gc.g.N())
-				wantStats, wantErr := runReference(topo, pc.any(wantRes), maxRounds)
+				wantStats, wantErr := runReference(topo, pc.port(topo, wantRes), maxRounds)
 				check := func(label string, gotRes []int64, gotStats sim.Stats, gotErr error) {
 					t.Helper()
 					if (wantErr == nil) != (gotErr == nil) {
@@ -231,10 +229,10 @@ func TestWordPlaneEquivalenceMatrix(t *testing.T) {
 // --- allocation regression -------------------------------------------------
 
 // wordExchange is the word-plane counterpart of exchangeProgram for
-// steady-state allocation pinning. Unlike the any plane — which relies on
-// the runtime's small-integer interface cache — the word plane is
-// alloc-free for arbitrary word values; the payloads here exceed the
-// 0..255 cache range to prove it.
+// steady-state allocation pinning. Unlike the any plane — where a port
+// program sending a fresh value relies on the runtime's small-integer
+// interface cache — the word plane is alloc-free for arbitrary word
+// values; the payloads here exceed the 0..255 cache range to prove it.
 type wordExchange struct{ rounds int }
 
 func wordExchangeProgram(rounds int) sim.Factory { return &wordExchange{rounds: rounds} }

@@ -76,7 +76,7 @@ func ChooseT(delta, x int) (int, error) {
 //	P(d, x) = (2t−1)·P(⌈d/t⌉, x−1)
 func DeclaredPalette(d, t, x int) int64 {
 	if x == 0 {
-		return int64(util.Max(1, 2*d-1))
+		return int64(max(1, 2*d-1))
 	}
 	return int64(2*t-1) * DeclaredPalette(util.CeilDiv(d, t), t, x-1)
 }

@@ -187,49 +187,3 @@ func NextPrime(n int) int {
 	}
 	return n
 }
-
-// Min returns the smaller of a and b.
-func Min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Max returns the larger of a and b.
-func Max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinInt64 returns the smaller of a and b.
-func MinInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// MaxInt64 returns the larger of a and b.
-func MaxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Clamp restricts v to the inclusive range [lo, hi].
-func Clamp(v, lo, hi int) int {
-	if lo > hi {
-		panic(fmt.Sprintf("util.Clamp: lo %d > hi %d", lo, hi))
-	}
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}

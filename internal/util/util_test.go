@@ -223,7 +223,7 @@ func TestNextPrimeQuick(t *testing.T) {
 		if p < n || !IsPrime(p) {
 			return false
 		}
-		for q := Max(n, 2); q < p; q++ {
+		for q := max(n, 2); q < p; q++ {
 			if IsPrime(q) {
 				return false // skipped a prime
 			}
@@ -233,14 +233,5 @@ func TestNextPrimeQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 50}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMinMaxClamp(t *testing.T) {
-	if Min(3, 5) != 3 || Min(5, 3) != 3 || Max(3, 5) != 5 || Max(5, 3) != 5 {
-		t.Fatal("Min/Max broken")
-	}
-	if Clamp(7, 0, 5) != 5 || Clamp(-1, 0, 5) != 0 || Clamp(3, 0, 5) != 3 {
-		t.Fatal("Clamp broken")
 	}
 }
