@@ -20,7 +20,7 @@ BENCH_COUNT ?= 1
 # replayed exactly by re-running with the seed from its report.
 CHAOS_SEED ?= 1
 
-.PHONY: build test vet lint lint-codec fmt-check staticcheck race bench bench-algos bench-baseline bench-check bench-codec tables fuzz profile chaos ci
+.PHONY: build test vet lint lint-codec fmt-check staticcheck race loc bench bench-algos bench-baseline bench-check bench-codec tables fuzz profile chaos ci
 
 # Where `make profile` writes cpu.pprof/heap.pprof; CI uploads it as an
 # artifact on pull requests.
@@ -95,10 +95,17 @@ staticcheck:
 # (submit/cancel/restart hammer, sharded batch executor, overload floods)
 # — the simulator's sharded engine, the word and port programs the parallel
 # engine steps shard by shard over their shared slabs and per-shard scratch
-# (linial, reduce, arbor), the pooled graph scratch tables, and the
-# service-overload bench workload in svcbench.
+# (linial, reduce, arbor), the pooled graph scratch tables, the class stage
+# (connector.Classes) and the recursions that run on it (star, cd,
+# baseline), and the service-overload bench workload in svcbench.
 race:
-	$(GO) test -race ./internal/service/ ./internal/sim/ ./internal/linial/ ./internal/reduce/ ./internal/arbor/ ./internal/graph/ ./internal/svcbench/
+	$(GO) test -race ./internal/service/ ./internal/sim/ ./internal/linial/ ./internal/reduce/ ./internal/arbor/ ./internal/graph/ ./internal/svcbench/ ./internal/star/ ./internal/cd/ ./internal/connector/ ./internal/baseline/
+
+# Non-test Go lines outside perfbench/ and testdata/ directories. A PR
+# reports its net line count as this number at the head minus the parent.
+loc:
+	@find . \( -path ./perfbench -o -path ./.bench_build -o -path ./.git -o -name testdata \) -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 # One pass over every benchmark in the repository (root tables suite,
 # internal/sim data-plane benchmarks, ...). -benchtime 1x keeps it a smoke

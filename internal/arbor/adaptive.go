@@ -70,17 +70,14 @@ func BestPlan(delta, a int) Plan {
 // Δ·(1+o(1)) colors — and runs it. The chosen plan is returned alongside
 // the coloring.
 func ColorAdaptive(ctx context.Context, g *graph.Graph, a int, opt Options) (*Result, Plan, error) {
-	delta := g.MaxDegree()
-	if opt.DeclaredDelta > 0 {
-		delta = opt.DeclaredDelta
+	delta, err := opt.delta(g)
+	if err != nil {
+		return nil, Plan{}, err
 	}
 	plan := BestPlan(delta, a)
 	runOpt := opt
 	runOpt.Q = plan.Q
-	var (
-		res *Result
-		err error
-	)
+	var res *Result
 	switch plan.Name {
 	case "thm5.2":
 		res, err = ColorHPartition(ctx, g, a, runOpt)

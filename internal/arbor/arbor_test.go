@@ -10,6 +10,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/sim"
+	"repro/internal/vc"
 	"repro/internal/verify"
 )
 
@@ -219,6 +220,60 @@ func TestColorHPartition(t *testing.T) {
 	// Sanity: far below the greedy 2Δ−1 when a ≪ Δ.
 	if res.Palette >= int64(2*g.MaxDegree()-1) {
 		t.Fatalf("palette %d not better than 2Δ−1 = %d", res.Palette, 2*g.MaxDegree()-1)
+	}
+}
+
+// TestInternalThenCrossing drives Theorem 5.2's two halves through their
+// exported pieces: Internal keeps exactly the same-part edges, with degree
+// ≤ θ, and ColorCrossing completes any proper internal coloring to a
+// proper one within Δ+θ−1 crossing colors above it; a coloring with an
+// edge left at −1 and no crossing stage to fill it is rejected.
+func TestInternalThenCrossing(t *testing.T) {
+	ctx := context.Background()
+	g, a := bounded(t, 300, 2, 80, 11)
+	theta := Threshold(a, 3)
+	hp, err := HPartition(ctx, sim.Sequential, g, theta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	internal := hp.Internal(g)
+	if internal.G.MaxDegree() > theta {
+		t.Fatalf("internal degree %d exceeds θ=%d", internal.G.MaxDegree(), theta)
+	}
+	kept := make([]bool, g.M())
+	for _, e := range internal.EOrig {
+		kept[e] = true
+	}
+	colors := make([]int64, g.M())
+	for e := range colors {
+		u, v := g.Endpoints(e)
+		if kept[e] != (hp.Part[u] == hp.Part[v]) {
+			t.Fatalf("edge %d {%d,%d}: kept=%v with parts %d,%d", e, u, v, kept[e], hp.Part[u], hp.Part[v])
+		}
+		colors[e] = -1
+	}
+	ic, err := vc.EdgeColor(ctx, internal.G, nil, vc.EdgeIDBound(internal.G), vc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crossPal := int64(g.MaxDegree() + theta - 1)
+	for e, c := range ic.Colors {
+		colors[internal.EOrig[e]] = crossPal + c
+	}
+	st, err := ColorCrossing(ctx, sim.Sequential, g, hp, colors, crossPal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Rounds == 0 && hp.NumParts > 1 {
+		t.Fatal("crossing stages ran no rounds")
+	}
+	if err := verify.EdgeColoring(g, colors, crossPal+int64(2*theta-1)); err != nil {
+		t.Fatal(err)
+	}
+
+	one := &HPartitionResult{Part: make([]int, 2), NumParts: 1, Threshold: 1}
+	if _, err := ColorCrossing(ctx, sim.Sequential, graph.Path(2), one, []int64{-1}, 1); err == nil {
+		t.Fatal("an uncolored edge was accepted")
 	}
 }
 

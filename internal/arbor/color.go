@@ -44,6 +44,25 @@ func (o Options) q() float64 {
 	return o.Q
 }
 
+// declared returns the options a recursion colors a subgraph with: the
+// same engines and q under the declared degree bound delta.
+func (o Options) declared(delta int) Options {
+	return Options{Exec: o.Exec, VC: o.VC, Q: o.Q, DeclaredDelta: delta}
+}
+
+// delta returns the maximum-degree bound palettes are sized from: g's Δ,
+// or DeclaredDelta when set, which must not be below it.
+func (o Options) delta(g *graph.Graph) (int, error) {
+	delta := g.MaxDegree()
+	if o.DeclaredDelta > 0 {
+		if o.DeclaredDelta < delta {
+			return 0, fmt.Errorf("arbor: declared Δ=%d below actual %d", o.DeclaredDelta, delta)
+		}
+		delta = o.DeclaredDelta
+	}
+	return delta, nil
+}
+
 // Result is an edge coloring produced by one of the Section 5 algorithms.
 type Result struct {
 	// Colors is indexed by edge identifier.
@@ -75,25 +94,20 @@ func Palette52Star(delta, a int, q float64) int64 {
 // ColorHPartition implements Theorem 5.2: a (Δ + O(a))-edge-coloring in
 // O(a·log n) rounds. Internal edges of the parts are colored with the black
 // box in a reserved O(a)-color block; crossing edges are colored stage by
-// stage (highest part downward) with Merge.
+// stage (highest part downward) with ColorCrossing.
 func ColorHPartition(ctx context.Context, g *graph.Graph, a int, opt Options) (*Result, error) {
 	if g.M() == 0 {
 		return &Result{Colors: make([]int64, 0), Palette: 1}, nil
 	}
-	q := opt.q()
-	theta := Threshold(a, q)
-	delta := g.MaxDegree()
-	if opt.DeclaredDelta > 0 {
-		if opt.DeclaredDelta < delta {
-			return nil, fmt.Errorf("arbor: declared Δ=%d below actual %d", opt.DeclaredDelta, delta)
-		}
-		delta = opt.DeclaredDelta
+	theta := Threshold(a, opt.q())
+	delta, err := opt.delta(g)
+	if err != nil {
+		return nil, err
 	}
 	hp, err := HPartition(ctx, opt.Exec, g, theta)
 	if err != nil {
 		return nil, err
 	}
-	stats := hp.Stats
 
 	// Reserved blocks: crossing palette [0, crossPal), internal block
 	// [crossPal, crossPal + internalPal).
@@ -103,78 +117,77 @@ func ColorHPartition(ctx context.Context, g *graph.Graph, a int, opt Options) (*
 		internalPal = int64(4 * theta)
 	}
 
+	// Color the part-internal edges in one shot, in the internal block.
+	internal := hp.Internal(g)
+	if internal.G.MaxDegree() > theta {
+		return nil, fmt.Errorf("arbor: internal: same-part degree %d exceeds θ=%d", internal.G.MaxDegree(), theta)
+	}
+	icColors, icStats, err := colorInternal(ctx, internal.G, theta, opt)
+	if err != nil {
+		return nil, fmt.Errorf("arbor: internal edges: %w", err)
+	}
 	colors := make([]int64, g.M())
 	for e := range colors {
 		colors[e] = -1
 	}
+	for e, orig := range internal.EOrig {
+		colors[orig] = crossPal + icColors[e]
+	}
 
-	// Color part-internal edges in one shot: the spanning subgraph of
-	// same-part edges has maximum degree ≤ θ (a vertex's same-part
-	// neighbors all counted toward its peeling threshold).
-	internal, err := graph.SpanningSubgraph(g, func(e int) bool {
-		u, v := g.Endpoints(e)
-		return hp.Part[u] == hp.Part[v]
-	})
+	crossStats, err := ColorCrossing(ctx, opt.Exec, g, hp, colors, crossPal)
 	if err != nil {
 		return nil, err
-	}
-	if internal.G.M() > 0 {
-		if internal.G.MaxDegree() > theta {
-			return nil, fmt.Errorf("arbor: internal: same-part degree %d exceeds θ=%d", internal.G.MaxDegree(), theta)
-		}
-		icColors, icStats, err := colorInternal(ctx, internal.G, theta, opt)
-		if err != nil {
-			return nil, fmt.Errorf("arbor: internal edges: %w", err)
-		}
-		stats = stats.Seq(icStats)
-		for e := 0; e < internal.G.M(); e++ {
-			colors[internal.OrigEdge(e)] = crossPal + icColors[e]
-		}
-	}
-
-	// Crossing stages: for i = ℓ−2 … 0, A = part i, B = parts > i.
-	for i := hp.NumParts - 2; i >= 0; i-- {
-		roleA := make([]bool, g.N())
-		roleB := make([]bool, g.N())
-		active := false
-		for v := 0; v < g.N(); v++ {
-			switch {
-			case hp.Part[v] == i:
-				roleA[v] = true
-				active = true
-			case hp.Part[v] > i:
-				roleB[v] = true
-			}
-		}
-		if !active {
-			continue
-		}
-		mr, err := Merge(ctx, opt.Exec, MergeSpec{
-			G:          g,
-			RoleA:      roleA,
-			RoleB:      roleB,
-			EdgeColors: colors,
-			D:          theta,
-			Palette:    crossPal,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("arbor: crossing stage %d: %w", i, err)
-		}
-		stats = stats.Seq(mr.Stats)
-	}
-
-	for e, c := range colors {
-		if c < 0 {
-			return nil, fmt.Errorf("arbor: internal: edge %d left uncolored", e)
-		}
 	}
 	return &Result{
 		Colors:    colors,
 		Palette:   crossPal + internalPal,
-		Stats:     stats,
+		Stats:     hp.Stats.Seq(icStats).Seq(crossStats),
 		Parts:     hp.NumParts,
 		Threshold: theta,
 	}, nil
+}
+
+// ColorCrossing colors the crossing edges of the H-partition hp of g, the
+// staged half of Theorem 5.2: for i = ℓ−2 … 0, Merge colors the uncolored
+// edges between part i (side A) and the parts above it (side B) within
+// [0, palette), with D = θ. colors holds −1 on every crossing edge and is
+// updated in place; ColorCrossing fails if any edge of g is left
+// uncolored.
+func ColorCrossing(ctx context.Context, eng sim.Exec, g *graph.Graph, hp *HPartitionResult, colors []int64, palette int64) (sim.Stats, error) {
+	var stats sim.Stats
+	var roleA, roleB []bool // shared by the stages; a one-part graph has none
+	for i := hp.NumParts - 2; i >= 0; i-- {
+		if roleA == nil {
+			roleA, roleB = make([]bool, g.N()), make([]bool, g.N())
+		}
+		active := false
+		for v, p := range hp.Part {
+			roleA[v] = p == i
+			roleB[v] = p > i
+			active = active || p == i
+		}
+		if !active {
+			continue
+		}
+		mr, err := Merge(ctx, eng, MergeSpec{
+			G:          g,
+			RoleA:      roleA,
+			RoleB:      roleB,
+			EdgeColors: colors,
+			D:          hp.Threshold,
+			Palette:    palette,
+		})
+		if err != nil {
+			return sim.Stats{}, fmt.Errorf("arbor: crossing stage %d: %w", i, err)
+		}
+		stats = stats.Seq(mr.Stats)
+	}
+	for e, c := range colors {
+		if c < 0 {
+			return sim.Stats{}, fmt.Errorf("arbor: internal: edge %d left uncolored", e)
+		}
+	}
+	return stats, nil
 }
 
 // colorInternal colors the part-internal subgraph (max degree ≤ θ) within
@@ -202,18 +215,33 @@ func colorInternal(ctx context.Context, internal *graph.Graph, theta int, opt Op
 	return res.Colors, res.Stats, nil
 }
 
+// sqrtPlan is Theorem 5.3's parameterization for declared Δ and θ: the
+// Figure-3 connector's group sizes, and the degree and arboricity bounds
+// of the connector and of each of its color classes.
+type sqrtPlan struct {
+	inGroup, outGroup    int
+	connDelta, connArb   int
+	classDelta, classArb int
+}
+
+func planSqrt(delta, theta int) sqrtPlan {
+	kIn := max(1, util.ISqrt(delta))
+	p := sqrtPlan{inGroup: max(1, util.CeilDiv(delta, kIn)), outGroup: max(1, util.ISqrt(theta))}
+	p.connDelta = p.inGroup + p.outGroup
+	p.connArb = p.outGroup
+	// Each φ-class has ≤ ⌈Δ/inGroup⌉ in-edges and ≤ ⌈θ/outGroup⌉ out-edges
+	// per vertex, and inherits the acyclic orientation, so its arboricity
+	// is ≤ ⌈θ/outGroup⌉.
+	p.classArb = util.CeilDiv(theta, p.outGroup)
+	p.classDelta = util.CeilDiv(delta, p.inGroup) + p.classArb
+	return p
+}
+
 // Palette53 is the declared palette of ColorSqrt for maximum degree delta
 // and arboricity bound a at multiplier q.
 func Palette53(delta, a int, q float64) int64 {
-	theta := Threshold(a, q)
-	kIn := max(1, util.ISqrt(delta))
-	inGroup := max(1, util.CeilDiv(delta, kIn))
-	outGroup := max(1, util.ISqrt(theta))
-	connDelta := inGroup + outGroup
-	connArb := outGroup
-	classDelta := util.CeilDiv(delta, inGroup) + util.CeilDiv(theta, outGroup)
-	classArb := util.CeilDiv(theta, outGroup)
-	return Palette52(connDelta, connArb, q) * Palette52(classDelta, classArb, q)
+	p := planSqrt(delta, Threshold(a, q))
+	return Palette52(p.connDelta, p.connArb, q) * Palette52(p.classDelta, p.classArb, q)
 }
 
 // ColorSqrt implements Theorem 5.3: the Figure-3 orientation connector
@@ -226,12 +254,9 @@ func ColorSqrt(ctx context.Context, g *graph.Graph, a int, opt Options) (*Result
 	}
 	q := opt.q()
 	theta := Threshold(a, q)
-	delta := g.MaxDegree()
-	if opt.DeclaredDelta > 0 {
-		if opt.DeclaredDelta < delta {
-			return nil, fmt.Errorf("arbor: declared Δ=%d below actual %d", opt.DeclaredDelta, delta)
-		}
-		delta = opt.DeclaredDelta
+	delta, err := opt.delta(g)
+	if err != nil {
+		return nil, err
 	}
 	hp, err := HPartition(ctx, opt.Exec, g, theta)
 	if err != nil {
@@ -239,10 +264,8 @@ func ColorSqrt(ctx context.Context, g *graph.Graph, a int, opt Options) (*Result
 	}
 	stats := hp.Stats
 
-	kIn := max(1, util.ISqrt(delta))
-	inGroup := max(1, util.CeilDiv(delta, kIn))
-	outGroup := max(1, util.ISqrt(theta))
-	vg, err := connector.Orientation(hp.Orient, inGroup, outGroup)
+	p := planSqrt(delta, theta)
+	vg, err := connector.Orientation(hp.Orient, p.inGroup, p.outGroup)
 	if err != nil {
 		return nil, err
 	}
@@ -250,57 +273,33 @@ func ColorSqrt(ctx context.Context, g *graph.Graph, a int, opt Options) (*Result
 
 	// Connector coloring φ via Theorem 5.2; declared bounds make the
 	// palette independent of the sample.
-	connDelta := inGroup + outGroup
-	connArb := outGroup
-	phiRes, err := ColorHPartition(ctx, vg.G, connArb, Options{
-		Exec: opt.Exec, VC: opt.VC, Q: opt.Q, DeclaredDelta: connDelta,
-	})
+	phiRes, err := ColorHPartition(ctx, vg.G, p.connArb, opt.declared(p.connDelta))
 	if err != nil {
 		return nil, fmt.Errorf("arbor: connector coloring: %w", err)
 	}
 	stats = stats.Seq(phiRes.Stats)
-	phiPal := Palette52(connDelta, connArb, q)
-	phi := make([]int64, g.M())
-	for ce := 0; ce < vg.G.M(); ce++ {
-		phi[vg.EOrig[ce]] = phiRes.Colors[ce]
-	}
 
-	// Class coloring ψ: each φ-class has ≤ ⌈Δ/inGroup⌉ in-edges and
-	// ≤ ⌈θ/outGroup⌉ out-edges per vertex, and inherits the acyclic
-	// orientation, so its arboricity is ≤ ⌈θ/outGroup⌉.
-	classDelta := util.CeilDiv(delta, inGroup) + util.CeilDiv(theta, outGroup)
-	classArb := util.CeilDiv(theta, outGroup)
-	psiPal := Palette52(classDelta, classArb, q)
-	colors := make([]int64, g.M())
-	var classStats []sim.Stats
-	for c := int64(0); c < phiPal; c++ {
-		sub, err := graph.SpanningSubgraph(g, func(e int) bool { return phi[e] == c })
-		if err != nil {
-			return nil, err
-		}
-		if sub.G.M() == 0 {
-			continue
-		}
-		if sub.G.MaxDegree() > classDelta {
-			return nil, fmt.Errorf("arbor: internal: class degree %d exceeds declared %d", sub.G.MaxDegree(), classDelta)
-		}
-		psi, err := ColorHPartition(ctx, sub.G, classArb, Options{
-			Exec: opt.Exec, VC: opt.VC, Q: opt.Q, DeclaredDelta: classDelta,
+	// Class coloring ψ, Theorem 5.2 again on every φ-class.
+	phiPal := Palette52(p.connDelta, p.connArb, q)
+	psiPal := Palette52(p.classDelta, p.classArb, q)
+	colors, classStats, err := connector.Classes(g, connector.EdgeClasses, vg.BaseColors(phiRes.Colors), phiPal, psiPal,
+		func(c int64, sub *graph.Sub) ([]int64, sim.Stats, error) {
+			if sub.G.MaxDegree() > p.classDelta {
+				return nil, sim.Stats{}, fmt.Errorf("arbor: internal: class degree %d exceeds declared %d", sub.G.MaxDegree(), p.classDelta)
+			}
+			psi, classErr := ColorHPartition(ctx, sub.G, p.classArb, opt.declared(p.classDelta))
+			if classErr != nil {
+				return nil, sim.Stats{}, fmt.Errorf("arbor: class %d: %w", c, classErr)
+			}
+			return psi.Colors, psi.Stats, nil
 		})
-		if err != nil {
-			return nil, fmt.Errorf("arbor: class %d: %w", c, err)
-		}
-		classStats = append(classStats, psi.Stats)
-		for e := 0; e < sub.G.M(); e++ {
-			orig := sub.OrigEdge(e)
-			colors[orig] = phi[orig]*psiPal + psi.Colors[e]
-		}
+	if err != nil {
+		return nil, err
 	}
-	stats = stats.Seq(sim.ParAll(classStats))
 	return &Result{
 		Colors:    colors,
 		Palette:   phiPal * psiPal,
-		Stats:     stats,
+		Stats:     stats.Seq(classStats),
 		Parts:     hp.NumParts,
 		Threshold: theta,
 	}, nil

@@ -122,6 +122,16 @@ func (p *peelProgram) StepWord(v, round int, in, _ []sim.Word) (sim.Word, bool) 
 	return 1, false
 }
 
+// Internal returns the spanning subgraph of g's part-internal edges, those
+// whose endpoints share a part. Its maximum degree is at most θ: a
+// vertex's same-part neighbors all counted toward its peeling threshold.
+func (hp *HPartitionResult) Internal(g *graph.Graph) *graph.Sub {
+	return graph.SpanningSubgraph(g, func(e int) bool {
+		u, v := g.Endpoints(e)
+		return hp.Part[u] == hp.Part[v]
+	})
+}
+
 // RestrictOrientation carries an orientation down to a spanning subgraph:
 // each kept edge keeps its head.
 func RestrictOrientation(o *graph.Orientation, sub *graph.Sub) (*graph.Orientation, error) {

@@ -10,21 +10,9 @@ import (
 	"repro/internal/util"
 )
 
-// ceilRoot returns the smallest r ≥ 1 with r^k ≥ n.
-func ceilRoot(n, k int) int {
-	if n <= 1 {
-		return 1
-	}
-	r := util.IRoot(n, k)
-	if util.IPow(r, k) < n {
-		r++
-	}
-	return r
-}
-
 // Groups54 returns the Theorem 5.4 group sizes ⌈Δ^{1/x}⌉+1 and ⌈θ^{1/x}⌉+1.
 func Groups54(delta, theta, x int) (inGroup, outGroup int) {
-	return ceilRoot(delta, x) + 1, ceilRoot(theta, x) + 1
+	return util.CeilRoot(delta, x) + 1, util.CeilRoot(theta, x) + 1
 }
 
 // Palette54 is the declared palette of ColorRecursive: the product of the
@@ -64,12 +52,9 @@ func ColorRecursive(ctx context.Context, g *graph.Graph, a, x int, opt Options) 
 	}
 	q := opt.q()
 	theta := Threshold(a, q)
-	delta := g.MaxDegree()
-	if opt.DeclaredDelta > 0 {
-		if opt.DeclaredDelta < delta {
-			return nil, fmt.Errorf("arbor: declared Δ=%d below actual %d", opt.DeclaredDelta, delta)
-		}
-		delta = opt.DeclaredDelta
+	delta, err := opt.delta(g)
+	if err != nil {
+		return nil, err
 	}
 	hp, err := HPartition(ctx, opt.Exec, g, theta)
 	if err != nil {
@@ -97,9 +82,7 @@ func rec54(ctx context.Context, g *graph.Graph, orient *graph.Orientation, dDelt
 		return make([]int64, 0), sim.Stats{}, nil
 	}
 	if lvl == 1 {
-		res, err := ColorHPartition(ctx, g, max(1, dTheta), Options{
-			Exec: opt.Exec, VC: opt.VC, Q: opt.Q, DeclaredDelta: dDelta,
-		})
+		res, err := ColorHPartition(ctx, g, max(1, dTheta), opt.declared(dDelta))
 		if err != nil {
 			return nil, sim.Stats{}, fmt.Errorf("arbor: final classes: %w", err)
 		}
@@ -140,41 +123,24 @@ func rec54(ctx context.Context, g *graph.Graph, orient *graph.Orientation, dDelt
 		return nil, sim.Stats{}, fmt.Errorf("arbor: level %d connector: %w", lvl, err)
 	}
 	stats = stats.Seq(mr.Stats)
-	phi := make([]int64, g.M())
-	for ce := 0; ce < vg.G.M(); ce++ {
-		phi[vg.EOrig[ce]] = connColors[ce]
-	}
 
 	// Split into classes and recurse.
 	dDeltaNext := nextDelta(dDelta, dTheta, inG, outG)
 	dThetaNext := util.CeilDiv(dTheta, outG)
 	subPal := palette54Rec(dDeltaNext, dThetaNext, inG, outG, lvl-1, q)
-	colors := make([]int64, g.M())
-	var classStats []sim.Stats
-	for c := int64(0); c < connPal; c++ {
-		sub, err := graph.SpanningSubgraph(g, func(e int) bool { return phi[e] == c })
-		if err != nil {
-			return nil, sim.Stats{}, err
-		}
-		if sub.G.M() == 0 {
-			continue
-		}
-		if sub.G.MaxDegree() > dDeltaNext {
-			return nil, sim.Stats{}, fmt.Errorf("arbor: internal: level-%d class degree %d exceeds declared %d", lvl, sub.G.MaxDegree(), dDeltaNext)
-		}
-		subOrient, err := RestrictOrientation(orient, sub)
-		if err != nil {
-			return nil, sim.Stats{}, err
-		}
-		psi, st, err := rec54(ctx, sub.G, subOrient, dDeltaNext, dThetaNext, inG, outG, lvl-1, opt)
-		if err != nil {
-			return nil, sim.Stats{}, err
-		}
-		classStats = append(classStats, st)
-		for e := 0; e < sub.G.M(); e++ {
-			orig := sub.OrigEdge(e)
-			colors[orig] = phi[orig]*subPal + psi[e]
-		}
+	colors, classStats, err := connector.Classes(g, connector.EdgeClasses, vg.BaseColors(connColors), connPal, subPal,
+		func(_ int64, sub *graph.Sub) ([]int64, sim.Stats, error) {
+			if sub.G.MaxDegree() > dDeltaNext {
+				return nil, sim.Stats{}, fmt.Errorf("arbor: internal: level-%d class degree %d exceeds declared %d", lvl, sub.G.MaxDegree(), dDeltaNext)
+			}
+			subOrient, orientErr := RestrictOrientation(orient, sub)
+			if orientErr != nil {
+				return nil, sim.Stats{}, orientErr
+			}
+			return rec54(ctx, sub.G, subOrient, dDeltaNext, dThetaNext, inG, outG, lvl-1, opt)
+		})
+	if err != nil {
+		return nil, sim.Stats{}, err
 	}
-	return colors, stats.Seq(sim.ParAll(classStats)), nil
+	return colors, stats.Seq(classStats), nil
 }

@@ -38,68 +38,27 @@ func BE08EdgeColor(ctx context.Context, g *graph.Graph, a int, opt vc.Options) (
 	if err != nil {
 		return nil, fmt.Errorf("baseline: be08: %w", err)
 	}
-	stats := hp.Stats
 
+	// Part-internal edges: vertex-disjoint subgraphs of degree ≤ θ, colored
+	// together inside the low end of the global palette (2θ−1 ≤ 2Δ−1).
+	internal := hp.Internal(g)
+	ic, err := vc.EdgeColor(ctx, internal.G, nil, vc.EdgeIDBound(internal.G), opt)
+	if err != nil {
+		return nil, fmt.Errorf("baseline: be08 internal: %w", err)
+	}
 	colors := make([]int64, g.M())
 	for e := range colors {
 		colors[e] = -1
 	}
-
-	// Part-internal edges: vertex-disjoint subgraphs of degree ≤ θ, colored
-	// together inside the low end of the global palette (2θ−1 ≤ 2Δ−1).
-	internal, err := graph.SpanningSubgraph(g, func(e int) bool {
-		u, v := g.Endpoints(e)
-		return hp.Part[u] == hp.Part[v]
-	})
-	if err != nil {
-		return nil, err
-	}
-	if internal.G.M() > 0 {
-		ic, err := vc.EdgeColor(ctx, internal.G, nil, vc.EdgeIDBound(internal.G), opt)
-		if err != nil {
-			return nil, fmt.Errorf("baseline: be08 internal: %w", err)
-		}
-		stats = stats.Seq(ic.Stats)
-		for e := 0; e < internal.G.M(); e++ {
-			colors[internal.OrigEdge(e)] = ic.Colors[e]
-		}
+	for e, orig := range internal.EOrig {
+		colors[orig] = ic.Colors[e]
 	}
 
 	// Crossing stages share the same 2Δ−1 palette: a crossing edge sees at
 	// most (θ−1)+(Δ−1) ≤ 2Δ−2 occupied colors, so a slot is always free.
-	for i := hp.NumParts - 2; i >= 0; i-- {
-		roleA := make([]bool, g.N())
-		roleB := make([]bool, g.N())
-		active := false
-		for v := 0; v < g.N(); v++ {
-			switch {
-			case hp.Part[v] == i:
-				roleA[v] = true
-				active = true
-			case hp.Part[v] > i:
-				roleB[v] = true
-			}
-		}
-		if !active {
-			continue
-		}
-		mr, err := arbor.Merge(ctx, opt.Exec, arbor.MergeSpec{
-			G:          g,
-			RoleA:      roleA,
-			RoleB:      roleB,
-			EdgeColors: colors,
-			D:          theta,
-			Palette:    palette,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("baseline: be08 stage %d: %w", i, err)
-		}
-		stats = stats.Seq(mr.Stats)
+	crossStats, err := arbor.ColorCrossing(ctx, opt.Exec, g, hp, colors, palette)
+	if err != nil {
+		return nil, fmt.Errorf("baseline: be08: %w", err)
 	}
-	for e, c := range colors {
-		if c < 0 {
-			return nil, fmt.Errorf("baseline: be08: edge %d left uncolored", e)
-		}
-	}
-	return &BE08Result{Colors: colors, Palette: palette, Stats: stats, Parts: hp.NumParts}, nil
+	return &BE08Result{Colors: colors, Palette: palette, Stats: hp.Stats.Seq(ic.Stats).Seq(crossStats), Parts: hp.NumParts}, nil
 }

@@ -84,53 +84,25 @@ func DeclaredPalette(d, s, t, x int) int64 {
 // parameter t ≥ 2 and recursion depth x ≥ 0. The bound D^{x+1}·S uses the
 // cover's diversity D and maximal clique size S.
 func Color(ctx context.Context, g *graph.Graph, cover *cliques.Cover, t, x int, opt Options) (*Result, error) {
-	if t < 2 {
-		return nil, fmt.Errorf("cd: parameter t=%d < 2", t)
-	}
-	if x < 0 {
-		return nil, fmt.Errorf("cd: recursion depth x=%d < 0", x)
-	}
-	d := cover.Diversity()
-	s := cover.MaxCliqueSize()
-	if d == 0 || s < 2 {
-		// No edges are covered, so the graph has no edges at all.
-		if g.M() > 0 {
-			return nil, fmt.Errorf("cd: cover has no cliques but graph has %d edges", g.M())
-		}
-		return &Result{Colors: make([]int64, g.N()), Palette: 1, Declared: 1, Bound: 1}, nil
-	}
-
-	var stats sim.Stats
-	seed, seedPalette := opt.Seed, opt.SeedPalette
-	if seed == nil {
-		lin, err := linial.Reduce(ctx, opt.Exec, sim.NewTopology(g), int64(g.N()))
-		if err != nil {
-			return nil, fmt.Errorf("cd: initial seed coloring: %w", err)
-		}
-		seed, seedPalette = lin.Colors, lin.Palette
-		stats = stats.Seq(lin.Stats)
-	} else if len(seed) != g.N() {
-		return nil, fmt.Errorf("cd: seed has %d entries for %d vertices", len(seed), g.N())
-	}
-
-	ids := make([]int64, g.N())
-	for v := range ids {
-		ids[v] = int64(v)
-	}
-	colors, recStats, err := colorRec(ctx, g, ids, seed, seedPalette, cover, d, s, t, x, opt)
+	r, err := begin(ctx, g, cover, t, x, 0, opt)
 	if err != nil {
 		return nil, err
 	}
-	stats = stats.Seq(recStats)
-
-	declared := DeclaredPalette(d, s, t, x)
-	bound := int64(s)
-	for i := 0; i <= x; i++ {
-		bound *= int64(d)
+	if r == nil {
+		return &Result{Colors: make([]int64, g.N()), Palette: 1, Declared: 1, Bound: 1}, nil
 	}
+	s := cover.MaxCliqueSize()
+	colors, recStats, err := r.rec(ctx, g, r.ids, r.seed, cover, s, x)
+	if err != nil {
+		return nil, err
+	}
+	stats := r.seedStats.Seq(recStats)
+
+	declared := DeclaredPalette(r.d, s, t, x)
+	bound := int64(s) * pow64(int64(r.d), x+1)
 	palette := declared
 	if !opt.SkipTrim && declared > bound {
-		topo := &sim.Topology{G: g, IDs: ids, Labels: colors}
+		topo := &sim.Topology{G: g, IDs: r.ids, Labels: colors}
 		red, err := reduce.TrimClasses(ctx, opt.Exec, topo, declared, bound)
 		if err != nil {
 			return nil, fmt.Errorf("cd: final trim: %w", err)
@@ -142,24 +114,73 @@ func Color(ctx context.Context, g *graph.Graph, cover *cliques.Cover, t, x int, 
 	return &Result{Colors: colors, Palette: palette, Declared: declared, Bound: bound, Stats: stats}, nil
 }
 
-// colorRec is one level of Algorithm 1 on the current subgraph. ids and
-// seed are indexed by the subgraph's vertices; s is the declared clique-size
+// run is one CD-Coloring or clique-decomposition run: the cover's
+// diversity d, the connector parameter t, and the root level's identifiers
+// and seed coloring, which every level reuses as its identifier space
+// (§3), so the seed's cost is paid once.
+type run struct {
+	d, t int
+	// decompose stops the recursion after the connector stage of its last
+	// level (Theorem 2.4) instead of coloring the final classes.
+	decompose   bool
+	opt         Options
+	ids, seed   []int64
+	seedPalette int64
+	seedStats   sim.Stats
+}
+
+// begin validates the parameters Color and Decompose share (t ≥ 2,
+// x ≥ minX, a seed sized to g) and seeds the run, with Linial's algorithm
+// unless opt supplies the seed. It returns a nil run when the cover has no
+// cliques, so that g has no edges.
+func begin(ctx context.Context, g *graph.Graph, cover *cliques.Cover, t, x, minX int, opt Options) (*run, error) {
+	if t < 2 {
+		return nil, fmt.Errorf("cd: parameter t=%d < 2", t)
+	}
+	if x < minX {
+		return nil, fmt.Errorf("cd: recursion depth x=%d < %d", x, minX)
+	}
+	if cover.Diversity() == 0 || cover.MaxCliqueSize() < 2 {
+		// No edges are covered, so the graph has no edges at all.
+		if g.M() > 0 {
+			return nil, fmt.Errorf("cd: cover has no cliques but graph has %d edges", g.M())
+		}
+		return nil, nil
+	}
+	r := &run{d: cover.Diversity(), t: t, opt: opt, seed: opt.Seed, seedPalette: opt.SeedPalette}
+	if r.seed == nil {
+		lin, err := linial.Reduce(ctx, opt.Exec, sim.NewTopology(g), int64(g.N()))
+		if err != nil {
+			return nil, fmt.Errorf("cd: initial seed coloring: %w", err)
+		}
+		r.seed, r.seedPalette, r.seedStats = lin.Colors, lin.Palette, lin.Stats
+	} else if len(r.seed) != g.N() {
+		return nil, fmt.Errorf("cd: seed has %d entries for %d vertices", len(r.seed), g.N())
+	}
+	r.ids = make([]int64, g.N())
+	for v := range r.ids {
+		r.ids[v] = int64(v)
+	}
+	return r, nil
+}
+
+// rec is one level of Algorithm 1 on the current subgraph. ids and seed
+// are indexed by the subgraph's vertices; s is the declared clique-size
 // bound at this level (actual sizes are no larger).
-func colorRec(ctx context.Context, g *graph.Graph, ids, seed []int64, seedPalette int64, cover *cliques.Cover, d, s, t, x int, opt Options) ([]int64, sim.Stats, error) {
+func (r *run) rec(ctx context.Context, g *graph.Graph, ids, seed []int64, cover *cliques.Cover, s, x int) ([]int64, sim.Stats, error) {
 	if g.M() == 0 {
 		// Every color is legal; take 0 and pay nothing (the palette the
 		// parent reserves for this class is unaffected).
 		return make([]int64, g.N()), sim.Stats{}, nil
 	}
-	topo := &sim.Topology{G: g, IDs: ids, Labels: seed}
 	if x == 0 {
 		// Direct stage (Algorithm 1, lines 9–13): palette d(s−1)+1 ≥ Δ+1.
-		target := int64(d*(s-1) + 1)
+		target := int64(r.d*(s-1) + 1)
 		if min := int64(g.MaxDegree()) + 1; target < min {
 			// Cannot happen when the cover bound s is valid; guard anyway.
 			return nil, sim.Stats{}, fmt.Errorf("cd: direct palette %d below Δ+1=%d (invalid clique bound)", target, min)
 		}
-		res, err := vc.Target(ctx, topo, seedPalette, target, opt.VC)
+		res, err := vc.Target(ctx, &sim.Topology{G: g, IDs: ids, Labels: seed}, r.seedPalette, target, r.opt.VC)
 		if err != nil {
 			return nil, sim.Stats{}, fmt.Errorf("cd: direct stage: %w", err)
 		}
@@ -167,52 +188,49 @@ func colorRec(ctx context.Context, g *graph.Graph, ids, seed []int64, seedPalett
 	}
 
 	// Connector stage (lines 1–3).
-	cc, err := connector.Clique(g, cover, t)
+	cc, err := connector.Clique(g, cover, r.t)
 	if err != nil {
 		return nil, sim.Stats{}, err
 	}
-	stats := cc.Stats
-	gamma := int64(d*(t-1) + 1)
-	connTopo := &sim.Topology{G: cc.Sub.G, IDs: ids, Labels: seed}
-	phi, err := vc.Target(ctx, connTopo, seedPalette, gamma, opt.VC)
+	gamma := int64(r.d*(r.t-1) + 1)
+	phi, err := vc.Target(ctx, &sim.Topology{G: cc.Sub.G, IDs: ids, Labels: seed}, r.seedPalette, gamma, r.opt.VC)
 	if err != nil {
 		return nil, sim.Stats{}, fmt.Errorf("cd: connector coloring: %w", err)
 	}
-	stats = stats.Seq(phi.Stats)
+	stats := cc.Stats.Seq(phi.Stats)
+	if r.decompose && x == 1 {
+		return phi.Colors, stats, nil
+	}
 
-	// Class stage (lines 5–8): recurse on induced color classes in parallel.
-	k := util.CeilDiv(s, t)
-	subPalette := DeclaredPalette(d, k, t, x-1)
-	classes := make([][]int, gamma)
-	for v := 0; v < g.N(); v++ {
-		c := phi.Colors[v]
-		classes[c] = append(classes[c], v)
+	// Class stage (lines 5–8): recurse on the induced color classes. Each
+	// class gets the palette of x−1 more levels, or, in a decomposition,
+	// their γ^{x−1} parts.
+	k := util.CeilDiv(s, r.t)
+	subPalette := DeclaredPalette(r.d, k, r.t, x-1)
+	if r.decompose {
+		subPalette = pow64(gamma, x-1)
 	}
-	colors := make([]int64, g.N())
-	var classStats []sim.Stats
-	for _, members := range classes {
-		if len(members) == 0 {
-			continue
-		}
-		sub, err := graph.InducedSubgraph(g, members)
-		if err != nil {
-			return nil, sim.Stats{}, err
-		}
-		subIDs := make([]int64, len(members))
-		subSeed := make([]int64, len(members))
-		for w := range members {
-			subIDs[w] = ids[sub.OrigVertex(w)]
-			subSeed[w] = seed[sub.OrigVertex(w)]
-		}
-		subCover := cover.Restrict(sub)
-		psi, st, err := colorRec(ctx, sub.G, subIDs, subSeed, seedPalette, subCover, d, k, t, x-1, opt)
-		if err != nil {
-			return nil, sim.Stats{}, err
-		}
-		classStats = append(classStats, st)
-		for w, v := range members {
-			colors[v] = phi.Colors[v]*subPalette + psi[w]
-		}
+	colors, classStats, err := connector.Classes(g, connector.VertexClasses, phi.Colors, gamma, subPalette,
+		func(_ int64, sub *graph.Sub) ([]int64, sim.Stats, error) {
+			subIDs := make([]int64, sub.G.N())
+			subSeed := make([]int64, sub.G.N())
+			for w, v := range sub.VOrig {
+				subIDs[w] = ids[v]
+				subSeed[w] = seed[v]
+			}
+			return r.rec(ctx, sub.G, subIDs, subSeed, cover.Restrict(sub), k, x-1)
+		})
+	if err != nil {
+		return nil, sim.Stats{}, err
 	}
-	return colors, stats.Seq(sim.ParAll(classStats)), nil
+	return colors, stats.Seq(classStats), nil
+}
+
+// pow64 returns b^e for e ≥ 0.
+func pow64(b int64, e int) int64 {
+	p := int64(1)
+	for i := 0; i < e; i++ {
+		p *= b
+	}
+	return p
 }

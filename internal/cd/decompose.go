@@ -5,12 +5,9 @@ import (
 	"fmt"
 
 	"repro/internal/cliques"
-	"repro/internal/connector"
 	"repro/internal/graph"
-	"repro/internal/linial"
 	"repro/internal/sim"
 	"repro/internal/util"
-	"repro/internal/vc"
 )
 
 // Decomposition is a (p, q)-clique-decomposition per §2: a partition of the
@@ -30,111 +27,29 @@ type Decomposition struct {
 // Theorem 2.4 by running x levels of clique connectors (the first x levels
 // of Algorithm 1, without the final coloring stage).
 func Decompose(ctx context.Context, g *graph.Graph, cover *cliques.Cover, t, x int, opt Options) (*Decomposition, error) {
-	if t < 2 {
-		return nil, fmt.Errorf("cd: parameter t=%d < 2", t)
+	r, err := begin(ctx, g, cover, t, x, 1, opt)
+	if err != nil {
+		return nil, err
 	}
-	if x < 1 {
-		return nil, fmt.Errorf("cd: depth x=%d < 1", x)
-	}
-	d := cover.Diversity()
-	s := cover.MaxCliqueSize()
-	if d == 0 || s < 2 {
-		if g.M() > 0 {
-			return nil, fmt.Errorf("cd: cover has no cliques but graph has %d edges", g.M())
-		}
+	if r == nil {
 		return &Decomposition{Class: make([]int64, g.N()), Parts: 1, CliqueBound: 1}, nil
 	}
-	var stats sim.Stats
-	seed, seedPalette := opt.Seed, opt.SeedPalette
-	if seed == nil {
-		lin, err := linial.Reduce(ctx, opt.Exec, sim.NewTopology(g), int64(g.N()))
-		if err != nil {
-			return nil, fmt.Errorf("cd: decompose seed: %w", err)
-		}
-		seed, seedPalette = lin.Colors, lin.Palette
-		stats = stats.Seq(lin.Stats)
-	}
-	ids := make([]int64, g.N())
-	for v := range ids {
-		ids[v] = int64(v)
-	}
-	class, parts, recStats, err := decomposeRec(ctx, g, ids, seed, seedPalette, cover, d, s, t, x, opt)
+	r.decompose = true
+	class, recStats, err := r.rec(ctx, g, r.ids, r.seed, cover, cover.MaxCliqueSize(), x)
 	if err != nil {
 		return nil, err
 	}
 	// Theorem 2.4's clique bound: the declared shrinkage chain.
-	bound := s
+	bound := cover.MaxCliqueSize()
 	for i := 0; i < x; i++ {
 		bound = util.CeilDiv(bound, t)
 	}
 	return &Decomposition{
 		Class:       class,
-		Parts:       parts,
+		Parts:       pow64(int64(r.d*(t-1)+1), x),
 		CliqueBound: bound,
-		Stats:       stats.Seq(recStats),
+		Stats:       r.seedStats.Seq(recStats),
 	}, nil
-}
-
-// decomposeRec returns per-vertex class indices in [0, parts).
-func decomposeRec(ctx context.Context, g *graph.Graph, ids, seed []int64, seedPalette int64, cover *cliques.Cover, d, s, t, x int, opt Options) ([]int64, int64, sim.Stats, error) {
-	gamma := int64(d*(t-1) + 1)
-	if g.M() == 0 {
-		// All classes collapse to 0; parts bookkeeping still multiplies so
-		// sibling subgraphs agree on the class space.
-		parts := int64(1)
-		for i := 0; i < x; i++ {
-			parts *= gamma
-		}
-		return make([]int64, g.N()), parts, sim.Stats{}, nil
-	}
-	cc, err := connector.Clique(g, cover, t)
-	if err != nil {
-		return nil, 0, sim.Stats{}, err
-	}
-	stats := cc.Stats
-	connTopo := &sim.Topology{G: cc.Sub.G, IDs: ids, Labels: seed}
-	phi, err := vc.Target(ctx, connTopo, seedPalette, gamma, opt.VC)
-	if err != nil {
-		return nil, 0, sim.Stats{}, fmt.Errorf("cd: decompose connector: %w", err)
-	}
-	stats = stats.Seq(phi.Stats)
-	if x == 1 {
-		return phi.Colors, gamma, stats, nil
-	}
-
-	k := util.CeilDiv(s, t)
-	classes := make([][]int, gamma)
-	for v := 0; v < g.N(); v++ {
-		classes[phi.Colors[v]] = append(classes[phi.Colors[v]], v)
-	}
-	out := make([]int64, g.N())
-	var subParts int64
-	var classStats []sim.Stats
-	for _, members := range classes {
-		if len(members) == 0 {
-			continue
-		}
-		sub, err := graph.InducedSubgraph(g, members)
-		if err != nil {
-			return nil, 0, sim.Stats{}, err
-		}
-		subIDs := make([]int64, len(members))
-		subSeed := make([]int64, len(members))
-		for w := range members {
-			subIDs[w] = ids[sub.OrigVertex(w)]
-			subSeed[w] = seed[sub.OrigVertex(w)]
-		}
-		subClass, sp, st, err := decomposeRec(ctx, sub.G, subIDs, subSeed, seedPalette, cover.Restrict(sub), d, k, t, x-1, opt)
-		if err != nil {
-			return nil, 0, sim.Stats{}, err
-		}
-		subParts = sp
-		classStats = append(classStats, st)
-		for w, v := range members {
-			out[v] = phi.Colors[v]*sp + subClass[w]
-		}
-	}
-	return out, gamma * subParts, stats.Seq(sim.ParAll(classStats)), nil
 }
 
 // VerifyDecomposition checks the defining property against the cover: each

@@ -1,0 +1,111 @@
+package connector
+
+import (
+	"fmt"
+
+	"repro/internal/graph"
+	"repro/internal/sim"
+)
+
+// ClassKind says what a connector coloring colors, and so how its classes
+// are carved out of the graph.
+type ClassKind int
+
+const (
+	// EdgeClasses: φ is indexed by edge, and each class is the spanning
+	// subgraph of its edges (the star partition, the orientation
+	// connectors).
+	EdgeClasses ClassKind = iota
+	// VertexClasses: φ is indexed by vertex, and each class is the
+	// subgraph its vertices induce (CD-Coloring, the clique
+	// decomposition).
+	VertexClasses
+)
+
+// ClassFunc colors one class. c is the class's connector color and sub its
+// subgraph with the embedding into the parent graph. It returns ψ, indexed
+// by sub's edges or vertices, within the palette the caller reserved for
+// every class, and the cost of coloring the class.
+type ClassFunc func(c int64, sub *graph.Sub) ([]int64, sim.Stats, error)
+
+// Classes is the class stage of the paper's recursions: Algorithm 1's
+// lines 5–8, Theorem 4.1's star partition, and the orientation connectors
+// of Theorems 5.3 and 5.4. It splits g into the classes of the connector
+// coloring φ ∈ [0, k), colors every nonempty class with color in class
+// order, and gives each element the color φ·P′+ψ, where P′ = subPalette
+// bounds every class's ψ. The paper runs the classes in parallel, so their
+// costs fold with sim.ParAll; the caller adds the connector's cost in
+// sequence. This is the one place classes compose.
+func Classes(g *graph.Graph, kind ClassKind, phi []int64, k, subPalette int64, color ClassFunc) ([]int64, sim.Stats, error) {
+	var (
+		subs []*graph.Sub
+		err  error
+	)
+	if kind == EdgeClasses {
+		subs, err = graph.SpanningClasses(g, phi, k)
+	} else {
+		subs, err = inducedClasses(g, phi, k)
+	}
+	if err != nil {
+		return nil, sim.Stats{}, err
+	}
+	colors := make([]int64, len(phi))
+	classStats := make([]sim.Stats, 0, len(subs))
+	for c, sub := range subs {
+		if sub == nil {
+			continue
+		}
+		psi, st, err := color(int64(c), sub)
+		if err != nil {
+			return nil, sim.Stats{}, err
+		}
+		classStats = append(classStats, st)
+		orig := sub.EOrig
+		if kind == VertexClasses {
+			orig = sub.VOrig
+		}
+		for i, o := range orig {
+			colors[o] = int64(c)*subPalette + psi[i]
+		}
+	}
+	return colors, sim.ParAll(classStats), nil
+}
+
+// inducedClasses returns the subgraph each vertex class of φ ∈ [0, k)
+// induces, nil for an empty class. Members are listed in ascending order,
+// as graph.InducedSubgraph requires.
+func inducedClasses(g *graph.Graph, phi []int64, k int64) ([]*graph.Sub, error) {
+	if len(phi) != g.N() {
+		return nil, fmt.Errorf("connector: %d vertex classes for %d vertices", len(phi), g.N())
+	}
+	members := make([][]int, k)
+	for v, c := range phi {
+		if c < 0 || c >= k {
+			return nil, fmt.Errorf("connector: vertex %d in class %d outside [0,%d)", v, c, k)
+		}
+		members[c] = append(members[c], v)
+	}
+	subs := make([]*graph.Sub, k)
+	for c, vs := range members {
+		if len(vs) == 0 {
+			continue
+		}
+		sub, err := graph.InducedSubgraph(g, vs)
+		if err != nil {
+			return nil, err
+		}
+		subs[c] = sub
+	}
+	return subs, nil
+}
+
+// BaseColors re-indexes a coloring of the connector's edges by the base
+// edges they stand for (EOrig). The edge and orientation connectors carry
+// every base edge exactly once.
+func (vg *VirtualGraph) BaseColors(colors []int64) []int64 {
+	base := make([]int64, len(vg.EOrig))
+	for ce, e := range vg.EOrig {
+		base[e] = colors[ce]
+	}
+	return base
+}

@@ -89,12 +89,8 @@ func Clique(g *graph.Graph, cover *cliques.Cover, t int) (*CliqueConnector, erro
 			}
 		}
 	}
-	sub, err := graph.SpanningSubgraph(g, func(e int) bool { return keep[e] })
-	if err != nil {
-		return nil, fmt.Errorf("connector: clique: %w", err)
-	}
 	return &CliqueConnector{
-		Sub:    sub,
+		Sub:    graph.SpanningSubgraph(g, func(e int) bool { return keep[e] }),
 		Groups: groups,
 		T:      t,
 		Stats:  sim.Stats{Rounds: CliqueConstructRounds, Messages: 2 * int64(g.M())},
@@ -172,7 +168,7 @@ func Edge(g *graph.Graph, t int) (*VirtualGraph, error) {
 			eorig = append(eorig, a.Edge)
 		}
 	}
-	cg, perm, err := buildOrdered(b)
+	cg, perm, err := graph.BuildWithEdgeOrder(b)
 	if err != nil {
 		return nil, fmt.Errorf("connector: edge: %w", err)
 	}
@@ -197,12 +193,8 @@ func portOf(g *graph.Graph, v int, e int32) int {
 	panic(fmt.Sprintf("connector: edge %d not incident on vertex %d", e, v))
 }
 
-// buildOrdered mirrors graph.SpanningSubgraph's trick: build the graph and
-// recover the mapping from insertion order to final edge identifiers.
-func buildOrdered(b *graph.Builder) (*graph.Graph, []int32, error) {
-	return graph.BuildWithEdgeOrder(b)
-}
-
+// applyPerm reindexes an insertion-ordered slice by the permutation
+// graph.BuildWithEdgeOrder returns.
 func applyPerm(eorig []int32, perm []int32) []int32 {
 	out := make([]int32, len(eorig))
 	for ins, orig := range eorig {

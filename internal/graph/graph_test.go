@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -153,14 +154,14 @@ func TestInducedSubgraphErrors(t *testing.T) {
 	if _, err := InducedSubgraph(g, []int{0, 9}); err == nil {
 		t.Fatal("expected range error")
 	}
+	if _, err := InducedSubgraph(g, []int{2, 1}); err == nil {
+		t.Fatal("expected ascending-order error")
+	}
 }
 
 func TestSpanningSubgraph(t *testing.T) {
 	g := Cycle(6)
-	sub, err := SpanningSubgraph(g, func(e int) bool { return e%2 == 0 })
-	if err != nil {
-		t.Fatal(err)
-	}
+	sub := SpanningSubgraph(g, func(e int) bool { return e%2 == 0 })
 	if sub.G.N() != 6 || sub.G.M() != 3 {
 		t.Fatalf("got n=%d m=%d", sub.G.N(), sub.G.M())
 	}
@@ -179,17 +180,40 @@ func TestSpanningSubgraph(t *testing.T) {
 	}
 }
 
-func TestSpanningFromEdges(t *testing.T) {
-	g := Complete(5)
-	sub, err := SpanningFromEdges(g, []int{0, 4, 7})
+// TestSpanningClasses splits a graph's edges into classes in one pass: each
+// class is the spanning subgraph SpanningSubgraph extracts for it, an empty
+// class is nil, and a class outside [0, k) is an error.
+func TestSpanningClasses(t *testing.T) {
+	g := Complete(7)
+	class := make([]int64, g.M())
+	for e := range class {
+		class[e] = int64(e*e) % 5
+		if class[e] == 2 {
+			class[e] = 4 // leave class 2 empty
+		}
+	}
+	subs, err := SpanningClasses(g, class, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sub.G.M() != 3 {
-		t.Fatalf("want 3 edges, got %d", sub.G.M())
+	for c, sub := range subs {
+		want := SpanningSubgraph(g, func(e int) bool { return class[e] == int64(c) })
+		if want.G.M() == 0 {
+			if sub != nil {
+				t.Fatalf("empty class %d returned a subgraph", c)
+			}
+			continue
+		}
+		if sub.G.N() != g.N() || !reflect.DeepEqual(sub.G.Edges(), want.G.Edges()) || !reflect.DeepEqual(sub.EOrig, want.EOrig) {
+			t.Fatalf("class %d: edges %v (orig %v), want %v (orig %v)", c, sub.G.Edges(), sub.EOrig, want.G.Edges(), want.EOrig)
+		}
 	}
-	if _, err := SpanningFromEdges(g, []int{99}); err == nil {
-		t.Fatal("expected range error")
+	class[3] = 5
+	if _, err := SpanningClasses(g, class, 5); err == nil {
+		t.Fatal("class outside [0,k) accepted")
+	}
+	if _, err := SpanningClasses(g, class[:3], 6); err == nil {
+		t.Fatal("short class slice accepted")
 	}
 }
 

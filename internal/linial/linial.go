@@ -65,7 +65,7 @@ func bestStep(m int64, delta int) (Step, bool) {
 	found := false
 	for d := int64(1); d <= 62; d++ {
 		lo := d*int64(delta) + 1
-		root := ceilRoot(m, d+1)
+		root := int64(util.CeilRoot(int(m), int(d+1)))
 		if root > lo {
 			lo = root
 		}
@@ -88,33 +88,6 @@ func bestStep(m int64, delta int) (Step, bool) {
 		}
 	}
 	return best, found
-}
-
-// ceilRoot returns the smallest r ≥ 1 with r^k ≥ m.
-func ceilRoot(m int64, k int64) int64 {
-	if m <= 1 {
-		return 1
-	}
-	r := int64(util.IRoot(int(m), int(k)))
-	if !powAtLeast(r, k, m) {
-		r++
-	}
-	return r
-}
-
-// powAtLeast reports whether r^k ≥ m without overflowing.
-func powAtLeast(r, k, m int64) bool {
-	acc := int64(1)
-	for i := int64(0); i < k; i++ {
-		if r != 0 && acc > m/r+1 {
-			return true
-		}
-		acc *= r
-		if acc >= m {
-			return true
-		}
-	}
-	return acc >= m
 }
 
 // Result is the outcome of a Linial reduction run.

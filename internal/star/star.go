@@ -170,41 +170,22 @@ func colorRec(ctx context.Context, g *graph.Graph, seed []int64, seedPalette int
 		return nil, sim.Stats{}, fmt.Errorf("star: connector coloring: %w", err)
 	}
 	stats = stats.Seq(phiRes.Stats)
-	numClasses := phiRes.Palette // 2t−1
-	phi := make([]int64, g.M())
-	for ce := 0; ce < vg.G.M(); ce++ {
-		phi[vg.EOrig[ce]] = phiRes.Colors[ce]
-	}
 
-	// Class stage: stars shrink to k = ⌈declaredDeg/t⌉; recurse in parallel.
+	// Class stage: the 2t−1 classes' stars shrink to k = ⌈declaredDeg/t⌉.
 	k := util.CeilDiv(declaredDeg, t)
-	subPalette := DeclaredPalette(k, t, x-1)
-	colors := make([]int64, g.M())
-	var classStats []sim.Stats
-	for c := int64(0); c < numClasses; c++ {
-		sub, err := graph.SpanningSubgraph(g, func(e int) bool { return phi[e] == c })
-		if err != nil {
-			return nil, sim.Stats{}, err
-		}
-		if sub.G.M() == 0 {
-			continue
-		}
-		if sub.G.MaxDegree() > k {
-			return nil, sim.Stats{}, fmt.Errorf("star: internal: class star size %d exceeds ⌈Δ/t⌉=%d", sub.G.MaxDegree(), k)
-		}
-		subSeed := make([]int64, sub.G.M())
-		for e := 0; e < sub.G.M(); e++ {
-			subSeed[e] = seed[sub.OrigEdge(e)]
-		}
-		psi, st, err := colorRec(ctx, sub.G, subSeed, seedPalette, k, t, x-1, opt)
-		if err != nil {
-			return nil, sim.Stats{}, err
-		}
-		classStats = append(classStats, st)
-		for e := 0; e < sub.G.M(); e++ {
-			orig := sub.OrigEdge(e)
-			colors[orig] = phi[orig]*subPalette + psi[e]
-		}
+	colors, classStats, err := connector.Classes(g, connector.EdgeClasses, vg.BaseColors(phiRes.Colors), phiRes.Palette, DeclaredPalette(k, t, x-1),
+		func(_ int64, sub *graph.Sub) ([]int64, sim.Stats, error) {
+			if sub.G.MaxDegree() > k {
+				return nil, sim.Stats{}, fmt.Errorf("star: internal: class star size %d exceeds ⌈Δ/t⌉=%d", sub.G.MaxDegree(), k)
+			}
+			subSeed := make([]int64, sub.G.M())
+			for e, orig := range sub.EOrig {
+				subSeed[e] = seed[orig]
+			}
+			return colorRec(ctx, sub.G, subSeed, seedPalette, k, t, x-1, opt)
+		})
+	if err != nil {
+		return nil, sim.Stats{}, err
 	}
-	return colors, stats.Seq(sim.ParAll(classStats)), nil
+	return colors, stats.Seq(classStats), nil
 }

@@ -75,6 +75,19 @@ func IRoot(n, k int) int {
 	return lo
 }
 
+// CeilRoot returns ⌈n^(1/k)⌉, the smallest r ≥ 1 with r^k ≥ n, for k ≥ 1
+// and every n up to MaxInt.
+func CeilRoot(n, k int) int {
+	if n <= 1 {
+		return 1
+	}
+	r := IRoot(n, k)
+	if powAtMost(r, k, n-1) {
+		r++
+	}
+	return r
+}
+
 // powAtMost reports whether base^exp ≤ limit without overflowing.
 func powAtMost(base, exp, limit int) bool {
 	result := 1

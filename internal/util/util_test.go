@@ -2,6 +2,7 @@ package util
 
 import (
 	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -127,6 +128,43 @@ func TestRootsAtIntBoundary(t *testing.T) {
 	}
 	if got := IRoot(1<<62-1, 62); got != 1 {
 		t.Errorf("IRoot(2^62-1,62) = %d, want 1", got)
+	}
+}
+
+// TestCeilRoot checks CeilRoot against its definition, the smallest r ≥ 1
+// with r^k ≥ n: by linear search for small n, and with exact big-integer
+// powers on either side of r up to n = MaxInt, for k = 1..64.
+func TestCeilRoot(t *testing.T) {
+	atLeast := func(r, k, n int) bool { // r^k ≥ n, exactly
+		p := new(big.Int).Exp(big.NewInt(int64(r)), big.NewInt(int64(k)), nil)
+		return p.Cmp(big.NewInt(int64(n))) >= 0
+	}
+	for k := 1; k <= 64; k++ {
+		want := 1
+		for n := 0; n <= 2000; n++ {
+			for !atLeast(want, k, n) {
+				want++
+			}
+			if got := CeilRoot(n, k); got != want {
+				t.Fatalf("CeilRoot(%d,%d) = %d, want %d", n, k, got, want)
+			}
+		}
+	}
+	const sqrtMax, cbrtMax = 3037000499, 2097151
+	var large []int
+	for _, n := range []int{math.MaxInt, 1 << 62, sqrtMax * sqrtMax, cbrtMax * cbrtMax * cbrtMax, 4052555153018976267 /* 3^39 */, 1 << 40, 1e15} {
+		large = append(large, n-1, n)
+		if n < math.MaxInt {
+			large = append(large, n+1)
+		}
+	}
+	for _, n := range large {
+		for k := 1; k <= 64; k++ {
+			r := CeilRoot(n, k)
+			if r < 1 || !atLeast(r, k, n) || (r > 1 && atLeast(r-1, k, n)) {
+				t.Errorf("CeilRoot(%d,%d) = %d is not the ceiling root", n, k, r)
+			}
+		}
 	}
 }
 
