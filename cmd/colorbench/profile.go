@@ -31,7 +31,6 @@ func runProfile(ctx context.Context, dir string, dur time.Duration) error {
 	if err != nil {
 		return err
 	}
-	g.CSR() // setup outside the profile, like the measured suite
 
 	cpuPath := filepath.Join(dir, "cpu.pprof")
 	cpuF, err := os.Create(cpuPath)

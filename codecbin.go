@@ -738,6 +738,18 @@ func (d *binDec) graphSpec() GraphSpec {
 func (e *binEnc) request(r *Request) {
 	e.str(r.Algorithm)
 	e.graphSpec(&r.Graph)
+	e.requestTail(r)
+}
+
+func (d *binDec) request() Request {
+	r := Request{Algorithm: d.str(), Graph: d.graphSpec()}
+	d.requestTail(&r)
+	return r
+}
+
+// requestTail encodes the request fields after the graph, the tail both
+// the Request frame and the stream header (codecstream.go) carry.
+func (e *binEnc) requestTail(r *Request) {
 	e.params(r.Params)
 	e.zig(int64(r.X))
 	e.zig(int64(r.Arboricity))
@@ -751,20 +763,15 @@ func (e *binEnc) request(r *Request) {
 	}
 }
 
-func (d *binDec) request() Request {
-	r := Request{
-		Algorithm:  d.str(),
-		Graph:      d.graphSpec(),
-		Params:     d.params(),
-		X:          d.intv(),
-		Arboricity: d.intv(),
-		Q:          d.f64(),
-		Parallel:   d.boolb(),
-	}
+func (d *binDec) requestTail(r *Request) {
+	r.Params = d.params()
+	r.X = d.intv()
+	r.Arboricity = d.intv()
+	r.Q = d.f64()
+	r.Parallel = d.boolb()
 	if d.flags&flagDeadlineMS != 0 {
 		r.DeadlineMS = d.zig()
 	}
-	return r
 }
 
 func (e *binEnc) response(r *Response) {

@@ -46,15 +46,7 @@ func WriteRequestStream(w io.Writer, req *Request, chunkEdges int) error {
 	h.str(req.Algorithm)
 	h.zig(int64(req.Graph.N))
 	h.cliques(req.Graph.Cliques)
-	h.params(req.Params)
-	h.zig(int64(req.X))
-	h.zig(int64(req.Arboricity))
-	h.f64(req.Q)
-	h.boolb(req.Parallel)
-	if req.DeadlineMS != 0 {
-		h.flags |= flagDeadlineMS
-		h.zig(req.DeadlineMS)
-	}
+	h.requestTail(req)
 	if _, err := w.Write(h.frame()); err != nil {
 		return err
 	}
@@ -137,14 +129,7 @@ func (rr *RequestReader) Begin() (*Request, error) {
 		req := &Request{Algorithm: d.str()}
 		req.Graph.N = d.intv()
 		req.Graph.Cliques = d.cliques()
-		req.Params = d.params()
-		req.X = d.intv()
-		req.Arboricity = d.intv()
-		req.Q = d.f64()
-		req.Parallel = d.boolb()
-		if d.flags&flagDeadlineMS != 0 {
-			req.DeadlineMS = d.zig()
-		}
+		d.requestTail(req)
 		if err := d.finish(); err != nil {
 			return nil, err
 		}

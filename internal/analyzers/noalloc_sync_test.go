@@ -39,12 +39,11 @@ var noallocManifest = map[string]string{
 	// (linial_test.go), TestReductionAllocsIndependentOfN
 	// (reduce_test.go) and TestHPartitionAllocsIndependentOfN
 	// (arbor_test.go), and by the algo/* bench-gate rows.
-	"internal/linial.(program).StepWord":     "linial reduction step",
-	"internal/linial.applyStep":              "linial polynomial evaluation",
-	"internal/reduce.(trimProgram).StepWord": "trim reduction step",
-	"internal/reduce.(kwProgram).StepWord":   "Kuhn–Wattenhofer reduction step",
-	"internal/reduce.smallestFree":           "reduction free-color search",
-	"internal/arbor.(peelProgram).StepWord":  "H-partition peeling step",
+	"internal/linial.(program).StepWord":    "linial reduction step",
+	"internal/linial.applyStep":             "linial polynomial evaluation",
+	"internal/reduce.(kwProgram).StepWord":  "Kuhn–Wattenhofer reduction step",
+	"internal/reduce.smallestFree":          "reduction free-color search",
+	"internal/arbor.(peelProgram).StepWord": "H-partition peeling step",
 	// Pinned at 0 allocs/observation by TestInstrumentsZeroAlloc
 	// (obs_test.go).
 	"internal/obs.(Counter).Add":       "obs hot instrument",

@@ -90,7 +90,6 @@ func TestHPartitionAllocsIndependentOfN(t *testing.T) {
 	allocs := func(n int) float64 {
 		g, a := bounded(t, n, 3, 150, 7)
 		theta := Threshold(a, 3)
-		g.CSR() // build the cached view outside the measurement
 		runtime.GC()
 		return testing.AllocsPerRun(5, func() {
 			if _, err := HPartition(context.Background(), sim.Sequential, g, theta); err != nil {
@@ -504,7 +503,6 @@ func TestMergeAllocsIndependentOfN(t *testing.T) {
 			t.Fatalf("crossing palette %d does not exceed 256", spec.Palette)
 		}
 		initial := append([]int64(nil), spec.EdgeColors...)
-		g.CSR() // build the cached view outside the measurement
 		runtime.GC()
 		return testing.AllocsPerRun(5, func() {
 			copy(spec.EdgeColors, initial)
@@ -540,6 +538,31 @@ func TestEnginesAgreeOnThm52(t *testing.T) {
 	for e := range r1.Colors {
 		if r1.Colors[e] != r2.Colors[e] {
 			t.Fatal("engines disagree")
+		}
+	}
+}
+
+// TestBlackBoxRunsOnExec pins that the part-internal coloring, by the
+// black box or by the star partition, runs on the engine passed as Exec:
+// an instrumented engine given as Exec alone must observe every round it
+// observes when given as VC.Exec too.
+func TestBlackBoxRunsOnExec(t *testing.T) {
+	g, a := bounded(t, 600, 2, 240, 23)
+	for _, internalStar := range []bool{false, true} {
+		observed := func(withVC bool) int {
+			rounds := 0
+			eng := sim.Instrumented(sim.Sequential, func(sim.RoundEvent) { rounds++ }, nil)
+			opt := Options{Exec: eng, InternalStar: internalStar}
+			if withVC {
+				opt.VC.Exec = eng
+			}
+			if _, err := ColorHPartition(context.Background(), g, a, opt); err != nil {
+				t.Fatal(err)
+			}
+			return rounds
+		}
+		if alone, both := observed(false), observed(true); alone != both {
+			t.Fatalf("InternalStar=%v: engine passed as Exec observed %d rounds, as Exec and VC.Exec %d", internalStar, alone, both)
 		}
 	}
 }

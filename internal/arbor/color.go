@@ -208,7 +208,7 @@ func colorInternal(ctx context.Context, internal *graph.Graph, theta int, opt Op
 		}
 		// Degenerate degree: fall through to the black box.
 	}
-	res, err := vc.EdgeColor(ctx, internal, nil, vc.EdgeIDBound(internal), opt.VC)
+	res, err := vc.EdgeColor(ctx, internal, nil, vc.EdgeIDBound(internal), opt.VC.On(opt.Exec))
 	if err != nil {
 		return nil, sim.Stats{}, err
 	}

@@ -108,23 +108,22 @@ func (*replyMsg) Bits() int64 { return 64 }
 
 // mergeProgram is one Merge stage as a run-scoped sim.PortProgram. A
 // vertex's state lives in n-slot slabs at index v, and its per-port state
-// in arc-sized slabs over its CSR arc range [Off[v], Off[v+1]) (the
-// slot-v rule). A message points into a slab, never into the shard
+// in arc-sized slabs over its arc range [lo, hi) = G.Range(v) (the slot-v
+// rule). A message points into a slab, never into the shard
 // scratch, and its sender leaves the slot alone until the receiver has
 // read it in the next round: an offer's payload is rewritten two rounds
 // later, and a reply slot is written once, for the port's only offer.
 type mergeProgram struct {
 	spec *MergeSpec
-	csr  *graph.CSR
 	// words is the length of one bitset over the crossing palette [0,
 	// Palette); a B-vertex keeps two in the shard scratch (Scratch).
 	words int
-	// cross[Off[v]:Off[v]+ncross[v]] are A-vertex v's crossing ports, the
-	// port of label i at index i−1.
+	// cross[lo:lo+ncross[v]] are A-vertex v's crossing ports, the port of
+	// label i at index i−1.
 	cross  []int32
 	ncross []int32
-	// pay holds an A-vertex's offer payload from Off[v] on, and a
-	// B-vertex's reply on port p at Off[v]+p; no vertex has both roles.
+	// pay holds an A-vertex's offer payload from lo on, and a B-vertex's
+	// reply on port p at lo+p; no vertex has both roles.
 	pay []int64
 	// offers[v] is A-vertex v's current offer.
 	offers []offerMsg
@@ -135,11 +134,9 @@ type mergeProgram struct {
 }
 
 func newMergeProgram(spec *MergeSpec) *mergeProgram {
-	csr := spec.G.CSR()
-	n, arcs := spec.G.N(), csr.NumArcs()
+	n, arcs := spec.G.N(), spec.G.NumArcs()
 	return &mergeProgram{
 		spec:     spec,
-		csr:      csr,
 		words:    int((spec.Palette + 63) / 64),
 		cross:    make([]int32, arcs),
 		ncross:   make([]int32, n),
@@ -168,8 +165,8 @@ func (p *mergeProgram) role(v int) mergeRole {
 func (p *mergeProgram) Step(v, round int, in, out []sim.Message, scratch []sim.Word) bool {
 	spec := p.spec
 	role := p.role(v)
-	lo, hi := p.csr.Range(v)
-	edges := p.csr.Edge[lo:hi:hi]
+	lo, hi := spec.G.Range(v)
+	adj := spec.G.Adj(v)
 	switch {
 	case round == 0:
 		sim.SendAll(out, int64(role))
@@ -178,8 +175,8 @@ func (p *mergeProgram) Step(v, round int, in, out []sim.Message, scratch []sim.W
 		// Learn neighbor roles; label my uncolored crossing edges.
 		cross := p.cross[lo:hi:hi]
 		k := 0
-		for port, e := range edges {
-			if spec.EdgeColors[e] >= 0 {
+		for port, a := range adj {
+			if spec.EdgeColors[a.Edge] >= 0 {
 				continue
 			}
 			if r, ok := in[port].(int64); ok && mergeRole(r) == roleB {
@@ -200,13 +197,13 @@ func (p *mergeProgram) Step(v, round int, in, out []sim.Message, scratch []sim.W
 		i := (round - 1) / 2
 		k := int(p.ncross[v])
 		if i <= k {
-			port := p.cross[int(lo)+i-1]
+			port := p.cross[lo+i-1]
 			rep, ok := in[port].(*replyMsg)
 			if !ok {
 				p.errs[v] = fmt.Errorf("arbor: merge: vertex %d missing reply for label %d", v, i)
 				return true
 			}
-			spec.EdgeColors[edges[port]] = int64(*rep)
+			spec.EdgeColors[adj[port].Edge] = int64(*rep)
 		}
 		if i >= k {
 			return true // all my labels are colored
@@ -223,7 +220,7 @@ func (p *mergeProgram) Step(v, round int, in, out []sim.Message, scratch []sim.W
 				continue
 			}
 			if !fresh {
-				p.markIncident(edges, mine, offered)
+				p.markIncident(adj, mine, offered)
 				fresh = true
 			}
 			c, found := pickColor(mine, offered, offer.colors, spec.Palette)
@@ -231,10 +228,10 @@ func (p *mergeProgram) Step(v, round int, in, out []sim.Message, scratch []sim.W
 				p.errs[v] = fmt.Errorf("arbor: merge: vertex %d found no free color below %d", v, spec.Palette)
 				return true
 			}
-			spec.EdgeColors[edges[port]] = c
+			spec.EdgeColors[adj[port].Edge] = c
 			markColor(mine, c)
 			p.assigned[v]++
-			reply := &p.pay[int(lo)+port]
+			reply := &p.pay[lo+port]
 			*reply = c
 			out[port] = (*replyMsg)(reply)
 		}
@@ -251,11 +248,11 @@ func (p *mergeProgram) Step(v, round int, in, out []sim.Message, scratch []sim.W
 // Palette on v's edges. An A–B edge at v is written during the merge
 // only with the color v picked for it, so this is the set v would have
 // kept up to date since its first offer round.
-func (p *mergeProgram) markIncident(edges []int32, mine, offered []sim.Word) {
+func (p *mergeProgram) markIncident(adj []graph.Arc, mine, offered []sim.Word) {
 	clear(mine)
 	clear(offered)
-	for _, e := range edges {
-		if c := p.spec.EdgeColors[e]; c >= 0 && c < p.spec.Palette {
+	for _, a := range adj {
+		if c := p.spec.EdgeColors[a.Edge]; c >= 0 && c < p.spec.Palette {
 			markColor(mine, c)
 		}
 	}
@@ -267,17 +264,17 @@ func (p *mergeProgram) sendOffer(v, i int, out []sim.Message) {
 	if i >= int(p.ncross[v]) {
 		return
 	}
-	lo, hi := p.csr.Range(v)
+	lo, hi := p.spec.G.Range(v)
 	pay := p.pay[lo:hi:hi]
 	k := 0
-	for _, e := range p.csr.Edge[lo:hi] {
-		if c := p.spec.EdgeColors[e]; c >= 0 {
+	for _, a := range p.spec.G.Adj(v) {
+		if c := p.spec.EdgeColors[a.Edge]; c >= 0 {
 			pay[k] = c
 			k++
 		}
 	}
 	p.offers[v] = offerMsg{colors: pay[:k]}
-	out[p.cross[int(lo)+i]] = &p.offers[v]
+	out[p.cross[lo+i]] = &p.offers[v]
 }
 
 // markColor inserts c (which must be in [0, Palette)) into the bitset.

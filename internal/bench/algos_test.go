@@ -28,7 +28,6 @@ func BenchmarkAlgoLinial10k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g.CSR()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

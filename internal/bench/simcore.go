@@ -347,7 +347,6 @@ func RunSimCore(ctx context.Context) (*SimCoreReport, error) {
 		return nil, err
 	}
 	planeTopo := sim.NewTopology(plane)
-	plane.CSR() // build the cached view once, outside every measurement
 
 	rep := &SimCoreReport{
 		Schema:    SimCoreSchema,
@@ -395,16 +394,15 @@ func RunSimCore(ctx context.Context) (*SimCoreReport, error) {
 		rep.Results = append(rep.Results, r)
 	}
 
-	// End-to-end algorithm workloads. Each graph is generated (and its CSR
-	// view built) once, outside the measurement; every run is verified
-	// before its numbers are reported.
+	// End-to-end algorithm workloads. Each graph is generated once, outside
+	// the measurement; every run is verified before its numbers are
+	// reported.
 
 	// The O(log* n) Linial substrate on the 10k workload.
 	lg, err := gen.NearRegular(simCoreN, 8, simCoreSeed)
 	if err != nil {
 		return nil, err
 	}
-	lg.CSR()
 	linialRun, err := measureAlgo("algo/linial/sequential-10k", func(check bool) (int64, sim.Stats, error) {
 		lin, runErr := linial.Reduce(ctx, sim.Sequential, sim.NewTopology(lg), int64(lg.N()))
 		if runErr != nil {

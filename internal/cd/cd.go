@@ -180,7 +180,7 @@ func (r *run) rec(ctx context.Context, g *graph.Graph, ids, seed []int64, cover 
 			// Cannot happen when the cover bound s is valid; guard anyway.
 			return nil, sim.Stats{}, fmt.Errorf("cd: direct palette %d below Δ+1=%d (invalid clique bound)", target, min)
 		}
-		res, err := vc.Target(ctx, &sim.Topology{G: g, IDs: ids, Labels: seed}, r.seedPalette, target, r.opt.VC)
+		res, err := vc.Target(ctx, &sim.Topology{G: g, IDs: ids, Labels: seed}, r.seedPalette, target, r.opt.VC.On(r.opt.Exec))
 		if err != nil {
 			return nil, sim.Stats{}, fmt.Errorf("cd: direct stage: %w", err)
 		}
@@ -193,7 +193,7 @@ func (r *run) rec(ctx context.Context, g *graph.Graph, ids, seed []int64, cover 
 		return nil, sim.Stats{}, err
 	}
 	gamma := int64(r.d*(r.t-1) + 1)
-	phi, err := vc.Target(ctx, &sim.Topology{G: cc.Sub.G, IDs: ids, Labels: seed}, r.seedPalette, gamma, r.opt.VC)
+	phi, err := vc.Target(ctx, &sim.Topology{G: cc.Sub.G, IDs: ids, Labels: seed}, r.seedPalette, gamma, r.opt.VC.On(r.opt.Exec))
 	if err != nil {
 		return nil, sim.Stats{}, fmt.Errorf("cd: connector coloring: %w", err)
 	}

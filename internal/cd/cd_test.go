@@ -273,3 +273,25 @@ func TestEnginesAgreeOnCD(t *testing.T) {
 		t.Fatal("stats disagree")
 	}
 }
+
+// TestBlackBoxRunsOnExec pins that the coloring black box runs on the
+// engine passed as Exec: an instrumented engine given as Exec alone must
+// observe every round it observes when given as VC.Exec too.
+func TestBlackBoxRunsOnExec(t *testing.T) {
+	g, cov := lineInstance(t, 21, 25, 0.3)
+	observed := func(withVC bool) int {
+		rounds := 0
+		eng := sim.Instrumented(sim.Sequential, func(sim.RoundEvent) { rounds++ }, nil)
+		opt := Options{Exec: eng}
+		if withVC {
+			opt.VC.Exec = eng
+		}
+		if _, err := Color(context.Background(), g, cov, 2, 1, opt); err != nil {
+			t.Fatal(err)
+		}
+		return rounds
+	}
+	if alone, both := observed(false), observed(true); alone != both {
+		t.Fatalf("engine passed as Exec observed %d rounds, as Exec and VC.Exec %d", alone, both)
+	}
+}

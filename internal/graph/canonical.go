@@ -127,16 +127,16 @@ func newCanonizer(g *Graph) *canonizer {
 func (c *canonizer) initialClasses(out []int32) int {
 	rank := c.cnt[:c.g.maxDeg+1]
 	clear(rank)
-	for _, arcs := range c.g.adj {
-		rank[len(arcs)] = 1
+	for v := range out {
+		rank[c.g.Degree(v)] = 1
 	}
 	k := int32(0)
 	for d, present := range rank {
 		rank[d] = k
 		k += present
 	}
-	for v, arcs := range c.g.adj {
-		out[v] = rank[len(arcs)]
+	for v := range out {
+		out[v] = rank[c.g.Degree(v)]
 	}
 	return int(k)
 }
@@ -160,7 +160,7 @@ func (c *canonizer) refinePass(in, out []int32, count int) int {
 	// order without sorting them.
 	for _, u := range c.byClass {
 		x := uint64(in[u]) + 1
-		for _, a := range c.g.adj[u] {
+		for _, a := range c.g.Adj(int(u)) {
 			c.recs[a.To].sig = mix(c.recs[a.To].sig, x)
 		}
 	}
@@ -286,7 +286,7 @@ func countOffsets(cnt, keys []int32) {
 //
 //distcolor:noalloc
 func (g *Graph) twins(u, w int) bool {
-	au, aw := g.adj[u], g.adj[w]
+	au, aw := g.Adj(u), g.Adj(w)
 	i, j := 0, 0
 	for {
 		for i < len(au) && int(au[i].To) == w {

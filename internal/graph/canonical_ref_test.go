@@ -40,7 +40,7 @@ func refRefineStable(g *Graph, classes []int, count int) ([]int, int) {
 	for {
 		for v := 0; v < n; v++ {
 			nbr = nbr[:0]
-			for _, a := range g.adj[v] {
+			for _, a := range g.Adj(v) {
 				nbr = append(nbr, uint64(classes[a.To])+1)
 			}
 			sort.Slice(nbr, func(i, j int) bool { return nbr[i] < nbr[j] })
@@ -101,7 +101,7 @@ func refInitialClasses(g *Graph) ([]int, int) {
 	n := g.N()
 	degs := make([]int, 0, n)
 	for v := 0; v < n; v++ {
-		degs = append(degs, len(g.adj[v]))
+		degs = append(degs, len(g.Adj(v)))
 	}
 	sort.Ints(degs)
 	k := 0
@@ -114,7 +114,7 @@ func refInitialClasses(g *Graph) ([]int, int) {
 	degs = degs[:k]
 	classes := make([]int, n)
 	for v := 0; v < n; v++ {
-		classes[v] = sort.Search(k, func(i int) bool { return degs[i] >= len(g.adj[v]) })
+		classes[v] = sort.Search(k, func(i int) bool { return degs[i] >= len(g.Adj(v)) })
 	}
 	return classes, k
 }

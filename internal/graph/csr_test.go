@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -24,50 +23,45 @@ func csrRandomGraph(t *testing.T, seed int64, n int, p float64) *Graph {
 	return g
 }
 
-// checkCSR asserts every structural invariant of the flat view against the
-// adjacency-list ground truth: offsets partition the arc array, each
-// vertex's arc range reproduces Adj(v) in port order, and Mate is the
-// edge-reversal involution.
+// checkCSR asserts every structural invariant of the graph's compressed
+// sparse rows: the offsets partition the arc array, each vertex's arc
+// range is Adj(v) in port order, and the mates are the edge-reversal
+// involution, each mate lying in the neighbor's range on the same edge and
+// pointing back.
 func checkCSR(t *testing.T, g *Graph) {
 	t.Helper()
-	c := g.CSR()
-	if got, want := c.NumArcs(), 2*g.M(); got != want {
+	if got, want := g.NumArcs(), 2*g.M(); got != want {
 		t.Fatalf("NumArcs = %d, want %d", got, want)
 	}
-	if len(c.Off) != g.N()+1 {
-		t.Fatalf("len(Off) = %d, want %d", len(c.Off), g.N()+1)
+	mate := g.Mates()
+	if len(mate) != g.NumArcs() {
+		t.Fatalf("len(Mates) = %d, want %d", len(mate), g.NumArcs())
 	}
-	if c.Off[0] != 0 || int(c.Off[g.N()]) != c.NumArcs() {
-		t.Fatalf("offset bounds wrong: Off[0]=%d Off[n]=%d", c.Off[0], c.Off[g.N()])
-	}
+	next := 0
 	for v := 0; v < g.N(); v++ {
 		adj := g.Adj(v)
-		lo, hi := c.Range(v)
-		if c.Degree(v) != len(adj) || int(hi-lo) != len(adj) {
-			t.Fatalf("vertex %d: CSR degree %d, Adj %d", v, c.Degree(v), len(adj))
+		lo, hi := g.Range(v)
+		if lo != next || hi-lo != len(adj) || g.Degree(v) != len(adj) {
+			t.Fatalf("vertex %d: range [%d,%d) after %d, degree %d, Adj %d", v, lo, hi, next, g.Degree(v), len(adj))
 		}
+		next = hi
 		for p, a := range adj {
-			j := lo + int32(p)
-			if c.To[j] != a.To || c.Edge[j] != a.Edge {
-				t.Fatalf("vertex %d port %d: CSR arc (%d,%d), Adj arc (%d,%d)",
-					v, p, c.To[j], c.Edge[j], a.To, a.Edge)
-			}
-			m := c.Mate[j]
-			if c.Mate[m] != j {
-				t.Fatalf("Mate not an involution at arc %d", j)
-			}
-			if c.Edge[m] != a.Edge {
-				t.Fatalf("arc %d: mate crosses edges (%d vs %d)", j, c.Edge[m], a.Edge)
-			}
-			if int(c.To[m]) != v {
-				t.Fatalf("arc %d: mate points at %d, want owner %d", j, c.To[m], v)
-			}
-			// The mate must live in the arc range of the neighbor.
-			nlo, nhi := c.Range(int(a.To))
+			j := lo + p
+			m := int(mate[j])
+			nlo, nhi := g.Range(int(a.To))
 			if m < nlo || m >= nhi {
 				t.Fatalf("arc %d: mate %d outside neighbor %d's range [%d,%d)", j, m, a.To, nlo, nhi)
 			}
+			if int(mate[m]) != j {
+				t.Fatalf("mates not an involution at arc %d", j)
+			}
+			if b := g.Adj(int(a.To))[m-nlo]; b.Edge != a.Edge || int(b.To) != v {
+				t.Fatalf("arc %d (%d→%d over %d): mate is %d→%d over %d", j, v, a.To, a.Edge, a.To, b.To, b.Edge)
+			}
 		}
+	}
+	if next != g.NumArcs() {
+		t.Fatalf("ranges cover %d of %d arcs", next, g.NumArcs())
 	}
 }
 
@@ -84,71 +78,18 @@ func TestCSRRoundTripRandom(t *testing.T) {
 func TestCSREdgeCases(t *testing.T) {
 	empty := NewBuilder(0).MustBuild()
 	checkCSR(t, empty)
-	if empty.CSR().NumArcs() != 0 || len(empty.CSR().Off) != 1 {
-		t.Fatal("empty graph CSR malformed")
+	if empty.N() != 0 || empty.NumArcs() != 0 {
+		t.Fatal("empty graph malformed")
 	}
 	isolated := NewBuilder(7).MustBuild() // vertices, no edges
 	checkCSR(t, isolated)
 	for v := 0; v < 7; v++ {
-		if isolated.CSR().Degree(v) != 0 {
-			t.Fatalf("isolated vertex %d has CSR degree %d", v, isolated.CSR().Degree(v))
+		if lo, hi := isolated.Range(v); lo != 0 || hi != 0 {
+			t.Fatalf("isolated vertex %d has arc range [%d,%d)", v, lo, hi)
 		}
 	}
 	checkCSR(t, Star(20))
 	checkCSR(t, Complete(25))
 	checkCSR(t, Path(2))
 	checkCSR(t, Cycle(3))
-}
-
-// TestCSRCachedView pins the caching contract: every call returns the same
-// view (same backing arrays, built once), and building it does not disturb
-// the adjacency lists.
-func TestCSRCachedView(t *testing.T) {
-	g := csrRandomGraph(t, 9, 80, 0.1)
-	before := make([][]Arc, g.N())
-	for v := range before {
-		before[v] = append([]Arc(nil), g.Adj(v)...)
-	}
-	c1 := g.CSR()
-	c2 := g.CSR()
-	if c1 != c2 {
-		t.Fatal("CSR() returned distinct views for the same graph")
-	}
-	if &c1.Off[0] != &c2.Off[0] || &c1.To[0] != &c2.To[0] {
-		t.Fatal("CSR() views share identity but not storage")
-	}
-	for v := range before {
-		adj := g.Adj(v)
-		if len(adj) != len(before[v]) {
-			t.Fatalf("Adj(%d) changed length after CSR build", v)
-		}
-		for p := range adj {
-			if adj[p] != before[v][p] {
-				t.Fatalf("Adj(%d)[%d] changed after CSR build", v, p)
-			}
-		}
-	}
-}
-
-// TestCSRConcurrentBuild hammers first use from many goroutines; the
-// sync.Once build must hand every caller the identical view (the race
-// detector pass covers this package).
-func TestCSRConcurrentBuild(t *testing.T) {
-	g := csrRandomGraph(t, 11, 150, 0.05)
-	views := make([]*CSR, 16)
-	var wg sync.WaitGroup
-	for i := range views {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			views[i] = g.CSR()
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < len(views); i++ {
-		if views[i] != views[0] {
-			t.Fatal("concurrent CSR() calls produced distinct views")
-		}
-	}
-	checkCSR(t, g)
 }

@@ -102,8 +102,9 @@ func FuzzCanonicalLabeling(f *testing.F) {
 // FuzzLineGraph checks LineGraph against the Builder path it bypasses
 // (builderLineGraph) on arbitrary simple graphs of at most 64 vertices
 // (run via `make fuzz`; colord builds line graphs of submitted graphs):
-// the edge list, every adjacency order and Δ must be identical. The input
-// decodes as in FuzzCanonicalLabeling.
+// the edge list, every adjacency order and Δ must be identical, and both
+// the graph and its line graph must pass the layout check (checkCSR). The
+// input decodes as in FuzzCanonicalLabeling.
 func FuzzLineGraph(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 1, 1, 2, 2, 0})                                           // triangle
@@ -114,9 +115,12 @@ func FuzzLineGraph(f *testing.F) {
 	f.Add([]byte{64, 1, 2, 3, 5, 8, 13, 21, 34, 55, 7, 11, 63})                  // sparse, mostly isolated
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := fuzzGraph(data, 64)
-		if d := graphDiff(LineGraph(g).L, builderLineGraph(g)); d != "" {
+		lg := LineGraph(g).L
+		if d := graphDiff(lg, builderLineGraph(g)); d != "" {
 			t.Fatalf("line graph of %v: %s", g.Edges(), d)
 		}
+		checkCSR(t, g)
+		checkCSR(t, lg)
 	})
 }
 

@@ -1,12 +1,17 @@
 // Package graph provides the static graph representation used throughout
-// distcolor: immutable adjacency lists with stable edge identifiers, induced
-// and spanning subgraphs that remember their embedding into the parent graph,
-// line graphs (of graphs and of uniform hypergraphs), and edge orientations.
+// distcolor: immutable graphs stored as compressed sparse rows, with stable
+// edge identifiers, induced and spanning subgraphs that remember their
+// embedding into the parent graph, line graphs (of graphs and of uniform
+// hypergraphs), and edge orientations.
 //
 // Vertices of a Graph are the integers 0..N()-1. Every undirected edge has a
 // stable identifier 0..M()-1; adjacency lists expose, for each incident edge,
 // both the neighbor and that edge identifier, which is what lets the
 // edge-coloring algorithms of the paper run without re-discovering edges.
+// Every directed arc has an index 0..NumArcs()-1: the arcs of v are the
+// index range Range(v), in the port order of Adj(v), and Mates pairs each
+// arc with its reverse, the delivery permutation of the simulator's message
+// planes.
 package graph
 
 import (
@@ -26,15 +31,18 @@ type Edge struct {
 	U, V int32
 }
 
-// Graph is an immutable simple undirected graph.
+// Graph is an immutable simple undirected graph, stored as compressed
+// sparse rows: the arcs of vertex v are arcs[off[v]:off[v+1]], in port
+// order, and mate[j] is the index of the reverse of arc j (the arc of the
+// same edge at arc j's neighbor, pointing back), so mate is an involution.
+// The simulator's message planes and the Lemma 5.1 merge are laid out
+// over these arc indices.
 type Graph struct {
-	adj    [][]Arc
+	off    []int32 // len N()+1
+	arcs   []Arc   // len 2·M()
+	mate   []int32 // len 2·M()
 	edges  []Edge
 	maxDeg int
-	// csr lazily caches the flat CSR view (see csr.go). Because of the
-	// sync.Once inside, a Graph must not be copied after first use; all
-	// code passes *Graph.
-	csr csrCache
 }
 
 // Builder accumulates edges and produces an immutable Graph. Duplicate edges
@@ -101,39 +109,38 @@ func (b *Builder) Build() (*Graph, error) {
 // identifiers follow (U, V) order, and the graph takes ownership of the
 // slice.
 //
-// All adjacency lists are carved from one flat arena (two header
-// allocations for the whole graph instead of one per vertex — the
-// recursive decompositions build thousands of subgraphs, and line graphs
-// have hundreds of thousands of vertices). Iterating the sorted edge list
-// fills every vertex's range in increasing neighbor order: for vertex v,
-// the arcs with To < v come from edges (u,v) in increasing u, followed by
-// edges (v,w) in increasing w — so the sortedness HasEdge/EdgeID rely on
-// is preserved, and every adjacency list holds increasing edge
-// identifiers (LineGraph relies on that).
+// One pass over the sorted edge list places both arcs of every edge and
+// their mutual mates. For vertex v it places the arcs with To < v from
+// edges (u,v) in increasing u, followed by edges (v,w) in increasing w —
+// so every range holds increasing neighbors, which HasEdge/EdgeID rely
+// on, and increasing edge identifiers, which LineGraph relies on.
 func fromSortedEdges(n int, edges []Edge) *Graph {
 	g := &Graph{
-		adj:   make([][]Arc, n),
+		off:   make([]int32, n+1),
+		arcs:  make([]Arc, 2*len(edges)),
+		mate:  make([]int32, 2*len(edges)),
 		edges: edges,
 	}
-	deg := make([]int32, n+1)
+	off := g.off
 	for _, e := range edges {
-		deg[e.U+1]++
-		deg[e.V+1]++
+		off[e.U+1]++
+		off[e.V+1]++
 	}
 	for v := 1; v <= n; v++ {
-		if d := int(deg[v]); d > g.maxDeg {
-			g.maxDeg = d
-		}
-		deg[v] += deg[v-1] // deg becomes the offset array
+		g.maxDeg = max(g.maxDeg, int(off[v]))
+		off[v] += off[v-1]
 	}
-	arena := make([]Arc, 2*len(edges))
-	for v := 0; v < n; v++ {
-		g.adj[v] = arena[deg[v]:deg[v]:deg[v+1]]
-	}
+	// off[v] is v's fill cursor: it ends at v's end, the start of v+1,
+	// and one shift restores the offsets.
 	for id, e := range edges {
-		g.adj[e.U] = append(g.adj[e.U], Arc{To: e.V, Edge: int32(id)})
-		g.adj[e.V] = append(g.adj[e.V], Arc{To: e.U, Edge: int32(id)})
+		i, j := off[e.U], off[e.V]
+		off[e.U], off[e.V] = i+1, j+1
+		g.arcs[i] = Arc{To: e.V, Edge: int32(id)}
+		g.arcs[j] = Arc{To: e.U, Edge: int32(id)}
+		g.mate[i], g.mate[j] = j, i
 	}
+	copy(off[1:], off[:n])
+	off[0] = 0
 	return g
 }
 
@@ -148,20 +155,35 @@ func (b *Builder) MustBuild() *Graph {
 }
 
 // N returns the number of vertices.
-func (g *Graph) N() int { return len(g.adj) }
+func (g *Graph) N() int { return len(g.off) - 1 }
 
 // M returns the number of undirected edges.
 func (g *Graph) M() int { return len(g.edges) }
 
+// NumArcs returns the number of directed arcs, 2·M().
+func (g *Graph) NumArcs() int { return len(g.arcs) }
+
 // Degree returns the degree of vertex v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v int) int { return int(g.off[v+1] - g.off[v]) }
 
 // MaxDegree returns Δ(G).
 func (g *Graph) MaxDegree() int { return g.maxDeg }
 
-// Adj returns the adjacency list of v. The returned slice must not be
-// modified; it is shared with the graph.
-func (g *Graph) Adj(v int) []Arc { return g.adj[v] }
+// Adj returns the adjacency list of v: its arcs in port order. The
+// returned slice must not be modified; it is shared with the graph.
+func (g *Graph) Adj(v int) []Arc {
+	lo, hi := g.off[v], g.off[v+1]
+	return g.arcs[lo:hi:hi]
+}
+
+// Range returns the arc index range [lo, hi) of v: port p of v is arc
+// lo+p, the arc Adj(v)[p].
+func (g *Graph) Range(v int) (lo, hi int) { return int(g.off[v]), int(g.off[v+1]) }
+
+// Mates returns the reverse-arc index of every arc: for the arc j of v on
+// port p, over edge e to u, Mates()[j] is the arc of e in u's range, the
+// port on which u hears v. The returned slice must not be modified.
+func (g *Graph) Mates() []int32 { return g.mate }
 
 // Endpoints returns the endpoints (u < v) of edge e.
 func (g *Graph) Endpoints(e int) (int, int) {
@@ -189,9 +211,9 @@ func (g *Graph) HasEdge(u, v int) bool {
 	if u == v {
 		return false
 	}
-	a := g.adj[u]
-	if len(g.adj[v]) < len(a) {
-		a = g.adj[v]
+	a := g.Adj(u)
+	if g.Degree(v) < len(a) {
+		a = g.Adj(v)
 		u, v = v, u
 	}
 	i := sort.Search(len(a), func(i int) bool { return a[i].To >= int32(v) })
@@ -203,9 +225,9 @@ func (g *Graph) EdgeID(u, v int) (int, bool) {
 	if u == v {
 		return 0, false
 	}
-	a := g.adj[u]
-	if len(g.adj[v]) < len(a) {
-		a = g.adj[v]
+	a := g.Adj(u)
+	if g.Degree(v) < len(a) {
+		a = g.Adj(v)
 		u, v = v, u
 	}
 	i := sort.Search(len(a), func(i int) bool { return a[i].To >= int32(v) })

@@ -42,8 +42,8 @@ func LineGraph(g *Graph) *LineGraphResult {
 	ledges := make([]Edge, 0, lm)
 	next := make([]int32, g.N())
 	for e, ed := range g.edges {
-		a := g.adj[ed.U][next[ed.U]+1:]
-		b := g.adj[ed.V][next[ed.V]+1:]
+		a := g.Adj(int(ed.U))[next[ed.U]+1:]
+		b := g.Adj(int(ed.V))[next[ed.V]+1:]
 		next[ed.U]++
 		next[ed.V]++
 		for len(a) > 0 || len(b) > 0 {

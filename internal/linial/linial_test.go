@@ -333,7 +333,6 @@ func TestReduceAllocsIndependentOfN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.CSR() // build the cached view outside the measurement
 		runtime.GC()
 		return testing.AllocsPerRun(5, func() {
 			if _, err := Reduce(context.Background(), sim.Sequential, sim.NewTopology(g), 8000); err != nil {

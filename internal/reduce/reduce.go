@@ -28,51 +28,12 @@ type Result struct {
 // TrimClasses reduces the proper coloring given by the topology's labels
 // from palette m to palette target, one color class per round: for
 // c = m-1 … target, every vertex colored c simultaneously recolors to the
-// smallest color in [0, target) unused by its neighbors. Requires
-// target ≥ Δ+1. Cost: m − target + 1 rounds.
+// smallest color in [0, target) unused by its neighbors. This is the
+// Kuhn–Wattenhofer program on one block of size m, whose closing
+// renumbering is the identity. Requires target ≥ Δ+1. Cost: m − target + 1
+// rounds.
 func TrimClasses(ctx context.Context, eng sim.Exec, t *sim.Topology, m, target int64) (*Result, error) {
-	eng = sim.OrSequential(eng)
-	if err := checkArgs(t, m, target); err != nil {
-		return nil, err
-	}
-	if m <= target {
-		return passThrough(t, m)
-	}
-	p := &trimProgram{colors: seedColors(t), m: m, target: target}
-	stats, err := eng.Run(ctx, t, p, int(m-target)+3)
-	if err != nil {
-		return nil, fmt.Errorf("reduce: trim: %w", err)
-	}
-	return &Result{Colors: p.colors, Palette: target, Stats: stats}, nil
-}
-
-// trimProgram is the class-by-class trim as one run-scoped word program:
-// colors are single words that every vertex broadcasts. colors[v] is v's
-// current color, its result once it halts.
-type trimProgram struct {
-	colors []int64
-	m      int64
-	target int64
-}
-
-// Scratch implements sim.Factory: the occupancy slots of smallestFree.
-func (p *trimProgram) Scratch(maxDeg int) int { return maxDeg + 1 }
-
-// StepWord implements sim.WordProgram.
-//
-//distcolor:noalloc
-func (p *trimProgram) StepWord(v, round int, in, scratch []sim.Word) (sim.Word, bool) {
-	// Round r processes class m-r (r ≥ 1); round 0 only broadcasts.
-	if round > 0 {
-		class := p.m - int64(round)
-		if p.colors[v] == class {
-			p.colors[v] = smallestFree(in, 0, p.target, scratch)
-		}
-		if class == p.target {
-			return sim.NoWord, true
-		}
-	}
-	return p.colors[v], false
+	return runSchedule(ctx, eng, t, m, target, m, "trim")
 }
 
 // smallestFree returns the least offset in [0, limit) such that
@@ -113,6 +74,11 @@ func panicNoFreeColor(base, limit int64, deg int) {
 // reducing each block to target in parallel [Kuhn & Wattenhofer, PODC'06].
 // Requires target ≥ Δ+1.
 func KuhnWattenhofer(ctx context.Context, eng sim.Exec, t *sim.Topology, m, target int64) (*Result, error) {
+	return runSchedule(ctx, eng, t, m, target, 2*target, "kw")
+}
+
+// runSchedule runs kwProgram on the plan of kwSchedule(m, target, block).
+func runSchedule(ctx context.Context, eng sim.Exec, t *sim.Topology, m, target, block int64, name string) (*Result, error) {
 	eng = sim.OrSequential(eng)
 	if err := checkArgs(t, m, target); err != nil {
 		return nil, err
@@ -120,10 +86,10 @@ func KuhnWattenhofer(ctx context.Context, eng sim.Exec, t *sim.Topology, m, targ
 	if m <= target {
 		return passThrough(t, m)
 	}
-	p := &kwProgram{colors: seedColors(t), schedule: kwSchedule(m, target)}
+	p := &kwProgram{colors: seedColors(t), schedule: kwSchedule(m, target, block)}
 	stats, err := eng.Run(ctx, t, p, len(p.schedule)+3)
 	if err != nil {
-		return nil, fmt.Errorf("reduce: kw: %w", err)
+		return nil, fmt.Errorf("reduce: %s: %w", name, err)
 	}
 	return &Result{Colors: p.colors, Palette: target, Stats: stats}, nil
 }
@@ -137,14 +103,15 @@ type kwRound struct {
 	renumberAfter bool  // phase complete: apply c → (c/B)·T + (c mod B)
 }
 
-// kwSchedule derives the full deterministic round plan for reducing m → T.
-func kwSchedule(m, t int64) []kwRound {
+// kwSchedule derives the full deterministic round plan for reducing m → T
+// in blocks of size block: Kuhn–Wattenhofer's is 2T, and block = m is the
+// class-by-class trim, one phase of m − T rounds.
+func kwSchedule(m, t, block int64) []kwRound {
 	var plan []kwRound
 	for m > t {
-		b := 2 * t
-		if b > m {
-			b = m // single partial block; plain class iteration within it
-		}
+		// A block larger than the palette is one partial block: plain
+		// class iteration within it.
+		b := min(block, m)
 		for s := b - 1; s >= t; s-- {
 			plan = append(plan, kwRound{b: b, s: s, t: t})
 		}
@@ -207,7 +174,7 @@ func Auto(ctx context.Context, eng sim.Exec, t *sim.Topology, m, target int64) (
 		return passThrough(t, m)
 	}
 	trimCost := m - target
-	kwCost := int64(len(kwSchedule(m, target)))
+	kwCost := int64(len(kwSchedule(m, target, 2*target)))
 	if kwCost < trimCost {
 		return KuhnWattenhofer(ctx, eng, t, m, target)
 	}
@@ -254,6 +221,6 @@ func EstimateAutoRounds(m, target int64) int64 {
 		return 0
 	}
 	trim := m - target + 1
-	kw := int64(len(kwSchedule(m, target))) + 1
+	kw := int64(len(kwSchedule(m, target, 2*target))) + 1
 	return min(trim, kw)
 }

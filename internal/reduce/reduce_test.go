@@ -129,7 +129,7 @@ func TestKWScheduleProperties(t *testing.T) {
 	for _, tc := range []struct{ m, target int64 }{
 		{100, 5}, {1000, 11}, {17, 8}, {64, 32}, {33, 16}, {4096, 7},
 	} {
-		plan := kwSchedule(tc.m, tc.target)
+		plan := kwSchedule(tc.m, tc.target, 2*tc.target)
 		if len(plan) == 0 {
 			t.Fatalf("m=%d T=%d: empty plan", tc.m, tc.target)
 		}
@@ -285,7 +285,6 @@ func allocsOn(t *testing.T, n int, run func(t *sim.Topology, m, target int64) (*
 	}
 	sd, m := greedySeed(g, 8)
 	target := int64(g.MaxDegree()) + 1
-	g.CSR() // build the cached view outside the measurement
 	runtime.GC()
 	return testing.AllocsPerRun(5, func() {
 		if _, err := run(&sim.Topology{G: g, Labels: sd}, m, target); err != nil {
@@ -332,7 +331,6 @@ func TestTrimSteadyStateAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g.CSR() // build the cached view outside the measurement
 	short := testing.AllocsPerRun(5, func() { run(m) })
 	long := testing.AllocsPerRun(5, func() { run(m + 192) })
 	// The marginal cost is a whole number of allocations per round;
@@ -359,9 +357,8 @@ func TestKWSteadyStateAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g.CSR()
-	shortRounds := len(kwSchedule(m, target))
-	longRounds := len(kwSchedule(4*m, target))
+	shortRounds := len(kwSchedule(m, target, 2*target))
+	longRounds := len(kwSchedule(4*m, target, 2*target))
 	short := testing.AllocsPerRun(5, func() { run(m) })
 	long := testing.AllocsPerRun(5, func() { run(4 * m) })
 	extraRounds := float64(longRounds - shortRounds)

@@ -81,7 +81,7 @@ const jobCostBase = 4096
 const jobCostPerEdge = 96
 
 // jobCost estimates the resident bytes a submission pins while in flight:
-// the spec, the built graph with its CSR view, and the simulator's per-arc
+// the spec, the built graph's arcs and mates, and the simulator's per-arc
 // message slabs all scale with edges; vertex state scales with n. It is a
 // deliberate overestimate-leaning heuristic — admission is a memory fuse,
 // not an allocator.

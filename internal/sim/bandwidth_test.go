@@ -176,7 +176,6 @@ func TestRoundEventBandwidthFields(t *testing.T) {
 func TestInstrumentedSteadyStateAllocFree(t *testing.T) {
 	g := planeRandomGraph(7, 400, 0.04)
 	topo := sim.NewTopology(g)
-	g.CSR()
 	bw := &sim.Bandwidth{CapBits: sim.CongestCapBits(g.N())}
 	hook := func(sim.RoundEvent) {}
 	exec := sim.Instrumented(sim.Sequential, hook, bw)

@@ -640,7 +640,6 @@ func shortLongAllocs(run func(rounds int)) (short, long float64) {
 func TestSequentialSteadyStateAllocFree(t *testing.T) {
 	g := planeRandomGraph(5, 400, 0.04)
 	topo := sim.NewTopology(g)
-	g.CSR() // build the cached view outside the measurement
 	run := func(rounds int) {
 		if _, err := sim.Sequential.Run(context.Background(), topo, exchangeProgram(topo, rounds), rounds+2); err != nil {
 			t.Fatal(err)
@@ -658,7 +657,6 @@ func TestSequentialSteadyStateAllocFree(t *testing.T) {
 func TestReverseSequentialSteadyStateAllocFree(t *testing.T) {
 	g := planeRandomGraph(6, 400, 0.04)
 	topo := sim.NewTopology(g)
-	g.CSR()
 	run := func(rounds int) {
 		if _, err := sim.ReverseSequential.Run(context.Background(), topo, exchangeProgram(topo, rounds), rounds+2); err != nil {
 			t.Fatal(err)
@@ -678,7 +676,6 @@ func TestPortProgramAllocsIndependentOfN(t *testing.T) {
 	allocs := func(n int) float64 {
 		g := benchGraph(t, n, 8, 2017)
 		topo := sim.NewTopology(g)
-		g.CSR() // build the cached view outside the measurement
 		runtime.GC()
 		return testing.AllocsPerRun(5, func() {
 			if _, err := sim.Sequential.Run(context.Background(), topo, exchangeProgram(topo, 8), 10); err != nil {
@@ -749,7 +746,6 @@ func wavefrontProgram(t *sim.Topology, span int) sim.PortProgram {
 func BenchmarkSimPlane(b *testing.B) {
 	g := benchGraph(b, 10_000, 16, 2017)
 	topo := sim.NewTopology(g)
-	g.CSR()
 	workloads := []struct {
 		name string
 		prog func() sim.Factory
@@ -792,7 +788,6 @@ func BenchmarkSimLinial(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g.CSR()
 	b.Run("sequential/10k", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

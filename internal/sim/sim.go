@@ -22,8 +22,8 @@
 // this repository do by broadcasting their starting color (identifier or
 // seed label) first. The slot-v rule keeps a program to this model:
 // stepping vertex v reads and writes only index v of the program's slabs
-// (or v's CSR arc range, for per-port state), so everything v learns
-// about its neighbors arrives in its inbox.
+// (or v's arc range, for per-port state), so everything v learns about its
+// neighbors arrives in its inbox.
 //
 // Every engine runs one round loop over a shard plan: contiguous vertex
 // ranges, each with a step order and its own scratch slab (and, on the
@@ -35,18 +35,19 @@
 // function of (vertex state, inbox), so all engines produce bit-identical
 // executions; tests assert this.
 //
-// Data plane: all engines run over the graph's flat CSR view (graph.CSR),
-// with the message representation picked once per run from the Factory's
-// type. The any plane of a PortProgram ([]Message) is per arc: inboxes and
-// outboxes are flat slabs with one slot per directed arc, allocated once
-// per run; a vertex's buffers are the slab range given by the CSR offsets.
-// Outboxes are double-buffered by round parity, and delivery is the Mate
-// permutation, applied lazily while stepping each receiver (in[p] =
-// prevOut[Mate[Off[v]+p]]). The word plane of a WordProgram (words.go) is
-// per vertex: its outboxes are two n-slot slabs alternating by round
-// parity, and a receiver's inbox is gathered through the CSR neighbor
-// array into the stepping shard's Δ-sized window (in[p] =
-// prevOut[To[Off[v]+p]]) — no interface boxing and no arc-sized storage.
+// Data plane: all engines run over the graph's compressed sparse rows
+// (graph.Graph's arc indices), with the message representation picked
+// once per run from the Factory's type. The any plane of a PortProgram
+// ([]Message) is per arc: inboxes and outboxes are flat slabs with one
+// slot per directed arc, allocated once per run; a vertex's buffers are
+// the slab range of its arcs, Range(v). Outboxes are double-buffered by
+// round parity, and delivery is the Mates permutation, applied lazily
+// while stepping each receiver (in[p] = prevOut[Mates()[lo+p]]). The word
+// plane of a WordProgram (words.go) is per vertex: its outboxes are two
+// n-slot slabs alternating by round parity, and a receiver's inbox is
+// gathered through its adjacency list into the stepping shard's Δ-sized
+// window (in[p] = prevOut[Adj(v)[p].To]) — no interface boxing and no
+// arc-sized storage.
 // Neither plane builds an object per vertex, and in either representation
 // the round loop performs no heap allocations — see DESIGN.md §7–§8 and
 // the allocation-regression tests.
@@ -96,7 +97,7 @@ type Factory interface {
 // vertex reuses it within the same round.
 //
 // The slot-v rule of WordProgram holds here too: Step(v, …) reads and
-// writes only index v, or v's CSR arc range, of the program's state slabs.
+// writes only index v, or v's arc range, of the program's state slabs.
 type PortProgram interface {
 	Factory
 	Step(v, round int, in, out []Message, scratch []Word) (halted bool)
@@ -308,24 +309,24 @@ func (o observedExec) Run(ctx context.Context, t *Topology, f Factory, maxRounds
 
 // instance holds the shared execution state of one run.
 //
-// Both message planes are laid out over the graph's CSR view (graph.CSR),
-// whose arc range [Off[v], Off[v+1]) is the port order of Adj(v).
+// Both message planes are laid out over the graph's arc indices, whose
+// range [lo, hi) = G.Range(v) is the port order of Adj(v).
 //
 // The any plane is per arc: flat []Message slabs with one slot per
 // directed arc, vertex v's buffers being its arc range, so handing a step
 // its buffers is a slice expression, not an allocation. Outboxes are
 // double-buffered: steps write outs[round%2] while reading (through the
 // inbox) what the previous round wrote into the other slab. Delivery is
-// the Mate permutation — the message arriving on v's port p is whatever
-// the neighbor wrote on the opposite arc Mate[Off[v]+p] — applied lazily
+// the Mates permutation — the message arriving on v's port p is whatever
+// the neighbor wrote on the opposite arc Mates()[lo+p] — applied lazily
 // when a vertex is stepped: its inbox window of the in slab is
 // materialized from the previous out slab right before Step, while the
 // slots are about to be read anyway.
 //
 // The word plane is per vertex: wouts[round%2][v] is the one word v
 // broadcast in that round, and v's inbox is gathered from the other slab
-// through its neighbor list To[Off[v]:Off[v+1]] into the stepping shard's
-// window of Δ words, right before StepWord.
+// through its adjacency list Adj(v) into the stepping shard's window of Δ
+// words, right before StepWord.
 //
 // In both planes there is no separate delivery pass, halted vertices'
 // dead inboxes are never materialized, and the buffer swap is a parity
@@ -333,7 +334,7 @@ func (o observedExec) Run(ctx context.Context, t *Topology, f Factory, maxRounds
 // heap allocations.
 type instance struct {
 	t         *Topology
-	csr       *graph.CSR
+	g         *graph.Graph
 	n         int
 	done      []bool
 	remaining int
@@ -363,10 +364,9 @@ func newInstance(t *Topology, f Factory) (*instance, error) {
 	}
 	g := t.G
 	n := g.N()
-	csr := g.CSR()
 	inst := &instance{
 		t:         t,
-		csr:       csr,
+		g:         g,
 		n:         n,
 		done:      make([]bool, n),
 		remaining: n,
@@ -387,7 +387,7 @@ func newInstance(t *Topology, f Factory) (*instance, error) {
 		}
 	case PortProgram:
 		inst.ports = p
-		arcs := csr.NumArcs()
+		arcs := g.NumArcs()
 		inst.in = make([]Message, arcs)
 		inst.outs = [2][]Message{make([]Message, arcs), make([]Message, arcs)}
 	default:
@@ -414,7 +414,7 @@ func (a *sendStats) add(b sendStats) {
 // stepVertex advances vertex v on the any plane and returns its emitted
 // traffic plus whether the vertex halted during this call. The inbox
 // window is materialized from the previous round's outbox slab through
-// the Mate permutation (this IS message delivery — fused into the step so
+// the Mates permutation (this IS message delivery — fused into the step so
 // the slots are written right before Step reads them), the current outbox
 // window is cleared per the PortProgram contract, the program steps v
 // with the shard's scratch, and the emitted slots are scanned for Stats
@@ -423,8 +423,8 @@ func (a *sendStats) add(b sendStats) {
 //distcolor:noalloc
 func (inst *instance) stepVertex(v, round int, s *shard) (sendStats, bool) {
 	prevOut, curOut := inst.outs[(round&1)^1], inst.outs[round&1]
-	lo, hi := inst.csr.Range(v)
-	mate := inst.csr.Mate[lo:hi:hi]
+	lo, hi := inst.g.Range(v)
+	mate := inst.g.Mates()[lo:hi:hi]
 	in := inst.in[lo:hi:hi]
 	out := curOut[lo:hi:hi]
 	for p := range in {
@@ -464,22 +464,21 @@ func (inst *instance) stepVertex(v, round int, s *shard) (sendStats, bool) {
 //distcolor:noalloc
 func (inst *instance) stepVertexWord(v, round int, s *shard) (sendStats, bool) {
 	prevOut := inst.wouts[(round&1)^1]
-	lo, hi := inst.csr.Range(v)
-	to := inst.csr.To[lo:hi:hi]
-	in := s.win[:len(to):len(to)]
-	for p, u := range to {
-		in[p] = prevOut[u]
+	adj := inst.g.Adj(v)
+	in := s.win[:len(adj):len(adj)]
+	for p, a := range adj {
+		in[p] = prevOut[a.To]
 	}
 	w, halted := inst.prog.StepWord(v, round, in, s.scratch)
 	inst.wouts[round&1][v] = w
-	if w == NoWord || len(to) == 0 {
+	if w == NoWord || len(adj) == 0 {
 		return sendStats{}, halted
 	}
 	b := int64(64)
 	if inst.sizer != nil {
 		b = inst.sizer.WordBits(w)
 	}
-	deg := int64(len(to))
+	deg := int64(len(adj))
 	return sendStats{msgs: deg, bits: deg * b, maxBits: b}, halted
 }
 
@@ -510,10 +509,8 @@ func (inst *instance) retireRound(round int) {
 //distcolor:noalloc
 func (inst *instance) retireInto(slab []Message, vs []int32) {
 	for _, v := range vs {
-		lo, hi := inst.csr.Range(int(v))
-		for j := lo; j < hi; j++ {
-			slab[j] = nil
-		}
+		lo, hi := inst.g.Range(int(v))
+		clear(slab[lo:hi])
 	}
 }
 

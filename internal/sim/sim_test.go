@@ -259,7 +259,7 @@ func TestTopologyValidation(t *testing.T) {
 }
 
 // knowledgeProgram exchanges identifiers and seed labels in round 0 and
-// records, in each vertex's CSR arc range, what arrived on each port. It
+// records, in each vertex's arc range, what arrived on each port. It
 // also records the degree and the scratch length each step was handed,
 // and the Δ the engine sized the scratch from.
 type knowledgeProgram struct {
@@ -280,10 +280,10 @@ func (p *knowledgeProgram) Step(v, round int, in, out []Message, scratch []Word)
 		SendAll(out, [2]int64{p.t.ID(v), p.t.Label(v)})
 		return false
 	}
-	lo, _ := p.t.G.CSR().Range(v)
+	lo, _ := p.t.G.Range(v)
 	for port, m := range in {
 		idl := m.([2]int64)
-		p.nbrID[int(lo)+port], p.nbrLabel[int(lo)+port] = idl[0], idl[1]
+		p.nbrID[lo+port], p.nbrLabel[lo+port] = idl[0], idl[1]
 	}
 	return true
 }
@@ -297,7 +297,7 @@ func TestNeighborKnowledge(t *testing.T) {
 	ids := []int64{100, 200, 300, 400, 500}
 	labels := []int64{7, 8, 9, 10, 11}
 	topo := &Topology{G: g, IDs: ids, Labels: labels}
-	arcs := g.CSR().NumArcs()
+	arcs := g.NumArcs()
 	for _, e := range engines {
 		p := &knowledgeProgram{t: topo,
 			nbrID: make([]int64, arcs), nbrLabel: make([]int64, arcs),
@@ -313,15 +313,15 @@ func TestNeighborKnowledge(t *testing.T) {
 				t.Fatalf("engine %v: vertex %d stepped with degree %d and %d scratch words, want %d and 5",
 					e, v, p.degree[v], p.scratch[v], g.Degree(v))
 			}
-			lo, _ := g.CSR().Range(v)
+			lo, _ := g.Range(v)
 			for port, a := range g.Adj(v) {
-				if p.nbrID[int(lo)+port] != ids[a.To] || p.nbrLabel[int(lo)+port] != labels[a.To] {
+				if p.nbrID[lo+port] != ids[a.To] || p.nbrLabel[lo+port] != labels[a.To] {
 					t.Fatalf("engine %v: vertex %d port %d learned %d/%d, want %d/%d", e, v, port,
-						p.nbrID[int(lo)+port], p.nbrLabel[int(lo)+port], ids[a.To], labels[a.To])
+						p.nbrID[lo+port], p.nbrLabel[lo+port], ids[a.To], labels[a.To])
 				}
 			}
 		}
-		if leaf := g.CSR().Off[3]; p.nbrID[leaf] != 100 || p.nbrLabel[leaf] != 7 {
+		if leaf, _ := g.Range(3); p.nbrID[leaf] != 100 || p.nbrLabel[leaf] != 7 {
 			t.Fatalf("engine %v: leaf knowledge wrong: %d/%d", e, p.nbrID[leaf], p.nbrLabel[leaf])
 		}
 	}

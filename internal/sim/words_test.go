@@ -249,7 +249,6 @@ func (p *wordExchange) StepWord(v, round int, in, _ []sim.Word) (sim.Word, bool)
 func TestWordPlaneSteadyStateAllocFree(t *testing.T) {
 	g := planeRandomGraph(7, 400, 0.04)
 	topo := sim.NewTopology(g)
-	g.CSR() // build the cached view outside the measurement
 	for _, ec := range []struct {
 		name string
 		run  func(ctx context.Context, t *sim.Topology, f sim.Factory, maxRounds int) (sim.Stats, error)
@@ -275,12 +274,11 @@ func TestWordPlaneSteadyStateAllocFree(t *testing.T) {
 // TestWordPlaneRunMemoryPerVertex pins the word plane's per-run storage
 // at a per-vertex size: on the dense K300 (89,700 arcs) a whole run must
 // allocate less than 8 bytes per arc, which one arc-sized []Word slab
-// alone would reach. The CSR view is built beforehand, as the graph
-// caches it across runs.
+// alone would reach.
 func TestWordPlaneRunMemoryPerVertex(t *testing.T) {
 	g := graph.Complete(300)
 	topo := sim.NewTopology(g)
-	bound := uint64(8 * g.CSR().NumArcs())
+	bound := uint64(8 * g.NumArcs())
 	run := func() {
 		if _, err := sim.Sequential.Run(context.Background(), topo, wordExchangeProgram(8), 10); err != nil {
 			t.Fatal(err)

@@ -145,7 +145,7 @@ func colorRec(ctx context.Context, g *graph.Graph, seed []int64, seedPalette int
 		return nil, sim.Stats{}, nil
 	}
 	if x == 0 {
-		res, err := vc.EdgeColor(ctx, g, seed, seedPalette, opt.VC)
+		res, err := vc.EdgeColor(ctx, g, seed, seedPalette, opt.VC.On(opt.Exec))
 		if err != nil {
 			return nil, sim.Stats{}, fmt.Errorf("star: direct stage: %w", err)
 		}
@@ -165,7 +165,7 @@ func colorRec(ctx context.Context, g *graph.Graph, seed []int64, seedPalette int
 	for ce := 0; ce < vg.G.M(); ce++ {
 		connSeed[ce] = seed[vg.EOrig[ce]]
 	}
-	phiRes, err := vc.EdgeColor(ctx, vg.G, connSeed, seedPalette, opt.VC)
+	phiRes, err := vc.EdgeColor(ctx, vg.G, connSeed, seedPalette, opt.VC.On(opt.Exec))
 	if err != nil {
 		return nil, sim.Stats{}, fmt.Errorf("star: connector coloring: %w", err)
 	}

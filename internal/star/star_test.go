@@ -238,3 +238,32 @@ func TestEnginesAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestBlackBoxRunsOnExec pins that the coloring black box runs on the
+// engine passed as Exec: an instrumented engine given as Exec alone must
+// observe every round it observes when given as VC.Exec too.
+func TestBlackBoxRunsOnExec(t *testing.T) {
+	g, err := gen.NearRegular(300, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt, err := ChooseT(g.MaxDegree(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	observed := func(withVC bool) int {
+		rounds := 0
+		eng := sim.Instrumented(sim.Sequential, func(sim.RoundEvent) { rounds++ }, nil)
+		opt := Options{Exec: eng}
+		if withVC {
+			opt.VC.Exec = eng
+		}
+		if _, err := EdgeColor(context.Background(), g, tt, 1, opt); err != nil {
+			t.Fatal(err)
+		}
+		return rounds
+	}
+	if alone, both := observed(false), observed(true); alone != both {
+		t.Fatalf("engine passed as Exec observed %d rounds, as Exec and VC.Exec %d", alone, both)
+	}
+}

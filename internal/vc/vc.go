@@ -33,6 +33,16 @@ type Options struct {
 	Reducer Reducer
 }
 
+// On returns the options with Exec defaulting to e: a composed algorithm
+// passes its own engine, so the black box runs on it unless the caller set
+// Exec here.
+func (o Options) On(e sim.Exec) Options {
+	if o.Exec == nil {
+		o.Exec = e
+	}
+	return o
+}
+
 // Reducer selects how the O(Δ² log² Δ) Linial palette is brought down to
 // the final target.
 type Reducer int
