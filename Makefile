@@ -148,6 +148,9 @@ profile:
 # which the edge algorithms run on every submitted graph — submitted
 # graphs are user bytes too (the targets check the labeling against the
 # reference implementation and the line graph against the Builder path).
+# FuzzRun runs every registered algorithm on small fuzzed graphs with
+# in-schema parameters, sequentially and in parallel: the two must agree,
+# and nothing may panic or fail Run's verification.
 # Go allows one -fuzz per invocation, so the targets run back to back;
 # corpus findings land in each package's testdata/fuzz.
 fuzz:
@@ -155,6 +158,7 @@ fuzz:
 	$(GO) test . -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph/ -run '^$$' -fuzz FuzzCanonicalLabeling -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph/ -run '^$$' -fuzz FuzzLineGraph -fuzztime $(FUZZTIME)
+	$(GO) test . -run '^$$' -fuzz FuzzRun -fuzztime $(FUZZTIME)
 
 # The deterministic chaos suite (DESIGN.md §12): one seeded schedule drives
 # a 200-job workload through every injection point — scheduled panics,

@@ -34,6 +34,14 @@ var noallocManifest = map[string]string{
 	"internal/sim.(instance).retireRound":     "sim round loop, halt retirement",
 	"internal/sim.(instance).retireInto":      "sim round loop, halt retirement",
 	"internal/sim.(instance).retireWordsInto": "sim round loop, halt retirement",
+	// The active-set path of the word plane, pinned by
+	// TestActiveSetSteadyStateAllocFree (words_test.go) on both sequential
+	// engines.
+	"internal/sim.(instance).stepVertexActive": "sim round loop, active-set step",
+	"internal/sim.(instance).wordTraffic":      "sim round loop, active-set traffic",
+	"internal/sim.(instance).carryRound":       "sim round loop, active-set carry",
+	"internal/sim.(tally).add":                 "sim round loop, active-set running sums",
+	"internal/sim.(tally).merge":               "sim round loop, active-set running sums",
 	// The word programs' steps, run by stepVertexWord: pinned at a whole-run
 	// allocation count independent of n by TestReduceAllocsIndependentOfN
 	// (linial_test.go), TestReductionAllocsIndependentOfN
@@ -42,6 +50,8 @@ var noallocManifest = map[string]string{
 	"internal/linial.(program).StepWord":    "linial reduction step",
 	"internal/linial.applyStep":             "linial polynomial evaluation",
 	"internal/reduce.(kwProgram).StepWord":  "Kuhn–Wattenhofer reduction step",
+	"internal/reduce.(kwProgram).Active":    "Kuhn–Wattenhofer active set",
+	"internal/reduce.(kwProgram).bucket":    "Kuhn–Wattenhofer class buckets",
 	"internal/reduce.smallestFree":          "reduction free-color search",
 	"internal/arbor.(peelProgram).StepWord": "H-partition peeling step",
 	// Pinned at 0 allocs/observation by TestInstrumentsZeroAlloc

@@ -122,27 +122,61 @@ func (c *Cover) MaxCliqueSize() int {
 // cliques that shrink below two vertices are dropped (they cover no edge).
 // Restriction never increases a vertex's membership count, so diversity does
 // not grow (cf. Lemma 2.3(ii)).
+//
+// sub must number its vertices in the parent's order, as InducedSubgraph
+// does, so a sorted clique maps to a sorted clique. The kept members are
+// counted first, so the restricted cliques share one arena and the
+// membership lists another: a restriction makes the same few allocations
+// however many cliques it keeps.
 func (c *Cover) Restrict(sub *graph.Sub) *Cover {
 	// Map original vertex -> subgraph vertex through a pooled dense table:
 	// Restrict runs once per recursion level of CD-Coloring, and the map it
 	// used to build here dominated the decomposition's allocation profile.
 	inv := graph.AcquireDenseIndex(len(c.MemberOf))
 	defer inv.Release()
-	for v := 0; v < sub.G.N(); v++ {
+	n := sub.G.N()
+	for v := 0; v < n; v++ {
 		inv.Put(sub.OrigVertex(v), int32(v))
 	}
-	out := &Cover{MemberOf: make([][]int32, sub.G.N())}
+	// Count the kept cliques, their members, and each vertex's
+	// memberships, one slot ahead in memberOff.
+	kept, total := 0, 0
+	memberOff := make([]int32, n+1)
 	for _, cl := range c.Cliques {
-		var restricted []int32
+		k := inside(cl, inv)
+		if k < 2 {
+			continue
+		}
+		kept++
+		total += k
+		for _, v := range cl {
+			if nv, ok := inv.Get(int(v)); ok {
+				memberOff[nv+1]++
+			}
+		}
+	}
+	for v := 1; v <= n; v++ {
+		memberOff[v] += memberOff[v-1]
+	}
+	out := &Cover{Cliques: make([][]int32, 0, kept), MemberOf: make([][]int32, n)}
+	members := make([]int32, total)
+	memberships := make([]int32, total)
+	for v := range out.MemberOf {
+		lo := memberOff[v]
+		out.MemberOf[v] = memberships[lo:lo:memberOff[v+1]]
+	}
+	for _, cl := range c.Cliques {
+		k := inside(cl, inv)
+		if k < 2 {
+			continue
+		}
+		restricted := members[:0:k]
+		members = members[k:]
 		for _, v := range cl {
 			if nv, ok := inv.Get(int(v)); ok {
 				restricted = append(restricted, nv)
 			}
 		}
-		if len(restricted) < 2 {
-			continue
-		}
-		sort.Slice(restricted, func(a, b int) bool { return restricted[a] < restricted[b] })
 		idx := int32(len(out.Cliques))
 		out.Cliques = append(out.Cliques, restricted)
 		for _, v := range restricted {
@@ -150,6 +184,17 @@ func (c *Cover) Restrict(sub *graph.Sub) *Cover {
 		}
 	}
 	return out
+}
+
+// inside counts the members of cl that inv maps into a subgraph.
+func inside(cl []int32, inv *graph.DenseIndex) int {
+	k := 0
+	for _, v := range cl {
+		if inv.Has(int(v)) {
+			k++
+		}
+	}
+	return k
 }
 
 // FromLineGraph adapts the canonical cover attached to a LineGraphResult,

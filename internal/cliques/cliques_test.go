@@ -2,6 +2,7 @@ package cliques
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -198,6 +199,50 @@ func TestCoverFromMaximalCliques(t *testing.T) {
 	}
 	if err := c.Validate(g); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestrictAllocsIndependentOfSize pins Restrict's arenas: restricting
+// the line-graph cover of a small and of a large graph to every other
+// line-graph vertex makes the same few allocations, however many cliques
+// each keeps, and the restricted cliques and membership lists come out
+// sorted without a sort. The count is 6 with the dense index pooled; the
+// bound allows a pool miss (the race detector's sync.Pool drops entries at
+// random), which adds the index and its two arrays.
+func TestRestrictAllocsIndependentOfSize(t *testing.T) {
+	const maxAllocs = 9
+	allocs := func(n int) (float64, int) {
+		lg := graph.LineGraph(rg(int64(n), n, 6/float64(n)))
+		c, err := FromLineGraph(lg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var verts []int
+		for v := 0; v < lg.L.N(); v += 2 {
+			verts = append(verts, v)
+		}
+		sub, err := graph.InducedSubgraph(lg.L, verts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc := c.Restrict(sub)
+		if err := rc.Validate(sub.G); err != nil {
+			t.Fatal(err)
+		}
+		for _, lists := range [][][]int32{rc.Cliques, rc.MemberOf} {
+			for _, l := range lists {
+				if !slices.IsSorted(l) {
+					t.Fatalf("unsorted restricted list %v", l)
+				}
+			}
+		}
+		return testing.AllocsPerRun(5, func() { c.Restrict(sub) }), len(rc.Cliques)
+	}
+	for _, n := range []int{40, 600} {
+		if got, kept := allocs(n); got > maxAllocs {
+			t.Errorf("Restrict makes %.0f allocations keeping %d cliques, want at most %d: some allocation is per clique",
+				got, kept, maxAllocs)
+		}
 	}
 }
 

@@ -181,9 +181,24 @@ func (p *program) StepWord(v, round int, in, scratch []sim.Word) (sim.Word, bool
 // vertex, decomposing its own and its neighbors' colors into scratch,
 // which holds at least (d+1)·(len(in)+1) words.
 //
+// The search tries x = 0 first, and p_c(0) = c mod q, so when no
+// neighbor's color is ≡ c (mod q) the result is c mod q without any
+// decomposition.
+//
 //distcolor:noalloc
 func applyStep(c int64, in, scratch []sim.Word, st Step) int64 {
 	d, q := st.D, st.Q
+	at0 := c % q
+	clash := false
+	for _, w := range in {
+		if w != sim.NoWord && w != c && w%q == at0 {
+			clash = true
+			break
+		}
+	}
+	if !clash {
+		return at0
+	}
 	k := int(d + 1)
 	mine := scratch[:k:k]
 	decomposeInto(mine, c, q)

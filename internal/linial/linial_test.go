@@ -258,7 +258,9 @@ func refApplyStep(c int64, nbrColors []int64, st Step) int64 {
 // degrees, and inbox patterns (including silent NoWord ports and improper
 // equal-color slots): the chosen colors must be identical, and one scratch
 // slab reused across cases, as a shard reuses it across the vertices it
-// steps, must not leak state between them.
+// steps, must not leak state between them. Both of applyStep's paths run:
+// the x = 0 shortcut, and the full search when a neighbor's color is
+// ≡ c (mod q).
 func TestApplyStepMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	steps := []Step{
@@ -268,6 +270,7 @@ func TestApplyStepMatchesReference(t *testing.T) {
 		{D: 5, Q: 67, M: 4489},
 	}
 	scratch := make([]sim.Word, 6*7) // widest step (d+1 = 6) × (max degree 6 + 1)
+	searched := 0
 	for i := 0; i < 2000; i++ {
 		st := steps[rng.Intn(len(steps))]
 		limit := st.Q // inputs to a step are < q^(d+1); keep them small but varied
@@ -289,11 +292,20 @@ func TestApplyStepMatchesReference(t *testing.T) {
 				in[p], ref[p] = nc, nc
 			}
 		}
+		for _, nc := range ref {
+			if nc >= 0 && nc != c && nc%st.Q == c%st.Q {
+				searched++
+				break
+			}
+		}
 		got := applyStep(c, in, scratch, st)
 		want := refApplyStep(c, ref, st)
 		if got != want {
 			t.Fatalf("case %d: applyStep = %d, reference = %d (c=%d step=%+v in=%v)", i, got, want, c, st, in)
 		}
+	}
+	if searched < 100 || searched > 1900 {
+		t.Fatalf("%d of 2000 cases needed the full search: one path went unexercised", searched)
 	}
 }
 

@@ -86,7 +86,7 @@ func runSchedule(ctx context.Context, eng sim.Exec, t *sim.Topology, m, target, 
 	if m <= target {
 		return passThrough(t, m)
 	}
-	p := &kwProgram{colors: seedColors(t), schedule: kwSchedule(m, target, block)}
+	p := newKWProgram(seedColors(t), kwSchedule(m, target, block))
 	stats, err := eng.Run(ctx, t, p, len(p.schedule)+3)
 	if err != nil {
 		return nil, fmt.Errorf("reduce: %s: %w", name, err)
@@ -105,10 +105,11 @@ type kwRound struct {
 
 // kwSchedule derives the full deterministic round plan for reducing m → T
 // in blocks of size block: Kuhn–Wattenhofer's is 2T, and block = m is the
-// class-by-class trim, one phase of m − T rounds.
+// class-by-class trim, one phase of m − T rounds. The plan is allocated
+// once, at its length kwRounds.
 func kwSchedule(m, t, block int64) []kwRound {
-	var plan []kwRound
-	for m > t {
+	plan := make([]kwRound, 0, kwRounds(m, t, block))
+	for ; m > t; m = kwPalette(m, t, block) {
 		// A block larger than the palette is one partial block: plain
 		// class iteration within it.
 		b := min(block, m)
@@ -116,28 +117,110 @@ func kwSchedule(m, t, block int64) []kwRound {
 			plan = append(plan, kwRound{b: b, s: s, t: t})
 		}
 		plan[len(plan)-1].renumberAfter = true
-		// New palette: full blocks contribute T each; a trailing partial
-		// block of size ≤ T survives unchanged (its colors are < T within
-		// the block).
-		nb := m / b
-		rem := m - nb*b
-		if rem > t {
-			rem = t
-		}
-		m = nb*t + rem
 	}
 	return plan
 }
 
+// kwRounds is the length of kwSchedule(m, t, block): each phase processes
+// the classes t … b−1 of its block size b.
+func kwRounds(m, t, block int64) int64 {
+	var rounds int64
+	for ; m > t; m = kwPalette(m, t, block) {
+		rounds += min(block, m) - t
+	}
+	return rounds
+}
+
+// kwPalette is the palette after a phase on palette m > t: full blocks
+// contribute t each; a trailing partial block of size ≤ t survives
+// unchanged (its colors are < t within the block).
+func kwPalette(m, t, block int64) int64 {
+	b := min(block, m)
+	nb := m / b
+	rem := m - nb*b
+	if rem > t {
+		rem = t
+	}
+	return nb*t + rem
+}
+
 // kwProgram is the Kuhn–Wattenhofer reduction as one run-scoped word
 // program. colors[v] is v's current color, its result once it halts.
+//
+// It implements sim.ActiveSet. Round 0 and each phase's renumbering round
+// step every vertex; any other round, for class s, steps only class s:
+// the vertices whose color is ≡ s (mod b). Every other vertex would keep
+// its color and broadcast it again. At a phase's first round the classes
+// t … b−1 are bucketed by one counting sort of the colors into members,
+// ascending within each class, class s at members[start[s−t]:start[s−t+1]].
+// The buckets stay exact for the whole phase: a vertex recolors at most
+// once per phase, in its class's round, and into a class below t, which
+// no later round of the phase processes.
 type kwProgram struct {
 	colors   []int64
 	schedule []kwRound
+	members  []int32
+	start    []int32
+}
+
+// newKWProgram returns the program of one run over colors on a non-empty
+// schedule, with its buckets in one slab: n members and one start per
+// class of the first phase, the widest (the palette, and with it the block
+// size min(block, m), only shrinks), plus one.
+func newKWProgram(colors []int64, schedule []kwRound) *kwProgram {
+	classes := schedule[0].b - schedule[0].t
+	n := len(colors)
+	slab := make([]int32, n+int(classes)+1)
+	return &kwProgram{colors: colors, schedule: schedule, members: slab[:n:n], start: slab[n:]}
 }
 
 // Scratch implements sim.Factory: the occupancy slots of smallestFree.
 func (p *kwProgram) Scratch(maxDeg int) int { return maxDeg + 1 }
+
+// Active implements sim.ActiveSet.
+//
+//distcolor:noalloc
+func (p *kwProgram) Active(round int) ([]int32, bool) {
+	if round == 0 {
+		return nil, true
+	}
+	r := p.schedule[round-1]
+	if r.renumberAfter {
+		return nil, true
+	}
+	if round == 1 || p.schedule[round-2].renumberAfter {
+		p.bucket(r.b, r.t)
+	}
+	return p.members[p.start[r.s-r.t]:p.start[r.s-r.t+1]], false
+}
+
+// bucket sorts the vertices of the classes t … b−1 (mod b) by class into
+// members, by counting: start counts each class one slot ahead, its
+// prefix sums are then the class starts, the fill advances each start to
+// its class's end, and the shift back restores the starts.
+//
+//distcolor:noalloc
+func (p *kwProgram) bucket(b, t int64) {
+	k := b - t
+	start := p.start[: k+1 : k+1]
+	clear(start)
+	for _, c := range p.colors {
+		if s := c % b; s >= t {
+			start[s-t+1]++
+		}
+	}
+	for j := int64(1); j <= k; j++ {
+		start[j] += start[j-1]
+	}
+	for v, c := range p.colors {
+		if s := c % b; s >= t {
+			p.members[start[s-t]] = int32(v)
+			start[s-t]++
+		}
+	}
+	copy(start[1:], start[:k])
+	start[0] = 0
+}
 
 // StepWord implements sim.WordProgram.
 //
@@ -174,7 +257,7 @@ func Auto(ctx context.Context, eng sim.Exec, t *sim.Topology, m, target int64) (
 		return passThrough(t, m)
 	}
 	trimCost := m - target
-	kwCost := int64(len(kwSchedule(m, target, 2*target)))
+	kwCost := kwRounds(m, target, 2*target)
 	if kwCost < trimCost {
 		return KuhnWattenhofer(ctx, eng, t, m, target)
 	}
@@ -221,6 +304,6 @@ func EstimateAutoRounds(m, target int64) int64 {
 		return 0
 	}
 	trim := m - target + 1
-	kw := int64(len(kwSchedule(m, target, 2*target))) + 1
+	kw := kwRounds(m, target, 2*target) + 1
 	return min(trim, kw)
 }

@@ -133,6 +133,11 @@ func TestKWScheduleProperties(t *testing.T) {
 		if len(plan) == 0 {
 			t.Fatalf("m=%d T=%d: empty plan", tc.m, tc.target)
 		}
+		// The plan is allocated once, at the length kwRounds counts.
+		if int64(len(plan)) != kwRounds(tc.m, tc.target, 2*tc.target) || cap(plan) != len(plan) {
+			t.Fatalf("m=%d T=%d: plan length %d, capacity %d, kwRounds %d",
+				tc.m, tc.target, len(plan), cap(plan), kwRounds(tc.m, tc.target, 2*tc.target))
+		}
 		// Phases end with renumber steps; last round must renumber.
 		if !plan[len(plan)-1].renumberAfter {
 			t.Fatalf("m=%d T=%d: plan does not end a phase", tc.m, tc.target)
@@ -343,10 +348,9 @@ func TestTrimSteadyStateAllocFree(t *testing.T) {
 
 // TestKWSteadyStateAllocFree pins the same contract for the
 // Kuhn–Wattenhofer program: a larger starting palette adds phases (more
-// rounds over the same program and scratch) without adding
-// steady-state allocations. The schedule itself grows with m, so the
-// tolerated difference is the handful of setup allocations of the longer
-// plan, bounded well below one allocation per extra round.
+// rounds over the same program, scratch and bucket slab) without adding
+// allocations. The schedule is one allocation however long it is, so the
+// two runs must allocate the same number of objects.
 func TestKWSteadyStateAllocFree(t *testing.T) {
 	g := rg(22, 300, 0.04)
 	sd, m := greedySeed(g, 64)
@@ -357,13 +361,12 @@ func TestKWSteadyStateAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	shortRounds := len(kwSchedule(m, target, 2*target))
-	longRounds := len(kwSchedule(4*m, target, 2*target))
+	extraRounds := kwRounds(4*m, target, 2*target) - kwRounds(m, target, 2*target)
+	runtime.GC()
 	short := testing.AllocsPerRun(5, func() { run(m) })
 	long := testing.AllocsPerRun(5, func() { run(4 * m) })
-	extraRounds := float64(longRounds - shortRounds)
-	if long-short >= extraRounds {
-		t.Fatalf("kw allocates per round: %.1f extra allocs over %.0f extra rounds (%.1f vs %.1f)",
+	if long != short {
+		t.Fatalf("kw allocates with its length: %.1f extra allocs over %d extra rounds (%.1f vs %.1f)",
 			long-short, extraRounds, long, short)
 	}
 }

@@ -47,7 +47,10 @@
 // n-slot slabs alternating by round parity, and a receiver's inbox is
 // gathered through its adjacency list into the stepping shard's Δ-sized
 // window (in[p] = prevOut[Adj(v)[p].To]) — no interface boxing and no
-// arc-sized storage.
+// arc-sized storage. A word program that implements ActiveSet (words.go)
+// names each round's acting vertices, and each shard steps only its part
+// of them; idle vertices keep broadcasting their last word, and the round's
+// traffic comes from running sums.
 // Neither plane builds an object per vertex, and in either representation
 // the round loop performs no heap allocations — see DESIGN.md §7–§8 and
 // the allocation-regression tests.
@@ -58,6 +61,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -326,7 +330,8 @@ func (o observedExec) Run(ctx context.Context, t *Topology, f Factory, maxRounds
 // The word plane is per vertex: wouts[round%2][v] is the one word v
 // broadcast in that round, and v's inbox is gathered from the other slab
 // through its adjacency list Adj(v) into the stepping shard's window of Δ
-// words, right before StepWord.
+// words, right before StepWord. Under an ActiveSet, carryRound keeps an
+// idle vertex's word in both slabs.
 //
 // In both planes there is no separate delivery pass, halted vertices'
 // dead inboxes are never materialized, and the buffer swap is a parity
@@ -350,6 +355,11 @@ type instance struct {
 	prog  WordProgram
 	sizer WordSizer
 	wouts [2][]Word
+	// active is the word program's ActiveSet (nil: every round steps
+	// every running vertex), and traffic the running sums of what its
+	// broadcasting vertices send per round.
+	active  ActiveSet
+	traffic tally
 	// newly and pending are reusable lists of capacity n of the vertices
 	// that halted in the current and the previous round. Within a round
 	// each shard writes its halts into its own region of newly's backing
@@ -379,6 +389,7 @@ func newInstance(t *Topology, f Factory) (*instance, error) {
 	case WordProgram:
 		inst.prog = p
 		inst.sizer, _ = p.(WordSizer)
+		inst.active, _ = p.(ActiveSet)
 		inst.wouts = [2][]Word{make([]Word, n), make([]Word, n)}
 		for _, slab := range inst.wouts {
 			for v := range slab {
@@ -482,6 +493,60 @@ func (inst *instance) stepVertexWord(v, round int, s *shard) (sendStats, bool) {
 	return sendStats{msgs: deg, bits: deg * b, maxBits: b}, halted
 }
 
+// stepVertexActive is stepVertexWord for a program with an ActiveSet,
+// whose idle vertices send too: instead of returning its traffic, the step
+// moves v's share of the running sums, in the shard's delta, from its
+// previous word (the one this round reads) to the word it returns.
+//
+//distcolor:noalloc
+func (inst *instance) stepVertexActive(v, round int, s *shard) bool {
+	prev := inst.wouts[(round&1)^1][v]
+	st, halted := inst.stepVertexWord(v, round, s)
+	s.delta.add(st, 1)
+	s.delta.add(inst.wordTraffic(prev, inst.g.Degree(v)), -1)
+	return halted
+}
+
+// wordTraffic is the traffic of broadcasting w to deg ports: deg messages
+// of WordBits(w) bits each (64 without a WordSizer), none for silence.
+//
+//distcolor:noalloc
+func (inst *instance) wordTraffic(w Word, deg int) sendStats {
+	if w == NoWord || deg == 0 {
+		return sendStats{}
+	}
+	b := int64(64)
+	if inst.sizer != nil {
+		b = inst.sizer.WordBits(w)
+	}
+	d := int64(deg)
+	return sendStats{msgs: d, bits: d * b, maxBits: b}
+}
+
+// carryRound ends a round of a program with an ActiveSet. Only the
+// stepped vertices wrote their slot of the round's slab, and every other
+// running vertex's word stands in both slabs, so copying the stepped slots
+// (the whole slab after an all-round) into the slab the next round writes
+// leaves there the word each idle vertex keeps sending. It runs before
+// retireRound, which then silences the vertices that halted, so none is
+// revived. The words of the vertices that halted this round leave the
+// running sums.
+//
+//distcolor:noalloc
+func (inst *instance) carryRound(round int, vs []int32, all bool) {
+	cur, next := inst.wouts[round&1], inst.wouts[(round&1)^1]
+	if all {
+		copy(next, cur)
+	} else {
+		for _, v := range vs {
+			next[v] = cur[v]
+		}
+	}
+	for _, v := range inst.newly {
+		inst.traffic.add(inst.wordTraffic(cur[v], inst.g.Degree(int(v))), -1)
+	}
+}
+
 // retireRound runs at the end of each round, after the slab the round read
 // from (its prevOut) has been fully consumed, and clears in that slab the
 // outboxes of the vertices that halted this round (killing their stale
@@ -541,43 +606,62 @@ func abortErr(ctx context.Context, round, remaining int) error {
 
 // shard is one contiguous vertex range [lo, hi) of a run's step plan,
 // stepped in index order, or in reverse index order when reverse is set.
-// scratch is the shard's own program scratch and win its word-plane inbox
-// window; sent and halted are the traffic and the halt count of the
-// shard's last stepped round.
+// In a round whose ActiveSet names the acting vertices, subset is set and
+// act is the shard's part of them, the names within [lo, hi). scratch is
+// the shard's own program scratch and win its word-plane inbox window;
+// sent and halted are the traffic and the halt count of the shard's last
+// stepped round, and delta its changes to an ActiveSet program's running
+// sums.
 type shard struct {
 	lo, hi  int
 	reverse bool
+	subset  bool
+	act     []int32
 	win     []Word
 	scratch []Word
 	sent    sendStats
 	halted  int
+	delta   tally
 }
 
-// stepShard advances every running vertex of s by one round in the
-// shard's step order, on the run's plane. The vertices that halt are
-// written by index into the shard's own region [lo, hi) of the newly
-// slab, so concurrent shards never share a slot; the round loop compacts
-// the regions after the barrier.
+// stepShard advances the shard's running vertices by one round in the
+// shard's step order, on the run's plane: all of them, or in a subset
+// round those in act. The vertices that halt are written by index into
+// the shard's own region [lo, hi) of the newly slab, so concurrent shards
+// never share a slot; the round loop compacts the regions after the
+// barrier.
 //
 //distcolor:noalloc
 func (inst *instance) stepShard(s *shard, round int) {
 	newly := inst.newly[s.lo:s.hi:s.hi]
 	var sent sendStats
 	k := 0
-	v, end, dv := s.lo, s.hi, 1
-	if s.reverse {
-		v, end, dv = s.hi-1, s.lo-1, -1
+	subset, act := s.subset, s.act
+	first, last := s.lo, s.hi
+	if subset {
+		first, last = 0, len(act)
 	}
-	for ; v != end; v += dv {
+	i, end, di := first, last, 1
+	if s.reverse {
+		i, end, di = last-1, first-1, -1
+	}
+	for ; i != end; i += di {
+		v := i
+		if subset {
+			v = int(act[i])
+		}
 		if inst.done[v] {
 			continue
 		}
 		var st sendStats
 		var halted bool
-		if inst.prog != nil {
-			st, halted = inst.stepVertexWord(v, round, s)
-		} else {
+		switch {
+		case inst.prog == nil:
 			st, halted = inst.stepVertex(v, round, s)
+		case inst.active == nil:
+			st, halted = inst.stepVertexWord(v, round, s)
+		default:
+			halted = inst.stepVertexActive(v, round, s)
 		}
 		sent.add(st)
 		if halted {
@@ -671,7 +755,9 @@ func (e Engine) plan(inst *instance, f Factory) []shard {
 // when there is one, else one goroutine per shard up to a barrier), folds
 // their traffic and halts, and then does the round's bookkeeping once:
 // abort and round-limit checks, Stats, the bandwidth accountant, halt
-// retirement and the hook.
+// retirement and the hook. Under an ActiveSet it first hands each shard
+// its part of the round's acting vertices, and the round's traffic is the
+// running sums, read before carryRound.
 func (e Engine) run(ctx context.Context, t *Topology, f Factory, maxRounds int, hook RoundHook, bw *Bandwidth) (Stats, error) {
 	ctx = orBackground(ctx)
 	inst, err := newInstance(t, f)
@@ -686,6 +772,22 @@ func (e Engine) run(ctx context.Context, t *Topology, f Factory, maxRounds int, 
 		}
 		if round >= maxRounds {
 			return stats, fmt.Errorf("%w after %d rounds (%d vertices still running)", ErrRoundLimit, round, inst.remaining)
+		}
+		// An ActiveSet names the round's acting vertices; each shard
+		// takes the names within its range.
+		var vs []int32
+		all := true
+		if inst.active != nil {
+			vs, all = inst.active.Active(round)
+			for i := range shards {
+				s := &shards[i]
+				s.subset = !all
+				if !all {
+					first, _ := slices.BinarySearch(vs, int32(s.lo))
+					last, _ := slices.BinarySearch(vs, int32(s.hi))
+					s.act = vs[first:last]
+				}
+			}
 		}
 		if len(shards) == 1 {
 			inst.stepShard(&shards[0], round)
@@ -713,6 +815,13 @@ func (e Engine) run(ctx context.Context, t *Topology, f Factory, maxRounds int, 
 			newly = append(newly, inst.newly[s.lo:s.lo+s.halted]...)
 		}
 		inst.newly = newly
+		if inst.active != nil {
+			for i := range shards {
+				inst.traffic.merge(&shards[i].delta)
+			}
+			sent = inst.traffic.sent()
+			inst.carryRound(round, vs, all)
+		}
 		stats.Messages += sent.msgs
 		stats.Bits += sent.bits
 		if sent.maxBits > stats.MaxMessageBits {

@@ -60,3 +60,67 @@ type WordProgram interface {
 type WordSizer interface {
 	WordBits(w Word) int64
 }
+
+// ActiveSet is an optional method of a WordProgram whose rounds leave most
+// vertices idle. The engine calls Active once per round, before any step,
+// and steps only the running vertices it names: vs, in strictly ascending
+// order, or every running vertex when all is true (vs is then ignored).
+// An idle vertex is not stepped and keeps broadcasting the word it last
+// returned (silence before its first step). A program may leave a vertex
+// out of a round only when stepping it would change none of its state and
+// return that same word, so the run is the one of stepping every vertex:
+// the reference executor, which ignores Active, pins this. The engine
+// reads vs until the round ends; the program may reuse its backing array
+// in later rounds. A program with an ActiveSet that implements WordSizer
+// must report sizes in [0, 64] bits.
+type ActiveSet interface {
+	Active(round int) (vs []int32, all bool)
+}
+
+// tally holds the running sums of an ActiveSet program's traffic: the
+// messages and bits its broadcasting vertices send per round, and how
+// many of them send a word of each size, 0 to 64 bits, so the round's
+// largest message is known again once the vertex that sent it changes its
+// word or halts.
+type tally struct {
+	msgs, bits int64
+	sizes      [65]int64
+}
+
+// add counts one vertex's traffic st sign times (+1 or −1). A word size
+// outside [0, 64] is outside the ActiveSet contract and panics on the
+// bucket index.
+//
+//distcolor:noalloc
+func (t *tally) add(st sendStats, sign int64) {
+	if st.msgs == 0 {
+		return
+	}
+	t.msgs += sign * st.msgs
+	t.bits += sign * st.bits
+	t.sizes[st.maxBits] += sign
+}
+
+// merge adds the changes d to t and clears d.
+//
+//distcolor:noalloc
+func (t *tally) merge(d *tally) {
+	t.msgs += d.msgs
+	t.bits += d.bits
+	for b, k := range d.sizes {
+		t.sizes[b] += k
+	}
+	*d = tally{}
+}
+
+// sent is the traffic of one round of the counted vertices.
+func (t *tally) sent() sendStats {
+	st := sendStats{msgs: t.msgs, bits: t.bits}
+	for b := len(t.sizes) - 1; b >= 0; b-- {
+		if t.sizes[b] > 0 {
+			st.maxBits = int64(b)
+			break
+		}
+	}
+	return st
+}

@@ -5,13 +5,17 @@ package sim_test
 // counterparts — same per-vertex results, same Stats (messages, bits,
 // max bits), on every graph and engine of the plane grid, and also when
 // stepped one vertex at a time through the pre-CSR reference plane
-// (runReference, plane_test.go). The allocation tests pin the word
-// plane's steady state at zero heap allocations per round and its per-run
-// storage at a per-vertex, not per-arc, size.
+// (runReference, plane_test.go). The active-set tests hold a program that
+// names its acting vertices to the same reference, which steps every
+// vertex. The allocation tests pin the word plane's steady state at zero
+// heap allocations per round and its per-run storage at a per-vertex, not
+// per-arc, size.
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -149,16 +153,15 @@ func (p *wordSized) StepWord(v, round int, in, scratch []sim.Word) (sim.Word, bo
 
 func (*wordSized) WordBits(w sim.Word) int64 { return sizedPayloadBits(w) }
 
-// TestWordPlaneEquivalenceMatrix runs each word program and its
-// port-program twin over the plane grid: per-vertex results and Stats
-// must be identical between (a) the twin on the reference plane, (b) the
-// word program on every engine (word plane), and (c) the word program
-// stepped one vertex at a time through the reference plane.
-// gnp-sharded has at least two shards' worth of vertices, so the parallel
-// engine runs it on several shards, each with its own inbox window and
-// scratch, wherever there are CPUs for them.
-func TestWordPlaneEquivalenceMatrix(t *testing.T) {
-	graphs := []struct {
+// wordPlaneGraphs is the word plane's test grid. gnp-sharded has at least
+// two shards' worth of vertices, so the parallel engine runs it on
+// several shards, each with its own inbox window and scratch, wherever
+// there are CPUs for them.
+func wordPlaneGraphs() []struct {
+	name string
+	g    *graph.Graph
+} {
+	return []struct {
 		name string
 		g    *graph.Graph
 	}{
@@ -174,6 +177,24 @@ func TestWordPlaneEquivalenceMatrix(t *testing.T) {
 		{"single", graph.NewBuilder(1).MustBuild()},
 		{"empty", graph.NewBuilder(0).MustBuild()},
 	}
+}
+
+// wordPlaneEngines are the engines every word-plane test runs on.
+var wordPlaneEngines = []struct {
+	name string
+	eng  sim.Engine
+}{
+	{"sequential", sim.Sequential},
+	{"reverse", sim.ReverseSequential},
+	{"parallel", sim.Parallel},
+}
+
+// TestWordPlaneEquivalenceMatrix runs each word program and its
+// port-program twin over the plane grid: per-vertex results and Stats
+// must be identical between (a) the twin on the reference plane, (b) the
+// word program on every engine (word plane), and (c) the word program
+// stepped one vertex at a time through the reference plane.
+func TestWordPlaneEquivalenceMatrix(t *testing.T) {
 	programs := []struct {
 		name string
 		port func(*sim.Topology, []int64) sim.PortProgram
@@ -183,16 +204,8 @@ func TestWordPlaneEquivalenceMatrix(t *testing.T) {
 		{"flood", floodProgram, wordFloodProgram},
 		{"sized", sizedPortProgram, wordSizedProgram},
 	}
-	engines := []struct {
-		name string
-		eng  sim.Engine
-	}{
-		{"sequential", sim.Sequential},
-		{"reverse", sim.ReverseSequential},
-		{"parallel", sim.Parallel},
-	}
 	const maxRounds = 64
-	for _, gc := range graphs {
+	for _, gc := range wordPlaneGraphs() {
 		for _, pc := range programs {
 			t.Run(gc.name+"/"+pc.name, func(t *testing.T) {
 				topo := sim.NewTopology(gc.g)
@@ -212,7 +225,7 @@ func TestWordPlaneEquivalenceMatrix(t *testing.T) {
 						}
 					}
 				}
-				for _, ec := range engines {
+				for _, ec := range wordPlaneEngines {
 					gotRes := make([]int64, gc.g.N())
 					gotStats, gotErr := ec.eng.Run(context.Background(), topo, pc.word(topo, gotRes), maxRounds)
 					check("word/"+ec.name, gotRes, gotStats, gotErr)
@@ -223,6 +236,258 @@ func TestWordPlaneEquivalenceMatrix(t *testing.T) {
 				check("word/reference", gotRes, gotStats, gotErr)
 			})
 		}
+	}
+}
+
+// --- active sets -------------------------------------------------------------
+
+// wordActive is a word program with an ActiveSet. Every fourth round
+// steps every running vertex; in any other round vertex v acts when
+// (7v + round) mod 5 = 0. An acting vertex folds its inbox into its result
+// and picks a new word or, one time in four, silence; it halts in the
+// first round it acts at or after 3 + v mod 11, so vertices halt in subset
+// rounds and in all-rounds. A vertex that does not act keeps its result
+// and returns its word, which is what lets Active leave it out.
+// WordBits spreads the words over sizes 0 to 64 bits, so a round's
+// largest message moves as its holder changes its word, goes silent or
+// halts.
+type wordActive struct {
+	t       *sim.Topology
+	results []int64
+	word    []sim.Word
+	halted  []bool
+	buf     []int32
+}
+
+func newWordActive(t *sim.Topology, results []int64) *wordActive {
+	n := t.G.N()
+	p := &wordActive{t: t, results: results, word: make([]sim.Word, n), halted: make([]bool, n), buf: make([]int32, 0, n)}
+	for v := range p.word {
+		p.word[v] = sim.NoWord
+	}
+	return p
+}
+
+func (*wordActive) acts(v, round int) bool { return round%4 == 0 || (7*v+round)%5 == 0 }
+
+func (*wordActive) Scratch(int) int { return 0 }
+
+func (p *wordActive) Active(round int) ([]int32, bool) {
+	if round%4 == 0 {
+		return nil, true
+	}
+	vs := p.buf[:0]
+	for v := range p.word {
+		if !p.halted[v] && p.acts(v, round) {
+			vs = append(vs, int32(v))
+		}
+	}
+	return vs, false
+}
+
+func (p *wordActive) StepWord(v, round int, in, _ []sim.Word) (sim.Word, bool) {
+	if !p.acts(v, round) {
+		return p.word[v], false
+	}
+	acc := p.results[v]*31 + 1
+	for port, w := range in {
+		if w != sim.NoWord {
+			acc = acc*31 + w + int64(port)
+		}
+	}
+	p.results[v] = acc
+	id := p.t.ID(v)
+	if (id+int64(round))%4 == 3 {
+		p.word[v] = sim.NoWord
+	} else {
+		p.word[v] = (id*37 + int64(round)*11) % 1000
+	}
+	p.halted[v] = round >= 3+v%11
+	return p.word[v], p.halted[v]
+}
+
+func (*wordActive) WordBits(w sim.Word) int64 { return w % 65 }
+
+// activeHidden is a wordActive behind a wrapper without Active, so the
+// engine steps every running vertex in every round.
+type activeHidden struct{ p *wordActive }
+
+func (h activeHidden) Scratch(maxDeg int) int { return h.p.Scratch(maxDeg) }
+
+func (h activeHidden) StepWord(v, round int, in, scratch []sim.Word) (sim.Word, bool) {
+	return h.p.StepWord(v, round, in, scratch)
+}
+
+func (h activeHidden) WordBits(w sim.Word) int64 { return h.p.WordBits(w) }
+
+// activeMutant is a wordActive whose active set drops the first acting
+// vertex of round 1.
+type activeMutant struct{ *wordActive }
+
+func (m activeMutant) Active(round int) ([]int32, bool) {
+	vs, all := m.wordActive.Active(round)
+	if round == 1 && len(vs) > 0 {
+		vs = vs[1:]
+	}
+	return vs, all
+}
+
+// activeDiff runs f on every engine and returns the first difference of
+// results, Stats or error from the reference executor, which ignores
+// Active and steps every running vertex; "" when there is none.
+func activeDiff(g *graph.Graph, f func(*sim.Topology, []int64) sim.WordProgram) string {
+	const maxRounds = 64
+	topo := sim.NewTopology(g)
+	wantRes := make([]int64, g.N())
+	wantStats, wantErr := runReference(topo, f(topo, wantRes), maxRounds)
+	for _, ec := range wordPlaneEngines {
+		gotRes := make([]int64, g.N())
+		gotStats, gotErr := ec.eng.Run(context.Background(), topo, f(topo, gotRes), maxRounds)
+		if (wantErr == nil) != (gotErr == nil) {
+			return fmt.Sprintf("%s: error %v, reference %v", ec.name, gotErr, wantErr)
+		}
+		if gotStats != wantStats {
+			return fmt.Sprintf("%s: stats %+v, reference %+v", ec.name, gotStats, wantStats)
+		}
+		for v := range wantRes {
+			if gotRes[v] != wantRes[v] {
+				return fmt.Sprintf("%s: vertex %d result %d, reference %d", ec.name, v, gotRes[v], wantRes[v])
+			}
+		}
+	}
+	return ""
+}
+
+// TestActiveSetMatchesReference runs wordActive over the word-plane grid
+// on every engine: results and Stats must be those of the reference
+// executor, which steps every running vertex.
+func TestActiveSetMatchesReference(t *testing.T) {
+	for _, gc := range wordPlaneGraphs() {
+		t.Run(gc.name, func(t *testing.T) {
+			if diff := activeDiff(gc.g, func(topo *sim.Topology, res []int64) sim.WordProgram {
+				return newWordActive(topo, res)
+			}); diff != "" {
+				t.Fatal(diff)
+			}
+		})
+	}
+}
+
+// TestActiveSetMutantFails checks that the comparison above catches an
+// active set missing one vertex that acts.
+func TestActiveSetMutantFails(t *testing.T) {
+	if diff := activeDiff(planeRandomGraph(1, 60, 0.15), func(topo *sim.Topology, res []int64) sim.WordProgram {
+		return activeMutant{newWordActive(topo, res)}
+	}); diff == "" {
+		t.Fatal("an active set that drops an acting vertex matched the reference")
+	}
+}
+
+// TestActiveSetRoundEvents compares the RoundEvent stream and the
+// bandwidth accountant of wordActive with those of the same program with
+// Active hidden, on every graph of the grid and every engine. The cap of
+// 40 bits makes some rounds violations and others not. Some subset round
+// must carry a smaller largest message than the round before it, so the
+// running maximum is exercised.
+func TestActiveSetRoundEvents(t *testing.T) {
+	const maxRounds = 64
+	run := func(eng sim.Engine, topo *sim.Topology, f sim.Factory) ([]sim.RoundEvent, *sim.Bandwidth) {
+		var events []sim.RoundEvent
+		bw := &sim.Bandwidth{CapBits: 40}
+		if _, err := sim.Instrumented(eng, func(ev sim.RoundEvent) { events = append(events, ev) }, bw).Run(context.Background(), topo, f, maxRounds); err != nil {
+			t.Fatal(err)
+		}
+		return events, bw
+	}
+	drops := 0
+	for _, gc := range wordPlaneGraphs() {
+		topo := sim.NewTopology(gc.g)
+		for _, ec := range wordPlaneEngines {
+			want, wantBW := run(ec.eng, topo, activeHidden{newWordActive(topo, make([]int64, gc.g.N()))})
+			got, gotBW := run(ec.eng, topo, newWordActive(topo, make([]int64, gc.g.N())))
+			if len(got) != len(want) {
+				t.Fatalf("%s/%s: %d rounds, %d with Active hidden", gc.name, ec.name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s/%s: round %d event %+v, with Active hidden %+v", gc.name, ec.name, i, got[i], want[i])
+				}
+				if i > 0 && i%4 != 0 && got[i].RoundMaxBits < got[i-1].RoundMaxBits {
+					drops++
+				}
+			}
+			if gotBW.Rounds() != wantBW.Rounds() || gotBW.Violations() != wantBW.Violations() ||
+				gotBW.MaxRoundBits() != wantBW.MaxRoundBits() || gotBW.MaxMessageBits() != wantBW.MaxMessageBits() ||
+				!slices.Equal(gotBW.HistBuckets(), wantBW.HistBuckets()) {
+				t.Fatalf("%s/%s: bandwidth accountant differs with Active hidden", gc.name, ec.name)
+			}
+		}
+	}
+	if drops == 0 {
+		t.Fatal("no subset round lowered the largest message: the running maximum went unexercised")
+	}
+}
+
+// activeExchange is wordExchange with an ActiveSet: every fourth round,
+// and the last, steps every vertex; any other round steps the vertices
+// ≡ round (mod 3), from lists built with the program.
+type activeExchange struct {
+	rounds int
+	word   []sim.Word
+	thirds [3][]int32
+}
+
+func activeExchangeProgram(n, rounds int) sim.Factory {
+	p := &activeExchange{rounds: rounds, word: make([]sim.Word, n)}
+	for v := 0; v < n; v++ {
+		p.thirds[v%3] = append(p.thirds[v%3], int32(v))
+	}
+	return p
+}
+
+func (*activeExchange) Scratch(int) int { return 0 }
+
+func (p *activeExchange) everyone(round int) bool { return round%4 == 0 || round == p.rounds-1 }
+
+func (p *activeExchange) Active(round int) ([]int32, bool) {
+	if p.everyone(round) {
+		return nil, true
+	}
+	return p.thirds[round%3], false
+}
+
+func (p *activeExchange) StepWord(v, round int, _, _ []sim.Word) (sim.Word, bool) {
+	if p.everyone(round) || v%3 == round%3 {
+		p.word[v] = int64(round) + 1_000_000
+	}
+	return p.word[v], round >= p.rounds-1
+}
+
+// TestActiveSetSteadyStateAllocFree pins the active-set path — shard
+// parts of the active set, the running sums and the carry — at zero heap
+// allocations per round on both sequential engines.
+func TestActiveSetSteadyStateAllocFree(t *testing.T) {
+	g := planeRandomGraph(8, 400, 0.04)
+	topo := sim.NewTopology(g)
+	for _, ec := range []struct {
+		name string
+		eng  sim.Engine
+	}{
+		{"sequential", sim.Sequential},
+		{"reverse", sim.ReverseSequential},
+	} {
+		t.Run(ec.name, func(t *testing.T) {
+			run := func(rounds int) {
+				if _, err := ec.eng.Run(context.Background(), topo, activeExchangeProgram(g.N(), rounds), rounds+2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			short, long := shortLongAllocs(run)
+			if long != short {
+				t.Fatalf("active-set rounds allocate: %.1f allocs over 64 extra rounds (%.1f vs %.1f)",
+					long-short, long, short)
+			}
+		})
 	}
 }
 
