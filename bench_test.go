@@ -25,6 +25,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/linial"
+	"repro/internal/reduce"
 	"repro/internal/sim"
 	"repro/internal/star"
 	"repro/internal/util"
@@ -221,8 +222,7 @@ func BenchmarkPolylogColors(b *testing.B) {
 	for _, n := range []int{40, 80} {
 		b.Run(fmt.Sprintf("base=%d", n), func(b *testing.B) {
 			base := gen.GNP(n, 0.4, benchSeed)
-			lgr := graph.LineGraph(base)
-			cov, err := cliques.FromLineGraph(lgr)
+			lg, cov, err := cliques.LineCover(base)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -232,12 +232,12 @@ func BenchmarkPolylogColors(b *testing.B) {
 			t := cd.ChooseT(s, x)
 			var last *cd.Result
 			for i := 0; i < b.N; i++ {
-				last, err = cd.Color(context.Background(), lgr.L, cov, t, x, cd.Options{})
+				last, err = cd.Color(context.Background(), lg, cov, t, x, cd.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
 			}
-			if err := verify.VertexColoring(lgr.L, last.Colors, last.Palette); err != nil {
+			if err := verify.VertexColoring(lg, last.Colors, last.Palette); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportMetric(float64(x), "x")
@@ -413,19 +413,20 @@ func BenchmarkAblationT(b *testing.B) {
 
 // BenchmarkAblationEngine compares the two reduction strategies inside the
 // (Δ+1) black box; the naive one-class-per-round reduction is the "basic
-// reduction" of the paper used where palettes are small.
+// reduction" of the paper used where palettes are small. Each run is the
+// black box's Linial stage followed by the strategy under test.
 func BenchmarkAblationEngine(b *testing.B) {
 	for _, r := range []struct {
 		name   string
-		red    vc.Reducer
+		reduce func(context.Context, sim.Exec, *sim.Topology, int64, int64) (*reduce.Result, error)
 		deltas []int
 	}{
-		{"kw", vc.ReducerKW, []int{16, 32, 64}},
+		{"kw", reduce.KuhnWattenhofer, []int{16, 32, 64}},
 		// The naive reduction pays Θ(Δ²log²Δ) rounds — at Δ=64 that is
 		// ~2.6·10⁵ rounds of simulation; cap its sweep where it remains
 		// measurable in reasonable wall-clock time. The point (orders of
 		// magnitude between the strategies) is visible at Δ=32 already.
-		{"trim", vc.ReducerTrim, []int{16, 32}},
+		{"trim", reduce.TrimClasses, []int{16, 32}},
 	} {
 		for _, delta := range r.deltas {
 			b.Run(fmt.Sprintf("%s/delta=%d", r.name, delta), func(b *testing.B) {
@@ -433,18 +434,29 @@ func BenchmarkAblationEngine(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				ctx := context.Background()
 				topo := sim.NewTopology(g)
-				var last *vc.Result
+				target := int64(g.MaxDegree()) + 1
+				var colors []int64
+				var stats sim.Stats
 				for i := 0; i < b.N; i++ {
-					last, err = vc.Delta1(context.Background(), topo, int64(g.N()), vc.Options{Reducer: r.red})
+					lin, err := linial.Reduce(ctx, sim.Sequential, topo, int64(g.N()))
 					if err != nil {
 						b.Fatal(err)
 					}
+					colors, stats = lin.Colors, lin.Stats
+					if lin.Palette > target {
+						red, err := r.reduce(ctx, sim.Sequential, &sim.Topology{G: g, IDs: topo.IDs, Labels: lin.Colors}, lin.Palette, target)
+						if err != nil {
+							b.Fatal(err)
+						}
+						colors, stats = red.Colors, lin.Stats.Seq(red.Stats)
+					}
 				}
-				if err := verify.VertexColoring(g, last.Colors, last.Palette); err != nil {
+				if err := verify.VertexColoring(g, colors, target); err != nil {
 					b.Fatal(err)
 				}
-				report(b, last.Palette, last.Stats)
+				report(b, target, stats)
 			})
 		}
 	}
@@ -613,16 +625,9 @@ func hyperInstance(b *testing.B, nv, rank, ne int) (*graph.Graph, *cliques.Cover
 	if err != nil {
 		b.Fatal(err)
 	}
-	lgr := h.LineGraph()
-	var lists [][]int32
-	for _, cl := range lgr.Cliques {
-		if len(cl) >= 2 {
-			lists = append(lists, cl)
-		}
-	}
-	cov, err := cliques.NewCover(lgr.L, lists)
+	lg, cov, err := cliques.HypergraphLineCover(h)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return lgr.L, cov
+	return lg, cov
 }

@@ -181,7 +181,7 @@ func run(ctx context.Context, algo string, params, shorthand distcolor.Params, i
 		if a.Kind != distcolor.KindVertex {
 			return fmt.Errorf("-line needs a vertex algorithm, %s colors %s", algo, a.Kind)
 		}
-		lg, cov, _, lcErr := distcolor.LineCover(g)
+		lg, cov, lcErr := distcolor.LineCover(g)
 		if lcErr != nil {
 			return lcErr
 		}

@@ -28,7 +28,7 @@ func goldenCases(t *testing.T) map[string]*Request {
 		t.Fatal(err)
 	}
 	forest := gen.ForestUnion(24, 2, 1)
-	lg, cover, _, err := LineCover(gen.ForestUnion(12, 2, 1))
+	lg, cover, err := LineCover(gen.ForestUnion(12, 2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

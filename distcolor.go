@@ -116,16 +116,9 @@ func (o Options) engine() sim.Exec {
 func (o Options) vc() vc.Options { return vc.Options{Exec: o.engine()} }
 
 // LineCover builds the line graph of g together with its canonical
-// diversity-2 clique cover and the map from line-graph vertices to g's
-// edge identifiers. Vertex-coloring the result edge-colors g.
-func LineCover(g *Graph) (*Graph, *CliqueCover, []int32, error) {
-	lg := graph.LineGraph(g)
-	cov, err := cliques.FromLineGraph(lg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return lg.L, cov, lg.EdgeOf, nil
-}
+// diversity-2 clique cover. Line-graph vertex e is g's edge e, so
+// vertex-coloring the result edge-colors g.
+func LineCover(g *Graph) (*Graph, *CliqueCover, error) { return cliques.LineCover(g) }
 
 // NewHypergraph validates a c-uniform hypergraph.
 func NewHypergraph(nVert, rank int, edges [][]int) (*Hypergraph, error) {
@@ -135,18 +128,7 @@ func NewHypergraph(nVert, rank int, edges [][]int) (*Hypergraph, error) {
 // HypergraphLineCover builds the line graph of a c-uniform hypergraph with
 // its canonical diversity-c cover.
 func HypergraphLineCover(h *Hypergraph) (*Graph, *CliqueCover, error) {
-	lg := h.LineGraph()
-	var lists [][]int32
-	for _, cl := range lg.Cliques {
-		if len(cl) >= 2 {
-			lists = append(lists, cl)
-		}
-	}
-	cov, err := cliques.NewCover(lg.L, lists)
-	if err != nil {
-		return nil, nil, err
-	}
-	return lg.L, cov, nil
+	return cliques.HypergraphLineCover(h)
 }
 
 // NewCliqueCover validates a clique cover for g.

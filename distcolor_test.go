@@ -93,12 +93,12 @@ func TestFacadeVertexColor(t *testing.T) {
 
 func TestFacadeVertexColorCD(t *testing.T) {
 	base := gen.GNP(30, 0.25, 5)
-	lg, cov, edgeOf, err := LineCover(base)
+	lg, cov, err := LineCover(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(edgeOf) != base.M() {
-		t.Fatal("edgeOf length wrong")
+	if lg.N() != base.M() {
+		t.Fatal("line graph size wrong")
 	}
 	res, err := Run(context.Background(), lg, AlgoVertexCD, Params{"x": 1}, Options{Cover: cov})
 	if err != nil {
@@ -111,12 +111,9 @@ func TestFacadeVertexColorCD(t *testing.T) {
 	if res.Palette > int64(d*d*s) {
 		t.Fatalf("palette %d exceeds D²S", res.Palette)
 	}
-	// A CD vertex coloring of the line graph is an edge coloring of base.
-	edgeColors := make([]int64, base.M())
-	for lv, e := range edgeOf {
-		edgeColors[e] = res.Colors[lv]
-	}
-	if err := CheckEdgeColoring(base, edgeColors, res.Palette); err != nil {
+	// A CD vertex coloring of the line graph is an edge coloring of base:
+	// line-graph vertex e is base's edge e.
+	if err := CheckEdgeColoring(base, res.Colors, res.Palette); err != nil {
 		t.Fatal(err)
 	}
 }

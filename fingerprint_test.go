@@ -68,7 +68,7 @@ func TestAlgorithmFingerprints(t *testing.T) {
 	must(err)
 	pa, err := gen.PreferentialAttachment(300, 3, 4)
 	must(err)
-	lineL, lineCov, _, err := LineCover(gen.GNP(40, 0.2, 5))
+	lineL, lineCov, err := LineCover(gen.GNP(40, 0.2, 5))
 	must(err)
 	hyper, err := gen.UniformHypergraph(30, 3, 60, 6)
 	must(err)

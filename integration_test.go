@@ -98,7 +98,7 @@ func TestIntegrationCDLineGraphEquivalence(t *testing.T) {
 	// and agree on the translation (an edge coloring of g IS a vertex
 	// coloring of L(g) and vice versa).
 	base := gen.GNP(40, 0.2, 99)
-	lg, cov, edgeOf, err := LineCover(base)
+	lg, cov, err := LineCover(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +107,7 @@ func TestIntegrationCDLineGraphEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("x=%d: %v", x, err)
 		}
-		edgeColors := make([]int64, base.M())
-		for lv, e := range edgeOf {
-			edgeColors[e] = res.Colors[lv]
-		}
-		if err := CheckEdgeColoring(base, edgeColors, res.Palette); err != nil {
+		if err := CheckEdgeColoring(base, res.Colors, res.Palette); err != nil {
 			t.Fatalf("x=%d: translated edge coloring improper: %v", x, err)
 		}
 		d, s := cov.Diversity(), cov.MaxCliqueSize()
@@ -260,7 +256,7 @@ func ExampleRun_cd() {
 	b.AddEdge(2, 3)
 	b.AddEdge(3, 0)
 	g, _ := b.Build()
-	lg, cover, _, _ := LineCover(g)
+	lg, cover, _ := LineCover(g)
 	res, _ := Run(context.Background(), lg, AlgoVertexCD, Params{"x": 1}, Options{Cover: cover})
 	fmt.Println(CheckVertexColoring(lg, res.Colors, res.Palette) == nil)
 	// Output: true

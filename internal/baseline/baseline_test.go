@@ -8,7 +8,6 @@ import (
 	"repro/internal/cd"
 	"repro/internal/cliques"
 	"repro/internal/gen"
-	"repro/internal/graph"
 	"repro/internal/star"
 	"repro/internal/vc"
 	"repro/internal/verify"
@@ -94,16 +93,15 @@ func TestBE11UsesCoarserT(t *testing.T) {
 
 func TestBE11VertexColor(t *testing.T) {
 	base := gen.GNP(30, 0.25, 3)
-	lg := graph.LineGraph(base)
-	cov, err := cliques.FromLineGraph(lg)
+	lg, cov, err := cliques.LineCover(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := BE11VertexColor(context.Background(), lg.L, cov, 1, cd.Options{})
+	res, err := BE11VertexColor(context.Background(), lg, cov, 1, cd.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := verify.VertexColoring(lg.L, res.Colors, res.Declared); err != nil {
+	if err := verify.VertexColoring(lg, res.Colors, res.Declared); err != nil {
 		t.Fatal(err)
 	}
 	d, s := cov.Diversity(), cov.MaxCliqueSize()

@@ -60,8 +60,7 @@ func BenchmarkAlgoCDH3(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	lg := h.LineGraph()
-	cov, err := cliques.FromLineGraph(lg)
+	lg, cov, err := cliques.HypergraphLineCover(h)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -69,7 +68,7 @@ func BenchmarkAlgoCDH3(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cd.Color(context.Background(), lg.L, cov, t, 1, cd.Options{}); err != nil {
+		if _, err := cd.Color(context.Background(), lg, cov, t, 1, cd.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

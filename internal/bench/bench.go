@@ -120,18 +120,10 @@ func RunTable2Row(ctx context.Context, nv, rank, ne, x int, seed int64) (*Table2
 	if err != nil {
 		return nil, err
 	}
-	lg := h.LineGraph()
-	var lists [][]int32
-	for _, cl := range lg.Cliques {
-		if len(cl) >= 2 {
-			lists = append(lists, cl)
-		}
-	}
-	cov, err := cliques.NewCover(lg.L, lists)
+	g, cov, err := cliques.HypergraphLineCover(h)
 	if err != nil {
 		return nil, err
 	}
-	g := lg.L
 	d, s := cov.Diversity(), cov.MaxCliqueSize()
 	row := &Table2Row{N: g.N(), D: d, S: s, X: x}
 

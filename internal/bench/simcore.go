@@ -454,19 +454,18 @@ func RunSimCore(ctx context.Context) (*SimCoreReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	hlg := h.LineGraph()
-	cov, err := cliques.FromLineGraph(hlg)
+	hl, cov, err := cliques.HypergraphLineCover(h)
 	if err != nil {
 		return nil, err
 	}
 	ct := cd.ChooseT(cov.MaxCliqueSize(), 1)
 	cdRun, err := measureAlgo("algo/cd-x1/sequential-h3", func(check bool) (int64, sim.Stats, error) {
-		res, runErr := cd.Color(ctx, hlg.L, cov, ct, 1, cd.Options{})
+		res, runErr := cd.Color(ctx, hl, cov, ct, 1, cd.Options{})
 		if runErr != nil {
 			return 0, sim.Stats{}, runErr
 		}
 		if check {
-			if err := verify.VertexColoring(hlg.L, res.Colors, res.Palette); err != nil {
+			if err := verify.VertexColoring(hl, res.Colors, res.Palette); err != nil {
 				return 0, sim.Stats{}, fmt.Errorf("improper: %w", err)
 			}
 		}

@@ -19,6 +19,7 @@ package cd
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/cliques"
 	"repro/internal/connector"
@@ -51,7 +52,7 @@ type Result struct {
 	Colors []int64
 	// Palette is the guaranteed palette after trimming.
 	Palette int64
-	// Declared is the composed pre-trim palette γ^x · (D(k−1)+1).
+	// Declared is the composed pre-trim palette (DeclaredPalette).
 	Declared int64
 	// Bound is the paper's D^{x+1}·S target.
 	Bound int64
@@ -70,9 +71,17 @@ func ChooseT(s, x int) int {
 // DeclaredPalette composes the palette produced by x recursion levels with
 // parameter t on a cover of diversity d and clique size s:
 //
+//	P(s, x) = 1                 (s ≤ 1: no clique covers an edge)
 //	P(s, 0) = d(s−1)+1          (direct stage)
 //	P(s, x) = (d(t−1)+1)·P(⌈s/t⌉, x−1)
+//
+// A level whose cliques are singletons has no edges, and rec colors it 0
+// at no cost, so it adds nothing to the palette: once x ≥ ⌈log_t s⌉ the
+// palette no longer grows with x.
 func DeclaredPalette(d, s, t, x int) int64 {
+	if s <= 1 {
+		return 1
+	}
 	if x == 0 {
 		return int64(d*(s-1) + 1)
 	}
@@ -99,7 +108,7 @@ func Color(ctx context.Context, g *graph.Graph, cover *cliques.Cover, t, x int, 
 	stats := r.seedStats.Seq(recStats)
 
 	declared := DeclaredPalette(r.d, s, t, x)
-	bound := int64(s) * pow64(int64(r.d), x+1)
+	bound := mulSat(int64(s), pow64(int64(r.d), x+1))
 	palette := declared
 	if !opt.SkipTrim && declared > bound {
 		topo := &sim.Topology{G: g, IDs: r.ids, Labels: colors}
@@ -226,11 +235,19 @@ func (r *run) rec(ctx context.Context, g *graph.Graph, ids, seed []int64, cover 
 	return colors, stats.Seq(classStats), nil
 }
 
-// pow64 returns b^e for e ≥ 0.
+// pow64 returns b^e for b, e ≥ 0, saturating at math.MaxInt64.
 func pow64(b int64, e int) int64 {
 	p := int64(1)
 	for i := 0; i < e; i++ {
-		p *= b
+		p = mulSat(p, b)
 	}
 	return p
+}
+
+// mulSat returns a·b for a, b ≥ 0, saturating at math.MaxInt64.
+func mulSat(a, b int64) int64 {
+	if b != 0 && a > math.MaxInt64/b {
+		return math.MaxInt64
+	}
+	return a * b
 }

@@ -2,6 +2,7 @@ package cd
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -17,13 +18,11 @@ import (
 // random graph with its star cover.
 func lineInstance(t *testing.T, seed int64, n int, p float64) (*graph.Graph, *cliques.Cover) {
 	t.Helper()
-	g := gen.GNP(n, p, seed)
-	lg := graph.LineGraph(g)
-	cov, err := cliques.FromLineGraph(lg)
+	lg, cov, err := cliques.LineCover(gen.GNP(n, p, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return lg.L, cov
+	return lg, cov
 }
 
 // hyperInstance builds a diversity-c instance from a c-uniform hypergraph.
@@ -33,18 +32,11 @@ func hyperInstance(t *testing.T, seed int64, nv, rank, ne int) (*graph.Graph, *c
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg := h.LineGraph()
-	var lists [][]int32
-	for _, cl := range lg.Cliques {
-		if len(cl) >= 2 {
-			lists = append(lists, cl)
-		}
-	}
-	cov, err := cliques.NewCover(lg.L, lists)
+	lg, cov, err := cliques.HypergraphLineCover(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return lg.L, cov
+	return lg, cov
 }
 
 func TestColorLineGraphX1(t *testing.T) {
@@ -84,6 +76,52 @@ func TestColorDepths(t *testing.T) {
 		}
 		if res.Palette > bound {
 			t.Fatalf("x=%d: palette %d exceeds D^%d·S = %d", x, res.Palette, x+1, bound)
+		}
+	}
+}
+
+// TestColorPastSingletonCliques runs CD far deeper than the levels at
+// which its cliques shrink to single vertices. Those levels have no edges
+// and add nothing to the palette, so every deeper run returns the colors,
+// palette and Stats of the shallowest depth that reaches them, with no
+// final trim.
+func TestColorPastSingletonCliques(t *testing.T) {
+	line, lineCov := lineInstance(t, 5, 40, 0.2)
+	dg, dCliques, err := gen.BoundedDiversityCliqueGraph(60, 40, 6, 5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dCov, err := cliques.NewCover(dg, dCliques)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		g       *graph.Graph
+		cov     *cliques.Cover
+		xs      []int // the first reaches singleton cliques
+		palette int64
+	}{
+		{"line-gnp40", line, lineCov, []int{4, 12, 30}, 81},
+		{"cliques-D5-S6", dg, dCov, []int{3, 20, 30}, 216},
+	} {
+		var want *Result
+		for _, x := range c.xs {
+			res, err := Color(context.Background(), c.g, c.cov, ChooseT(c.cov.MaxCliqueSize(), x), x, Options{})
+			if err != nil {
+				t.Fatalf("%s x=%d: %v", c.name, x, err)
+			}
+			if err := verify.VertexColoring(c.g, res.Colors, res.Palette); err != nil {
+				t.Fatalf("%s x=%d: %v", c.name, x, err)
+			}
+			if res.Palette != c.palette || res.Declared != c.palette {
+				t.Fatalf("%s x=%d: palette %d declared %d, want %d", c.name, x, res.Palette, res.Declared, c.palette)
+			}
+			if want == nil {
+				want = res
+			} else if !slices.Equal(res.Colors, want.Colors) || res.Stats != want.Stats {
+				t.Fatalf("%s x=%d: Stats %+v, want x=%d's %+v (or colors differ)", c.name, x, res.Stats, c.xs[0], want.Stats)
+			}
 		}
 	}
 }
@@ -203,6 +241,11 @@ func TestDeclaredPalette(t *testing.T) {
 	if DeclaredPalette(2, 10, 3, 1) != 35 {
 		t.Fatalf("got %d", DeclaredPalette(2, 10, 3, 1))
 	}
+	// x=5: the cliques shrink 10 → 4 → 2 → 1 in three levels, and the two
+	// levels past them add nothing: 5³ = 125.
+	if DeclaredPalette(2, 10, 3, 5) != 125 {
+		t.Fatalf("got %d", DeclaredPalette(2, 10, 3, 5))
+	}
 }
 
 func TestTrimAblation(t *testing.T) {
@@ -232,22 +275,20 @@ func TestTrimAblation(t *testing.T) {
 
 func TestColorQuick(t *testing.T) {
 	f := func(seed int64) bool {
-		g := gen.GNP(18, 0.3, seed)
-		lg := graph.LineGraph(g)
-		cov, err := cliques.FromLineGraph(lg)
+		lg, cov, err := cliques.LineCover(gen.GNP(18, 0.3, seed))
 		if err != nil {
 			return false
 		}
 		if cov.MaxCliqueSize() < 2 {
 			return true
 		}
-		res, err := Color(context.Background(), lg.L, cov, 2, 1, Options{})
+		res, err := Color(context.Background(), lg, cov, 2, 1, Options{})
 		if err != nil {
 			return false
 		}
 		d, s := cov.Diversity(), cov.MaxCliqueSize()
 		bound := int64(d) * int64(d) * int64(s)
-		return verify.VertexColoring(lg.L, res.Colors, res.Palette) == nil && res.Palette <= bound
+		return verify.VertexColoring(lg, res.Colors, res.Palette) == nil && res.Palette <= bound
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)

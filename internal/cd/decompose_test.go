@@ -108,13 +108,11 @@ func TestDecomposeEdgeless(t *testing.T) {
 
 func TestDecomposeQuick(t *testing.T) {
 	f := func(seed int64) bool {
-		base := gen.GNP(16, 0.35, seed)
-		lg := graph.LineGraph(base)
-		cov, err := cliques.FromLineGraph(lg)
+		lg, cov, err := cliques.LineCover(gen.GNP(16, 0.35, seed))
 		if err != nil || cov.MaxCliqueSize() < 2 {
 			return err == nil
 		}
-		dec, err := Decompose(context.Background(), lg.L, cov, 2, 2, Options{})
+		dec, err := Decompose(context.Background(), lg, cov, 2, 2, Options{})
 		if err != nil {
 			return false
 		}

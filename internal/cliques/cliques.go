@@ -3,7 +3,8 @@
 // parameter D (the maximum number of identified cliques any vertex belongs
 // to), the maximal clique size S, and restriction of covers to induced
 // subgraphs — the operation performed at every level of the CD-Coloring
-// recursion.
+// recursion — and the canonical covers of line graphs of graphs and of
+// uniform hypergraphs.
 //
 // A Cover need not consist of maximal cliques; what the algorithms require
 // is exactly the footnote-3 property: every clique is complete in G, and the
@@ -197,16 +198,51 @@ func inside(cl []int32, inv *graph.DenseIndex) int {
 	return k
 }
 
-// FromLineGraph adapts the canonical cover attached to a LineGraphResult,
-// dropping the empty/singleton entries of low-degree original vertices.
-func FromLineGraph(lg *graph.LineGraphResult) (*Cover, error) {
+// LineCover builds the line graph L(G) of g with its canonical cover: each
+// vertex of g of degree ≥ 2 contributes the clique of its incident edges,
+// so every L-vertex lies in at most two cliques, diversity D ≤ 2 (§1.2).
+// Vertex-coloring L edge-colors g: L-vertex e is g's edge e.
+func LineCover(g *graph.Graph) (*graph.Graph, *Cover, error) {
+	l := graph.LineGraph(g)
+	// The edge ids of every arc, in arc order: v's are its range.
+	ids := make([]int32, g.NumArcs())
+	atVertex := make([][]int32, g.N())
+	for v := range atVertex {
+		lo, hi := g.Range(v)
+		for i, a := range g.Adj(v) {
+			ids[lo+i] = a.Edge
+		}
+		atVertex[v] = ids[lo:hi:hi]
+	}
+	cov, err := fromGroups(l, atVertex)
+	if err != nil {
+		return nil, nil, err
+	}
+	return l, cov, nil
+}
+
+// HypergraphLineCover builds the line graph of a c-uniform hypergraph with
+// its canonical cover: each hypergraph vertex in two or more hyperedges
+// contributes the clique of those hyperedges, so diversity D ≤ c.
+func HypergraphLineCover(h *graph.Hypergraph) (*graph.Graph, *Cover, error) {
+	l, byVertex := h.LineGraph()
+	cov, err := fromGroups(l, byVertex)
+	if err != nil {
+		return nil, nil, err
+	}
+	return l, cov, nil
+}
+
+// fromGroups builds the cover of g whose cliques are the groups with at
+// least two members: a smaller group covers no edge.
+func fromGroups(g *graph.Graph, groups [][]int32) (*Cover, error) {
 	var lists [][]int32
-	for _, cl := range lg.Cliques {
-		if len(cl) >= 2 {
-			lists = append(lists, cl)
+	for _, grp := range groups {
+		if len(grp) >= 2 {
+			lists = append(lists, grp)
 		}
 	}
-	return NewCover(lg.L, lists)
+	return NewCover(g, lists)
 }
 
 // MaximalCliques enumerates all maximal cliques of g using Bron–Kerbosch
@@ -298,12 +334,5 @@ func TrueDiversity(g *graph.Graph) int {
 // CoverFromMaximalCliques builds a Cover from the full maximal-clique
 // enumeration. Exponential in the worst case; for small graphs.
 func CoverFromMaximalCliques(g *graph.Graph) (*Cover, error) {
-	all := MaximalCliques(g)
-	var lists [][]int32
-	for _, cl := range all {
-		if len(cl) >= 2 {
-			lists = append(lists, cl)
-		}
-	}
-	return NewCover(g, lists)
+	return fromGroups(g, MaximalCliques(g))
 }

@@ -2,6 +2,7 @@ package cliques
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -50,34 +51,68 @@ func TestNewCoverValidates(t *testing.T) {
 	}
 }
 
+// TestLineGraphCover checks the canonical cover of a line graph: its cliques
+// are the edge sets of g's vertices of degree ≥ 2, in vertex order, so an
+// edge lies in one clique per endpoint of degree ≥ 2 (D ≤ 2) and S = Δ(G);
+// every clique is complete in L(G) and every L-edge lies inside one.
 func TestLineGraphCover(t *testing.T) {
-	g := rg(7, 20, 0.3)
-	lg := graph.LineGraph(g)
-	c, err := FromLineGraph(lg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := c.Diversity(); d > 2 {
-		t.Fatalf("line graph cover diversity %d > 2", d)
-	}
-	if s := c.MaxCliqueSize(); s != g.MaxDegree() {
-		t.Fatalf("line graph cover S=%d, want Δ(G)=%d", s, g.MaxDegree())
+	for name, g := range map[string]*graph.Graph{
+		"random": rg(7, 30, 0.2),
+		"path":   graph.Path(6),
+		"star":   graph.Star(6),
+	} {
+		l, c, err := LineCover(g)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if l.N() != g.M() {
+			t.Fatalf("%s: %d L-vertices for %d edges", name, l.N(), g.M())
+		}
+		if err := c.Validate(l); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var want [][]int32
+		for v := 0; v < g.N(); v++ {
+			if g.Degree(v) >= 2 {
+				var ids []int32
+				for _, a := range g.Adj(v) {
+					ids = append(ids, a.Edge)
+				}
+				want = append(want, ids)
+			}
+		}
+		if !reflect.DeepEqual(c.Cliques, want) {
+			t.Fatalf("%s: cliques %v, want %v", name, c.Cliques, want)
+		}
+		for e := 0; e < g.M(); e++ {
+			u, v := g.Endpoints(e)
+			k := 0
+			for _, w := range []int{u, v} {
+				if g.Degree(w) >= 2 {
+					k++
+				}
+			}
+			if len(c.MemberOf[e]) != k {
+				t.Fatalf("%s: edge %d in %d cliques, want %d", name, e, len(c.MemberOf[e]), k)
+			}
+		}
+		if s := c.MaxCliqueSize(); s != g.MaxDegree() {
+			t.Fatalf("%s: S=%d, want Δ(G)=%d", name, s, g.MaxDegree())
+		}
 	}
 }
 
 func TestRestrictPreservesInvariants(t *testing.T) {
-	g := rg(3, 24, 0.35)
-	lg := graph.LineGraph(g)
-	c, err := FromLineGraph(lg)
+	lg, c, err := LineCover(rg(3, 24, 0.35))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Take an arbitrary induced subgraph of L(G) (odd-indexed vertices).
 	var verts []int
-	for v := 0; v < lg.L.N(); v += 2 {
+	for v := 0; v < lg.N(); v += 2 {
 		verts = append(verts, v)
 	}
-	sub, err := graph.InducedSubgraph(lg.L, verts)
+	sub, err := graph.InducedSubgraph(lg, verts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +217,7 @@ func TestTrueDiversityLineGraph(t *testing.T) {
 		t.Fatalf("K4 diversity %d, want 1", d)
 	}
 	// Path P4's line graph is P3: each vertex in ≤ 2 maximal cliques.
-	lg := graph.LineGraph(graph.Path(4))
-	if d := TrueDiversity(lg.L); d != 2 {
+	if d := TrueDiversity(graph.LineGraph(graph.Path(4))); d != 2 {
 		t.Fatalf("L(P4) diversity %d, want 2", d)
 	}
 }
@@ -212,16 +246,15 @@ func TestCoverFromMaximalCliques(t *testing.T) {
 func TestRestrictAllocsIndependentOfSize(t *testing.T) {
 	const maxAllocs = 9
 	allocs := func(n int) (float64, int) {
-		lg := graph.LineGraph(rg(int64(n), n, 6/float64(n)))
-		c, err := FromLineGraph(lg)
+		lg, c, err := LineCover(rg(int64(n), n, 6/float64(n)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var verts []int
-		for v := 0; v < lg.L.N(); v += 2 {
+		for v := 0; v < lg.N(); v += 2 {
 			verts = append(verts, v)
 		}
-		sub, err := graph.InducedSubgraph(lg.L, verts)
+		sub, err := graph.InducedSubgraph(lg, verts)
 		if err != nil {
 			t.Fatal(err)
 		}

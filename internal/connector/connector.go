@@ -25,7 +25,6 @@ package connector
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cliques"
 	"repro/internal/graph"
@@ -47,10 +46,9 @@ const VirtualConstructRounds = 1
 type CliqueConnector struct {
 	// Sub embeds the connector as a spanning subgraph of the original graph.
 	Sub *graph.Sub
-	// Groups[q] lists the groups of clique q, each a sorted vertex list of
-	// size ≤ t (the last group of a clique may be smaller).
-	Groups [][][]int32
-	// T is the group-size parameter.
+	// T is the group-size parameter: the groups of a clique are the
+	// consecutive runs of T of its sorted vertex list (the last may be
+	// smaller).
 	T int
 	// Stats is the construction cost.
 	Stats sim.Stats
@@ -65,21 +63,15 @@ func Clique(g *graph.Graph, cover *cliques.Cover, t int) (*CliqueConnector, erro
 	if t < 2 {
 		return nil, fmt.Errorf("connector: clique parameter t=%d < 2", t)
 	}
-	groups := make([][][]int32, len(cover.Cliques))
 	// keep is indexed by edge identifier (resolved with the O(log deg)
 	// EdgeID lookup as each within-group pair is generated) — one flat
 	// bitmap instead of the packed-endpoint hash map this used to build per
 	// recursion level.
 	keep := make([]bool, g.M())
-	for q, cl := range cover.Cliques {
+	for _, cl := range cover.Cliques {
 		// Cover cliques are stored sorted; cut into runs of t.
 		for lo := 0; lo < len(cl); lo += t {
-			hi := lo + t
-			if hi > len(cl) {
-				hi = len(cl)
-			}
-			grp := cl[lo:hi:hi]
-			groups[q] = append(groups[q], grp)
+			grp := cl[lo:min(lo+t, len(cl))]
 			for i := 0; i < len(grp); i++ {
 				for j := i + 1; j < len(grp); j++ {
 					if e, ok := g.EdgeID(int(grp[i]), int(grp[j])); ok {
@@ -90,10 +82,9 @@ func Clique(g *graph.Graph, cover *cliques.Cover, t int) (*CliqueConnector, erro
 		}
 	}
 	return &CliqueConnector{
-		Sub:    graph.SpanningSubgraph(g, func(e int) bool { return keep[e] }),
-		Groups: groups,
-		T:      t,
-		Stats:  sim.Stats{Rounds: CliqueConstructRounds, Messages: 2 * int64(g.M())},
+		Sub:   graph.SpanningSubgraph(g, func(e int) bool { return keep[e] }),
+		T:     t,
+		Stats: sim.Stats{Rounds: CliqueConstructRounds, Messages: 2 * int64(g.M())},
 	}, nil
 }
 
@@ -113,21 +104,6 @@ type VirtualGraph struct {
 	EOrig []int32
 	// Stats is the construction cost.
 	Stats sim.Stats
-}
-
-// IDs derives distinct identifiers for the virtual vertices from the owner
-// identifiers: id(virtual) = ownerID · stride + index. Callers supply the
-// owner IDs of the base topology (nil for the 0..n−1 default).
-func (vg *VirtualGraph) IDs(ownerIDs []int64, stride int64) []int64 {
-	ids := make([]int64, vg.G.N())
-	for v := range ids {
-		owner := int64(vg.Owner[v])
-		if ownerIDs != nil {
-			owner = ownerIDs[vg.Owner[v]]
-		}
-		ids[v] = owner*stride + int64(vg.Index[v])
-	}
-	return ids
 }
 
 // Edge builds the §4 edge connector with group parameter t ≥ 1: vertex v
@@ -153,22 +129,28 @@ func Edge(g *graph.Graph, t int) (*VirtualGraph, error) {
 			index[i] = i - base[v]
 		}
 	}
-	// Virtual endpoint of edge e at endpoint v: base[v] + port(v,e)/t.
-	b := graph.NewBuilder(nv)
-	b.Grow(g.M())
+	// Edge e joins the virtual of its port p at each endpoint, base + p/t;
+	// at the far endpoint w, p is the offset of e's mate arc in w's range.
+	// Taking each edge from its lower endpoint v, for v and its ports in
+	// ascending order, yields the edges in (U, V) order: U ascends with v
+	// and p, and at one U, V ascends with w, whose virtuals form disjoint
+	// ranges that ascend with w.
+	mates := g.Mates()
+	edges := make([]graph.Edge, 0, g.M())
 	eorig := make([]int32, 0, g.M())
-	virtAt := func(v int, port int) int { return int(base[v]) + port/t }
 	for v := 0; v < n; v++ {
+		lo, _ := g.Range(v)
 		for p, a := range g.Adj(v) {
 			if int(a.To) < v {
-				continue // add each edge once from its lower endpoint
+				continue
 			}
-			// Find the port of this edge at the other endpoint.
-			b.AddEdge(virtAt(v, p), virtAt(int(a.To), portOf(g, int(a.To), a.Edge)))
+			wlo, _ := g.Range(int(a.To))
+			q := int(mates[lo+p]) - wlo
+			edges = append(edges, graph.Edge{U: base[v] + int32(p/t), V: base[a.To] + int32(q/t)})
 			eorig = append(eorig, a.Edge)
 		}
 	}
-	cg, perm, err := graph.BuildWithEdgeOrder(b)
+	cg, err := graph.FromSortedEdges(nv, edges)
 	if err != nil {
 		return nil, fmt.Errorf("connector: edge: %w", err)
 	}
@@ -176,29 +158,7 @@ func Edge(g *graph.Graph, t int) (*VirtualGraph, error) {
 		G:     cg,
 		Owner: owner,
 		Index: index,
-		EOrig: applyPerm(eorig, perm),
+		EOrig: eorig,
 		Stats: sim.Stats{Rounds: VirtualConstructRounds, Messages: 2 * int64(g.M())},
 	}, nil
-}
-
-// portOf returns the port index of edge e at vertex v.
-func portOf(g *graph.Graph, v int, e int32) int {
-	adj := g.Adj(v)
-	i := sort.Search(len(adj), func(i int) bool { return adj[i].To >= int32(g.Other(int(e), v)) })
-	for ; i < len(adj); i++ {
-		if adj[i].Edge == e {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("connector: edge %d not incident on vertex %d", e, v))
-}
-
-// applyPerm reindexes an insertion-ordered slice by the permutation
-// graph.BuildWithEdgeOrder returns.
-func applyPerm(eorig []int32, perm []int32) []int32 {
-	out := make([]int32, len(eorig))
-	for ins, orig := range eorig {
-		out[perm[ins]] = orig
-	}
-	return out
 }

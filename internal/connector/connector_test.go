@@ -2,6 +2,7 @@ package connector
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -15,13 +16,23 @@ import (
 // lineCover builds a line graph with its canonical diversity-2 cover.
 func lineCover(t *testing.T, seed int64, n int, p float64) (*graph.Graph, *cliques.Cover) {
 	t.Helper()
-	g := gen.GNP(n, p, seed)
-	lg := graph.LineGraph(g)
-	cov, err := cliques.FromLineGraph(lg)
+	l, cov, err := cliques.LineCover(gen.GNP(n, p, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return lg.L, cov
+	return l, cov
+}
+
+// groups cuts a cover's cliques into the connector's groups: the runs of
+// t of each sorted clique.
+func groups(cov *cliques.Cover, t int) [][]int32 {
+	var out [][]int32
+	for _, cl := range cov.Cliques {
+		for lo := 0; lo < len(cl); lo += t {
+			out = append(out, cl[lo:min(lo+t, len(cl))])
+		}
+	}
+	return out
 }
 
 func TestCliqueConnectorDegreeBound(t *testing.T) {
@@ -37,23 +48,21 @@ func TestCliqueConnectorDegreeBound(t *testing.T) {
 			t.Fatalf("t=%d: connector degree %d exceeds D(t-1)=%d", tt, got, want)
 		}
 		// Every connector edge is an original edge within one group.
+		inGroup := make(map[[2]int32]bool)
+		for _, grp := range groups(cov, tt) {
+			for i := 0; i < len(grp); i++ {
+				for j := i + 1; j < len(grp); j++ {
+					inGroup[[2]int32{grp[i], grp[j]}] = true
+				}
+			}
+		}
 		for e := 0; e < cc.Sub.G.M(); e++ {
 			u, v := cc.Sub.G.Endpoints(e)
 			if !lg.HasEdge(u, v) {
 				t.Fatal("connector edge not in original graph")
 			}
-		}
-		// Groups partition each clique and respect size t.
-		for q, groups := range cc.Groups {
-			total := 0
-			for _, grp := range groups {
-				if len(grp) > tt {
-					t.Fatalf("group larger than t=%d", tt)
-				}
-				total += len(grp)
-			}
-			if total != len(cov.Cliques[q]) {
-				t.Fatalf("groups of clique %d do not partition it", q)
+			if !inGroup[[2]int32{int32(u), int32(v)}] {
+				t.Fatalf("t=%d: connector edge {%d,%d} joins no group", tt, u, v)
 			}
 		}
 	}
@@ -66,16 +75,30 @@ func TestCliqueConnectorGroupEdgesPresent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All within-group pairs must be connector edges.
-	for _, groups := range cc.Groups {
-		for _, grp := range groups {
-			for i := 0; i < len(grp); i++ {
-				for j := i + 1; j < len(grp); j++ {
-					if !cc.Sub.G.HasEdge(int(grp[i]), int(grp[j])) {
-						t.Fatal("within-group edge missing from connector")
-					}
+	for _, grp := range groups(cov, cc.T) {
+		for i := 0; i < len(grp); i++ {
+			for j := i + 1; j < len(grp); j++ {
+				if !cc.Sub.G.HasEdge(int(grp[i]), int(grp[j])) {
+					t.Fatal("within-group edge missing from connector")
 				}
 			}
 		}
+	}
+}
+
+// TestCliqueAllocsIndependentOfSize pins Clique to a fixed number of
+// allocations: a cover with many cliques makes no more than one with few.
+func TestCliqueAllocsIndependentOfSize(t *testing.T) {
+	allocs := func(n int) float64 {
+		lg, cov := lineCover(t, int64(n), n, 6/float64(n))
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Clique(lg, cov, 3); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(30), allocs(600); small != large {
+		t.Fatalf("Clique makes %v allocations on a small cover and %v on a large one", small, large)
 	}
 }
 
@@ -100,13 +123,20 @@ func TestEdgeConnectorDegreeBound(t *testing.T) {
 			t.Fatalf("edge connector must preserve edge count: %d vs %d", vg.G.M(), g.M())
 		}
 		// Edge correspondence: connector edge endpoints' owners are the
-		// original endpoints.
+		// original endpoints, and each endpoint is the virtual of the
+		// edge's port there, in runs of t.
 		for e := 0; e < vg.G.M(); e++ {
 			cu, cv := vg.G.Endpoints(e)
 			ou, ov := int(vg.Owner[cu]), int(vg.Owner[cv])
 			wu, wv := g.Endpoints(int(vg.EOrig[e]))
 			if !(ou == wu && ov == wv) && !(ou == wv && ov == wu) {
 				t.Fatalf("edge %d owners (%d,%d) do not match original (%d,%d)", e, ou, ov, wu, wv)
+			}
+			for _, c := range []int{cu, cv} {
+				port := slices.IndexFunc(g.Adj(int(vg.Owner[c])), func(a graph.Arc) bool { return a.Edge == vg.EOrig[e] })
+				if int(vg.Index[c]) != port/tt {
+					t.Fatalf("t=%d: edge %d has virtual %d at vertex %d, port %d", tt, e, vg.Index[c], vg.Owner[c], port)
+				}
 			}
 		}
 		// Virtual count per owner: ⌈deg/t⌉.
@@ -123,22 +153,6 @@ func TestEdgeConnectorDegreeBound(t *testing.T) {
 				t.Fatalf("vertex %d has %d virtuals, want %d", v, cnt[int32(v)], want)
 			}
 		}
-	}
-}
-
-func TestEdgeConnectorIDs(t *testing.T) {
-	g := gen.GNP(20, 0.3, 8)
-	vg, err := Edge(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := vg.IDs(nil, 64)
-	seen := map[int64]bool{}
-	for _, id := range ids {
-		if seen[id] {
-			t.Fatal("duplicate virtual ID")
-		}
-		seen[id] = true
 	}
 }
 
@@ -270,11 +284,10 @@ func TestFigure1Structure(t *testing.T) {
 	if cc.Sub.G.MaxDegree() > 2*3 {
 		t.Fatalf("Figure 1 connector degree %d > 6", cc.Sub.G.MaxDegree())
 	}
-	// Each clique of size 7 splits into ⌈7/4⌉ = 2 groups.
-	for _, groups := range cc.Groups {
-		if len(groups) != 2 {
-			t.Fatalf("expected 2 groups, got %d", len(groups))
-		}
+	// Each clique of size 7 splits into groups of 4 and 3, which keep
+	// 6 + 3 of its edges.
+	if cc.Sub.G.M() != 2*(6+3) {
+		t.Fatalf("Figure 1 connector has %d edges, want 18", cc.Sub.G.M())
 	}
 }
 

@@ -156,3 +156,13 @@ func buildOriented(o *graph.Orientation, inGroup, outGroup int, bipartite bool) 
 		InSide: inSide,
 	}, nil
 }
+
+// applyPerm reindexes an insertion-ordered slice by the permutation
+// graph.BuildWithEdgeOrder returns.
+func applyPerm(eorig []int32, perm []int32) []int32 {
+	out := make([]int32, len(eorig))
+	for ins, orig := range eorig {
+		out[perm[ins]] = orig
+	}
+	return out
+}

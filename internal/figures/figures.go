@@ -60,10 +60,11 @@ func figure1() (*Result, error) {
 		return nil, err
 	}
 	labels := make([]string, g.N())
-	for qi, groups := range cc.Groups {
-		for gi, grp := range groups {
-			for _, v := range grp {
-				tag := fmt.Sprintf("%s%d", []string{"Q", "R"}[qi], gi+1)
+	for qi, cl := range cov.Cliques {
+		// The groups of a clique are the runs of t of its sorted members.
+		for lo := 0; lo < len(cl); lo += cc.T {
+			for _, v := range cl[lo:min(lo+cc.T, len(cl))] {
+				tag := fmt.Sprintf("%s%d", []string{"Q", "R"}[qi], lo/cc.T+1)
 				if labels[v] != "" {
 					// The shared vertex belongs to a group of each clique.
 					labels[v] += "+" + tag

@@ -115,7 +115,7 @@ func FuzzLineGraph(f *testing.F) {
 	f.Add([]byte{64, 1, 2, 3, 5, 8, 13, 21, 34, 55, 7, 11, 63})                  // sparse, mostly isolated
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := fuzzGraph(data, 64)
-		lg := LineGraph(g).L
+		lg := LineGraph(g)
 		if d := graphDiff(lg, builderLineGraph(g)); d != "" {
 			t.Fatalf("line graph of %v: %s", g.Edges(), d)
 		}

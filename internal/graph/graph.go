@@ -58,18 +58,6 @@ func NewBuilder(n int) *Builder {
 	return &Builder{n: n}
 }
 
-// Grow pre-sizes the edge accumulator for at least m additional edges.
-// Derived-graph constructors (line graphs, subgraphs, connectors) know
-// their edge counts up front; pre-sizing avoids the append regrowth churn
-// on multi-million-edge builds.
-func (b *Builder) Grow(m int) {
-	if need := len(b.edges) + m; need > cap(b.edges) {
-		next := make([]Edge, len(b.edges), need)
-		copy(next, b.edges)
-		b.edges = next
-	}
-}
-
 // AddEdge records the undirected edge {u, v}. Order of u and v is irrelevant.
 func (b *Builder) AddEdge(u, v int) {
 	if u > v {
@@ -102,6 +90,23 @@ func (b *Builder) Build() (*Graph, error) {
 		}
 	}
 	return fromSortedEdges(b.n, edges), nil
+}
+
+// FromSortedEdges builds the graph on n vertices whose edge list is edges,
+// for constructions that produce their edges already sorted by (U, V):
+// edge i gets identifier i, as Build would assign it, without Build's copy
+// and sort. It fails unless every edge has 0 ≤ U < V < n and the list
+// ascends strictly. The graph takes ownership of edges.
+func FromSortedEdges(n int, edges []Edge) (*Graph, error) {
+	for i, e := range edges {
+		if e.U < 0 || e.U >= e.V || int(e.V) >= n {
+			return nil, fmt.Errorf("graph: edge {%d,%d} is not U < V in [0,%d)", e.U, e.V, n)
+		}
+		if i > 0 && (e.U < edges[i-1].U || e.U == edges[i-1].U && e.V <= edges[i-1].V) {
+			return nil, fmt.Errorf("graph: edge {%d,%d} is out of (U, V) order or repeated", e.U, e.V)
+		}
+	}
+	return fromSortedEdges(n, edges), nil
 }
 
 // fromSortedEdges builds the graph on n vertices whose edge list is edges:

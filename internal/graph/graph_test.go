@@ -55,6 +55,32 @@ func TestBuilderRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestFromSortedEdges checks that a sorted edge list builds the graph
+// Build would, and that any list Build would have to sort, dedupe or
+// reject is rejected.
+func TestFromSortedEdges(t *testing.T) {
+	want := Complete(6)
+	g, err := FromSortedEdges(6, append([]Edge(nil), want.Edges()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := graphDiff(g, want); d != "" {
+		t.Fatal(d)
+	}
+	for name, edges := range map[string][]Edge{
+		"unsorted":     {{1, 2}, {0, 3}},
+		"repeated":     {{0, 1}, {0, 1}},
+		"reversed":     {{2, 1}},
+		"self-loop":    {{1, 1}},
+		"out of range": {{0, 6}},
+		"negative":     {{-1, 2}},
+	} {
+		if _, err := FromSortedEdges(6, edges); err == nil {
+			t.Errorf("%s: no error", name)
+		}
+	}
+}
+
 func TestEdgeIdentifiers(t *testing.T) {
 	g := Complete(5)
 	if g.M() != 10 {

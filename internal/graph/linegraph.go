@@ -2,28 +2,12 @@ package graph
 
 import "fmt"
 
-// LineGraphResult bundles the line graph L(G) of a graph G with the natural
-// structures the paper uses on it: the map from L(G)-vertices back to
-// G-edges, and the canonical clique cover in which each G-vertex of degree
-// ≥ 1 contributes the clique of its incident edges. With this cover every
-// L(G)-vertex lies in exactly two cliques, i.e. diversity D(L(G)) ≤ 2 (§1.2).
-type LineGraphResult struct {
-	L *Graph
-	// EdgeOf maps an L-vertex to the G-edge it represents (the identity,
-	// kept explicit for symmetry with hypergraph line graphs).
-	EdgeOf []int32
-	// Cliques is the canonical cover: Cliques[i] lists the L-vertices whose
-	// G-edges are incident on G-vertex i. Entries for isolated G-vertices
-	// are empty.
-	Cliques [][]int32
-}
-
 // LineGraph constructs L(G): one vertex per edge of g, with two vertices
-// adjacent iff the corresponding edges share an endpoint. The result is
-// the graph a Builder would build from those adjacencies (same edge
-// identifiers, same port order), built without its sort.
-func LineGraph(g *Graph) *LineGraphResult {
-	m := g.M()
+// adjacent iff the corresponding edges share an endpoint; L-vertex e is
+// g's edge e. The result is the graph a Builder would build from those
+// adjacencies (same edge identifiers, same port order), built without its
+// sort. The canonical clique cover of L(G) is cliques.LineCover's.
+func LineGraph(g *Graph) *Graph {
 	// |E(L(G))| = Σ_v deg(v)·(deg(v)−1)/2 exactly; pre-size the edge list
 	// so multi-million-arc line graphs build without append regrowth.
 	lm := 0
@@ -56,24 +40,7 @@ func LineGraph(g *Graph) *LineGraphResult {
 			ledges = append(ledges, Edge{U: int32(e), V: f})
 		}
 	}
-	lg := fromSortedEdges(m, ledges)
-	edgeOf := make([]int32, m)
-	cliques := make([][]int32, g.N())
-	for e := 0; e < m; e++ {
-		edgeOf[e] = int32(e)
-	}
-	// The canonical cover's vertex lists are carved from one flat arena
-	// (2m entries total) rather than allocated per original vertex.
-	arena := make([]int32, 0, 2*m)
-	for v := 0; v < g.N(); v++ {
-		adj := g.Adj(v)
-		start := len(arena)
-		for _, a := range adj {
-			arena = append(arena, a.Edge)
-		}
-		cliques[v] = arena[start:len(arena):len(arena)]
-	}
-	return &LineGraphResult{L: lg, EdgeOf: edgeOf, Cliques: cliques}
+	return fromSortedEdges(g.M(), ledges)
 }
 
 // Hypergraph is a c-uniform hypergraph: every hyperedge has exactly Rank
@@ -118,18 +85,19 @@ func NewHypergraph(nVert, rank int, edges [][]int) (*Hypergraph, error) {
 }
 
 // LineGraph constructs the line graph of h: one vertex per hyperedge, two
-// adjacent iff the hyperedges intersect. The returned clique cover has one
-// clique per hypergraph vertex (the hyperedges containing it), so every
-// line-graph vertex lies in at most Rank cliques: diversity ≤ Rank.
-func (h *Hypergraph) LineGraph() *LineGraphResult {
-	m := len(h.Edges)
-	byVertex := make([][]int32, h.NVert)
+// adjacent iff the hyperedges intersect. byVertex[v] lists, ascending, the
+// hyperedges containing hypergraph vertex v: each list is a clique of the
+// line graph, and every line-graph vertex lies in Rank of them, so the
+// lists of two or more members are a cover of diversity ≤ Rank
+// (cliques.HypergraphLineCover).
+func (h *Hypergraph) LineGraph() (l *Graph, byVertex [][]int32) {
+	byVertex = make([][]int32, h.NVert)
 	for id, e := range h.Edges {
 		for _, v := range e {
 			byVertex[v] = append(byVertex[v], int32(id))
 		}
 	}
-	b := NewBuilder(m)
+	b := NewBuilder(len(h.Edges))
 	// Two hyperedges may share several vertices; dedupe pairs.
 	seen := make(map[int64]bool)
 	for _, group := range byVertex {
@@ -148,10 +116,5 @@ func (h *Hypergraph) LineGraph() *LineGraphResult {
 			}
 		}
 	}
-	lg := b.MustBuild()
-	edgeOf := make([]int32, m)
-	for e := 0; e < m; e++ {
-		edgeOf[e] = int32(e)
-	}
-	return &LineGraphResult{L: lg, EdgeOf: edgeOf, Cliques: byVertex}
+	return b.MustBuild(), byVertex
 }

@@ -10,16 +10,16 @@ import (
 func TestLineGraphOfPath(t *testing.T) {
 	// L(P4) = P3.
 	lg := LineGraph(Path(4))
-	if lg.L.N() != 3 || lg.L.M() != 2 {
-		t.Fatalf("L(P4): n=%d m=%d, want 3,2", lg.L.N(), lg.L.M())
+	if lg.N() != 3 || lg.M() != 2 {
+		t.Fatalf("L(P4): n=%d m=%d, want 3,2", lg.N(), lg.M())
 	}
 }
 
 func TestLineGraphOfStar(t *testing.T) {
 	// L(K_{1,k}) = K_k.
 	lg := LineGraph(Star(6))
-	if lg.L.N() != 5 || lg.L.M() != 10 {
-		t.Fatalf("L(star): n=%d m=%d, want 5,10", lg.L.N(), lg.L.M())
+	if lg.N() != 5 || lg.M() != 10 {
+		t.Fatalf("L(star): n=%d m=%d, want 5,10", lg.N(), lg.M())
 	}
 }
 
@@ -27,16 +27,16 @@ func TestLineGraphOfTriangle(t *testing.T) {
 	// L(K3) = K3; edges meet pairwise at distinct vertices, so no duplicate
 	// L-edges may be generated.
 	lg := LineGraph(Cycle(3))
-	if lg.L.N() != 3 || lg.L.M() != 3 {
-		t.Fatalf("L(K3): n=%d m=%d, want 3,3", lg.L.N(), lg.L.M())
+	if lg.N() != 3 || lg.M() != 3 {
+		t.Fatalf("L(K3): n=%d m=%d, want 3,3", lg.N(), lg.M())
 	}
 }
 
 func TestLineGraphAdjacencyDefinition(t *testing.T) {
 	g := randomGraph(t, 25, 0.25, 11)
 	lg := LineGraph(g)
-	if lg.L.N() != g.M() {
-		t.Fatalf("L-vertices %d != edges %d", lg.L.N(), g.M())
+	if lg.N() != g.M() {
+		t.Fatalf("L-vertices %d != edges %d", lg.N(), g.M())
 	}
 	// Two L-vertices adjacent iff underlying edges share an endpoint.
 	for e1 := 0; e1 < g.M(); e1++ {
@@ -44,53 +44,9 @@ func TestLineGraphAdjacencyDefinition(t *testing.T) {
 			u1, v1 := g.Endpoints(e1)
 			u2, v2 := g.Endpoints(e2)
 			share := u1 == u2 || u1 == v2 || v1 == u2 || v1 == v2
-			if lg.L.HasEdge(e1, e2) != share {
+			if lg.HasEdge(e1, e2) != share {
 				t.Fatalf("L adjacency wrong for edges %d,%d", e1, e2)
 			}
-		}
-	}
-}
-
-func TestLineGraphCliqueCoverIsDiversity2(t *testing.T) {
-	g := randomGraph(t, 30, 0.2, 3)
-	lg := LineGraph(g)
-	// Each L-vertex (edge of g) appears in exactly the two cliques of its
-	// endpoints.
-	count := make([]int, lg.L.N())
-	for _, c := range lg.Cliques {
-		for _, x := range c {
-			count[x]++
-		}
-	}
-	for e, cnt := range count {
-		if cnt != 2 {
-			t.Fatalf("edge %d appears in %d cliques, want 2", e, cnt)
-		}
-	}
-	// Each clique is indeed a clique in L(g).
-	for v, c := range lg.Cliques {
-		for i := 0; i < len(c); i++ {
-			for j := i + 1; j < len(c); j++ {
-				if !lg.L.HasEdge(int(c[i]), int(c[j])) {
-					t.Fatalf("clique of vertex %d not complete in L(G)", v)
-				}
-			}
-		}
-	}
-	// Cover property: every L-edge lies inside some clique.
-	covered := make([]bool, lg.L.M())
-	for _, c := range lg.Cliques {
-		for i := 0; i < len(c); i++ {
-			for j := i + 1; j < len(c); j++ {
-				if id, ok := lg.L.EdgeID(int(c[i]), int(c[j])); ok {
-					covered[id] = true
-				}
-			}
-		}
-	}
-	for e, ok := range covered {
-		if !ok {
-			t.Fatalf("L-edge %d not covered by any clique", e)
 		}
 	}
 }
@@ -129,13 +85,13 @@ func TestHypergraphLineGraphDiversity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg := h.LineGraph()
-	if lg.L.N() != ne {
-		t.Fatalf("line graph has %d vertices, want %d", lg.L.N(), ne)
+	lg, byVertex := h.LineGraph()
+	if lg.N() != ne {
+		t.Fatalf("line graph has %d vertices, want %d", lg.N(), ne)
 	}
 	// Diversity bound: every L-vertex is in at most rank cliques.
 	count := make([]int, ne)
-	for _, c := range lg.Cliques {
+	for _, c := range byVertex {
 		for _, x := range c {
 			count[x]++
 		}
@@ -156,7 +112,7 @@ func TestHypergraphLineGraphDiversity(t *testing.T) {
 					}
 				}
 			}
-			if lg.L.HasEdge(i, j) != intersect {
+			if lg.HasEdge(i, j) != intersect {
 				t.Fatalf("hypergraph line adjacency wrong for %d,%d", i, j)
 			}
 		}
@@ -223,8 +179,19 @@ func TestLineGraphMatchesBuilder(t *testing.T) {
 		cases = append(cases, tc{fmt.Sprintf("random-%d-n%d", i, n), randomGraphRNG(rng, n, p)})
 	}
 	for _, c := range cases {
-		if d := graphDiff(LineGraph(c.g).L, builderLineGraph(c.g)); d != "" {
+		if d := graphDiff(LineGraph(c.g), builderLineGraph(c.g)); d != "" {
 			t.Errorf("%s: %s", c.name, d)
+		}
+	}
+}
+
+// TestLineGraphAllocs pins LineGraph to six allocations whatever the
+// graph: the edge list, the per-vertex cursor, and the four of
+// fromSortedEdges (graph, offsets, arcs, mates).
+func TestLineGraphAllocs(t *testing.T) {
+	for name, g := range map[string]*Graph{"path": Path(50), "K30": Complete(30)} {
+		if got := testing.AllocsPerRun(5, func() { LineGraph(g) }); got != 6 {
+			t.Errorf("%s: LineGraph makes %v allocations, want 6", name, got)
 		}
 	}
 }

@@ -136,8 +136,8 @@ func SpanningClasses(g *Graph, class []int64, k int64) ([]*Sub, error) {
 // each edge's insertion index (order of AddEdge calls) to its final edge
 // identifier. Builder.Build assigns IDs in sorted-(U,V) order, so the
 // permutation is recovered by sorting insertion indices by the same key.
-// Exposed for the connector builders, which add edges out of (U, V) order
-// and must track which original edge each derived edge represents.
+// Exposed for the orientation connectors, which add edges out of (U, V)
+// order and must track which original edge each derived edge represents.
 func BuildWithEdgeOrder(b *Builder) (*Graph, []int32, error) {
 	keys := make([]Edge, len(b.edges))
 	copy(keys, b.edges)

@@ -570,8 +570,7 @@ func TestAlgorithmEquivalenceMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lgr := h.LineGraph()
-		cov, err := cliques.FromLineGraph(lgr)
+		lg, cov, err := cliques.HypergraphLineCover(h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -579,11 +578,11 @@ func TestAlgorithmEquivalenceMatrix(t *testing.T) {
 		var want *cd.Result
 		for _, ec := range engines {
 			opt := cd.Options{Exec: ec.eng, VC: vc.Options{Exec: ec.eng}}
-			got, err := cd.Color(context.Background(), lgr.L, cov, tt, 1, opt)
+			got, err := cd.Color(context.Background(), lg, cov, tt, 1, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", ec.name, err)
 			}
-			if err := verify.VertexColoring(lgr.L, got.Colors, got.Palette); err != nil {
+			if err := verify.VertexColoring(lg, got.Colors, got.Palette); err != nil {
 				t.Fatalf("%s: improper: %v", ec.name, err)
 			}
 			if want == nil {

@@ -29,8 +29,6 @@ import (
 type Options struct {
 	// Exec selects the simulator engine (sequential by default).
 	Exec sim.Exec
-	// Reducer selects the post-Linial reduction strategy. Default Auto.
-	Reducer Reducer
 }
 
 // On returns the options with Exec defaulting to e: a composed algorithm
@@ -42,21 +40,6 @@ func (o Options) On(e sim.Exec) Options {
 	}
 	return o
 }
-
-// Reducer selects how the O(Δ² log² Δ) Linial palette is brought down to
-// the final target.
-type Reducer int
-
-const (
-	// ReducerAuto picks the cheaper of KW and class iteration per call.
-	ReducerAuto Reducer = iota
-	// ReducerKW always uses Kuhn–Wattenhofer halving.
-	ReducerKW
-	// ReducerTrim always uses one-class-per-round iteration (the paper's
-	// "basic reduction"); dramatically slower for large palettes, provided
-	// for the ablation experiment A.engine.
-	ReducerTrim
-)
 
 // Result is a computed coloring with its cost.
 type Result struct {
@@ -92,15 +75,7 @@ func Target(ctx context.Context, t *sim.Topology, m0, target int64, opt Options)
 		return &Result{Colors: lin.Colors, Palette: target, Stats: lin.Stats}, nil
 	}
 	t2 := &sim.Topology{G: t.G, IDs: t.IDs, Labels: lin.Colors}
-	var red *reduce.Result
-	switch opt.Reducer {
-	case ReducerKW:
-		red, err = reduce.KuhnWattenhofer(ctx, opt.Exec, t2, lin.Palette, target)
-	case ReducerTrim:
-		red, err = reduce.TrimClasses(ctx, opt.Exec, t2, lin.Palette, target)
-	default:
-		red, err = reduce.Auto(ctx, opt.Exec, t2, lin.Palette, target)
-	}
+	red, err := reduce.Auto(ctx, opt.Exec, t2, lin.Palette, target)
 	if err != nil {
 		return nil, err
 	}
@@ -108,18 +83,16 @@ func Target(ctx context.Context, t *sim.Topology, m0, target int64, opt Options)
 }
 
 // LineTopology builds the simulation topology for edge algorithms on g:
-// the line graph with canonical edge identifiers id({u,v}) = u·n + v, plus
-// optional seed edge labels. The caller also receives the line graph result
-// for translating back.
-func LineTopology(g *graph.Graph, seed []int64) (*sim.Topology, *graph.LineGraphResult) {
-	lg := graph.LineGraph(g)
+// the line graph, whose vertex e is g's edge e, with canonical edge
+// identifiers id({u,v}) = u·n + v, plus optional seed edge labels.
+func LineTopology(g *graph.Graph, seed []int64) *sim.Topology {
 	ids := make([]int64, g.M())
 	n := int64(g.N())
 	for e := 0; e < g.M(); e++ {
 		u, v := g.Endpoints(e)
 		ids[e] = int64(u)*n + int64(v)
 	}
-	return &sim.Topology{G: lg.L, IDs: ids, Labels: seed}, lg
+	return &sim.Topology{G: graph.LineGraph(g), IDs: ids, Labels: seed}
 }
 
 // EdgeIDBound returns the palette bound that covers LineTopology's
@@ -146,7 +119,7 @@ func EdgeColor(ctx context.Context, g *graph.Graph, seed []int64, m0 int64, opt 
 	if g.M() == 0 {
 		return &Result{Colors: nil, Palette: 1}, nil
 	}
-	t, _ := LineTopology(g, seed)
+	t := LineTopology(g, seed)
 	// Δ(L(G)) ≤ 2Δ(G)−2, so Δ(L)+1 ≤ the contractual 2Δ−1; color as low as
 	// the line graph allows but report the 2Δ−1 contract.
 	res, err := Delta1(ctx, t, m0, opt)

@@ -101,19 +101,6 @@ func TestDelta1WithSeedColoringIsFaster(t *testing.T) {
 	}
 }
 
-func TestReducerVariantsAllProper(t *testing.T) {
-	g := rg(11, 70, 0.12)
-	for _, r := range []Reducer{ReducerAuto, ReducerKW, ReducerTrim} {
-		res, err := Delta1(context.Background(), sim.NewTopology(g), int64(g.N()), Options{Reducer: r})
-		if err != nil {
-			t.Fatalf("reducer %d: %v", r, err)
-		}
-		if err := verify.VertexColoring(g, res.Colors, res.Palette); err != nil {
-			t.Fatalf("reducer %d: %v", r, err)
-		}
-	}
-}
-
 func TestEdgeColor(t *testing.T) {
 	g := rg(2, 80, 0.08)
 	res, err := EdgeColor(context.Background(), g, nil, EdgeIDBound(g), Options{})
@@ -210,8 +197,8 @@ func TestEdgeColorQuick(t *testing.T) {
 
 func TestLineTopologyIdentifiers(t *testing.T) {
 	g := graph.Complete(5)
-	topo, lg := LineTopology(g, nil)
-	if topo.G.N() != g.M() || lg.L.N() != g.M() {
+	topo := LineTopology(g, nil)
+	if topo.G.N() != g.M() {
 		t.Fatal("line topology size wrong")
 	}
 	if err := topo.Validate(); err != nil {

@@ -11,10 +11,13 @@ import (
 // registered algorithm, data[1] the vertex count (1 to 64), one byte per
 // schema parameter an in-schema value, and the remaining byte pairs edges
 // (self-loops and repeats skipped). An integer parameter takes 0 (the
-// default) to 3, so x stays small enough for an input to run in
-// milliseconds; a float takes 0 to 7.5 in halves. vertex/cd runs on the
-// graph's LineCover, with the cover as Options.Cover. ok is false when
-// the bytes are too short to pick an algorithm and a vertex count.
+// default) to 31, clamped to its schema, so x covers its whole range
+// (edge/star's Applicable rejects an x too large for Δ, and vertex/cd's
+// levels past singleton cliques cost nothing), and an arboricity of at
+// most 31 keeps θ in the low hundreds; a float takes 0 to 7.5 in halves.
+// vertex/cd runs on the graph's LineCover, with the cover as
+// Options.Cover. ok is false when the bytes are too short to pick an
+// algorithm and a vertex count.
 func runFuzzInput(data []byte) (g *Graph, algo string, params Params, cover *CliqueCover, ok bool) {
 	if len(data) < 2 {
 		return nil, "", nil, nil, false
@@ -28,7 +31,7 @@ func runFuzzInput(data []byte) (g *Graph, algo string, params Params, cover *Cli
 		if len(data) == 0 {
 			break
 		}
-		v := float64(data[0] % 4)
+		v := float64(data[0] % 32)
 		if spec.Type == "float" {
 			v = float64(data[0]%16) / 2
 		}
@@ -54,7 +57,7 @@ func runFuzzInput(data []byte) (g *Graph, algo string, params Params, cover *Cli
 		return nil, "", nil, nil, false
 	}
 	if a.NeedsCover {
-		l, cov, _, err := LineCover(g)
+		l, cov, err := LineCover(g)
 		if err != nil {
 			return nil, "", nil, nil, false
 		}
@@ -72,11 +75,16 @@ func runFuzzInput(data []byte) (g *Graph, algo string, params Params, cover *Cli
 // findings land in testdata/fuzz/FuzzRun.
 func FuzzRun(f *testing.F) {
 	ring := []byte{0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0, 0, 2, 2, 4}
-	for i := range RegisteredAlgorithms() {
+	twelve := []byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 1, 2, 1, 3, 1, 4, 2, 3, 6, 7, 6, 8, 7, 9, 10, 11, 0, 11, 3, 9}
+	for i, a := range RegisteredAlgorithms() {
 		// A 6-cycle with two chords, and a 12-vertex graph dense enough for
 		// the star partition's Δ ≥ 2^{x+1}.
 		f.Add(append([]byte{byte(i), 5, 0, 1}, ring...))
-		f.Add([]byte{byte(i), 11, 1, 5, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 1, 2, 1, 3, 1, 4, 2, 3, 6, 7, 6, 8, 7, 9, 10, 11, 0, 11, 3, 9})
+		f.Add(append([]byte{byte(i), 11, 1, 5}, twelve...))
+		if a.Name == AlgoVertexCD {
+			// x = 30, far past the depth at which the cliques are singletons.
+			f.Add(append([]byte{byte(i), 11, 30}, twelve...))
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, algo, params, cover, ok := runFuzzInput(data)

@@ -175,7 +175,7 @@ func TestRunCancellationAbortsPromptly(t *testing.T) {
 		t.Fatal(err)
 	}
 	forest := gen.ForestUnion(300, 3, 1)
-	lg, cover, _, err := LineCover(gen.ForestUnion(100, 2, 1))
+	lg, cover, err := LineCover(gen.ForestUnion(100, 2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
