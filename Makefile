@@ -152,13 +152,16 @@ profile:
 # in-schema parameters, sequentially and in parallel: the two must agree,
 # and nothing may panic or fail Run's verification.
 # Go allows one -fuzz per invocation, so the targets run back to back;
-# corpus findings land in each package's testdata/fuzz.
+# corpus findings land in each package's testdata/fuzz. Minimizing is
+# capped at 10 runs per new input (the default is 60 s), so each target
+# spends its FUZZTIME searching; a failing input still fails the run,
+# only less shrunk.
 fuzz:
-	$(GO) test ./internal/graph/ -run '^$$' -fuzz FuzzReadEdgeList -fuzztime $(FUZZTIME)
-	$(GO) test . -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/graph/ -run '^$$' -fuzz FuzzCanonicalLabeling -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/graph/ -run '^$$' -fuzz FuzzLineGraph -fuzztime $(FUZZTIME)
-	$(GO) test . -run '^$$' -fuzz FuzzRun -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/graph/ -run '^$$' -fuzz FuzzReadEdgeList -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
+	$(GO) test . -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
+	$(GO) test ./internal/graph/ -run '^$$' -fuzz FuzzCanonicalLabeling -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
+	$(GO) test ./internal/graph/ -run '^$$' -fuzz FuzzLineGraph -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
+	$(GO) test . -run '^$$' -fuzz FuzzRun -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 
 # The deterministic chaos suite (DESIGN.md §12): one seeded schedule drives
 # a 200-job workload through every injection point — scheduled panics,

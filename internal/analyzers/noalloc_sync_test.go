@@ -28,12 +28,22 @@ var noallocManifest = map[string]string{
 	// TestWordPlaneSteadyStateAllocFree (words_test.go),
 	// TestInstrumentedSteadyStateAllocFree (bandwidth_test.go), and the
 	// bench gate's allocs_per_round=0 columns (BENCH_simcore.json).
-	"internal/sim.(instance).stepShard":       "sim round loop, one shard's step",
-	"internal/sim.(instance).stepVertex":      "sim round loop, any plane",
-	"internal/sim.(instance).stepVertexWord":  "sim round loop, word plane",
-	"internal/sim.(instance).retireRound":     "sim round loop, halt retirement",
-	"internal/sim.(instance).retireInto":      "sim round loop, halt retirement",
-	"internal/sim.(instance).retireWordsInto": "sim round loop, halt retirement",
+	"internal/sim.(instance).stepShard":      "sim round loop, one shard's step",
+	"internal/sim.(instance).stepVertex":     "sim round loop, port plane",
+	"internal/sim.(instance).inbox":          "sim round loop, port-plane inbox",
+	"internal/sim.(Outbox).begin":            "sim round loop, port-plane outbox",
+	"internal/sim.(Outbox).SendAll":          "sim round loop, port-plane broadcast",
+	"internal/sim.msgTraffic":                "sim round loop, port-plane accounting",
+	"internal/sim.(instance).stepVertexWord": "sim round loop, word plane",
+	"internal/sim.(instance).retireRound":    "sim round loop, halt retirement",
+	"internal/sim.(instance).silence":        "sim round loop, halt retirement",
+	// The port plane's unicasts, pinned at 0 allocs per round by
+	// TestPortPlaneUnicastSteadyStateAllocFree (plane_test.go) on both
+	// sequential engines, and at a whole-run count independent of n by
+	// TestMergeAllocsIndependentOfN (arbor_test.go).
+	"internal/sim.(Outbox).Send":      "sim round loop, port-plane unicast",
+	"internal/sim.(instance).deliver": "sim round loop, unicast delivery",
+	"internal/sim.(instance).post":    "sim round loop, unicast delivery",
 	// The active-set path of the word plane, pinned by
 	// TestActiveSetSteadyStateAllocFree (words_test.go) on both sequential
 	// engines.

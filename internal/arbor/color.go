@@ -155,10 +155,14 @@ func ColorHPartition(ctx context.Context, g *graph.Graph, a int, opt Options) (*
 // uncolored.
 func ColorCrossing(ctx context.Context, eng sim.Exec, g *graph.Graph, hp *HPartitionResult, colors []int64, palette int64) (sim.Stats, error) {
 	var stats sim.Stats
-	var roleA, roleB []bool // shared by the stages; a one-part graph has none
+	// The stages share their roles and their program; a one-part graph
+	// has none.
+	var roleA, roleB []bool
+	var prog *mergeProgram
 	for i := hp.NumParts - 2; i >= 0; i-- {
 		if roleA == nil {
 			roleA, roleB = make([]bool, g.N()), make([]bool, g.N())
+			prog = newMergeProgram(g)
 		}
 		active := false
 		for v, p := range hp.Part {
@@ -176,6 +180,7 @@ func ColorCrossing(ctx context.Context, eng sim.Exec, g *graph.Graph, hp *HParti
 			EdgeColors: colors,
 			D:          hp.Threshold,
 			Palette:    palette,
+			prog:       prog,
 		})
 		if err != nil {
 			return sim.Stats{}, fmt.Errorf("arbor: crossing stage %d: %w", i, err)

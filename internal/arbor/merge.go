@@ -26,6 +26,9 @@ type MergeSpec struct {
 	// Palette is the color budget for the crossing edges: Lemma 5.1
 	// guarantees feasibility when Palette ≥ Δ(B side) + D − 1.
 	Palette int64
+	// prog is the stage program ColorCrossing reuses across its stages
+	// over one graph; nil, Merge builds one.
+	prog *mergeProgram
 }
 
 // MergeResult reports the updated coloring.
@@ -65,7 +68,13 @@ func Merge(ctx context.Context, eng sim.Exec, spec MergeSpec) (*MergeResult, err
 	if spec.D == 0 {
 		return &MergeResult{EdgeColors: spec.EdgeColors}, nil
 	}
-	prog := newMergeProgram(&spec)
+	prog := spec.prog
+	if prog == nil {
+		prog = newMergeProgram(g)
+	}
+	prog.reset(&spec)
+	// The run stays in Merge itself: tracing names an execution's layer
+	// after the function that starts it.
 	stats, err := eng.Run(ctx, sim.NewTopology(g), prog, 2*spec.D+4)
 	if err != nil {
 		return nil, fmt.Errorf("arbor: merge: %w", err)
@@ -113,6 +122,8 @@ func (*replyMsg) Bits() int64 { return 64 }
 // scratch, and its sender leaves the slot alone until the receiver has
 // read it in the next round: an offer's payload is rewritten two rounds
 // later, and a reply slot is written once, for the port's only offer.
+// The slabs are sized by the graph, so one program serves every stage
+// over it; reset readies it for the next.
 type mergeProgram struct {
 	spec *MergeSpec
 	// words is the length of one bitset over the crossing palette [0,
@@ -133,11 +144,9 @@ type mergeProgram struct {
 	assigned []int
 }
 
-func newMergeProgram(spec *MergeSpec) *mergeProgram {
-	n, arcs := spec.G.N(), spec.G.NumArcs()
+func newMergeProgram(g *graph.Graph) *mergeProgram {
+	n, arcs := g.N(), g.NumArcs()
 	return &mergeProgram{
-		spec:     spec,
-		words:    int((spec.Palette + 63) / 64),
 		cross:    make([]int32, arcs),
 		ncross:   make([]int32, n),
 		pay:      make([]int64, arcs),
@@ -145,6 +154,16 @@ func newMergeProgram(spec *MergeSpec) *mergeProgram {
 		errs:     make([]error, n),
 		assigned: make([]int, n),
 	}
+}
+
+// reset readies the program for the stage spec over the graph it was
+// built for. Every other slab is written before it is read within a
+// stage.
+func (p *mergeProgram) reset(spec *MergeSpec) {
+	p.spec = spec
+	p.words = int((spec.Palette + 63) / 64)
+	clear(p.errs)
+	clear(p.assigned)
 }
 
 // Scratch implements sim.Factory: a B-vertex's two palette bitsets, its
@@ -162,25 +181,25 @@ func (p *mergeProgram) role(v int) mergeRole {
 }
 
 // Step implements sim.PortProgram.
-func (p *mergeProgram) Step(v, round int, in, out []sim.Message, scratch []sim.Word) bool {
+func (p *mergeProgram) Step(v, round int, in []sim.Mail, out *sim.Outbox, scratch []sim.Word) bool {
 	spec := p.spec
 	role := p.role(v)
 	lo, hi := spec.G.Range(v)
 	adj := spec.G.Adj(v)
 	switch {
 	case round == 0:
-		sim.SendAll(out, int64(role))
+		out.SendAll(int64(role))
 		return role == roleIdle
 	case round == 1 && role == roleA:
 		// Learn neighbor roles; label my uncolored crossing edges.
 		cross := p.cross[lo:hi:hi]
 		k := 0
-		for port, a := range adj {
-			if spec.EdgeColors[a.Edge] >= 0 {
+		for _, m := range in {
+			if spec.EdgeColors[adj[m.Port].Edge] >= 0 {
 				continue
 			}
-			if r, ok := in[port].(int64); ok && mergeRole(r) == roleB {
-				cross[k] = int32(port)
+			if r, ok := m.Msg.(int64); ok && mergeRole(r) == roleB {
+				cross[k] = m.Port
 				k++
 			}
 		}
@@ -198,8 +217,8 @@ func (p *mergeProgram) Step(v, round int, in, out []sim.Message, scratch []sim.W
 		k := int(p.ncross[v])
 		if i <= k {
 			port := p.cross[lo+i-1]
-			rep, ok := in[port].(*replyMsg)
-			if !ok {
+			rep := replyOn(in, port)
+			if rep == nil {
 				p.errs[v] = fmt.Errorf("arbor: merge: vertex %d missing reply for label %d", v, i)
 				return true
 			}
@@ -214,8 +233,8 @@ func (p *mergeProgram) Step(v, round int, in, out []sim.Message, scratch []sim.W
 		// Round 2i: process the offers of label i.
 		mine, offered := scratch[:p.words], scratch[p.words:2*p.words]
 		fresh := false
-		for port, m := range in {
-			offer, ok := m.(*offerMsg)
+		for _, m := range in {
+			offer, ok := m.Msg.(*offerMsg)
 			if !ok {
 				continue
 			}
@@ -228,12 +247,12 @@ func (p *mergeProgram) Step(v, round int, in, out []sim.Message, scratch []sim.W
 				p.errs[v] = fmt.Errorf("arbor: merge: vertex %d found no free color below %d", v, spec.Palette)
 				return true
 			}
-			spec.EdgeColors[adj[port].Edge] = c
+			spec.EdgeColors[adj[m.Port].Edge] = c
 			markColor(mine, c)
 			p.assigned[v]++
-			reply := &p.pay[lo+port]
+			reply := &p.pay[lo+int(m.Port)]
 			*reply = c
-			out[port] = (*replyMsg)(reply)
+			out.Send(int(m.Port), (*replyMsg)(reply))
 		}
 		return round >= 2*spec.D // the last possible offer arrived this round
 	case role == roleB || role == roleA:
@@ -242,6 +261,17 @@ func (p *mergeProgram) Step(v, round int, in, out []sim.Message, scratch []sim.W
 	default:
 		return true
 	}
+}
+
+// replyOn returns the reply that arrived on port, nil if none did.
+func replyOn(in []sim.Mail, port int32) *replyMsg {
+	for _, m := range in {
+		if m.Port == port {
+			rep, _ := m.Msg.(*replyMsg)
+			return rep
+		}
+	}
+	return nil
 }
 
 // markIncident clears both bitsets and marks in mine the colors below
@@ -260,7 +290,7 @@ func (p *mergeProgram) markIncident(adj []graph.Arc, mine, offered []sim.Word) {
 
 // sendOffer emits the label-(i+1) offer: the colors of all of v's edges,
 // written into v's payload range.
-func (p *mergeProgram) sendOffer(v, i int, out []sim.Message) {
+func (p *mergeProgram) sendOffer(v, i int, out *sim.Outbox) {
 	if i >= int(p.ncross[v]) {
 		return
 	}
@@ -274,7 +304,7 @@ func (p *mergeProgram) sendOffer(v, i int, out []sim.Message) {
 		}
 	}
 	p.offers[v] = offerMsg{colors: pay[:k]}
-	out[p.cross[lo+i]] = &p.offers[v]
+	out.Send(int(p.cross[lo+i]), &p.offers[v])
 }
 
 // markColor inserts c (which must be in [0, Palette)) into the bitset.

@@ -15,9 +15,11 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/arbor"
 	"repro/internal/cd"
 	"repro/internal/cliques"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/linial"
 	"repro/internal/sim"
 	"repro/internal/star"
@@ -50,6 +52,21 @@ func BenchmarkAlgoStarD32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := star.EdgeColor(context.Background(), g, t, 1, star.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAlgoSparsePA20k(b *testing.B) {
+	g, err := gen.PreferentialAttachment(simCoreSparseN, 2, simCoreSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := graph.ArboricityUpperBound(g)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := arbor.ColorAdaptive(context.Background(), g, a, arbor.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -37,9 +37,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arbor"
 	"repro/internal/cd"
 	"repro/internal/cliques"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/linial"
 	"repro/internal/sim"
 	"repro/internal/star"
@@ -112,12 +114,17 @@ const (
 	// family.
 	simCoreCDVerts = 2_000
 	simCoreCDEdges = 6_000
+
+	// The Corollary 5.5 workload: a preferential-attachment graph of
+	// arboricity at most 2, whose H-partition stages run the Lemma 5.1
+	// merge, the one production port program.
+	simCoreSparseN = 20_000
 )
 
-// portExchange is the any-plane workload, a sim.PortProgram: every vertex
-// sends a word-sized payload, boxed through the general Message slot, on
-// every port each round and folds its inbox into acc[v]. acc is sized for
-// the plane workload's simCoreN vertices.
+// portExchange is the port-plane workload, a sim.PortProgram: every
+// vertex broadcasts a word-sized payload, boxed through the general
+// Message slot, on every port each round and folds its inbox into acc[v].
+// acc is sized for the plane workload's simCoreN vertices.
 type portExchange struct {
 	rounds int
 	// wave staggers halting: vertex v halts after round v mod rounds (the
@@ -127,7 +134,7 @@ type portExchange struct {
 	acc  []int64
 }
 
-// wavefrontFactory is the canonical any-plane workload: vertices halt in
+// wavefrontFactory is the canonical port-plane workload: vertices halt in
 // staggered waves (vertex v runs 1 + v mod span rounds), the termination
 // pattern of the repository's algorithms.
 func wavefrontFactory(span int) sim.Factory {
@@ -135,7 +142,7 @@ func wavefrontFactory(span int) sim.Factory {
 }
 
 // exchangeFactory keeps every vertex live for the whole execution — the
-// dense-traffic bound of the any plane.
+// dense-traffic bound of the port plane.
 func exchangeFactory(rounds int) sim.Factory {
 	return &portExchange{rounds: rounds, acc: make([]int64, simCoreN)}
 }
@@ -144,13 +151,11 @@ func exchangeFactory(rounds int) sim.Factory {
 func (*portExchange) Scratch(int) int { return 0 }
 
 // Step implements sim.PortProgram.
-func (p *portExchange) Step(v, round int, in, out []sim.Message, _ []sim.Word) bool {
+func (p *portExchange) Step(v, round int, in []sim.Mail, out *sim.Outbox, _ []sim.Word) bool {
 	for _, m := range in {
-		if m != nil {
-			p.acc[v] += m.(int64)
-		}
+		p.acc[v] += m.Msg.(int64)
 	}
-	sim.SendAll(out, int64(round&0x7f))
+	out.SendAll(int64(round & 0x7f))
 	last := p.rounds - 1
 	if p.wave {
 		last = v % p.rounds
@@ -475,6 +480,30 @@ func RunSimCore(ctx context.Context) (*SimCoreReport, error) {
 		return nil, err
 	}
 	rep.Results = append(rep.Results, cdRun)
+
+	// Corollary 5.5 on a sparse graph: the H-partition, the black box on
+	// the part-internal edges, and a Lemma 5.1 merge per crossing stage.
+	pa, err := gen.PreferentialAttachment(simCoreSparseN, 2, simCoreSeed)
+	if err != nil {
+		return nil, err
+	}
+	paA := graph.ArboricityUpperBound(pa)
+	sparseRun, err := measureAlgo("algo/sparse/sequential-pa20k", func(check bool) (int64, sim.Stats, error) {
+		res, _, runErr := arbor.ColorAdaptive(ctx, pa, paA, arbor.Options{})
+		if runErr != nil {
+			return 0, sim.Stats{}, runErr
+		}
+		if check {
+			if err := verify.EdgeColoring(pa, res.Colors, res.Palette); err != nil {
+				return 0, sim.Stats{}, fmt.Errorf("improper: %w", err)
+			}
+		}
+		return res.Palette, res.Stats, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	rep.Results = append(rep.Results, sparseRun)
 
 	// The full edge-coloring pipeline at production scale: 100k vertices
 	// through the §4 star partition (Linial seed on the ~400k-vertex line

@@ -77,23 +77,24 @@ func ChooseT(s, x int) int {
 //
 // A level whose cliques are singletons has no edges, and rec colors it 0
 // at no cost, so it adds nothing to the palette: once x ≥ ⌈log_t s⌉ the
-// palette no longer grows with x.
+// palette no longer grows with x. The product saturates at
+// math.MaxInt64, which Color refuses as an overflow.
 func DeclaredPalette(d, s, t, x int) int64 {
 	if s <= 1 {
 		return 1
 	}
 	if x == 0 {
-		return int64(d*(s-1) + 1)
+		return int64(d)*int64(s-1) + 1
 	}
-	gamma := int64(d*(t-1) + 1)
-	return gamma * DeclaredPalette(d, util.CeilDiv(s, t), t, x-1)
+	gamma := int64(d)*int64(t-1) + 1
+	return mulSat(gamma, DeclaredPalette(d, util.CeilDiv(s, t), t, x-1))
 }
 
 // Color runs CD-Coloring on g with the given clique cover, connector
 // parameter t ≥ 2 and recursion depth x ≥ 0. The bound D^{x+1}·S uses the
 // cover's diversity D and maximal clique size S.
 func Color(ctx context.Context, g *graph.Graph, cover *cliques.Cover, t, x int, opt Options) (*Result, error) {
-	r, err := begin(ctx, g, cover, t, x, 0, opt)
+	r, err := begin(ctx, g, cover, t, x, false, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -138,13 +139,18 @@ type run struct {
 	seedStats   sim.Stats
 }
 
-// begin validates the parameters Color and Decompose share (t ≥ 2,
-// x ≥ minX, a seed sized to g) and seeds the run, with Linial's algorithm
-// unless opt supplies the seed. It returns a nil run when the cover has no
-// cliques, so that g has no edges.
-func begin(ctx context.Context, g *graph.Graph, cover *cliques.Cover, t, x, minX int, opt Options) (*run, error) {
+// begin validates the parameters Color and Decompose share (t ≥ 2, x ≥ 0
+// for a coloring and x ≥ 1 for a decomposition, a seed sized to g, and a
+// coloring's declared palette within int64) and seeds the run, with
+// Linial's algorithm unless opt supplies the seed. It returns a nil run
+// when the cover has no cliques, so that g has no edges.
+func begin(ctx context.Context, g *graph.Graph, cover *cliques.Cover, t, x int, decompose bool, opt Options) (*run, error) {
 	if t < 2 {
 		return nil, fmt.Errorf("cd: parameter t=%d < 2", t)
+	}
+	minX := 0
+	if decompose {
+		minX = 1
 	}
 	if x < minX {
 		return nil, fmt.Errorf("cd: recursion depth x=%d < %d", x, minX)
@@ -156,7 +162,11 @@ func begin(ctx context.Context, g *graph.Graph, cover *cliques.Cover, t, x, minX
 		}
 		return nil, nil
 	}
-	r := &run{d: cover.Diversity(), t: t, opt: opt, seed: opt.Seed, seedPalette: opt.SeedPalette}
+	d, s := cover.Diversity(), cover.MaxCliqueSize()
+	if !decompose && DeclaredPalette(d, s, t, x) == math.MaxInt64 {
+		return nil, fmt.Errorf("cd: declared palette overflows int64 (D=%d, S=%d, t=%d, x=%d)", d, s, t, x)
+	}
+	r := &run{d: d, t: t, decompose: decompose, opt: opt, seed: opt.Seed, seedPalette: opt.SeedPalette}
 	if r.seed == nil {
 		lin, err := linial.Reduce(ctx, opt.Exec, sim.NewTopology(g), int64(g.N()))
 		if err != nil {

@@ -2,7 +2,9 @@ package cd
 
 import (
 	"context"
+	"math"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -202,6 +204,57 @@ func TestColorParameterValidation(t *testing.T) {
 	}
 }
 
+// TestColorRefusesPaletteOverflow runs CD on K128 beside a 550-leaf star,
+// covered by the K128 and the star's 550 edges (D = 550, S = 128). With
+// t = 2 every level multiplies the palette by γ = 551: at x = 6 and 7 the
+// declared palette, 551⁷, is beyond int64, and Color refuses the run; at
+// x = 5 it is 551⁵·1651 and the coloring is proper.
+func TestColorRefusesPaletteOverflow(t *testing.T) {
+	const k, leaves = 128, 550
+	b := graph.NewBuilder(k + 1 + leaves)
+	clique := make([]int32, k)
+	for u := 0; u < k; u++ {
+		clique[u] = int32(u)
+		for v := u + 1; v < k; v++ {
+			b.AddEdge(u, v)
+		}
+	}
+	lists := [][]int32{clique}
+	for i := 1; i <= leaves; i++ {
+		b.AddEdge(k, k+i)
+		lists = append(lists, []int32{k, int32(k + i)})
+	}
+	g := b.MustBuild()
+	cov, err := cliques.NewCover(g, lists)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cov.Diversity() != leaves || cov.MaxCliqueSize() != k {
+		t.Fatalf("cover D=%d S=%d, want %d and %d", cov.Diversity(), cov.MaxCliqueSize(), leaves, k)
+	}
+	for _, x := range []int{6, 7} {
+		rounds := 0
+		eng := sim.Instrumented(sim.Sequential, func(sim.RoundEvent) { rounds++ }, nil)
+		_, err := Color(context.Background(), g, cov, ChooseT(k, x), x, Options{Exec: eng})
+		if err == nil || !strings.Contains(err.Error(), "declared palette overflows int64") {
+			t.Fatalf("x=%d: err %v, want the palette overflow", x, err)
+		}
+		if rounds != 0 {
+			t.Fatalf("x=%d: %d rounds ran before the overflow was refused", x, rounds)
+		}
+	}
+	res, err := Color(context.Background(), g, cov, ChooseT(k, 5), 5, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Palette != 83_850_386_256_316_901 {
+		t.Fatalf("x=5: palette %d, want 551⁵·1651 = 83850386256316901", res.Palette)
+	}
+	if err := verify.VertexColoring(g, res.Colors, res.Palette); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestColorEdgelessGraph(t *testing.T) {
 	g := graph.NewBuilder(7).MustBuild()
 	cov, err := cliques.NewCover(g, nil)
@@ -245,6 +298,10 @@ func TestDeclaredPalette(t *testing.T) {
 	// levels past them add nothing: 5³ = 125.
 	if DeclaredPalette(2, 10, 3, 5) != 125 {
 		t.Fatalf("got %d", DeclaredPalette(2, 10, 3, 5))
+	}
+	// D = 550, S = 128, t = 2: 551⁷ saturates at math.MaxInt64.
+	if got := DeclaredPalette(550, 128, 2, 7); got != math.MaxInt64 {
+		t.Fatalf("got %d, want saturation at %d", got, int64(math.MaxInt64))
 	}
 }
 

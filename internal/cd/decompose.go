@@ -27,14 +27,13 @@ type Decomposition struct {
 // Theorem 2.4 by running x levels of clique connectors (the first x levels
 // of Algorithm 1, without the final coloring stage).
 func Decompose(ctx context.Context, g *graph.Graph, cover *cliques.Cover, t, x int, opt Options) (*Decomposition, error) {
-	r, err := begin(ctx, g, cover, t, x, 1, opt)
+	r, err := begin(ctx, g, cover, t, x, true, opt)
 	if err != nil {
 		return nil, err
 	}
 	if r == nil {
 		return &Decomposition{Class: make([]int64, g.N()), Parts: 1, CliqueBound: 1}, nil
 	}
-	r.decompose = true
 	class, recStats, err := r.rec(ctx, g, r.ids, r.seed, cover, cover.MaxCliqueSize(), x)
 	if err != nil {
 		return nil, err

@@ -75,14 +75,16 @@ func (e *OverloadError) Is(target error) bool {
 const jobCostBase = 4096
 
 // jobCostPerEdge prices one edge: the spec pair, the CSR arcs, and the
-// simulator's per-arc message slabs. Chunked ingest charges admission with
+// simulator's message slabs, which are per vertex of the line graph the
+// edge algorithms run on, so per edge. Chunked ingest charges admission with
 // the same constant, so a streamed job's accumulated charge equals what
 // jobCost would have said had the request arrived buffered.
 const jobCostPerEdge = 96
 
 // jobCost estimates the resident bytes a submission pins while in flight:
-// the spec, the built graph's arcs and mates, and the simulator's per-arc
-// message slabs all scale with edges; vertex state scales with n. It is a
+// the spec, the built graph's arcs and mates, and the simulator's message
+// slabs over the line graph all scale with edges; vertex state scales
+// with n. It is a
 // deliberate overestimate-leaning heuristic — admission is a memory fuse,
 // not an allocator.
 func jobCost(req *distcolor.Request) int64 {

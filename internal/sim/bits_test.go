@@ -16,13 +16,13 @@ func TestBitAccounting(t *testing.T) {
 	// Path 0-1-2: vertex 0 sends a 128-bit message, vertex 2 a plain int64
 	// (64 bits), vertex 1 nothing; everyone halts after one exchange.
 	g := graph.Path(3)
-	var f PortFunc = func(v, round int, in, out []Message) bool {
+	var f PortFunc = func(v, round int, in []Mail, out *Outbox) bool {
 		if round == 0 {
 			switch v {
 			case 0:
-				SendAll(out, sizedMsg{n: 128})
+				out.SendAll(sizedMsg{n: 128})
 			case 2:
-				SendAll(out, int64(7))
+				out.SendAll(int64(7))
 			}
 			return false
 		}
@@ -58,9 +58,9 @@ func TestBitAccountingCombinators(t *testing.T) {
 
 func TestBitAccountingEnginesAgree(t *testing.T) {
 	g := graph.Complete(9)
-	var f PortFunc = func(v, round int, in, out []Message) bool {
+	var f PortFunc = func(v, round int, in []Mail, out *Outbox) bool {
 		if round < 2 {
-			SendAll(out, sizedMsg{n: int64(v) + 1})
+			out.SendAll(sizedMsg{n: int64(v) + 1})
 			return false
 		}
 		return true

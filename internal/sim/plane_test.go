@@ -1,13 +1,14 @@
 package sim_test
 
-// This file proves the flat CSR + arena data plane (see sim.go and
-// DESIGN.md §7) equivalent to the straightforward per-vertex-slice
-// implementation it replaced, and pins its performance contract:
+// This file proves the simulator's data plane (see sim.go and DESIGN.md
+// §7) equivalent to the straightforward per-vertex-slice implementation it
+// replaced, and pins its performance contract:
 //
 //   - runReference below IS the old data plane (per-vertex inbox/outbox
 //     slices, portRef delivery), kept as the executable specification of
 //     one synchronous round; it steps a PortProgram or a WordProgram one
-//     vertex at a time, directly;
+//     vertex at a time, directly, and delivers every port's message
+//     itself;
 //   - the equivalence matrix runs programs × graphs × engines and demands
 //     identical per-vertex results and identical Stats against it;
 //   - the algorithm-level matrix runs real colorings (Linial, both
@@ -102,10 +103,13 @@ func refBits(m sim.Message) int64 {
 
 // refStep returns the step of one vertex of f on the reference plane,
 // with one scratch slab of the program's size (the reference steps one
-// vertex at a time, like one shard). A PortProgram steps as it is; a
-// WordProgram reads its inbox as words and broadcasts the returned word
-// as a refWord carrying the program's bit accounting.
-func refStep(f sim.Factory, maxDeg int) (func(v, round int, in, out []sim.Message) bool, error) {
+// vertex at a time, like one shard). A PortProgram steps on a detached
+// outbox, its inbox listing the ports whose slot holds a message, and
+// every port's send lands in its out slot; a WordProgram reads its inbox
+// as words and broadcasts the returned word as a refWord carrying the
+// program's bit accounting.
+func refStep(f sim.Factory, g *graph.Graph) (func(v, round int, in, out []sim.Message) bool, error) {
+	maxDeg := g.MaxDegree()
 	scratch := make([]sim.Word, f.Scratch(maxDeg))
 	switch p := f.(type) {
 	case sim.WordProgram:
@@ -125,13 +129,23 @@ func refStep(f sim.Factory, maxDeg int) (func(v, round int, in, out []sim.Messag
 				if sizer != nil {
 					bits = sizer.WordBits(w)
 				}
-				sim.SendAll(out, refWord{w: w, bits: bits})
+				for port := range out {
+					out[port] = refWord{w: w, bits: bits}
+				}
 			}
 			return halted
 		}, nil
 	case sim.PortProgram:
+		var box sim.DetachedOutbox
+		mail := make([]sim.Mail, 0, maxDeg)
 		return func(v, round int, in, out []sim.Message) bool {
-			return p.Step(v, round, in, out, scratch)
+			mail = mail[:0]
+			for port, m := range in {
+				if m != nil {
+					mail = append(mail, sim.Mail{Port: int32(port), Msg: m})
+				}
+			}
+			return box.Step(p, g, v, round, mail, scratch, out)
 		}, nil
 	}
 	return nil, fmt.Errorf("reference: program %T is neither a PortProgram nor a WordProgram", f)
@@ -144,7 +158,7 @@ func runReference(t *sim.Topology, f sim.Factory, maxRounds int) (sim.Stats, err
 	if err := t.Validate(); err != nil {
 		return sim.Stats{}, err
 	}
-	step, err := refStep(f, t.G.MaxDegree())
+	step, err := refStep(f, t.G)
 	if err != nil {
 		return sim.Stats{}, err
 	}
@@ -222,14 +236,14 @@ func (s sizedMsg) Bits() int64 { return int64(s)%13 + 14 }
 
 // sumProgram broadcasts the vertex ID, then stores the neighbor-ID sum.
 func sumProgram(t *sim.Topology, results []int64) sim.PortProgram {
-	return sim.PortFunc(func(v, round int, in, out []sim.Message) bool {
+	return sim.PortFunc(func(v, round int, in []sim.Mail, out *sim.Outbox) bool {
 		if round == 0 {
-			sim.SendAll(out, t.ID(v))
-			return len(in) == 0
+			out.SendAll(t.ID(v))
+			return t.G.Degree(v) == 0
 		}
 		var sum int64
 		for _, m := range in {
-			sum += m.(int64)
+			sum += m.Msg.(int64)
 		}
 		results[v] = sum
 		return true
@@ -241,53 +255,82 @@ func sumProgram(t *sim.Topology, results []int64) sim.PortProgram {
 // exercises through the round-limit path.
 func floodProgram(t *sim.Topology, results []int64) sim.PortProgram {
 	reached := make([]bool, t.G.N())
-	return sim.PortFunc(func(v, round int, in, out []sim.Message) bool {
+	return sim.PortFunc(func(v, round int, in []sim.Mail, out *sim.Outbox) bool {
 		if round == 0 {
 			reached[v] = t.ID(v) == 0
 		}
 		if reached[v] {
-			sim.SendAll(out, int64(1))
+			out.SendAll(int64(1))
 			results[v] = int64(round)
 			return true
 		}
-		for _, m := range in {
-			if m != nil {
-				reached[v] = true
-				break
-			}
-		}
+		reached[v] = len(in) > 0
 		return false
 	})
 }
 
-// chattyProgram staggers halting by ID, sends on a rotating subset of
-// ports (mixing nil and non-nil slots, plain and Sizer payloads), and
-// folds everything received into a per-vertex accumulator. It exercises
-// final-message delivery, halted-sender clearing, and bit accounting.
-func chattyProgram(t *sim.Topology, results []int64) sim.PortProgram {
-	return sim.PortFunc(func(v, round int, in, out []sim.Message) bool {
-		id := t.ID(v)
-		acc := results[v]
-		for p, m := range in {
-			switch m := m.(type) {
-			case nil:
-				acc = acc*31 + 7
-			case int64:
-				acc = acc*31 + m + int64(p)
-			case sizedMsg:
-				acc = acc*31 + int64(m) - int64(p)
-			}
+// foldMail folds an inbox into acc, port and payload alike, so a message
+// on the wrong port, out of port order, missing or extra changes it.
+func foldMail(acc int64, in []sim.Mail) int64 {
+	acc = acc*31 + int64(len(in))
+	for _, m := range in {
+		switch msg := m.Msg.(type) {
+		case int64:
+			acc = acc*31 + msg + int64(m.Port)
+		case sizedMsg:
+			acc = acc*31 + int64(msg) - int64(m.Port)
+		default:
+			panic(fmt.Sprintf("unexpected payload %T on port %d", m.Msg, m.Port))
 		}
-		results[v] = acc
-		for p := range out {
+	}
+	return acc
+}
+
+// chattyProgram staggers halting by ID, sends on a rotating subset of
+// ports (mixing silent ports with plain and Sizer payloads), and folds
+// everything received into a per-vertex accumulator. It exercises
+// final-message delivery, unicasts to halted receivers, and bit
+// accounting.
+func chattyProgram(t *sim.Topology, results []int64) sim.PortProgram {
+	return sim.PortFunc(func(v, round int, in []sim.Mail, out *sim.Outbox) bool {
+		id := t.ID(v)
+		results[v] = foldMail(results[v], in)
+		for p := 0; p < t.G.Degree(v); p++ {
 			switch (p + round + int(id)) % 3 {
 			case 0:
-				out[p] = int64(round)*1000 + id
+				out.Send(p, int64(round)*1000+id)
 			case 1:
-				out[p] = sizedMsg(id + int64(p))
+				out.Send(p, sizedMsg(id+int64(p)))
 			}
 		}
 		return round >= int(id%5)
+	})
+}
+
+// mixedProgram mixes both kinds of sends in one round across vertices:
+// in each round a vertex broadcasts a plain or a Sizer payload, sends to
+// a subset of its ports (in descending port order), or stays silent, by
+// (round + ID) mod 4, and vertices halt in staggered waves (vertex v runs
+// 2 + ID mod 7 rounds). So receivers merge broadcasts with unicasts, the
+// broadcast slabs hold final and stale messages of halted vertices, and
+// unicasts from several senders meet in one inbox.
+func mixedProgram(t *sim.Topology, results []int64) sim.PortProgram {
+	return sim.PortFunc(func(v, round int, in []sim.Mail, out *sim.Outbox) bool {
+		id := t.ID(v)
+		results[v] = foldMail(results[v], in)
+		switch (round + int(id)) % 4 {
+		case 0:
+			out.SendAll(int64(round)*1000 + id)
+		case 1:
+			out.SendAll(sizedMsg(id + int64(round)))
+		case 2:
+			for p := t.G.Degree(v) - 1; p >= 0; p-- {
+				if (p+round)%3 != 2 {
+					out.Send(p, sizedMsg(id*7+int64(p)))
+				}
+			}
+		}
+		return round >= 1+int(id%7)
 	})
 }
 
@@ -304,11 +347,15 @@ func TestDataPlaneEquivalenceMatrix(t *testing.T) {
 		}
 		return b.MustBuild()
 	}
+	// gnp-sharded has two shards' worth of vertices, so the parallel
+	// engine steps it on several shards wherever there are CPUs for them,
+	// and the unicast records of several shards meet in one sort.
 	graphs := []struct {
 		name string
 		g    *graph.Graph
 	}{
 		{"gnp-small", planeRandomGraph(1, 60, 0.15)},
+		{"gnp-sharded", planeRandomGraph(4, 1024, 0.006)},
 		{"gnp-sparse", planeRandomGraph(2, 250, 0.015)},
 		{"gnp-dense", planeRandomGraph(3, 50, 0.6)},
 		{"star", graph.Star(40)},
@@ -327,6 +374,7 @@ func TestDataPlaneEquivalenceMatrix(t *testing.T) {
 		{"sum", sumProgram},
 		{"flood", floodProgram},
 		{"chatty", chattyProgram},
+		{"mixed", mixedProgram},
 	}
 	engines := []struct {
 		name string
@@ -609,13 +657,11 @@ func TestAlgorithmEquivalenceMatrix(t *testing.T) {
 // folding its inbox into acc[v].
 func exchangeProgram(t *sim.Topology, rounds int) sim.PortProgram {
 	acc := make([]int64, t.G.N())
-	return sim.PortFunc(func(v, round int, in, out []sim.Message) bool {
+	return sim.PortFunc(func(v, round int, in []sim.Mail, out *sim.Outbox) bool {
 		for _, m := range in {
-			if m != nil {
-				acc[v] += m.(int64)
-			}
+			acc[v] += m.Msg.(int64)
 		}
-		sim.SendAll(out, int64(round&0x7f))
+		out.SendAll(int64(round & 0x7f))
 		return round >= rounds-1
 	})
 }
@@ -664,6 +710,44 @@ func TestReverseSequentialSteadyStateAllocFree(t *testing.T) {
 	short, long := shortLongAllocs(run)
 	if long != short {
 		t.Fatalf("reverse engine allocates per round: %.1f allocs over 64 extra rounds", long-short)
+	}
+}
+
+// unicastProgram is exchangeProgram with every message sent port by
+// port: each vertex sends on its ports of one parity per round, so every
+// round delivers through the unicast records and none gathers a
+// broadcast.
+func unicastProgram(t *sim.Topology, rounds int) sim.PortProgram {
+	acc := make([]int64, t.G.N())
+	return sim.PortFunc(func(v, round int, in []sim.Mail, out *sim.Outbox) bool {
+		for _, m := range in {
+			acc[v] += m.Msg.(int64) + int64(m.Port)
+		}
+		for p := round & 1; p < t.G.Degree(v); p += 2 {
+			out.Send(p, int64(round&0x7f))
+		}
+		return round >= rounds-1
+	})
+}
+
+// TestPortPlaneUnicastSteadyStateAllocFree pins the unicast path — the
+// shards' records, the counting sort and the mail buffer — at zero heap
+// allocations per round on both sequential engines: the buffers grow in
+// the first rounds and are reused after.
+func TestPortPlaneUnicastSteadyStateAllocFree(t *testing.T) {
+	g := planeRandomGraph(10, 400, 0.04)
+	topo := sim.NewTopology(g)
+	for _, eng := range []sim.Engine{sim.Sequential, sim.ReverseSequential} {
+		run := func(rounds int) {
+			if _, err := eng.Run(context.Background(), topo, unicastProgram(topo, rounds), rounds+2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		short, long := shortLongAllocs(run)
+		if long != short {
+			t.Fatalf("engine %d: unicast rounds allocate: %.1f allocs over 64 extra rounds (%.1f vs %.1f)",
+				eng, long-short, long, short)
+		}
 	}
 }
 
@@ -723,13 +807,11 @@ const benchRounds = 32
 // halted vertices.
 func wavefrontProgram(t *sim.Topology, span int) sim.PortProgram {
 	acc := make([]int64, t.G.N())
-	return sim.PortFunc(func(v, round int, in, out []sim.Message) bool {
+	return sim.PortFunc(func(v, round int, in []sim.Mail, out *sim.Outbox) bool {
 		for _, m := range in {
-			if m != nil {
-				acc[v] += m.(int64)
-			}
+			acc[v] += m.Msg.(int64)
 		}
-		sim.SendAll(out, int64(round&0x7f))
+		out.SendAll(int64(round & 0x7f))
 		return round >= int(t.ID(v))%span
 	})
 }

@@ -7,53 +7,53 @@
 // all per-vertex state in slabs it owns and indexes by vertex. In each
 // round a vertex reads the messages its neighbors sent in the previous
 // round, updates its state, and sends. A PortProgram addresses its
-// messages port by port: one inbox slot and one outbox slot per incident
-// edge. A WordProgram (words.go) broadcasts one Word per round to every
-// port. The engine delivers outboxes to inboxes between rounds. Running
-// time is the number of rounds until every vertex has halted, exactly the
-// paper's measure.
+// messages port by port: it reads its inbox as a list of (port, message)
+// mail and sends through an Outbox, on one port or on all of them. A
+// WordProgram (words.go) broadcasts one Word per round to every port. The
+// engine delivers what was sent between rounds. Running time is the number
+// of rounds until every vertex has halted, exactly the paper's measure.
 //
 // Knowledge model: a vertex initially knows its own identifier, seed
 // label and degree, and the global parameters n and Δ. A program is built
 // over its Topology, and stepping v it reads them as t.ID(v), t.Label(v),
-// len(in), t.G.N() and t.G.MaxDegree(). Everything else, its neighbors'
-// identifiers and seed labels included, travels over edges: a program
-// that needs them learns them in round 0, as the coloring programs of
-// this repository do by broadcasting their starting color (identifier or
-// seed label) first. The slot-v rule keeps a program to this model:
-// stepping vertex v reads and writes only index v of the program's slabs
-// (or v's arc range, for per-port state), so everything v learns about its
-// neighbors arrives in its inbox.
+// t.G.Degree(v) (len(in) on the word plane), t.G.N() and t.G.MaxDegree().
+// Everything else, its neighbors' identifiers and seed labels included,
+// travels over edges: a program that needs them learns them in round 0, as
+// the coloring programs of this repository do by broadcasting their
+// starting color (identifier or seed label) first. The slot-v rule keeps a
+// program to this model: stepping vertex v reads and writes only index v
+// of the program's slabs (or v's arc range, for per-port state), so
+// everything v learns about its neighbors arrives in its inbox.
 //
 // Every engine runs one round loop over a shard plan: contiguous vertex
-// ranges, each with a step order and its own scratch slab (and, on the
-// word plane, its own inbox window). Sequential steps one shard over all
-// vertices in index order, fast and allocation-free in its steady state;
-// ReverseSequential steps it in reverse order, to prove the in-round order
-// irrelevant; Parallel steps several shards concurrently with one barrier
-// per round. Messages cross only between rounds and a step is a pure
-// function of (vertex state, inbox), so all engines produce bit-identical
-// executions; tests assert this.
+// ranges, each with a step order, its own scratch slab and its own inbox
+// window. Sequential steps one shard over all vertices in index order,
+// fast and allocation-free in its steady state; ReverseSequential steps it
+// in reverse order, to prove the in-round order irrelevant; Parallel steps
+// several shards concurrently with one barrier per round. Messages cross
+// only between rounds and a step is a pure function of (vertex state,
+// inbox), so all engines produce bit-identical executions; tests assert
+// this.
 //
 // Data plane: all engines run over the graph's compressed sparse rows
 // (graph.Graph's arc indices), with the message representation picked
-// once per run from the Factory's type. The any plane of a PortProgram
-// ([]Message) is per arc: inboxes and outboxes are flat slabs with one
-// slot per directed arc, allocated once per run; a vertex's buffers are
-// the slab range of its arcs, Range(v). Outboxes are double-buffered by
-// round parity, and delivery is the Mates permutation, applied lazily
-// while stepping each receiver (in[p] = prevOut[Mates()[lo+p]]). The word
-// plane of a WordProgram (words.go) is per vertex: its outboxes are two
-// n-slot slabs alternating by round parity, and a receiver's inbox is
-// gathered through its adjacency list into the stepping shard's Δ-sized
-// window (in[p] = prevOut[Adj(v)[p].To]) — no interface boxing and no
-// arc-sized storage. A word program that implements ActiveSet (words.go)
-// names each round's acting vertices, and each shard steps only its part
-// of them; idle vertices keep broadcasting their last word, and the round's
-// traffic comes from running sums.
-// Neither plane builds an object per vertex, and in either representation
-// the round loop performs no heap allocations — see DESIGN.md §7–§8 and
-// the allocation-regression tests.
+// once per run from the Factory's type. Both planes keep what a vertex
+// broadcasts in one n-slot slab per round parity, and a receiver gathers
+// its neighbors' slots through its adjacency list (in[p] =
+// prevOut[Adj(v)[p].To]) into the stepping shard's Δ-sized window. The
+// word plane (words.go) stores a Word per vertex and gathers every round.
+// The port plane stores a SendAll's Message per vertex and gathers only
+// after a round in which some vertex broadcast; its unicasts are sparse:
+// each shard appends one record per Send, and after the barrier one
+// stable counting sort by receiver packs them into a single mail buffer,
+// so a round costs the running vertices plus the messages sent, not the
+// arcs of the running vertices. A word program that implements ActiveSet
+// (words.go) names each round's acting vertices, and each shard steps
+// only its part of them; idle vertices keep broadcasting their last word,
+// and the round's traffic comes from running sums.
+// Neither plane builds an object per vertex or a slab per arc, and in
+// either representation the round loop performs no heap allocations in its
+// steady state — see DESIGN.md §7–§8 and the allocation-regression tests.
 package sim
 
 import (
@@ -72,8 +72,8 @@ import (
 type Message any
 
 // Factory is the program of one run. Its type picks the run's message
-// plane once, before round 0: a PortProgram runs on the per-arc any plane,
-// and a WordProgram on the per-vertex word plane (words.go).
+// plane once, before round 0: a PortProgram runs on the port plane, and a
+// WordProgram on the word plane (words.go).
 type Factory interface {
 	// Scratch returns how many Words of scratch each shard of a run on a
 	// topology of maximum degree maxDeg hands to the program's steps. The
@@ -82,18 +82,18 @@ type Factory interface {
 }
 
 // PortProgram is a run-scoped port-addressed program: one value steps
-// every vertex of a run on the per-arc any plane.
+// every vertex of a run on the port plane.
 //
-// Step executes one round at vertex v. in[p] holds the message the
-// neighbor on port p sent in the previous round (nil if none, and on
-// round 0); the program writes the messages v sends into out[p], which is
-// pre-cleared to nil. len(in) and len(out) are v's degree. scratch is the
+// Step executes one round at vertex v. in lists the messages v's
+// neighbors sent it in the previous round, one Mail per port that carried
+// one, in ascending port order (empty on round 0). The program sends
+// through out: Send on one port, SendAll on every port. scratch is the
 // stepping shard's scratch slab, Scratch(Δ) words long and shared by
 // every vertex the shard steps, so its contents are undefined on entry.
-// All three slices are engine-owned and valid only for the call. Step
+// in, out and scratch are engine-owned and valid only for the call. Step
 // returns whether v halts; a halting vertex's messages of this round are
-// still delivered, and a halted vertex is never stepped again and sends
-// nothing.
+// still delivered, and a halted vertex is never stepped again, sends
+// nothing and receives nothing.
 //
 // A message may point into a slab the program owns, provided the sender
 // leaves the pointed-to value alone until the receiver's step in the next
@@ -104,7 +104,111 @@ type Factory interface {
 // writes only index v, or v's arc range, of the program's state slabs.
 type PortProgram interface {
 	Factory
-	Step(v, round int, in, out []Message, scratch []Word) (halted bool)
+	Step(v, round int, in []Mail, out *Outbox, scratch []Word) (halted bool)
+}
+
+// Mail is one message of a PortProgram's inbox: Msg arrived on port Port.
+type Mail struct {
+	Port int32
+	Msg  Message
+}
+
+// Outbox is where a PortProgram step sends. A port carries at most one
+// message per round, and a vertex that calls SendAll sends nothing else
+// that round; Send and SendAll panic on a mix of the two. Sending nil sends
+// nothing. Every message is accounted when it is sent: Bits() bits for a
+// Sizer, 64 for anything else, per port it goes to.
+type Outbox struct {
+	// adj and lo are the stepped vertex's ports and its first arc index.
+	adj []graph.Arc
+	lo  int32
+	// all is the step's broadcast (nil: none), mark the length of recs
+	// when the step began, and sent the step's traffic.
+	all  Message
+	mark int
+	sent sendStats
+	// loud records that some vertex of the shard broadcast this round.
+	loud bool
+	// recs are the shard's unicasts of the round so far, in step order;
+	// size is the capacity of their first allocation.
+	recs []record
+	size int
+}
+
+// record is one unicast: msg, sent on the arc with index arc, to the
+// vertex to. The arc index names the sender and its port at once, and
+// ascends with the sender.
+type record struct {
+	arc, to int32
+	msg     Message
+}
+
+// Send sends m on port p.
+//
+//distcolor:noalloc
+func (o *Outbox) Send(p int, m Message) {
+	if m == nil {
+		return
+	}
+	if o.all != nil {
+		panic("sim: Send after SendAll in one step")
+	}
+	to := o.adj[p].To
+	k := len(o.recs)
+	if k == cap(o.recs) {
+		o.grow()
+	}
+	o.recs = o.recs[:k+1]
+	o.recs[k] = record{arc: o.lo + int32(p), to: to, msg: m}
+	o.sent.add(msgTraffic(m, 1))
+}
+
+// SendAll sends m on every port.
+//
+//distcolor:noalloc
+func (o *Outbox) SendAll(m Message) {
+	if m == nil {
+		return
+	}
+	if o.all != nil || len(o.recs) > o.mark {
+		panic("sim: SendAll with another send in one step")
+	}
+	o.all = m
+	if len(o.adj) > 0 {
+		o.loud = true
+		o.sent = msgTraffic(m, len(o.adj))
+	}
+}
+
+// grow makes room for more records: first the capacity the shard was
+// planned with, one message per vertex of the shard, then twice the
+// current one.
+func (o *Outbox) grow() {
+	recs := make([]record, len(o.recs), max(o.size, 2*cap(o.recs), 1))
+	copy(recs, o.recs)
+	o.recs = recs
+}
+
+// begin readies the outbox for a step of the vertex with ports adj and
+// first arc lo.
+//
+//distcolor:noalloc
+func (o *Outbox) begin(adj []graph.Arc, lo int) {
+	o.adj, o.lo = adj, int32(lo)
+	o.all, o.mark, o.sent = nil, len(o.recs), sendStats{}
+}
+
+// msgTraffic is the traffic of sending m on ports ports: Bits() bits each
+// for a Sizer, 64 for anything else.
+//
+//distcolor:noalloc
+func msgTraffic(m Message, ports int) sendStats {
+	b := int64(64)
+	if s, ok := m.(Sizer); ok {
+		b = s.Bits()
+	}
+	d := int64(ports)
+	return sendStats{msgs: d, bits: d * b, maxBits: b}
 }
 
 // Topology is a network: a graph plus per-vertex identifiers and optional
@@ -313,41 +417,37 @@ func (o observedExec) Run(ctx context.Context, t *Topology, f Factory, maxRounds
 
 // instance holds the shared execution state of one run.
 //
-// Both message planes are laid out over the graph's arc indices, whose
-// range [lo, hi) = G.Range(v) is the port order of Adj(v).
+// Both message planes keep what a vertex broadcasts in two n-slot slabs
+// alternating by round parity: slab round%2 holds, at v, what v broadcast
+// in that round, and v's inbox is gathered from the other slab through its
+// adjacency list Adj(v), whose port order is the arc order of Range(v).
+// On the word plane wouts[round%2][v] is the Word v returned (NoWord:
+// silence); under an ActiveSet, carryRound keeps an idle vertex's word in
+// both slabs. On the port plane bouts[round%2][v] is v's SendAll of that
+// round (nil: none), and every slot of a slab is nil unless heard says
+// that some vertex broadcast in the round that wrote it. The port plane's
+// unicasts arrive in the mail buffer, v's being mail[at[v]:at[v+1]] when
+// mailed says the last round sent any (deliver).
 //
-// The any plane is per arc: flat []Message slabs with one slot per
-// directed arc, vertex v's buffers being its arc range, so handing a step
-// its buffers is a slice expression, not an allocation. Outboxes are
-// double-buffered: steps write outs[round%2] while reading (through the
-// inbox) what the previous round wrote into the other slab. Delivery is
-// the Mates permutation — the message arriving on v's port p is whatever
-// the neighbor wrote on the opposite arc Mates()[lo+p] — applied lazily
-// when a vertex is stepped: its inbox window of the in slab is
-// materialized from the previous out slab right before Step, while the
-// slots are about to be read anyway.
-//
-// The word plane is per vertex: wouts[round%2][v] is the one word v
-// broadcast in that round, and v's inbox is gathered from the other slab
-// through its adjacency list Adj(v) into the stepping shard's window of Δ
-// words, right before StepWord. Under an ActiveSet, carryRound keeps an
-// idle vertex's word in both slabs.
-//
-// In both planes there is no separate delivery pass, halted vertices'
-// dead inboxes are never materialized, and the buffer swap is a parity
-// flip. All slabs are allocated once per run; the round loop performs no
-// heap allocations.
+// Halted vertices' dead inboxes are never built, and the buffer swap is a
+// parity flip. The slabs are allocated once per run, the unicast buffers
+// when first needed; the round loop performs no heap allocations in its
+// steady state.
 type instance struct {
 	t         *Topology
 	g         *graph.Graph
 	n         int
 	done      []bool
 	remaining int
-	// The any plane: the run's PortProgram, the inbox slab in, and the
-	// outbox slabs outs, double-buffered by round parity.
-	ports PortProgram
-	in    []Message
-	outs  [2][]Message
+	// The port plane: the run's PortProgram, its broadcast slabs, whether
+	// the last round broadcast, and the unicast inboxes the last round
+	// delivered.
+	ports  PortProgram
+	bouts  [2][]Message
+	heard  bool
+	mail   []Mail
+	at     []int32
+	mailed bool
 	// The word plane (words.go): the run's WordProgram, its WordSizer
 	// (nil: the default 64-bit accounting), and the two n-slot outbox
 	// slabs. Inbox windows and scratch slabs belong to the shards of the
@@ -361,9 +461,10 @@ type instance struct {
 	active  ActiveSet
 	traffic tally
 	// newly and pending are reusable lists of capacity n of the vertices
-	// that halted in the current and the previous round. Within a round
-	// each shard writes its halts into its own region of newly's backing
-	// slab; the round loop compacts them, and retireRound drains both.
+	// that halted in the current and the previous round, over one 2n-slot
+	// slab. Within a round each shard writes its halts into its own region
+	// of newly's backing array; the round loop compacts them, and
+	// retireRound drains both.
 	newly   []int32
 	pending []int32
 }
@@ -374,14 +475,15 @@ func newInstance(t *Topology, f Factory) (*instance, error) {
 	}
 	g := t.G
 	n := g.N()
+	halts := make([]int32, 2*n)
 	inst := &instance{
 		t:         t,
 		g:         g,
 		n:         n,
 		done:      make([]bool, n),
 		remaining: n,
-		newly:     make([]int32, 0, n),
-		pending:   make([]int32, 0, n),
+		newly:     halts[:0:n],
+		pending:   halts[n:n],
 	}
 	// The Factory's type picks the message plane; only the chosen plane's
 	// slabs are allocated.
@@ -390,17 +492,15 @@ func newInstance(t *Topology, f Factory) (*instance, error) {
 		inst.prog = p
 		inst.sizer, _ = p.(WordSizer)
 		inst.active, _ = p.(ActiveSet)
-		inst.wouts = [2][]Word{make([]Word, n), make([]Word, n)}
-		for _, slab := range inst.wouts {
-			for v := range slab {
-				slab[v] = NoWord
-			}
+		slab := make([]Word, 2*n)
+		for v := range slab {
+			slab[v] = NoWord
 		}
+		inst.wouts = [2][]Word{slab[:n:n], slab[n:]}
 	case PortProgram:
 		inst.ports = p
-		arcs := g.NumArcs()
-		inst.in = make([]Message, arcs)
-		inst.outs = [2][]Message{make([]Message, arcs), make([]Message, arcs)}
+		slab := make([]Message, 2*n)
+		inst.bouts = [2][]Message{slab[:n:n], slab[n:]}
 	default:
 		return nil, fmt.Errorf("sim: program %T is neither a PortProgram nor a WordProgram", f)
 	}
@@ -422,47 +522,129 @@ func (a *sendStats) add(b sendStats) {
 	}
 }
 
-// stepVertex advances vertex v on the any plane and returns its emitted
-// traffic plus whether the vertex halted during this call. The inbox
-// window is materialized from the previous round's outbox slab through
-// the Mates permutation (this IS message delivery — fused into the step so
-// the slots are written right before Step reads them), the current outbox
-// window is cleared per the PortProgram contract, the program steps v
-// with the shard's scratch, and the emitted slots are scanned for Stats
-// while still hot.
+// stepVertex advances vertex v on the port plane and returns its emitted
+// traffic plus whether the vertex halted during this call: the program
+// steps v on its inbox and the shard's outbox and scratch, and v's
+// broadcast, or nil, is stored in its slot of the round's slab.
 //
 //distcolor:noalloc
 func (inst *instance) stepVertex(v, round int, s *shard) (sendStats, bool) {
-	prevOut, curOut := inst.outs[(round&1)^1], inst.outs[round&1]
-	lo, hi := inst.g.Range(v)
-	mate := inst.g.Mates()[lo:hi:hi]
-	in := inst.in[lo:hi:hi]
-	out := curOut[lo:hi:hi]
-	for p := range in {
-		in[p] = prevOut[mate[p]]
-		out[p] = nil
+	in := inst.inbox(v, round, s)
+	o := &s.out
+	lo, _ := inst.g.Range(v)
+	o.begin(inst.g.Adj(v), lo)
+	halted := inst.ports.Step(v, round, in, o, s.scratch)
+	inst.bouts[round&1][v] = o.all
+	return o.sent, halted
+}
+
+// inbox returns v's port-plane inbox for the round: its mail, merged in
+// port order with its neighbors' broadcasts of the previous round when
+// there were any. Without broadcasts the inbox is v's part of the mail
+// buffer itself; with them it is built in the shard's window. A port
+// carries a broadcast or a unicast, never both.
+//
+//distcolor:noalloc
+func (inst *instance) inbox(v, round int, s *shard) []Mail {
+	var mail []Mail
+	if inst.mailed {
+		lo, hi := inst.at[v], inst.at[v+1]
+		mail = inst.mail[lo:hi:hi]
 	}
-	halted := inst.ports.Step(v, round, in, out, s.scratch)
-	var st sendStats
-	for _, m := range out {
-		if m == nil {
-			continue
+	if !inst.heard {
+		return mail
+	}
+	prev := inst.bouts[(round&1)^1]
+	adj := inst.g.Adj(v)
+	in := s.box[:len(adj)]
+	k, u := 0, 0
+	for p, a := range adj {
+		if m := prev[a.To]; m != nil {
+			in[k] = Mail{Port: int32(p), Msg: m}
+			k++
+		} else if u < len(mail) && int(mail[u].Port) == p {
+			in[k] = mail[u]
+			k++
+			u++
 		}
-		st.msgs++
-		if s, ok := m.(Sizer); ok {
-			b := s.Bits()
-			st.bits += b
-			if b > st.maxBits {
-				st.maxBits = b
+	}
+	return in[:k:k]
+}
+
+// deliver packs the round's unicasts into the inboxes the next round
+// reads, skipping those to halted receivers. One stable counting sort by
+// receiver places them: the records are read in ascending sender order,
+// a reversed shard's backwards, and each CSR range lists its neighbors in
+// ascending order, so every inbox comes out in port order. It then empties
+// the shards' record lists.
+//
+//distcolor:noalloc
+func (inst *instance) deliver(shards []shard) {
+	total := 0
+	for i := range shards {
+		total += len(shards[i].out.recs)
+	}
+	inst.mailed = total > 0
+	if total == 0 {
+		return
+	}
+	if cap(inst.mail) < total {
+		inst.growMail(total)
+	}
+	// Count v's mail at at[v+2]; the prefix sums then leave at[v+1] at the
+	// start of v's mail, and posting advances it to the end, which is the
+	// start of v+1's: afterwards v's mail is mail[at[v]:at[v+1]].
+	at := inst.at
+	clear(at)
+	for i := range shards {
+		for _, r := range shards[i].out.recs {
+			if !inst.done[r.to] {
+				at[r.to+2]++
+			}
+		}
+	}
+	for v := 2; v < len(at); v++ {
+		at[v] += at[v-1]
+	}
+	for i := range shards {
+		s := &shards[i]
+		recs := s.out.recs
+		if s.reverse {
+			for k := len(recs) - 1; k >= 0; k-- {
+				inst.post(&recs[k])
 			}
 		} else {
-			st.bits += 64
-			if st.maxBits < 64 {
-				st.maxBits = 64
+			for k := range recs {
+				inst.post(&recs[k])
 			}
 		}
+		s.out.recs = recs[:0]
 	}
-	return st, halted
+}
+
+// post places one unicast at the end of its receiver's mail so far; the
+// port it arrives on is the mate arc's offset in the receiver's range.
+//
+//distcolor:noalloc
+func (inst *instance) post(r *record) {
+	if inst.done[r.to] {
+		return
+	}
+	lo, _ := inst.g.Range(int(r.to))
+	i := inst.at[r.to+1]
+	inst.at[r.to+1] = i + 1
+	inst.mail[i] = Mail{Port: inst.g.Mates()[r.arc] - int32(lo), Msg: r.msg}
+}
+
+// growMail sizes the mail buffer for a round of total unicasts, at least
+// doubling it, and allocates the inbox index with the first buffer. A
+// program whose first round of unicasts is its busiest, such as the
+// Lemma 5.1 merge, allocates one buffer per run.
+func (inst *instance) growMail(total int) {
+	if inst.at == nil {
+		inst.at = make([]int32, inst.n+2)
+	}
+	inst.mail = make([]Mail, max(total, 2*cap(inst.mail)))
 }
 
 // stepVertexWord is stepVertex on the word plane: the inbox is gathered
@@ -548,41 +730,37 @@ func (inst *instance) carryRound(round int, vs []int32, all bool) {
 }
 
 // retireRound runs at the end of each round, after the slab the round read
-// from (its prevOut) has been fully consumed, and clears in that slab the
-// outboxes of the vertices that halted this round (killing their stale
-// next-to-last messages) and of those that halted last round (killing
-// their just-consumed final messages). After its two passes over a halted
-// vertex the vertex's outbox is silent in both slabs and is never written
-// again, so inbox gathering reads silence from it forever — the cost is
-// O(deg) on the any plane and one slot on the word plane, once per vertex,
-// not per round.
+// from (its prevOut) has been fully consumed, and silences in that slab the
+// broadcast slots of the vertices that halted this round (killing their
+// stale next-to-last messages) and of those that halted last round
+// (killing their just-consumed final messages). After its two passes over
+// a halted vertex the vertex's slot is silent in both slabs and is never
+// written again, so inbox gathering reads silence from it forever — one
+// slot per slab, once per vertex, not per round. A halted vertex's
+// unicasts need no retiring: deliver hands each round's out exactly once.
 //
 //distcolor:noalloc
 func (inst *instance) retireRound(round int) {
-	if inst.prog != nil {
-		consumed := inst.wouts[(round&1)^1]
-		inst.retireWordsInto(consumed, inst.newly)
-		inst.retireWordsInto(consumed, inst.pending)
-	} else {
-		consumed := inst.outs[(round&1)^1]
-		inst.retireInto(consumed, inst.newly)
-		inst.retireInto(consumed, inst.pending)
-	}
+	consumed := (round & 1) ^ 1
+	inst.silence(consumed, inst.newly)
+	inst.silence(consumed, inst.pending)
 	inst.pending, inst.newly = inst.newly, inst.pending[:0]
 }
 
+// silence clears the slots of vs in the run's outbox slab of parity slab.
+//
 //distcolor:noalloc
-func (inst *instance) retireInto(slab []Message, vs []int32) {
-	for _, v := range vs {
-		lo, hi := inst.g.Range(int(v))
-		clear(slab[lo:hi])
+func (inst *instance) silence(slab int, vs []int32) {
+	if inst.prog != nil {
+		out := inst.wouts[slab]
+		for _, v := range vs {
+			out[v] = NoWord
+		}
+		return
 	}
-}
-
-//distcolor:noalloc
-func (inst *instance) retireWordsInto(slab []Word, vs []int32) {
+	out := inst.bouts[slab]
 	for _, v := range vs {
-		slab[v] = NoWord
+		out[v] = nil
 	}
 }
 
@@ -608,16 +786,18 @@ func abortErr(ctx context.Context, round, remaining int) error {
 // stepped in index order, or in reverse index order when reverse is set.
 // In a round whose ActiveSet names the acting vertices, subset is set and
 // act is the shard's part of them, the names within [lo, hi). scratch is
-// the shard's own program scratch and win its word-plane inbox window;
-// sent and halted are the traffic and the halt count of the shard's last
-// stepped round, and delta its changes to an ActiveSet program's running
-// sums.
+// the shard's own program scratch, win its word-plane inbox window, and
+// box and out its port-plane inbox window and outbox; sent and halted are
+// the traffic and the halt count of the shard's last stepped round, and
+// delta its changes to an ActiveSet program's running sums.
 type shard struct {
 	lo, hi  int
 	reverse bool
 	subset  bool
 	act     []int32
 	win     []Word
+	box     []Mail
+	out     Outbox
 	scratch []Word
 	sent    sendStats
 	halted  int
@@ -723,11 +903,12 @@ func (e Engine) Run(ctx context.Context, t *Topology, f Factory, maxRounds int) 
 // sizing is grain-based: a shard must carry enough vertices for its
 // goroutine spawn plus barrier share (on the order of a microsecond) to
 // pay for itself, so small topologies run on few (or single) goroutines.
-// Each shard owns a scratch slab of f.Scratch(Δ) words on either plane,
-// plus its inbox window on the word plane, and within a round it writes
-// only its own vertices' outbox slots and program slots, its own window
-// and scratch, and its own region of the newly slab, which is why one
-// barrier per round suffices.
+// Each shard owns a scratch slab of f.Scratch(Δ) words and an inbox
+// window of Δ entries on either plane, and on the port plane its outbox
+// and unicast records, and within a round it writes only its own
+// vertices' outbox slots and program slots, its own window, scratch and
+// records, and its own region of the newly slab, which is why one barrier
+// per round suffices.
 func (e Engine) plan(inst *instance, f Factory) []shard {
 	n := inst.n
 	workers := 1
@@ -745,6 +926,9 @@ func (e Engine) plan(inst *instance, f Factory) []shard {
 		s.scratch = make([]Word, scratch)
 		if inst.prog != nil {
 			s.win = make([]Word, maxDeg)
+		} else {
+			s.box = make([]Mail, maxDeg)
+			s.out.size = s.hi - s.lo
 		}
 	}
 	return shards
@@ -821,6 +1005,14 @@ func (e Engine) run(ctx context.Context, t *Topology, f Factory, maxRounds int, 
 			}
 			sent = inst.traffic.sent()
 			inst.carryRound(round, vs, all)
+		}
+		if inst.ports != nil {
+			inst.heard = false
+			for i := range shards {
+				inst.heard = inst.heard || shards[i].out.loud
+				shards[i].out.loud = false
+			}
+			inst.deliver(shards)
 		}
 		stats.Messages += sent.msgs
 		stats.Bits += sent.bits

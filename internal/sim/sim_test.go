@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -25,28 +26,55 @@ func rg(seed int64, n int, p float64) *graph.Graph {
 // PortFunc adapts a step function to PortProgram for the test programs,
 // which keep their per-vertex state in slices indexed by v and ask for no
 // scratch. It is exported for the external test package.
-type PortFunc func(v, round int, in, out []Message) bool
+type PortFunc func(v, round int, in []Mail, out *Outbox) bool
 
 // Scratch implements Factory.
 func (PortFunc) Scratch(int) int { return 0 }
 
 // Step implements PortProgram.
-func (f PortFunc) Step(v, round int, in, out []Message, _ []Word) bool {
+func (f PortFunc) Step(v, round int, in []Mail, out *Outbox, _ []Word) bool {
 	return f(v, round, in, out)
+}
+
+// DetachedOutbox is an Outbox outside any run, for the reference executor
+// of plane_test.go: it steps one vertex of a port program and hands back
+// what the vertex sent, port by port, leaving delivery to the caller. It
+// is exported for the external test package.
+type DetachedOutbox struct{ o Outbox }
+
+// Step steps vertex v of g under p with inbox in and writes what v sent
+// into out, one slot per port of v (nil: nothing). It panics when v sent
+// two messages on one port.
+func (d *DetachedOutbox) Step(p PortProgram, g *graph.Graph, v, round int, in []Mail, scratch []Word, out []Message) bool {
+	lo, _ := g.Range(v)
+	d.o.recs = d.o.recs[:0]
+	d.o.begin(g.Adj(v), lo)
+	halted := p.Step(v, round, in, &d.o, scratch)
+	for port := range out {
+		out[port] = d.o.all
+	}
+	for _, r := range d.o.recs {
+		port := int(r.arc) - lo
+		if out[port] != nil {
+			panic(fmt.Sprintf("vertex %d sent twice on port %d in round %d", v, port, round))
+		}
+		out[port] = r.msg
+	}
+	return halted
 }
 
 // neighborSumProgram: every vertex broadcasts its ID in round 0, sums the
 // received IDs in round 1, stores the result, and halts.
 func neighborSumProgram(t *Topology, results []int64) PortFunc {
-	return func(v, round int, in, out []Message) bool {
+	return func(v, round int, in []Mail, out *Outbox) bool {
 		switch round {
 		case 0:
-			SendAll(out, t.ID(v))
-			return len(in) == 0 // isolated vertices are done immediately
+			out.SendAll(t.ID(v))
+			return t.G.Degree(v) == 0 // isolated vertices are done immediately
 		default:
 			var sum int64
 			for _, m := range in {
-				sum += m.(int64)
+				sum += m.Msg.(int64)
 			}
 			results[v] = sum
 			return true
@@ -84,19 +112,17 @@ func TestNeighborSum(t *testing.T) {
 // it in that round and halts.
 func bfsProgram(t *Topology, dist []int) PortFunc {
 	reached := make([]bool, t.G.N())
-	return func(v, round int, in, out []Message) bool {
+	return func(v, round int, in []Mail, out *Outbox) bool {
 		if round == 0 && t.ID(v) == 0 {
 			reached[v] = true
 			dist[v] = 0
 		}
-		for _, m := range in {
-			if !reached[v] && m != nil {
-				reached[v] = true
-				dist[v] = round
-			}
+		if !reached[v] && len(in) > 0 {
+			reached[v] = true
+			dist[v] = round
 		}
 		if reached[v] {
-			SendAll(out, int64(1))
+			out.SendAll(int64(1))
 			return true
 		}
 		return false
@@ -187,8 +213,8 @@ func TestEngineDispatch(t *testing.T) {
 
 // oddForeverProgram: every vertex broadcasts each round; even vertices
 // halt after round 1, odd ones never halt.
-var oddForeverProgram PortFunc = func(v, round int, in, out []Message) bool {
-	SendAll(out, int64(round))
+var oddForeverProgram PortFunc = func(v, round int, in []Mail, out *Outbox) bool {
+	out.SendAll(int64(round))
 	return v%2 == 0 && round >= 1
 }
 
@@ -260,8 +286,8 @@ func TestTopologyValidation(t *testing.T) {
 
 // knowledgeProgram exchanges identifiers and seed labels in round 0 and
 // records, in each vertex's arc range, what arrived on each port. It
-// also records the degree and the scratch length each step was handed,
-// and the Δ the engine sized the scratch from.
+// also records how many ports delivered and the scratch length each step
+// was handed, and the Δ the engine sized the scratch from.
 type knowledgeProgram struct {
 	t               *Topology
 	nbrID, nbrLabel []int64
@@ -274,24 +300,25 @@ func (p *knowledgeProgram) Scratch(maxDeg int) int {
 	return maxDeg + 1
 }
 
-func (p *knowledgeProgram) Step(v, round int, in, out []Message, scratch []Word) bool {
+func (p *knowledgeProgram) Step(v, round int, in []Mail, out *Outbox, scratch []Word) bool {
 	if round == 0 {
-		p.degree[v], p.scratch[v] = len(in), len(scratch)
-		SendAll(out, [2]int64{p.t.ID(v), p.t.Label(v)})
+		p.scratch[v] = len(scratch)
+		out.SendAll([2]int64{p.t.ID(v), p.t.Label(v)})
 		return false
 	}
+	p.degree[v] = len(in)
 	lo, _ := p.t.G.Range(v)
-	for port, m := range in {
-		idl := m.([2]int64)
-		p.nbrID[lo+port], p.nbrLabel[lo+port] = idl[0], idl[1]
+	for _, m := range in {
+		idl := m.Msg.([2]int64)
+		p.nbrID[lo+int(m.Port)], p.nbrLabel[lo+int(m.Port)] = idl[0], idl[1]
 	}
 	return true
 }
 
 // TestNeighborKnowledge pins the knowledge model: stepping v, a program
-// is handed v's degree (len(in)) and a scratch slab sized from Δ, and it
-// learns its neighbors' identifiers and seed labels, port by port, from a
-// round-0 exchange.
+// is handed a scratch slab sized from Δ, and it learns its neighbors'
+// identifiers and seed labels, port by port, from a round-0 exchange in
+// which every port delivers.
 func TestNeighborKnowledge(t *testing.T) {
 	g := graph.Star(5)
 	ids := []int64{100, 200, 300, 400, 500}
@@ -349,17 +376,17 @@ func TestHaltedVertexStopsSending(t *testing.T) {
 	// must see the message in round 1 but nothing in round 2.
 	g := graph.Path(2)
 	var sawRound1, sawRound2 bool
-	var f PortFunc = func(v, round int, in, out []Message) bool {
+	var f PortFunc = func(v, round int, in []Mail, out *Outbox) bool {
 		if v == 0 {
-			SendAll(out, int64(42))
+			out.SendAll(int64(42))
 			return true
 		}
 		switch round {
 		case 1:
-			sawRound1 = in[0] != nil
+			sawRound1 = len(in) > 0
 			return false
 		case 2:
-			sawRound2 = in[0] != nil
+			sawRound2 = len(in) > 0
 			return true
 		}
 		return false
@@ -379,7 +406,7 @@ func TestHaltedVertexStopsSending(t *testing.T) {
 // and abort with an error wrapping the cancellation cause.
 func TestContextAbortsRun(t *testing.T) {
 	g := rg(7, 40, 0.2)
-	var forever PortFunc = func(v, round int, in, out []Message) bool { return false }
+	var forever PortFunc = func(v, round int, in []Mail, out *Outbox) bool { return false }
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, e := range engines {

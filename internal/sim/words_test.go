@@ -97,19 +97,21 @@ func sizedPayloadBits(v int64) int64 { return v%13 + 14 }
 // and folds everything received into an accumulator. The per-port Sizer
 // case, which only a port program can express, is chattyProgram's.
 func sizedPortProgram(t *sim.Topology, results []int64) sim.PortProgram {
-	return sim.PortFunc(func(v, round int, in, out []sim.Message) bool {
+	return sim.PortFunc(func(v, round int, in []sim.Mail, out *sim.Outbox) bool {
 		id := t.ID(v)
 		acc := results[v]
-		for p, m := range in {
-			if m == nil {
-				acc = acc*31 + 7
+		k := 0
+		for p := 0; p < t.G.Degree(v); p++ {
+			if k < len(in) && int(in[k].Port) == p {
+				acc = acc*31 + int64(in[k].Msg.(sizedMsg)) + int64(p)
+				k++
 			} else {
-				acc = acc*31 + int64(m.(sizedMsg)) + int64(p)
+				acc = acc*31 + 7
 			}
 		}
 		results[v] = acc
 		if (round+int(id))%3 != 2 {
-			sim.SendAll(out, sizedMsg(id+int64(round)))
+			out.SendAll(sizedMsg(id + int64(round)))
 		}
 		return round >= int(id%5)
 	})
