@@ -148,7 +148,9 @@ profile:
 # which the edge algorithms run on every submitted graph — submitted
 # graphs are user bytes too (the targets check the labeling against the
 # reference implementation and the line graph against the Builder path).
-# FuzzRun runs every registered algorithm on small fuzzed graphs with
+# FuzzOrientationConnectors checks both Section 5 orientation connectors,
+# which Theorems 5.3 and 5.4 build on every submitted graph, against the
+# Builder-and-permutation construction they replaced. FuzzRun runs every registered algorithm on small fuzzed graphs with
 # in-schema parameters, sequentially and in parallel: the two must agree,
 # and nothing may panic or fail Run's verification.
 # Go allows one -fuzz per invocation, so the targets run back to back;
@@ -161,6 +163,7 @@ fuzz:
 	$(GO) test . -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/graph/ -run '^$$' -fuzz FuzzCanonicalLabeling -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/graph/ -run '^$$' -fuzz FuzzLineGraph -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
+	$(GO) test ./internal/connector/ -run '^$$' -fuzz FuzzOrientationConnectors -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test . -run '^$$' -fuzz FuzzRun -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 
 # The deterministic chaos suite (DESIGN.md §12): one seeded schedule drives

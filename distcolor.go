@@ -161,5 +161,6 @@ func CanonicalHash(g *Graph) string { return graph.CanonicalHash(g) }
 func CanonicalLabeling(g *Graph) []int32 { return graph.CanonicalLabeling(g) }
 
 // SparsePlans lists the candidate Section 5 parameterizations for (Δ, a)
-// with their declared palettes, as considered by AlgoEdgeSparse.
-func SparsePlans(delta, a int) []Plan { return arbor.Plans(delta, a) }
+// at threshold multiplier q with their declared palettes, as considered by
+// AlgoEdgeSparse; q is its "q" parameter (0 selects the default 3).
+func SparsePlans(delta, a int, q float64) []Plan { return arbor.Plans(delta, a, q) }

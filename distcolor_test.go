@@ -183,7 +183,7 @@ func TestFacadeHelpers(t *testing.T) {
 	if a := ArboricityUpperBound(g); a < 1 || a > 3 {
 		t.Fatalf("grid arboricity estimate %d", a)
 	}
-	plans := SparsePlans(1000, 2)
+	plans := SparsePlans(1000, 2, 3)
 	if len(plans) < 3 {
 		t.Fatal("expected multiple sparse plans")
 	}

@@ -3,6 +3,7 @@ package arbor
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -390,7 +391,7 @@ func TestAdaptivePicksSmallPalette(t *testing.T) {
 }
 
 func TestPlansEnumerate(t *testing.T) {
-	plans := Plans(1000, 2)
+	plans := Plans(1000, 2, 3)
 	if len(plans) < 3 {
 		t.Fatalf("expected several plans, got %d", len(plans))
 	}
@@ -406,6 +407,30 @@ func TestPlansEnumerate(t *testing.T) {
 	}
 	if !seen["thm5.2"] || !seen["thm5.3"] {
 		t.Fatal("fixed plans missing")
+	}
+}
+
+// TestPalettesSaturate: the Section 5 palettes saturate at math.MaxInt64
+// instead of wrapping negative, so a plan never lists a wrapped palette
+// and BestPlan never picks one, and the plans carry the q they were
+// made for.
+func TestPalettesSaturate(t *testing.T) {
+	if p := Palette53(24, 1, 1e9); p != math.MaxInt64 {
+		t.Fatalf("Palette53(24, 1, 1e9) = %d, want saturated", p)
+	}
+	if p := Palette54(24, 1<<30, 1e9, 2); p != math.MaxInt64 {
+		t.Fatalf("Palette54(24, 2^30, 1e9, 2) = %d, want saturated", p)
+	}
+	for _, p := range Plans(24, 1<<30, 1e9) {
+		if p.Palette < 1 || p.Q != 1e9 {
+			t.Fatalf("plan %s: palette %d at q=%g", p.Name, p.Palette, p.Q)
+		}
+	}
+	if best := BestPlan(24, 1, 1e9); best.Name != "thm5.2" || best.Palette != Palette52(24, 1, 1e9) {
+		t.Fatalf("best plan at q=1e9 is %s with palette %d, want thm5.2", best.Name, best.Palette)
+	}
+	if best := BestPlan(24, 1, 0); best.Q != 3 {
+		t.Fatalf("q=0 planned at q=%g, want the default 3", best.Q)
 	}
 }
 

@@ -3,6 +3,7 @@ package arbor
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/connector"
 	"repro/internal/graph"
@@ -243,10 +244,20 @@ func planSqrt(delta, theta int) sqrtPlan {
 }
 
 // Palette53 is the declared palette of ColorSqrt for maximum degree delta
-// and arboricity bound a at multiplier q.
+// and arboricity bound a at multiplier q. It saturates at math.MaxInt64,
+// which ColorSqrt refuses as an overflow.
 func Palette53(delta, a int, q float64) int64 {
 	p := planSqrt(delta, Threshold(a, q))
-	return Palette52(p.connDelta, p.connArb, q) * Palette52(p.classDelta, p.classArb, q)
+	return util.MulSat(Palette52(p.connDelta, p.connArb, q), Palette52(p.classDelta, p.classArb, q))
+}
+
+// checkPalette refuses a declared palette that saturated at
+// math.MaxInt64, before the run it would size.
+func checkPalette(palette int64, delta, theta, x int) error {
+	if palette == math.MaxInt64 {
+		return fmt.Errorf("arbor: declared palette overflows int64 (Δ=%d, θ=%d, x=%d)", delta, theta, x)
+	}
+	return nil
 }
 
 // ColorSqrt implements Theorem 5.3: the Figure-3 orientation connector
@@ -263,13 +274,19 @@ func ColorSqrt(ctx context.Context, g *graph.Graph, a int, opt Options) (*Result
 	if err != nil {
 		return nil, err
 	}
+	p := planSqrt(delta, theta)
+	phiPal := Palette52(p.connDelta, p.connArb, q)
+	psiPal := Palette52(p.classDelta, p.classArb, q)
+	palette := util.MulSat(phiPal, psiPal)
+	if err := checkPalette(palette, delta, theta, 1); err != nil {
+		return nil, err
+	}
 	hp, err := HPartition(ctx, opt.Exec, g, theta)
 	if err != nil {
 		return nil, err
 	}
 	stats := hp.Stats
 
-	p := planSqrt(delta, theta)
 	vg, err := connector.Orientation(hp.Orient, p.inGroup, p.outGroup)
 	if err != nil {
 		return nil, err
@@ -285,8 +302,6 @@ func ColorSqrt(ctx context.Context, g *graph.Graph, a int, opt Options) (*Result
 	stats = stats.Seq(phiRes.Stats)
 
 	// Class coloring ψ, Theorem 5.2 again on every φ-class.
-	phiPal := Palette52(p.connDelta, p.connArb, q)
-	psiPal := Palette52(p.classDelta, p.classArb, q)
 	colors, classStats, err := connector.Classes(g, connector.EdgeClasses, vg.BaseColors(phiRes.Colors), phiPal, psiPal,
 		func(c int64, sub *graph.Sub) ([]int64, sim.Stats, error) {
 			if sub.G.MaxDegree() > p.classDelta {
@@ -303,7 +318,7 @@ func ColorSqrt(ctx context.Context, g *graph.Graph, a int, opt Options) (*Result
 	}
 	return &Result{
 		Colors:    colors,
-		Palette:   phiPal * psiPal,
+		Palette:   palette,
 		Stats:     stats.Seq(classStats),
 		Parts:     hp.NumParts,
 		Threshold: theta,

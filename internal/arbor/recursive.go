@@ -17,7 +17,8 @@ func Groups54(delta, theta, x int) (inGroup, outGroup int) {
 
 // Palette54 is the declared palette of ColorRecursive: the product of the
 // per-level bipartite-connector palettes (inGroup+outGroup−1 each) and the
-// Theorem 5.2 palette of the final classes.
+// Theorem 5.2 palette of the final classes. It saturates at
+// math.MaxInt64, which ColorRecursive refuses as an overflow.
 func Palette54(delta, a int, q float64, x int) int64 {
 	theta := Threshold(a, q)
 	inG, outG := Groups54(delta, theta, x)
@@ -29,7 +30,7 @@ func palette54Rec(dDelta, dTheta, inG, outG, lvl int, q float64) int64 {
 		return Palette52(dDelta, max(1, dTheta), q)
 	}
 	next := int64(inG + outG - 1)
-	return next * palette54Rec(nextDelta(dDelta, dTheta, inG, outG), util.CeilDiv(dTheta, outG), inG, outG, lvl-1, q)
+	return util.MulSat(next, palette54Rec(nextDelta(dDelta, dTheta, inG, outG), util.CeilDiv(dTheta, outG), inG, outG, lvl-1, q))
 }
 
 func nextDelta(dDelta, dTheta, inG, outG int) int {
@@ -56,18 +57,22 @@ func ColorRecursive(ctx context.Context, g *graph.Graph, a, x int, opt Options) 
 	if err != nil {
 		return nil, err
 	}
+	inG, outG := Groups54(delta, theta, x)
+	palette := palette54Rec(delta, theta, inG, outG, x, q)
+	if err := checkPalette(palette, delta, theta, x); err != nil {
+		return nil, err
+	}
 	hp, err := HPartition(ctx, opt.Exec, g, theta)
 	if err != nil {
 		return nil, err
 	}
-	inG, outG := Groups54(delta, theta, x)
 	colors, stats, err := rec54(ctx, g, hp.Orient, delta, theta, inG, outG, x, opt)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{
 		Colors:    colors,
-		Palette:   palette54Rec(delta, theta, inG, outG, x, q),
+		Palette:   palette,
 		Stats:     hp.Stats.Seq(stats),
 		Parts:     hp.NumParts,
 		Threshold: theta,

@@ -87,7 +87,7 @@ func DeclaredPalette(d, s, t, x int) int64 {
 		return int64(d)*int64(s-1) + 1
 	}
 	gamma := int64(d)*int64(t-1) + 1
-	return mulSat(gamma, DeclaredPalette(d, util.CeilDiv(s, t), t, x-1))
+	return util.MulSat(gamma, DeclaredPalette(d, util.CeilDiv(s, t), t, x-1))
 }
 
 // Color runs CD-Coloring on g with the given clique cover, connector
@@ -109,7 +109,7 @@ func Color(ctx context.Context, g *graph.Graph, cover *cliques.Cover, t, x int, 
 	stats := r.seedStats.Seq(recStats)
 
 	declared := DeclaredPalette(r.d, s, t, x)
-	bound := mulSat(int64(s), pow64(int64(r.d), x+1))
+	bound := util.MulSat(int64(s), pow64(int64(r.d), x+1))
 	palette := declared
 	if !opt.SkipTrim && declared > bound {
 		topo := &sim.Topology{G: g, IDs: r.ids, Labels: colors}
@@ -249,15 +249,7 @@ func (r *run) rec(ctx context.Context, g *graph.Graph, ids, seed []int64, cover 
 func pow64(b int64, e int) int64 {
 	p := int64(1)
 	for i := 0; i < e; i++ {
-		p = mulSat(p, b)
+		p = util.MulSat(p, b)
 	}
 	return p
-}
-
-// mulSat returns a·b for a, b ≥ 0, saturating at math.MaxInt64.
-func mulSat(a, b int64) int64 {
-	if b != 0 && a > math.MaxInt64/b {
-		return math.MaxInt64
-	}
-	return a * b
 }

@@ -38,24 +38,26 @@ type ClassFunc func(c int64, sub *graph.Sub) ([]int64, sim.Stats, error)
 // sequence. This is the one place classes compose.
 func Classes(g *graph.Graph, kind ClassKind, phi []int64, k, subPalette int64, color ClassFunc) ([]int64, sim.Stats, error) {
 	var (
-		subs []*graph.Sub
-		err  error
+		subs  []*graph.Sub
+		first int64
+		err   error
 	)
 	if kind == EdgeClasses {
-		subs, err = graph.SpanningClasses(g, phi, k)
+		subs, first, err = graph.SpanningClasses(g, phi, k)
 	} else {
-		subs, err = inducedClasses(g, phi, k)
+		subs, first, err = inducedClasses(g, phi, k)
 	}
 	if err != nil {
 		return nil, sim.Stats{}, err
 	}
 	colors := make([]int64, len(phi))
 	classStats := make([]sim.Stats, 0, len(subs))
-	for c, sub := range subs {
+	for i, sub := range subs {
 		if sub == nil {
 			continue
 		}
-		psi, st, err := color(int64(c), sub)
+		c := first + int64(i)
+		psi, st, err := color(c, sub)
 		if err != nil {
 			return nil, sim.Stats{}, err
 		}
@@ -64,39 +66,39 @@ func Classes(g *graph.Graph, kind ClassKind, phi []int64, k, subPalette int64, c
 		if kind == VertexClasses {
 			orig = sub.VOrig
 		}
-		for i, o := range orig {
-			colors[o] = int64(c)*subPalette + psi[i]
+		for j, o := range orig {
+			colors[o] = c*subPalette + psi[j]
 		}
 	}
 	return colors, sim.ParAll(classStats), nil
 }
 
 // inducedClasses returns the subgraph each vertex class of φ ∈ [0, k)
-// induces, nil for an empty class. Members are listed in ascending order,
-// as graph.InducedSubgraph requires.
-func inducedClasses(g *graph.Graph, phi []int64, k int64) ([]*graph.Sub, error) {
+// induces, over the span of the classes present as SpanningClasses does:
+// entry i is class first+i, nil when that class is empty. Members are
+// listed in ascending order, as graph.InducedSubgraph requires.
+func inducedClasses(g *graph.Graph, phi []int64, k int64) (subs []*graph.Sub, first int64, err error) {
 	if len(phi) != g.N() {
-		return nil, fmt.Errorf("connector: %d vertex classes for %d vertices", len(phi), g.N())
+		return nil, 0, fmt.Errorf("connector: %d vertex classes for %d vertices", len(phi), g.N())
 	}
-	members := make([][]int, k)
+	first, last, err := graph.ClassSpan(phi, k)
+	if err != nil || last < first {
+		return nil, 0, err
+	}
+	members := make([][]int, last-first+1)
 	for v, c := range phi {
-		if c < 0 || c >= k {
-			return nil, fmt.Errorf("connector: vertex %d in class %d outside [0,%d)", v, c, k)
-		}
-		members[c] = append(members[c], v)
+		members[c-first] = append(members[c-first], v)
 	}
-	subs := make([]*graph.Sub, k)
-	for c, vs := range members {
+	subs = make([]*graph.Sub, len(members))
+	for i, vs := range members {
 		if len(vs) == 0 {
 			continue
 		}
-		sub, err := graph.InducedSubgraph(g, vs)
-		if err != nil {
-			return nil, err
+		if subs[i], err = graph.InducedSubgraph(g, vs); err != nil {
+			return nil, 0, err
 		}
-		subs[c] = sub
 	}
-	return subs, nil
+	return subs, first, nil
 }
 
 // BaseColors re-indexes a coloring of the connector's edges by the base

@@ -85,3 +85,38 @@ func TestClassesErrors(t *testing.T) {
 		t.Fatalf("err %v after %d calls, want boom after 1", err, calls)
 	}
 }
+
+// TestClassesHugePalette: the class tables cover only the classes present,
+// so a coloring from a declared palette near 2⁶² costs what its classes
+// use, and each callback gets its actual class.
+func TestClassesHugePalette(t *testing.T) {
+	g := gen.GNP(30, 0.2, 3)
+	const k = int64(1) << 62
+	for _, kind := range []ClassKind{EdgeClasses, VertexClasses} {
+		n := g.M()
+		if kind == VertexClasses {
+			n = g.N()
+		}
+		phi := make([]int64, n)
+		for i := range phi {
+			phi[i] = k - 1 - int64(i%3)*2 // classes k−5, k−3 and k−1
+		}
+		var called []int64
+		colors, _, err := Classes(g, kind, phi, k, 1, func(c int64, sub *graph.Sub) ([]int64, sim.Stats, error) {
+			called = append(called, c)
+			if kind == VertexClasses {
+				return make([]int64, sub.G.N()), sim.Stats{}, nil
+			}
+			return make([]int64, sub.G.M()), sim.Stats{}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(called, []int64{k - 5, k - 3, k - 1}) {
+			t.Fatalf("kind %d: classes colored %v, want [k-5 k-3 k-1]", kind, called)
+		}
+		if !reflect.DeepEqual(colors, phi) {
+			t.Fatalf("kind %d: colors are not φ·1+0", kind)
+		}
+	}
+}

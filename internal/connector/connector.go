@@ -13,6 +13,14 @@
 //     in-edges and out-edges into bounded groups, preserving acyclicity
 //     while capping both the degree and the out-degree (hence arboricity).
 //
+// The virtual vertices of the edge and orientation connectors are laid out
+// by owner (VirtualGraph.Base), and both emit their edges in (U, V) order,
+// the edge connector as it reads each vertex's ports and the orientation
+// connectors through one stable counting sort by the lower virtual, so no
+// connector calls a comparison sort. Classes, the class stage of every
+// recursion, splits a connector coloring over the span of the classes it
+// uses.
+//
 // Distributed-cost model: each connector is constructed with O(1) rounds of
 // communication (cliques have diameter 1, so a master — the highest-ID
 // clique member — can collect and announce a partition in 2 rounds; virtual
@@ -96,10 +104,10 @@ func (c *CliqueConnector) MaxDegreeBound(d int) int { return d * (c.T - 1) }
 // vertex, whose edges correspond 1:1 to (a subset of) the original edges.
 type VirtualGraph struct {
 	G *graph.Graph
-	// Owner maps each virtual vertex to the original vertex simulating it.
-	Owner []int32
-	// Index is the per-owner ordinal of each virtual vertex.
-	Index []int32
+	// Base lays the virtual vertices out by owner: original vertex v
+	// simulates the virtuals [Base[v], Base[v+1]), so the owners' ranges
+	// ascend with the owner.
+	Base []int32
 	// EOrig maps each connector edge to the original edge identifier.
 	EOrig []int32
 	// Stats is the construction cost.
@@ -119,15 +127,6 @@ func Edge(g *graph.Graph, t int) (*VirtualGraph, error) {
 	base := make([]int32, n+1)
 	for v := 0; v < n; v++ {
 		base[v+1] = base[v] + int32(util.CeilDiv(g.Degree(v), t))
-	}
-	nv := int(base[n])
-	owner := make([]int32, nv)
-	index := make([]int32, nv)
-	for v := 0; v < n; v++ {
-		for i := base[v]; i < base[v+1]; i++ {
-			owner[i] = int32(v)
-			index[i] = i - base[v]
-		}
 	}
 	// Edge e joins the virtual of its port p at each endpoint, base + p/t;
 	// at the far endpoint w, p is the offset of e's mate arc in w's range.
@@ -150,14 +149,13 @@ func Edge(g *graph.Graph, t int) (*VirtualGraph, error) {
 			eorig = append(eorig, a.Edge)
 		}
 	}
-	cg, err := graph.FromSortedEdges(nv, edges)
+	cg, err := graph.FromSortedEdges(int(base[n]), edges)
 	if err != nil {
 		return nil, fmt.Errorf("connector: edge: %w", err)
 	}
 	return &VirtualGraph{
 		G:     cg,
-		Owner: owner,
-		Index: index,
+		Base:  base,
 		EOrig: eorig,
 		Stats: sim.Stats{Rounds: VirtualConstructRounds, Messages: 2 * int64(g.M())},
 	}, nil

@@ -125,35 +125,40 @@ func TestEdgeConnectorDegreeBound(t *testing.T) {
 		// Edge correspondence: connector edge endpoints' owners are the
 		// original endpoints, and each endpoint is the virtual of the
 		// edge's port there, in runs of t.
+		owner := owners(vg.Base)
 		for e := 0; e < vg.G.M(); e++ {
 			cu, cv := vg.G.Endpoints(e)
-			ou, ov := int(vg.Owner[cu]), int(vg.Owner[cv])
+			ou, ov := int(owner[cu]), int(owner[cv])
 			wu, wv := g.Endpoints(int(vg.EOrig[e]))
 			if !(ou == wu && ov == wv) && !(ou == wv && ov == wu) {
 				t.Fatalf("edge %d owners (%d,%d) do not match original (%d,%d)", e, ou, ov, wu, wv)
 			}
 			for _, c := range []int{cu, cv} {
-				port := slices.IndexFunc(g.Adj(int(vg.Owner[c])), func(a graph.Arc) bool { return a.Edge == vg.EOrig[e] })
-				if int(vg.Index[c]) != port/tt {
-					t.Fatalf("t=%d: edge %d has virtual %d at vertex %d, port %d", tt, e, vg.Index[c], vg.Owner[c], port)
+				o := owner[c]
+				port := slices.IndexFunc(g.Adj(int(o)), func(a graph.Arc) bool { return a.Edge == vg.EOrig[e] })
+				if index := int32(c) - vg.Base[o]; int(index) != port/tt {
+					t.Fatalf("t=%d: edge %d has virtual %d at vertex %d, port %d", tt, e, index, o, port)
 				}
 			}
 		}
 		// Virtual count per owner: ⌈deg/t⌉.
-		cnt := map[int32]int{}
-		for _, o := range vg.Owner {
-			cnt[o]++
-		}
 		for v := 0; v < g.N(); v++ {
-			want := util.CeilDiv(g.Degree(v), tt)
-			if want == 0 {
-				continue
-			}
-			if cnt[int32(v)] != want {
-				t.Fatalf("vertex %d has %d virtuals, want %d", v, cnt[int32(v)], want)
+			if got, want := int(vg.Base[v+1]-vg.Base[v]), util.CeilDiv(g.Degree(v), tt); got != want {
+				t.Fatalf("vertex %d has %d virtuals, want %d", v, got, want)
 			}
 		}
 	}
+}
+
+// owners lists the owner of every virtual vertex of the layout base.
+func owners(base []int32) []int32 {
+	owner := make([]int32, base[len(base)-1])
+	for v := 0; v+1 < len(base); v++ {
+		for i := base[v]; i < base[v+1]; i++ {
+			owner[i] = int32(v)
+		}
+	}
+	return owner
 }
 
 func TestEdgeConnectorQuick(t *testing.T) {
@@ -300,10 +305,8 @@ func TestFigure2Structure(t *testing.T) {
 		t.Fatal(err)
 	}
 	var centerVirts []int
-	for v := 0; v < vg.G.N(); v++ {
-		if vg.Owner[v] == 0 {
-			centerVirts = append(centerVirts, vg.G.Degree(v))
-		}
+	for v := vg.Base[0]; v < vg.Base[1]; v++ {
+		centerVirts = append(centerVirts, vg.G.Degree(int(v)))
 	}
 	if len(centerVirts) != 3 {
 		t.Fatalf("center should have 3 virtuals, got %d", len(centerVirts))
@@ -351,16 +354,12 @@ func TestFigure3Structure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Vertex 0's virtuals: max(⌈9/3⌉, ⌈4/2⌉) = 3.
-	virts := 0
-	for v := 0; v < vg.G.N(); v++ {
-		if vg.Owner[v] == 0 {
-			virts++
-			if vg.G.Degree(v) > 3+2 {
-				t.Fatalf("virtual degree %d exceeds in+out group bound", vg.G.Degree(v))
-			}
+	for v := vg.Base[0]; v < vg.Base[1]; v++ {
+		if vg.G.Degree(int(v)) > 3+2 {
+			t.Fatalf("virtual degree %d exceeds in+out group bound", vg.G.Degree(int(v)))
 		}
 	}
-	if virts != 3 {
+	if virts := vg.Base[1] - vg.Base[0]; virts != 3 {
 		t.Fatalf("vertex 0 should have 3 virtuals, got %d", virts)
 	}
 	if err := verify.AcyclicOrientation(vg.Orient, 2); err != nil {

@@ -46,123 +46,111 @@ func BipartiteOrientation(o *graph.Orientation, inGroup, outGroup int) (*Oriente
 	return buildOriented(o, inGroup, outGroup, true)
 }
 
+// buildOriented lays out and wires both orientation connectors. One pass
+// over each vertex's ports gives every arc its virtual vertex: the in-arcs
+// and the out-arcs of v, each in port order, go in runs of inGroup and
+// outGroup to v's virtuals, which in the bipartite variant are the
+// in-virtuals followed by the out-virtuals. Ports list a vertex's edges
+// in identifier order, so these are the groups that numbering the edges
+// in identifier order at each endpoint gives.
+//
+// Each edge is then taken from its lower endpoint v, for v and its ports
+// ascending, and joins the virtual of its arc at v, the lower one, to the
+// virtual of its mate arc. The edges at one virtual of v arrive with
+// ascending far owner, whose virtuals form one ascending range, so one
+// stable counting sort by the lower virtual lists them in (U, V) order.
 func buildOriented(o *graph.Orientation, inGroup, outGroup int, bipartite bool) (*OrientedVirtualGraph, error) {
 	g := o.Graph()
 	n := g.N()
-	inDeg := make([]int, n)
-	outDeg := make([]int, n)
+	base := make([]int32, n+1)
+	virt := make([]int32, g.NumArcs())
 	for v := 0; v < n; v++ {
-		for _, a := range g.Adj(v) {
+		lo, _ := g.Range(v)
+		adj := g.Adj(v)
+		in := 0
+		for _, a := range adj {
 			if o.Head(int(a.Edge)) == v {
-				inDeg[v]++
+				in++
+			}
+		}
+		nIn, nOut := util.CeilDiv(in, inGroup), util.CeilDiv(len(adj)-in, outGroup)
+		inFirst, outFirst := base[v], base[v]
+		size := max(nIn, nOut, 1) // an isolated vertex keeps one virtual
+		if bipartite {
+			outFirst += int32(nIn)
+			size = max(nIn+nOut, 1)
+		}
+		base[v+1] = base[v] + int32(size)
+		in, out := 0, 0
+		for p, a := range adj {
+			if o.Head(int(a.Edge)) == v {
+				virt[lo+p] = inFirst + int32(in/inGroup)
+				in++
 			} else {
-				outDeg[v]++
+				virt[lo+p] = outFirst + int32(out/outGroup)
+				out++
 			}
 		}
 	}
-	// Virtual vertex layout. Shared variant: max(#in, #out) virtuals per
-	// vertex; bipartite: #in in-virtuals followed by #out out-virtuals.
-	base := make([]int32, n+1)
-	inCount := make([]int32, n)
-	for v := 0; v < n; v++ {
-		nIn := util.CeilDiv(inDeg[v], inGroup)
-		nOut := util.CeilDiv(outDeg[v], outGroup)
-		var total int
-		if bipartite {
-			total = nIn + nOut
-			inCount[v] = int32(nIn)
-		} else {
-			total = max(nIn, nOut)
-		}
-		if total == 0 {
-			total = 1 // isolated vertices keep one virtual for simplicity
-		}
-		base[v+1] = base[v] + int32(total)
-	}
 	nv := int(base[n])
-	owner := make([]int32, nv)
-	index := make([]int32, nv)
+	// at[u+1] counts the edges whose lower virtual is u; the prefix sums
+	// then make at[u] u's placement cursor.
+	at := make([]int32, nv+1)
+	for v := 0; v < n; v++ {
+		lo, _ := g.Range(v)
+		for p, a := range g.Adj(v) {
+			if int(a.To) > v {
+				at[virt[lo+p]+1]++
+			}
+		}
+	}
+	for u := 1; u <= nv; u++ {
+		at[u] += at[u-1]
+	}
+	mates := g.Mates()
+	edges := make([]graph.Edge, g.M())
+	eorig := make([]int32, g.M())
+	heads := make([]int32, g.M())
 	var inSide []bool
 	if bipartite {
 		inSide = make([]bool, nv)
 	}
 	for v := 0; v < n; v++ {
-		for i := base[v]; i < base[v+1]; i++ {
-			owner[i] = int32(v)
-			index[i] = i - base[v]
-			if bipartite && index[i] < inCount[v] {
-				inSide[i] = true
+		lo, _ := g.Range(v)
+		for p, a := range g.Adj(v) {
+			if int(a.To) < v {
+				continue
+			}
+			u, w := virt[lo+p], virt[mates[lo+p]]
+			i := at[u]
+			at[u]++
+			edges[i] = graph.Edge{U: u, V: w}
+			eorig[i] = a.Edge
+			heads[i] = w
+			if o.Head(int(a.Edge)) == v {
+				heads[i] = u
+			}
+			if bipartite {
+				inSide[heads[i]] = true // every in-virtual heads an edge
 			}
 		}
 	}
-	// Per-vertex running counters assign each in-edge and out-edge, in port
-	// order, to its group. In the bipartite variant out-virtuals start after
-	// the in-virtuals.
-	inSeen := make([]int, n)
-	outSeen := make([]int, n)
-	inVirt := func(v int) int {
-		grp := inSeen[v] / inGroup
-		inSeen[v]++
-		return int(base[v]) + grp
-	}
-	outVirt := func(v int) int {
-		grp := outSeen[v] / outGroup
-		outSeen[v]++
-		if bipartite {
-			return int(base[v]) + int(inCount[v]) + grp
-		}
-		return int(base[v]) + grp
-	}
-	b := graph.NewBuilder(nv)
-	eorig := make([]int32, 0, g.M())
-	heads := make([]int32, 0, g.M())
-	// Iterate edges in identifier order so group assignment is
-	// deterministic (each endpoint processes its incident edges in a fixed
-	// local order; identifier order is one such order).
-	for e := 0; e < g.M(); e++ {
-		head := o.Head(e)
-		tail := o.Tail(e)
-		hv := inVirt(head)
-		tv := outVirt(tail)
-		if hv == tv {
-			// Impossible: head ≠ tail and virtuals have distinct owners.
-			return nil, fmt.Errorf("connector: internal: virtual self-loop on edge %d", e)
-		}
-		b.AddEdge(tv, hv)
-		eorig = append(eorig, int32(e))
-		heads = append(heads, int32(hv))
-	}
-	cg, perm, err := graph.BuildWithEdgeOrder(b)
+	cg, err := graph.FromSortedEdges(nv, edges)
 	if err != nil {
 		return nil, fmt.Errorf("connector: orientation: %w", err)
 	}
-	headByFinal := make([]int32, len(heads))
-	for ins, h := range heads {
-		headByFinal[perm[ins]] = h
-	}
-	orient, err := graph.NewOrientation(cg, headByFinal)
+	orient, err := graph.NewOrientation(cg, heads)
 	if err != nil {
 		return nil, fmt.Errorf("connector: orientation: %w", err)
 	}
 	return &OrientedVirtualGraph{
 		VirtualGraph: VirtualGraph{
 			G:     cg,
-			Owner: owner,
-			Index: index,
-			EOrig: applyPerm(eorig, perm),
+			Base:  base,
+			EOrig: eorig,
 			Stats: sim.Stats{Rounds: VirtualConstructRounds, Messages: 2 * int64(g.M())},
 		},
 		Orient: orient,
 		InSide: inSide,
 	}, nil
-}
-
-// applyPerm reindexes an insertion-ordered slice by the permutation
-// graph.BuildWithEdgeOrder returns.
-func applyPerm(eorig []int32, perm []int32) []int32 {
-	out := make([]int32, len(eorig))
-	for ins, orig := range eorig {
-		out[perm[ins]] = orig
-	}
-	return out
 }

@@ -95,12 +95,8 @@ func figure2() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	labels := make([]string, vg.G.N())
-	for v := 0; v < vg.G.N(); v++ {
-		labels[v] = fmt.Sprintf("v%d_%d", vg.Owner[v], vg.Index[v]+1)
-	}
 	var buf bytes.Buffer
-	if err := graph.WriteDOT(&buf, vg.G, "figure2_edge_connector", labels); err != nil {
+	if err := graph.WriteDOT(&buf, vg.G, "figure2_edge_connector", virtualLabels(vg)); err != nil {
 		return nil, err
 	}
 	return &Result{
@@ -138,24 +134,30 @@ func figure3() (*Result, error) {
 	}
 	var buf bytes.Buffer
 	fmt.Fprintln(&buf, `digraph "figure3_orientation_connector" {`)
-	for v := 0; v < vg.G.N(); v++ {
-		label := fmt.Sprintf("v%d_%d", vg.Owner[v], vg.Index[v]+1)
+	for v, label := range virtualLabels(&vg.VirtualGraph) {
 		fmt.Fprintf(&buf, "  %d [label=%s];\n", v, strconv.Quote(label))
 	}
 	for e := 0; e < vg.G.M(); e++ {
 		fmt.Fprintf(&buf, "  %d -> %d;\n", vg.Orient.Tail(e), vg.Orient.Head(e))
 	}
 	fmt.Fprintln(&buf, "}")
-	centerVirts := 0
-	for _, owner := range vg.Owner {
-		if owner == 0 {
-			centerVirts++
-		}
-	}
+	centerVirts := vg.Base[1] - vg.Base[0]
 	return &Result{
 		DOT: buf.String(),
 		Summary: fmt.Sprintf(
 			"Figure 3: center with 9 in / 4 out edges; in-groups of 3, out-groups of 2 ⇒ %d virtuals; acyclic: %v; max out-degree %d ≤ 2",
 			centerVirts, vg.Orient.IsAcyclic(), vg.Orient.MaxOutDegree()),
 	}, nil
+}
+
+// virtualLabels names the i-th virtual vertex of owner v "v<v>_<i>",
+// counting i from 1.
+func virtualLabels(vg *connector.VirtualGraph) []string {
+	labels := make([]string, vg.G.N())
+	for v := 0; v+1 < len(vg.Base); v++ {
+		for i := vg.Base[v]; i < vg.Base[v+1]; i++ {
+			labels[i] = fmt.Sprintf("v%d_%d", v, i-vg.Base[v]+1)
+		}
+	}
+	return labels
 }

@@ -208,22 +208,29 @@ func TestSpanningSubgraph(t *testing.T) {
 
 // TestSpanningClasses splits a graph's edges into classes in one pass: each
 // class is the spanning subgraph SpanningSubgraph extracts for it, an empty
-// class is nil, and a class outside [0, k) is an error.
+// class is nil, the tables cover only the span of the classes present
+// however large k is, and a class outside [0, k) is an error.
 func TestSpanningClasses(t *testing.T) {
 	g := Complete(7)
+	const offset = int64(1) << 50
 	class := make([]int64, g.M())
 	for e := range class {
 		class[e] = int64(e*e) % 5
 		if class[e] == 2 {
 			class[e] = 4 // leave class 2 empty
 		}
+		class[e] += offset
 	}
-	subs, err := SpanningClasses(g, class, 5)
+	subs, first, err := SpanningClasses(g, class, 2*offset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c, sub := range subs {
-		want := SpanningSubgraph(g, func(e int) bool { return class[e] == int64(c) })
+	if first != offset || len(subs) != 5 {
+		t.Fatalf("classes span [%d, %d), want [%d, %d)", first, first+int64(len(subs)), offset, offset+5)
+	}
+	for i, sub := range subs {
+		c := first + int64(i)
+		want := SpanningSubgraph(g, func(e int) bool { return class[e] == c })
 		if want.G.M() == 0 {
 			if sub != nil {
 				t.Fatalf("empty class %d returned a subgraph", c)
@@ -234,11 +241,14 @@ func TestSpanningClasses(t *testing.T) {
 			t.Fatalf("class %d: edges %v (orig %v), want %v (orig %v)", c, sub.G.Edges(), sub.EOrig, want.G.Edges(), want.EOrig)
 		}
 	}
-	class[3] = 5
-	if _, err := SpanningClasses(g, class, 5); err == nil {
+	if subs, _, err := SpanningClasses(NewBuilder(3).MustBuild(), nil, 1); err != nil || len(subs) != 0 {
+		t.Fatalf("edgeless graph: %d classes, err %v", len(subs), err)
+	}
+	class[3] = 2 * offset
+	if _, _, err := SpanningClasses(g, class, 2*offset); err == nil {
 		t.Fatal("class outside [0,k) accepted")
 	}
-	if _, err := SpanningClasses(g, class[:3], 6); err == nil {
+	if _, _, err := SpanningClasses(g, class[:3], 6); err == nil {
 		t.Fatal("short class slice accepted")
 	}
 }

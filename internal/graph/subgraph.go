@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Sub is a subgraph together with its embedding into a parent graph. It is
 // the unit of recursion in the paper's decompositions: CD-Coloring recurses
@@ -96,69 +93,56 @@ func SpanningSubgraph(g *Graph, keep func(e int) bool) *Sub {
 }
 
 // SpanningClasses splits g's edges by class[e] ∈ [0, k) into the spanning
-// subgraphs of the k classes, with one counting pass over the edges. Entry
-// c is nil when class c has no edges. Each class keeps the identifier
-// order of its edges, hence (U, V) order, so no class is sorted; the
-// classes share one edge arena and one EOrig arena of g.M() entries.
-func SpanningClasses(g *Graph, class []int64, k int64) ([]*Sub, error) {
+// subgraphs of their classes, with one counting pass over the edges. Its
+// tables cover only the span of the classes present, [first, last], so a
+// coloring from a huge declared palette costs what its edges use: entry i
+// of subs is class first+i, nil when that class has no edges, and a graph
+// without edges has no entries. Each class keeps the identifier order of
+// its edges, hence (U, V) order, so no class is sorted; the classes share
+// one edge arena and one EOrig arena of g.M() entries.
+func SpanningClasses(g *Graph, class []int64, k int64) (subs []*Sub, first int64, err error) {
 	if len(class) != g.M() {
-		return nil, fmt.Errorf("graph: %d edge classes for %d edges", len(class), g.M())
+		return nil, 0, fmt.Errorf("graph: %d edge classes for %d edges", len(class), g.M())
 	}
-	start := make([]int, k+1)
-	for e, c := range class {
-		if c < 0 || c >= k {
-			return nil, fmt.Errorf("graph: edge %d in class %d outside [0,%d)", e, c, k)
-		}
-		start[c+1]++
+	first, last, err := ClassSpan(class, k)
+	if err != nil || last < first {
+		return nil, 0, err
 	}
-	for c := int64(1); c <= k; c++ {
-		start[c] += start[c-1]
+	start := make([]int, last-first+2)
+	for _, c := range class {
+		start[c-first+1]++
+	}
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
 	}
 	edges := make([]Edge, g.M())
 	eorig := make([]int32, g.M())
-	next := append([]int(nil), start[:k]...)
+	next := append([]int(nil), start[:len(start)-1]...)
 	for e, c := range class {
-		edges[next[c]] = g.edges[e]
-		eorig[next[c]] = int32(e)
-		next[c]++
+		i := next[c-first]
+		edges[i] = g.edges[e]
+		eorig[i] = int32(e)
+		next[c-first]++
 	}
-	subs := make([]*Sub, k)
-	for c := range subs {
-		lo, hi := start[c], start[c+1]
+	subs = make([]*Sub, len(start)-1)
+	for i := range subs {
+		lo, hi := start[i], start[i+1]
 		if lo < hi {
-			subs[c] = &Sub{G: fromSortedEdges(g.N(), edges[lo:hi:hi]), EOrig: eorig[lo:hi:hi]}
+			subs[i] = &Sub{G: fromSortedEdges(g.N(), edges[lo:hi:hi]), EOrig: eorig[lo:hi:hi]}
 		}
 	}
-	return subs, nil
+	return subs, first, nil
 }
 
-// BuildWithEdgeOrder builds the graph and returns the permutation mapping
-// each edge's insertion index (order of AddEdge calls) to its final edge
-// identifier. Builder.Build assigns IDs in sorted-(U,V) order, so the
-// permutation is recovered by sorting insertion indices by the same key.
-// Exposed for the orientation connectors, which add edges out of (U, V)
-// order and must track which original edge each derived edge represents.
-func BuildWithEdgeOrder(b *Builder) (*Graph, []int32, error) {
-	keys := make([]Edge, len(b.edges))
-	copy(keys, b.edges)
-	order := make([]int32, len(keys))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.SliceStable(order, func(x, y int) bool {
-		a, c := keys[order[x]], keys[order[y]]
-		if a.U != c.U {
-			return a.U < c.U
+// ClassSpan returns the smallest and the largest entry of class, each of
+// which must lie in [0, k); last < first when class is empty.
+func ClassSpan(class []int64, k int64) (first, last int64, err error) {
+	first, last = k, -1
+	for i, c := range class {
+		if c < 0 || c >= k {
+			return 0, 0, fmt.Errorf("graph: element %d in class %d outside [0,%d)", i, c, k)
 		}
-		return a.V < c.V
-	})
-	g, err := b.Build()
-	if err != nil {
-		return nil, nil, err
+		first, last = min(first, c), max(last, c)
 	}
-	perm := make([]int32, len(order))
-	for finalID, insPos := range order {
-		perm[insPos] = int32(finalID)
-	}
-	return g, perm, nil
+	return first, last, nil
 }

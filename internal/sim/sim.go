@@ -180,9 +180,9 @@ func (o *Outbox) SendAll(m Message) {
 	}
 }
 
-// grow makes room for more records: first the capacity the shard was
-// planned with, one message per vertex of the shard, then twice the
-// current one.
+// grow makes room for more records: first size, one record per vertex of
+// the shard or per running vertex when fewer run (stepShard sets it until
+// the list exists), then twice the current capacity.
 func (o *Outbox) grow() {
 	recs := make([]record, len(o.recs), max(o.size, 2*cap(o.recs), 1))
 	copy(recs, o.recs)
@@ -816,6 +816,9 @@ func (inst *instance) stepShard(s *shard, round int) {
 	newly := inst.newly[s.lo:s.hi:s.hi]
 	var sent sendStats
 	k := 0
+	if inst.ports != nil && cap(s.out.recs) == 0 {
+		s.out.size = min(s.hi-s.lo, inst.remaining)
+	}
 	subset, act := s.subset, s.act
 	first, last := s.lo, s.hi
 	if subset {
@@ -928,7 +931,6 @@ func (e Engine) plan(inst *instance, f Factory) []shard {
 			s.win = make([]Word, maxDeg)
 		} else {
 			s.box = make([]Mail, maxDeg)
-			s.out.size = s.hi - s.lo
 		}
 	}
 	return shards

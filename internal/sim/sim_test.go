@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -457,6 +458,41 @@ func TestRunRejectsUnknownProgram(t *testing.T) {
 	for _, e := range engines {
 		if _, err := e.Run(context.Background(), NewTopology(graph.Path(3)), scratchOnly{}, 4); err == nil {
 			t.Fatalf("engine %v ran a program of neither form", e)
+		}
+	}
+}
+
+// TestRecordListSizedBySurvivors: a shard's first record list is sized at
+// the round it is first used, by the running vertices when fewer run than
+// the shard holds. On 10k vertices of which ten outlive round 0 and each
+// sends one unicast in round 1, no shard's list holds more than ten
+// records, where one per vertex of the shard would be 10k.
+func TestRecordListSizedBySurvivors(t *testing.T) {
+	const n, every = 10_000, 1000
+	g := graph.Cycle(n)
+	for _, eng := range []Engine{Sequential, Parallel, ReverseSequential} {
+		capAt := make([]int, n) // the list's capacity after v's send
+		var f PortFunc = func(v, round int, in []Mail, out *Outbox) bool {
+			switch {
+			case round == 0:
+				return v%every != 0
+			case round == 1:
+				out.Send(0, int64(v))
+				capAt[v] = cap(out.recs)
+				return false
+			default:
+				return true
+			}
+		}
+		stats, err := eng.Run(context.Background(), NewTopology(g), f, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Messages != n/every {
+			t.Fatalf("engine %d: %d messages, want %d", eng, stats.Messages, n/every)
+		}
+		if most := slices.Max(capAt); most > n/every {
+			t.Fatalf("engine %d: a shard's record list holds %d records for %d survivors", eng, most, n/every)
 		}
 	}
 }

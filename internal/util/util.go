@@ -4,7 +4,10 @@
 // that appears in every LOCAL-model running-time bound.
 package util
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // CeilDiv returns ⌈a/b⌉ for positive b.
 func CeilDiv(a, b int) int {
@@ -98,6 +101,16 @@ func powAtMost(base, exp, limit int) bool {
 		result *= base
 	}
 	return result <= limit
+}
+
+// MulSat returns a·b for a, b ≥ 0, saturating at math.MaxInt64: the
+// declared palettes of the recursions are such products, and a caller
+// refuses a saturated one as an overflow.
+func MulSat(a, b int64) int64 {
+	if b != 0 && a > math.MaxInt64/b {
+		return math.MaxInt64
+	}
+	return a * b
 }
 
 // IPow returns base^exp for exp ≥ 0. It panics on overflow beyond int range.

@@ -273,3 +273,18 @@ func TestNextPrimeQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestMulSat(t *testing.T) {
+	for _, c := range []struct{ a, b, want int64 }{
+		{0, math.MaxInt64, 0},
+		{math.MaxInt64, 0, 0},
+		{1, math.MaxInt64, math.MaxInt64},
+		{3_037_000_499, 3_037_000_499, 9_223_372_030_926_249_001}, // ⌊√MaxInt64⌋²
+		{3_037_000_500, 3_037_000_500, math.MaxInt64},
+		{1 << 32, 1 << 31, math.MaxInt64},
+	} {
+		if got := MulSat(c.a, c.b); got != c.want {
+			t.Fatalf("MulSat(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+}
