@@ -25,7 +25,8 @@ import (
 var noallocManifest = map[string]string{
 	// Pinned at 0 allocs per round by TestSequentialSteadyStateAllocFree
 	// and TestReverseSequentialSteadyStateAllocFree (plane_test.go),
-	// TestWordPlaneSteadyStateAllocFree (words_test.go),
+	// TestWordPlaneSteadyStateAllocFree and, on line topologies,
+	// TestLinePlaneSteadyStateAllocFree (words_test.go),
 	// TestInstrumentedSteadyStateAllocFree (bandwidth_test.go), and the
 	// bench gate's allocs_per_round=0 columns (BENCH_simcore.json).
 	"internal/sim.(instance).stepShard":      "sim round loop, one shard's step",
@@ -45,8 +46,8 @@ var noallocManifest = map[string]string{
 	"internal/sim.(instance).deliver": "sim round loop, unicast delivery",
 	"internal/sim.(instance).post":    "sim round loop, unicast delivery",
 	// The active-set path of the word plane, pinned by
-	// TestActiveSetSteadyStateAllocFree (words_test.go) on both sequential
-	// engines.
+	// TestActiveSetSteadyStateAllocFree and TestLinePlaneSteadyStateAllocFree
+	// (words_test.go) on both sequential engines.
 	"internal/sim.(instance).stepVertexActive": "sim round loop, active-set step",
 	"internal/sim.(instance).wordTraffic":      "sim round loop, active-set traffic",
 	"internal/sim.(instance).carryRound":       "sim round loop, active-set carry",

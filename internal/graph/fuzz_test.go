@@ -101,10 +101,13 @@ func FuzzCanonicalLabeling(f *testing.F) {
 
 // FuzzLineGraph checks LineGraph against the Builder path it bypasses
 // (builderLineGraph) on arbitrary simple graphs of at most 64 vertices
-// (run via `make fuzz`; colord builds line graphs of submitted graphs):
-// the edge list, every adjacency order and Δ must be identical, and both
-// the graph and its line graph must pass the layout check (checkCSR). The
-// input decodes as in FuzzCanonicalLabeling.
+// (run via `make fuzz`; colord's edge algorithms read the line table of
+// every submitted graph): the edge list, every adjacency order and Δ must
+// be identical, and both the graph and its line graph must pass the layout
+// check (checkCSR). The line table of the same graph must then hold, row
+// by row and as a set, the neighbors of LineGraph's adjacency, with L's
+// degrees and Δ (lineTableDiff). The input decodes as in
+// FuzzCanonicalLabeling.
 func FuzzLineGraph(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 1, 1, 2, 2, 0})                                           // triangle
@@ -121,6 +124,9 @@ func FuzzLineGraph(f *testing.F) {
 		}
 		checkCSR(t, g)
 		checkCSR(t, lg)
+		if d := lineTableDiff(g); d != "" {
+			t.Fatalf("line table of %v: %s", g.Edges(), d)
+		}
 	})
 }
 

@@ -1,8 +1,9 @@
 // Package graph provides the static graph representation used throughout
 // distcolor: immutable graphs stored as compressed sparse rows, with stable
 // edge identifiers, induced and spanning subgraphs that remember their
-// embedding into the parent graph, line graphs (of graphs and of uniform
-// hypergraphs), and edge orientations.
+// embedding into the parent graph, line tables (the neighbor rows through
+// which the edge algorithms read a line graph without building it), line
+// graphs (of graphs and of uniform hypergraphs), and edge orientations.
 //
 // Vertices of a Graph are the integers 0..N()-1. Every undirected edge has a
 // stable identifier 0..M()-1; adjacency lists expose, for each incident edge,

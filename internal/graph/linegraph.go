@@ -1,12 +1,84 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
+
+// LineTable is the neighbor table of L(g), the line graph of a graph g,
+// read without building L: line vertex e is g's edge e = {U, V}, and its
+// row lists the identifiers of the other edges at U, in U's port order,
+// then those of the other edges at V. g is simple, so no other edge shares
+// both endpoints: the two parts are disjoint, and row e is e's
+// neighborhood in L(g) as a set, in an order of its own. Each entry is one
+// arc of L in 4 bytes, where LineGraph spends 16 (edge list, arcs, mates).
+type LineTable struct {
+	off    []int32 // len M(g)+1: row e is nbr[off[e]:off[e+1]]
+	nbr    []int32
+	maxDeg int
+}
+
+// NewLineTable builds g's line table in one pass over g's edges, copying
+// the adjacency of both endpoints of each into its row, with no sort and
+// no mate pass; the offsets and the rows share one allocation. The table
+// holds Σ_v d(v)(d(v)−1) entries, known from the degrees before anything
+// is allocated, and it fails when that exceeds the int32 offsets.
+func NewLineTable(g *Graph) (*LineTable, error) {
+	var size int64
+	for v := 0; v < g.N(); v++ {
+		d := int64(g.Degree(v))
+		size += d * (d - 1)
+	}
+	if size > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: line table of %d entries exceeds its int32 offsets (at most %d)", size, math.MaxInt32)
+	}
+	m := g.M()
+	slab := make([]int32, m+1+int(size))
+	t := &LineTable{off: slab[: m+1 : m+1], nbr: slab[m+1:]}
+	k := int32(0)
+	for e, ed := range g.edges {
+		t.off[e] = k
+		for _, a := range g.Adj(int(ed.U)) {
+			if a.Edge != int32(e) {
+				t.nbr[k] = a.Edge
+				k++
+			}
+		}
+		for _, a := range g.Adj(int(ed.V)) {
+			if a.Edge != int32(e) {
+				t.nbr[k] = a.Edge
+				k++
+			}
+		}
+		t.maxDeg = max(t.maxDeg, int(k-t.off[e]))
+	}
+	t.off[m] = k
+	return t, nil
+}
+
+// N returns the number of line vertices, M(g).
+func (t *LineTable) N() int { return len(t.off) - 1 }
+
+// Row returns the neighbors of line vertex e. The returned slice must not
+// be modified; it is shared with the table.
+func (t *LineTable) Row(e int) []int32 {
+	lo, hi := t.off[e], t.off[e+1]
+	return t.nbr[lo:hi:hi]
+}
+
+// Degree returns the degree of line vertex e, d(U)+d(V)−2.
+func (t *LineTable) Degree(e int) int { return int(t.off[e+1] - t.off[e]) }
+
+// MaxDegree returns Δ(L(g)).
+func (t *LineTable) MaxDegree() int { return t.maxDeg }
 
 // LineGraph constructs L(G): one vertex per edge of g, with two vertices
 // adjacent iff the corresponding edges share an endpoint; L-vertex e is
 // g's edge e. The result is the graph a Builder would build from those
 // adjacencies (same edge identifiers, same port order), built without its
-// sort. The canonical clique cover of L(G) is cliques.LineCover's.
+// sort. The edge colorings never build it: they read L through
+// NewLineTable's rows. It serves the clique covers (cliques.LineCover)
+// and as the table's test oracle.
 func LineGraph(g *Graph) *Graph {
 	// |E(L(G))| = Σ_v deg(v)·(deg(v)−1)/2 exactly; pre-size the edge list
 	// so multi-million-arc line graphs build without append regrowth.

@@ -3,7 +3,9 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -153,18 +155,20 @@ func graphDiff(got, want *Graph) string {
 	return ""
 }
 
-// TestLineGraphMatchesBuilder pins LineGraph to the Builder path: same
-// edge identifiers, same edge list, same port order, same Δ.
-func TestLineGraphMatchesBuilder(t *testing.T) {
+// lineCase is a graph the line-graph constructions are checked on.
+type lineCase struct {
+	name string
+	g    *Graph
+}
+
+// lineCases returns the structured edge cases and 32 random graphs of at
+// most 60 vertices.
+func lineCases() []lineCase {
 	iso := NewBuilder(8)
 	for _, e := range [][2]int{{1, 4}, {4, 6}, {1, 6}, {2, 4}, {6, 7}} {
 		iso.AddEdge(e[0], e[1])
 	}
-	type tc struct {
-		name string
-		g    *Graph
-	}
-	cases := []tc{
+	cases := []lineCase{
 		{"star", Star(9)},
 		{"complete", Complete(9)},
 		{"cycle", Cycle(11)},
@@ -176,12 +180,97 @@ func TestLineGraphMatchesBuilder(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for i := 0; i < 32; i++ {
 		n, p := 1+rng.Intn(60), 0.5*rng.Float64()
-		cases = append(cases, tc{fmt.Sprintf("random-%d-n%d", i, n), randomGraphRNG(rng, n, p)})
+		cases = append(cases, lineCase{fmt.Sprintf("random-%d-n%d", i, n), randomGraphRNG(rng, n, p)})
 	}
-	for _, c := range cases {
+	return cases
+}
+
+// TestLineGraphMatchesBuilder pins LineGraph to the Builder path: same
+// edge identifiers, same edge list, same port order, same Δ.
+func TestLineGraphMatchesBuilder(t *testing.T) {
+	for _, c := range lineCases() {
 		if d := graphDiff(LineGraph(c.g), builderLineGraph(c.g)); d != "" {
 			t.Errorf("%s: %s", c.name, d)
 		}
+	}
+}
+
+// lineTableDiff describes the first way g's line table differs from L(g)
+// as LineGraph builds it, or returns "" when they agree: every row holds
+// exactly the neighbors of its line vertex in L(g), as a set, the other
+// edges at U before those at V, and the degrees and Δ are L's.
+func lineTableDiff(g *Graph) string {
+	lt, err := NewLineTable(g)
+	if err != nil {
+		return err.Error()
+	}
+	lg := LineGraph(g)
+	if lt.N() != lg.N() || lt.MaxDegree() != lg.MaxDegree() {
+		return fmt.Sprintf("n=%d Δ=%d, want n=%d Δ=%d", lt.N(), lt.MaxDegree(), lg.N(), lg.MaxDegree())
+	}
+	for e := 0; e < lt.N(); e++ {
+		row := lt.Row(e)
+		if lt.Degree(e) != len(row) || len(row) != lg.Degree(e) {
+			return fmt.Sprintf("row %d: degree %d, length %d, want %d", e, lt.Degree(e), len(row), lg.Degree(e))
+		}
+		// L's adjacency lists its neighbors ascending.
+		got := slices.Sorted(slices.Values(row))
+		want := make([]int32, 0, len(row))
+		for _, a := range lg.Adj(e) {
+			want = append(want, a.To)
+		}
+		if !slices.Equal(got, want) {
+			return fmt.Sprintf("row %d = %v, want the set %v", e, row, want)
+		}
+		u, _ := g.Endpoints(e)
+		for i, f := range row {
+			atU := g.edges[f].U == int32(u) || g.edges[f].V == int32(u)
+			if atU != (i < g.Degree(u)-1) {
+				return fmt.Sprintf("row %d = %v: the edges at U=%d do not come first", e, row, u)
+			}
+		}
+	}
+	return ""
+}
+
+// TestLineTableMatchesLineGraph pins the line table to LineGraph on the
+// graphs TestLineGraphMatchesBuilder checks.
+func TestLineTableMatchesLineGraph(t *testing.T) {
+	for _, c := range lineCases() {
+		if d := lineTableDiff(c.g); d != "" {
+			t.Errorf("%s: %s", c.name, d)
+		}
+	}
+}
+
+// TestLineTableAllocs pins NewLineTable to two allocations whatever the
+// graph: the table and the one slab of its offsets and rows.
+func TestLineTableAllocs(t *testing.T) {
+	for name, g := range map[string]*Graph{"path": Path(50), "K30": Complete(30), "edgeless": NewBuilder(9).MustBuild()} {
+		if got := testing.AllocsPerRun(5, func() { NewLineTable(g) }); got != 2 {
+			t.Errorf("%s: NewLineTable makes %v allocations, want 2", name, got)
+		}
+	}
+}
+
+// TestLineTableRefusesInt32Overflow: the line table of a 200,000-vertex
+// star needs 199,999·199,998 ≈ 4.0·10¹⁰ entries, beyond its int32
+// offsets. NewLineTable refuses it with an error naming the size, after
+// the degree pass and before allocating any row.
+func TestLineTableRefusesInt32Overflow(t *testing.T) {
+	g := Star(200000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	lt, err := NewLineTable(g)
+	runtime.ReadMemStats(&after)
+	if err == nil || lt != nil {
+		t.Fatalf("line table of a 200,000-vertex star built (%v)", err)
+	}
+	if !strings.Contains(err.Error(), "39999400002") {
+		t.Fatalf("error %q does not name the table size 39999400002", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+		t.Fatalf("refusal allocated %d B", d)
 	}
 }
 

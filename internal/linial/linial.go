@@ -111,7 +111,7 @@ func Reduce(ctx context.Context, eng sim.Exec, t *sim.Topology, m0 int64) (*Resu
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("linial: %w", err)
 	}
-	p := &program{schedule: BuildSchedule(m0, t.G.MaxDegree()), colors: make([]int64, t.G.N())}
+	p := &program{schedule: BuildSchedule(m0, t.MaxDegree()), colors: make([]int64, t.N())}
 	for v := range p.colors {
 		c := t.Label(v)
 		if c < 0 {

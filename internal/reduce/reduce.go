@@ -8,7 +8,7 @@
 // §1.3 for the substitution rationale).
 //
 // Both programs run on any topology; callers use them for edge colorings by
-// running them on the line-graph topology.
+// running them on a line topology (vc.LineTopology).
 package reduce
 
 import (
@@ -268,13 +268,13 @@ func checkArgs(t *sim.Topology, m, target int64) error {
 	if t.Labels == nil {
 		return fmt.Errorf("reduce: topology has no seed coloring")
 	}
-	if target < int64(t.G.MaxDegree())+1 {
-		return fmt.Errorf("reduce: target %d < Δ+1 = %d", target, t.G.MaxDegree()+1)
+	if target < int64(t.MaxDegree())+1 {
+		return fmt.Errorf("reduce: target %d < Δ+1 = %d", target, t.MaxDegree()+1)
 	}
 	if target < 1 || m < 1 {
 		return fmt.Errorf("reduce: invalid palettes m=%d target=%d", m, target)
 	}
-	for v := 0; v < t.G.N(); v++ {
+	for v := 0; v < t.N(); v++ {
 		if t.Labels[v] < 0 || t.Labels[v] >= m {
 			return fmt.Errorf("reduce: label %d of vertex %d outside palette [0,%d)", t.Labels[v], v, m)
 		}
@@ -292,7 +292,7 @@ func passThrough(t *sim.Topology, m int64) (*Result, error) {
 
 // seedColors returns a copy of the topology's seed coloring.
 func seedColors(t *sim.Topology) []int64 {
-	colors := make([]int64, t.G.N())
+	colors := make([]int64, t.N())
 	copy(colors, t.Labels)
 	return colors
 }

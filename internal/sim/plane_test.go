@@ -153,10 +153,15 @@ func refStep(f sim.Factory, g *graph.Graph) (func(v, round int, in, out []sim.Me
 
 // runReference executes the algorithm exactly as the old sequential engine
 // did: step vertices in index order, deliver per-vertex outboxes through
-// port references, clear outboxes of halted vertices every round.
+// port references, clear outboxes of halted vertices every round. A line
+// topology runs on its line graph, materialized with the canonical edge
+// identifiers, as the engines ran it before line topologies existed.
 func runReference(t *sim.Topology, f sim.Factory, maxRounds int) (sim.Stats, error) {
 	if err := t.Validate(); err != nil {
 		return sim.Stats{}, err
+	}
+	if t.Line != nil {
+		t = materializeLine(t)
 	}
 	step, err := refStep(f, t.G)
 	if err != nil {
@@ -212,6 +217,16 @@ func runReference(t *sim.Topology, f sim.Factory, maxRounds int) (sim.Stats, err
 		stats.Rounds++
 	}
 	return stats, nil
+}
+
+// materializeLine returns the line topology t as a vertex topology: its
+// line graph, with t's computed identifiers as the identifier slab.
+func materializeLine(t *sim.Topology) *sim.Topology {
+	ids := make([]int64, t.N())
+	for e := range ids {
+		ids[e] = t.ID(e)
+	}
+	return &sim.Topology{G: graph.LineGraph(t.G), IDs: ids, Labels: t.Labels}
 }
 
 // --- test programs ---------------------------------------------------------

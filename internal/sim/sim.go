@@ -16,11 +16,12 @@
 // Knowledge model: a vertex initially knows its own identifier, seed
 // label and degree, and the global parameters n and Δ. A program is built
 // over its Topology, and stepping v it reads them as t.ID(v), t.Label(v),
-// t.G.Degree(v) (len(in) on the word plane), t.G.N() and t.G.MaxDegree().
-// Everything else, its neighbors' identifiers and seed labels included,
-// travels over edges: a program that needs them learns them in round 0, as
-// the coloring programs of this repository do by broadcasting their
-// starting color (identifier or seed label) first. The slot-v rule keeps a
+// t.Degree(v) (len(in) on the word plane), t.N() and t.MaxDegree(), which
+// on a line topology answer for L(G), simulated on G. Everything else,
+// its neighbors' identifiers and seed labels included, travels over
+// edges: a program that needs them learns them in round 0, as the coloring
+// programs of this repository do by broadcasting their starting color
+// (identifier or seed label) first. The slot-v rule keeps a
 // program to this model: stepping vertex v reads and writes only index v
 // of the program's slabs (or v's arc range, for per-port state), so
 // everything v learns about its neighbors arrives in its inbox.
@@ -41,7 +42,9 @@
 // broadcasts in one n-slot slab per round parity, and a receiver gathers
 // its neighbors' slots through its adjacency list (in[p] =
 // prevOut[Adj(v)[p].To]) into the stepping shard's Δ-sized window. The
-// word plane (words.go) stores a Word per vertex and gathers every round.
+// word plane (words.go) stores a Word per vertex and gathers every round;
+// on a line topology it gathers over the vertex's row of the line table
+// (in[p] = prevOut[row[p]]), and only word programs run there.
 // The port plane stores a SendAll's Message per vertex and gathers only
 // after a round in which some vertex broadcast; its unicasts are sparse:
 // each shard appends one record per Send, and after the barrier one
@@ -212,10 +215,20 @@ func msgTraffic(m Message, ports int) sendStats {
 }
 
 // Topology is a network: a graph plus per-vertex identifiers and optional
-// seed labels.
+// seed labels. A line topology is the line graph L(G) simulated on G
+// itself: its vertices are G's edges, each owned by its endpoints, its
+// neighbors are read from G's line table, and one round of L is one round
+// of G, every L-message being a read at the endpoint its two edges share.
+// Programs and engines read a topology's shape through N, Degree and
+// MaxDegree, which answer for L on a line topology, never through G.
 type Topology struct {
 	G *graph.Graph
-	// IDs are the distinct vertex identifiers. nil means "use vertex index".
+	// Line, when set, makes this G's line topology: Line is G's line table
+	// (graph.NewLineTable), vertex e is G's edge e and its ports are the
+	// entries of row e. Only word programs run on it.
+	Line *graph.LineTable
+	// IDs are the distinct vertex identifiers. nil means "use vertex index";
+	// it must be nil on a line topology, whose identifiers are computed.
 	IDs []int64
 	// Labels are optional seed labels (§3 of the paper replaces IDs with a
 	// precomputed O(Δ²)-coloring to avoid repeated log* n terms). nil means
@@ -226,8 +239,39 @@ type Topology struct {
 // NewTopology wraps g with default identifiers 0..n-1.
 func NewTopology(g *graph.Graph) *Topology { return &Topology{G: g} }
 
-// ID returns the identifier of vertex v.
+// N returns the number of vertices: G's edges on a line topology.
+func (t *Topology) N() int {
+	if t.Line != nil {
+		return t.Line.N()
+	}
+	return t.G.N()
+}
+
+// Degree returns the degree of vertex v: the length of its row on a line
+// topology.
+func (t *Topology) Degree(v int) int {
+	if t.Line != nil {
+		return t.Line.Degree(v)
+	}
+	return t.G.Degree(v)
+}
+
+// MaxDegree returns the maximum degree, Δ(L(G)) on a line topology.
+func (t *Topology) MaxDegree() int {
+	if t.Line != nil {
+		return t.Line.MaxDegree()
+	}
+	return t.G.MaxDegree()
+}
+
+// ID returns the identifier of vertex v. On a line topology it is the
+// canonical edge identifier u·n+v of G's edge v = {u, v}, distinct because
+// G is simple.
 func (t *Topology) ID(v int) int64 {
+	if t.Line != nil {
+		a, b := t.G.Endpoints(v)
+		return int64(a)*int64(t.G.N()) + int64(b)
+	}
 	if t.IDs == nil {
 		return int64(v)
 	}
@@ -242,11 +286,20 @@ func (t *Topology) Label(v int) int64 {
 	return t.Labels[v]
 }
 
-// Validate checks that identifiers are distinct. Strictly ascending
-// identifiers, such as every line topology's u·n+v in the (U, V) edge
-// order graph.Builder assigns, are distinct by one pass over them; any
-// other identifier slice is checked with a set.
+// Validate checks that identifiers are distinct and that the slices
+// cover the vertices. No line topology carries an identifier slab: its
+// identifiers are computed, so a line topology with IDs is refused, and
+// its table must be G's. Strictly ascending identifiers are distinct by
+// one pass over them; any other identifier slice is checked with a set.
 func (t *Topology) Validate() error {
+	if t.Line != nil {
+		if t.IDs != nil {
+			return fmt.Errorf("sim: a line topology's identifiers are computed, but %d IDs were given", len(t.IDs))
+		}
+		if t.Line.N() != t.G.M() {
+			return fmt.Errorf("sim: line table of %d rows for %d edges", t.Line.N(), t.G.M())
+		}
+	}
 	if t.IDs != nil {
 		if len(t.IDs) != t.G.N() {
 			return fmt.Errorf("sim: %d IDs for %d vertices", len(t.IDs), t.G.N())
@@ -261,8 +314,8 @@ func (t *Topology) Validate() error {
 			}
 		}
 	}
-	if t.Labels != nil && len(t.Labels) != t.G.N() {
-		return fmt.Errorf("sim: %d labels for %d vertices", len(t.Labels), t.G.N())
+	if t.Labels != nil && len(t.Labels) != t.N() {
+		return fmt.Errorf("sim: %d labels for %d vertices", len(t.Labels), t.N())
 	}
 	return nil
 }
@@ -420,7 +473,8 @@ func (o observedExec) Run(ctx context.Context, t *Topology, f Factory, maxRounds
 // Both message planes keep what a vertex broadcasts in two n-slot slabs
 // alternating by round parity: slab round%2 holds, at v, what v broadcast
 // in that round, and v's inbox is gathered from the other slab through its
-// adjacency list Adj(v), whose port order is the arc order of Range(v).
+// adjacency list Adj(v), whose port order is the arc order of Range(v), or
+// on a line topology through its row of the line table, in row order.
 // On the word plane wouts[round%2][v] is the Word v returned (NoWord:
 // silence); under an ActiveSet, carryRound keeps an idle vertex's word in
 // both slabs. On the port plane bouts[round%2][v] is v's SendAll of that
@@ -436,6 +490,7 @@ func (o observedExec) Run(ctx context.Context, t *Topology, f Factory, maxRounds
 type instance struct {
 	t         *Topology
 	g         *graph.Graph
+	line      *graph.LineTable
 	n         int
 	done      []bool
 	remaining int
@@ -473,12 +528,12 @@ func newInstance(t *Topology, f Factory) (*instance, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	g := t.G
-	n := g.N()
+	n := t.N()
 	halts := make([]int32, 2*n)
 	inst := &instance{
 		t:         t,
-		g:         g,
+		g:         t.G,
+		line:      t.Line,
 		n:         n,
 		done:      make([]bool, n),
 		remaining: n,
@@ -498,6 +553,11 @@ func newInstance(t *Topology, f Factory) (*instance, error) {
 		}
 		inst.wouts = [2][]Word{slab[:n:n], slab[n:]}
 	case PortProgram:
+		// Port addressing, unicast delivery and mates are G's arcs; a line
+		// topology has rows, not arcs.
+		if t.Line != nil {
+			return nil, fmt.Errorf("sim: port program %T on a line topology: only word programs run on line topologies", f)
+		}
 		inst.ports = p
 		slab := make([]Message, 2*n)
 		inst.bouts = [2][]Message{slab[:n:n], slab[n:]}
@@ -649,29 +709,39 @@ func (inst *instance) growMail(total int) {
 
 // stepVertexWord is stepVertex on the word plane: the inbox is gathered
 // into the shard's window from the neighbors' slots of the previous
-// round's outbox slab, the program steps v with the shard's scratch, and
-// the returned word is stored in v's slot of the current slab. A word
-// broadcast to deg ports is deg messages of WordBits(w) bits each (64
-// without a WordSizer), exactly as if it had been sent port by port.
+// round's outbox slab, over v's adjacency or, on a line topology, over its
+// row, the program steps v with the shard's scratch, and the returned word
+// is stored in v's slot of the current slab. A word broadcast to deg ports
+// is deg messages of WordBits(w) bits each (64 without a WordSizer),
+// exactly as if it had been sent port by port.
 //
 //distcolor:noalloc
 func (inst *instance) stepVertexWord(v, round int, s *shard) (sendStats, bool) {
 	prevOut := inst.wouts[(round&1)^1]
-	adj := inst.g.Adj(v)
-	in := s.win[:len(adj):len(adj)]
-	for p, a := range adj {
-		in[p] = prevOut[a.To]
+	var in []Word
+	if inst.line != nil {
+		row := inst.line.Row(v)
+		in = s.win[:len(row):len(row)]
+		for p, f := range row {
+			in[p] = prevOut[f]
+		}
+	} else {
+		adj := inst.g.Adj(v)
+		in = s.win[:len(adj):len(adj)]
+		for p, a := range adj {
+			in[p] = prevOut[a.To]
+		}
 	}
 	w, halted := inst.prog.StepWord(v, round, in, s.scratch)
 	inst.wouts[round&1][v] = w
-	if w == NoWord || len(adj) == 0 {
+	if w == NoWord || len(in) == 0 {
 		return sendStats{}, halted
 	}
 	b := int64(64)
 	if inst.sizer != nil {
 		b = inst.sizer.WordBits(w)
 	}
-	deg := int64(len(adj))
+	deg := int64(len(in))
 	return sendStats{msgs: deg, bits: deg * b, maxBits: b}, halted
 }
 
@@ -685,7 +755,7 @@ func (inst *instance) stepVertexActive(v, round int, s *shard) bool {
 	prev := inst.wouts[(round&1)^1][v]
 	st, halted := inst.stepVertexWord(v, round, s)
 	s.delta.add(st, 1)
-	s.delta.add(inst.wordTraffic(prev, inst.g.Degree(v)), -1)
+	s.delta.add(inst.wordTraffic(prev, inst.t.Degree(v)), -1)
 	return halted
 }
 
@@ -725,7 +795,7 @@ func (inst *instance) carryRound(round int, vs []int32, all bool) {
 		}
 	}
 	for _, v := range inst.newly {
-		inst.traffic.add(inst.wordTraffic(cur[v], inst.g.Degree(int(v))), -1)
+		inst.traffic.add(inst.wordTraffic(cur[v], inst.t.Degree(int(v))), -1)
 	}
 }
 
@@ -918,7 +988,7 @@ func (e Engine) plan(inst *instance, f Factory) []shard {
 	if e == Parallel {
 		workers = shardWorkers(n, stepGrain)
 	}
-	maxDeg := inst.t.G.MaxDegree()
+	maxDeg := inst.t.MaxDegree()
 	scratch := f.Scratch(maxDeg)
 	shards := make([]shard, workers)
 	chunk := (n + workers - 1) / workers

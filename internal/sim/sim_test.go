@@ -285,6 +285,64 @@ func TestTopologyValidation(t *testing.T) {
 	}
 }
 
+// lineTopology returns g's line topology with seed labels.
+func lineTopology(t testing.TB, g *graph.Graph, labels []int64) *Topology {
+	t.Helper()
+	line, err := graph.NewLineTable(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Topology{G: g, Line: line, Labels: labels}
+}
+
+// TestLineTopologyValidation pins a line topology's shape and its
+// refusals: its vertices are g's edges, with computed identifiers and L's
+// degrees; an identifier slab, a table of another graph and a label per
+// vertex of g are errors.
+func TestLineTopologyValidation(t *testing.T) {
+	g := graph.Star(4) // L is a triangle on the edges {0,1}, {0,2}, {0,3}
+	topo := lineTopology(t, g, nil)
+	if err := topo.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if topo.N() != 3 || topo.MaxDegree() != 2 || topo.Degree(1) != 2 {
+		t.Fatalf("line topology n=%d Δ=%d deg(1)=%d, want 3, 2, 2", topo.N(), topo.MaxDegree(), topo.Degree(1))
+	}
+	if topo.ID(2) != 0*4+3 || topo.Label(0) != -1 {
+		t.Fatalf("line accessors: ID(2)=%d Label(0)=%d, want 3 and -1", topo.ID(2), topo.Label(0))
+	}
+	if err := lineTopology(t, g, []int64{0, 1, 2}).Validate(); err != nil {
+		t.Fatalf("one label per edge rejected: %v", err)
+	}
+	bad := map[string]*Topology{
+		"ids":          {G: g, Line: topo.Line, IDs: []int64{1, 2, 3}},
+		"other-table":  {G: graph.Path(5), Line: topo.Line},
+		"vertex-label": lineTopology(t, g, []int64{0, 1, 2, 3}),
+	}
+	for name, bt := range bad {
+		if err := bt.Validate(); err == nil {
+			t.Errorf("%s: line topology accepted", name)
+		}
+	}
+}
+
+// TestLineTopologyRefusesPortPrograms: port addressing is over G's arcs,
+// which a line topology's rows are not, so every engine refuses a port
+// program on one with an error, before round 0.
+func TestLineTopologyRefusesPortPrograms(t *testing.T) {
+	topo := lineTopology(t, graph.Cycle(6), nil)
+	for _, e := range engines {
+		ran := false
+		var f PortFunc = func(v, round int, in []Mail, out *Outbox) bool {
+			ran = true
+			return true
+		}
+		if _, err := e.Run(context.Background(), topo, f, 4); err == nil || ran {
+			t.Fatalf("engine %v ran a port program on a line topology (err %v, stepped %v)", e, err, ran)
+		}
+	}
+}
+
 // knowledgeProgram exchanges identifiers and seed labels in round 0 and
 // records, in each vertex's arc range, what arrived on each port. It
 // also records how many ports delivered and the scratch length each step

@@ -538,6 +538,46 @@ func TestWordPlaneSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestLinePlaneSteadyStateAllocFree pins the word plane's gather over
+// line-table rows, and the active-set sums that take a row's length as the
+// degree, at zero heap allocations per round on both sequential engines.
+func TestLinePlaneSteadyStateAllocFree(t *testing.T) {
+	g := planeRandomGraph(9, 200, 0.04)
+	line, err := graph.NewLineTable(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := &sim.Topology{G: g, Line: line}
+	for _, ec := range []struct {
+		name string
+		eng  sim.Engine
+	}{
+		{"sequential", sim.Sequential},
+		{"reverse", sim.ReverseSequential},
+	} {
+		for _, pc := range []struct {
+			name string
+			prog func(rounds int) sim.Factory
+		}{
+			{"words", wordExchangeProgram},
+			{"active", func(rounds int) sim.Factory { return activeExchangeProgram(topo.N(), rounds) }},
+		} {
+			t.Run(ec.name+"/"+pc.name, func(t *testing.T) {
+				run := func(rounds int) {
+					if _, err := ec.eng.Run(context.Background(), topo, pc.prog(rounds), rounds+2); err != nil {
+						t.Fatal(err)
+					}
+				}
+				short, long := shortLongAllocs(run)
+				if long != short {
+					t.Fatalf("line plane allocates per round: %.1f allocs over 64 extra rounds (%.1f vs %.1f)",
+						long-short, long, short)
+				}
+			})
+		}
+	}
+}
+
 // TestWordPlaneRunMemoryPerVertex pins the word plane's per-run storage
 // at a per-vertex size: on the dense K300 (89,700 arcs) a whole run must
 // allocate less than 8 bytes per arc, which one arc-sized []Word slab

@@ -104,7 +104,10 @@ func EdgeColor(ctx context.Context, g *graph.Graph, t, x int, opt Options) (*Res
 	var stats sim.Stats
 	seed, seedPalette := opt.Seed, opt.SeedPalette
 	if seed == nil {
-		topo := vc.LineTopology(g, nil)
+		topo, err := vc.LineTopology(g, nil)
+		if err != nil {
+			return nil, fmt.Errorf("star: initial edge seed: %w", err)
+		}
 		lin, err := linial.Reduce(ctx, opt.Exec, topo, vc.EdgeIDBound(g))
 		if err != nil {
 			return nil, fmt.Errorf("star: initial edge seed: %w", err)
@@ -125,7 +128,10 @@ func EdgeColor(ctx context.Context, g *graph.Graph, t, x int, opt Options) (*Res
 	bound := Bound(delta, x)
 	palette := declared
 	if !opt.SkipTrim && declared > bound {
-		topo := vc.LineTopology(g, colors)
+		topo, err := vc.LineTopology(g, colors)
+		if err != nil {
+			return nil, fmt.Errorf("star: final trim: %w", err)
+		}
 		red, err := reduce.TrimClasses(ctx, opt.Exec, topo, declared, bound)
 		if err != nil {
 			return nil, fmt.Errorf("star: final trim: %w", err)

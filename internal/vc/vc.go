@@ -7,12 +7,15 @@
 // exponents.
 //
 // Edge colorings are computed by running the vertex pipeline on the line
-// graph. Every line-graph round is executable in one round of the base
+// graph, simulated on the base graph itself (LineTopology): L(G) is never
+// built. Every line-graph round is executable in one round of the base
 // graph: the state of edge {u,v} is replicated at u and v, each round the
 // endpoints exchange it (one message per edge), and every message of L(G)
 // travels between two edges sharing an endpoint, i.e. it is a local read at
-// that shared vertex. Reported rounds therefore transfer 1:1; reported
-// message counts are line-graph messages (≤ 2 base messages each).
+// that shared vertex. The simulator gathers exactly those reads through
+// the base graph's line table. Reported rounds therefore transfer 1:1;
+// reported message counts are line-graph messages (≤ 2 base messages
+// each).
 package vc
 
 import (
@@ -48,7 +51,8 @@ type Result struct {
 	Stats   sim.Stats
 }
 
-// Delta1 computes a proper (Δ+1)-vertex-coloring of t.G.
+// Delta1 computes a proper (Δ+1)-vertex-coloring of t: of t.G, or of
+// L(t.G) on a line topology.
 //
 // Starting colors: the topology's seed labels when non-nil (they must be a
 // proper coloring with palette m0), otherwise the identifiers (m0 must
@@ -57,15 +61,15 @@ type Result struct {
 // computed up front as seed, paying log* of the seed palette rather than
 // log* n at every level.
 func Delta1(ctx context.Context, t *sim.Topology, m0 int64, opt Options) (*Result, error) {
-	target := int64(t.G.MaxDegree()) + 1
+	target := int64(t.MaxDegree()) + 1
 	return Target(ctx, t, m0, target, opt)
 }
 
-// Target computes a proper vertex coloring of t.G with the given palette
+// Target computes a proper vertex coloring of t with the given palette
 // target ≥ Δ+1.
 func Target(ctx context.Context, t *sim.Topology, m0, target int64, opt Options) (*Result, error) {
-	if target < int64(t.G.MaxDegree())+1 {
-		return nil, fmt.Errorf("vc: target %d below Δ+1 = %d", target, t.G.MaxDegree()+1)
+	if target < int64(t.MaxDegree())+1 {
+		return nil, fmt.Errorf("vc: target %d below Δ+1 = %d", target, t.MaxDegree()+1)
 	}
 	lin, err := linial.Reduce(ctx, opt.Exec, t, m0)
 	if err != nil {
@@ -74,7 +78,7 @@ func Target(ctx context.Context, t *sim.Topology, m0, target int64, opt Options)
 	if lin.Palette <= target {
 		return &Result{Colors: lin.Colors, Palette: target, Stats: lin.Stats}, nil
 	}
-	t2 := &sim.Topology{G: t.G, IDs: t.IDs, Labels: lin.Colors}
+	t2 := &sim.Topology{G: t.G, Line: t.Line, IDs: t.IDs, Labels: lin.Colors}
 	red, err := reduce.Auto(ctx, opt.Exec, t2, lin.Palette, target)
 	if err != nil {
 		return nil, err
@@ -83,16 +87,17 @@ func Target(ctx context.Context, t *sim.Topology, m0, target int64, opt Options)
 }
 
 // LineTopology builds the simulation topology for edge algorithms on g:
-// the line graph, whose vertex e is g's edge e, with canonical edge
-// identifiers id({u,v}) = u·n + v, plus optional seed edge labels.
-func LineTopology(g *graph.Graph, seed []int64) *sim.Topology {
-	ids := make([]int64, g.M())
-	n := int64(g.N())
-	for e := 0; e < g.M(); e++ {
-		u, v := g.Endpoints(e)
-		ids[e] = int64(u)*n + int64(v)
+// the line graph simulated on g, whose vertex e is g's edge e, with the
+// canonical edge identifier id({u,v}) = u·n + v computed by the topology,
+// neighbors read from g's line table, and optional seed edge labels. It
+// fails, before allocating the table, when the table would overflow its
+// int32 offsets (graph.NewLineTable).
+func LineTopology(g *graph.Graph, seed []int64) (*sim.Topology, error) {
+	line, err := graph.NewLineTable(g)
+	if err != nil {
+		return nil, fmt.Errorf("vc: %w", err)
 	}
-	return &sim.Topology{G: graph.LineGraph(g), IDs: ids, Labels: seed}
+	return &sim.Topology{G: g, Line: line, Labels: seed}, nil
 }
 
 // EdgeIDBound returns the palette bound that covers LineTopology's
@@ -119,7 +124,10 @@ func EdgeColor(ctx context.Context, g *graph.Graph, seed []int64, m0 int64, opt 
 	if g.M() == 0 {
 		return &Result{Colors: nil, Palette: 1}, nil
 	}
-	t := LineTopology(g, seed)
+	t, err := LineTopology(g, seed)
+	if err != nil {
+		return nil, err
+	}
 	// Δ(L(G)) ≤ 2Δ(G)−2, so Δ(L)+1 ≤ the contractual 2Δ−1; color as low as
 	// the line graph allows but report the 2Δ−1 contract.
 	res, err := Delta1(ctx, t, m0, opt)

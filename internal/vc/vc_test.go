@@ -197,8 +197,11 @@ func TestEdgeColorQuick(t *testing.T) {
 
 func TestLineTopologyIdentifiers(t *testing.T) {
 	g := graph.Complete(5)
-	topo := LineTopology(g, nil)
-	if topo.G.N() != g.M() {
+	topo, err := LineTopology(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if topo.N() != g.M() {
 		t.Fatal("line topology size wrong")
 	}
 	if err := topo.Validate(); err != nil {
@@ -206,10 +209,10 @@ func TestLineTopologyIdentifiers(t *testing.T) {
 	}
 	for e := 0; e < g.M(); e++ {
 		u, v := g.Endpoints(e)
-		if topo.IDs[e] != int64(u)*int64(g.N())+int64(v) {
+		if topo.ID(e) != int64(u)*int64(g.N())+int64(v) {
 			t.Fatal("canonical edge ID wrong")
 		}
-		if topo.IDs[e] >= EdgeIDBound(g) {
+		if topo.ID(e) >= EdgeIDBound(g) {
 			t.Fatal("edge ID exceeds bound")
 		}
 	}

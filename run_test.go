@@ -5,9 +5,13 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 // TestRegistryListsAllAlgorithms pins the registered family: every
@@ -224,6 +228,35 @@ func TestRunDeadline(t *testing.T) {
 	}
 	if ran != 0 {
 		t.Fatalf("%d rounds ran under an expired deadline", ran)
+	}
+}
+
+// TestRunRefusesOverflowingLineTable: a 200,000-vertex star is inside
+// colord's default limits, but its line table would hold 199,999·199,998 ≈
+// 4.0·10¹⁰ entries, beyond the table's int32 offsets. Both edge algorithms
+// that read it fail the request with an error naming the size, promptly
+// and without allocating the table; building it would end the process
+// with the runtime's out-of-memory throw, which no recover catches.
+func TestRunRefusesOverflowingLineTable(t *testing.T) {
+	g := graph.Star(200000)
+	for _, algo := range []string{AlgoEdgeGreedy, AlgoEdgeStar} {
+		t.Run(algo, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			start := time.Now()
+			_, err := Run(context.Background(), g, algo, nil, Options{})
+			took := time.Since(start)
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), "39999400002") {
+				t.Fatalf("want the line table's size error, got %v", err)
+			}
+			if took > time.Second {
+				t.Fatalf("refusal took %v", took)
+			}
+			if d := after.TotalAlloc - before.TotalAlloc; d >= 16<<20 {
+				t.Fatalf("refusal allocated %d B", d)
+			}
+		})
 	}
 }
 
