@@ -152,7 +152,9 @@ profile:
 # which Theorems 5.3 and 5.4 build on every submitted graph, against the
 # Builder-and-permutation construction they replaced. FuzzRun runs every registered algorithm on small fuzzed graphs with
 # in-schema parameters, sequentially and in parallel: the two must agree,
-# and nothing may panic or fail Run's verification.
+# and nothing may panic or fail Run's verification. FuzzLinialStep checks
+# one Linial step's Barrett field arithmetic against the reference with
+# hardware division, on schedules derived from fuzzed palettes and degrees.
 # Go allows one -fuzz per invocation, so the targets run back to back;
 # corpus findings land in each package's testdata/fuzz. Minimizing is
 # capped at 10 runs per new input (the default is 60 s), so each target
@@ -165,6 +167,7 @@ fuzz:
 	$(GO) test ./internal/graph/ -run '^$$' -fuzz FuzzLineGraph -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/connector/ -run '^$$' -fuzz FuzzOrientationConnectors -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test . -run '^$$' -fuzz FuzzRun -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
+	$(GO) test ./internal/linial/ -run '^$$' -fuzz FuzzLinialStep -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 
 # The deterministic chaos suite (DESIGN.md §12): one seeded schedule drives
 # a 200-job workload through every injection point — scheduled panics,

@@ -60,9 +60,17 @@ var noallocManifest = map[string]string{
 	// (arbor_test.go), and by the algo/* bench-gate rows.
 	"internal/linial.(program).StepWord":    "linial reduction step",
 	"internal/linial.applyStep":             "linial polynomial evaluation",
+	"internal/linial.(field).divmod":        "linial Barrett division",
+	"internal/linial.(field).mod":           "linial Barrett reduction",
+	"internal/linial.(field).decompose":     "linial base-q decomposition",
+	"internal/linial.(field).eval":          "linial Horner evaluation",
+	"internal/linial.(field).lazy":          "linial Horner overflow bound",
 	"internal/reduce.(kwProgram).StepWord":  "Kuhn–Wattenhofer reduction step",
 	"internal/reduce.(kwProgram).Active":    "Kuhn–Wattenhofer active set",
 	"internal/reduce.(kwProgram).bucket":    "Kuhn–Wattenhofer class buckets",
+	"internal/reduce.(kwRound).class":       "Kuhn–Wattenhofer phase class",
+	"internal/reduce.phaseColor":            "Kuhn–Wattenhofer starting-to-phase numbering",
+	"internal/reduce.startColor":            "Kuhn–Wattenhofer phase-to-starting numbering",
 	"internal/reduce.smallestFree":          "reduction free-color search",
 	"internal/arbor.(peelProgram).StepWord": "H-partition peeling step",
 	// Pinned at 0 allocs/observation by TestInstrumentsZeroAlloc

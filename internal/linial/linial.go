@@ -13,6 +13,12 @@
 // Linial's bound; the remaining gap to O(Δ²) is absorbed by the reductions
 // in package reduce (see DESIGN.md §5, deviation 3).
 //
+// The field arithmetic is Barrett reduction by a reciprocal each schedule
+// step sets up once: the x = 0 scan, the base-q decomposition and each
+// Horner evaluation reduce by a multiply-high and one conditional
+// subtraction, and an evaluation reduces once, at its end, when
+// q^(d+1) ≤ 2⁶⁴ bounds its unreduced sum.
+//
 // The paper's §3 trick — computing this coloring once and reusing it as the
 // identifier space of every recursive subproblem so that log* n is paid only
 // once — is supported through the topology's seed labels: when a seed
@@ -23,6 +29,8 @@ package linial
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/sim"
 	"repro/internal/util"
@@ -34,32 +42,123 @@ type Step struct {
 	D int64 // polynomial degree bound
 	Q int64 // field size (prime, ≥ dΔ+1, with q^(d+1) ≥ m)
 	M int64 // resulting palette size q²
+
+	r uint64 // ⌊(2⁶⁴−1)/Q⌋, the Barrett reciprocal of Q, set up by newStep
 }
 
-// maxQ guards 64-bit overflow: q² and x·q+val must stay within int64.
+// maxQ guards 64-bit overflow: q² and x·q+val must stay within int64, and
+// q < 2³² keeps acc·x + a < 2⁶⁴ in a Horner step that reduces.
 const maxQ = 3_000_000_000
+
+// newStep returns the step of degree d over F_q.
+func newStep(d, q int64) Step {
+	return Step{D: d, Q: q, M: q * q, r: math.MaxUint64 / uint64(q)}
+}
+
+// field returns the step's F_q arithmetic.
+func (st Step) field() field { return field{q: uint64(st.Q), r: st.r} }
+
+// field is F_q's arithmetic by Barrett reduction: with r = ⌊(2⁶⁴−1)/q⌋,
+// the estimate ⌊x·r/2⁶⁴⌋ is ⌊x/q⌋ or one less for any x < 2⁶⁴, and one
+// conditional subtraction of q finishes the remainder.
+type field struct{ q, r uint64 }
+
+// divmod returns ⌊x/q⌋ and x mod q.
+//
+//distcolor:noalloc
+func (f field) divmod(x uint64) (quo, rem uint64) {
+	quo, _ = bits.Mul64(x, f.r)
+	rem = x - quo*f.q
+	if rem >= f.q {
+		quo++
+		rem -= f.q
+	}
+	return quo, rem
+}
+
+// mod returns x mod q.
+//
+//distcolor:noalloc
+func (f field) mod(x uint64) uint64 {
+	_, rem := f.divmod(x)
+	return rem
+}
+
+// decompose writes c in base q as len(coeffs) coefficients
+// (little-endian) into coeffs.
+//
+//distcolor:noalloc
+func (f field) decompose(coeffs []sim.Word, c int64) {
+	x := uint64(c)
+	for i := range coeffs {
+		var digit uint64
+		x, digit = f.divmod(x)
+		coeffs[i] = sim.Word(digit)
+	}
+}
+
+// lazy reports whether q^k ≤ 2⁶⁴. A Horner sum Σ aᵢxⁱ of k coefficients
+// aᵢ < q at x < q is then at most q^k − 1, so it may run unreduced.
+//
+//distcolor:noalloc
+func (f field) lazy(k int64) bool {
+	p := uint64(1)
+	for i := int64(0); i < k; i++ {
+		hi, lo := bits.Mul64(p, f.q)
+		if hi != 0 {
+			// Past 2⁶⁴ unless this is the last factor and lands on it.
+			return hi == 1 && lo == 0 && i == k-1
+		}
+		p = lo
+	}
+	return true
+}
+
+// eval evaluates the polynomial with the given little-endian
+// coefficients at x < q over F_q (Horner): unreduced and reduced once at
+// the end when lazy, reducing at each step otherwise (acc·x + a < 2⁶⁴
+// there, as q < 2³²).
+//
+//distcolor:noalloc
+func (f field) eval(coeffs []sim.Word, x uint64, lazy bool) uint64 {
+	var acc uint64
+	if lazy {
+		for i := len(coeffs) - 1; i >= 0; i-- {
+			acc = acc*x + uint64(coeffs[i])
+		}
+		return f.mod(acc)
+	}
+	for i := len(coeffs) - 1; i >= 0; i-- {
+		acc = f.mod(acc*x + uint64(coeffs[i]))
+	}
+	return acc
+}
 
 // BuildSchedule computes the deterministic reduction schedule from an
 // initial palette m0 and maximum degree delta. Every vertex derives this
 // same schedule locally from global knowledge (m₀ and Δ), so no coordination
-// is needed. The schedule is empty when no step shrinks the palette.
+// is needed. The schedule is empty when no step shrinks the palette. It is
+// derived twice, to be allocated once at its length.
 func BuildSchedule(m0 int64, delta int) []Step {
-	if delta < 1 {
-		delta = 1
-	}
-	var steps []Step
-	m := m0
-	for {
-		best, ok := bestStep(m, delta)
-		if !ok || best.M >= m {
-			return steps
+	delta = max(delta, 1)
+	n := 0
+	for m := m0; ; n++ {
+		st, ok := bestStep(m, delta)
+		if !ok {
+			break
 		}
-		steps = append(steps, best)
-		m = best.M
+		m = st.M
 	}
+	steps := make([]Step, n)
+	for i, m := 0, m0; i < n; i++ {
+		steps[i], _ = bestStep(m, delta)
+		m = steps[i].M
+	}
+	return steps
 }
 
-// bestStep finds the degree d minimizing the resulting palette q².
+// bestStep finds the degree d minimizing the resulting palette q², and
+// reports false when no step shrinks the palette m.
 func bestStep(m int64, delta int) (Step, bool) {
 	var best Step
 	found := false
@@ -76,9 +175,8 @@ func bestStep(m int64, delta int) (Step, bool) {
 		if q > maxQ {
 			continue
 		}
-		mp := q * q
-		if !found || mp < best.M {
-			best = Step{D: d, Q: q, M: mp}
+		if !found || q*q < best.M {
+			best = newStep(d, q)
 			found = true
 		}
 		// Larger d can no longer help once the field size is dominated by
@@ -87,7 +185,7 @@ func bestStep(m int64, delta int) (Step, bool) {
 			break
 		}
 	}
-	return best, found
+	return best, found && best.M < m
 }
 
 // Result is the outcome of a Linial reduction run.
@@ -183,25 +281,26 @@ func (p *program) StepWord(v, round int, in, scratch []sim.Word) (sim.Word, bool
 //
 // The search tries x = 0 first, and p_c(0) = c mod q, so when no
 // neighbor's color is ≡ c (mod q) the result is c mod q without any
-// decomposition.
+// decomposition; otherwise x = 0 is known to clash, and the search starts
+// at x = 1. Every reduction mod q is the step's Barrett reduction.
 //
 //distcolor:noalloc
 func applyStep(c int64, in, scratch []sim.Word, st Step) int64 {
-	d, q := st.D, st.Q
-	at0 := c % q
+	f := st.field()
+	at0 := f.mod(uint64(c))
 	clash := false
 	for _, w := range in {
-		if w != sim.NoWord && w != c && w%q == at0 {
+		if w != sim.NoWord && w != c && f.mod(uint64(w)) == at0 {
 			clash = true
 			break
 		}
 	}
 	if !clash {
-		return at0
+		return int64(at0)
 	}
-	k := int(d + 1)
+	k := int(st.D + 1)
 	mine := scratch[:k:k]
-	decomposeInto(mine, c, q)
+	f.decompose(mine, c)
 	// Decompose each relevant neighbor color once, in port order.
 	nbrs := scratch[k:]
 	cnt := 0
@@ -211,25 +310,26 @@ func applyStep(c int64, in, scratch []sim.Word, st Step) int64 {
 			// improper input coloring (the caller's validation catches it).
 			continue
 		}
-		decomposeInto(nbrs[cnt*k:cnt*k+k], w, q)
+		f.decompose(nbrs[cnt*k:cnt*k+k], w)
 		cnt++
 	}
 	nbrs = nbrs[:cnt*k]
-	for x := int64(0); x < q; x++ {
-		val := evalPoly(mine, x, q)
+	lazy := f.lazy(st.D + 1)
+	for x := uint64(1); x < f.q; x++ {
+		val := f.eval(mine, x, lazy)
 		ok := true
 		for off := 0; off < len(nbrs); off += k {
-			if evalPoly(nbrs[off:off+k], x, q) == val {
+			if f.eval(nbrs[off:off+k], x, lazy) == val {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			return x*q + val
+			return int64(x*f.q + val)
 		}
 	}
 	// Unreachable when q > dΔ and the input coloring is proper.
-	panicNoEvalPoint(q, d, cnt)
+	panicNoEvalPoint(st.Q, st.D, cnt)
 	return 0
 }
 
@@ -238,31 +338,4 @@ func applyStep(c int64, in, scratch []sim.Word, st Step) int64 {
 // noalloc hot path.
 func panicNoEvalPoint(q, d int64, cnt int) {
 	panic(fmt.Sprintf("linial: no evaluation point in F_%d for degree %d with %d neighbors", q, d, cnt))
-}
-
-// decomposeInto writes c in base q as len(coeffs) coefficients
-// (little-endian) into the provided buffer.
-func decomposeInto(coeffs []int64, c, q int64) {
-	for i := range coeffs {
-		coeffs[i] = c % q
-		c /= q
-	}
-}
-
-// decompose writes c in base q as k coefficients (little-endian). Kept as
-// the allocation-per-call form for the reference path in tests.
-func decompose(c, q, k int64) []int64 {
-	coeffs := make([]int64, k)
-	decomposeInto(coeffs, c, q)
-	return coeffs
-}
-
-// evalPoly evaluates the polynomial with the given little-endian
-// coefficients at x over F_q (Horner).
-func evalPoly(coeffs []int64, x, q int64) int64 {
-	var acc int64
-	for i := len(coeffs) - 1; i >= 0; i-- {
-		acc = (acc*x + coeffs[i]) % q
-	}
-	return acc
 }

@@ -2,6 +2,8 @@ package linial
 
 import (
 	"context"
+	"math"
+	"math/big"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -224,9 +226,10 @@ func TestReduceEnginesAgree(t *testing.T) {
 
 // refApplyStep is the unoptimized reference of one polynomial reduction
 // at a single vertex — the pre-word-plane implementation kept as the
-// executable specification. The production applyStep performs the same
-// computation in a shard's scratch slab; TestApplyStepMatchesReference
-// pins the equivalence.
+// executable specification, with hardware division and the search from
+// x = 0. The production applyStep performs the same computation in a
+// shard's scratch slab with the step's Barrett arithmetic;
+// TestApplyStepMatchesReference and FuzzLinialStep pin the equivalence.
 func refApplyStep(c int64, nbrColors []int64, st Step) int64 {
 	d, q := st.D, st.Q
 	mine := decompose(c, q, d+1)
@@ -253,59 +256,132 @@ func refApplyStep(c int64, nbrColors []int64, st Step) int64 {
 	panic("linial_test: no evaluation point")
 }
 
+// decompose returns c in base q as k coefficients (little-endian).
+func decompose(c, q, k int64) []int64 {
+	coeffs := make([]int64, k)
+	for i := range coeffs {
+		coeffs[i] = c % q
+		c /= q
+	}
+	return coeffs
+}
+
+// evalPoly evaluates the polynomial with the given little-endian
+// coefficients at x over F_q (Horner), reducing at every step.
+func evalPoly(coeffs []int64, x, q int64) int64 {
+	var acc int64
+	for i := len(coeffs) - 1; i >= 0; i-- {
+		acc = (acc*x + coeffs[i]) % q
+	}
+	return acc
+}
+
+// stepCase is a step under test, with the input palette it reduces
+// (q^(d+1), or MaxInt64 where that overflows int64) and the largest
+// degree its field serves (q ≥ dΔ+1), capped at 6.
+type stepCase struct {
+	st      Step
+	palette int64
+	maxDeg  int
+}
+
+func newStepCase(d, q int64) stepCase {
+	palette := int64(1)
+	for range d + 1 {
+		if palette > math.MaxInt64/q {
+			palette = math.MaxInt64
+			break
+		}
+		palette *= q
+	}
+	return stepCase{st: newStep(d, q), palette: palette, maxDeg: min(6, int((q-1)/d))}
+}
+
+// prevPrime returns the largest prime ≤ n.
+func prevPrime(n int64) int64 {
+	for !util.IsPrime(int(n)) {
+		n--
+	}
+	return n
+}
+
+// lazyEdge is the largest q with q³ ≤ 2⁶⁴: a degree-2 step over the
+// largest prime up to it evaluates unreduced, one over the next prime
+// reduces at every Horner step.
+const lazyEdge = 2_642_245
+
 // TestApplyStepMatchesReference drives the production scratch-slab
-// applyStep against the allocating reference on randomized palettes,
-// degrees, and inbox patterns (including silent NoWord ports and improper
-// equal-color slots): the chosen colors must be identical, and one scratch
-// slab reused across cases, as a shard reuses it across the vertices it
-// steps, must not leak state between them. Both of applyStep's paths run:
-// the x = 0 shortcut, and the full search when a neighbor's color is
-// ≡ c (mod q).
+// applyStep against the allocating reference on randomized colors,
+// degrees, and inbox patterns (including silent NoWord ports, improper
+// equal-color slots, and words ≡ c (mod q)): the chosen colors must be
+// identical, and one scratch slab reused across cases, as a shard reuses
+// it across the vertices it steps, must not leak state between them. The
+// steps span the field's edges: q = 2 and q = 3, the widest degree
+// bestStep considers (62), degree-2 steps on either side of q³ = 2⁶⁴,
+// and a q next to maxQ with q² < 2⁶⁴ < q³, so both Horner paths run;
+// colors reach each step's input palette − 1. Every step takes both of
+// applyStep's paths: the x = 0 shortcut, and the full search when a
+// neighbor's color is ≡ c (mod q).
 func TestApplyStepMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	steps := []Step{
-		{D: 1, Q: 11, M: 121},
-		{D: 2, Q: 13, M: 169},
-		{D: 3, Q: 31, M: 961},
-		{D: 5, Q: 67, M: 4489},
+	cases := []stepCase{
+		newStepCase(1, 11), newStepCase(2, 13), newStepCase(3, 31), newStepCase(5, 67),
+		newStepCase(1, 2), newStepCase(1, 3), newStepCase(2, 3),
+		newStepCase(62, 67), newStepCase(62, int64(util.NextPrime(62*6+1))),
+		newStepCase(2, prevPrime(lazyEdge)), newStepCase(2, int64(util.NextPrime(lazyEdge+1))),
+		newStepCase(1, prevPrime(maxQ)), newStepCase(2, prevPrime(maxQ)),
 	}
-	scratch := make([]sim.Word, 6*7) // widest step (d+1 = 6) × (max degree 6 + 1)
-	searched := 0
-	for i := 0; i < 2000; i++ {
-		st := steps[rng.Intn(len(steps))]
-		limit := st.Q // inputs to a step are < q^(d+1); keep them small but varied
-		for j := int64(1); j <= st.D; j++ {
-			limit *= st.Q
+	for _, c := range cases {
+		if got, want := c.st.field().lazy(c.st.D+1), fitsUint64(c.st.Q, c.st.D+1); got != want {
+			t.Fatalf("step %+v: lazy = %v, want %v", c.st, got, want)
 		}
-		c := rng.Int63n(limit)
-		deg := rng.Intn(7)
+	}
+	scratch := make([]sim.Word, 63*7) // widest step (d+1 = 63) × (max degree 6 + 1)
+	shortcut := make([]int, len(cases))
+	searched := make([]int, len(cases))
+	for i := 0; i < 13000; i++ {
+		ci := rng.Intn(len(cases))
+		sc := cases[ci]
+		st, q := sc.st, sc.st.Q
+		c := rng.Int63n(sc.palette)
+		if rng.Intn(8) == 0 {
+			c = sc.palette - 1
+		}
+		deg := rng.Intn(sc.maxDeg + 1)
 		in := make([]sim.Word, deg)
 		ref := make([]int64, deg)
 		for p := 0; p < deg; p++ {
-			switch rng.Intn(4) {
+			var nc int64
+			switch rng.Intn(5) {
 			case 0:
 				in[p], ref[p] = sim.NoWord, -1 // silent port
+				continue
 			case 1:
-				in[p], ref[p] = c, c // improper duplicate, skipped by both
+				nc = c // improper duplicate, skipped by both
+			case 2:
+				nc = c%q + q*rng.Int63n((sc.palette-1-c%q)/q+1) // ≡ c (mod q)
 			default:
-				nc := rng.Int63n(limit)
-				in[p], ref[p] = nc, nc
+				nc = rng.Int63n(sc.palette)
 			}
+			in[p], ref[p] = nc, nc
 		}
+		if got := applyStep(c, in, scratch, st); got != refApplyStep(c, ref, st) {
+			t.Fatalf("case %d: applyStep = %d, reference = %d (c=%d step=%+v in=%v)", i, got, refApplyStep(c, ref, st), c, st, in)
+		}
+		full := false
 		for _, nc := range ref {
-			if nc >= 0 && nc != c && nc%st.Q == c%st.Q {
-				searched++
-				break
-			}
+			full = full || nc >= 0 && nc != c && nc%q == c%q
 		}
-		got := applyStep(c, in, scratch, st)
-		want := refApplyStep(c, ref, st)
-		if got != want {
-			t.Fatalf("case %d: applyStep = %d, reference = %d (c=%d step=%+v in=%v)", i, got, want, c, st, in)
+		if full {
+			searched[ci]++
+		} else {
+			shortcut[ci]++
 		}
 	}
-	if searched < 100 || searched > 1900 {
-		t.Fatalf("%d of 2000 cases needed the full search: one path went unexercised", searched)
+	for ci, c := range cases {
+		if shortcut[ci] < 20 || searched[ci] < 20 {
+			t.Errorf("step %+v: %d shortcut and %d full searches: a path went unexercised", c.st, shortcut[ci], searched[ci])
+		}
 	}
 }
 
@@ -313,7 +389,7 @@ func TestApplyStepDeterministicAndProper(t *testing.T) {
 	// Direct unit test of the polynomial step on a small clique: all
 	// distinct colors must map to distinct new colors when applied with each
 	// vertex seeing the others as neighbors.
-	st := Step{D: 2, Q: 11, M: 121}
+	st := newStep(2, 11)
 	colors := []int64{5, 17, 100, 1000, 42}
 	newColors := make(map[int64]bool)
 	for i, c := range colors {
@@ -377,4 +453,130 @@ func TestPolyHelpers(t *testing.T) {
 	if got := evalPoly([]int64{3, 2, 1}, 5, 7); got != 3 {
 		t.Fatalf("evalPoly = %d, want 3", got)
 	}
+}
+
+// TestFieldArithmetic checks the Barrett arithmetic against hardware
+// division: divmod on x across the whole uint64 range, including the
+// values next to 0, to multiples of q and to 2⁶⁴, for fields from q = 2
+// up to the largest prime below maxQ; decompose against the reference
+// decompose; and eval on both Horner paths against evalPoly.
+func TestFieldArithmetic(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, q := range []int64{2, 3, 5, 251, 65537, prevPrime(lazyEdge), int64(util.NextPrime(lazyEdge + 1)), prevPrime(maxQ)} {
+		uq := uint64(q)
+		xs := []uint64{0, 1, uq - 1, uq, uq + 1, 2*uq - 1, uq * uq, math.MaxUint64, math.MaxUint64 - 1, math.MaxUint64 / uq * uq, math.MaxUint64/uq*uq - 1, 1 << 63}
+		for range 2000 {
+			xs = append(xs, rng.Uint64(), rng.Uint64()>>rng.Intn(64))
+		}
+		for _, d := range []int64{1, 2, 5, 62} {
+			st := newStep(d, q)
+			f := st.field()
+			if d == 1 {
+				for _, x := range xs {
+					if quo, rem := f.divmod(x); quo != x/uq || rem != x%uq {
+						t.Fatalf("q=%d: divmod(%d) = (%d, %d), want (%d, %d)", q, x, quo, rem, x/uq, x%uq)
+					}
+				}
+			}
+			k := d + 1
+			lazy := f.lazy(k)
+			if lazy != fitsUint64(q, k) {
+				t.Fatalf("q=%d k=%d: lazy = %v", q, k, lazy)
+			}
+			coeffs := make([]sim.Word, k)
+			for range 200 {
+				c := rng.Int63()
+				f.decompose(coeffs, c)
+				want := decompose(c, q, k)
+				for i := range coeffs {
+					if coeffs[i] != want[i] {
+						t.Fatalf("q=%d d=%d: decompose(%d) = %v, want %v", q, d, c, coeffs, want)
+					}
+				}
+				for i := range coeffs {
+					coeffs[i] = rng.Int63n(q)
+					want[i] = coeffs[i]
+				}
+				x := 1 + rng.Int63n(q-1)
+				if rng.Intn(4) == 0 {
+					x = q - 1
+					for i := range coeffs {
+						coeffs[i], want[i] = q-1, q-1
+					}
+				}
+				for _, l := range []bool{lazy, false} {
+					if got := f.eval(coeffs, uint64(x), l); got != uint64(evalPoly(want, x, q)) {
+						t.Fatalf("q=%d d=%d lazy=%v: eval(%v, %d) = %d, want %d", q, d, l, coeffs, x, got, evalPoly(want, x, q))
+					}
+				}
+			}
+		}
+	}
+	// q^k = 2⁶⁴ exactly still bounds a lazy sum; one bit more does not.
+	if !(field{q: 2}).lazy(64) || (field{q: 2}).lazy(65) || !(field{q: 1 << 32}).lazy(2) {
+		t.Fatal("lazy misjudges q^k = 2⁶⁴")
+	}
+}
+
+// fitsUint64 reports whether q^k ≤ 2⁶⁴, by big-integer arithmetic.
+func fitsUint64(q, k int64) bool {
+	p := new(big.Int).Exp(big.NewInt(q), big.NewInt(k), nil)
+	return p.Cmp(new(big.Int).Lsh(big.NewInt(1), 64)) <= 0
+}
+
+// FuzzLinialStep checks applyStep against refApplyStep on one step of the
+// schedule BuildSchedule derives from a fuzzed m0 and Δ, at a fuzzed color
+// of the step's input palette and an inbox of at most Δ words, one per
+// byte of in: by the byte's low two bits a silent port, a copy of c, a
+// word ≡ c (mod q), which forces the search past x = 0, or any color of
+// the palette.
+func FuzzLinialStep(f *testing.F) {
+	f.Add(int64(1_000_000), uint16(10), uint8(0), int64(123_456), []byte{2, 3, 6, 0, 1, 10, 14})
+	f.Add(int64(400_000_001), uint16(14), uint8(1), int64(840), []byte{2, 6, 10, 14, 18, 22, 26})
+	f.Add(int64(math.MaxInt64), uint16(1), uint8(3), int64(-1), []byte{2})
+	f.Add(int64(1<<40), uint16(300), uint8(0), int64(77), []byte{3, 7, 2, 1, 0})
+	f.Fuzz(func(t *testing.T, m0 int64, delta uint16, pick uint8, c int64, in []byte) {
+		if m0 < 2 {
+			return
+		}
+		maxDeg := 1 + int(delta)%512
+		schedule := BuildSchedule(m0, maxDeg)
+		if len(schedule) == 0 {
+			return
+		}
+		i := int(pick) % len(schedule)
+		st, palette := schedule[i], m0
+		if i > 0 {
+			palette = schedule[i-1].M
+		}
+		q := st.Q
+		c &= math.MaxInt64
+		c %= palette
+		if len(in) > maxDeg {
+			in = in[:maxDeg]
+		}
+		words := make([]sim.Word, len(in))
+		ref := make([]int64, len(in))
+		h := uint64(c) ^ uint64(palette)<<1
+		for p, b := range in {
+			h = h*6364136223846793005 + 1442695040888963407 + uint64(b)
+			var w int64
+			switch b & 3 {
+			case 0:
+				words[p], ref[p] = sim.NoWord, -1
+				continue
+			case 1:
+				w = c
+			case 2:
+				w = c%q + q*int64((h>>1)%uint64((palette-1-c%q)/q+1))
+			default:
+				w = int64((h >> 1) % uint64(palette))
+			}
+			words[p], ref[p] = w, w
+		}
+		scratch := make([]sim.Word, int(st.D+1)*(len(in)+1))
+		if got, want := applyStep(c, words, scratch, st), refApplyStep(c, ref, st); got != want {
+			t.Fatalf("step %d %+v of m0=%d Δ=%d: applyStep(%d, %v) = %d, reference %d", i, st, m0, maxDeg, c, words, got, want)
+		}
+	})
 }

@@ -7,6 +7,12 @@
 // deterministic, with round complexity O(Δ log Δ + log* n) (see DESIGN.md
 // §1.3 for the substitution rationale).
 //
+// Both are one word program, kwProgram, on two schedules, and it renumbers
+// lazily: a vertex keeps its color in the run's starting numbering and
+// maps it into a phase's numbering where it reads it, so only round 0 and
+// the last round step every vertex, and every other round steps the one
+// color class it recolors.
+//
 // Both programs run on any topology; callers use them for edge colorings by
 // running them on a line topology (vc.LineTopology).
 package reduce
@@ -94,29 +100,28 @@ func runSchedule(ctx context.Context, eng sim.Exec, t *sim.Topology, m, target, 
 	return &Result{Colors: p.colors, Palette: target, Stats: stats}, nil
 }
 
-// kwRound is one round of the KW program: process class s (mod B) and, when
-// the phase ends, renumber blocks of size B down to T.
+// kwRound is one round of the KW program: process class s (mod b) of
+// phase j.
 type kwRound struct {
-	b             int64 // block size of the current phase
-	s             int64 // class processed this round (T ≤ s < B)
-	t             int64 // target slots per block
-	renumberAfter bool  // phase complete: apply c → (c/B)·T + (c mod B)
+	b int64 // block size of the current phase
+	s int64 // class processed this round (t ≤ s < b)
+	t int64 // target slots per block
+	j uint8 // phase index: the phase's numbering is F_j of the run's starting one
 }
 
-// kwSchedule derives the full deterministic round plan for reducing m → T
-// in blocks of size block: Kuhn–Wattenhofer's is 2T, and block = m is the
-// class-by-class trim, one phase of m − T rounds. The plan is allocated
+// kwSchedule derives the full deterministic round plan for reducing m → t
+// in blocks of size block: Kuhn–Wattenhofer's is 2t, and block = m is the
+// class-by-class trim, one phase of m − t rounds. The plan is allocated
 // once, at its length kwRounds.
 func kwSchedule(m, t, block int64) []kwRound {
 	plan := make([]kwRound, 0, kwRounds(m, t, block))
-	for ; m > t; m = kwPalette(m, t, block) {
+	for j := uint8(0); m > t; j, m = j+1, kwPalette(m, t, block) {
 		// A block larger than the palette is one partial block: plain
 		// class iteration within it.
 		b := min(block, m)
 		for s := b - 1; s >= t; s-- {
-			plan = append(plan, kwRound{b: b, s: s, t: t})
+			plan = append(plan, kwRound{b: b, s: s, t: t, j: j})
 		}
-		plan[len(plan)-1].renumberAfter = true
 	}
 	return plan
 }
@@ -144,18 +149,77 @@ func kwPalette(m, t, block int64) int64 {
 	return nb*t + rem
 }
 
-// kwProgram is the Kuhn–Wattenhofer reduction as one run-scoped word
-// program. colors[v] is v's current color, its result once it halts.
+// phaseColor is F_j: the color in phase j's numbering of a color c of the
+// run's starting numbering. A phase renumbers its blocks of 2t down to t,
+// c → ⌊c/2t⌋·t + c mod 2t, and the colors it leaves lie in the low half
+// of their block, so j phases compose to dropping the low j bits of ⌊c/t⌋.
+// A single-block phase (the trim, or KW's last, partial block) is the
+// identity on the colors it leaves, so F_j serves every phase.
 //
-// It implements sim.ActiveSet. Round 0 and each phase's renumbering round
-// step every vertex; any other round, for class s, steps only class s:
-// the vertices whose color is ≡ s (mod b). Every other vertex would keep
-// its color and broadcast it again. At a phase's first round the classes
-// t … b−1 are bucketed by one counting sort of the colors into members,
-// ascending within each class, class s at members[start[s−t]:start[s−t+1]].
-// The buckets stay exact for the whole phase: a vertex recolors at most
-// once per phase, in its class's round, and into a class below t, which
-// no later round of the phase processes.
+//distcolor:noalloc
+func phaseColor(c, t int64, j uint8) int64 {
+	if j == 0 {
+		return c
+	}
+	q := c / t
+	return (q>>j)*t + c - q*t
+}
+
+// startColor is G_j, phaseColor's inverse on the colors a run stores:
+// the starting-numbering color of the phase-j color c.
+//
+//distcolor:noalloc
+func startColor(c, t int64, j uint8) int64 {
+	if j == 0 {
+		return c
+	}
+	q := c / t
+	return (q<<j)*t + c - q*t
+}
+
+// class returns the class F_j(c) mod b of a color c a run stores, in
+// round r's phase j, with one division. After the first phase the block
+// is KW's 2t, or its last, single block of b < 2t colors, in which
+// F_j(c) < b: either way the class is bit j of ⌊c/t⌋ times t, plus
+// c mod t.
+//
+//distcolor:noalloc
+func (r kwRound) class(c int64) int64 {
+	if r.j == 0 {
+		return c % r.b
+	}
+	q := c / r.t
+	return (q>>r.j&1)*r.t + c - q*r.t
+}
+
+// kwProgram is the Kuhn–Wattenhofer reduction as one run-scoped word
+// program. colors[v] is v's color in the run's starting numbering (its
+// seed palette) until the last round, which maps it into the output
+// palette: its result once it halts.
+//
+// Every phase renumbers the palette, but no round does it. A vertex
+// keeps and broadcasts its starting-numbering color, and phase j's color
+// is phaseColor's F_j of it, computed where it is read. Every color a run
+// stores has the low j bits of ⌊c/t⌋ clear at phase j's start (a phase
+// recolors every vertex that has bit j set), and on such colors F_j keeps
+// the offset within a t-chunk and is one to one. So a recoloring vertex
+// needs no neighbor's word mapped: a word lies in its phase-j window
+// [base, base+t) exactly when it lies in the window's preimage
+// [G_j(base), G_j(base)+t), which smallestFree scans as it is.
+//
+// It implements sim.ActiveSet. Round 0 and the last round, where every
+// vertex halts and maps its color into the output palette, step every
+// vertex; any other round, for class s, steps only class s: the vertices
+// whose phase color is ≡ s (mod b). Every other vertex would keep its
+// color and broadcast it again. At a phase's first round the classes
+// t … b−1 are bucketed by one counting sort of the phase colors into
+// members, ascending within each class, class s at
+// members[start[s−t]:start[s−t+1]]. The buckets stay exact for the whole
+// phase: a vertex recolors at most once per phase, in its class's round,
+// and into a class below t, which no later round of the phase processes.
+//
+// No WordSizer: every word is accounted at 64 bits, whichever numbering
+// it is in (DESIGN.md §7).
 type kwProgram struct {
 	colors   []int64
 	schedule []kwRound
@@ -181,39 +245,37 @@ func (p *kwProgram) Scratch(maxDeg int) int { return maxDeg + 1 }
 //
 //distcolor:noalloc
 func (p *kwProgram) Active(round int) ([]int32, bool) {
-	if round == 0 {
+	if round == 0 || round == len(p.schedule) {
 		return nil, true
 	}
 	r := p.schedule[round-1]
-	if r.renumberAfter {
-		return nil, true
-	}
-	if round == 1 || p.schedule[round-2].renumberAfter {
-		p.bucket(r.b, r.t)
+	if round == 1 || p.schedule[round-2].j != r.j {
+		p.bucket(r)
 	}
 	return p.members[p.start[r.s-r.t]:p.start[r.s-r.t+1]], false
 }
 
-// bucket sorts the vertices of the classes t … b−1 (mod b) by class into
-// members, by counting: start counts each class one slot ahead, its
-// prefix sums are then the class starts, the fill advances each start to
-// its class's end, and the shift back restores the starts.
+// bucket sorts the vertices of r's phase's classes t … b−1 (mod b) by
+// class into members, by counting: start counts each class one slot
+// ahead, its prefix sums are then the class starts, the fill advances
+// each start to its class's end, and the shift back restores the starts.
 //
 //distcolor:noalloc
-func (p *kwProgram) bucket(b, t int64) {
-	k := b - t
+func (p *kwProgram) bucket(r kwRound) {
+	t := r.t
+	k := r.b - t
 	start := p.start[: k+1 : k+1]
 	clear(start)
 	for _, c := range p.colors {
-		if s := c % b; s >= t {
+		if s := r.class(c); s >= t {
 			start[s-t+1]++
 		}
 	}
-	for j := int64(1); j <= k; j++ {
-		start[j] += start[j-1]
+	for i := int64(1); i <= k; i++ {
+		start[i] += start[i-1]
 	}
 	for v, c := range p.colors {
-		if s := c % b; s >= t {
+		if s := r.class(c); s >= t {
 			p.members[start[s-t]] = int32(v)
 			start[s-t]++
 		}
@@ -228,22 +290,18 @@ func (p *kwProgram) bucket(b, t int64) {
 func (p *kwProgram) StepWord(v, round int, in, scratch []sim.Word) (sim.Word, bool) {
 	if round > 0 {
 		r := p.schedule[round-1]
-		c := p.colors[v]
-		if c%r.b == r.s {
+		if r.class(p.colors[v]) == r.s {
 			// Recolor into my block's first t slots, avoiding all neighbor
 			// colors (which are fresh as of last round; concurrent
-			// recolorers share my color class and are non-adjacent).
-			base := (c / r.b) * r.b
-			c = base + smallestFree(in, base, r.t, scratch)
+			// recolorers share my color class and are non-adjacent). The
+			// window is scanned in the starting numbering the words are in.
+			base := startColor(phaseColor(p.colors[v], r.t, r.j)-r.s, r.t, r.j)
+			p.colors[v] = base + smallestFree(in, base, r.t, scratch)
 		}
-		if r.renumberAfter {
-			// Globally synchronized local renumbering; applied by everyone
-			// to their own color. Neighbor colors received next round are
-			// post-renumber, keeping views consistent.
-			c = (c/r.b)*r.t + c%r.b
-		}
-		p.colors[v] = c
 		if round == len(p.schedule) {
+			// The last phase is a single block, whose renumbering is the
+			// identity: its numbering is the output palette's.
+			p.colors[v] = phaseColor(p.colors[v], r.t, r.j)
 			return sim.NoWord, true
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -138,9 +139,25 @@ func TestKWScheduleProperties(t *testing.T) {
 			t.Fatalf("m=%d T=%d: plan length %d, capacity %d, kwRounds %d",
 				tc.m, tc.target, len(plan), cap(plan), kwRounds(tc.m, tc.target, 2*tc.target))
 		}
-		// Phases end with renumber steps; last round must renumber.
-		if !plan[len(plan)-1].renumberAfter {
-			t.Fatalf("m=%d T=%d: plan does not end a phase", tc.m, tc.target)
+		// Phases are numbered 0, 1, … in order, each runs its classes
+		// b−1 down to t, and the last is one block of at most 2T.
+		for i, r := range plan {
+			var want kwRound
+			switch {
+			case i == 0:
+				want = kwRound{b: r.b, s: r.b - 1, t: tc.target}
+			case plan[i-1].s == tc.target:
+				want = kwRound{b: r.b, s: r.b - 1, t: tc.target, j: plan[i-1].j + 1}
+			default:
+				want = plan[i-1]
+				want.s--
+			}
+			if r != want {
+				t.Fatalf("m=%d T=%d: round %d is %+v, want %+v", tc.m, tc.target, i, r, want)
+			}
+		}
+		if last := plan[len(plan)-1]; last.s != tc.target || last.b > 2*tc.target {
+			t.Fatalf("m=%d T=%d: the plan ends with %+v", tc.m, tc.target, last)
 		}
 		// Round cost must be O(T·log(m/T)): generous constant-4 check.
 		logRatio := 1
@@ -368,5 +385,144 @@ func TestKWSteadyStateAllocFree(t *testing.T) {
 	if long != short {
 		t.Fatalf("kw allocates with its length: %.1f extra allocs over %d extra rounds (%.1f vs %.1f)",
 			long-short, extraRounds, long, short)
+	}
+}
+
+// TestKWPhaseMaps checks the closed-form maps between a run's starting
+// numbering and phase j's (phaseColor's F_j, startColor's G_j, and
+// kwRound.class) against the iterated per-phase renumberings
+// c → ⌊c/b⌋·t + c mod b of kwSchedule's phases, on KW's block 2t and on
+// the trim's block m. A random starting color walks the phases as a
+// vertex's color does: where its class is at least t it recolors into a
+// random slot below t of its block, stored as G_j, and every phase end
+// renumbers it. At each phase's start G_j(F_j(c)) = c must hold on the
+// color the earlier phases left, and after the last phase F_J must give
+// the output color.
+func TestKWPhaseMaps(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	type mapCase struct{ m, t, block int64 }
+	var cases []mapCase
+	// m < 2t, m = 2t, and palettes whose phases end in a trailing partial
+	// block of at most t and of more than t colors.
+	for _, c := range [][2]int64{{5, 3}, {6, 3}, {7, 3}, {13, 3}, {14, 3}, {15, 4}, {33, 8}, {39, 8}, {1000, 7}, {1 << 20, 1}} {
+		cases = append(cases, mapCase{c[0], c[1], 2 * c[1]}, mapCase{c[0], c[1], c[0]})
+	}
+	// A trim's plan has a round per dropped color, so fewer of them.
+	for i := range 300 {
+		tt := 1 + rng.Int63n(64)
+		m := tt + 1 + rng.Int63n(1_000_000-tt)
+		cases = append(cases, mapCase{m, tt, 2 * tt})
+		if i%15 == 0 {
+			cases = append(cases, mapCase{m, tt, m})
+		}
+	}
+	partial := 0
+	for _, c := range cases {
+		plan := kwSchedule(c.m, c.t, c.block)
+		var blocks []int64
+		for i, r := range plan {
+			if i == 0 || plan[i-1].j != r.j {
+				blocks = append(blocks, r.b)
+			}
+		}
+		if len(blocks) > 1 && c.m%blocks[0] > c.t {
+			partial++
+		}
+		last := uint8(len(blocks) - 1)
+		for range 40 {
+			stored := rng.Int63n(c.m) // the color a vertex keeps, in the starting numbering
+			cur := stored             // its color in the current phase's numbering
+			m := c.m
+			for j, b := range blocks {
+				r := kwRound{b: b, t: c.t, j: uint8(j)}
+				if got := phaseColor(stored, c.t, r.j); got != cur {
+					t.Fatalf("%+v: F_%d(%d) = %d, iterated maps give %d", c, j, stored, got, cur)
+				}
+				if got := startColor(cur, c.t, r.j); got != stored {
+					t.Fatalf("%+v: G_%d(%d) = %d, want the stored color %d", c, j, cur, got, stored)
+				}
+				if got := r.class(stored); got != cur%b {
+					t.Fatalf("%+v: phase %d class of %d is %d, want %d", c, j, stored, got, cur%b)
+				}
+				if cur%b >= c.t {
+					next := cur - cur%b + rng.Int63n(c.t)
+					stored = startColor(next, c.t, r.j)
+					if stored < 0 || stored >= c.m || phaseColor(stored, c.t, r.j) != next || r.class(stored) != next%b {
+						t.Fatalf("%+v: phase %d recolor to %d stores %d, which maps back to %d, class %d",
+							c, j, next, stored, phaseColor(stored, c.t, r.j), r.class(stored))
+					}
+					cur = next
+				}
+				cur = cur/b*c.t + cur%b
+				if m = kwPalette(m, c.t, c.block); cur >= m {
+					t.Fatalf("%+v: phase %d leaves color %d outside its palette %d", c, j, cur, m)
+				}
+			}
+			if got := phaseColor(stored, c.t, last); got != cur || cur >= c.t {
+				t.Fatalf("%+v: output F_%d(%d) = %d, iterated maps give %d (target %d)", c, last, stored, got, cur, c.t)
+			}
+		}
+	}
+	if partial == 0 {
+		t.Fatal("no case's first phase ended in a partial block of more than t colors")
+	}
+}
+
+// activeProbe is a kwProgram whose every Active answer is checked, before
+// the round's steps, against a brute-force scan of the colors: a class
+// round must list exactly the vertices whose phase color is ≡ s (mod b),
+// in ascending order.
+type activeProbe struct {
+	*kwProgram
+	t       *testing.T
+	all     []int
+	checked int
+}
+
+func (a *activeProbe) Active(round int) ([]int32, bool) {
+	vs, all := a.kwProgram.Active(round)
+	if all {
+		a.all = append(a.all, round)
+		return vs, all
+	}
+	r := a.schedule[round-1]
+	var want []int32
+	for v, c := range a.colors {
+		if phaseColor(c, r.t, r.j)%r.b == r.s {
+			want = append(want, int32(v))
+		}
+	}
+	if !slices.Equal(vs, want) {
+		a.t.Errorf("round %d (phase %d, class %d mod %d): active %v, brute force %v", round, r.j, r.s, r.b, vs, want)
+	}
+	a.checked++
+	return vs, all
+}
+
+// TestKWActiveRounds runs KW over seven phases with every Active answer
+// checked: only round 0 and the last round step every vertex, and each
+// class round steps exactly its class.
+func TestKWActiveRounds(t *testing.T) {
+	g := rg(23, 300, 0.04)
+	sd, m := greedySeed(g, 64)
+	target := int64(g.MaxDegree()) + 1
+	schedule := kwSchedule(m, target, 2*target)
+	if phases := schedule[len(schedule)-1].j + 1; phases < 4 {
+		t.Fatalf("%d phases, want at least 4", phases)
+	}
+	for _, eng := range []sim.Engine{sim.Sequential, sim.ReverseSequential} {
+		p := &activeProbe{kwProgram: newKWProgram(seedColors(&sim.Topology{G: g, Labels: sd}), schedule), t: t}
+		if _, err := eng.Run(context.Background(), sim.NewTopology(g), p, len(schedule)+3); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(p.all, []int{0, len(schedule)}) {
+			t.Fatalf("engine %d: rounds %v step every vertex, want [0 %d]", eng, p.all, len(schedule))
+		}
+		if p.checked != len(schedule)-1 {
+			t.Fatalf("engine %d: checked %d class rounds, want %d", eng, p.checked, len(schedule)-1)
+		}
+		if err := verify.VertexColoring(g, p.colors, target); err != nil {
+			t.Fatalf("engine %d: %v", eng, err)
+		}
 	}
 }

@@ -472,20 +472,27 @@ func TestAlgorithmEquivalenceMatrix(t *testing.T) {
 			}
 		}
 	})
-	t.Run("reduce-kw", func(t *testing.T) {
-		lin, err := linial.Reduce(context.Background(), sim.Sequential, sim.NewTopology(g), int64(g.N()))
+	// Kuhn–Wattenhofer from the Linial palette, on g and on g's line
+	// topology. A palette above 4·target takes at least three phases, so
+	// words cross phases whose numberings differ from the starting one.
+	kwRow := func(t *testing.T, topo *sim.Topology, m0 int64, proper func([]int64, int64) error) {
+		lin, err := linial.Reduce(context.Background(), sim.Sequential, topo, m0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		topo := &sim.Topology{G: g, Labels: lin.Colors}
-		target := int64(g.MaxDegree()) + 1
+		seeded := *topo
+		seeded.Labels = lin.Colors
+		target := int64(topo.MaxDegree()) + 1
+		if lin.Palette <= 4*target {
+			t.Fatalf("Linial palette %d ≤ 4·%d: fewer than three KW phases", lin.Palette, target)
+		}
 		var want *reduce.Result
 		for _, ec := range engines {
-			got, err := reduce.KuhnWattenhofer(context.Background(), ec.eng, topo, lin.Palette, target)
+			got, err := reduce.KuhnWattenhofer(context.Background(), ec.eng, &seeded, lin.Palette, target)
 			if err != nil {
 				t.Fatalf("%s: %v", ec.name, err)
 			}
-			if err := verify.VertexColoring(g, got.Colors, got.Palette); err != nil {
+			if err := proper(got.Colors, got.Palette); err != nil {
 				t.Fatalf("%s: improper: %v", ec.name, err)
 			}
 			if want == nil {
@@ -501,6 +508,20 @@ func TestAlgorithmEquivalenceMatrix(t *testing.T) {
 				}
 			}
 		}
+	}
+	t.Run("reduce-kw", func(t *testing.T) {
+		kwRow(t, sim.NewTopology(g), int64(g.N()), func(colors []int64, palette int64) error {
+			return verify.VertexColoring(g, colors, palette)
+		})
+	})
+	t.Run("reduce-kw-line", func(t *testing.T) {
+		topo, err := vc.LineTopology(g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kwRow(t, topo, vc.EdgeIDBound(g), func(colors []int64, palette int64) error {
+			return verify.EdgeColoring(g, colors, palette)
+		})
 	})
 	t.Run("reduce-trim", func(t *testing.T) {
 		lin, err := linial.Reduce(context.Background(), sim.Sequential, sim.NewTopology(g), int64(g.N()))
