@@ -194,8 +194,7 @@ func (r kwRound) class(c int64) int64 {
 
 // kwProgram is the Kuhn–Wattenhofer reduction as one run-scoped word
 // program. colors[v] is v's color in the run's starting numbering (its
-// seed palette) until the last round, which maps it into the output
-// palette: its result once it halts.
+// seed palette), its result once it halts.
 //
 // Every phase renumbers the palette, but no round does it. A vertex
 // keeps and broadcasts its starting-numbering color, and phase j's color
@@ -205,11 +204,14 @@ func (r kwRound) class(c int64) int64 {
 // the offset within a t-chunk and is one to one. So a recoloring vertex
 // needs no neighbor's word mapped: a word lies in its phase-j window
 // [base, base+t) exactly when it lies in the window's preimage
-// [G_j(base), G_j(base)+t), which smallestFree scans as it is.
+// [G_j(base), G_j(base)+t), which smallestFree scans as it is. Nor does
+// the result: the last phase leaves every phase color below t, and such a
+// color, stored with its low j bits clear, is below t in the starting
+// numbering too, where F_j and G_j are the identity.
 //
 // It implements sim.ActiveSet. Round 0 and the last round, where every
-// vertex halts and maps its color into the output palette, step every
-// vertex; any other round, for class s, steps only class s: the vertices
+// vertex halts, step every vertex; any other round, for class s, steps
+// only class s: the vertices
 // whose phase color is ≡ s (mod b). Every other vertex would keep its
 // color and broadcast it again. At a phase's first round the classes
 // t … b−1 are bucketed by one counting sort of the phase colors into
@@ -299,9 +301,6 @@ func (p *kwProgram) StepWord(v, round int, in, scratch []sim.Word) (sim.Word, bo
 			p.colors[v] = base + smallestFree(in, base, r.t, scratch)
 		}
 		if round == len(p.schedule) {
-			// The last phase is a single block, whose renumbering is the
-			// identity: its numbering is the output palette's.
-			p.colors[v] = phaseColor(p.colors[v], r.t, r.j)
 			return sim.NoWord, true
 		}
 	}
