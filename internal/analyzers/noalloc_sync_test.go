@@ -63,6 +63,8 @@ var noallocManifest = map[string]string{
 	"internal/linial.(field).divmod":        "linial Barrett division",
 	"internal/linial.(field).mod":           "linial Barrett reduction",
 	"internal/linial.(field).decompose":     "linial base-q decomposition",
+	"internal/linial.(field).decomposeAll":  "linial neighbor decompositions",
+	"internal/linial.(field).avoids":        "linial evaluation-point check",
 	"internal/linial.(field).eval":          "linial Horner evaluation",
 	"internal/linial.(field).lazy":          "linial Horner overflow bound",
 	"internal/reduce.(kwProgram).StepWord":  "Kuhn–Wattenhofer reduction step",

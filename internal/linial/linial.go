@@ -97,6 +97,37 @@ func (f field) decompose(coeffs []sim.Word, c int64) {
 	}
 }
 
+// decomposeAll decomposes every neighbor color of in that carries a word
+// other than c into k coefficients each, in port order, from the start
+// of buf, and returns the coefficients written. A silent port carries
+// nothing; an equal color would mean an improper input coloring (the
+// caller's validation catches it).
+//
+//distcolor:noalloc
+func (f field) decomposeAll(buf, in []sim.Word, c int64, k int) []sim.Word {
+	n := 0
+	for _, w := range in {
+		if w != sim.NoWord && w != c {
+			f.decompose(buf[n:n+k], w)
+			n += k
+		}
+	}
+	return buf[:n]
+}
+
+// avoids reports whether no polynomial of nbrs, k coefficients each,
+// takes the value val at x.
+//
+//distcolor:noalloc
+func (f field) avoids(nbrs []sim.Word, k int, x, val uint64, lazy bool) bool {
+	for off := 0; off < len(nbrs); off += k {
+		if f.eval(nbrs[off:off+k], x, lazy) == val {
+			return false
+		}
+	}
+	return true
+}
+
 // lazy reports whether q^k ≤ 2⁶⁴. A Horner sum Σ aᵢxⁱ of k coefficients
 // aᵢ < q at x < q is then at most q^k − 1, so it may run unreduced.
 //
@@ -301,35 +332,15 @@ func applyStep(c int64, in, scratch []sim.Word, st Step) int64 {
 	k := int(st.D + 1)
 	mine := scratch[:k:k]
 	f.decompose(mine, c)
-	// Decompose each relevant neighbor color once, in port order.
-	nbrs := scratch[k:]
-	cnt := 0
-	for _, w := range in {
-		if w == sim.NoWord || w == c {
-			// A silent port carries nothing; an equal color would mean an
-			// improper input coloring (the caller's validation catches it).
-			continue
-		}
-		f.decompose(nbrs[cnt*k:cnt*k+k], w)
-		cnt++
-	}
-	nbrs = nbrs[:cnt*k]
+	nbrs := f.decomposeAll(scratch[k:], in, c, k)
 	lazy := f.lazy(st.D + 1)
 	for x := uint64(1); x < f.q; x++ {
-		val := f.eval(mine, x, lazy)
-		ok := true
-		for off := 0; off < len(nbrs); off += k {
-			if f.eval(nbrs[off:off+k], x, lazy) == val {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if val := f.eval(mine, x, lazy); f.avoids(nbrs, k, x, val, lazy) {
 			return int64(x*f.q + val)
 		}
 	}
 	// Unreachable when q > dΔ and the input coloring is proper.
-	panicNoEvalPoint(st.Q, st.D, cnt)
+	panicNoEvalPoint(st.Q, st.D, len(nbrs)/k)
 	return 0
 }
 
