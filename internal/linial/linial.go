@@ -17,7 +17,7 @@
 // step sets up once: the x = 0 scan, the base-q decomposition and each
 // Horner evaluation reduce by a multiply-high and one conditional
 // subtraction, and an evaluation reduces once, at its end, when
-// q^(d+1) ≤ 2⁶⁴ bounds its unreduced sum.
+// q^(d+1) < 2⁶⁴ bounds its unreduced sum.
 //
 // The paper's §3 trick — computing this coloring once and reusing it as the
 // identifier space of every recursive subproblem so that log* n is paid only
@@ -128,17 +128,16 @@ func (f field) avoids(nbrs []sim.Word, k int, x, val uint64, lazy bool) bool {
 	return true
 }
 
-// lazy reports whether q^k ≤ 2⁶⁴. A Horner sum Σ aᵢxⁱ of k coefficients
+// lazy reports whether q^k < 2⁶⁴. A Horner sum Σ aᵢxⁱ of k coefficients
 // aᵢ < q at x < q is then at most q^k − 1, so it may run unreduced.
 //
 //distcolor:noalloc
 func (f field) lazy(k int64) bool {
 	p := uint64(1)
-	for i := int64(0); i < k; i++ {
+	for range k {
 		hi, lo := bits.Mul64(p, f.q)
 		if hi != 0 {
-			// Past 2⁶⁴ unless this is the last factor and lands on it.
-			return hi == 1 && lo == 0 && i == k-1
+			return false
 		}
 		p = lo
 	}
