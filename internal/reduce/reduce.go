@@ -211,11 +211,10 @@ func (r kwRound) class(c int64) int64 {
 //
 // It implements sim.ActiveSet. Round 0 and the last round, where every
 // vertex halts, step every vertex; any other round, for class s, steps
-// only class s: the vertices
-// whose phase color is ≡ s (mod b). Every other vertex would keep its
-// color and broadcast it again. At a phase's first round the classes
-// t … b−1 are bucketed by one counting sort of the phase colors into
-// members, ascending within each class, class s at
+// only class s: the vertices whose phase color is ≡ s (mod b). Every
+// other vertex would keep its color and broadcast it again. At a phase's
+// first round the classes t … b−1 are bucketed by one counting sort of
+// the phase colors into members, ascending within each class, class s at
 // members[start[s−t]:start[s−t+1]]. The buckets stay exact for the whole
 // phase: a vertex recolors at most once per phase, in its class's round,
 // and into a class below t, which no later round of the phase processes.
