@@ -498,7 +498,7 @@ func (a *activeProbe) Active(round int) ([]int32, bool) {
 	return vs, all
 }
 
-// TestKWActiveRounds runs KW over seven phases with every Active answer
+// TestKWActiveRounds runs KW over six phases with every Active answer
 // checked: only round 0 and the last round step every vertex, and each
 // class round steps exactly its class.
 func TestKWActiveRounds(t *testing.T) {
