@@ -1,6 +1,6 @@
 # Tier-1 verify is `go build ./... && go test ./...` (ROADMAP.md); `make ci`
-# runs that plus vet, a formatting gate, and the race pass over the
-# concurrent packages.
+# runs that plus vet, a formatting gate, the race pass over the concurrent
+# packages, and the vet and tests of the perfbench module.
 
 GO ?= go
 FUZZTIME ?= 30s
@@ -20,7 +20,7 @@ BENCH_COUNT ?= 1
 # replayed exactly by re-running with the seed from its report.
 CHAOS_SEED ?= 1
 
-.PHONY: build test vet lint lint-codec fmt-check staticcheck race loc bench bench-algos bench-baseline bench-check bench-codec tables fuzz profile chaos ci
+.PHONY: build test vet lint lint-codec fmt-check staticcheck race perfbench-check loc bench bench-algos bench-baseline bench-check bench-codec tables fuzz profile chaos ci
 
 # Where `make profile` writes cpu.pprof/heap.pprof; CI uploads it as an
 # artifact on pull requests.
@@ -100,6 +100,12 @@ staticcheck:
 # baseline), and the service-overload bench workload in svcbench.
 race:
 	$(GO) test -race ./internal/service/ ./internal/sim/ ./internal/linial/ ./internal/reduce/ ./internal/arbor/ ./internal/graph/ ./internal/svcbench/ ./internal/star/ ./internal/cd/ ./internal/connector/ ./internal/baseline/
+
+# perfbench/ is its own module (go.mod with `replace repro => ../`), so
+# ./... never compiles it: vet and test it here, so that a change to the
+# root API the benchmark calls fails this target instead of the benchmark.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Non-test Go lines outside perfbench/ and testdata/ directories. A PR
 # reports its net line count as this number at the head minus the parent.
@@ -186,4 +192,4 @@ chaos:
 bench-codec:
 	$(GO) test . -run '^$$' -bench '^BenchmarkWireCodec' -benchmem -count $(BENCH_COUNT)
 
-ci: build vet lint fmt-check staticcheck test race
+ci: build vet lint fmt-check staticcheck test race perfbench-check

@@ -446,7 +446,7 @@ func BenchmarkAblationEngine(b *testing.B) {
 					}
 					colors, stats = lin.Colors, lin.Stats
 					if lin.Palette > target {
-						red, err := r.reduce(ctx, sim.Sequential, &sim.Topology{G: g, IDs: topo.IDs, Labels: lin.Colors}, lin.Palette, target)
+						red, err := r.reduce(ctx, sim.Sequential, &sim.Topology{G: g, Labels: lin.Colors}, lin.Palette, target)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -459,73 +459,6 @@ func BenchmarkAblationEngine(b *testing.B) {
 				report(b, target, stats)
 			})
 		}
-	}
-}
-
-// --- Ablation A.seed: the §3 identifier-reuse trick ----------------------
-
-// BenchmarkAblationSeed compares CD-Coloring with the one-shot seed
-// coloring (the §3 trick, default) against recomputing Linial from raw IDs
-// in every recursive call, isolating the log*-reuse saving.
-func BenchmarkAblationSeed(b *testing.B) {
-	g, cov := hyperInstance(b, 60, 3, 300)
-	s := cov.MaxCliqueSize()
-	t := cd.ChooseT(s, 2)
-	b.Run("with-seed", func(b *testing.B) {
-		var last *cd.Result
-		var err error
-		for i := 0; i < b.N; i++ {
-			last, err = cd.Color(context.Background(), g, cov, t, 2, cd.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		report(b, last.Palette, last.Stats)
-	})
-	b.Run("no-seed", func(b *testing.B) {
-		// Simulate per-level restarts: hand every level the identity seed
-		// with the full n-sized palette, forcing the long Linial schedule.
-		ids := make([]int64, g.N())
-		for v := range ids {
-			ids[v] = int64(v)
-		}
-		var last *cd.Result
-		var err error
-		for i := 0; i < b.N; i++ {
-			last, err = cd.Color(context.Background(), g, cov, t, 2, cd.Options{Seed: ids, SeedPalette: int64(g.N())})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		report(b, last.Palette, last.Stats)
-	})
-}
-
-// --- Ablation A.internal: Theorem 5.2's internal-stage variant -----------
-
-// BenchmarkAblationInternalStar compares the default (2θ−1) black-box
-// internal stage of Theorem 5.2 against the §4 star-partition variant the
-// paper suggests (4θ colors, faster for large θ).
-func BenchmarkAblationInternalStar(b *testing.B) {
-	g := sparseWorkload(b, 1000, 8, 300) // moderate arboricity → θ ≈ 27
-	for _, v := range []struct {
-		name string
-		star bool
-	}{{"blackbox", false}, {"starpartition", true}} {
-		b.Run(v.name, func(b *testing.B) {
-			var last *arbor.Result
-			var err error
-			for i := 0; i < b.N; i++ {
-				last, err = arbor.ColorHPartition(context.Background(), g, 9, arbor.Options{InternalStar: v.star})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := verify.EdgeColoring(g, last.Colors, last.Palette); err != nil {
-				b.Fatal(err)
-			}
-			report(b, last.Palette, last.Stats)
-		})
 	}
 }
 

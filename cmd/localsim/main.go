@@ -108,8 +108,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	shorthand := distcolor.Params{"x": float64(*x), "arboricity": float64(*arb), "q": *q}
-	if err := run(ctx, *algo, distcolor.Params(params), shorthand, *in, *colorsOut, *parallel, *line); err != nil {
+	req := distcolor.Request{Algorithm: *algo, Params: distcolor.Params(params), X: *x, Arboricity: *arb, Q: *q}
+	if err := run(ctx, req, *in, *colorsOut, *parallel, *line); err != nil {
 		fmt.Fprintf(os.Stderr, "localsim: %v\n", err)
 		os.Exit(1)
 	}
@@ -132,27 +132,17 @@ func printRegistry(w io.Writer) {
 	}
 }
 
-func run(ctx context.Context, algo string, params, shorthand distcolor.Params, in, colorsOut string, parallel, line bool) error {
-	if al, ok := aliases[algo]; ok {
+// run executes req, whose shorthand fields carry the -x, -arboricity and
+// -q flags.
+func run(ctx context.Context, req distcolor.Request, in, colorsOut string, parallel, line bool) error {
+	if al, ok := aliases[req.Algorithm]; ok {
 		line = line || al.line
-		algo = al.name
+		req.Algorithm = al.name
 	}
+	algo := req.Algorithm
 	a, ok := distcolor.LookupAlgorithm(algo)
 	if !ok {
 		return fmt.Errorf("unknown algorithm %q (try -list)", algo)
-	}
-	// Like the wire codec, the shorthand flags (-x, -arboricity, -q) keep
-	// their pre-registry tolerance: merged only when the algorithm's
-	// schema declares the parameter, ignored otherwise. Explicit -param
-	// entries stay strict.
-	declared := map[string]bool{}
-	for _, p := range a.Params {
-		declared[p.Name] = true
-	}
-	for name, v := range shorthand {
-		if v != 0 && declared[name] {
-			params[name] = v
-		}
 	}
 
 	var r io.Reader = os.Stdin
@@ -192,6 +182,13 @@ func run(ctx context.Context, algo string, params, shorthand distcolor.Params, i
 		return fmt.Errorf("%s requires a clique cover: pass -line to derive one from the line graph", algo)
 	}
 
+	// The shorthand flags resolve as the wire codec's shorthand fields do:
+	// merged only when the algorithm's schema declares the parameter,
+	// ignored otherwise. Explicit -param entries stay strict.
+	params, err := req.ResolvedParams()
+	if err != nil {
+		return err
+	}
 	col, err := distcolor.Run(ctx, runGraph, algo, params, opt)
 	if err != nil {
 		return err

@@ -50,8 +50,8 @@ func fingerprint(colors []int64, palette int64, st sim.Stats, extra ...int64) st
 
 // TestAlgorithmFingerprints pins the exact output of every registered
 // algorithm and of the recursions the registry does not reach (Theorem 5.4
-// at x=4, the internal-star option, the baselines, the clique
-// decomposition) on seeded inputs, on both engines. A refactor of the
+// at x=4, the baselines, the clique decomposition) on seeded inputs, on
+// both engines. A refactor of the
 // algorithm layer must leave every line unchanged.
 func TestAlgorithmFingerprints(t *testing.T) {
 	ctx := context.Background()
@@ -128,9 +128,6 @@ func TestAlgorithmFingerprints(t *testing.T) {
 			res, err := arbor.ColorRecursive(ctx, in.g, ArboricityUpperBound(in.g), 4, arbor.Options{Exec: eng, Q: 2.5})
 			must(err)
 			add(caseName("arbor.ColorRecursive/x=4/q=2.5/", in.name), fingerprint(res.Colors, res.Palette, res.Stats, int64(res.Parts)))
-			res, err = arbor.ColorHPartition(ctx, in.g, ArboricityUpperBound(in.g), arbor.Options{Exec: eng, InternalStar: true})
-			must(err)
-			add(caseName("arbor.ColorHPartition/internal-star/", in.name), fingerprint(res.Colors, res.Palette, res.Stats, int64(res.Parts)))
 			be08, err := baseline.BE08EdgeColor(ctx, in.g, ArboricityUpperBound(in.g), vc.Options{Exec: eng})
 			must(err)
 			add(caseName("baseline.BE08EdgeColor/", in.name), fingerprint(be08.Colors, be08.Palette, be08.Stats, int64(be08.Parts)))

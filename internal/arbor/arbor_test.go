@@ -11,7 +11,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/sim"
-	"repro/internal/vc"
 	"repro/internal/verify"
 )
 
@@ -223,18 +222,24 @@ func TestColorHPartition(t *testing.T) {
 	}
 }
 
-// TestInternalThenCrossing drives Theorem 5.2's two halves through their
-// exported pieces: Internal keeps exactly the same-part edges, with degree
-// ≤ θ, and ColorCrossing completes any proper internal coloring to a
-// proper one within Δ+θ−1 crossing colors above it; a coloring with an
-// edge left at −1 and no crossing stage to fill it is rejected.
+// TestInternalThenCrossing drives Theorem 5.2's skeleton, ColorParts, in
+// both of its layouts on a graph of three parts. In ColorHPartition's
+// (base = palette = Δ+θ−1) every part-internal edge lands in
+// [base, base+2θ−1) and every crossing edge in [0, palette); in the [4]
+// baseline's (base 0, palette 2Δ−1) the internal edges stay below 2θ−1 and
+// every edge below 2Δ−1; both colorings are proper. Internal keeps
+// exactly the same-part edges, with degree ≤ θ, and ColorCrossing rejects
+// an edge left at −1 with no crossing stage to fill it.
 func TestInternalThenCrossing(t *testing.T) {
 	ctx := context.Background()
-	g, a := bounded(t, 300, 2, 80, 11)
+	g, a := bounded(t, 600, 2, 240, 23)
 	theta := Threshold(a, 3)
 	hp, err := HPartition(ctx, sim.Sequential, g, theta)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if hp.NumParts < 3 {
+		t.Fatalf("%d parts, want at least 3", hp.NumParts)
 	}
 	internal := hp.Internal(g)
 	if internal.G.MaxDegree() > theta {
@@ -244,31 +249,40 @@ func TestInternalThenCrossing(t *testing.T) {
 	for _, e := range internal.EOrig {
 		kept[e] = true
 	}
-	colors := make([]int64, g.M())
-	for e := range colors {
+	for e := range kept {
 		u, v := g.Endpoints(e)
 		if kept[e] != (hp.Part[u] == hp.Part[v]) {
 			t.Fatalf("edge %d {%d,%d}: kept=%v with parts %d,%d", e, u, v, kept[e], hp.Part[u], hp.Part[v])
 		}
-		colors[e] = -1
 	}
-	ic, err := vc.EdgeColor(ctx, internal.G, nil, vc.EdgeIDBound(internal.G), vc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	crossPal := int64(g.MaxDegree() + theta - 1)
-	for e, c := range ic.Colors {
-		colors[internal.EOrig[e]] = crossPal + c
-	}
-	st, err := ColorCrossing(ctx, sim.Sequential, g, hp, colors, crossPal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Rounds == 0 && hp.NumParts > 1 {
-		t.Fatal("crossing stages ran no rounds")
-	}
-	if err := verify.EdgeColoring(g, colors, crossPal+int64(2*theta-1)); err != nil {
-		t.Fatal(err)
+
+	delta, block := int64(g.MaxDegree()), int64(2*theta-1)
+	crossPal := delta + int64(theta) - 1
+	for _, l := range []struct {
+		name                 string
+		base, palette, bound int64
+	}{
+		{"thm5.2", crossPal, crossPal, crossPal + block},
+		{"be08", 0, 2*delta - 1, 2*delta - 1},
+	} {
+		res, err := ColorParts(ctx, g, theta, l.base, l.palette, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", l.name, err)
+		}
+		if res.Parts != hp.NumParts {
+			t.Fatalf("%s: %d parts, H-partition has %d", l.name, res.Parts, hp.NumParts)
+		}
+		for e, c := range res.Colors {
+			if kept[e] && (c < l.base || c >= l.base+block) {
+				t.Fatalf("%s: internal edge %d colored %d outside [%d,%d)", l.name, e, c, l.base, l.base+block)
+			}
+			if !kept[e] && (c < 0 || c >= l.palette) {
+				t.Fatalf("%s: crossing edge %d colored %d outside [0,%d)", l.name, e, c, l.palette)
+			}
+		}
+		if err := verify.EdgeColoring(g, res.Colors, l.bound); err != nil {
+			t.Fatalf("%s: %v", l.name, err)
+		}
 	}
 
 	one := &HPartitionResult{Part: make([]int, 2), NumParts: 1, Threshold: 1}
@@ -365,7 +379,7 @@ func TestEmptyGraphs(t *testing.T) {
 
 func TestDeclaredDeltaValidation(t *testing.T) {
 	g := graph.Complete(6)
-	if _, err := ColorHPartition(context.Background(), g, 3, Options{DeclaredDelta: 2}); err == nil {
+	if _, err := ColorHPartition(context.Background(), g, 3, Options{declaredDelta: 2}); err == nil {
 		t.Fatal("expected declared<actual error")
 	}
 }
@@ -567,27 +581,25 @@ func TestEnginesAgreeOnThm52(t *testing.T) {
 	}
 }
 
-// TestBlackBoxRunsOnExec pins that the part-internal coloring, by the
-// black box or by the star partition, runs on the engine passed as Exec:
-// an instrumented engine given as Exec alone must observe every round it
-// observes when given as VC.Exec too.
+// TestBlackBoxRunsOnExec pins that the part-internal coloring by the
+// black box runs on the engine passed as Exec: an instrumented engine
+// given as Exec alone must observe every round it observes when given as
+// VC.Exec too.
 func TestBlackBoxRunsOnExec(t *testing.T) {
 	g, a := bounded(t, 600, 2, 240, 23)
-	for _, internalStar := range []bool{false, true} {
-		observed := func(withVC bool) int {
-			rounds := 0
-			eng := sim.Instrumented(sim.Sequential, func(sim.RoundEvent) { rounds++ }, nil)
-			opt := Options{Exec: eng, InternalStar: internalStar}
-			if withVC {
-				opt.VC.Exec = eng
-			}
-			if _, err := ColorHPartition(context.Background(), g, a, opt); err != nil {
-				t.Fatal(err)
-			}
-			return rounds
+	observed := func(withVC bool) int {
+		rounds := 0
+		eng := sim.Instrumented(sim.Sequential, func(sim.RoundEvent) { rounds++ }, nil)
+		opt := Options{Exec: eng}
+		if withVC {
+			opt.VC.Exec = eng
 		}
-		if alone, both := observed(false), observed(true); alone != both {
-			t.Fatalf("InternalStar=%v: engine passed as Exec observed %d rounds, as Exec and VC.Exec %d", internalStar, alone, both)
+		if _, err := ColorHPartition(context.Background(), g, a, opt); err != nil {
+			t.Fatal(err)
 		}
+		return rounds
+	}
+	if alone, both := observed(false), observed(true); alone != both {
+		t.Fatalf("engine passed as Exec observed %d rounds, as Exec and VC.Exec %d", alone, both)
 	}
 }

@@ -8,12 +8,12 @@ import (
 	"repro/internal/connector"
 	"repro/internal/graph"
 	"repro/internal/sim"
-	"repro/internal/star"
 	"repro/internal/util"
 	"repro/internal/vc"
 )
 
-// Options configures the Section 5 algorithms.
+// Options configures the Section 5 algorithms. Part-internal edges are
+// always colored with the (2θ−1) black box, as Theorem 5.2 does.
 type Options struct {
 	// Exec selects the simulator engine.
 	Exec sim.Exec
@@ -23,16 +23,11 @@ type Options struct {
 	// guarantee logarithmically many parts (the paper's 2+ε). Default 3;
 	// values below 2.05 are clamped up to keep the peeling fast.
 	Q float64
-	// DeclaredDelta, when positive, overrides the maximum-degree bound used
+	// declaredDelta, when positive, overrides the maximum-degree bound used
 	// for palette sizing, so that parallel invocations on sibling subgraphs
-	// share identical palettes. It must be ≥ the graph's actual Δ.
-	DeclaredDelta int
-	// InternalStar switches the part-internal edge coloring of Theorem 5.2
-	// from the (2θ−1) black box to the §4 star partition at x=1 — the
-	// speed-for-colors option the paper notes ("this step can be computed
-	// much faster in the expense of increasing the constant"): 4θ internal
-	// colors instead of 2θ−1.
-	InternalStar bool
+	// share identical palettes. It must be ≥ the graph's actual Δ; only
+	// declared sets it.
+	declaredDelta int
 }
 
 func (o Options) q() float64 {
@@ -48,18 +43,18 @@ func (o Options) q() float64 {
 // declared returns the options a recursion colors a subgraph with: the
 // same engines and q under the declared degree bound delta.
 func (o Options) declared(delta int) Options {
-	return Options{Exec: o.Exec, VC: o.VC, Q: o.Q, DeclaredDelta: delta}
+	return Options{Exec: o.Exec, VC: o.VC, Q: o.Q, declaredDelta: delta}
 }
 
 // delta returns the maximum-degree bound palettes are sized from: g's Δ,
-// or DeclaredDelta when set, which must not be below it.
+// or declaredDelta when set, which must not be below it.
 func (o Options) delta(g *graph.Graph) (int, error) {
 	delta := g.MaxDegree()
-	if o.DeclaredDelta > 0 {
-		if o.DeclaredDelta < delta {
-			return 0, fmt.Errorf("arbor: declared Δ=%d below actual %d", o.DeclaredDelta, delta)
+	if o.declaredDelta > 0 {
+		if o.declaredDelta < delta {
+			return 0, fmt.Errorf("arbor: declared Δ=%d below actual %d", o.declaredDelta, delta)
 		}
-		delta = o.DeclaredDelta
+		delta = o.declaredDelta
 	}
 	return delta, nil
 }
@@ -73,8 +68,6 @@ type Result struct {
 	Stats   sim.Stats
 	// Parts is ℓ of the top-level H-partition (0 when none was needed).
 	Parts int
-	// Threshold is θ of the top-level H-partition.
-	Threshold int
 }
 
 // Palette52 is the declared palette of ColorHPartition for a graph with
@@ -85,17 +78,9 @@ func Palette52(delta, a int, q float64) int64 {
 	return int64(delta) + int64(theta) - 1 + int64(2*theta-1)
 }
 
-// Palette52Star is the declared palette when InternalStar is set: the
-// internal block grows to 4θ.
-func Palette52Star(delta, a int, q float64) int64 {
-	theta := Threshold(a, q)
-	return int64(delta) + int64(theta) - 1 + int64(4*theta)
-}
-
 // ColorHPartition implements Theorem 5.2: a (Δ + O(a))-edge-coloring in
-// O(a·log n) rounds. Internal edges of the parts are colored with the black
-// box in a reserved O(a)-color block; crossing edges are colored stage by
-// stage (highest part downward) with ColorCrossing.
+// O(a·log n) rounds. ColorParts colors the crossing edges in
+// [0, Δ+θ−1) and the part-internal edges in the (2θ−1)-color block above.
 func ColorHPartition(ctx context.Context, g *graph.Graph, a int, opt Options) (*Result, error) {
 	if g.M() == 0 {
 		return &Result{Colors: make([]int64, 0), Palette: 1}, nil
@@ -105,25 +90,31 @@ func ColorHPartition(ctx context.Context, g *graph.Graph, a int, opt Options) (*
 	if err != nil {
 		return nil, err
 	}
+	crossPal := int64(delta + theta - 1)
+	res, err := ColorParts(ctx, g, theta, crossPal, crossPal, opt)
+	if err != nil {
+		return nil, err
+	}
+	res.Palette = crossPal + int64(2*theta-1)
+	return res, nil
+}
+
+// ColorParts is the skeleton of Theorem 5.2 that the [4]-style baseline
+// shares: it builds the H-partition of g with threshold theta, colors the
+// part-internal edges, whose same-part degree it checks is at most θ,
+// with the (2θ−1) black box shifted up by base, and then the crossing
+// edges with ColorCrossing within [0, palette). The caller sets the
+// result's Palette.
+func ColorParts(ctx context.Context, g *graph.Graph, theta int, base, palette int64, opt Options) (*Result, error) {
 	hp, err := HPartition(ctx, opt.Exec, g, theta)
 	if err != nil {
 		return nil, err
 	}
-
-	// Reserved blocks: crossing palette [0, crossPal), internal block
-	// [crossPal, crossPal + internalPal).
-	crossPal := int64(delta + theta - 1)
-	internalPal := int64(2*theta - 1)
-	if opt.InternalStar {
-		internalPal = int64(4 * theta)
-	}
-
-	// Color the part-internal edges in one shot, in the internal block.
 	internal := hp.Internal(g)
 	if internal.G.MaxDegree() > theta {
 		return nil, fmt.Errorf("arbor: internal: same-part degree %d exceeds θ=%d", internal.G.MaxDegree(), theta)
 	}
-	icColors, icStats, err := colorInternal(ctx, internal.G, theta, opt)
+	ic, err := vc.EdgeColor(ctx, internal.G, nil, vc.EdgeIDBound(internal.G), opt.VC.On(opt.Exec))
 	if err != nil {
 		return nil, fmt.Errorf("arbor: internal edges: %w", err)
 	}
@@ -132,20 +123,13 @@ func ColorHPartition(ctx context.Context, g *graph.Graph, a int, opt Options) (*
 		colors[e] = -1
 	}
 	for e, orig := range internal.EOrig {
-		colors[orig] = crossPal + icColors[e]
+		colors[orig] = base + ic.Colors[e]
 	}
-
-	crossStats, err := ColorCrossing(ctx, opt.Exec, g, hp, colors, crossPal)
+	crossStats, err := ColorCrossing(ctx, opt.Exec, g, hp, colors, palette)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Colors:    colors,
-		Palette:   crossPal + internalPal,
-		Stats:     hp.Stats.Seq(icStats).Seq(crossStats),
-		Parts:     hp.NumParts,
-		Threshold: theta,
-	}, nil
+	return &Result{Colors: colors, Stats: hp.Stats.Seq(ic.Stats).Seq(crossStats), Parts: hp.NumParts}, nil
 }
 
 // ColorCrossing colors the crossing edges of the H-partition hp of g, the
@@ -194,31 +178,6 @@ func ColorCrossing(ctx context.Context, eng sim.Exec, g *graph.Graph, hp *HParti
 		}
 	}
 	return stats, nil
-}
-
-// colorInternal colors the part-internal subgraph (max degree ≤ θ) within
-// the reserved internal block: the black box (2θ−1 colors) by default, or
-// the §4 star partition at x=1 (≤ 4θ colors, fewer rounds for large θ)
-// when InternalStar is set.
-func colorInternal(ctx context.Context, internal *graph.Graph, theta int, opt Options) ([]int64, sim.Stats, error) {
-	if opt.InternalStar {
-		if t, err := star.ChooseT(internal.MaxDegree(), 1); err == nil {
-			res, err := star.EdgeColor(ctx, internal, t, 1, star.Options{Exec: opt.Exec, VC: opt.VC})
-			if err != nil {
-				return nil, sim.Stats{}, err
-			}
-			if res.Palette > int64(4*theta) {
-				return nil, sim.Stats{}, fmt.Errorf("arbor: internal star palette %d exceeds 4θ=%d", res.Palette, 4*theta)
-			}
-			return res.Colors, res.Stats, nil
-		}
-		// Degenerate degree: fall through to the black box.
-	}
-	res, err := vc.EdgeColor(ctx, internal, nil, vc.EdgeIDBound(internal), opt.VC.On(opt.Exec))
-	if err != nil {
-		return nil, sim.Stats{}, err
-	}
-	return res.Colors, res.Stats, nil
 }
 
 // sqrtPlan is Theorem 5.3's parameterization for declared Δ and θ: the
@@ -316,11 +275,5 @@ func ColorSqrt(ctx context.Context, g *graph.Graph, a int, opt Options) (*Result
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Colors:    colors,
-		Palette:   palette,
-		Stats:     stats.Seq(classStats),
-		Parts:     hp.NumParts,
-		Threshold: theta,
-	}, nil
+	return &Result{Colors: colors, Palette: palette, Stats: stats.Seq(classStats), Parts: hp.NumParts}, nil
 }

@@ -9,6 +9,9 @@
 //     parts H₁…H_ℓ such that every vertex has ≤ θ neighbors in its own or
 //     higher parts, plus the induced acyclic orientation with out-degree ≤ θ;
 //   - Merge: the Lemma 5.1 crossing-edge coloring procedure;
+//   - ColorParts: Theorem 5.2's skeleton — H-partition, part-internal edges
+//     by the black box, crossing edges by Merge — which the [4]-style
+//     baseline (internal/baseline) shares;
 //   - ColorHPartition (Theorem 5.2): (Δ+O(a)) colors in O(a·log n) rounds;
 //   - ColorSqrt (Theorem 5.3): orientation connectors square-root both
 //     parameters, giving Δ+O(√(Δa))+O(a) colors in O(√a·log n) rounds;

@@ -70,13 +70,7 @@ func ColorRecursive(ctx context.Context, g *graph.Graph, a, x int, opt Options) 
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Colors:    colors,
-		Palette:   palette,
-		Stats:     hp.Stats.Seq(stats),
-		Parts:     hp.NumParts,
-		Threshold: theta,
-	}, nil
+	return &Result{Colors: colors, Palette: palette, Stats: hp.Stats.Seq(stats), Parts: hp.NumParts}, nil
 }
 
 // rec54 colors the current level's subgraph. dDelta and dTheta are the

@@ -8,6 +8,9 @@
 //   - TwoDeltaMinusOne: the classical distributed (2Δ−1)-edge-coloring
 //     (Linial + reduction on the line graph) — the folklore baseline the
 //     paper's edge-coloring results undercut on palette size.
+//   - BE08EdgeColor: the arboricity-aware (2Δ−1)-edge-coloring of
+//     Barenboim–Elkin [4], run on Theorem 5.2's skeleton (arbor.ColorParts)
+//     with the one palette 2Δ−1 for internal and crossing edges alike.
 //   - BE11: the previous-best trade-off of Barenboim–Elkin [7] + [17] from
 //     the right-hand columns of Tables 1 and 2, emulated with the connector
 //     machinery using [7]'s less balanced parameter profile

@@ -17,12 +17,12 @@ import (
 	"strings"
 	"text/tabwriter"
 
+	"repro/internal/arbor"
 	"repro/internal/baseline"
 	"repro/internal/cd"
 	"repro/internal/cliques"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/sim"
 	"repro/internal/star"
 	"repro/internal/vc"
 	"repro/internal/verify"
@@ -219,70 +219,43 @@ func RunSparseRow(ctx context.Context, n, a, hub int, seed int64) (*SparseRow, e
 	row := &SparseRow{N: g.N(), Delta: g.MaxDegree(), Arb: bound}
 	type runner struct {
 		name string
-		run  func() (colors []int64, palette int64, stats sim.Stats, err error)
+		run  func() (*arbor.Result, error)
 	}
 	runners := []runner{
-		{"thm5.2", func() ([]int64, int64, sim.Stats, error) {
-			r, err := arborColorHPartition(ctx, g, bound)
-			if err != nil {
-				return nil, 0, sim.Stats{}, err
-			}
-			return r.Colors, r.Palette, r.Stats, nil
+		{"thm5.2", func() (*arbor.Result, error) { return arbor.ColorHPartition(ctx, g, bound, arbor.Options{}) }},
+		{"thm5.3", func() (*arbor.Result, error) { return arbor.ColorSqrt(ctx, g, bound, arbor.Options{}) }},
+		{"thm5.4/x=2", func() (*arbor.Result, error) { return arbor.ColorRecursive(ctx, g, bound, 2, arbor.Options{}) }},
+		{"adaptive", func() (*arbor.Result, error) {
+			r, _, err := arbor.ColorAdaptive(ctx, g, bound, arbor.Options{})
+			return r, err
 		}},
-		{"thm5.3", func() ([]int64, int64, sim.Stats, error) {
-			r, err := arborColorSqrt(ctx, g, bound)
-			if err != nil {
-				return nil, 0, sim.Stats{}, err
-			}
-			return r.Colors, r.Palette, r.Stats, nil
-		}},
-		{"thm5.4/x=2", func() ([]int64, int64, sim.Stats, error) {
-			r, err := arborColorRecursive(ctx, g, bound, 2)
-			if err != nil {
-				return nil, 0, sim.Stats{}, err
-			}
-			return r.Colors, r.Palette, r.Stats, nil
-		}},
-		{"adaptive", func() ([]int64, int64, sim.Stats, error) {
-			r, _, err := arborColorAdaptive(ctx, g, bound)
-			if err != nil {
-				return nil, 0, sim.Stats{}, err
-			}
-			return r.Colors, r.Palette, r.Stats, nil
-		}},
-		{"2Δ−1/BE08", func() ([]int64, int64, sim.Stats, error) {
-			r, err := baseline.BE08EdgeColor(ctx, g, bound, vc.Options{})
-			if err != nil {
-				return nil, 0, sim.Stats{}, err
-			}
-			return r.Colors, r.Palette, r.Stats, nil
-		}},
+		{"2Δ−1/BE08", func() (*arbor.Result, error) { return baseline.BE08EdgeColor(ctx, g, bound, vc.Options{}) }},
 	}
 	if g.MaxDegree() <= 300 {
 		// The classical line-graph (2Δ−1) baseline is Θ(Δ log Δ) rounds on
 		// a Θ(m·Δ)-edge line graph: include it only at sizes where it
 		// finishes in reasonable wall-clock time; BE08 provides the same
 		// palette at every scale.
-		runners = append(runners, runner{"2Δ−1/line", func() ([]int64, int64, sim.Stats, error) {
+		runners = append(runners, runner{"2Δ−1/line", func() (*arbor.Result, error) {
 			r, err := baseline.TwoDeltaMinusOne(ctx, g, vc.Options{})
 			if err != nil {
-				return nil, 0, sim.Stats{}, err
+				return nil, err
 			}
-			return r.Colors, r.Palette, r.Stats, nil
+			return &arbor.Result{Colors: r.Colors, Palette: r.Palette, Stats: r.Stats}, nil
 		}})
 	}
 	for _, r := range runners {
-		colors, palette, stats, err := r.run()
+		res, err := r.run()
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s: %w", r.name, err)
 		}
-		if err := verify.EdgeColoring(g, colors, palette); err != nil {
+		if err := verify.EdgeColoring(g, res.Colors, res.Palette); err != nil {
 			return nil, fmt.Errorf("bench: %s improper: %w", r.name, err)
 		}
 		row.Rows = append(row.Rows, Measurement{
 			Algorithm: r.name,
-			Colors:    palette, Used: verify.PaletteUsed(colors),
-			Rounds: stats.Rounds, Messages: stats.Messages,
+			Colors:    res.Palette, Used: verify.PaletteUsed(res.Colors),
+			Rounds: res.Stats.Rounds, Messages: res.Stats.Messages,
 		})
 	}
 	return row, nil

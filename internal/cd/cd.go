@@ -11,9 +11,10 @@
 // subproblems rather than Δ.
 //
 // The §3 refinements are implemented: the parameter choice t = ⌊S^{1/(x+1)}⌋
-// (ChooseT) and the identifier-reuse trick — one proper seed coloring
-// computed once up front serves as the identifier space of every recursive
-// call, so the log* n cost is paid a single time.
+// (ChooseT) and the identifier-reuse trick — one proper O(Δ²) seed coloring,
+// computed once up front with Linial's algorithm on the vertex indices,
+// serves as the identifier space of every recursive call, so the log* n
+// cost is paid a single time.
 package cd
 
 import (
@@ -37,12 +38,6 @@ type Options struct {
 	Exec sim.Exec
 	// VC configures the coloring black box.
 	VC vc.Options
-	// Seed, when non-nil, is a proper coloring of the input graph with
-	// palette SeedPalette, used as the identifier space everywhere (§3).
-	// When nil, Color computes one with Linial's algorithm and charges its
-	// cost to the run.
-	Seed        []int64
-	SeedPalette int64
 	// SkipTrim disables the final palette trim to D^{x+1}S (ablation A.t).
 	SkipTrim bool
 }
@@ -102,7 +97,7 @@ func Color(ctx context.Context, g *graph.Graph, cover *cliques.Cover, t, x int, 
 		return &Result{Colors: make([]int64, g.N()), Palette: 1, Declared: 1, Bound: 1}, nil
 	}
 	s := cover.MaxCliqueSize()
-	colors, recStats, err := r.rec(ctx, g, r.ids, r.seed, cover, s, x)
+	colors, recStats, err := r.rec(ctx, g, r.seed, cover, s, x)
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +107,7 @@ func Color(ctx context.Context, g *graph.Graph, cover *cliques.Cover, t, x int, 
 	bound := util.MulSat(int64(s), pow64(int64(r.d), x+1))
 	palette := declared
 	if !opt.SkipTrim && declared > bound {
-		topo := &sim.Topology{G: g, IDs: r.ids, Labels: colors}
+		topo := &sim.Topology{G: g, Labels: colors}
 		red, err := reduce.TrimClasses(ctx, opt.Exec, topo, declared, bound)
 		if err != nil {
 			return nil, fmt.Errorf("cd: final trim: %w", err)
@@ -125,25 +120,24 @@ func Color(ctx context.Context, g *graph.Graph, cover *cliques.Cover, t, x int, 
 }
 
 // run is one CD-Coloring or clique-decomposition run: the cover's
-// diversity d, the connector parameter t, and the root level's identifiers
-// and seed coloring, which every level reuses as its identifier space
-// (§3), so the seed's cost is paid once.
+// diversity d, the connector parameter t, and the root level's seed
+// coloring, which every level reuses as its identifier space (§3), so the
+// seed's cost is paid once.
 type run struct {
 	d, t int
 	// decompose stops the recursion after the connector stage of its last
 	// level (Theorem 2.4) instead of coloring the final classes.
 	decompose   bool
 	opt         Options
-	ids, seed   []int64
+	seed        []int64
 	seedPalette int64
 	seedStats   sim.Stats
 }
 
 // begin validates the parameters Color and Decompose share (t ≥ 2, x ≥ 0
-// for a coloring and x ≥ 1 for a decomposition, a seed sized to g, and a
-// coloring's declared palette within int64) and seeds the run, with
-// Linial's algorithm unless opt supplies the seed. It returns a nil run
-// when the cover has no cliques, so that g has no edges.
+// for a coloring and x ≥ 1 for a decomposition, and a coloring's declared
+// palette within int64) and seeds the run with Linial's algorithm. It
+// returns a nil run when the cover has no cliques, so that g has no edges.
 func begin(ctx context.Context, g *graph.Graph, cover *cliques.Cover, t, x int, decompose bool, opt Options) (*run, error) {
 	if t < 2 {
 		return nil, fmt.Errorf("cd: parameter t=%d < 2", t)
@@ -166,27 +160,17 @@ func begin(ctx context.Context, g *graph.Graph, cover *cliques.Cover, t, x int, 
 	if !decompose && DeclaredPalette(d, s, t, x) == math.MaxInt64 {
 		return nil, fmt.Errorf("cd: declared palette overflows int64 (D=%d, S=%d, t=%d, x=%d)", d, s, t, x)
 	}
-	r := &run{d: d, t: t, decompose: decompose, opt: opt, seed: opt.Seed, seedPalette: opt.SeedPalette}
-	if r.seed == nil {
-		lin, err := linial.Reduce(ctx, opt.Exec, sim.NewTopology(g), int64(g.N()))
-		if err != nil {
-			return nil, fmt.Errorf("cd: initial seed coloring: %w", err)
-		}
-		r.seed, r.seedPalette, r.seedStats = lin.Colors, lin.Palette, lin.Stats
-	} else if len(r.seed) != g.N() {
-		return nil, fmt.Errorf("cd: seed has %d entries for %d vertices", len(r.seed), g.N())
+	lin, err := linial.Reduce(ctx, opt.Exec, sim.NewTopology(g), int64(g.N()))
+	if err != nil {
+		return nil, fmt.Errorf("cd: initial seed coloring: %w", err)
 	}
-	r.ids = make([]int64, g.N())
-	for v := range r.ids {
-		r.ids[v] = int64(v)
-	}
-	return r, nil
+	return &run{d: d, t: t, decompose: decompose, opt: opt, seed: lin.Colors, seedPalette: lin.Palette, seedStats: lin.Stats}, nil
 }
 
-// rec is one level of Algorithm 1 on the current subgraph. ids and seed
-// are indexed by the subgraph's vertices; s is the declared clique-size
-// bound at this level (actual sizes are no larger).
-func (r *run) rec(ctx context.Context, g *graph.Graph, ids, seed []int64, cover *cliques.Cover, s, x int) ([]int64, sim.Stats, error) {
+// rec is one level of Algorithm 1 on the current subgraph. seed is
+// indexed by the subgraph's vertices; s is the declared clique-size bound
+// at this level (actual sizes are no larger).
+func (r *run) rec(ctx context.Context, g *graph.Graph, seed []int64, cover *cliques.Cover, s, x int) ([]int64, sim.Stats, error) {
 	if g.M() == 0 {
 		// Every color is legal; take 0 and pay nothing (the palette the
 		// parent reserves for this class is unaffected).
@@ -199,7 +183,7 @@ func (r *run) rec(ctx context.Context, g *graph.Graph, ids, seed []int64, cover 
 			// Cannot happen when the cover bound s is valid; guard anyway.
 			return nil, sim.Stats{}, fmt.Errorf("cd: direct palette %d below Δ+1=%d (invalid clique bound)", target, min)
 		}
-		res, err := vc.Target(ctx, &sim.Topology{G: g, IDs: ids, Labels: seed}, r.seedPalette, target, r.opt.VC.On(r.opt.Exec))
+		res, err := vc.Target(ctx, &sim.Topology{G: g, Labels: seed}, r.seedPalette, target, r.opt.VC.On(r.opt.Exec))
 		if err != nil {
 			return nil, sim.Stats{}, fmt.Errorf("cd: direct stage: %w", err)
 		}
@@ -212,7 +196,7 @@ func (r *run) rec(ctx context.Context, g *graph.Graph, ids, seed []int64, cover 
 		return nil, sim.Stats{}, err
 	}
 	gamma := int64(r.d*(r.t-1) + 1)
-	phi, err := vc.Target(ctx, &sim.Topology{G: cc.Sub.G, IDs: ids, Labels: seed}, r.seedPalette, gamma, r.opt.VC.On(r.opt.Exec))
+	phi, err := vc.Target(ctx, &sim.Topology{G: cc.Sub.G, Labels: seed}, r.seedPalette, gamma, r.opt.VC.On(r.opt.Exec))
 	if err != nil {
 		return nil, sim.Stats{}, fmt.Errorf("cd: connector coloring: %w", err)
 	}
@@ -231,13 +215,11 @@ func (r *run) rec(ctx context.Context, g *graph.Graph, ids, seed []int64, cover 
 	}
 	colors, classStats, err := connector.Classes(g, connector.VertexClasses, phi.Colors, gamma, subPalette,
 		func(_ int64, sub *graph.Sub) ([]int64, sim.Stats, error) {
-			subIDs := make([]int64, sub.G.N())
 			subSeed := make([]int64, sub.G.N())
 			for w, v := range sub.VOrig {
-				subIDs[w] = ids[v]
 				subSeed[w] = seed[v]
 			}
-			return r.rec(ctx, sub.G, subIDs, subSeed, cover.Restrict(sub), k, x-1)
+			return r.rec(ctx, sub.G, subSeed, cover.Restrict(sub), k, x-1)
 		})
 	if err != nil {
 		return nil, sim.Stats{}, err

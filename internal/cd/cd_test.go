@@ -170,30 +170,6 @@ func TestColorGeneralCoverGraph(t *testing.T) {
 	}
 }
 
-func TestColorWithExternalSeed(t *testing.T) {
-	g, cov := lineInstance(t, 5, 30, 0.3)
-	// Precompute a seed as the façade would and pass it down: same palette
-	// guarantee, fewer rounds than recomputing per level.
-	pre, err := Color(context.Background(), g, cov, 2, 1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Color(context.Background(), g, cov, 2, 1, Options{Seed: pre.Colors, SeedPalette: pre.Palette})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := verify.VertexColoring(g, res.Colors, res.Palette); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestColorSeedLengthValidated(t *testing.T) {
-	g, cov := lineInstance(t, 5, 20, 0.3)
-	if _, err := Color(context.Background(), g, cov, 2, 1, Options{Seed: []int64{0}, SeedPalette: 5}); err == nil {
-		t.Fatal("expected seed length error")
-	}
-}
-
 func TestColorParameterValidation(t *testing.T) {
 	g, cov := lineInstance(t, 5, 20, 0.3)
 	if _, err := Color(context.Background(), g, cov, 1, 1, Options{}); err == nil {

@@ -164,7 +164,6 @@ func TestReduceRejectsStartColorsOutsidePalette(t *testing.T) {
 		{"label-above", &sim.Topology{G: g, Labels: []int64{0, 5, 0}}, 4},
 		{"label-beyond-field", &sim.Topology{G: g, Labels: []int64{0, 1 << 40, 0}}, 4},
 		{"id-above", sim.NewTopology(g), 2},
-		{"id-negative", &sim.Topology{G: g, IDs: []int64{-1, 0, 1}}, 4},
 	} {
 		if res, err := Reduce(context.Background(), sim.Sequential, c.topo, c.m0); err == nil {
 			t.Errorf("%s: accepted, returned colors %v palette %d", c.name, res.Colors, res.Palette)

@@ -220,13 +220,17 @@ func runReference(t *sim.Topology, f sim.Factory, maxRounds int) (sim.Stats, err
 }
 
 // materializeLine returns the line topology t as a vertex topology: its
-// line graph, with t's computed identifiers as the identifier slab.
+// line graph, with t's labels, or t's computed identifiers as labels when
+// it has none.
 func materializeLine(t *sim.Topology) *sim.Topology {
-	ids := make([]int64, t.N())
-	for e := range ids {
-		ids[e] = t.ID(e)
+	labels := t.Labels
+	if labels == nil {
+		labels = make([]int64, t.N())
+		for e := range labels {
+			labels[e] = t.ID(e)
+		}
 	}
-	return &sim.Topology{G: graph.LineGraph(t.G), IDs: ids, Labels: t.Labels}
+	return &sim.Topology{G: graph.LineGraph(t.G), Labels: labels}
 }
 
 // --- test programs ---------------------------------------------------------

@@ -1,17 +1,18 @@
 // Package sim is the synchronous message-passing runtime (the LOCAL model of
 // §1.1 of the paper) on which every algorithm in this repository executes.
 //
-// A network is a Topology: a graph whose vertices are processors with
-// distinct identifiers. An algorithm is a Factory: one program value for
-// the whole run that steps each vertex in turn, once per round, and keeps
-// all per-vertex state in slabs it owns and indexes by vertex. In each
-// round a vertex reads the messages its neighbors sent in the previous
-// round, updates its state, and sends. A PortProgram addresses its
-// messages port by port: it reads its inbox as a list of (port, message)
-// mail and sends through an Outbox, on one port or on all of them. A
-// WordProgram (words.go) broadcasts one Word per round to every port. The
-// engine delivers what was sent between rounds. Running time is the number
-// of rounds until every vertex has halted, exactly the paper's measure.
+// A network is a Topology: a graph whose vertices are processors, each
+// identified by its index (u·n+v for the edge {u, v} of a line topology). An
+// algorithm is a Factory: one program value for the whole run that steps each
+// vertex in turn, once per round, and keeps all per-vertex state in slabs it
+// owns and indexes by vertex. In each round a vertex reads the messages its
+// neighbors sent in the previous round, updates its state, and sends. A
+// PortProgram addresses its messages port by port: it reads its inbox as a
+// list of (port, message) mail and sends through an Outbox, on one port or on
+// all of them. A WordProgram (words.go) broadcasts one Word per round to
+// every port. The engine delivers what was sent between rounds. Running time
+// is the number of rounds until every vertex has halted, exactly the paper's
+// measure.
 //
 // Knowledge model: a vertex initially knows its own identifier, seed
 // label and degree, and the global parameters n and Δ. A program is built
@@ -214,29 +215,28 @@ func msgTraffic(m Message, ports int) sendStats {
 	return sendStats{msgs: d, bits: d * b, maxBits: b}
 }
 
-// Topology is a network: a graph plus per-vertex identifiers and optional
-// seed labels. A line topology is the line graph L(G) simulated on G
-// itself: its vertices are G's edges, each owned by its endpoints, its
-// neighbors are read from G's line table, and one round of L is one round
-// of G, every L-message being a read at the endpoint its two edges share.
-// Programs and engines read a topology's shape through N, Degree and
-// MaxDegree, which answer for L on a line topology, never through G.
+// Topology is a network: a graph plus optional seed labels. A vertex's
+// identifier is its index, distinct as the LOCAL model requires. A line
+// topology is the line graph L(G) simulated on G itself: its vertices are
+// G's edges, each owned by its endpoints, with the identifier u·n+v of
+// edge {u, v}, its neighbors are read from G's line table, and one round
+// of L is one round of G, every L-message being a read at the endpoint its
+// two edges share. Programs and engines read a topology's shape through N,
+// Degree and MaxDegree, which answer for L on a line topology, never
+// through G.
 type Topology struct {
 	G *graph.Graph
 	// Line, when set, makes this G's line topology: Line is G's line table
 	// (graph.NewLineTable), vertex e is G's edge e and its ports are the
 	// entries of row e. Only word programs run on it.
 	Line *graph.LineTable
-	// IDs are the distinct vertex identifiers. nil means "use vertex index";
-	// it must be nil on a line topology, whose identifiers are computed.
-	IDs []int64
 	// Labels are optional seed labels (§3 of the paper replaces IDs with a
 	// precomputed O(Δ²)-coloring to avoid repeated log* n terms). nil means
 	// "unset", for which Label reports -1.
 	Labels []int64
 }
 
-// NewTopology wraps g with default identifiers 0..n-1.
+// NewTopology wraps g without seed labels.
 func NewTopology(g *graph.Graph) *Topology { return &Topology{G: g} }
 
 // N returns the number of vertices: G's edges on a line topology.
@@ -264,18 +264,15 @@ func (t *Topology) MaxDegree() int {
 	return t.G.MaxDegree()
 }
 
-// ID returns the identifier of vertex v. On a line topology it is the
-// canonical edge identifier u·n+v of G's edge v = {u, v}, distinct because
-// G is simple.
+// ID returns the identifier of vertex v: v itself, or on a line topology
+// the canonical edge identifier u·n+v of G's edge v = {u, v}, distinct
+// because G is simple.
 func (t *Topology) ID(v int) int64 {
 	if t.Line != nil {
 		a, b := t.G.Endpoints(v)
 		return int64(a)*int64(t.G.N()) + int64(b)
 	}
-	if t.IDs == nil {
-		return int64(v)
-	}
-	return t.IDs[v]
+	return int64(v)
 }
 
 // Label returns the seed label of v, or -1 when unset.
@@ -286,48 +283,16 @@ func (t *Topology) Label(v int) int64 {
 	return t.Labels[v]
 }
 
-// Validate checks that identifiers are distinct and that the slices
-// cover the vertices. No line topology carries an identifier slab: its
-// identifiers are computed, so a line topology with IDs is refused, and
-// its table must be G's. Strictly ascending identifiers are distinct by
-// one pass over them; any other identifier slice is checked with a set.
+// Validate checks that a line topology's table is G's and that the labels
+// cover the vertices.
 func (t *Topology) Validate() error {
-	if t.Line != nil {
-		if t.IDs != nil {
-			return fmt.Errorf("sim: a line topology's identifiers are computed, but %d IDs were given", len(t.IDs))
-		}
-		if t.Line.N() != t.G.M() {
-			return fmt.Errorf("sim: line table of %d rows for %d edges", t.Line.N(), t.G.M())
-		}
-	}
-	if t.IDs != nil {
-		if len(t.IDs) != t.G.N() {
-			return fmt.Errorf("sim: %d IDs for %d vertices", len(t.IDs), t.G.N())
-		}
-		if !strictlyAscending(t.IDs) {
-			seen := make(map[int64]bool, len(t.IDs))
-			for _, id := range t.IDs {
-				if seen[id] {
-					return fmt.Errorf("sim: duplicate identifier %d", id)
-				}
-				seen[id] = true
-			}
-		}
+	if t.Line != nil && t.Line.N() != t.G.M() {
+		return fmt.Errorf("sim: line table of %d rows for %d edges", t.Line.N(), t.G.M())
 	}
 	if t.Labels != nil && len(t.Labels) != t.N() {
 		return fmt.Errorf("sim: %d labels for %d vertices", len(t.Labels), t.N())
 	}
 	return nil
-}
-
-// strictlyAscending reports whether every identifier is below the next.
-func strictlyAscending(ids []int64) bool {
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] >= ids[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Sizer lets a message payload report its encoded size in bits. Payloads

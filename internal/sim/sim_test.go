@@ -249,34 +249,18 @@ func TestRoundLimitError(t *testing.T) {
 
 func TestTopologyValidation(t *testing.T) {
 	g := graph.Path(3)
-	// IDs ascending up to a repeat, and a repeat in unordered IDs: both
-	// fall back to the set check.
-	for _, ids := range [][]int64{{1, 1, 2}, {3, 1, 3}} {
-		topo := &Topology{G: g, IDs: ids}
-		if err := topo.Validate(); err == nil {
-			t.Fatalf("IDs %v: expected duplicate ID error", ids)
-		}
-		if _, err := Sequential.Run(context.Background(), topo, neighborSumProgram(topo, make([]int64, 3)), 4); err == nil {
-			t.Fatalf("IDs %v: run accepted duplicate IDs", ids)
-		}
-	}
-	topo := &Topology{G: g, IDs: []int64{2, 5, 9}}
-	if err := topo.Validate(); err != nil {
-		t.Fatalf("strictly ascending IDs rejected: %v", err)
-	}
-	topo = &Topology{G: g, IDs: []int64{1}}
-	if err := topo.Validate(); err == nil {
-		t.Fatal("expected ID length error")
-	}
-	topo = &Topology{G: g, Labels: []int64{1}}
+	topo := &Topology{G: g, Labels: []int64{1}}
 	if err := topo.Validate(); err == nil {
 		t.Fatal("expected label length error")
 	}
-	topo = &Topology{G: g, IDs: []int64{5, 3, 9}, Labels: []int64{0, 1, 0}}
+	if _, err := Sequential.Run(context.Background(), topo, neighborSumProgram(topo, make([]int64, 3)), 4); err == nil {
+		t.Fatal("run accepted a label slab of the wrong length")
+	}
+	topo = &Topology{G: g, Labels: []int64{0, 1, 0}}
 	if err := topo.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if topo.ID(1) != 3 || topo.Label(2) != 0 {
+	if topo.ID(1) != 1 || topo.Label(2) != 0 {
 		t.Fatal("accessors wrong")
 	}
 	plain := NewTopology(g)
@@ -297,8 +281,8 @@ func lineTopology(t testing.TB, g *graph.Graph, labels []int64) *Topology {
 
 // TestLineTopologyValidation pins a line topology's shape and its
 // refusals: its vertices are g's edges, with computed identifiers and L's
-// degrees; an identifier slab, a table of another graph and a label per
-// vertex of g are errors.
+// degrees; a table of another graph and a label per vertex of g are
+// errors.
 func TestLineTopologyValidation(t *testing.T) {
 	g := graph.Star(4) // L is a triangle on the edges {0,1}, {0,2}, {0,3}
 	topo := lineTopology(t, g, nil)
@@ -315,7 +299,6 @@ func TestLineTopologyValidation(t *testing.T) {
 		t.Fatalf("one label per edge rejected: %v", err)
 	}
 	bad := map[string]*Topology{
-		"ids":          {G: g, Line: topo.Line, IDs: []int64{1, 2, 3}},
 		"other-table":  {G: graph.Path(5), Line: topo.Line},
 		"vertex-label": lineTopology(t, g, []int64{0, 1, 2, 3}),
 	}
@@ -380,9 +363,8 @@ func (p *knowledgeProgram) Step(v, round int, in []Mail, out *Outbox, scratch []
 // which every port delivers.
 func TestNeighborKnowledge(t *testing.T) {
 	g := graph.Star(5)
-	ids := []int64{100, 200, 300, 400, 500}
 	labels := []int64{7, 8, 9, 10, 11}
-	topo := &Topology{G: g, IDs: ids, Labels: labels}
+	topo := &Topology{G: g, Labels: labels}
 	arcs := g.NumArcs()
 	for _, e := range engines {
 		p := &knowledgeProgram{t: topo,
@@ -401,13 +383,13 @@ func TestNeighborKnowledge(t *testing.T) {
 			}
 			lo, _ := g.Range(v)
 			for port, a := range g.Adj(v) {
-				if p.nbrID[lo+port] != ids[a.To] || p.nbrLabel[lo+port] != labels[a.To] {
+				if p.nbrID[lo+port] != int64(a.To) || p.nbrLabel[lo+port] != labels[a.To] {
 					t.Fatalf("engine %v: vertex %d port %d learned %d/%d, want %d/%d", e, v, port,
-						p.nbrID[lo+port], p.nbrLabel[lo+port], ids[a.To], labels[a.To])
+						p.nbrID[lo+port], p.nbrLabel[lo+port], a.To, labels[a.To])
 				}
 			}
 		}
-		if leaf, _ := g.Range(3); p.nbrID[leaf] != 100 || p.nbrLabel[leaf] != 7 {
+		if leaf, _ := g.Range(3); p.nbrID[leaf] != 0 || p.nbrLabel[leaf] != 7 {
 			t.Fatalf("engine %v: leaf knowledge wrong: %d/%d", e, p.nbrID[leaf], p.nbrLabel[leaf])
 		}
 	}

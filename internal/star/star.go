@@ -11,6 +11,11 @@
 // Recursing x times with t = ⌊Δ^{1/(x+1)}⌋ and coloring the final classes
 // directly yields (2t−1)^x·(2⌈Δ/tˣ⌉−1) ≤ 2^{x+1}Δ colors after the final
 // one-class-per-round trim.
+//
+// Every level's black box starts from one seed (§3): an O(Δ²) edge
+// coloring that EdgeColor computes once, with Linial's algorithm on the
+// line topology, and hands down as the identifier space of every level, so
+// the log* n term is paid once.
 package star
 
 import (
@@ -32,12 +37,6 @@ type Options struct {
 	Exec sim.Exec
 	// VC configures the coloring black box.
 	VC vc.Options
-	// Seed, when non-nil, is a proper edge coloring of the input graph with
-	// palette SeedPalette, reused as the identifier space at every level
-	// (§3). When nil, EdgeColor computes one with Linial's algorithm on the
-	// line graph and charges its cost.
-	Seed        []int64
-	SeedPalette int64
 	// SkipTrim disables the final trim to 2^{x+1}Δ (ablation).
 	SkipTrim bool
 }
@@ -101,28 +100,21 @@ func EdgeColor(ctx context.Context, g *graph.Graph, t, x int, opt Options) (*Res
 		return &Result{Colors: nil, Palette: 1, Declared: 1, Bound: 1}, nil
 	}
 
-	var stats sim.Stats
-	seed, seedPalette := opt.Seed, opt.SeedPalette
-	if seed == nil {
-		topo, err := vc.LineTopology(g, nil)
-		if err != nil {
-			return nil, fmt.Errorf("star: initial edge seed: %w", err)
-		}
-		lin, err := linial.Reduce(ctx, opt.Exec, topo, vc.EdgeIDBound(g))
-		if err != nil {
-			return nil, fmt.Errorf("star: initial edge seed: %w", err)
-		}
-		seed, seedPalette = lin.Colors, lin.Palette
-		stats = stats.Seq(lin.Stats)
-	} else if len(seed) != g.M() {
-		return nil, fmt.Errorf("star: seed has %d entries for %d edges", len(seed), g.M())
+	// The §3 seed: one O(Δ²) edge coloring, computed once and reused as
+	// the identifier space of every level.
+	topo, err := vc.LineTopology(g, nil)
+	if err != nil {
+		return nil, fmt.Errorf("star: initial edge seed: %w", err)
 	}
-
-	colors, recStats, err := colorRec(ctx, g, seed, seedPalette, delta, t, x, opt)
+	lin, err := linial.Reduce(ctx, opt.Exec, topo, vc.EdgeIDBound(g))
+	if err != nil {
+		return nil, fmt.Errorf("star: initial edge seed: %w", err)
+	}
+	colors, recStats, err := colorRec(ctx, g, lin.Colors, lin.Palette, delta, t, x, opt)
 	if err != nil {
 		return nil, err
 	}
-	stats = stats.Seq(recStats)
+	stats := lin.Stats.Seq(recStats)
 
 	declared := DeclaredPalette(delta, t, x)
 	bound := Bound(delta, x)

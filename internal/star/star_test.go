@@ -146,32 +146,6 @@ func TestDeclaredPaletteFormula(t *testing.T) {
 	}
 }
 
-func TestSeedReuse(t *testing.T) {
-	g := gen.GNP(80, 0.12, 5)
-	first, err := EdgeColor(context.Background(), g, 2, 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tt, err := ChooseT(g.MaxDegree(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeded, err := EdgeColor(context.Background(), g, tt, 1, Options{Seed: first.Colors, SeedPalette: first.Palette})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := verify.EdgeColoring(g, seeded.Colors, seeded.Palette); err != nil {
-		t.Fatal(err)
-	}
-	unseeded, err := EdgeColor(context.Background(), g, tt, 1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seeded.Stats.Rounds > unseeded.Stats.Rounds {
-		t.Fatalf("seeded run slower: %d > %d rounds", seeded.Stats.Rounds, unseeded.Stats.Rounds)
-	}
-}
-
 func TestParameterValidation(t *testing.T) {
 	g := gen.GNP(20, 0.3, 1)
 	if _, err := EdgeColor(context.Background(), g, 1, 1, Options{}); err == nil {
@@ -179,9 +153,6 @@ func TestParameterValidation(t *testing.T) {
 	}
 	if _, err := EdgeColor(context.Background(), g, 2, -1, Options{}); err == nil {
 		t.Fatal("expected x<0 error")
-	}
-	if _, err := EdgeColor(context.Background(), g, 2, 1, Options{Seed: []int64{1}, SeedPalette: 4}); err == nil {
-		t.Fatal("expected seed length error")
 	}
 }
 

@@ -13,16 +13,19 @@ import (
 )
 
 // materialized is g's line topology as a vertex topology: the line graph
-// L(g), with the canonical identifiers u·n+v as an identifier slab, the
-// way the black box ran edge colorings before line topologies.
+// L(g), with the given labels, or the canonical edge identifiers u·n+v as
+// labels when there are none, so that Linial starts from the colors it
+// starts from on the line topology.
 func materialized(g *graph.Graph, labels []int64) *sim.Topology {
-	n := int64(g.N())
-	ids := make([]int64, g.M())
-	for e := range ids {
-		u, v := g.Endpoints(e)
-		ids[e] = int64(u)*n + int64(v)
+	if labels == nil {
+		n := int64(g.N())
+		labels = make([]int64, g.M())
+		for e := range labels {
+			u, v := g.Endpoints(e)
+			labels[e] = int64(u)*n + int64(v)
+		}
 	}
-	return &sim.Topology{G: graph.LineGraph(g), IDs: ids, Labels: labels}
+	return &sim.Topology{G: graph.LineGraph(g), Labels: labels}
 }
 
 // sameRun reports how a line-topology run (got) differs from the run of the

@@ -78,7 +78,7 @@ func Target(ctx context.Context, t *sim.Topology, m0, target int64, opt Options)
 	if lin.Palette <= target {
 		return &Result{Colors: lin.Colors, Palette: target, Stats: lin.Stats}, nil
 	}
-	t2 := &sim.Topology{G: t.G, Line: t.Line, IDs: t.IDs, Labels: lin.Colors}
+	t2 := &sim.Topology{G: t.G, Line: t.Line, Labels: lin.Colors}
 	red, err := reduce.Auto(ctx, opt.Exec, t2, lin.Palette, target)
 	if err != nil {
 		return nil, err
