@@ -95,7 +95,8 @@ staticcheck:
 # (submit/cancel/restart hammer, sharded batch executor, overload floods)
 # — the simulator's sharded engine, the word and port programs the parallel
 # engine steps shard by shard over their shared slabs and per-shard scratch
-# (linial, reduce, arbor), the pooled graph scratch tables, the class stage
+# (linial, reduce, arbor), the graph package, whose class splits hand
+# every class a slice of shared arenas, the class stage
 # (connector.Classes) and the recursions that run on it (star, cd,
 # baseline), and the service-overload bench workload in svcbench.
 race:
@@ -142,11 +143,15 @@ tables:
 	$(GO) run ./cmd/colorbench -table all -quick
 
 # 30s CPU + heap profile of the linial-10k workload (the hot algorithm
-# substrate of the simcore suite), written to $(PROFILE_DIR)/{cpu,heap}.pprof.
-# Inspect with `go tool pprof -http=:0 $(PROFILE_DIR)/cpu.pprof`; CI attaches
-# the directory to every pull request.
+# substrate of the simcore suite), taken by `go test` on its benchmark,
+# BenchmarkAlgoLinial10k, and written to $(PROFILE_DIR)/{cpu,heap}.pprof
+# beside the test binary the profiles need. Inspect with
+# `go tool pprof -http=:0 $(PROFILE_DIR)/cpu.pprof`; CI attaches the
+# directory to every pull request.
 profile:
-	$(GO) run ./cmd/colorbench -profile $(PROFILE_DIR) -profile-duration $(PROFILE_DURATION)
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test ./internal/bench -run '^$$' -bench '^BenchmarkAlgoLinial10k$$' -benchtime $(PROFILE_DURATION) \
+		-o $(PROFILE_DIR)/bench.test -outputdir $(abspath $(PROFILE_DIR)) -cpuprofile cpu.pprof -memprofile heap.pprof
 
 # Fuzz the surfaces that read arbitrary user bytes: the edge-list parser,
 # the binary wire-frame decoder, canonical labeling, which colord runs on

@@ -22,12 +22,6 @@
 // `make bench-baseline` and `make bench-check` wrap the last two; CI runs
 // the check on every push.
 //
-// The -profile mode runs the linial-10k workload under the CPU profiler
-// for -profile-duration and writes cpu.pprof + heap.pprof into the given
-// directory (`make profile`; CI uploads the files as a PR artifact):
-//
-//	colorbench -profile profiles -profile-duration 30s
-//
 // With -server the harness doubles as a service load generator: the same
 // synthetic families are generated server-side (/v1/generate), every sweep
 // runs twice so the second pass must come from the result cache, and the
@@ -45,7 +39,6 @@ import (
 	"os/signal"
 	"strconv"
 	"syscall"
-	"time"
 
 	"repro/internal/bench"
 )
@@ -60,22 +53,12 @@ func main() {
 	out := flag.String("out", "BENCH_simcore.json", "with -json: where to write the report (\"-\" for stdout)")
 	check := flag.String("check", "", "with -json: compare the run against this baseline report instead of writing one; exit non-zero on regression")
 	tolerance := flag.Float64("tolerance", 0.15, "with -json -check: allowed fractional regression of ns/op, allocs/op and bytes/op")
-	profileDir := flag.String("profile", "", "profile the linial-10k workload instead of running tables: write cpu.pprof and heap.pprof into this directory (`make profile` wraps it)")
-	profileDur := flag.Duration("profile-duration", 30*time.Second, "with -profile: how long to run the workload under the CPU profiler")
 	flag.Parse()
 
 	// Ctrl-C cancels the context, which aborts in-flight simulations at
 	// their next round boundary instead of killing the process mid-table.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *profileDir != "" {
-		if err := runProfile(ctx, *profileDir, *profileDur); err != nil {
-			fmt.Fprintf(os.Stderr, "colorbench: profile: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *jsonMode {
 		if err := runSimCoreJSON(ctx, *out, *check, *tolerance); err != nil {

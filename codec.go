@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"mime"
 )
 
@@ -221,6 +222,11 @@ func (r *Request) Validate() error {
 	}
 	if r.Arboricity < 0 {
 		return fmt.Errorf("distcolor: negative arboricity %d", r.Arboricity)
+	}
+	// q must also be finite: the binary wire carries NaN and ±Inf, which
+	// the JSON job journal cannot encode.
+	if !(r.Q >= 0) || math.IsInf(r.Q, 1) {
+		return fmt.Errorf("distcolor: shorthand q %v is negative or not finite", r.Q)
 	}
 	if r.DeadlineMS < 0 {
 		return fmt.Errorf("distcolor: negative deadline_ms %d", r.DeadlineMS)

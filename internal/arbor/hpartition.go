@@ -139,8 +139,8 @@ func (hp *HPartitionResult) Internal(g *graph.Graph) *graph.Sub {
 // each kept edge keeps its head.
 func RestrictOrientation(o *graph.Orientation, sub *graph.Sub) (*graph.Orientation, error) {
 	heads := make([]int32, sub.G.M())
-	for e := 0; e < sub.G.M(); e++ {
-		heads[e] = int32(o.Head(sub.OrigEdge(e)))
+	for e, oe := range sub.EOrig {
+		heads[e] = int32(o.Head(int(oe)))
 	}
 	return graph.NewOrientation(sub.G, heads)
 }

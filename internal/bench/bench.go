@@ -1,9 +1,11 @@
 // Package bench is the experiment harness behind EXPERIMENTS.md: it builds
 // the workloads, runs the paper's algorithms against their baselines, and
 // renders the measured counterparts of the paper's Tables 1 and 2 and the
-// Section 5 theorem suite. Both cmd/colorbench and the repository's Go
-// benchmarks drive everything through this package, so the printed tables
-// and the regression benchmarks can never drift apart.
+// Section 5 theorem suite, which cmd/colorbench prints. The root package's
+// Go benchmarks (bench_test.go) share only Workload with it: they call the
+// algorithm packages (star, cd, arbor, ...) directly, so a benchmark row
+// and its table row start from the same input but are run by separate
+// code.
 //
 // Every run is verified before it is reported: a row is only produced if
 // the coloring is proper and within its declared palette.

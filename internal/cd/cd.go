@@ -97,7 +97,7 @@ func Color(ctx context.Context, g *graph.Graph, cover *cliques.Cover, t, x int, 
 		return &Result{Colors: make([]int64, g.N()), Palette: 1, Declared: 1, Bound: 1}, nil
 	}
 	s := cover.MaxCliqueSize()
-	colors, recStats, err := r.rec(ctx, g, r.seed, cover, s, x)
+	colors, recStats, err := r.rec(ctx, g, r.seed, cover.Cliques, s, x)
 	if err != nil {
 		return nil, err
 	}
@@ -168,9 +168,11 @@ func begin(ctx context.Context, g *graph.Graph, cover *cliques.Cover, t, x int, 
 }
 
 // rec is one level of Algorithm 1 on the current subgraph. seed is
-// indexed by the subgraph's vertices; s is the declared clique-size bound
-// at this level (actual sizes are no larger).
-func (r *run) rec(ctx context.Context, g *graph.Graph, seed []int64, cover *cliques.Cover, s, x int) ([]int64, sim.Stats, error) {
+// indexed by the subgraph's vertices; qs lists the cliques of its cover,
+// each in ascending order; s is the declared clique-size bound at this
+// level (actual sizes are no larger). The run fixed D at the root, so no
+// level reads the cover's memberships.
+func (r *run) rec(ctx context.Context, g *graph.Graph, seed []int64, qs [][]int32, s, x int) ([]int64, sim.Stats, error) {
 	if g.M() == 0 {
 		// Every color is legal; take 0 and pay nothing (the palette the
 		// parent reserves for this class is unaffected).
@@ -191,7 +193,7 @@ func (r *run) rec(ctx context.Context, g *graph.Graph, seed []int64, cover *cliq
 	}
 
 	// Connector stage (lines 1–3).
-	cc, err := connector.Clique(g, cover, r.t)
+	cc, err := connector.Clique(g, qs, r.t)
 	if err != nil {
 		return nil, sim.Stats{}, err
 	}
@@ -205,21 +207,25 @@ func (r *run) rec(ctx context.Context, g *graph.Graph, seed []int64, cover *cliq
 		return phi.Colors, stats, nil
 	}
 
-	// Class stage (lines 5–8): recurse on the induced color classes. Each
-	// class gets the palette of x−1 more levels, or, in a decomposition,
-	// their γ^{x−1} parts.
+	// Class stage (lines 5–8): recurse on the induced color classes, each
+	// with the cliques restricted to it. Each class gets the palette of x−1
+	// more levels, or, in a decomposition, their γ^{x−1} parts.
+	parts, first, err := cliques.Split(qs, phi.Colors, gamma)
+	if err != nil {
+		return nil, sim.Stats{}, err
+	}
 	k := util.CeilDiv(s, r.t)
 	subPalette := DeclaredPalette(r.d, k, r.t, x-1)
 	if r.decompose {
 		subPalette = pow64(gamma, x-1)
 	}
 	colors, classStats, err := connector.Classes(g, connector.VertexClasses, phi.Colors, gamma, subPalette,
-		func(_ int64, sub *graph.Sub) ([]int64, sim.Stats, error) {
+		func(c int64, sub *graph.Sub) ([]int64, sim.Stats, error) {
 			subSeed := make([]int64, sub.G.N())
 			for w, v := range sub.VOrig {
 				subSeed[w] = seed[v]
 			}
-			return r.rec(ctx, sub.G, subSeed, cover.Restrict(sub), k, x-1)
+			return r.rec(ctx, sub.G, subSeed, parts[c-first], k, x-1)
 		})
 	if err != nil {
 		return nil, sim.Stats{}, err

@@ -34,7 +34,7 @@ func Decompose(ctx context.Context, g *graph.Graph, cover *cliques.Cover, t, x i
 	if r == nil {
 		return &Decomposition{Class: make([]int64, g.N()), Parts: 1, CliqueBound: 1}, nil
 	}
-	class, recStats, err := r.rec(ctx, g, r.seed, cover, cover.MaxCliqueSize(), x)
+	class, recStats, err := r.rec(ctx, g, r.seed, cover.Cliques, cover.MaxCliqueSize(), x)
 	if err != nil {
 		return nil, err
 	}

@@ -54,25 +54,30 @@ func TestDecomposeLemma22ClassDegree(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := util.CeilDiv(s, tt)
-	byClass := make(map[int64][]int)
-	for v, c := range dec.Class {
-		byClass[c] = append(byClass[c], v)
+	subs, first, err := graph.InducedClasses(g, dec.Class, dec.Parts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for c, members := range byClass {
-		sub, err := graph.InducedSubgraph(g, members)
-		if err != nil {
-			t.Fatal(err)
+	parts, _, err := cliques.Split(cov.Cliques, dec.Class, dec.Parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sub := range subs {
+		if sub == nil {
+			continue
 		}
+		c := first + int64(i)
 		if sub.G.MaxDegree() > (k-1)*d {
 			t.Fatalf("class %d degree %d exceeds (k−1)D = %d", c, sub.G.MaxDegree(), (k-1)*d)
 		}
-		// Lemma 2.3(ii): restricted cover diversity does not grow.
-		rc := cov.Restrict(sub)
+		// Lemma 2.3(ii): the cliques split to the class cover it, and its
+		// diversity does not grow.
+		rc, err := cliques.NewCover(sub.G, parts[i])
+		if err != nil {
+			t.Fatalf("class %d cover invalid: %v", c, err)
+		}
 		if rc.Diversity() > d {
 			t.Fatalf("class %d diversity %d exceeds D=%d", c, rc.Diversity(), d)
-		}
-		if err := rc.Validate(sub.G); err != nil {
-			t.Fatalf("class %d cover invalid: %v", c, err)
 		}
 		// Lemma 2.3(i)/restriction: clique sizes shrink to ≤ k.
 		if rc.MaxCliqueSize() > k {
@@ -136,15 +141,15 @@ func TestDecomposeConsistentWithColoring(t *testing.T) {
 	}
 	perClass := int64(d*(dec.CliqueBound-1) + 1)
 	colors := make([]int64, g.N())
-	byClass := make(map[int64][]int)
-	for v, c := range dec.Class {
-		byClass[c] = append(byClass[c], v)
+	subs, first, err := graph.InducedClasses(g, dec.Class, dec.Parts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for c, members := range byClass {
-		sub, err := graph.InducedSubgraph(g, members)
-		if err != nil {
-			t.Fatal(err)
+	for i, sub := range subs {
+		if sub == nil {
+			continue
 		}
+		c := first + int64(i)
 		if sub.G.MaxDegree() >= int(perClass) {
 			t.Fatalf("class %d degree %d not colorable with %d colors", c, sub.G.MaxDegree(), perClass)
 		}
@@ -166,7 +171,7 @@ func TestDecomposeConsistentWithColoring(t *testing.T) {
 			}
 			local[w] = pick
 		}
-		for w, v := range members {
+		for w, v := range sub.VOrig {
 			colors[v] = c*perClass + local[w]
 		}
 	}

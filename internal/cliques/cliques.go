@@ -1,10 +1,9 @@
 // Package cliques implements the clique-cover machinery of Section 2 of the
 // paper: consistent clique identification (footnote 3), the diversity
 // parameter D (the maximum number of identified cliques any vertex belongs
-// to), the maximal clique size S, and restriction of covers to induced
-// subgraphs — the operation performed at every level of the CD-Coloring
-// recursion — and the canonical covers of line graphs of graphs and of
-// uniform hypergraphs.
+// to), the maximal clique size S, splitting cliques by class — the
+// operation performed at every level of the CD-Coloring recursion — and
+// the canonical covers of line graphs of graphs and of uniform hypergraphs.
 //
 // A Cover need not consist of maximal cliques; what the algorithms require
 // is exactly the footnote-3 property: every clique is complete in G, and the
@@ -118,84 +117,88 @@ func (c *Cover) MaxCliqueSize() int {
 	return s
 }
 
-// Restrict produces the cover induced on a vertex-induced subgraph: each
-// clique is intersected with the subgraph's vertex set and re-indexed;
-// cliques that shrink below two vertices are dropped (they cover no edge).
-// Restriction never increases a vertex's membership count, so diversity does
-// not grow (cf. Lemma 2.3(ii)).
+// Split restricts every clique to every vertex class of class ∈ [0, k),
+// the operation performed at every level of the CD-Coloring recursion.
+// Each clique lists its members in ascending order, as a Cover's do. The
+// tables cover the span of the classes present, as graph.InducedClasses'
+// do: entry i of parts lists, in the order of cliques, every intersection
+// of a clique with class first+i that has two or more members; a smaller
+// one covers no edge. Members are renumbered by their rank in the class,
+// which is InducedClasses' numbering. A vertex's memberships can only be
+// dropped, so the diversity of a part is at most the parent's (Lemma
+// 2.3(ii)).
 //
-// sub must number its vertices in the parent's order, as InducedSubgraph
-// does, so a sorted clique maps to a sorted clique. The kept members are
-// counted first, so the restricted cliques share one arena and the
-// membership lists another: a restriction makes the same few allocations
-// however many cliques it keeps.
-func (c *Cover) Restrict(sub *graph.Sub) *Cover {
-	// Map original vertex -> subgraph vertex through a pooled dense table:
-	// Restrict runs once per recursion level of CD-Coloring, and the map it
-	// used to build here dominated the decomposition's allocation profile.
-	inv := graph.AcquireDenseIndex(len(c.MemberOf))
-	defer inv.Release()
-	n := sub.G.N()
-	for v := 0; v < n; v++ {
-		inv.Put(sub.OrigVertex(v), int32(v))
+// One stable counting pass by class places every membership, so within a
+// class each run of two or more memberships of one clique is a restricted
+// clique, already sorted. The split costs the size of the cover, and the
+// parts share one arena of members and one of cliques, however many
+// classes there are.
+func Split(cliques [][]int32, class []int64, k int64) (parts [][][]int32, first int64, err error) {
+	first, last, err := graph.ClassSpan(class, k)
+	if err != nil || last < first {
+		return nil, 0, err
 	}
-	// Count the kept cliques, their members, and each vertex's
-	// memberships, one slot ahead in memberOff.
-	kept, total := 0, 0
-	memberOff := make([]int32, n+1)
-	for _, cl := range c.Cliques {
-		k := inside(cl, inv)
-		if k < 2 {
-			continue
+	span := last - first + 1
+	rank := make([]int32, len(class))
+	size := make([]int32, span)
+	for v, c := range class {
+		rank[v] = size[c-first]
+		size[c-first]++
+	}
+	// start counts each class's memberships one slot ahead, then becomes
+	// the start of its range in the arenas.
+	start := make([]int, span+1)
+	for qi, q := range cliques {
+		for _, v := range q {
+			if v < 0 || int(v) >= len(class) {
+				return nil, 0, fmt.Errorf("cliques: clique %d vertex %d outside [0,%d)", qi, v, len(class))
+			}
+			start[class[v]-first+1]++
 		}
-		kept++
-		total += k
-		for _, v := range cl {
-			if nv, ok := inv.Get(int(v)); ok {
-				memberOff[nv+1]++
+	}
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	members := make([]int32, start[span])
+	owner := make([]int32, start[span])
+	next := append([]int(nil), start[:span]...)
+	for qi, q := range cliques {
+		for _, v := range q {
+			c := class[v] - first
+			members[next[c]], owner[next[c]] = rank[v], int32(qi)
+			next[c]++
+		}
+	}
+	kept := 0
+	for i := range span {
+		for lo, hi := start[i], 0; lo < start[i+1]; lo = hi {
+			if hi = runEnd(owner, lo, start[i+1]); hi-lo >= 2 {
+				kept++
 			}
 		}
 	}
-	for v := 1; v <= n; v++ {
-		memberOff[v] += memberOff[v-1]
-	}
-	out := &Cover{Cliques: make([][]int32, 0, kept), MemberOf: make([][]int32, n)}
-	members := make([]int32, total)
-	memberships := make([]int32, total)
-	for v := range out.MemberOf {
-		lo := memberOff[v]
-		out.MemberOf[v] = memberships[lo:lo:memberOff[v+1]]
-	}
-	for _, cl := range c.Cliques {
-		k := inside(cl, inv)
-		if k < 2 {
-			continue
-		}
-		restricted := members[:0:k]
-		members = members[k:]
-		for _, v := range cl {
-			if nv, ok := inv.Get(int(v)); ok {
-				restricted = append(restricted, nv)
+	lists := make([][]int32, 0, kept)
+	parts = make([][][]int32, span)
+	for i := range parts {
+		from := len(lists)
+		for lo, hi := start[i], 0; lo < start[i+1]; lo = hi {
+			if hi = runEnd(owner, lo, start[i+1]); hi-lo >= 2 {
+				lists = append(lists, members[lo:hi:hi])
 			}
 		}
-		idx := int32(len(out.Cliques))
-		out.Cliques = append(out.Cliques, restricted)
-		for _, v := range restricted {
-			out.MemberOf[v] = append(out.MemberOf[v], idx)
-		}
+		parts[i] = lists[from:len(lists):len(lists)]
 	}
-	return out
+	return parts, first, nil
 }
 
-// inside counts the members of cl that inv maps into a subgraph.
-func inside(cl []int32, inv *graph.DenseIndex) int {
-	k := 0
-	for _, v := range cl {
-		if inv.Has(int(v)) {
-			k++
-		}
+// runEnd returns the end of the run of owner[lo]'s memberships that starts
+// at lo, within [lo, end).
+func runEnd(owner []int32, lo, end int) int {
+	hi := lo + 1
+	for hi < end && owner[hi] == owner[lo] {
+		hi++
 	}
-	return k
+	return hi
 }
 
 // LineCover builds the line graph L(G) of g with its canonical cover: each

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"slices"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/graph"
 )
@@ -102,58 +101,134 @@ func TestLineGraphCover(t *testing.T) {
 	}
 }
 
+// TestRestrictPreservesInvariants splits the line-graph cover by three
+// vertex classes: each part is a valid cover of the subgraph its class
+// induces, and neither its diversity nor its clique size exceeds the
+// parent's (Lemma 2.3(ii)).
 func TestRestrictPreservesInvariants(t *testing.T) {
 	lg, c, err := LineCover(rg(3, 24, 0.35))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Take an arbitrary induced subgraph of L(G) (odd-indexed vertices).
-	var verts []int
-	for v := 0; v < lg.N(); v += 2 {
-		verts = append(verts, v)
+	class := make([]int64, lg.N())
+	for v := range class {
+		class[v] = int64(v % 3)
 	}
-	sub, err := graph.InducedSubgraph(lg, verts)
+	subs, first, err := graph.InducedClasses(lg, class, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := c.Restrict(sub)
-	if err := rc.Validate(sub.G); err != nil {
-		t.Fatalf("restricted cover invalid: %v", err)
+	parts, pfirst, err := Split(c.Cliques, class, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rc.Diversity() > c.Diversity() {
-		t.Fatalf("diversity grew: %d > %d", rc.Diversity(), c.Diversity())
+	if pfirst != first || len(parts) != len(subs) {
+		t.Fatalf("parts span [%d,+%d), classes [%d,+%d)", pfirst, len(parts), first, len(subs))
 	}
-	if rc.MaxCliqueSize() > c.MaxCliqueSize() {
-		t.Fatalf("clique size grew: %d > %d", rc.MaxCliqueSize(), c.MaxCliqueSize())
+	for i, sub := range subs {
+		rc, err := NewCover(sub.G, parts[i])
+		if err != nil {
+			t.Fatalf("class %d: restricted cover invalid: %v", i, err)
+		}
+		if rc.Diversity() > c.Diversity() {
+			t.Fatalf("class %d: diversity grew: %d > %d", i, rc.Diversity(), c.Diversity())
+		}
+		if rc.MaxCliqueSize() > c.MaxCliqueSize() {
+			t.Fatalf("class %d: clique size grew: %d > %d", i, rc.MaxCliqueSize(), c.MaxCliqueSize())
+		}
 	}
 }
 
+// TestRestrictQuick checks Split against the per-class restriction it
+// replaced, on the maximal-clique covers of 300 random graphs and class
+// vectors with empty classes and spans above 0. Every part must equal the
+// reference, be a valid cover of the subgraph graph.InducedClasses extracts
+// for its class, with diversity at most the parent's, and number the
+// class's vertices as that subgraph does.
 func TestRestrictQuick(t *testing.T) {
-	f := func(seed int64) bool {
+	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g := rg(seed, 18, 0.4)
+		g := rg(seed, 1+rng.Intn(18), 0.1+rng.Float64()*0.5)
 		cov, err := CoverFromMaximalCliques(g)
 		if err != nil {
-			return false
+			t.Fatal(err)
 		}
-		var verts []int
-		for v := 0; v < g.N(); v++ {
-			if rng.Intn(2) == 0 {
-				verts = append(verts, v)
+		k := int64(1 + rng.Intn(6))
+		class := make([]int64, g.N())
+		for v := range class {
+			class[v] = rng.Int63n(k)
+		}
+		parts, first, err := Split(cov.Cliques, class, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs, _, err := graph.InducedClasses(g, class, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, part := range parts {
+			vorig, want := restrictByMap(cov.Cliques, class, first+int64(i))
+			if len(part) != len(want) || len(want) > 0 && !reflect.DeepEqual(part, want) {
+				t.Fatalf("seed %d: class %d split %v, want %v", seed, first+int64(i), part, want)
+			}
+			if subs[i] == nil {
+				if len(part) > 0 {
+					t.Fatalf("seed %d: empty class %d has cliques %v", seed, first+int64(i), part)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(subs[i].VOrig, vorig) {
+				t.Fatalf("seed %d: class %d numbered %v by InducedClasses, %v by Split", seed, first+int64(i), subs[i].VOrig, vorig)
+			}
+			rc, err := NewCover(subs[i].G, part)
+			if err != nil {
+				t.Fatalf("seed %d: class %d: %v", seed, first+int64(i), err)
+			}
+			if rc.Diversity() > cov.Diversity() {
+				t.Fatalf("seed %d: class %d diversity %d > %d", seed, first+int64(i), rc.Diversity(), cov.Diversity())
 			}
 		}
-		if len(verts) == 0 {
-			return true
-		}
-		sub, err := graph.InducedSubgraph(g, verts)
-		if err != nil {
-			return false
-		}
-		rc := cov.Restrict(sub)
-		return rc.Validate(sub.G) == nil && rc.Diversity() <= cov.Diversity()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
+}
+
+// restrictByMap is the reference restriction to class c, one class at a
+// time: the class's members in ascending order, a map from member to
+// index, and every clique intersected with the class in cover order,
+// dropped below two members. It returns the members and the cliques.
+func restrictByMap(cliques [][]int32, class []int64, c int64) (vorig []int32, restricted [][]int32) {
+	index := map[int32]int32{}
+	for v, cv := range class {
+		if cv == c {
+			index[int32(v)] = int32(len(vorig))
+			vorig = append(vorig, int32(v))
+		}
+	}
+	for _, q := range cliques {
+		var r []int32
+		for _, v := range q {
+			if i, ok := index[v]; ok {
+				r = append(r, i)
+			}
+		}
+		if len(r) >= 2 {
+			restricted = append(restricted, r)
+		}
+	}
+	return vorig, restricted
+}
+
+// TestSplitErrors: a class outside [0, k) and a clique vertex without a
+// class are refused, and a graph without vertices has no parts.
+func TestSplitErrors(t *testing.T) {
+	q := [][]int32{{0, 1, 2}}
+	if _, _, err := Split(q, []int64{0, 1, 2}, 2); err == nil {
+		t.Fatal("class k accepted")
+	}
+	if _, _, err := Split(q, []int64{0, 1}, 2); err == nil {
+		t.Fatal("clique vertex outside the class vector accepted")
+	}
+	if parts, _, err := Split(nil, nil, 1); err != nil || len(parts) != 0 {
+		t.Fatalf("no vertices: %d parts, err %v", len(parts), err)
 	}
 }
 
@@ -236,68 +311,39 @@ func TestCoverFromMaximalCliques(t *testing.T) {
 	}
 }
 
-// TestRestrictAllocsIndependentOfSize pins Restrict's arenas: restricting
-// the line-graph cover of a small and of a large graph to every other
-// line-graph vertex makes the same few allocations, however many cliques
-// each keeps, and the restricted cliques and membership lists come out
-// sorted without a sort. The count is 6 with the dense index pooled; the
-// bound allows a pool miss (the race detector's sync.Pool drops entries at
-// random), which adds the index and its two arrays.
+// TestRestrictAllocsIndependentOfSize pins Split's arenas: splitting the
+// line-graph cover of a small graph by 3 classes and of a large one by 40
+// makes the same allocations, however many cliques each keeps, and the
+// restricted cliques come out sorted without a sort.
 func TestRestrictAllocsIndependentOfSize(t *testing.T) {
-	const maxAllocs = 9
-	allocs := func(n int) (float64, int) {
+	allocs := func(n int, k int64) (float64, int) {
 		lg, c, err := LineCover(rg(int64(n), n, 6/float64(n)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var verts []int
-		for v := 0; v < lg.N(); v += 2 {
-			verts = append(verts, v)
+		class := make([]int64, lg.N())
+		for v := range class {
+			class[v] = int64(v*7) % k
 		}
-		sub, err := graph.InducedSubgraph(lg, verts)
+		parts, _, err := Split(c.Cliques, class, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc := c.Restrict(sub)
-		if err := rc.Validate(sub.G); err != nil {
-			t.Fatal(err)
-		}
-		for _, lists := range [][][]int32{rc.Cliques, rc.MemberOf} {
-			for _, l := range lists {
-				if !slices.IsSorted(l) {
-					t.Fatalf("unsorted restricted list %v", l)
+		kept := 0
+		for _, part := range parts {
+			kept += len(part)
+			for _, q := range part {
+				if !slices.IsSorted(q) {
+					t.Fatalf("unsorted restricted clique %v", q)
 				}
 			}
 		}
-		return testing.AllocsPerRun(5, func() { c.Restrict(sub) }), len(rc.Cliques)
+		return testing.AllocsPerRun(5, func() { Split(c.Cliques, class, k) }), kept
 	}
-	for _, n := range []int{40, 600} {
-		if got, kept := allocs(n); got > maxAllocs {
-			t.Errorf("Restrict makes %.0f allocations keeping %d cliques, want at most %d: some allocation is per clique",
-				got, kept, maxAllocs)
-		}
-	}
-}
-
-// TestRestrictDoesNotLeakDenseIndex audits Cover.Restrict's pooled-index
-// discipline: one recursion's worth of restrictions must leave the pool
-// balanced (Restrict runs once per CD-Coloring level, so a leak here grows
-// with recursion depth).
-func TestRestrictDoesNotLeakDenseIndex(t *testing.T) {
-	g := rg(16, 30, 0.5)
-	c, err := CoverFromMaximalCliques(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := graph.InducedSubgraph(g, []int{0, 1, 2, 3, 4, 5, 6, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if leaked := graph.LeakCheckDenseIndexes(func() {
-		for i := 0; i < 8; i++ {
-			c.Restrict(sub)
-		}
-	}); leaked != 0 {
-		t.Fatalf("Cover.Restrict leaked %d pooled dense indexes", leaked)
+	small, keptSmall := allocs(40, 3)
+	large, keptLarge := allocs(600, 40)
+	if small != large {
+		t.Fatalf("Split makes %v allocations keeping %d cliques in 3 classes and %v keeping %d in 40: some allocation is per clique or per class",
+			small, keptSmall, large, keptLarge)
 	}
 }

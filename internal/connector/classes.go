@@ -1,8 +1,6 @@
 package connector
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
@@ -30,8 +28,9 @@ type ClassFunc func(c int64, sub *graph.Sub) ([]int64, sim.Stats, error)
 
 // Classes is the class stage of the paper's recursions: Algorithm 1's
 // lines 5–8, Theorem 4.1's star partition, and the orientation connectors
-// of Theorems 5.3 and 5.4. It splits g into the classes of the connector
-// coloring φ ∈ [0, k), colors every nonempty class with color in class
+// of Theorems 5.3 and 5.4. It splits g into every class of the connector
+// coloring φ ∈ [0, k) at once, by one counting pass (graph.SpanningClasses
+// or graph.InducedClasses), colors every nonempty class with color in class
 // order, and gives each element the color φ·P′+ψ, where P′ = subPalette
 // bounds every class's ψ. The paper runs the classes in parallel, so their
 // costs fold with sim.ParAll; the caller adds the connector's cost in
@@ -45,7 +44,7 @@ func Classes(g *graph.Graph, kind ClassKind, phi []int64, k, subPalette int64, c
 	if kind == EdgeClasses {
 		subs, first, err = graph.SpanningClasses(g, phi, k)
 	} else {
-		subs, first, err = inducedClasses(g, phi, k)
+		subs, first, err = graph.InducedClasses(g, phi, k)
 	}
 	if err != nil {
 		return nil, sim.Stats{}, err
@@ -71,34 +70,6 @@ func Classes(g *graph.Graph, kind ClassKind, phi []int64, k, subPalette int64, c
 		}
 	}
 	return colors, sim.ParAll(classStats), nil
-}
-
-// inducedClasses returns the subgraph each vertex class of φ ∈ [0, k)
-// induces, over the span of the classes present as SpanningClasses does:
-// entry i is class first+i, nil when that class is empty. Members are
-// listed in ascending order, as graph.InducedSubgraph requires.
-func inducedClasses(g *graph.Graph, phi []int64, k int64) (subs []*graph.Sub, first int64, err error) {
-	if len(phi) != g.N() {
-		return nil, 0, fmt.Errorf("connector: %d vertex classes for %d vertices", len(phi), g.N())
-	}
-	first, last, err := graph.ClassSpan(phi, k)
-	if err != nil || last < first {
-		return nil, 0, err
-	}
-	members := make([][]int, last-first+1)
-	for v, c := range phi {
-		members[c-first] = append(members[c-first], v)
-	}
-	subs = make([]*graph.Sub, len(members))
-	for i, vs := range members {
-		if len(vs) == 0 {
-			continue
-		}
-		if subs[i], err = graph.InducedSubgraph(g, vs); err != nil {
-			return nil, 0, err
-		}
-	}
-	return subs, first, nil
 }
 
 // BaseColors re-indexes a coloring of the connector's edges by the base

@@ -17,9 +17,12 @@
 // by owner (VirtualGraph.Base), and both emit their edges in (U, V) order,
 // the edge connector as it reads each vertex's ports and the orientation
 // connectors through one stable counting sort by the lower virtual, so no
-// connector calls a comparison sort. Classes, the class stage of every
-// recursion, splits a connector coloring over the span of the classes it
-// uses.
+// connector calls a comparison sort. The clique connector reads only its
+// cover's clique lists, so a recursion hands each class the lists
+// cliques.Split restricted to it. Classes, the class stage of every
+// recursion, splits the graph by a connector coloring in one counting
+// pass, edge classes and vertex classes alike, over the span of the
+// classes it uses.
 //
 // Distributed-cost model: each connector is constructed with O(1) rounds of
 // communication (cliques have diameter 1, so a master — the highest-ID
@@ -34,7 +37,6 @@ package connector
 import (
 	"fmt"
 
-	"repro/internal/cliques"
 	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/util"
@@ -62,12 +64,12 @@ type CliqueConnector struct {
 	Stats sim.Stats
 }
 
-// Clique builds the clique connector of g for the given cover with group
-// parameter t ≥ 2. Group assignment is deterministic: each clique master
-// sorts the members by vertex index and cuts consecutive runs of t
-// (matching the paper's "each clique Q partitions its vertex set into
-// subsets of size t each").
-func Clique(g *graph.Graph, cover *cliques.Cover, t int) (*CliqueConnector, error) {
+// Clique builds the clique connector of g for the cliques of its cover,
+// each listed in ascending order, with group parameter t ≥ 2. Group
+// assignment is deterministic: each clique master cuts its sorted members
+// into consecutive runs of t (matching the paper's "each clique Q
+// partitions its vertex set into subsets of size t each").
+func Clique(g *graph.Graph, cliques [][]int32, t int) (*CliqueConnector, error) {
 	if t < 2 {
 		return nil, fmt.Errorf("connector: clique parameter t=%d < 2", t)
 	}
@@ -76,8 +78,7 @@ func Clique(g *graph.Graph, cover *cliques.Cover, t int) (*CliqueConnector, erro
 	// bitmap instead of the packed-endpoint hash map this used to build per
 	// recursion level.
 	keep := make([]bool, g.M())
-	for _, cl := range cover.Cliques {
-		// Cover cliques are stored sorted; cut into runs of t.
+	for _, cl := range cliques {
 		for lo := 0; lo < len(cl); lo += t {
 			grp := cl[lo:min(lo+t, len(cl))]
 			for i := 0; i < len(grp); i++ {

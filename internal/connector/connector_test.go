@@ -39,7 +39,7 @@ func TestCliqueConnectorDegreeBound(t *testing.T) {
 	lg, cov := lineCover(t, 3, 24, 0.3)
 	d := cov.Diversity()
 	for _, tt := range []int{2, 3, 5} {
-		cc, err := Clique(lg, cov, tt)
+		cc, err := Clique(lg, cov.Cliques, tt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestCliqueConnectorDegreeBound(t *testing.T) {
 
 func TestCliqueConnectorGroupEdgesPresent(t *testing.T) {
 	lg, cov := lineCover(t, 9, 18, 0.35)
-	cc, err := Clique(lg, cov, 3)
+	cc, err := Clique(lg, cov.Cliques, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestCliqueAllocsIndependentOfSize(t *testing.T) {
 	allocs := func(n int) float64 {
 		lg, cov := lineCover(t, int64(n), n, 6/float64(n))
 		return testing.AllocsPerRun(5, func() {
-			if _, err := Clique(lg, cov, 3); err != nil {
+			if _, err := Clique(lg, cov.Cliques, 3); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -104,7 +104,7 @@ func TestCliqueAllocsIndependentOfSize(t *testing.T) {
 
 func TestCliqueConnectorRejectsSmallT(t *testing.T) {
 	lg, cov := lineCover(t, 1, 10, 0.3)
-	if _, err := Clique(lg, cov, 1); err == nil {
+	if _, err := Clique(lg, cov.Cliques, 1); err == nil {
 		t.Fatal("expected error for t<2")
 	}
 }
@@ -282,7 +282,7 @@ func TestFigure1Structure(t *testing.T) {
 	if cov.Diversity() != 2 {
 		t.Fatalf("shared vertex should have diversity 2, got %d", cov.Diversity())
 	}
-	cc, err := Clique(g, cov, 4)
+	cc, err := Clique(g, cov.Cliques, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

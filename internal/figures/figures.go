@@ -55,7 +55,7 @@ func figure1() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cc, err := connector.Clique(g, cov, 4)
+	cc, err := connector.Clique(g, cov.Cliques, 4)
 	if err != nil {
 		return nil, err
 	}

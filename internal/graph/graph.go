@@ -121,13 +121,15 @@ func FromSortedEdges(n int, edges []Edge) (*Graph, error) {
 // so every range holds increasing neighbors, which HasEdge/EdgeID rely
 // on, and increasing edge identifiers, which LineGraph relies on.
 func fromSortedEdges(n int, edges []Edge) *Graph {
-	g := &Graph{
-		off:   make([]int32, n+1),
-		arcs:  make([]Arc, 2*len(edges)),
-		mate:  make([]int32, 2*len(edges)),
-		edges: edges,
-	}
-	off := g.off
+	g := new(Graph)
+	g.place(n, edges, make([]int32, n+1), make([]Arc, 2*len(edges)), make([]int32, 2*len(edges)))
+	return g
+}
+
+// place is fromSortedEdges into storage the caller provides: off holds
+// n+1 zeros, and arcs and mate hold 2·len(edges) entries each.
+func (g *Graph) place(n int, edges []Edge, off []int32, arcs []Arc, mate []int32) {
+	*g = Graph{off: off, arcs: arcs, mate: mate, edges: edges}
 	for _, e := range edges {
 		off[e.U+1]++
 		off[e.V+1]++
@@ -141,13 +143,12 @@ func fromSortedEdges(n int, edges []Edge) *Graph {
 	for id, e := range edges {
 		i, j := off[e.U], off[e.V]
 		off[e.U], off[e.V] = i+1, j+1
-		g.arcs[i] = Arc{To: e.V, Edge: int32(id)}
-		g.arcs[j] = Arc{To: e.U, Edge: int32(id)}
-		g.mate[i], g.mate[j] = j, i
+		arcs[i] = Arc{To: e.V, Edge: int32(id)}
+		arcs[j] = Arc{To: e.U, Edge: int32(id)}
+		mate[i], mate[j] = j, i
 	}
 	copy(off[1:], off[:n])
 	off[0] = 0
-	return g
 }
 
 // MustBuild is Build for static graphs known to be valid; it panics on error.

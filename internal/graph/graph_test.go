@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func TestBuilderBasics(t *testing.T) {
@@ -146,42 +145,47 @@ func TestStandardGraphs(t *testing.T) {
 	}
 }
 
+// TestInducedSubgraph: the class {1, 3, 5} of K6 induces a K3 whose
+// vertices keep their parent order and whose edges map to the parent edges
+// on their endpoints.
 func TestInducedSubgraph(t *testing.T) {
 	g := Complete(6)
-	sub, err := InducedSubgraph(g, []int{1, 3, 5})
+	subs, first, err := InducedClasses(g, []int64{0, 1, 0, 1, 0, 1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sub := subs[1-first]
 	if sub.G.N() != 3 || sub.G.M() != 3 {
 		t.Fatalf("induced K3 expected, got n=%d m=%d", sub.G.N(), sub.G.M())
 	}
-	for v := 0; v < 3; v++ {
-		want := []int{1, 3, 5}[v]
-		if sub.OrigVertex(v) != want {
-			t.Fatalf("OrigVertex(%d) = %d want %d", v, sub.OrigVertex(v), want)
-		}
+	if !reflect.DeepEqual(sub.VOrig, []int32{1, 3, 5}) {
+		t.Fatalf("VOrig = %v, want [1 3 5]", sub.VOrig)
 	}
-	// Edge mapping: each sub edge maps to the parent edge on the original endpoints.
 	for e := 0; e < sub.G.M(); e++ {
 		u, v := sub.G.Endpoints(e)
-		ou, ov := sub.OrigVertex(u), sub.OrigVertex(v)
-		id, ok := g.EdgeID(ou, ov)
-		if !ok || id != sub.OrigEdge(e) {
-			t.Fatalf("edge map wrong: sub edge %d -> %d, want %d", e, sub.OrigEdge(e), id)
+		id, ok := g.EdgeID(int(sub.VOrig[u]), int(sub.VOrig[v]))
+		if !ok || id != int(sub.EOrig[e]) {
+			t.Fatalf("edge map wrong: sub edge %d -> %d, want %d", e, sub.EOrig[e], id)
 		}
 	}
 }
 
+// TestInducedSubgraphErrors: InducedClasses refuses a class vector of the
+// wrong length and a class outside [0, k), and a graph without vertices
+// has no classes.
 func TestInducedSubgraphErrors(t *testing.T) {
 	g := Complete(4)
-	if _, err := InducedSubgraph(g, []int{0, 0}); err == nil {
-		t.Fatal("expected duplicate error")
+	if _, _, err := InducedClasses(g, []int64{0, 0, 0}, 1); err == nil {
+		t.Fatal("short class vector accepted")
 	}
-	if _, err := InducedSubgraph(g, []int{0, 9}); err == nil {
-		t.Fatal("expected range error")
+	if _, _, err := InducedClasses(g, []int64{0, 1, 2, 3}, 3); err == nil {
+		t.Fatal("class k accepted")
 	}
-	if _, err := InducedSubgraph(g, []int{2, 1}); err == nil {
-		t.Fatal("expected ascending-order error")
+	if _, _, err := InducedClasses(g, []int64{0, -1, 0, 0}, 3); err == nil {
+		t.Fatal("negative class accepted")
+	}
+	if subs, _, err := InducedClasses(NewBuilder(0).MustBuild(), nil, 1); err != nil || len(subs) != 0 {
+		t.Fatalf("empty graph: %d classes, err %v", len(subs), err)
 	}
 }
 
@@ -191,15 +195,15 @@ func TestSpanningSubgraph(t *testing.T) {
 	if sub.G.N() != 6 || sub.G.M() != 3 {
 		t.Fatalf("got n=%d m=%d", sub.G.N(), sub.G.M())
 	}
-	if sub.OrigVertex(4) != 4 {
+	if sub.VOrig != nil {
 		t.Fatal("spanning subgraph should keep vertex identity")
 	}
 	for e := 0; e < sub.G.M(); e++ {
-		if sub.OrigEdge(e)%2 != 0 {
-			t.Fatalf("kept odd edge %d", sub.OrigEdge(e))
+		if sub.EOrig[e]%2 != 0 {
+			t.Fatalf("kept odd edge %d", sub.EOrig[e])
 		}
 		u, v := sub.G.Endpoints(e)
-		ou, ov := g.Endpoints(sub.OrigEdge(e))
+		ou, ov := g.Endpoints(int(sub.EOrig[e]))
 		if u != ou || v != ov {
 			t.Fatal("edge endpoints changed in spanning subgraph")
 		}
@@ -253,43 +257,101 @@ func TestSpanningClasses(t *testing.T) {
 	}
 }
 
+// TestSubgraphEdgeMapQuick checks InducedClasses against a map-based
+// induced subgraph on random graphs and class vectors: for every class its
+// VOrig, edge list and EOrig, and a nil entry exactly where a class has no
+// vertices. The class vectors leave classes empty, give some classes
+// vertices but no edges, and start their span above 0.
 func TestSubgraphEdgeMapQuick(t *testing.T) {
-	f := func(seed int64) bool {
+	var sawEmpty, sawEdgeless, sawOffset bool
+	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g := randomGraphRNG(rng, 30, 0.2)
-		var verts []int
-		for v := 0; v < g.N(); v++ {
-			if rng.Intn(2) == 0 {
-				verts = append(verts, v)
-			}
+		g := randomGraphRNG(rng, 1+rng.Intn(30), rng.Float64()*0.4)
+		k := int64(1 + rng.Intn(8))
+		class := make([]int64, g.N())
+		for v := range class {
+			class[v] = rng.Int63n(k)
 		}
-		sub, err := InducedSubgraph(g, verts)
+		subs, first, err := InducedClasses(g, class, k)
 		if err != nil {
-			return false
+			t.Fatal(err)
 		}
-		for e := 0; e < sub.G.M(); e++ {
-			u, v := sub.G.Endpoints(e)
-			id, ok := g.EdgeID(sub.OrigVertex(u), sub.OrigVertex(v))
-			if !ok || id != sub.OrigEdge(e) {
-				return false
+		sawOffset = sawOffset || first > 0
+		for i, sub := range subs {
+			want := inducedByMap(g, class, first+int64(i))
+			if want == nil {
+				sawEmpty = true
+				if sub != nil {
+					t.Fatalf("seed %d: empty class %d has a subgraph", seed, first+int64(i))
+				}
+				continue
+			}
+			sawEdgeless = sawEdgeless || want.G.M() == 0
+			// The whole CSR, offsets, arcs and mates included, must be the
+			// Builder's.
+			if sub == nil || !reflect.DeepEqual(*sub.G, *want.G) ||
+				!reflect.DeepEqual(sub.VOrig, want.VOrig) || !reflect.DeepEqual(sub.EOrig, want.EOrig) {
+				t.Fatalf("seed %d: class %d is %+v, want %+v", seed, first+int64(i), sub, want)
 			}
 		}
-		// Completeness: every parent edge between chosen vertices appears.
-		chosen := make(map[int]bool)
-		for _, v := range verts {
-			chosen[v] = true
-		}
-		wantEdges := 0
-		for e := 0; e < g.M(); e++ {
-			u, v := g.Endpoints(e)
-			if chosen[u] && chosen[v] {
-				wantEdges++
-			}
-		}
-		return wantEdges == sub.G.M()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
+	if !sawEmpty || !sawEdgeless || !sawOffset {
+		t.Fatalf("inputs missed a case: empty class %v, edgeless class %v, span above 0 %v", sawEmpty, sawEdgeless, sawOffset)
+	}
+}
+
+// inducedByMap is the reference induced subgraph of class c: its members
+// in ascending order, a map from member to index, and the Builder's sort.
+// It returns nil when no vertex has class c.
+func inducedByMap(g *Graph, class []int64, c int64) *Sub {
+	index := map[int]int32{}
+	var vorig []int32
+	for v, cv := range class {
+		if cv == c {
+			index[v] = int32(len(vorig))
+			vorig = append(vorig, int32(v))
+		}
+	}
+	if vorig == nil {
+		return nil
+	}
+	b := NewBuilder(len(vorig))
+	for e := 0; e < g.M(); e++ {
+		u, v := g.Endpoints(e)
+		iu, okU := index[u]
+		iv, okV := index[v]
+		if okU && okV {
+			b.AddEdge(int(iu), int(iv))
+		}
+	}
+	sg := b.MustBuild()
+	eorig := make([]int32, sg.M())
+	for e := range eorig {
+		u, v := sg.Endpoints(e)
+		id, _ := g.EdgeID(int(vorig[u]), int(vorig[v]))
+		eorig[e] = int32(id)
+	}
+	return &Sub{G: sg, VOrig: vorig, EOrig: eorig}
+}
+
+// TestInducedClassesAllocsIndependentOfSize pins InducedClasses' arenas:
+// splitting a small graph into 3 classes and a large one into 40 makes the
+// same allocations, so nothing is allocated per class or per vertex.
+func TestInducedClassesAllocsIndependentOfSize(t *testing.T) {
+	allocs := func(n int, k int64) float64 {
+		g := randomGraph(t, n, 8/float64(n), int64(n))
+		class := make([]int64, n)
+		for v := range class {
+			class[v] = int64(v*7) % k
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, _, err := InducedClasses(g, class, k); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(40, 3), allocs(2000, 40); small != large {
+		t.Fatalf("InducedClasses makes %v allocations for 3 classes of a 40-vertex graph and %v for 40 of a 2000-vertex one", small, large)
 	}
 }
 

@@ -4,70 +4,97 @@ import "fmt"
 
 // Sub is a subgraph together with its embedding into a parent graph. It is
 // the unit of recursion in the paper's decompositions: CD-Coloring recurses
-// on vertex-induced color classes, the star-partition on spanning
-// edge-classes; both need to translate results back to the parent.
+// on vertex-induced color classes (InducedClasses), the star partition and
+// the orientation connectors on spanning edge classes (SpanningClasses);
+// both translate results back to the parent.
 type Sub struct {
 	G *Graph
 	// VOrig maps a subgraph vertex to its parent vertex. nil means the
 	// identity map (the subgraph is spanning: same vertex set).
 	VOrig []int32
-	// EOrig maps a subgraph edge to its parent edge identifier. nil means
-	// the identity map.
+	// EOrig maps a subgraph edge to its parent edge identifier.
 	EOrig []int32
 }
 
-// OrigVertex translates subgraph vertex v to the parent graph.
-func (s *Sub) OrigVertex(v int) int {
-	if s.VOrig == nil {
-		return v
+// InducedClasses splits g's vertices by class[v] ∈ [0, k) into the
+// subgraphs their classes induce. Its tables cover the span of the classes
+// present, as SpanningClasses' do: entry i of subs is class first+i, nil
+// when that class has no vertices. One counting pass over the vertices
+// gives each vertex its rank in its class, which is its index in the class
+// subgraph, so each class keeps g's vertex order. g's edges, taken in
+// identifier order, then reach each class in (U, V) order, so no class is
+// sorted. Every table the classes need, their graphs included, is one
+// arena shared by all classes, so the split makes the same allocations
+// however many classes there are.
+func InducedClasses(g *Graph, class []int64, k int64) (subs []*Sub, first int64, err error) {
+	if len(class) != g.N() {
+		return nil, 0, fmt.Errorf("graph: %d vertex classes for %d vertices", len(class), g.N())
 	}
-	return int(s.VOrig[v])
-}
-
-// OrigEdge translates subgraph edge e to the parent graph.
-func (s *Sub) OrigEdge(e int) int {
-	if s.EOrig == nil {
-		return e
+	first, last, err := ClassSpan(class, k)
+	if err != nil || last < first {
+		return nil, 0, err
 	}
-	return int(s.EOrig[e])
-}
-
-// InducedSubgraph returns the subgraph of g induced by the given vertices,
-// which must ascend strictly. Vertex i of the result corresponds to
-// vertices[i] in g, so the new indices keep g's vertex order, and reading
-// each vertex's higher neighbors in adjacency order yields the induced
-// edges already in (U, V) order: the result is built without a sort. The
-// vertex translation runs over a pooled DenseIndex, so recursion levels
-// (CD-Coloring extracts one subgraph per color class per level) reuse index
-// space instead of rebuilding a map each time.
-func InducedSubgraph(g *Graph, vertices []int) (*Sub, error) {
-	idx := AcquireDenseIndex(g.N())
-	defer idx.Release()
-	vorig := make([]int32, len(vertices))
-	for i, v := range vertices {
-		if v < 0 || v >= g.N() {
-			return nil, fmt.Errorf("graph: induced vertex %d out of range", v)
-		}
-		if i > 0 && v <= vertices[i-1] {
-			return nil, fmt.Errorf("graph: induced vertices not strictly ascending at %d", v)
-		}
-		idx.Put(v, int32(i))
-		vorig[i] = int32(v)
+	span := last - first + 1
+	// vstart and estart count each class's vertices and internal edges one
+	// slot ahead, then become the starts of its ranges in the arenas.
+	rank := make([]int32, len(class))
+	vstart := make([]int32, span+1)
+	for v, c := range class {
+		rank[v] = vstart[c-first+1]
+		vstart[c-first+1]++
 	}
-	var edges []Edge
-	var eorig []int32
-	for i, v := range vertices {
-		for _, a := range g.Adj(v) {
-			if int(a.To) < v {
-				continue // keep each edge once, from its lower endpoint
-			}
-			if j, ok := idx.Get(int(a.To)); ok {
-				edges = append(edges, Edge{U: int32(i), V: j})
-				eorig = append(eorig, a.Edge)
-			}
+	estart := make([]int, span+1)
+	for _, e := range g.edges {
+		if c := class[e.U]; c == class[e.V] {
+			estart[c-first+1]++
 		}
 	}
-	return &Sub{G: fromSortedEdges(len(vertices), edges), VOrig: vorig, EOrig: eorig}, nil
+	nonempty := 0
+	for i := 1; i <= int(span); i++ {
+		if vstart[i] > 0 {
+			nonempty++
+		}
+		vstart[i] += vstart[i-1]
+		estart[i] += estart[i-1]
+	}
+	vorig := make([]int32, len(class))
+	for v, c := range class {
+		vorig[vstart[c-first]+rank[v]] = int32(v)
+	}
+	m := estart[span]
+	edges := make([]Edge, m)
+	eorig := make([]int32, m)
+	next := append([]int(nil), estart[:span]...)
+	for id, e := range g.edges {
+		if c := class[e.U] - first; c == class[e.V]-first {
+			edges[next[c]] = Edge{U: rank[e.U], V: rank[e.V]}
+			eorig[next[c]] = int32(id)
+			next[c]++
+		}
+	}
+	// The classes' graphs share one arena per table: a class of n vertices
+	// and m edges takes n+1 offsets, one more than its vertices, and 2m arcs
+	// and mates, twice its edges.
+	arena := make([]Sub, nonempty)
+	graphs := make([]Graph, nonempty)
+	off := make([]int32, len(class)+nonempty)
+	arcs := make([]Arc, 2*m)
+	mate := make([]int32, 2*m)
+	subs = make([]*Sub, span)
+	j := 0
+	for i := range subs {
+		vlo, vhi := int(vstart[i]), int(vstart[i+1])
+		if vlo == vhi {
+			continue
+		}
+		elo, ehi := estart[i], estart[i+1]
+		o := off[vlo+j : vhi+j+1 : vhi+j+1]
+		graphs[j].place(vhi-vlo, edges[elo:ehi:ehi], o, arcs[2*elo:2*ehi:2*ehi], mate[2*elo:2*ehi:2*ehi])
+		arena[j] = Sub{G: &graphs[j], VOrig: vorig[vlo:vhi:vhi], EOrig: eorig[elo:ehi:ehi]}
+		subs[i] = &arena[j]
+		j++
+	}
+	return subs, first, nil
 }
 
 // SpanningSubgraph returns the subgraph of g on the full vertex set

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	distcolor "repro"
@@ -184,6 +186,42 @@ func TestDeprecationHeader(t *testing.T) {
 	}
 	if resp := post(t, data, "application/json"); resp.Header.Get("Deprecation") != "" {
 		t.Fatal("params-only submit flagged as deprecated")
+	}
+}
+
+// TestNonFiniteShorthandQRejected: the binary wire carries a NaN or ±Inf
+// shorthand q, which the JSON job journal cannot encode. Submitted to a
+// journaled server, such a request is a validation error: the server stays
+// ready, is not degraded, and journals nothing.
+func TestNonFiniteShorthandQRejected(t *testing.T) {
+	dir := t.TempDir()
+	s := testServer(t, Config{Workers: 1, DataDir: dir})
+	for _, q := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		sent := gnpRequest(distcolor.AlgoEdgeStar, 24, 0.2, 1)
+		sent.Q = q
+		bin, err := distcolor.CodecBinary.Encode(sent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var req distcolor.Request
+		if err := distcolor.CodecBinary.Decode(bin, &req); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Submit(&req); err == nil || !strings.Contains(err.Error(), "shorthand q") {
+			t.Fatalf("q=%v: submit error %v, want the validation error", q, err)
+		}
+		if h := s.Health(); !h.Ready || h.Degraded {
+			t.Fatalf("q=%v: healthz %+v after the rejection", q, h)
+		}
+	}
+	if m := s.Metrics(); m.Degraded != 0 || m.Rejected != 3 {
+		t.Fatalf("degraded gauge %d, rejected %d; want 0 and 3", m.Degraded, m.Rejected)
+	}
+	s.Close()
+	st, recs := openForTest(t, dir, 0)
+	defer st.Close()
+	if len(recs) != 0 {
+		t.Fatalf("journal holds %d records, want none", len(recs))
 	}
 }
 

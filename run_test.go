@@ -264,8 +264,8 @@ func TestRunRefusesOverflowingLineTable(t *testing.T) {
 // compatibility: legacy shorthand fields (x, arboricity, q) set on a
 // request whose algorithm has no such parameter are ignored — pre-registry
 // clients swept one template across algorithms — while the schema-keyed
-// Params map stays strict, and negative shorthand values are still
-// rejected outright.
+// Params map stays strict, and negative shorthand values, or a non-finite
+// q, are still rejected outright.
 func TestCodecToleratesIgnoredShorthand(t *testing.T) {
 	spec := GraphSpec{N: 4, Edges: [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}}}
 
@@ -295,5 +295,32 @@ func TestCodecToleratesIgnoredShorthand(t *testing.T) {
 	}
 	if err := (&Request{Algorithm: AlgoEdgeGreedy, Graph: spec, Arboricity: -1}).Validate(); err == nil {
 		t.Fatal("negative shorthand arboricity must be rejected")
+	}
+
+	// A finite positive q is ignored by edge/star, which has no q; a
+	// negative or non-finite one is rejected, as x and arboricity are.
+	// edge/star needs Δ ≥ 4, so it colors K5.
+	k5 := GraphSpec{N: 5}
+	for u := 0; u < 5; u++ {
+		for v := u + 1; v < 5; v++ {
+			k5.Edges = append(k5.Edges, [2]int{u, v})
+		}
+	}
+	star := &Request{Algorithm: AlgoEdgeStar, Graph: k5, Q: 2.5}
+	starResp, err := Execute(context.Background(), star, Options{})
+	if err != nil {
+		t.Fatalf("finite shorthand q on edge/star must validate, got %v", err)
+	}
+	starPlain, err := Execute(context.Background(), &Request{Algorithm: AlgoEdgeStar, Graph: k5}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(starResp.Colors, starPlain.Colors) {
+		t.Fatal("ignored shorthand q changed the edge/star coloring")
+	}
+	for _, q := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := (&Request{Algorithm: AlgoEdgeStar, Graph: k5, Q: q}).Validate(); err == nil {
+			t.Fatalf("shorthand q=%v must be rejected", q)
+		}
 	}
 }
