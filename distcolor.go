@@ -65,15 +65,7 @@ type (
 	// RoundEvent is one executed simulator round, as delivered to
 	// Options.Observer (see internal/sim).
 	RoundEvent = sim.RoundEvent
-	// Bandwidth is the optional CONGEST bandwidth accountant attachable via
-	// Options.Bandwidth (see internal/sim/bandwidth.go): it histograms each
-	// round's hottest-edge message size and counts rounds exceeding its cap.
-	Bandwidth = sim.Bandwidth
 )
-
-// CongestCapBits returns the CONGEST bandwidth cap (bits per edge per
-// round) this repository audits against for an n-vertex network.
-func CongestCapBits(n int) int64 { return sim.CongestCapBits(n) }
 
 // NewBuilder returns a Builder for a graph on n vertices.
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
@@ -98,11 +90,6 @@ type Options struct {
 	// with NeedsCover (vertex/cd); wire requests carry it as
 	// GraphSpec.Cliques.
 	Cover *CliqueCover
-	// Bandwidth, when non-nil, accounts every round of every constituent
-	// execution against the accountant's CONGEST cap (violations are
-	// recorded in the accountant and summed into Stats.CongestViolations,
-	// never enforced). Purely observational, like Observer.
-	Bandwidth *Bandwidth
 }
 
 func (o Options) engine() sim.Exec {
@@ -110,7 +97,7 @@ func (o Options) engine() sim.Exec {
 	if o.Parallel {
 		base = sim.Parallel
 	}
-	return sim.Instrumented(base, o.Observer, o.Bandwidth)
+	return sim.Instrumented(base, o.Observer, 0)
 }
 
 func (o Options) vc() vc.Options { return vc.Options{Exec: o.engine()} }

@@ -589,7 +589,7 @@ func TestBlackBoxRunsOnExec(t *testing.T) {
 	g, a := bounded(t, 600, 2, 240, 23)
 	observed := func(withVC bool) int {
 		rounds := 0
-		eng := sim.Instrumented(sim.Sequential, func(sim.RoundEvent) { rounds++ }, nil)
+		eng := sim.Instrumented(sim.Sequential, func(sim.RoundEvent) { rounds++ }, 0)
 		opt := Options{Exec: eng}
 		if withVC {
 			opt.VC.Exec = eng

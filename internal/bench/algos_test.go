@@ -1,8 +1,8 @@
 package bench
 
 // End-to-end algorithm benchmarks — the stdlib-benchmark twins of the
-// algo/* workloads in the simulator-core suite (simcore.go), so the same
-// executions are measurable with benchstat:
+// algo/* workloads in the simulator-core suite (simcore.go's algoRows),
+// so the same executions are measurable with benchstat:
 //
 //	make bench-algos                            # one smoke pass
 //	make bench-algos BENCH_COUNT=10 > new.txt   # benchstat-grade samples
@@ -14,97 +14,33 @@ package bench
 import (
 	"context"
 	"testing"
-
-	"repro/internal/arbor"
-	"repro/internal/cd"
-	"repro/internal/cliques"
-	"repro/internal/gen"
-	"repro/internal/graph"
-	"repro/internal/linial"
-	"repro/internal/sim"
-	"repro/internal/star"
 )
 
-func BenchmarkAlgoLinial10k(b *testing.B) {
-	g, err := gen.NearRegular(simCoreN, 8, simCoreSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := linial.Reduce(context.Background(), sim.Sequential, sim.NewTopology(g), int64(g.N())); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkAlgoLinial10k(b *testing.B)    { benchAlgo(b, "algo/linial/sequential-10k") }
+func BenchmarkAlgoStarD32(b *testing.B)      { benchAlgo(b, "algo/star-x1/sequential-d32") }
+func BenchmarkAlgoSparsePA20k(b *testing.B)  { benchAlgo(b, "algo/sparse/sequential-pa20k") }
+func BenchmarkAlgoCDH3(b *testing.B)         { benchAlgo(b, "algo/cd-x1/sequential-h3") }
+func BenchmarkAlgoEdgePipe100k(b *testing.B) { benchAlgo(b, "algo/edgepipe-x1/sequential-100k") }
 
-func BenchmarkAlgoStarD32(b *testing.B) {
-	g, err := Workload(32, simCoreSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	t, err := star.ChooseT(g.MaxDegree(), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := star.EdgeColor(context.Background(), g, t, 1, star.Options{}); err != nil {
+// benchAlgo times the bare run of the suite's algorithm row name; its
+// input is prepared before the timer starts.
+func benchAlgo(b *testing.B, name string) {
+	for _, row := range algoRows {
+		if row.name != name {
+			continue
+		}
+		run, err := row.prepare(context.Background())
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkAlgoSparsePA20k(b *testing.B) {
-	g, err := gen.PreferentialAttachment(simCoreSparseN, 2, simCoreSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := graph.ArboricityUpperBound(g)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := arbor.ColorAdaptive(context.Background(), g, a, arbor.Options{}); err != nil {
-			b.Fatal(err)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := run(); err != nil {
+				b.Fatal(err)
+			}
 		}
+		return
 	}
-}
-
-func BenchmarkAlgoCDH3(b *testing.B) {
-	h, err := gen.UniformHypergraph(simCoreCDVerts, 3, simCoreCDEdges, simCoreSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lg, cov, err := cliques.HypergraphLineCover(h)
-	if err != nil {
-		b.Fatal(err)
-	}
-	t := cd.ChooseT(cov.MaxCliqueSize(), 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cd.Color(context.Background(), lg, cov, t, 1, cd.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAlgoEdgePipe100k(b *testing.B) {
-	g, err := gen.NearRegular(simCorePipeN, simCorePipeDeg, simCoreSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	t, err := star.ChooseT(g.MaxDegree(), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := star.EdgeColor(context.Background(), g, t, 1, star.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	b.Fatalf("no algorithm row %q", name)
 }

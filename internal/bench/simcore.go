@@ -78,10 +78,10 @@ type SimCoreResult struct {
 	// the wire.
 	MaxWordBits int64 `json:"max_word_bits"`
 	// CongestViolations counts executed rounds whose hottest edge exceeded
-	// the CONGEST cap of the bandwidth accountant attached to the workload
-	// (sim.CongestCapBits); always 0 for workloads run without a capped
-	// accountant. Deterministic: a program that silently fattens its
-	// messages past the cap fails the baseline comparison here.
+	// the CONGEST cap the workload's engine was instrumented with
+	// (sim.CongestCapBits); always 0 for workloads run without a cap.
+	// Deterministic: a program that silently fattens its messages past
+	// the cap fails the baseline comparison here.
 	CongestViolations int64 `json:"congest_violations"`
 }
 
@@ -193,7 +193,7 @@ func (p *exchangeWords) StepWord(v, round int, in, _ []sim.Word) (sim.Word, bool
 // accounting: the payload fits 7 bits (round&0x7f) and the program says
 // so via WordSizer, so the CONGEST audit sees true message sizes instead
 // of the 64-bit default. Its workload must stay violation-free under the
-// sim.CongestCapBits cap — and allocation-free with the accountant riding.
+// sim.CongestCapBits cap — and allocation-free with the cap counted.
 type sizedExchange struct{ exchangeWords }
 
 func exchangeSizedFactory(rounds int) sim.Factory {
@@ -311,37 +311,160 @@ func allocsPerRound(ctx context.Context, eng sim.Exec, topo *sim.Topology, prog 
 	return per
 }
 
-// measureAlgo runs one end-to-end algorithm workload: a first run with
-// verification enabled supplies the deterministic metrics and proves the
-// coloring proper, then measureOp times bare repetitions (verification is
-// hoisted out of the measured op so the gated numbers track the coloring
-// pipeline, not internal/verify — and so they stay comparable with the
-// algos_test.go benchmark twins, which time the bare run). Algorithm
-// pipelines compose many executions of varying length, so their
-// allocs_per_round carries the -1 "unmeasured" sentinel.
-func measureAlgo(name string, run func(verify bool) (colors int64, stats sim.Stats, err error)) (SimCoreResult, error) {
-	colors, stats, err := run(true)
+// coloring is what one run of an algorithm row returns: a coloring of
+// g's vertices, or of its edges, with its palette and cost.
+type coloring struct {
+	g       *graph.Graph
+	edges   bool
+	colors  []int64
+	palette int64
+	stats   sim.Stats
+}
+
+// check proves the coloring proper.
+func (c coloring) check() error {
+	if c.edges {
+		return verify.EdgeColoring(c.g, c.colors, c.palette)
+	}
+	return verify.VertexColoring(c.g, c.colors, c.palette)
+}
+
+// algoRow is one end-to-end algorithm workload. prepare builds its input
+// once, outside any measurement, and returns the run that the suite and
+// the row's BenchmarkAlgo twin (algos_test.go) time.
+type algoRow struct {
+	name    string
+	prepare func(ctx context.Context) (run func() (coloring, error), err error)
+}
+
+// algoRows are the suite's end-to-end algorithm workloads, in report
+// order.
+var algoRows = []algoRow{
+	// The O(log* n) Linial substrate on the 10k workload.
+	{"algo/linial/sequential-10k", func(ctx context.Context) (func() (coloring, error), error) {
+		g, err := gen.NearRegular(simCoreN, 8, simCoreSeed)
+		if err != nil {
+			return nil, err
+		}
+		return func() (coloring, error) {
+			res, err := linial.Reduce(ctx, sim.Sequential, sim.NewTopology(g), int64(g.N()))
+			if err != nil {
+				return coloring{}, err
+			}
+			return coloring{g, false, res.Colors, res.Palette, res.Stats}, nil
+		}, nil
+	}},
+	// The paper's §4 star-partition pipeline on the standard Table 1
+	// workload — a deep composition, so it covers instance setup and
+	// subtopology churn rather than a single long execution.
+	{"algo/star-x1/sequential-d32", func(ctx context.Context) (func() (coloring, error), error) {
+		g, err := Workload(32, simCoreSeed)
+		if err != nil {
+			return nil, err
+		}
+		return starRun(ctx, g)
+	}},
+	// CD vertex-coloring on a bounded-diversity instance (the line graph
+	// of a 3-uniform hypergraph, D ≤ 3).
+	{"algo/cd-x1/sequential-h3", func(ctx context.Context) (func() (coloring, error), error) {
+		h, err := gen.UniformHypergraph(simCoreCDVerts, 3, simCoreCDEdges, simCoreSeed)
+		if err != nil {
+			return nil, err
+		}
+		g, cov, err := cliques.HypergraphLineCover(h)
+		if err != nil {
+			return nil, err
+		}
+		t := cd.ChooseT(cov.MaxCliqueSize(), 1)
+		return func() (coloring, error) {
+			res, err := cd.Color(ctx, g, cov, t, 1, cd.Options{})
+			if err != nil {
+				return coloring{}, err
+			}
+			return coloring{g, false, res.Colors, res.Palette, res.Stats}, nil
+		}, nil
+	}},
+	// Corollary 5.5 on a sparse graph: the H-partition, the black box on
+	// the part-internal edges, and a Lemma 5.1 merge per crossing stage.
+	{"algo/sparse/sequential-pa20k", func(ctx context.Context) (func() (coloring, error), error) {
+		g, err := gen.PreferentialAttachment(simCoreSparseN, 2, simCoreSeed)
+		if err != nil {
+			return nil, err
+		}
+		a := graph.ArboricityUpperBound(g)
+		return func() (coloring, error) {
+			res, _, err := arbor.ColorAdaptive(ctx, g, a, arbor.Options{})
+			if err != nil {
+				return coloring{}, err
+			}
+			return coloring{g, true, res.Colors, res.Palette, res.Stats}, nil
+		}, nil
+	}},
+	// The full edge-coloring pipeline at production scale: 100k vertices
+	// through the §4 star partition (Linial seed on the ~400k-vertex line
+	// graph, connector coloring, recursive classes, final trim).
+	{"algo/edgepipe-x1/sequential-100k", func(ctx context.Context) (func() (coloring, error), error) {
+		g, err := gen.NearRegular(simCorePipeN, simCorePipeDeg, simCoreSeed)
+		if err != nil {
+			return nil, err
+		}
+		return starRun(ctx, g)
+	}},
+}
+
+// starRun is the run of the §4 star partition at x = 1 on g; the star
+// parameter t is chosen here, outside the run.
+func starRun(ctx context.Context, g *graph.Graph) (func() (coloring, error), error) {
+	t, err := star.ChooseT(g.MaxDegree(), 1)
 	if err != nil {
-		return SimCoreResult{}, fmt.Errorf("bench: simcore %s: %w", name, err)
+		return nil, err
+	}
+	return func() (coloring, error) {
+		res, err := star.EdgeColor(ctx, g, t, 1, star.Options{})
+		if err != nil {
+			return coloring{}, err
+		}
+		return coloring{g, true, res.Colors, res.Palette, res.Stats}, nil
+	}, nil
+}
+
+// measureAlgo runs one end-to-end algorithm row: a first run, checked,
+// supplies the deterministic metrics and proves the coloring proper,
+// then MeasureOp times bare runs (the check is hoisted out of the
+// measured op so the gated numbers track the coloring pipeline, not
+// internal/verify, as the BenchmarkAlgo twins do). Algorithm pipelines
+// compose many executions of varying length, so their allocs_per_round
+// carries the -1 "unmeasured" sentinel.
+func measureAlgo(ctx context.Context, row algoRow) (SimCoreResult, error) {
+	run, err := row.prepare(ctx)
+	if err != nil {
+		return SimCoreResult{}, fmt.Errorf("bench: simcore %s: %w", row.name, err)
+	}
+	c, err := run()
+	if err != nil {
+		return SimCoreResult{}, fmt.Errorf("bench: simcore %s: %w", row.name, err)
+	}
+	if err := c.check(); err != nil {
+		return SimCoreResult{}, fmt.Errorf("bench: simcore %s: improper: %w", row.name, err)
 	}
 	ns, allocs, bytes, err := MeasureOp(func() error {
-		_, _, runErr := run(false)
+		_, runErr := run()
 		return runErr
 	})
 	if err != nil {
-		return SimCoreResult{}, fmt.Errorf("bench: simcore %s: %w", name, err)
+		return SimCoreResult{}, fmt.Errorf("bench: simcore %s: %w", row.name, err)
 	}
 	return SimCoreResult{
-		Name:              name,
+		Name:              row.name,
 		NsPerOp:           ns,
 		AllocsPerOp:       allocs,
 		BytesPerOp:        bytes,
 		AllocsPerRound:    -1,
-		Colors:            colors,
-		Rounds:            stats.Rounds,
-		Messages:          stats.Messages,
-		MaxWordBits:       stats.MaxMessageBits,
-		CongestViolations: stats.CongestViolations,
+		Colors:            c.palette,
+		Rounds:            c.stats.Rounds,
+		Messages:          c.stats.Messages,
+		MaxWordBits:       c.stats.MaxMessageBits,
+		CongestViolations: c.stats.CongestViolations,
 	}, nil
 }
 
@@ -361,13 +484,13 @@ func RunSimCore(ctx context.Context) (*SimCoreReport, error) {
 		NumCPU:    runtime.NumCPU(),
 	}
 
-	// The CONGEST-audited word-plane workloads run with a capped bandwidth
-	// accountant attached (DESIGN.md §9). The unsized variant is accounted
-	// at the 64-bit default and deterministically violates the cap every
-	// messaging round — pinning the violation count itself; the sized
-	// variant declares its true 7-bit payloads and must stay violation-free.
-	// Both keep allocs/round pinned at 0: accounting may not cost the round
-	// loop a single allocation.
+	// The CONGEST-audited word-plane workloads run on an engine
+	// instrumented with the cap (DESIGN.md §9). The unsized variant is
+	// accounted at the 64-bit default and deterministically violates the
+	// cap every messaging round — pinning the violation count itself; the
+	// sized variant declares its true 7-bit payloads and must stay
+	// violation-free. Both keep allocs/round pinned at 0: the cap may not
+	// cost the round loop a single allocation.
 	congestCap := sim.CongestCapBits(simCoreN)
 	planeRuns := []struct {
 		name     string
@@ -380,9 +503,9 @@ func RunSimCore(ctx context.Context) (*SimCoreReport, error) {
 		{"plane/exchange/sequential-10k", sim.Sequential, exchangeFactory, true},
 		{"plane/exchange-words/sequential-10k", sim.Sequential, exchangeWordsFactory, true},
 		{"plane/exchange-words-congest/sequential-10k",
-			sim.Instrumented(sim.Sequential, nil, &sim.Bandwidth{CapBits: congestCap}), exchangeWordsFactory, true},
+			sim.Instrumented(sim.Sequential, nil, congestCap), exchangeWordsFactory, true},
 		{"plane/exchange-words-sized/sequential-10k",
-			sim.Instrumented(sim.Sequential, nil, &sim.Bandwidth{CapBits: congestCap}), exchangeSizedFactory, true},
+			sim.Instrumented(sim.Sequential, nil, congestCap), exchangeSizedFactory, true},
 		{"plane/exchange/reverse-10k", sim.ReverseSequential, exchangeFactory, true},
 	}
 	for _, pr := range planeRuns {
@@ -399,139 +522,15 @@ func RunSimCore(ctx context.Context) (*SimCoreReport, error) {
 		rep.Results = append(rep.Results, r)
 	}
 
-	// End-to-end algorithm workloads. Each graph is generated once, outside
-	// the measurement; every run is verified before its numbers are
-	// reported.
-
-	// The O(log* n) Linial substrate on the 10k workload.
-	lg, err := gen.NearRegular(simCoreN, 8, simCoreSeed)
-	if err != nil {
-		return nil, err
-	}
-	linialRun, err := measureAlgo("algo/linial/sequential-10k", func(check bool) (int64, sim.Stats, error) {
-		lin, runErr := linial.Reduce(ctx, sim.Sequential, sim.NewTopology(lg), int64(lg.N()))
-		if runErr != nil {
-			return 0, sim.Stats{}, runErr
+	// End-to-end algorithm workloads, each verified before its numbers
+	// are reported.
+	for _, row := range algoRows {
+		r, err := measureAlgo(ctx, row)
+		if err != nil {
+			return nil, err
 		}
-		if check {
-			if err := verify.VertexColoring(lg, lin.Colors, lin.Palette); err != nil {
-				return 0, sim.Stats{}, fmt.Errorf("improper: %w", err)
-			}
-		}
-		return lin.Palette, lin.Stats, nil
-	})
-	if err != nil {
-		return nil, err
+		rep.Results = append(rep.Results, r)
 	}
-	rep.Results = append(rep.Results, linialRun)
-
-	// The paper's §4 star-partition pipeline on the standard Table 1
-	// workload — a deep composition, so it covers instance setup and
-	// subtopology churn rather than a single long execution.
-	sg, err := Workload(32, simCoreSeed)
-	if err != nil {
-		return nil, err
-	}
-	st, err := star.ChooseT(sg.MaxDegree(), 1)
-	if err != nil {
-		return nil, err
-	}
-	starRun, err := measureAlgo("algo/star-x1/sequential-d32", func(check bool) (int64, sim.Stats, error) {
-		res, runErr := star.EdgeColor(ctx, sg, st, 1, star.Options{})
-		if runErr != nil {
-			return 0, sim.Stats{}, runErr
-		}
-		if check {
-			if err := verify.EdgeColoring(sg, res.Colors, res.Palette); err != nil {
-				return 0, sim.Stats{}, fmt.Errorf("improper: %w", err)
-			}
-		}
-		return res.Palette, res.Stats, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep.Results = append(rep.Results, starRun)
-
-	// CD vertex-coloring on a bounded-diversity instance (the line graph
-	// of a 3-uniform hypergraph, D ≤ 3).
-	h, err := gen.UniformHypergraph(simCoreCDVerts, 3, simCoreCDEdges, simCoreSeed)
-	if err != nil {
-		return nil, err
-	}
-	hl, cov, err := cliques.HypergraphLineCover(h)
-	if err != nil {
-		return nil, err
-	}
-	ct := cd.ChooseT(cov.MaxCliqueSize(), 1)
-	cdRun, err := measureAlgo("algo/cd-x1/sequential-h3", func(check bool) (int64, sim.Stats, error) {
-		res, runErr := cd.Color(ctx, hl, cov, ct, 1, cd.Options{})
-		if runErr != nil {
-			return 0, sim.Stats{}, runErr
-		}
-		if check {
-			if err := verify.VertexColoring(hl, res.Colors, res.Palette); err != nil {
-				return 0, sim.Stats{}, fmt.Errorf("improper: %w", err)
-			}
-		}
-		return res.Palette, res.Stats, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep.Results = append(rep.Results, cdRun)
-
-	// Corollary 5.5 on a sparse graph: the H-partition, the black box on
-	// the part-internal edges, and a Lemma 5.1 merge per crossing stage.
-	pa, err := gen.PreferentialAttachment(simCoreSparseN, 2, simCoreSeed)
-	if err != nil {
-		return nil, err
-	}
-	paA := graph.ArboricityUpperBound(pa)
-	sparseRun, err := measureAlgo("algo/sparse/sequential-pa20k", func(check bool) (int64, sim.Stats, error) {
-		res, _, runErr := arbor.ColorAdaptive(ctx, pa, paA, arbor.Options{})
-		if runErr != nil {
-			return 0, sim.Stats{}, runErr
-		}
-		if check {
-			if err := verify.EdgeColoring(pa, res.Colors, res.Palette); err != nil {
-				return 0, sim.Stats{}, fmt.Errorf("improper: %w", err)
-			}
-		}
-		return res.Palette, res.Stats, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep.Results = append(rep.Results, sparseRun)
-
-	// The full edge-coloring pipeline at production scale: 100k vertices
-	// through the §4 star partition (Linial seed on the ~400k-vertex line
-	// graph, connector coloring, recursive classes, final trim).
-	pg, err := gen.NearRegular(simCorePipeN, simCorePipeDeg, simCoreSeed)
-	if err != nil {
-		return nil, err
-	}
-	pt, err := star.ChooseT(pg.MaxDegree(), 1)
-	if err != nil {
-		return nil, err
-	}
-	pipeRun, err := measureAlgo("algo/edgepipe-x1/sequential-100k", func(check bool) (int64, sim.Stats, error) {
-		res, runErr := star.EdgeColor(ctx, pg, pt, 1, star.Options{})
-		if runErr != nil {
-			return 0, sim.Stats{}, runErr
-		}
-		if check {
-			if err := verify.EdgeColoring(pg, res.Colors, res.Palette); err != nil {
-				return 0, sim.Stats{}, fmt.Errorf("improper: %w", err)
-			}
-		}
-		return res.Palette, res.Stats, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep.Results = append(rep.Results, pipeRun)
 	return rep, nil
 }
 

@@ -210,7 +210,7 @@ func TestColorRefusesPaletteOverflow(t *testing.T) {
 	}
 	for _, x := range []int{6, 7} {
 		rounds := 0
-		eng := sim.Instrumented(sim.Sequential, func(sim.RoundEvent) { rounds++ }, nil)
+		eng := sim.Instrumented(sim.Sequential, func(sim.RoundEvent) { rounds++ }, 0)
 		_, err := Color(context.Background(), g, cov, ChooseT(k, x), x, Options{Exec: eng})
 		if err == nil || !strings.Contains(err.Error(), "declared palette overflows int64") {
 			t.Fatalf("x=%d: err %v, want the palette overflow", x, err)
@@ -355,7 +355,7 @@ func TestBlackBoxRunsOnExec(t *testing.T) {
 	g, cov := lineInstance(t, 21, 25, 0.3)
 	observed := func(withVC bool) int {
 		rounds := 0
-		eng := sim.Instrumented(sim.Sequential, func(sim.RoundEvent) { rounds++ }, nil)
+		eng := sim.Instrumented(sim.Sequential, func(sim.RoundEvent) { rounds++ }, 0)
 		opt := Options{Exec: eng}
 		if withVC {
 			opt.VC.Exec = eng

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -276,8 +277,11 @@ func TestLineTableRefusesInt32Overflow(t *testing.T) {
 
 // TestLineGraphAllocs pins LineGraph to six allocations whatever the
 // graph: the edge list, the per-vertex cursor, and the four of
-// fromSortedEdges (graph, offsets, arcs, mates).
+// fromSortedEdges (graph, offsets, arcs, mates). The collector is paused
+// while counting: a GC cycle that lands in a run counts the runtime's own
+// objects too, as bench.MeasureOp notes for its allocation op.
 func TestLineGraphAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for name, g := range map[string]*Graph{"path": Path(50), "K30": Complete(30)} {
 		if got := testing.AllocsPerRun(5, func() { LineGraph(g) }); got != 6 {
 			t.Errorf("%s: LineGraph makes %v allocations, want 6", name, got)

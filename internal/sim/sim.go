@@ -313,9 +313,9 @@ type Stats struct {
 	// yardstick (CONGEST allows O(log n) bits per message per round).
 	MaxMessageBits int64
 	// CongestViolations counts executed rounds whose largest message
-	// exceeded the attached bandwidth accountant's cap (bandwidth.go). It
-	// is always 0 when no accountant with a cap is attached, so it is
-	// omitted from JSON encodings unless someone is actually auditing.
+	// exceeded the CONGEST cap given to Instrumented. It is always 0 when
+	// no cap is set, so it is omitted from JSON encodings unless someone
+	// is actually auditing.
 	CongestViolations int64 `json:",omitempty"`
 }
 
@@ -362,10 +362,10 @@ func ParAll(all []Stats) Stats {
 var ErrRoundLimit = errors.New("sim: round limit exceeded")
 
 // Exec runs a node program to global termination. Engine values implement
-// it; Instrumented wraps an Engine with a per-round hook and a bandwidth
-// accountant. Algorithm packages
-// accept an Exec so callers can observe every constituent execution of a
-// composed algorithm without the algorithms knowing.
+// it; Instrumented wraps an Engine with a per-round hook and a CONGEST
+// cap. Algorithm packages accept an Exec so callers can observe every
+// constituent execution of a composed algorithm without the algorithms
+// knowing.
 //
 // Cancellation is ctx-native: every engine checks ctx at each round
 // boundary and aborts with an error wrapping context.Cause(ctx), so
@@ -397,9 +397,6 @@ type RoundEvent struct {
 	N int
 	// Stats is the cumulative cost of this execution so far.
 	Stats Stats
-	// RoundBits is the total traffic of this round alone (the per-round
-	// bandwidth view; Stats.Bits is the cumulative sum).
-	RoundBits int64
 	// RoundMaxBits is the largest single message of this round — the
 	// bandwidth of the round's hottest edge, 0 in a silent round. Observers
 	// histogram it to see CONGEST behavior over time.
@@ -412,25 +409,27 @@ type RoundEvent struct {
 type RoundHook func(RoundEvent)
 
 // Instrumented returns an Exec that runs like base, calling hook after
-// every executed round (nil: no hook) and feeding every round to the
-// bandwidth accountant bw (nil: no accounting). Because composed
-// algorithms thread the Exec they are given to all their sub-executions,
-// attaching an accountant here accounts the whole composition.
-func Instrumented(base Engine, hook RoundHook, bw *Bandwidth) Exec {
-	if hook == nil && bw == nil {
+// every executed round (nil: no hook) and adding one to
+// Stats.CongestViolations for every round whose largest message exceeds
+// capBits (0: no cap). Violations are counted, never enforced. Because
+// composed algorithms thread the Exec they are given to all their
+// sub-executions, and Seq and Par sum violations, a cap set here audits
+// the whole composition.
+func Instrumented(base Engine, hook RoundHook, capBits int64) Exec {
+	if hook == nil && capBits == 0 {
 		return base
 	}
-	return observedExec{base: base, hook: hook, bw: bw}
+	return observedExec{base: base, hook: hook, capBits: capBits}
 }
 
 type observedExec struct {
-	base Engine
-	hook RoundHook
-	bw   *Bandwidth
+	base    Engine
+	hook    RoundHook
+	capBits int64
 }
 
 func (o observedExec) Run(ctx context.Context, t *Topology, f Factory, maxRounds int) (Stats, error) {
-	return o.base.run(ctx, t, f, maxRounds, o.hook, o.bw)
+	return o.base.run(ctx, t, f, maxRounds, o.hook, o.capBits)
 }
 
 // instance holds the shared execution state of one run.
@@ -932,7 +931,7 @@ const (
 
 // Run executes the algorithm to global termination on the selected engine.
 func (e Engine) Run(ctx context.Context, t *Topology, f Factory, maxRounds int) (Stats, error) {
-	return e.run(ctx, t, f, maxRounds, nil, nil)
+	return e.run(ctx, t, f, maxRounds, nil, 0)
 }
 
 // plan lays the engine's step order over inst as shards: one forward shard
@@ -975,11 +974,11 @@ func (e Engine) plan(inst *instance, f Factory) []shard {
 // Instrumented wrappers. Each round it steps the plan's shards (directly
 // when there is one, else one goroutine per shard up to a barrier), folds
 // their traffic and halts, and then does the round's bookkeeping once:
-// abort and round-limit checks, Stats, the bandwidth accountant, halt
+// abort and round-limit checks, Stats and the CONGEST cap, halt
 // retirement and the hook. Under an ActiveSet it first hands each shard
 // its part of the round's acting vertices, and the round's traffic is the
 // running sums, read before carryRound.
-func (e Engine) run(ctx context.Context, t *Topology, f Factory, maxRounds int, hook RoundHook, bw *Bandwidth) (Stats, error) {
+func (e Engine) run(ctx context.Context, t *Topology, f Factory, maxRounds int, hook RoundHook, capBits int64) (Stats, error) {
 	ctx = orBackground(ctx)
 	inst, err := newInstance(t, f)
 	if err != nil {
@@ -1056,14 +1055,14 @@ func (e Engine) run(ctx context.Context, t *Topology, f Factory, maxRounds int, 
 		if sent.maxBits > stats.MaxMessageBits {
 			stats.MaxMessageBits = sent.maxBits
 		}
-		if bw != nil {
-			stats.CongestViolations += bw.roundDone(sent.bits, sent.maxBits)
+		if capBits > 0 && sent.maxBits > capBits {
+			stats.CongestViolations++
 		}
 		inst.retireRound(round)
 		stats.Rounds++
 		if hook != nil {
 			hook(RoundEvent{Round: round, Running: inst.remaining, N: inst.n, Stats: stats,
-				RoundBits: sent.bits, RoundMaxBits: sent.maxBits})
+				RoundMaxBits: sent.maxBits})
 		}
 	}
 	return stats, nil

@@ -472,7 +472,7 @@ func TestContextAbortsRun(t *testing.T) {
 				cancel()
 			}
 		}
-		stats, err := Instrumented(e, hook, nil).Run(ctx, NewTopology(big), oddForeverProgram, 1000)
+		stats, err := Instrumented(e, hook, 0).Run(ctx, NewTopology(big), oddForeverProgram, 1000)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("engine %v mid-run: want context.Canceled, got %v", e, err)

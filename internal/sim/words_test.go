@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -385,28 +384,29 @@ func TestActiveSetMutantFails(t *testing.T) {
 	}
 }
 
-// TestActiveSetRoundEvents compares the RoundEvent stream and the
-// bandwidth accountant of wordActive with those of the same program with
-// Active hidden, on every graph of the grid and every engine. The cap of
-// 40 bits makes some rounds violations and others not. Some subset round
-// must carry a smaller largest message than the round before it, so the
-// running maximum is exercised.
+// TestActiveSetRoundEvents compares the RoundEvent stream and the Stats
+// of wordActive with those of the same program with Active hidden, on
+// every graph of the grid and every engine. The cap of 40 bits makes some
+// rounds violations and others not. Some subset round must carry a
+// smaller largest message than the round before it, so the running
+// maximum is exercised.
 func TestActiveSetRoundEvents(t *testing.T) {
 	const maxRounds = 64
-	run := func(eng sim.Engine, topo *sim.Topology, f sim.Factory) ([]sim.RoundEvent, *sim.Bandwidth) {
+	run := func(eng sim.Engine, topo *sim.Topology, f sim.Factory) ([]sim.RoundEvent, sim.Stats) {
 		var events []sim.RoundEvent
-		bw := &sim.Bandwidth{CapBits: 40}
-		if _, err := sim.Instrumented(eng, func(ev sim.RoundEvent) { events = append(events, ev) }, bw).Run(context.Background(), topo, f, maxRounds); err != nil {
+		stats, err := sim.Instrumented(eng, func(ev sim.RoundEvent) { events = append(events, ev) }, 40).Run(context.Background(), topo, f, maxRounds)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return events, bw
+		return events, stats
 	}
 	drops := 0
+	var violations, rounds int64
 	for _, gc := range wordPlaneGraphs() {
 		topo := sim.NewTopology(gc.g)
 		for _, ec := range wordPlaneEngines {
-			want, wantBW := run(ec.eng, topo, activeHidden{newWordActive(topo, make([]int64, gc.g.N()))})
-			got, gotBW := run(ec.eng, topo, newWordActive(topo, make([]int64, gc.g.N())))
+			want, wantStats := run(ec.eng, topo, activeHidden{newWordActive(topo, make([]int64, gc.g.N()))})
+			got, gotStats := run(ec.eng, topo, newWordActive(topo, make([]int64, gc.g.N())))
 			if len(got) != len(want) {
 				t.Fatalf("%s/%s: %d rounds, %d with Active hidden", gc.name, ec.name, len(got), len(want))
 			}
@@ -418,15 +418,18 @@ func TestActiveSetRoundEvents(t *testing.T) {
 					drops++
 				}
 			}
-			if gotBW.Rounds() != wantBW.Rounds() || gotBW.Violations() != wantBW.Violations() ||
-				gotBW.MaxRoundBits() != wantBW.MaxRoundBits() || gotBW.MaxMessageBits() != wantBW.MaxMessageBits() ||
-				!slices.Equal(gotBW.HistBuckets(), wantBW.HistBuckets()) {
-				t.Fatalf("%s/%s: bandwidth accountant differs with Active hidden", gc.name, ec.name)
+			if gotStats != wantStats {
+				t.Fatalf("%s/%s: stats %+v, with Active hidden %+v", gc.name, ec.name, gotStats, wantStats)
 			}
+			violations += gotStats.CongestViolations
+			rounds += int64(gotStats.Rounds)
 		}
 	}
 	if drops == 0 {
 		t.Fatal("no subset round lowered the largest message: the running maximum went unexercised")
+	}
+	if violations == 0 || violations == rounds {
+		t.Fatalf("%d of %d rounds exceeded the 40-bit cap, want some but not all", violations, rounds)
 	}
 }
 

@@ -224,7 +224,7 @@ func TestBlackBoxRunsOnExec(t *testing.T) {
 	}
 	observed := func(withVC bool) int {
 		rounds := 0
-		eng := sim.Instrumented(sim.Sequential, func(sim.RoundEvent) { rounds++ }, nil)
+		eng := sim.Instrumented(sim.Sequential, func(sim.RoundEvent) { rounds++ }, 0)
 		opt := Options{Exec: eng}
 		if withVC {
 			opt.VC.Exec = eng
