@@ -166,6 +166,9 @@ profile:
 # and nothing may panic or fail Run's verification. FuzzLinialStep checks
 # one Linial step's Barrett field arithmetic against the reference with
 # hardware division, on schedules derived from fuzzed palettes and degrees.
+# FuzzEdgeColoring checks verify.EdgeColoring, which colord runs on every
+# coloring it serves, against its map-per-vertex reference, error text
+# included, on fuzzed graphs and colorings with palettes up to 2⁶³−1.
 # Go allows one -fuzz per invocation, so the targets run back to back;
 # corpus findings land in each package's testdata/fuzz. Minimizing is
 # capped at 10 runs per new input (the default is 60 s), so each target
@@ -179,6 +182,7 @@ fuzz:
 	$(GO) test ./internal/connector/ -run '^$$' -fuzz FuzzOrientationConnectors -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test . -run '^$$' -fuzz FuzzRun -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/linial/ -run '^$$' -fuzz FuzzLinialStep -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
+	$(GO) test ./internal/verify/ -run '^$$' -fuzz FuzzEdgeColoring -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 
 # The deterministic chaos suite (DESIGN.md §12): one seeded schedule drives
 # a 200-job workload through every injection point — scheduled panics,

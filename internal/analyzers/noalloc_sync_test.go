@@ -45,9 +45,10 @@ var noallocManifest = map[string]string{
 	"internal/sim.(Outbox).Send":      "sim round loop, port-plane unicast",
 	"internal/sim.(instance).deliver": "sim round loop, unicast delivery",
 	"internal/sim.(instance).post":    "sim round loop, unicast delivery",
-	// The active-set path of the word plane, pinned by
-	// TestActiveSetSteadyStateAllocFree and TestLinePlaneSteadyStateAllocFree
-	// (words_test.go) on both sequential engines.
+	// The active-set path, pinned by TestActiveSetSteadyStateAllocFree
+	// (words_test.go) on both planes and TestLinePlaneSteadyStateAllocFree
+	// on line topologies, on both sequential engines.
+	"internal/sim.(union).next":                "sim round loop, a subset round's step order",
 	"internal/sim.(instance).stepVertexActive": "sim round loop, active-set step",
 	"internal/sim.(instance).wordTraffic":      "sim round loop, active-set traffic",
 	"internal/sim.(instance).carryRound":       "sim round loop, active-set carry",

@@ -202,6 +202,70 @@ func TestMergeDegreeBoundViolation(t *testing.T) {
 	}
 }
 
+// TestMergeErrorsOnEveryEngine pins Merge's errors, text and all, on
+// every engine. The graphs have 600 vertices, two shards' worth, with the
+// A side and the B side in different shards. In the first case an
+// A-vertex has 3 crossing edges under D = 2 and fails in round 1. In the
+// others two A-vertices each offer two edges, labels 1 and 2, to the same
+// two B-vertices, and the second B-vertex, whose edge to an idle vertex is
+// precolored 0, runs out of colors on its second label-2 offer: Palette 2
+// is below Δ_B + D − 1 = 4. That B-vertex halts in round 4 with no free
+// color, and the A-vertex it did not answer must be stepped in round 5 to
+// find its reply missing. Merge reports the error of the lower vertex, so
+// the two cases differ only in which side has the low identifiers.
+func TestMergeErrorsOnEveryEngine(t *testing.T) {
+	const n = 600
+	spec := func(edges [][2]int, as, bs []int, d int, palette int64) MergeSpec {
+		b := graph.NewBuilder(n)
+		for _, e := range edges {
+			b.AddEdge(e[0], e[1])
+		}
+		g := b.MustBuild()
+		s := MergeSpec{G: g, RoleA: make([]bool, n), RoleB: make([]bool, n), EdgeColors: make([]int64, g.M()), D: d, Palette: palette}
+		for e := range s.EdgeColors {
+			s.EdgeColors[e] = -1
+		}
+		for _, v := range as {
+			s.RoleA[v] = true
+		}
+		for _, v := range bs {
+			s.RoleB[v] = true
+		}
+		return s
+	}
+	// square: A-vertices a1, a2 and B-vertices b1, b2 joined by all four
+	// edges, and b2's edge to idle colored 0.
+	square := func(a1, a2, b1, b2, idle int) MergeSpec {
+		s := spec([][2]int{{a1, b1}, {a1, b2}, {a2, b1}, {a2, b2}, {b2, idle}}, []int{a1, a2}, []int{b1, b2}, 2, 2)
+		for _, a := range s.G.Adj(b2) {
+			if int(a.To) == idle {
+				s.EdgeColors[a.Edge] = 0
+			}
+		}
+		return s
+	}
+	cases := []struct {
+		name string
+		spec MergeSpec
+		want string
+	}{
+		{"crossing-degree", spec([][2]int{{0, 300}, {0, 400}, {0, 500}}, []int{0}, []int{300, 400, 500}, 2, 10),
+			"arbor: merge: vertex 0 has 3 crossing edges, bound D=2"},
+		{"missing-reply", square(10, 20, 500, 510, 520), "arbor: merge: vertex 20 missing reply for label 2"},
+		{"no-free-color", square(500, 510, 10, 20, 30), "arbor: merge: vertex 20 found no free color below 2"},
+	}
+	for _, c := range cases {
+		initial := append([]int64(nil), c.spec.EdgeColors...)
+		for _, eng := range []sim.Engine{sim.Sequential, sim.ReverseSequential, sim.Parallel} {
+			copy(c.spec.EdgeColors, initial)
+			_, err := Merge(context.Background(), eng, c.spec)
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("%s on engine %d: error %v, want %q", c.name, eng, err, c.want)
+			}
+		}
+	}
+}
+
 func TestColorHPartition(t *testing.T) {
 	g, a := bounded(t, 500, 3, 200, 3)
 	res, err := ColorHPartition(context.Background(), g, a, Options{})

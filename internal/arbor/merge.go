@@ -142,17 +142,24 @@ type mergeProgram struct {
 	// crossing edges B-vertex v colored.
 	errs     []error
 	assigned []int
+	// sideA and sideB list the stage's A- and B-vertices in ascending
+	// order over the n-slot slab sides (no vertex has both roles). Active
+	// hands them to the engine and filters sideA in place as A-vertices
+	// finish.
+	sides, sideA, sideB []int32
 }
 
 func newMergeProgram(g *graph.Graph) *mergeProgram {
 	n, arcs := g.N(), g.NumArcs()
+	ints := make([]int32, 2*n)
 	return &mergeProgram{
 		cross:    make([]int32, arcs),
-		ncross:   make([]int32, n),
+		ncross:   ints[:n:n],
 		pay:      make([]int64, arcs),
 		offers:   make([]offerMsg, n),
 		errs:     make([]error, n),
 		assigned: make([]int, n),
+		sides:    ints[n:],
 	}
 }
 
@@ -164,11 +171,56 @@ func (p *mergeProgram) reset(spec *MergeSpec) {
 	p.words = int((spec.Palette + 63) / 64)
 	clear(p.errs)
 	clear(p.assigned)
+	k := 0
+	for v, a := range spec.RoleA {
+		if a {
+			p.sides[k] = int32(v)
+			k++
+		}
+	}
+	p.sideA = p.sides[:k:k]
+	for v, b := range spec.RoleB {
+		if b {
+			p.sides[k] = int32(v)
+			k++
+		}
+	}
+	p.sideB = p.sides[len(p.sideA):k]
 }
 
 // Scratch implements sim.Factory: a B-vertex's two palette bitsets, its
 // incident colors and one offer's colors.
 func (p *mergeProgram) Scratch(int) int { return 2 * p.words }
+
+// Active implements sim.ActiveSet: it names the vertices of a round that
+// Step would do something at, and the engine adds the receivers of the
+// last round's offers and replies. Round 0, the role exchange, steps
+// everyone. An A-vertex acts in odd rounds: every one in rounds 1 and 3
+// (one without crossing edges halts in round 3), and in round 2i+1 ≥ 5
+// those with at least i crossing edges, which are the ones still running,
+// so one whose reply for label i is missing is stepped and reports it. A
+// B-vertex acts when offers reach it, and every one in round 2D, where it
+// halts.
+func (p *mergeProgram) Active(round int) ([]int32, bool) {
+	switch {
+	case round == 0:
+		return nil, true
+	case round == 2*p.spec.D:
+		return p.sideB, false
+	case round%2 == 0:
+		return nil, false
+	case round >= 5:
+		i := int32(round-1) / 2
+		live := p.sideA[:0]
+		for _, v := range p.sideA {
+			if p.ncross[v] >= i {
+				live = append(live, v)
+			}
+		}
+		p.sideA = live
+	}
+	return p.sideA, false
+}
 
 func (p *mergeProgram) role(v int) mergeRole {
 	switch {

@@ -1,70 +1,68 @@
 package graph
 
 // DegeneracyOrder computes a degeneracy ordering of g by repeatedly removing
-// a minimum-degree vertex (bucket queue, O(n+m)). It returns the order
-// (first-removed first) and the degeneracy d: the largest degree seen at
-// removal time.
+// a minimum-degree vertex (the Matula–Beck bin sort, O(n+m)). It returns
+// the order (first-removed first) and the degeneracy d: the largest degree
+// seen at removal time.
 //
 // Degeneracy bounds arboricity: a(G) ≤ d(G) ≤ 2a(G) − 1, so d is the
 // arboricity estimate we hand to Section 5 when the caller does not know a
 // exactly. Orienting each edge from earlier to later in the order gives an
 // acyclic orientation with out-degree ≤ d.
 func DegeneracyOrder(g *Graph) (order []int, degeneracy int) {
+	vert, d := peel(g)
+	order = make([]int, len(vert))
+	for i, v := range vert {
+		order[i] = int(v)
+	}
+	return order, d
+}
+
+// peel removes g's vertices in a degeneracy order and returns the order
+// and the degeneracy. vert lists the vertices by current degree deg, bin[k]
+// is where degree k starts in it, and pos[v] is v's place. Removing the
+// next vertex v swaps each neighbor of higher current degree to the start
+// of its degree's range and moves that start past it, which lowers its
+// degree by one and keeps vert sorted; the vertices removed before v have
+// degree at most v's and are left alone.
+func peel(g *Graph) (vert []int32, degeneracy int) {
 	n := g.N()
-	deg := make([]int, n)
-	removed := make([]bool, n)
-	maxDeg := 0
-	for v := 0; v < n; v++ {
-		deg[v] = g.Degree(v)
-		if deg[v] > maxDeg {
-			maxDeg = deg[v]
-		}
+	slab := make([]int32, 3*n)
+	deg, pos, vert := slab[:n:n], slab[n:2*n:2*n], slab[2*n:]
+	bin := make([]int32, g.MaxDegree()+1)
+	for v := range deg {
+		deg[v] = int32(g.Degree(v))
+		bin[deg[v]]++
 	}
-	// buckets[d] holds vertices of current degree d.
-	buckets := make([][]int, maxDeg+1)
-	for v := 0; v < n; v++ {
-		buckets[deg[v]] = append(buckets[deg[v]], v)
+	start := int32(0)
+	for k, c := range bin {
+		bin[k], start = start, start+c
 	}
-	order = make([]int, 0, n)
-	cur := 0
-	for len(order) < n {
-		// The minimum current degree can drop by at most 1 per removal, so a
-		// moving pointer with a single step back keeps this linear overall.
-		if cur > 0 {
-			cur--
-		}
-		for cur <= maxDeg && len(buckets[cur]) == 0 {
-			cur++
-		}
-		// Pop a vertex with the (lazily maintained) minimum degree.
-		var v int
-		for {
-			b := buckets[cur]
-			v = b[len(b)-1]
-			buckets[cur] = b[:len(b)-1]
-			if !removed[v] && deg[v] == cur {
-				break
-			}
-			// Stale entry; find the next candidate, advancing buckets as
-			// they drain.
-			for cur <= maxDeg && len(buckets[cur]) == 0 {
-				cur++
-			}
-		}
-		removed[v] = true
-		order = append(order, v)
-		if cur > degeneracy {
-			degeneracy = cur
-		}
-		for _, a := range g.Adj(v) {
-			u := int(a.To)
-			if !removed[u] {
+	for v, k := range deg {
+		pos[v] = bin[k]
+		vert[pos[v]] = int32(v)
+		bin[k]++
+	}
+	copy(bin[1:], bin)
+	bin[0] = 0
+	for i := range vert {
+		v := vert[i]
+		dv := deg[v]
+		degeneracy = max(degeneracy, int(dv))
+		for _, a := range g.Adj(int(v)) {
+			u := a.To
+			if du := deg[u]; du > dv {
+				pu, pw := pos[u], bin[du]
+				if w := vert[pw]; w != u {
+					pos[u], pos[w] = pw, pu
+					vert[pu], vert[pw] = w, u
+				}
+				bin[du]++
 				deg[u]--
-				buckets[deg[u]] = append(buckets[deg[u]], u)
 			}
 		}
 	}
-	return order, degeneracy
+	return vert, degeneracy
 }
 
 // ArboricityUpperBound returns an upper bound on the arboricity of g derived
@@ -74,10 +72,7 @@ func ArboricityUpperBound(g *Graph) int {
 	if g.M() == 0 {
 		return 0
 	}
-	_, d := DegeneracyOrder(g)
-	if d == 0 {
-		d = 1
-	}
+	_, d := peel(g)
 	return d
 }
 

@@ -49,12 +49,14 @@
 // The port plane stores a SendAll's Message per vertex and gathers only
 // after a round in which some vertex broadcast; its unicasts are sparse:
 // each shard appends one record per Send, and after the barrier one
-// stable counting sort by receiver packs them into a single mail buffer,
-// so a round costs the running vertices plus the messages sent, not the
-// arcs of the running vertices. A word program that implements ActiveSet
-// (words.go) names each round's acting vertices, and each shard steps
-// only its part of them; idle vertices keep broadcasting their last word,
-// and the round's traffic comes from running sums.
+// stable counting sort over the round's receivers packs them into a
+// single mail buffer, so a round costs the stepped vertices plus the
+// messages sent, not the arcs of the running vertices. A program that
+// implements ActiveSet (words.go) names each round's acting vertices, and
+// each shard steps only its part of them, and on the port plane also the
+// vertices the last round's unicasts reached; an idle word-plane vertex
+// keeps broadcasting its last word, and the round's traffic comes from
+// running sums, while an idle port-plane vertex sends nothing.
 // Neither plane builds an object per vertex or a slab per arc, and in
 // either representation the round loop performs no heap allocations in its
 // steady state — see DESIGN.md §7–§8 and the allocation-regression tests.
@@ -64,6 +66,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -443,9 +447,12 @@ func (o observedExec) Run(ctx context.Context, t *Topology, f Factory, maxRounds
 // silence); under an ActiveSet, carryRound keeps an idle vertex's word in
 // both slabs. On the port plane bouts[round%2][v] is v's SendAll of that
 // round (nil: none), and every slot of a slab is nil unless heard says
-// that some vertex broadcast in the round that wrote it. The port plane's
-// unicasts arrive in the mail buffer, v's being mail[at[v]:at[v+1]] when
-// mailed says the last round sent any (deliver).
+// that some vertex broadcast in the round that wrote it; under an
+// ActiveSet the round loop clears a slab once a round has read its
+// broadcasts, since a vertex left out of the round that next writes the
+// slab would leave its old one there. The port plane's unicasts arrive in
+// the mail buffer, v's being mail[span[2v]:span[2v+1]], empty unless v is
+// one of rcv, the last round's receivers (deliver).
 //
 // Halted vertices' dead inboxes are never built, and the buffer swap is a
 // parity flip. The slabs are allocated once per run, the unicast buffers
@@ -460,13 +467,17 @@ type instance struct {
 	remaining int
 	// The port plane: the run's PortProgram, its broadcast slabs, whether
 	// the last round broadcast, and the unicast inboxes the last round
-	// delivered.
-	ports  PortProgram
-	bouts  [2][]Message
-	heard  bool
-	mail   []Mail
-	at     []int32
-	mailed bool
+	// delivered: the mail buffer, each vertex's range of it, the
+	// receivers in ascending order and a bitmap of them, one bit per
+	// vertex in 32-bit words, which is zero between deliveries. span, rcv
+	// and marks share one slab, allocated with the first mail buffer.
+	ports PortProgram
+	bouts [2][]Message
+	heard bool
+	mail  []Mail
+	span  []int32
+	rcv   []int32
+	marks []int32
 	// The word plane (words.go): the run's WordProgram, its WordSizer
 	// (nil: the default 64-bit accounting), and the two n-slot outbox
 	// slabs. Inbox windows and scratch slabs belong to the shards of the
@@ -474,9 +485,9 @@ type instance struct {
 	prog  WordProgram
 	sizer WordSizer
 	wouts [2][]Word
-	// active is the word program's ActiveSet (nil: every round steps
-	// every running vertex), and traffic the running sums of what its
-	// broadcasting vertices send per round.
+	// active is the program's ActiveSet on either plane (nil: every round
+	// steps every running vertex), and traffic the running sums of what a
+	// word program's broadcasting vertices send per round.
 	active  ActiveSet
 	traffic tally
 	// newly and pending are reusable lists of capacity n of the vertices
@@ -523,6 +534,7 @@ func newInstance(t *Topology, f Factory) (*instance, error) {
 			return nil, fmt.Errorf("sim: port program %T on a line topology: only word programs run on line topologies", f)
 		}
 		inst.ports = p
+		inst.active, _ = p.(ActiveSet)
 		slab := make([]Message, 2*n)
 		inst.bouts = [2][]Message{slab[:n:n], slab[n:]}
 	default:
@@ -564,15 +576,16 @@ func (inst *instance) stepVertex(v, round int, s *shard) (sendStats, bool) {
 
 // inbox returns v's port-plane inbox for the round: its mail, merged in
 // port order with its neighbors' broadcasts of the previous round when
-// there were any. Without broadcasts the inbox is v's part of the mail
-// buffer itself; with them it is built in the shard's window. A port
-// carries a broadcast or a unicast, never both.
+// there were any. Without broadcasts the inbox is v's range of the mail
+// buffer itself, empty unless the last delivery reached v; with them it is
+// built in the shard's window. A port carries a broadcast or a unicast,
+// never both.
 //
 //distcolor:noalloc
 func (inst *instance) inbox(v, round int, s *shard) []Mail {
 	var mail []Mail
-	if inst.mailed {
-		lo, hi := inst.at[v], inst.at[v+1]
+	if inst.span != nil {
+		lo, hi := inst.span[2*v], inst.span[2*v+1]
 		mail = inst.mail[lo:hi:hi]
 	}
 	if !inst.heard {
@@ -596,40 +609,60 @@ func (inst *instance) inbox(v, round int, s *shard) []Mail {
 }
 
 // deliver packs the round's unicasts into the inboxes the next round
-// reads, skipping those to halted receivers. One stable counting sort by
-// receiver places them: the records are read in ascending sender order,
-// a reversed shard's backwards, and each CSR range lists its neighbors in
-// ascending order, so every inbox comes out in port order. It then empties
-// the shards' record lists.
+// reads, skipping those to halted receivers, and lists the receivers in
+// rcv in ascending order. One stable counting sort over the receivers
+// places them: the records are read in ascending sender order, a reversed
+// shard's backwards, and each CSR range lists its neighbors in ascending
+// order, so every inbox comes out in port order. It then empties the
+// shards' record lists. A round costs the last round's receivers, which
+// it forgets first, plus the messages sent, plus one pass over the
+// bitmap's n/32 words: no pass over the vertices.
 //
 //distcolor:noalloc
 func (inst *instance) deliver(shards []shard) {
+	for _, v := range inst.rcv {
+		inst.span[2*v], inst.span[2*v+1] = 0, 0
+	}
+	inst.rcv = inst.rcv[:0]
 	total := 0
 	for i := range shards {
 		total += len(shards[i].out.recs)
 	}
-	inst.mailed = total > 0
 	if total == 0 {
 		return
 	}
 	if cap(inst.mail) < total {
 		inst.growMail(total)
 	}
-	// Count v's mail at at[v+2]; the prefix sums then leave at[v+1] at the
-	// start of v's mail, and posting advances it to the end, which is the
-	// start of v+1's: afterwards v's mail is mail[at[v]:at[v+1]].
-	at := inst.at
-	clear(at)
+	// Count v's mail at span[2v+1] and mark v. The pass over the marks
+	// then reaches the receivers in ascending order and sets both ends of
+	// each one's span to its start, and posting advances the end.
+	span, marks := inst.span, inst.marks
 	for i := range shards {
 		for _, r := range shards[i].out.recs {
 			if !inst.done[r.to] {
-				at[r.to+2]++
+				span[2*r.to+1]++
+				marks[r.to>>5] |= 1 << (r.to & 31)
 			}
 		}
 	}
-	for v := 2; v < len(at); v++ {
-		at[v] += at[v-1]
+	rcv := inst.rcv[:cap(inst.rcv)]
+	j, start := 0, int32(0)
+	for w, m := range marks {
+		if m == 0 {
+			continue
+		}
+		marks[w] = 0
+		for bs := uint32(m); bs != 0; bs &= bs - 1 {
+			v := int32(w<<5 + bits.TrailingZeros32(bs))
+			c := span[2*v+1]
+			span[2*v], span[2*v+1] = start, start
+			start += c
+			rcv[j] = v
+			j++
+		}
 	}
+	inst.rcv = rcv[:j]
 	for i := range shards {
 		s := &shards[i]
 		recs := s.out.recs
@@ -655,18 +688,21 @@ func (inst *instance) post(r *record) {
 		return
 	}
 	lo, _ := inst.g.Range(int(r.to))
-	i := inst.at[r.to+1]
-	inst.at[r.to+1] = i + 1
+	i := inst.span[2*r.to+1]
+	inst.span[2*r.to+1] = i + 1
 	inst.mail[i] = Mail{Port: inst.g.Mates()[r.arc] - int32(lo), Msg: r.msg}
 }
 
 // growMail sizes the mail buffer for a round of total unicasts, at least
-// doubling it, and allocates the inbox index with the first buffer. A
-// program whose first round of unicasts is its busiest, such as the
-// Lemma 5.1 merge, allocates one buffer per run.
+// doubling it, and allocates the spans, the receiver list and the bitmap
+// in one slab with the first buffer. A program whose first round of
+// unicasts is its busiest, such as the Lemma 5.1 merge, allocates one
+// buffer per run.
 func (inst *instance) growMail(total int) {
-	if inst.at == nil {
-		inst.at = make([]int32, inst.n+2)
+	if inst.span == nil {
+		n := inst.n
+		slab := make([]int32, 3*n+(n+31)/32)
+		inst.span, inst.rcv, inst.marks = slab[:2*n:2*n], slab[2*n:2*n:3*n], slab[3*n:]
 	}
 	inst.mail = make([]Mail, max(total, 2*cap(inst.mail)))
 }
@@ -818,17 +854,19 @@ func abortErr(ctx context.Context, round, remaining int) error {
 
 // shard is one contiguous vertex range [lo, hi) of a run's step plan,
 // stepped in index order, or in reverse index order when reverse is set.
-// In a round whose ActiveSet names the acting vertices, subset is set and
-// act is the shard's part of them, the names within [lo, hi). scratch is
-// the shard's own program scratch, win its word-plane inbox window, and
-// box and out its port-plane inbox window and outbox; sent and halted are
-// the traffic and the halt count of the shard's last stepped round, and
-// delta its changes to an ActiveSet program's running sums.
+// In a round whose ActiveSet names the acting vertices, subset is set, act
+// is the shard's part of the names and got its part of the last round's
+// unicast receivers, both the entries within [lo, hi). scratch is the
+// shard's own program scratch, win its word-plane inbox window, and box
+// and out its port-plane inbox window and outbox; sent and halted are the
+// traffic and the halt count of the shard's last stepped round, and delta
+// its changes to a word program's running sums.
 type shard struct {
 	lo, hi  int
 	reverse bool
 	subset  bool
 	act     []int32
+	got     []int32
 	win     []Word
 	box     []Mail
 	out     Outbox
@@ -838,12 +876,63 @@ type shard struct {
 	delta   tally
 }
 
+// union yields the union of two ascending vertex lists in a shard's step
+// order: ascending, or descending when reverse is set.
+type union struct {
+	act, got []int32
+	reverse  bool
+}
+
+// next returns the union's next vertex, taken off whichever lists hold
+// it, or −1 when both are empty.
+//
+//distcolor:noalloc
+func (u *union) next() int {
+	la, lg := len(u.act), len(u.got)
+	if la+lg == 0 {
+		return -1
+	}
+	var a, g, v int32
+	if u.reverse {
+		a, g = -1, -1
+		if la > 0 {
+			a = u.act[la-1]
+		}
+		if lg > 0 {
+			g = u.got[lg-1]
+		}
+		v = max(a, g)
+		if a == v {
+			u.act = u.act[:la-1]
+		}
+		if g == v {
+			u.got = u.got[:lg-1]
+		}
+		return int(v)
+	}
+	a, g = math.MaxInt32, math.MaxInt32
+	if la > 0 {
+		a = u.act[0]
+	}
+	if lg > 0 {
+		g = u.got[0]
+	}
+	v = min(a, g)
+	if a == v {
+		u.act = u.act[1:]
+	}
+	if g == v {
+		u.got = u.got[1:]
+	}
+	return int(v)
+}
+
 // stepShard advances the shard's running vertices by one round in the
 // shard's step order, on the run's plane: all of them, or in a subset
-// round those in act. The vertices that halt are written by index into
-// the shard's own region [lo, hi) of the newly slab, so concurrent shards
-// never share a slot; the round loop compacts the regions after the
-// barrier.
+// round those in act or got. The vertices that halt are written by index
+// into the shard's own region [lo, hi) of the newly slab, so concurrent
+// shards never share a slot; the round loop compacts the regions after
+// the barrier.
 //
 //distcolor:noalloc
 func (inst *instance) stepShard(s *shard, round int) {
@@ -853,19 +942,23 @@ func (inst *instance) stepShard(s *shard, round int) {
 	if inst.ports != nil && cap(s.out.recs) == 0 {
 		s.out.size = min(s.hi-s.lo, inst.remaining)
 	}
-	subset, act := s.subset, s.act
-	first, last := s.lo, s.hi
-	if subset {
-		first, last = 0, len(act)
-	}
-	i, end, di := first, last, 1
+	// A round that steps everyone walks the shard's range from i to end;
+	// a subset round walks an empty range and then the union of the
+	// shard's names and receivers.
+	i, end, di := s.lo, s.hi, 1
 	if s.reverse {
-		i, end, di = last-1, first-1, -1
+		i, end, di = s.hi-1, s.lo-1, -1
 	}
-	for ; i != end; i += di {
+	u := union{reverse: s.reverse}
+	if s.subset {
+		i, u.act, u.got = end, s.act, s.got
+	}
+	for {
 		v := i
-		if subset {
-			v = int(act[i])
+		if i != end {
+			i += di
+		} else if v = u.next(); v < 0 {
+			break
 		}
 		if inst.done[v] {
 			continue
@@ -888,6 +981,14 @@ func (inst *instance) stepShard(s *shard, round int) {
 		}
 	}
 	s.sent, s.halted = sent, k
+}
+
+// within returns the entries of the ascending list vs in [lo, hi), found
+// by two binary searches.
+func within(vs []int32, lo, hi int) []int32 {
+	first, _ := slices.BinarySearch(vs, int32(lo))
+	last, _ := slices.BinarySearch(vs, int32(hi))
+	return vs[first:last]
 }
 
 // stepGrain is the parallel engine's shard grain, tuned on the flat data
@@ -976,8 +1077,9 @@ func (e Engine) plan(inst *instance, f Factory) []shard {
 // their traffic and halts, and then does the round's bookkeeping once:
 // abort and round-limit checks, Stats and the CONGEST cap, halt
 // retirement and the hook. Under an ActiveSet it first hands each shard
-// its part of the round's acting vertices, and the round's traffic is the
-// running sums, read before carryRound.
+// its part of the round's acting vertices and of the last round's unicast
+// receivers. A word program's traffic is then the running sums, read
+// before carryRound; a port program's stays the sum of its steps.
 func (e Engine) run(ctx context.Context, t *Topology, f Factory, maxRounds int, hook RoundHook, capBits int64) (Stats, error) {
 	ctx = orBackground(ctx)
 	inst, err := newInstance(t, f)
@@ -994,7 +1096,7 @@ func (e Engine) run(ctx context.Context, t *Topology, f Factory, maxRounds int, 
 			return stats, fmt.Errorf("%w after %d rounds (%d vertices still running)", ErrRoundLimit, round, inst.remaining)
 		}
 		// An ActiveSet names the round's acting vertices; each shard
-		// takes the names within its range.
+		// takes the names and the receivers within its range.
 		var vs []int32
 		all := true
 		if inst.active != nil {
@@ -1003,9 +1105,8 @@ func (e Engine) run(ctx context.Context, t *Topology, f Factory, maxRounds int, 
 				s := &shards[i]
 				s.subset = !all
 				if !all {
-					first, _ := slices.BinarySearch(vs, int32(s.lo))
-					last, _ := slices.BinarySearch(vs, int32(s.hi))
-					s.act = vs[first:last]
+					s.act = within(vs, s.lo, s.hi)
+					s.got = within(inst.rcv, s.lo, s.hi)
 				}
 			}
 		}
@@ -1035,7 +1136,7 @@ func (e Engine) run(ctx context.Context, t *Topology, f Factory, maxRounds int, 
 			newly = append(newly, inst.newly[s.lo:s.lo+s.halted]...)
 		}
 		inst.newly = newly
-		if inst.active != nil {
+		if inst.prog != nil && inst.active != nil {
 			for i := range shards {
 				inst.traffic.merge(&shards[i].delta)
 			}
@@ -1043,6 +1144,9 @@ func (e Engine) run(ctx context.Context, t *Topology, f Factory, maxRounds int, 
 			inst.carryRound(round, vs, all)
 		}
 		if inst.ports != nil {
+			if inst.heard && inst.active != nil {
+				clear(inst.bouts[(round&1)^1])
+			}
 			inst.heard = false
 			for i := range shards {
 				inst.heard = inst.heard || shards[i].out.loud

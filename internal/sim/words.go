@@ -61,18 +61,23 @@ type WordSizer interface {
 	WordBits(w Word) int64
 }
 
-// ActiveSet is an optional method of a WordProgram whose rounds leave most
-// vertices idle. The engine calls Active once per round, before any step,
-// and steps only the running vertices it names: vs, in strictly ascending
-// order, or every running vertex when all is true (vs is then ignored).
-// An idle vertex is not stepped and keeps broadcasting the word it last
-// returned (silence before its first step). A program may leave a vertex
-// out of a round only when stepping it would change none of its state and
-// return that same word, so the run is the one of stepping every vertex:
-// the reference executor, which ignores Active, pins this. The engine
-// reads vs until the round ends; the program may reuse its backing array
-// in later rounds. A program with an ActiveSet that implements WordSizer
-// must report sizes in [0, 64] bits.
+// ActiveSet is an optional method of a WordProgram or a PortProgram whose
+// rounds leave most vertices idle. The engine calls Active once per round,
+// before any step, and steps only the running vertices it names: vs, in
+// strictly ascending order, or every running vertex when all is true (vs
+// is then ignored). On the port plane a round that is not all also steps
+// every running vertex that the previous round's unicasts reached, named
+// or not, so a program need not name the receivers of its Sends. An idle
+// vertex is not stepped and keeps its state. On the word plane it keeps
+// broadcasting the word it last returned (silence before its first step);
+// on the port plane it sends nothing and ignores any broadcast that
+// reached it. A program may leave a vertex out of a round only when
+// stepping it would change none of its state and return that same word,
+// or on the port plane send nothing and not halt, so the run is the one of
+// stepping every vertex: the reference executor, which ignores Active,
+// pins this. The engine reads vs until the round ends; the program may
+// reuse its backing array in later rounds. A word program with an
+// ActiveSet that implements WordSizer must report sizes in [0, 64] bits.
 type ActiveSet interface {
 	Active(round int) (vs []int32, all bool)
 }

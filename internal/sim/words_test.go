@@ -333,10 +333,106 @@ func (m activeMutant) Active(round int) ([]int32, bool) {
 	return vs, all
 }
 
+// portActive is a port program with an ActiveSet. Every fourth round
+// steps every running vertex; in any other round vertex v is named when
+// (7v + round) mod 5 = 0, and the engine adds the vertices the last
+// round's unicasts reached. A vertex acts when it is stepped in an
+// all-round, named, or reached by a unicast: it folds its whole inbox,
+// broadcasts included, into its result, then by (ID + round) mod 4
+// broadcasts, sends a Sizer payload on one port, or stays silent, and it
+// halts in the first round it acts at or after 3 + v mod 11. A vertex that
+// does not act changes nothing and sends nothing, even when a broadcast
+// reached it, which is what lets Active leave it out; the slots of
+// broadcasters left out two rounds later must read as silence.
+type portActive struct {
+	t       *sim.Topology
+	results []int64
+	buf     []int32
+}
+
+func newPortActive(t *sim.Topology, results []int64) *portActive {
+	return &portActive{t: t, results: results, buf: make([]int32, 0, t.N())}
+}
+
+func (*portActive) named(v, round int) bool { return round%4 == 0 || (7*v+round)%5 == 0 }
+
+func (*portActive) Scratch(int) int { return 0 }
+
+func (p *portActive) Active(round int) ([]int32, bool) {
+	if round%4 == 0 {
+		return nil, true
+	}
+	vs := p.buf[:0]
+	for v := range p.results {
+		if p.named(v, round) {
+			vs = append(vs, int32(v))
+		}
+	}
+	return vs, false
+}
+
+func (p *portActive) Step(v, round int, in []sim.Mail, out *sim.Outbox, _ []sim.Word) bool {
+	reached := false
+	for _, m := range in {
+		_, sized := m.Msg.(sizedMsg)
+		reached = reached || sized
+	}
+	if !p.named(v, round) && !reached {
+		return false
+	}
+	p.results[v] = foldMail(p.results[v], in)
+	id := p.t.ID(v)
+	switch (id + int64(round)) % 4 {
+	case 0:
+		out.SendAll(int64(round)*1000 + id)
+	case 1:
+		if deg := p.t.Degree(v); deg > 0 {
+			port := (round + int(id)) % deg
+			out.Send(port, sizedMsg(id*7+int64(port)))
+		}
+	}
+	return round >= 3+v%11
+}
+
+// portActiveHidden is a portActive behind a wrapper without Active.
+type portActiveHidden struct{ p *portActive }
+
+func (h portActiveHidden) Scratch(maxDeg int) int { return h.p.Scratch(maxDeg) }
+
+func (h portActiveHidden) Step(v, round int, in []sim.Mail, out *sim.Outbox, scratch []sim.Word) bool {
+	return h.p.Step(v, round, in, out, scratch)
+}
+
+// portActiveMutant is a portActive whose active set drops the first named
+// vertex of every subset round.
+type portActiveMutant struct{ *portActive }
+
+func (m portActiveMutant) Active(round int) ([]int32, bool) {
+	vs, all := m.portActive.Active(round)
+	if !all && len(vs) > 0 {
+		vs = vs[1:]
+	}
+	return vs, all
+}
+
+// activePrograms are the active-set test programs of both planes, each
+// with its twin that hides Active.
+var activePrograms = []struct {
+	name         string
+	active, hide func(*sim.Topology, []int64) sim.Factory
+}{
+	{"words",
+		func(t *sim.Topology, res []int64) sim.Factory { return newWordActive(t, res) },
+		func(t *sim.Topology, res []int64) sim.Factory { return activeHidden{newWordActive(t, res)} }},
+	{"ports",
+		func(t *sim.Topology, res []int64) sim.Factory { return newPortActive(t, res) },
+		func(t *sim.Topology, res []int64) sim.Factory { return portActiveHidden{newPortActive(t, res)} }},
+}
+
 // activeDiff runs f on every engine and returns the first difference of
 // results, Stats or error from the reference executor, which ignores
 // Active and steps every running vertex; "" when there is none.
-func activeDiff(g *graph.Graph, f func(*sim.Topology, []int64) sim.WordProgram) string {
+func activeDiff(g *graph.Graph, f func(*sim.Topology, []int64) sim.Factory) string {
 	const maxRounds = 64
 	topo := sim.NewTopology(g)
 	wantRes := make([]int64, g.N())
@@ -359,37 +455,45 @@ func activeDiff(g *graph.Graph, f func(*sim.Topology, []int64) sim.WordProgram) 
 	return ""
 }
 
-// TestActiveSetMatchesReference runs wordActive over the word-plane grid
-// on every engine: results and Stats must be those of the reference
-// executor, which steps every running vertex.
+// TestActiveSetMatchesReference runs the active-set programs of both
+// planes over the word-plane grid on every engine: results and Stats must
+// be those of the reference executor, which steps every running vertex.
 func TestActiveSetMatchesReference(t *testing.T) {
 	for _, gc := range wordPlaneGraphs() {
 		t.Run(gc.name, func(t *testing.T) {
-			if diff := activeDiff(gc.g, func(topo *sim.Topology, res []int64) sim.WordProgram {
-				return newWordActive(topo, res)
-			}); diff != "" {
-				t.Fatal(diff)
+			for _, pc := range activePrograms {
+				t.Run(pc.name, func(t *testing.T) {
+					if diff := activeDiff(gc.g, pc.active); diff != "" {
+						t.Fatal(diff)
+					}
+				})
 			}
 		})
 	}
 }
 
 // TestActiveSetMutantFails checks that the comparison above catches an
-// active set missing one vertex that acts.
+// active set missing one vertex that acts, on either plane.
 func TestActiveSetMutantFails(t *testing.T) {
-	if diff := activeDiff(planeRandomGraph(1, 60, 0.15), func(topo *sim.Topology, res []int64) sim.WordProgram {
-		return activeMutant{newWordActive(topo, res)}
-	}); diff == "" {
-		t.Fatal("an active set that drops an acting vertex matched the reference")
+	for _, mc := range []struct {
+		name   string
+		mutant func(*sim.Topology, []int64) sim.Factory
+	}{
+		{"words", func(topo *sim.Topology, res []int64) sim.Factory { return activeMutant{newWordActive(topo, res)} }},
+		{"ports", func(topo *sim.Topology, res []int64) sim.Factory { return portActiveMutant{newPortActive(topo, res)} }},
+	} {
+		if diff := activeDiff(planeRandomGraph(1, 60, 0.15), mc.mutant); diff == "" {
+			t.Fatalf("%s: an active set that drops an acting vertex matched the reference", mc.name)
+		}
 	}
 }
 
 // TestActiveSetRoundEvents compares the RoundEvent stream and the Stats
-// of wordActive with those of the same program with Active hidden, on
-// every graph of the grid and every engine. The cap of 40 bits makes some
-// rounds violations and others not. Some subset round must carry a
-// smaller largest message than the round before it, so the running
-// maximum is exercised.
+// of each active-set program with those of the same program with Active
+// hidden, on every graph of the grid and every engine. The cap of 40 bits
+// makes some rounds violations and others not. On each plane some subset
+// round must carry a smaller largest message than the round before it,
+// so the word plane's running maximum is exercised.
 func TestActiveSetRoundEvents(t *testing.T) {
 	const maxRounds = 64
 	run := func(eng sim.Engine, topo *sim.Topology, f sim.Factory) ([]sim.RoundEvent, sim.Stats) {
@@ -400,36 +504,38 @@ func TestActiveSetRoundEvents(t *testing.T) {
 		}
 		return events, stats
 	}
-	drops := 0
-	var violations, rounds int64
-	for _, gc := range wordPlaneGraphs() {
-		topo := sim.NewTopology(gc.g)
-		for _, ec := range wordPlaneEngines {
-			want, wantStats := run(ec.eng, topo, activeHidden{newWordActive(topo, make([]int64, gc.g.N()))})
-			got, gotStats := run(ec.eng, topo, newWordActive(topo, make([]int64, gc.g.N())))
-			if len(got) != len(want) {
-				t.Fatalf("%s/%s: %d rounds, %d with Active hidden", gc.name, ec.name, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s/%s: round %d event %+v, with Active hidden %+v", gc.name, ec.name, i, got[i], want[i])
+	for _, pc := range activePrograms {
+		drops := 0
+		var violations, rounds int64
+		for _, gc := range wordPlaneGraphs() {
+			topo := sim.NewTopology(gc.g)
+			for _, ec := range wordPlaneEngines {
+				want, wantStats := run(ec.eng, topo, pc.hide(topo, make([]int64, gc.g.N())))
+				got, gotStats := run(ec.eng, topo, pc.active(topo, make([]int64, gc.g.N())))
+				if len(got) != len(want) {
+					t.Fatalf("%s/%s/%s: %d rounds, %d with Active hidden", pc.name, gc.name, ec.name, len(got), len(want))
 				}
-				if i > 0 && i%4 != 0 && got[i].RoundMaxBits < got[i-1].RoundMaxBits {
-					drops++
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s/%s/%s: round %d event %+v, with Active hidden %+v", pc.name, gc.name, ec.name, i, got[i], want[i])
+					}
+					if i > 0 && i%4 != 0 && got[i].RoundMaxBits < got[i-1].RoundMaxBits {
+						drops++
+					}
 				}
+				if gotStats != wantStats {
+					t.Fatalf("%s/%s/%s: stats %+v, with Active hidden %+v", pc.name, gc.name, ec.name, gotStats, wantStats)
+				}
+				violations += gotStats.CongestViolations
+				rounds += int64(gotStats.Rounds)
 			}
-			if gotStats != wantStats {
-				t.Fatalf("%s/%s: stats %+v, with Active hidden %+v", gc.name, ec.name, gotStats, wantStats)
-			}
-			violations += gotStats.CongestViolations
-			rounds += int64(gotStats.Rounds)
 		}
-	}
-	if drops == 0 {
-		t.Fatal("no subset round lowered the largest message: the running maximum went unexercised")
-	}
-	if violations == 0 || violations == rounds {
-		t.Fatalf("%d of %d rounds exceeded the 40-bit cap, want some but not all", violations, rounds)
+		if drops == 0 {
+			t.Fatalf("%s: no subset round lowered the largest message", pc.name)
+		}
+		if violations == 0 || violations == rounds {
+			t.Fatalf("%s: %d of %d rounds exceeded the 40-bit cap, want some but not all", pc.name, violations, rounds)
+		}
 	}
 }
 
@@ -442,7 +548,7 @@ type activeExchange struct {
 	thirds [3][]int32
 }
 
-func activeExchangeProgram(n, rounds int) sim.Factory {
+func activeExchangeProgram(n, rounds int) *activeExchange {
 	p := &activeExchange{rounds: rounds, word: make([]sim.Word, n)}
 	for v := 0; v < n; v++ {
 		p.thirds[v%3] = append(p.thirds[v%3], int32(v))
@@ -468,9 +574,43 @@ func (p *activeExchange) StepWord(v, round int, _, _ []sim.Word) (sim.Word, bool
 	return p.word[v], round >= p.rounds-1
 }
 
+// activeUnicast is activeExchange on the port plane: every fourth round,
+// and the last, steps every vertex, which broadcasts; any other round
+// names the vertices ≡ round (mod 3), each of which sends on its ports of
+// one parity, so the engine steps their receivers too. Only a named vertex
+// or a vertex in an all-round acts.
+type activeUnicast struct {
+	*activeExchange
+	t   *sim.Topology
+	acc []int64
+}
+
+func activeUnicastProgram(t *sim.Topology, rounds int) sim.Factory {
+	return &activeUnicast{activeExchange: activeExchangeProgram(t.N(), rounds), t: t, acc: make([]int64, t.N())}
+}
+
+func (p *activeUnicast) Step(v, round int, in []sim.Mail, out *sim.Outbox, _ []sim.Word) bool {
+	switch {
+	case p.everyone(round):
+		out.SendAll(int64(round & 0x7f))
+	case v%3 == round%3:
+		for port := round & 1; port < p.t.Degree(v); port += 2 {
+			out.Send(port, int64(round&0x7f))
+		}
+	default:
+		return false
+	}
+	for _, m := range in {
+		p.acc[v] += m.Msg.(int64) + int64(m.Port)
+	}
+	return round >= p.rounds-1
+}
+
 // TestActiveSetSteadyStateAllocFree pins the active-set path — shard
-// parts of the active set, the running sums and the carry — at zero heap
-// allocations per round on both sequential engines.
+// parts of the active set and of the receivers, the step order, and on the
+// word plane the running sums and the carry, on the port plane delivery
+// and the cleared broadcast slabs — at zero heap allocations per round on
+// both sequential engines.
 func TestActiveSetSteadyStateAllocFree(t *testing.T) {
 	g := planeRandomGraph(8, 400, 0.04)
 	topo := sim.NewTopology(g)
@@ -482,15 +622,25 @@ func TestActiveSetSteadyStateAllocFree(t *testing.T) {
 		{"reverse", sim.ReverseSequential},
 	} {
 		t.Run(ec.name, func(t *testing.T) {
-			run := func(rounds int) {
-				if _, err := ec.eng.Run(context.Background(), topo, activeExchangeProgram(g.N(), rounds), rounds+2); err != nil {
-					t.Fatal(err)
-				}
-			}
-			short, long := shortLongAllocs(run)
-			if long != short {
-				t.Fatalf("active-set rounds allocate: %.1f allocs over 64 extra rounds (%.1f vs %.1f)",
-					long-short, long, short)
+			for _, pc := range []struct {
+				name string
+				prog func(rounds int) sim.Factory
+			}{
+				{"words", func(rounds int) sim.Factory { return activeExchangeProgram(g.N(), rounds) }},
+				{"ports", func(rounds int) sim.Factory { return activeUnicastProgram(topo, rounds) }},
+			} {
+				t.Run(pc.name, func(t *testing.T) {
+					run := func(rounds int) {
+						if _, err := ec.eng.Run(context.Background(), topo, pc.prog(rounds), rounds+2); err != nil {
+							t.Fatal(err)
+						}
+					}
+					short, long := shortLongAllocs(run)
+					if long != short {
+						t.Fatalf("active-set rounds allocate: %.1f allocs over 64 extra rounds (%.1f vs %.1f)",
+							long-short, long, short)
+					}
+				})
 			}
 		})
 	}

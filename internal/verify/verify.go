@@ -8,6 +8,7 @@ package verify
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/graph"
 )
@@ -44,17 +45,42 @@ func EdgeColoring(g *graph.Graph, colors []int64, palette int64) error {
 			return fmt.Errorf("verify: edge %d color %d outside [0,%d)", e, colors[e], palette)
 		}
 	}
+	// One open-addressing table of at least 2Δ slots serves every vertex:
+	// a slot belongs to the vertex whose stamp it carries, so moving to
+	// the next vertex empties the table without clearing it, and the load
+	// stays at most one half whatever the palette.
+	size := 1
+	for size < 2*g.MaxDegree() {
+		size *= 2
+	}
+	shift := 64 - bits.TrailingZeros(uint(size))
+	seen := make([]colorSlot, size)
 	for v := 0; v < g.N(); v++ {
-		seen := make(map[int64]int32, g.Degree(v))
+		stamp := uint32(v) + 1
 		for _, a := range g.Adj(v) {
 			c := colors[a.Edge]
-			if prev, dup := seen[c]; dup {
-				return fmt.Errorf("verify: edges %d,%d at vertex %d share color %d", prev, a.Edge, v, c)
+			// Fibonacci hashing: the top bits of c·2⁶⁴/φ spread runs of
+			// consecutive colors over the table.
+			i := int((uint64(c) * 0x9e3779b97f4a7c15) >> shift)
+			for seen[i].stamp == stamp && seen[i].color != c {
+				i = (i + 1) & (size - 1)
 			}
-			seen[c] = a.Edge
+			if seen[i].stamp == stamp {
+				return fmt.Errorf("verify: edges %d,%d at vertex %d share color %d", seen[i].edge, a.Edge, v, c)
+			}
+			seen[i] = colorSlot{color: c, edge: a.Edge, stamp: stamp}
 		}
 	}
 	return nil
+}
+
+// colorSlot is one slot of EdgeColoring's table: edge, the first of its
+// color in port order at vertex stamp−1, has color color. A slot of stamp
+// 0 is empty.
+type colorSlot struct {
+	color int64
+	edge  int32
+	stamp uint32
 }
 
 // PaletteUsed returns the number of distinct colors appearing in colors.
